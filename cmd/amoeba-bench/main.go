@@ -2,18 +2,17 @@
 // Tanenbaum, "An Evaluation of the Amoeba Group Communication System"
 // (ICDCS 1996), by running the group protocols over the calibrated
 // discrete-event model of the paper's hardware (30 × 20-MHz MC68030,
-// 10 Mbit/s Ethernet, Lance interfaces).
+// 10 Mbit/s Ethernet, Lance interfaces). Its output is deterministic; the
+// live stack's performance numbers come from the benchmark/ package instead.
 //
 // Usage:
 //
 //	amoeba-bench                      # run everything
 //	amoeba-bench -experiment fig4     # one experiment
-//	amoeba-bench -experiment batched -json BENCH_batched.json
 //	amoeba-bench -list                # list experiment ids
 //
 // Experiment ids: table3, fig1, fig3, fig4, fig5, fig6, fig7, fig8, rpc, cm,
-// userspace, placement, processing, sharded, batched, proxied, durable,
-// reshard, observed, txn, audit, reads.
+// userspace, placement, processing, sharded, batched.
 package main
 
 import (
@@ -22,193 +21,10 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"amoeba/internal/experiments"
 	"amoeba/internal/netsim"
-	"amoeba/kv"
-	"amoeba/shared"
 )
-
-// proxiedTable renders the kv access-path latency measurement — the one
-// experiment that runs on the live fabric instead of the simulator (the kv
-// layer sits above the simulator's reach), so it lives in the kv package.
-func proxiedTable(results []kv.AccessPathResult) *experiments.Table {
-	t := &experiments.Table{
-		ID:        "Proxied KV access",
-		Title:     "sequenced Get latency by access path (4 nodes, 4 shards, replication 1, live in-memory fabric)",
-		PaperNote: "Table 1's ForwardRequest in use: a misrouted request is handed to an owning node; the reply returns from wherever it lands",
-		Columns:   []string{"path", "median (µs)", "p90 (µs)", "vs local", "forwards"},
-	}
-	for _, r := range results {
-		fw := ""
-		if r.Forwarded > 0 {
-			fw = fmt.Sprintf("%d", r.Forwarded)
-		}
-		t.Rows = append(t.Rows, []string{
-			r.Path,
-			fmt.Sprintf("%.0f", r.MedianUs),
-			fmt.Sprintf("%.0f", r.P90Us),
-			fmt.Sprintf("%.2fx", r.VsLocal),
-			fw,
-		})
-	}
-	return t
-}
-
-// durableTable renders the durable-history measurement — like the proxied
-// experiment it runs on the live fabric (and a real disk), so it lives with
-// the layer it measures (shared.MeasureDurable).
-func durableTable(res *shared.DurableBenchResult) *experiments.Table {
-	t := &experiments.Table{
-		ID:        "Durable history",
-		Title:     "write-ahead log: ordered throughput by journaling mode, and cold-start recovery time vs log size (live fabric + real disk)",
-		PaperNote: "the paper's history is in-memory only (r crashes lose nothing, a whole-cluster power loss everything); the WAL extends the fault-tolerance-for-performance trade to full restarts",
-		Columns:   []string{"case", "result", "note"},
-	}
-	for _, r := range res.Throughput {
-		t.Rows = append(t.Rows, []string{
-			"ordered throughput, " + r.Mode,
-			fmt.Sprintf("%.0f cmds/s", r.CmdsPerSec),
-			fmt.Sprintf("%.2fx in-memory", r.VsMemory),
-		})
-	}
-	for _, r := range res.Recovery {
-		label := fmt.Sprintf("recovery, %d entries", r.Entries)
-		if r.Checkpointed {
-			label += " + checkpoint"
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%.2f ms", r.RecoverMs),
-			fmt.Sprintf("%d KiB log, %d replayed", r.LogBytes/1024, r.Replayed),
-		})
-	}
-	return t
-}
-
-// reshardTable renders the live-resharding measurement — like the proxied
-// experiment it runs on the live fabric, so it lives in the kv package.
-func reshardTable(res *kv.ReshardBenchResult) *experiments.Table {
-	t := &experiments.Table{
-		ID:    "Live resharding",
-		Title: fmt.Sprintf("%d→%d split under continuous load (%d nodes, %d keys, live in-memory fabric)", res.OldShards, res.NewShards, res.Nodes, res.Keys),
-		PaperNote: "the paper's applications added groups under load; the epoch-versioned routing table turns that into a first-class store operation " +
-			"(sequenced migrate-begin/chunk/commit through each group's total order)",
-		Columns: []string{"measure", "result", "note"},
-	}
-	for _, p := range res.Phases {
-		t.Rows = append(t.Rows, []string{
-			"ops/s " + p.Phase,
-			fmt.Sprintf("%.0f", p.OpsPerSec),
-			fmt.Sprintf("%d ops / %.0f ms", p.Ops, p.DurationMs),
-		})
-	}
-	t.Rows = append(t.Rows,
-		[]string{"throughput retained during handoff", fmt.Sprintf("%.2fx", res.DuringVsBefore), fmt.Sprintf("handoff took %.0f ms", res.ReshardMs)},
-		[]string{"keys moved (consistent hash)", fmt.Sprintf("%.1f%%", 100*res.MovedRatio), fmt.Sprintf("%d of %d", res.MovedKeys, res.Keys)},
-		[]string{"keys an independent rehash would move", fmt.Sprintf("%.1f%%", 100*res.NaiveRatio), "≈ (new−1)/new"},
-	)
-	return t
-}
-
-// observedTable renders the instrumentation-cost experiment. Like the other
-// live-fabric experiments it measures real time on the host, so the
-// per-stage numbers vary by machine; the overhead percentage is the claim.
-func observedTable(res *kv.ObservedBenchResult) *experiments.Table {
-	t := &experiments.Table{
-		ID:    "Observed",
-		Title: "pipeline instrumentation: per-stage latency and enabled-vs-disabled cost",
-		PaperNote: fmt.Sprintf("overhead %.2f%% (disabled %.0f ops/s, enabled %.0f ops/s, %d runs per mode, mirrored schedule)",
-			res.OverheadPercent, res.DisabledOpsPerSec, res.EnabledOpsPerSec, res.Trials),
-		Columns: []string{"stage", "count", "p50", "p90", "p99", "max"},
-	}
-	ns := func(v uint64) string {
-		return time.Duration(v).Round(time.Microsecond).String()
-	}
-	for _, s := range res.Stages {
-		p50, p90, p99, max := ns(s.P50), ns(s.P90), ns(s.P99), ns(s.Max)
-		if strings.HasSuffix(s.Stage, "_fill") {
-			// Unitless histogram (batch occupancy), not a duration.
-			p50 = fmt.Sprintf("%d", s.P50)
-			p90 = fmt.Sprintf("%d", s.P90)
-			p99 = fmt.Sprintf("%d", s.P99)
-			max = fmt.Sprintf("%d", s.Max)
-		}
-		t.Rows = append(t.Rows, []string{
-			s.Stage, fmt.Sprintf("%d", s.Count), p50, p90, p99, max,
-		})
-	}
-	return t
-}
-
-// auditTable renders the self-audit cost experiment. Like the other
-// live-fabric experiments it measures real time on the host; the overhead
-// percentage is the claim.
-func auditTable(res *kv.AuditBenchResult) *experiments.Table {
-	t := &experiments.Table{
-		ID:    "Audit",
-		Title: "self-audit: sequenced state-digest audits on vs off (4 nodes, 4 shards, live in-memory fabric)",
-		PaperNote: fmt.Sprintf("every replica digests its state at the same sequence number every %dms; a divergent replica is localized to (shard, seq, key-range)",
-			res.AuditEveryMS),
-		Columns: []string{"measure", "result", "note"},
-	}
-	t.Rows = append(t.Rows,
-		[]string{"ops/s, audit off", fmt.Sprintf("%.0f", res.DisabledOpsPerSec), fmt.Sprintf("%d runs, mirrored schedule", res.Trials)},
-		[]string{"ops/s, audit on", fmt.Sprintf("%.0f", res.EnabledOpsPerSec), fmt.Sprintf("period %dms", res.AuditEveryMS)},
-		[]string{"overhead", fmt.Sprintf("%.2f%%", res.OverheadPercent), "negative = noise floor"},
-		[]string{"digest comparisons", fmt.Sprintf("%d", res.Audits), fmt.Sprintf("%d divergences (must be 0)", res.Divergences)},
-	)
-	return t
-}
-
-// readsTable renders the read-lease experiment. Like the other live-fabric
-// experiments it measures real time on the host; the speedups are the claim.
-func readsTable(res *kv.ReadsReport) *experiments.Table {
-	t := &experiments.Table{
-		ID:    "Reads",
-		Title: fmt.Sprintf("read paths under a 95/5 mix (%d nodes, fully replicated, live in-memory fabric)", res.Nodes),
-		PaperNote: fmt.Sprintf("sequencer leases piggybacked on sync ticks let replicas answer reads locally; %d lease reads, %d stale reads served",
-			res.LeaseReads, res.StaleReads),
-		Columns: []string{"shard", "sequenced ops/s", "leased ops/s", "stale ops/s", "leased vs seq", "stale vs seq"},
-	}
-	for _, r := range res.Shards {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r.Shard),
-			fmt.Sprintf("%.0f", r.SequencedOps),
-			fmt.Sprintf("%.0f", r.LeasedOps),
-			fmt.Sprintf("%.0f", r.StaleOps),
-			fmt.Sprintf("%.1fx", r.LeasedX),
-			fmt.Sprintf("%.1fx", r.StaleX),
-		})
-	}
-	return t
-}
-
-// txnTable renders the 2PC-width experiment. Like the other live-fabric
-// experiments it measures real time on the host, so absolute ops/s vary by
-// machine; each width's txn-vs-batch ratio is the claim.
-func txnTable(res *kv.TxnBenchResult) *experiments.Table {
-	t := &experiments.Table{
-		ID:    "Txn",
-		Title: "cross-shard transactions: sequenced 2PC at 1/2/4 participant shards vs same-width single-shard batches",
-		PaperNote: fmt.Sprintf("%d nodes, %d shards, %d clients on disjoint keys (%d conflict retries)",
-			res.Nodes, res.Shards, res.Clients, res.Conflicts),
-		Columns: []string{"commit", "shards", "writes", "ops/s", "mean", "p99", "vs batch"},
-	}
-	for _, c := range res.Cases {
-		t.Rows = append(t.Rows, []string{
-			c.Name,
-			fmt.Sprintf("%d", c.Participants),
-			fmt.Sprintf("%d", c.Writes),
-			fmt.Sprintf("%.0f", c.OpsPerSec),
-			fmt.Sprintf("%.2fms", c.MeanMs),
-			fmt.Sprintf("%.2fms", c.P99Ms),
-			fmt.Sprintf("%.2fx", c.VsBatch),
-		})
-	}
-	return t
-}
 
 func main() {
 	os.Exit(run())
@@ -216,170 +32,31 @@ func main() {
 
 func run() int {
 	var (
-		which   = flag.String("experiment", "all", "experiment id to run, or 'all'")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		jsonOut = flag.String("json", "", "write machine-readable results here, for experiments that support it (e.g. batched → BENCH_batched.json)")
+		which = flag.String("experiment", "all", "experiment id to run, or 'all'")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
 	model := netsim.DefaultCostModel()
-	// An experiment renders a table; some additionally render a
-	// machine-readable form for -json (perf trajectory files).
-	type experiment struct {
-		run  func(netsim.CostModel) (*experiments.Table, error)
-		json func(netsim.CostModel) (*experiments.Table, []byte, error)
-	}
-	tableOnly := func(f func(netsim.CostModel) (*experiments.Table, error)) experiment {
-		return experiment{run: f}
-	}
-	exps := map[string]experiment{
-		"table3":     tableOnly(experiments.Table3),
-		"fig1":       tableOnly(experiments.Fig1),
-		"fig3":       tableOnly(experiments.Fig3),
-		"fig4":       tableOnly(experiments.Fig4),
-		"fig5":       tableOnly(experiments.Fig5),
-		"fig6":       tableOnly(experiments.Fig6),
-		"fig7":       tableOnly(experiments.Fig7),
-		"fig8":       tableOnly(experiments.Fig8),
-		"rpc":        tableOnly(experiments.RPCComparison),
-		"cm":         tableOnly(experiments.CMComparison),
-		"userspace":  tableOnly(experiments.UserSpaceAblation),
-		"placement":  tableOnly(experiments.SequencerPlacement),
-		"processing": tableOnly(experiments.ProcessingScaling),
-		"sharded":    tableOnly(experiments.ShardedKV),
-		"batched": {
-			run: experiments.Batched,
-			json: func(m netsim.CostModel) (*experiments.Table, []byte, error) {
-				results, err := experiments.BatchedResults(m)
-				if err != nil {
-					return nil, nil, err
-				}
-				buf, err := experiments.BatchedJSON(results)
-				return experiments.BatchedTable(results), buf, err
-			},
-		},
-		"proxied": {
-			run: func(netsim.CostModel) (*experiments.Table, error) {
-				results, err := kv.MeasureAccessPaths()
-				if err != nil {
-					return nil, err
-				}
-				return proxiedTable(results), nil
-			},
-			json: func(netsim.CostModel) (*experiments.Table, []byte, error) {
-				results, err := kv.MeasureAccessPaths()
-				if err != nil {
-					return nil, nil, err
-				}
-				buf, err := kv.AccessPathsJSON(results)
-				return proxiedTable(results), buf, err
-			},
-		},
-		"durable": {
-			run: func(netsim.CostModel) (*experiments.Table, error) {
-				res, err := shared.MeasureDurable()
-				if err != nil {
-					return nil, err
-				}
-				return durableTable(res), nil
-			},
-			json: func(netsim.CostModel) (*experiments.Table, []byte, error) {
-				res, err := shared.MeasureDurable()
-				if err != nil {
-					return nil, nil, err
-				}
-				buf, err := shared.DurableBenchJSON(res)
-				return durableTable(res), buf, err
-			},
-		},
-		"reshard": {
-			run: func(netsim.CostModel) (*experiments.Table, error) {
-				res, err := kv.MeasureReshard()
-				if err != nil {
-					return nil, err
-				}
-				return reshardTable(res), nil
-			},
-			json: func(netsim.CostModel) (*experiments.Table, []byte, error) {
-				res, err := kv.MeasureReshard()
-				if err != nil {
-					return nil, nil, err
-				}
-				buf, err := kv.ReshardJSON(res)
-				return reshardTable(res), buf, err
-			},
-		},
-		"observed": {
-			run: func(netsim.CostModel) (*experiments.Table, error) {
-				res, err := kv.MeasureObserved()
-				if err != nil {
-					return nil, err
-				}
-				return observedTable(res), nil
-			},
-			json: func(netsim.CostModel) (*experiments.Table, []byte, error) {
-				res, err := kv.MeasureObserved()
-				if err != nil {
-					return nil, nil, err
-				}
-				buf, err := kv.ObservedJSON(res)
-				return observedTable(res), buf, err
-			},
-		},
-		"txn": {
-			run: func(netsim.CostModel) (*experiments.Table, error) {
-				res, err := kv.MeasureTxn()
-				if err != nil {
-					return nil, err
-				}
-				return txnTable(res), nil
-			},
-			json: func(netsim.CostModel) (*experiments.Table, []byte, error) {
-				res, err := kv.MeasureTxn()
-				if err != nil {
-					return nil, nil, err
-				}
-				buf, err := kv.TxnJSON(res)
-				return txnTable(res), buf, err
-			},
-		},
-		"reads": {
-			run: func(netsim.CostModel) (*experiments.Table, error) {
-				res, err := kv.MeasureReads()
-				if err != nil {
-					return nil, err
-				}
-				return readsTable(res), nil
-			},
-			json: func(netsim.CostModel) (*experiments.Table, []byte, error) {
-				res, err := kv.MeasureReads()
-				if err != nil {
-					return nil, nil, err
-				}
-				buf, err := kv.ReadsJSON(res)
-				return readsTable(res), buf, err
-			},
-		},
-		"audit": {
-			run: func(netsim.CostModel) (*experiments.Table, error) {
-				res, err := kv.MeasureAudit()
-				if err != nil {
-					return nil, err
-				}
-				return auditTable(res), nil
-			},
-			json: func(netsim.CostModel) (*experiments.Table, []byte, error) {
-				res, err := kv.MeasureAudit()
-				if err != nil {
-					return nil, nil, err
-				}
-				buf, err := kv.AuditJSON(res)
-				return auditTable(res), buf, err
-			},
-		},
+	exps := map[string]func(netsim.CostModel) (*experiments.Table, error){
+		"table3":     experiments.Table3,
+		"fig1":       experiments.Fig1,
+		"fig3":       experiments.Fig3,
+		"fig4":       experiments.Fig4,
+		"fig5":       experiments.Fig5,
+		"fig6":       experiments.Fig6,
+		"fig7":       experiments.Fig7,
+		"fig8":       experiments.Fig8,
+		"rpc":        experiments.RPCComparison,
+		"cm":         experiments.CMComparison,
+		"userspace":  experiments.UserSpaceAblation,
+		"placement":  experiments.SequencerPlacement,
+		"processing": experiments.ProcessingScaling,
+		"sharded":    experiments.ShardedKV,
+		"batched":    experiments.Batched,
 	}
 	order := []string{"table3", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"rpc", "cm", "userspace", "placement", "processing", "sharded", "batched", "proxied", "durable", "reshard", "observed", "txn", "audit", "reads"}
+		"rpc", "cm", "userspace", "placement", "processing", "sharded", "batched"}
 
 	if *list {
 		ids := make([]string, 0, len(exps))
@@ -401,30 +78,9 @@ func run() int {
 		}
 		ids = []string{*which}
 	}
-	if *jsonOut != "" && len(ids) != 1 {
-		// Several experiments would each overwrite the same file; make the
-		// user pick one instead of silently keeping only the last.
-		fmt.Fprintf(os.Stderr, "amoeba-bench: -json needs a single -experiment (e.g. -experiment batched)\n")
-		return 2
-	}
 
 	for _, id := range ids {
-		ex := exps[id]
-		if *jsonOut != "" && ex.json != nil {
-			// Run the sweep once and emit both renderings.
-			table, buf, err := ex.json(model)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "amoeba-bench: %s: %v\n", id, err)
-				return 1
-			}
-			fmt.Println(table.String())
-			if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "amoeba-bench: writing %s: %v\n", *jsonOut, err)
-				return 1
-			}
-			continue
-		}
-		table, err := ex.run(model)
+		table, err := exps[id](model)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "amoeba-bench: %s: %v\n", id, err)
 			return 1

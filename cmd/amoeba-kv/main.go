@@ -27,6 +27,8 @@
 //	METRICS                      -> Prometheus text, terminated by END
 //	TRACE <id>                   -> a sampled op's cross-node timeline, terminated by END
 //	TRACES                       -> retained trace ids, terminated by END
+//	FLIGHT                       -> the flight recorder's recent protocol events, terminated by END
+//	HEALTH | TOP                 -> the self-audit rollup (TOP adds per-shard detail), terminated by END
 //	QUIT                         -> closes the connection
 //
 // The same metrics are served over HTTP with -metrics-addr: GET /metrics is
@@ -37,8 +39,7 @@
 // strings (e.g. "two words") and replies quote values that need it.
 //
 // Load mode connects over TCP and hammers the server with a PUT/GET mix,
-// reporting aggregate ops/s. Selftest mode runs the in-process workload
-// (kv.RunLoad) without any TCP, sweeping shard counts.
+// reporting aggregate ops/s.
 //
 // With -data-dir the store is durable: every shard replica journals its
 // deliveries to a write-ahead log under <data-dir>/<store>/node-<n>/shard-<i>
@@ -52,12 +53,12 @@
 //	amoeba-kv -serve :7070 -shards 4 -nodes 3 -resilience 1 -replication 2
 //	amoeba-kv -serve :7070 -data-dir /var/lib/amoeba-kv
 //	amoeba-kv -load -addr :7070 -clients 8 -duration 5s
-//	amoeba-kv -selftest
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -79,7 +80,6 @@ func main() {
 	var (
 		serveAddr    = flag.String("serve", "", "serve the store on this TCP address (e.g. :7070)")
 		load         = flag.Bool("load", false, "run the TCP load generator against -addr")
-		selftest     = flag.Bool("selftest", false, "run the in-process load sweep and exit")
 		addr         = flag.String("addr", "127.0.0.1:7070", "server address for -load")
 		shards       = flag.Int("shards", 4, "shard-group count")
 		nodes        = flag.Int("nodes", 3, "replica nodes")
@@ -99,17 +99,13 @@ func main() {
 	)
 	flag.Parse()
 
-	switch {
-	case *selftest:
-		os.Exit(runSelftest(*nodes, *resilience, *duration, *metricsAddr))
-	case *load:
+	if *load {
 		os.Exit(runLoad(*addr, *clients, *duration, *valueSize, *readFrac))
-	default:
-		if *serveAddr == "" {
-			*serveAddr = ":7070"
-		}
-		os.Exit(serve(*serveAddr, *shards, *nodes, *resilience, *replication, *dataDir, *walSync, *walSyncDelay, *leases, *metricsAddr, *traceMod, *auditEvery))
 	}
+	if *serveAddr == "" {
+		*serveAddr = ":7070"
+	}
+	os.Exit(serve(*serveAddr, *shards, *nodes, *resilience, *replication, *dataDir, *walSync, *walSyncDelay, *leases, *metricsAddr, *traceMod, *auditEvery))
 }
 
 // newHub builds the process-wide observability hub and, when metricsAddr is
@@ -298,12 +294,15 @@ func untoken(tok string) ([]byte, error) {
 	return []byte(tok), nil
 }
 
+// maxLine bounds one protocol line; a longer one ends the connection.
+const maxLine = 1 << 20
+
 func handleConn(ctx context.Context, conn net.Conn, s *kv.Store, services []*kv.Service, hub *obs.Hub) {
 	defer conn.Close()
 	cl := s.NewClient()
 	defer cl.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	sc.Buffer(make([]byte, 0, 1<<16), maxLine)
 	w := bufio.NewWriter(conn)
 	reply := func(format string, args ...any) bool {
 		fmt.Fprintf(w, format+"\n", args...)
@@ -326,6 +325,9 @@ func handleConn(ctx context.Context, conn net.Conn, s *kv.Store, services []*kv.
 		if !ok {
 			return
 		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		reply("ERR line longer than %d bytes", maxLine)
 	}
 }
 
@@ -657,839 +659,5 @@ func runLoad(addr string, clients int, duration time.Duration, valueSize int, re
 	if total == 0 {
 		return 1
 	}
-	return 0
-}
-
-// runSelftest sweeps shard counts with the in-process workload, then drives
-// the same workload through the RPC proxy path: bounded replication, every
-// client holding one node's address, foreign shards reached by forwarding.
-// The whole run feeds one observability hub (served over HTTP when
-// -metrics-addr is set), and the selftest fails if any required metric
-// family is missing from the export — the pipeline instrumentation is part
-// of what is being self-tested.
-func runSelftest(nodes, resilience int, duration time.Duration, metricsAddr string) int {
-	if duration <= 0 || duration > 2*time.Second {
-		duration = time.Second
-	}
-	ctx := context.Background()
-	hub := newHub("selftest", 64, metricsAddr)
-	group := amoeba.GroupOptions{
-		Resilience:   resilience,
-		AutoReset:    true,
-		MinSurvivors: 1,
-		Obs:          hub,
-	}
-	fmt.Println("in-process load sweep (aggregate ops/s; single host, so this measures protocol overhead):")
-	for _, shards := range []int{1, 2, 4, 8} {
-		rep, err := kv.RunLoad(ctx, kv.LoadOptions{
-			Shards: shards,
-			Nodes:  nodes,
-			// Enough concurrency per node to fill the send window and
-			// exercise write coalescing (see the batches= counters).
-			Clients:  8 * nodes,
-			Duration: duration,
-			Group:    group,
-		})
-		if err != nil {
-			log.Printf("amoeba-kv: selftest shards=%d: %v", shards, err)
-			return 1
-		}
-		fmt.Printf("  %s\n", rep)
-	}
-	fmt.Println("proxied sweep (bounded replication; clients hold one node address, foreign shards via RPC proxy / ForwardRequest):")
-	proxNodes := nodes
-	if proxNodes < 2 {
-		proxNodes = 2
-	}
-	rep, err := kv.RunLoad(ctx, kv.LoadOptions{
-		Shards:      proxNodes,
-		Nodes:       proxNodes,
-		Replication: 1,
-		Proxied:     true,
-		Clients:     4 * proxNodes,
-		Duration:    duration,
-		Group:       group,
-	})
-	if err != nil {
-		log.Printf("amoeba-kv: selftest proxied: %v", err)
-		return 1
-	}
-	fmt.Printf("  %s\n", rep)
-	if rep.Forwarded == 0 {
-		log.Printf("amoeba-kv: selftest proxied: no requests were forwarded — the proxy path went unexercised")
-		return 1
-	}
-	if rc := runReshardSelftest(nodes, resilience, hub); rc != 0 {
-		return rc
-	}
-	if rc := runDurableSelftest(nodes, resilience, hub); rc != 0 {
-		return rc
-	}
-	if rc := runTxnSelftest(nodes, resilience, duration, hub); rc != 0 {
-		return rc
-	}
-	if rc := runLeaseSelftest(nodes, resilience, duration, hub); rc != 0 {
-		return rc
-	}
-	if rc := runHealthSelftest(nodes, resilience, hub); rc != 0 {
-		return rc
-	}
-	return checkMetrics(hub)
-}
-
-// checkMetrics renders the hub's Prometheus export and fails if any metric
-// family the pipeline instrumentation is supposed to populate is absent —
-// a regression guard on the observability layer itself.
-func checkMetrics(hub *obs.Hub) int {
-	var b strings.Builder
-	if err := hub.Registry().WritePrometheus(&b); err != nil {
-		log.Printf("amoeba-kv: selftest metrics: render: %v", err)
-		return 1
-	}
-	out := b.String()
-	required := []string{
-		// Sequencer pipeline stages.
-		"amoeba_seq_append_ns",
-		"amoeba_seq_multicast_ns",
-		"amoeba_seq_batch_fill",
-		// Delivery and apply.
-		"amoeba_group_deliver_wait_ns",
-		"amoeba_replica_apply_ns",
-		// Durable tier (populated by the durable sweep).
-		"amoeba_wal_append_ns",
-		"amoeba_wal_appends_total",
-		// Core protocol counters.
-		"amoeba_core_sent_total",
-		"amoeba_core_ordered_total",
-		"amoeba_core_delivered_total",
-		// Access tier.
-		"amoeba_kv_client_local_ops_total",
-		"amoeba_kv_client_remote_ops_total",
-		"amoeba_kv_service_served_total",
-		"amoeba_kv_service_forwarded_total",
-		"amoeba_kv_load_op_ns",
-		// Transaction tier (populated by the txn sweep).
-		"amoeba_kv_txn_prepare_ns",
-		"amoeba_kv_txn_resolve_ns",
-		"amoeba_kv_txn_total_ns",
-		"amoeba_kv_client_txn_committed_total",
-		"amoeba_kv_client_txn_conflict_retries_total",
-		// Read-lease tier (populated by the lease sweep).
-		"amoeba_kv_lease_reads_total",
-		"amoeba_kv_lease_fallbacks_total",
-		"amoeba_kv_stale_reads_total",
-		"amoeba_kv_stale_fallbacks_total",
-		"amoeba_kv_client_lease_reads_total",
-		"amoeba_kv_client_stale_reads_total",
-		"amoeba_core_lease_grants_total",
-		"amoeba_core_lease_renewals_total",
-		// Self-audit tier (populated by the health sweep).
-		"amoeba_health_reports_total",
-		"amoeba_health_audits_total",
-		"amoeba_health_divergence_total",
-		"amoeba_health_apply_lag",
-		"amoeba_health_audit_staleness_ms",
-		"amoeba_health_diverged",
-		"amoeba_wal_checkpoints_rejected_total",
-	}
-	missing := 0
-	for _, name := range required {
-		if !strings.Contains(out, name+"{") && !strings.Contains(out, name+" ") {
-			log.Printf("amoeba-kv: selftest metrics: required family %s missing from export", name)
-			missing++
-		}
-	}
-	if missing > 0 {
-		return 1
-	}
-	fmt.Printf("metrics export: all %d required families present (%d bytes of Prometheus text)\n",
-		len(required), len(out))
-	return 0
-}
-
-// runReshardSelftest splits a live store 4→8 and merges it back 8→4 under a
-// background writer: every key must survive both handoffs exactly once, the
-// epoch must advance twice, and no client operation may fail.
-func runReshardSelftest(nodes, resilience int, hub *obs.Hub) int {
-	fmt.Println("reshard sweep (live 4→8 split and 8→4 merge under load):")
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if nodes < 2 {
-		nodes = 2
-	}
-	network := amoeba.NewMemoryNetwork()
-	defer network.Close()
-	kernels := make([]*amoeba.Kernel, nodes)
-	for i := range kernels {
-		k, err := network.NewKernel(fmt.Sprintf("reshard-node-%d", i))
-		if err != nil {
-			log.Printf("amoeba-kv: selftest reshard: %v", err)
-			return 1
-		}
-		kernels[i] = k
-	}
-	stores, err := kv.Bootstrap(ctx, kernels, "selftest-reshard", kv.Options{
-		Shards: 4,
-		Group: amoeba.GroupOptions{
-			Resilience:   resilience,
-			AutoReset:    true,
-			MinSurvivors: 1,
-			Obs:          hub,
-		},
-	})
-	if err != nil {
-		log.Printf("amoeba-kv: selftest reshard bootstrap: %v", err)
-		return 1
-	}
-	defer func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-
-	const keys = 300
-	cl := stores[0].NewClient()
-	defer cl.Close()
-	pairs := make([]kv.Pair, keys)
-	for i := range pairs {
-		pairs[i] = kv.Pair{Key: fmt.Sprintf("reshard-%04d", i), Val: []byte(fmt.Sprintf("v%04d", i))}
-	}
-	if err := cl.BatchPut(ctx, pairs); err != nil {
-		log.Printf("amoeba-kv: selftest reshard seed: %v", err)
-		return 1
-	}
-
-	// Background writer across both handoffs.
-	loadCtx, stopLoad := context.WithCancel(ctx)
-	defer stopLoad()
-	loadErr := make(chan error, 1)
-	go func() {
-		wcl := stores[nodes-1].NewClient()
-		defer wcl.Close()
-		for i := 0; ; i++ {
-			if loadCtx.Err() != nil {
-				loadErr <- nil
-				return
-			}
-			if err := wcl.Put(loadCtx, fmt.Sprintf("reshard-live-%03d", i%64), []byte("w")); err != nil && loadCtx.Err() == nil {
-				loadErr <- err
-				return
-			}
-		}
-	}()
-
-	verify := func(tag string, wantShards int, wantEpoch uint64) bool {
-		rt := stores[0].Routing()
-		if rt.Shards != wantShards || rt.Epoch != wantEpoch {
-			log.Printf("amoeba-kv: selftest reshard %s: routing %+v, want %d shards at epoch %d", tag, rt, wantShards, wantEpoch)
-			return false
-		}
-		for _, p := range pairs {
-			v, ok, err := cl.Get(ctx, p.Key)
-			if err != nil || !ok || string(v) != string(p.Val) {
-				log.Printf("amoeba-kv: selftest reshard %s: key %q = %q %v %v, want %q", tag, p.Key, v, ok, err, p.Val)
-				return false
-			}
-		}
-		return true
-	}
-	start := time.Now()
-	if err := stores[0].Resharding(ctx, 8); err != nil {
-		log.Printf("amoeba-kv: selftest reshard split: %v", err)
-		return 1
-	}
-	splitTime := time.Since(start)
-	if !verify("after split", 8, 1) {
-		return 1
-	}
-	start = time.Now()
-	if err := stores[0].Resharding(ctx, 4); err != nil {
-		log.Printf("amoeba-kv: selftest reshard merge: %v", err)
-		return 1
-	}
-	mergeTime := time.Since(start)
-	if !verify("after merge", 4, 2) {
-		return 1
-	}
-	stopLoad()
-	if err := <-loadErr; err != nil {
-		log.Printf("amoeba-kv: selftest reshard: background writer failed: %v", err)
-		return 1
-	}
-	fmt.Printf("  %d keys survived 4→8→4 under load (split %v, merge %v, epoch 2)\n",
-		keys, splitTime.Round(time.Millisecond), mergeTime.Round(time.Millisecond))
-	return 0
-}
-
-// runDurableSelftest kills and restarts a whole durable cluster: every key
-// must come back from the write-ahead logs, and a command retried across
-// the restart must stay exactly-once (its dedup state recovered too).
-func runDurableSelftest(nodes, resilience int, hub *obs.Hub) int {
-	fmt.Println("durable sweep (write, kill every node, recover from the write-ahead logs):")
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	dataDir, err := os.MkdirTemp("", "amoeba-kv-selftest-")
-	if err != nil {
-		log.Printf("amoeba-kv: selftest durable: %v", err)
-		return 1
-	}
-	defer os.RemoveAll(dataDir)
-	if nodes < 2 {
-		nodes = 2
-	}
-	opts := kv.Options{
-		Shards:          nodes,
-		DataDir:         dataDir,
-		CheckpointEvery: 64,
-		Group: amoeba.GroupOptions{
-			Resilience:   resilience,
-			AutoReset:    true,
-			MinSurvivors: 1,
-			Obs:          hub,
-		},
-	}
-	boot := func(gen int) ([]*kv.Store, *amoeba.MemoryNetwork, error) {
-		network := amoeba.NewMemoryNetwork()
-		kernels := make([]*amoeba.Kernel, nodes)
-		for i := range kernels {
-			k, err := network.NewKernel(fmt.Sprintf("durable-g%d-node-%d", gen, i))
-			if err != nil {
-				network.Close()
-				return nil, nil, err
-			}
-			kernels[i] = k
-		}
-		stores, err := kv.Bootstrap(ctx, kernels, "selftest-durable", opts)
-		if err != nil {
-			network.Close()
-			return nil, nil, err
-		}
-		return stores, network, nil
-	}
-
-	const keys = 200
-	stores, network, err := boot(0)
-	if err != nil {
-		log.Printf("amoeba-kv: selftest durable boot: %v", err)
-		return 1
-	}
-	cl := stores[0].NewClient()
-	pairs := make([]kv.Pair, keys)
-	for i := range pairs {
-		pairs[i] = kv.Pair{Key: fmt.Sprintf("durable-%04d", i), Val: []byte(fmt.Sprintf("v%04d", i))}
-	}
-	start := time.Now()
-	if err := cl.BatchPut(ctx, pairs); err != nil {
-		log.Printf("amoeba-kv: selftest durable put: %v", err)
-		return 1
-	}
-	writeTime := time.Since(start)
-	const casID = 0xCAFE_D00D
-	casReq := &kv.Request{Op: kv.ReqCAS, Key: "durable-lock", Val: []byte("holder"), ID: casID}
-	if resp, err := cl.Do(ctx, casReq); err != nil || !resp.OK {
-		log.Printf("amoeba-kv: selftest durable CAS: %+v, %v", resp, err)
-		return 1
-	}
-	cl.Close()
-	// Kill every node — no Leave, no goodbye — and the whole network.
-	for _, s := range stores {
-		s.Close()
-	}
-	network.Close()
-
-	start = time.Now()
-	stores2, network2, err := boot(1)
-	if err != nil {
-		log.Printf("amoeba-kv: selftest durable restart: %v", err)
-		return 1
-	}
-	recoveryTime := time.Since(start)
-	defer network2.Close()
-	defer func() {
-		for _, s := range stores2 {
-			s.Close()
-		}
-	}()
-	cl2 := stores2[nodes-1].NewClient()
-	defer cl2.Close()
-	for _, p := range pairs {
-		v, ok, err := cl2.Get(ctx, p.Key)
-		if err != nil || !ok || string(v) != string(p.Val) {
-			log.Printf("amoeba-kv: selftest durable: key %q = %q %v %v after restart, want %q", p.Key, v, ok, err, p.Val)
-			return 1
-		}
-	}
-	// The retried command (same id) must answer its original result, not
-	// re-execute; a genuinely new create must fail against the recovered
-	// value.
-	if resp, err := cl2.Do(ctx, &kv.Request{Op: kv.ReqCAS, Key: "durable-lock", Val: []byte("holder"), ID: casID}); err != nil || !resp.OK {
-		log.Printf("amoeba-kv: selftest durable: retried CAS = %+v, %v (dedup state lost?)", resp, err)
-		return 1
-	}
-	if ok, err := cl2.CAS(ctx, "durable-lock", nil, []byte("usurper")); err != nil || ok {
-		log.Printf("amoeba-kv: selftest durable: fresh CAS create = %v, %v (recovered store lost the lock)", ok, err)
-		return 1
-	}
-	fmt.Printf("  %d keys + dedup state survived a full-cluster restart (write %v, recover %v)\n",
-		keys, writeTime.Round(time.Millisecond), recoveryTime.Round(time.Millisecond))
-	return 0
-}
-
-// runHealthSelftest exercises the self-audit loop end to end: a cluster
-// auditing on a short period must roll up ok, degrade when one node is
-// killed without a goodbye (its replicas go silent and their audit reports
-// stale out), and recover to ok after the node rejoins with state transfer —
-// all without a single divergence, since every replica's state is honest.
-func runHealthSelftest(nodes, resilience int, hub *obs.Hub) int {
-	fmt.Println("health sweep (audit to ok, kill a node, degrade, rejoin, recover):")
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if nodes < 3 {
-		nodes = 3
-	}
-	const period = 100 * time.Millisecond
-	aud := hub.Health()
-	aud.SetStaleAfter(6 * period)
-	network := amoeba.NewMemoryNetwork()
-	defer network.Close()
-	kernels := make([]*amoeba.Kernel, nodes)
-	for i := range kernels {
-		k, err := network.NewKernel(fmt.Sprintf("health-node-%d", i))
-		if err != nil {
-			log.Printf("amoeba-kv: selftest health: %v", err)
-			return 1
-		}
-		kernels[i] = k
-	}
-	opts := kv.Options{
-		Shards:     2,
-		AuditEvery: period,
-		Group: amoeba.GroupOptions{
-			Resilience:   resilience,
-			AutoReset:    true,
-			MinSurvivors: 1,
-			Obs:          hub,
-		},
-	}
-	stores, err := kv.Bootstrap(ctx, kernels, "selftest-health", opts)
-	if err != nil {
-		log.Printf("amoeba-kv: selftest health boot: %v", err)
-		return 1
-	}
-	closed := make([]bool, nodes)
-	defer func() {
-		for i, s := range stores {
-			if !closed[i] {
-				s.Close()
-			}
-		}
-	}()
-	cl := stores[0].NewClient()
-	for i := 0; i < 32; i++ {
-		if err := cl.Put(ctx, fmt.Sprintf("health-%04d", i), []byte("v")); err != nil {
-			log.Printf("amoeba-kv: selftest health put: %v", err)
-			return 1
-		}
-	}
-	cl.Close()
-
-	const prefix = "kv/selftest-health/"
-	waitVerdict := func(want, phase string, timeout time.Duration) bool {
-		deadline := time.Now().Add(timeout)
-		for aud.Rollup(prefix) != want {
-			if time.Now().After(deadline) {
-				log.Printf("amoeba-kv: selftest health: %s: rollup stuck at %q, want %q\n%s",
-					phase, aud.Rollup(prefix), want, aud.Format(prefix))
-				return false
-			}
-			time.Sleep(period / 4)
-		}
-		return true
-	}
-	if !waitVerdict(obs.VerdictOK, "initial audit", 30*time.Second) {
-		return 1
-	}
-
-	// Kill the last node — no Leave, no goodbye. Its replicas stop reporting,
-	// the audit staleness clock runs out, and the rollup must degrade.
-	victim := nodes - 1
-	stores[victim].Close()
-	closed[victim] = true
-	degradeStart := time.Now()
-	if !waitVerdict(obs.VerdictDegraded, "post-kill", 30*time.Second) {
-		return 1
-	}
-	degradeTime := time.Since(degradeStart)
-
-	// Rejoin the same slot with a fresh kernel: state transfer catches the
-	// replicas up, their audit reports resume, and the rollup must heal.
-	k, err := network.NewKernel(fmt.Sprintf("health-node-%d-rejoin", victim))
-	if err != nil {
-		log.Printf("amoeba-kv: selftest health rejoin kernel: %v", err)
-		return 1
-	}
-	rejoinOpts := opts
-	rejoinOpts.NodeIndex = victim
-	recoverStart := time.Now()
-	rejoined, err := kv.Join(ctx, k, "selftest-health", rejoinOpts)
-	if err != nil {
-		log.Printf("amoeba-kv: selftest health rejoin: %v", err)
-		return 1
-	}
-	stores[victim] = rejoined
-	closed[victim] = false
-	if !waitVerdict(obs.VerdictOK, "post-rejoin", 30*time.Second) {
-		return 1
-	}
-	recoverTime := time.Since(recoverStart)
-
-	if divs := aud.Divergences(); len(divs) != 0 {
-		log.Printf("amoeba-kv: selftest health: honest cluster reported divergence: %v", divs[0])
-		return 1
-	}
-	fmt.Printf("  verdict ok -> degraded %v after kill -> ok %v after rejoin (audit period %v, no divergence)\n",
-		degradeTime.Round(time.Millisecond), recoverTime.Round(time.Millisecond), period)
-	return 0
-}
-
-// runTxnSelftest hammers the cross-shard transaction path: concurrent
-// conditional transfers between bank accounts spread over every shard, a
-// conserved-sum invariant read through consistent snapshots (MGET-as-txn),
-// and a pinned-id retry that must answer the original commit instead of
-// re-executing — the same exactly-once discipline the durable sweep pins
-// for CAS, here across a whole 2PC.
-func runTxnSelftest(nodes, resilience int, duration time.Duration, hub *obs.Hub) int {
-	fmt.Println("txn sweep (concurrent cross-shard transfers + snapshot sum + pinned-id retry):")
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if nodes < 2 {
-		nodes = 2
-	}
-	network := amoeba.NewMemoryNetwork()
-	defer network.Close()
-	kernels := make([]*amoeba.Kernel, nodes)
-	for i := range kernels {
-		k, err := network.NewKernel(fmt.Sprintf("txn-node-%d", i))
-		if err != nil {
-			log.Printf("amoeba-kv: selftest txn: %v", err)
-			return 1
-		}
-		kernels[i] = k
-	}
-	stores, err := kv.Bootstrap(ctx, kernels, "selftest-txn", kv.Options{
-		Shards: 4,
-		Group: amoeba.GroupOptions{
-			Resilience:   resilience,
-			AutoReset:    true,
-			MinSurvivors: 1,
-			Obs:          hub,
-		},
-	})
-	if err != nil {
-		log.Printf("amoeba-kv: selftest txn boot: %v", err)
-		return 1
-	}
-	defer func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-
-	const (
-		accounts = 8
-		balance  = 100
-	)
-	acct := func(i int) string { return fmt.Sprintf("txn-acct-%d", i) }
-	seed := stores[0].NewClient()
-	pairs := make([]kv.Pair, accounts)
-	for i := range pairs {
-		pairs[i] = kv.Pair{Key: acct(i), Val: []byte(strconv.Itoa(balance))}
-	}
-	if err := seed.BatchPut(ctx, pairs); err != nil {
-		seed.Close()
-		log.Printf("amoeba-kv: selftest txn seed: %v", err)
-		return 1
-	}
-	seed.Close()
-
-	// Concurrent transfers: snapshot two accounts, move 1 conditionally on
-	// both observed balances. A CondFailed abort means another transfer got
-	// there first — reread and retry, like any CAS loop.
-	var (
-		commits   atomic.Uint64
-		condFails atomic.Uint64
-		wg        sync.WaitGroup
-		failed    atomic.Bool
-	)
-	deadline := time.Now().Add(duration)
-	for w := 0; w < 2*nodes; w++ {
-		w := w
-		cl := stores[w%nodes].NewClient()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer cl.Close()
-			for i := 0; time.Now().Before(deadline); i++ {
-				a, b := acct((w+i)%accounts), acct((w+i+1+w%3)%accounts)
-				if a == b {
-					continue
-				}
-				snap, err := cl.MGet(ctx, a, b)
-				if err != nil {
-					log.Printf("amoeba-kv: selftest txn snapshot: %v", err)
-					failed.Store(true)
-					return
-				}
-				ba, _ := strconv.Atoi(string(snap[a]))
-				bb, _ := strconv.Atoi(string(snap[b]))
-				if ba < 1 {
-					continue
-				}
-				res, err := cl.Txn(ctx, kv.TxnOp{
-					Conds: []kv.TxnCond{
-						{Key: a, ExpectPresent: true, Expect: snap[a]},
-						{Key: b, ExpectPresent: true, Expect: snap[b]},
-					},
-					Writes: []kv.TxnWrite{
-						{Key: a, Val: []byte(strconv.Itoa(ba - 1))},
-						{Key: b, Val: []byte(strconv.Itoa(bb + 1))},
-					},
-				})
-				if err != nil {
-					log.Printf("amoeba-kv: selftest txn transfer: %v", err)
-					failed.Store(true)
-					return
-				}
-				if res.Committed {
-					commits.Add(1)
-				} else {
-					condFails.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return 1
-	}
-	if commits.Load() == 0 {
-		log.Printf("amoeba-kv: selftest txn: no transfer committed — the txn path went unexercised")
-		return 1
-	}
-
-	// The invariant: one consistent snapshot over all accounts sums to the
-	// seeded total, however the transfers interleaved.
-	cl := stores[nodes-1].NewClient()
-	defer cl.Close()
-	keys := make([]string, accounts)
-	for i := range keys {
-		keys[i] = acct(i)
-	}
-	snap, err := cl.MGet(ctx, keys...)
-	if err != nil {
-		log.Printf("amoeba-kv: selftest txn sum snapshot: %v", err)
-		return 1
-	}
-	sum := 0
-	for _, k := range keys {
-		v, ok := snap[k]
-		if !ok {
-			log.Printf("amoeba-kv: selftest txn: account %s missing from snapshot", k)
-			return 1
-		}
-		n, err := strconv.Atoi(string(v))
-		if err != nil {
-			log.Printf("amoeba-kv: selftest txn: account %s = %q unparseable", k, v)
-			return 1
-		}
-		sum += n
-	}
-	if sum != accounts*balance {
-		log.Printf("amoeba-kv: selftest txn: accounts sum to %d, want %d — a transfer tore", sum, accounts*balance)
-		return 1
-	}
-
-	// Exactly-once: a retried coordinator request (same pinned id) must
-	// answer the original commit from the recorded decision. Re-execution
-	// would fail the condition (the balance already moved) and answer
-	// ABORTED instead.
-	const txnID = 0xCAFE_2BC0
-	v0 := snap[acct(0)]
-	n0, _ := strconv.Atoi(string(v0))
-	req := &kv.Request{Op: kv.ReqTxn, ID: txnID,
-		Conds: []kv.TxnCond{{Key: acct(0), ExpectPresent: true, Expect: v0}},
-		Writes: []kv.TxnWrite{
-			{Key: acct(0), Val: []byte(strconv.Itoa(n0 - 1))},
-			{Key: acct(1), Val: append([]byte(nil), snap[acct(1)]...)},
-		}}
-	resp, err := cl.Do(ctx, req)
-	if err != nil || !resp.OK {
-		log.Printf("amoeba-kv: selftest txn pinned commit: %+v, %v", resp, err)
-		return 1
-	}
-	resp, err = cl.Do(ctx, req)
-	if err != nil || !resp.OK || resp.CondFailed {
-		log.Printf("amoeba-kv: selftest txn retried commit: %+v, %v (re-executed instead of re-answered?)", resp, err)
-		return 1
-	}
-	if v, _, err := cl.Get(ctx, acct(0)); err != nil || string(v) != strconv.Itoa(n0-1) {
-		log.Printf("amoeba-kv: selftest txn: account 0 = %q %v after retry, want %d applied exactly once", v, err, n0-1)
-		return 1
-	}
-	fmt.Printf("  %d transfers committed (%d conflict aborts retried), sum conserved at %d, pinned-id retry answered the original commit\n",
-		commits.Load(), condFails.Load(), accounts*balance)
-	return 0
-}
-
-// runLeaseSelftest drives the read-lease paths: a leased cluster under a
-// read-heavy mix where every write is immediately read back through the
-// lease-serve path (write gating makes that linearizable — a stale serve
-// would return the older value), plus bounded-staleness StaleGets whose
-// reported staleness must honor the requested bound. The sweep fails if the
-// lease path never actually serves — silent fallback to sequenced reads
-// would pass every correctness check while voiding the optimization.
-func runLeaseSelftest(nodes, resilience int, duration time.Duration, hub *obs.Hub) int {
-	fmt.Println("lease sweep (lease-served reads + read-your-writes + bounded-staleness gets):")
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if nodes < 2 {
-		nodes = 2
-	}
-	network := amoeba.NewMemoryNetwork()
-	defer network.Close()
-	kernels := make([]*amoeba.Kernel, nodes)
-	for i := range kernels {
-		k, err := network.NewKernel(fmt.Sprintf("lease-node-%d", i))
-		if err != nil {
-			log.Printf("amoeba-kv: selftest lease: %v", err)
-			return 1
-		}
-		kernels[i] = k
-	}
-	stores, err := kv.Bootstrap(ctx, kernels, "selftest-lease", kv.Options{
-		Shards: 4,
-		Leases: true,
-		Group: amoeba.GroupOptions{
-			Resilience:   resilience,
-			AutoReset:    true,
-			MinSurvivors: 1,
-			Obs:          hub,
-		},
-	})
-	if err != nil {
-		log.Printf("amoeba-kv: selftest lease boot: %v", err)
-		return 1
-	}
-	defer func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-
-	// Leases ride sync ticks; give every shard time to arm before timing
-	// the mix (reads before that fall back to the sequenced path, which is
-	// correct but not what this sweep exists to exercise).
-	seed := stores[0].NewClient()
-	for i := 0; i < 16; i++ {
-		if err := seed.Put(ctx, fmt.Sprintf("lease-key-%d", i), []byte("0")); err != nil {
-			seed.Close()
-			log.Printf("amoeba-kv: selftest lease seed: %v", err)
-			return 1
-		}
-	}
-	armed := time.Now().Add(10 * time.Second)
-	for {
-		for i := 0; i < 16; i++ {
-			if _, _, err := seed.Get(ctx, fmt.Sprintf("lease-key-%d", i)); err != nil {
-				seed.Close()
-				log.Printf("amoeba-kv: selftest lease probe: %v", err)
-				return 1
-			}
-		}
-		if leased, _, _, _ := stores[0].LeaseStats(); leased > 0 {
-			break
-		}
-		if time.Now().After(armed) {
-			seed.Close()
-			log.Printf("amoeba-kv: selftest lease: leases never armed")
-			return 1
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	seed.Close()
-
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-		reads  atomic.Uint64
-	)
-	deadline := time.Now().Add(duration)
-	for w := 0; w < 2*nodes; w++ {
-		w := w
-		cl := stores[w%nodes].NewClient()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer cl.Close()
-			own := fmt.Sprintf("lease-own-%d", w)
-			for i := 0; time.Now().Before(deadline); i++ {
-				if i%20 == 19 {
-					// Write, then read-your-write through the lease path:
-					// write gating means the read MUST observe it.
-					want := strconv.Itoa(i)
-					if err := cl.Put(ctx, own, []byte(want)); err != nil {
-						log.Printf("amoeba-kv: selftest lease put: %v", err)
-						failed.Store(true)
-						return
-					}
-					got, _, err := cl.Get(ctx, own)
-					if err != nil || string(got) != want {
-						log.Printf("amoeba-kv: selftest lease: read-your-write %s = %q %v, want %q", own, got, err, want)
-						failed.Store(true)
-						return
-					}
-				} else if i%7 == 3 {
-					const bound = time.Second
-					_, _, staleFor, err := cl.StaleGet(ctx, fmt.Sprintf("lease-key-%d", i%16), bound)
-					if err != nil {
-						log.Printf("amoeba-kv: selftest lease staleget: %v", err)
-						failed.Store(true)
-						return
-					}
-					if staleFor > bound {
-						log.Printf("amoeba-kv: selftest lease: StaleGet reported %v staleness over the %v bound", staleFor, bound)
-						failed.Store(true)
-						return
-					}
-				} else {
-					if _, _, err := cl.Get(ctx, fmt.Sprintf("lease-key-%d", i%16)); err != nil {
-						log.Printf("amoeba-kv: selftest lease get: %v", err)
-						failed.Store(true)
-						return
-					}
-				}
-				reads.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return 1
-	}
-	var leased, fallbacks, stale uint64
-	for _, s := range stores {
-		l, f, st, _ := s.LeaseStats()
-		leased, fallbacks, stale = leased+l, fallbacks+f, stale+st
-	}
-	if leased == 0 {
-		log.Printf("amoeba-kv: selftest lease: no read was served from a lease — the path went unexercised")
-		return 1
-	}
-	if stale == 0 {
-		log.Printf("amoeba-kv: selftest lease: no bounded-staleness read was served")
-		return 1
-	}
-	fmt.Printf("  %d ops: %d lease-served reads (%d fallbacks), %d stale-served, read-your-writes held\n",
-		reads.Load(), leased, fallbacks, stale)
 	return 0
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"amoeba/internal/core"
@@ -9,17 +8,15 @@ import (
 )
 
 // BatchDepths is the pipelining-depth sweep of the batched-ordering
-// experiment (and of BENCH_batched.json).
+// experiment.
 var BatchDepths = []int{1, 4, 16}
 
-// BatchedResult is one depth point of the batched-ordering experiment, in
-// machine-readable form for the perf-trajectory file.
+// BatchedResult is one depth point of the batched-ordering experiment.
 type BatchedResult struct {
-	Depth      int     `json:"depth"`
-	MsgsPerSec float64 `json:"msgs_per_sec"`
-	Speedup    float64 `json:"speedup_vs_depth1"`
-	AvgBatch   float64 `json:"avg_batch_msgs"`
-	MaxBatch   uint64  `json:"max_batch_msgs"`
+	Depth      int
+	MsgsPerSec float64
+	AvgBatch   float64 // msgs per ordering batch
+	MaxBatch   uint64
 }
 
 // BatchedPoint measures single-group ordered throughput at one pipelining
@@ -66,9 +63,17 @@ func BatchedPoint(model netsim.CostModel, depth int) (BatchedResult, error) {
 	return res, nil
 }
 
-// BatchedResults runs the full depth sweep.
-func BatchedResults(model netsim.CostModel) ([]BatchedResult, error) {
-	results := make([]BatchedResult, 0, len(BatchDepths))
+// Batched reproduces the batching claim of the paper's conclusion 1 as a
+// table over the depth sweep: sequencer-based ordering is processing-bound,
+// so coalescing requests multiplies per-group throughput without touching
+// the protocol's guarantees.
+func Batched(model netsim.CostModel) (*Table, error) {
+	t := &Table{
+		ID:        "Batched ordering",
+		Title:     "single-group ordered throughput vs pipelining depth (6 members, 5 senders, 0 B, PB, r=0)",
+		PaperNote: "conclusion 1: throughput is processing-bound at the sequencer; amortising per-request work across a batch multiplies it",
+		Columns:   []string{"depth", "msgs/s", "speedup", "avg batch", "max batch"},
+	}
 	var base float64
 	for _, depth := range BatchDepths {
 		r, err := BatchedPoint(model, depth)
@@ -78,56 +83,17 @@ func BatchedResults(model netsim.CostModel) ([]BatchedResult, error) {
 		if base == 0 {
 			base = r.MsgsPerSec
 		}
+		speedup := 0.0
 		if base > 0 {
-			r.Speedup = r.MsgsPerSec / base
+			speedup = r.MsgsPerSec / base
 		}
-		results = append(results, r)
-	}
-	return results, nil
-}
-
-// BatchedTable renders a depth sweep as an experiment table.
-func BatchedTable(results []BatchedResult) *Table {
-	t := &Table{
-		ID:        "Batched ordering",
-		Title:     "single-group ordered throughput vs pipelining depth (6 members, 5 senders, 0 B, PB, r=0)",
-		PaperNote: "conclusion 1: throughput is processing-bound at the sequencer; amortising per-request work across a batch multiplies it",
-		Columns:   []string{"depth", "msgs/s", "speedup", "avg batch", "max batch"},
-	}
-	for _, r := range results {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", r.Depth),
 			msgsPerS(r.MsgsPerSec),
-			fmt.Sprintf("%.2fx", r.Speedup),
+			fmt.Sprintf("%.2fx", speedup),
 			fmt.Sprintf("%.1f", r.AvgBatch),
 			fmt.Sprintf("%d", r.MaxBatch),
 		})
 	}
-	return t
-}
-
-// Batched reproduces the batching claim of the paper's conclusion 1 as a
-// table: sequencer-based ordering is processing-bound, so coalescing
-// requests multiplies per-group throughput without touching the protocol's
-// guarantees.
-func Batched(model netsim.CostModel) (*Table, error) {
-	results, err := BatchedResults(model)
-	if err != nil {
-		return nil, err
-	}
-	return BatchedTable(results), nil
-}
-
-// BatchedJSON renders a depth sweep for BENCH_batched.json.
-func BatchedJSON(results []BatchedResult) ([]byte, error) {
-	out := struct {
-		Experiment string          `json:"experiment"`
-		Unit       string          `json:"unit"`
-		Results    []BatchedResult `json:"results"`
-	}{
-		Experiment: "batched",
-		Unit:       "ordered msgs/sec, single 6-member group, modelled 10 Mbit/s Ethernet + MC68030",
-		Results:    results,
-	}
-	return json.MarshalIndent(out, "", "  ")
+	return t, nil
 }

@@ -186,3 +186,78 @@ func TestAuditNowForcesComparison(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// waitVerdict polls the auditor until the scopes under prefix roll up to want.
+func waitVerdict(t *testing.T, aud *obs.Auditor, prefix, want, phase string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for aud.Rollup(prefix) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: rollup stuck at %q, want %q\n%s", phase, aud.Rollup(prefix), want, aud.Format(prefix))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestHealthDegradesOnSilentNodeAndHealsOnRejoin runs the self-audit loop
+// through a node failure: a cluster auditing on a short period rolls up ok,
+// degrades when one node is killed without a goodbye (its replicas go silent
+// and their audit reports stale out), and returns to ok once the node rejoins
+// by state transfer — with no divergence, since every replica is honest.
+func TestHealthDegradesOnSilentNodeAndHealsOnRejoin(t *testing.T) {
+	ctx := ctxT(t, 120*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	hub := obs.NewHub(obs.Options{Node: "health-test"})
+	const (
+		period = 100 * time.Millisecond
+		nodes  = 3
+		prefix = "kv/health/"
+	)
+	aud := hub.Health()
+	aud.SetStaleAfter(6 * period)
+	opts := Options{
+		Shards:     2,
+		AuditEvery: period,
+		Group: amoeba.GroupOptions{
+			Resilience:   1,
+			AutoReset:    true,
+			MinSurvivors: 1,
+			Obs:          hub,
+		},
+	}
+	stores := newCluster(t, ctx, net, "health", nodes, opts)
+	defer func() { closeAll(stores) }()
+	cl := stores[0].NewClient()
+	for i := 0; i < 32; i++ {
+		if err := cl.Put(ctx, fmt.Sprintf("health-%04d", i), []byte("v")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	cl.Close()
+
+	waitVerdict(t, aud, prefix, obs.VerdictOK, "initial audit")
+
+	// Kill the last node: no Leave, no goodbye.
+	const victim = nodes - 1
+	stores[victim].Close()
+	waitVerdict(t, aud, prefix, obs.VerdictDegraded, "post-kill")
+
+	// Rejoin the same slot on a fresh kernel: state transfer catches the
+	// replicas up and their audit reports resume.
+	k, err := net.NewKernel("health-node-2-reborn")
+	if err != nil {
+		t.Fatalf("rejoin kernel: %v", err)
+	}
+	opts.NodeIndex = victim
+	rejoined, err := Join(ctx, k, "health", opts)
+	if err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	stores[victim] = rejoined
+	waitVerdict(t, aud, prefix, obs.VerdictOK, "post-rejoin")
+
+	if divs := aud.Divergences(); len(divs) != 0 {
+		t.Fatalf("honest cluster reported divergence: %v", divs[0])
+	}
+}

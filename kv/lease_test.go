@@ -175,3 +175,103 @@ func TestLeaseReadsSafeAcrossReshard(t *testing.T) {
 		t.Fatal("no reads were served from a lease")
 	}
 }
+
+// TestLeaseReadYourWriteAndBoundedStaleness drives the two read paths leases
+// add under a read-heavy mix. A Put followed by a Get on the same client must
+// observe the Put even when the Get is lease-served (write gating makes that
+// linearizable; a stale serve would return the older value), and a StaleGet
+// must report a staleness within the bound it was given. Both paths must
+// demonstrably serve: silent fallback to sequenced reads would pass every
+// correctness check while voiding the optimization.
+func TestLeaseReadYourWriteAndBoundedStaleness(t *testing.T) {
+	ctx := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	const nodes = 3
+	stores := newCluster(t, ctx, net, "leaseryw", nodes, Options{Shards: 4, Leases: true})
+	defer closeAll(stores)
+
+	const nKeys = 16
+	key := func(i int) string { return fmt.Sprintf("ryw-%d", i%nKeys) }
+	seed := stores[0].NewClient()
+	for i := 0; i < nKeys; i++ {
+		if err := seed.Put(ctx, key(i), []byte("0")); err != nil {
+			t.Fatalf("seeding %q: %v", key(i), err)
+		}
+	}
+	// Leases ride sync ticks: read until one is lease-served, so the mix
+	// below runs on the path under test.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		for i := 0; i < nKeys; i++ {
+			if _, _, err := seed.Get(ctx, key(i)); err != nil {
+				t.Fatalf("probe Get: %v", err)
+			}
+		}
+		if leased, _, _, _ := stores[0].LeaseStats(); leased > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("leases never armed")
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	seed.Close()
+
+	const bound = time.Second
+	var wg sync.WaitGroup
+	stop := time.Now().Add(300 * time.Millisecond)
+	for w := 0; w < 2*nodes; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := stores[w%nodes].NewClient()
+			defer cl.Close()
+			own := fmt.Sprintf("ryw-own-%d", w)
+			for i := 0; time.Now().Before(stop); i++ {
+				switch {
+				case i%20 == 19:
+					want := strconv.Itoa(i)
+					if err := cl.Put(ctx, own, []byte(want)); err != nil {
+						t.Errorf("Put %s: %v", own, err)
+						return
+					}
+					if got, _, err := cl.Get(ctx, own); err != nil || string(got) != want {
+						t.Errorf("read-your-write %s = %q %v, want %q", own, got, err, want)
+						return
+					}
+				case i%7 == 3:
+					_, _, staleFor, err := cl.StaleGet(ctx, key(i), bound)
+					if err != nil {
+						t.Errorf("StaleGet: %v", err)
+						return
+					}
+					if staleFor > bound {
+						t.Errorf("StaleGet reported %v staleness over the %v bound", staleFor, bound)
+						return
+					}
+				default:
+					if _, _, err := cl.Get(ctx, key(i)); err != nil {
+						t.Errorf("Get: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	var leased, fallbacks, stale uint64
+	for _, s := range stores {
+		l, f, st, _ := s.LeaseStats()
+		leased, fallbacks, stale = leased+l, fallbacks+f, stale+st
+	}
+	t.Logf("%d lease-served reads (%d fallbacks), %d stale-served", leased, fallbacks, stale)
+	if leased == 0 {
+		t.Fatal("no read was served from a lease")
+	}
+	if stale == 0 {
+		t.Fatal("no bounded-staleness read was served")
+	}
+}

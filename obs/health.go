@@ -394,8 +394,8 @@ func (a *Auditor) Divergences() []Divergence {
 	return append([]Divergence(nil), a.divergences...)
 }
 
-// Forget drops all state for scopes matching prefix — used when a cluster is
-// torn down but its hub lives on (selftest sweeps, benches).
+// Forget drops all state for scopes matching prefix — for a hub that outlives
+// the cluster it observed.
 func (a *Auditor) Forget(prefix string) {
 	if a == nil {
 		return

@@ -56,9 +56,10 @@ type Durability struct {
 	CheckpointEvery int
 	// Sync fsyncs every journal append record, extending the journal's
 	// durability from process crashes to power loss, at a throughput
-	// cost (see the amoeba-bench "durable" experiment). Replicas journal
-	// at apply time, so this covers everything the replica has applied;
-	// see the wal package's durability contract for the bound.
+	// cost (the benchmark's wal.append_sync_p50_us rung against
+	// wal.append_p50_us). Replicas journal at apply time, so this covers
+	// everything the replica has applied; see the wal package's durability
+	// contract for the bound.
 	Sync bool
 	// SyncDelay, with Sync, coalesces fsyncs across delivery bursts: an
 	// append marks the log dirty and the fsync runs at most this long

@@ -192,6 +192,7 @@ func TestJoinDuringActiveTraffic(t *testing.T) {
 			default:
 			}
 			if err := r1.Submit(ctx, set("counter", fmt.Sprintf("%d", wrote))); err != nil {
+				t.Errorf("Submit %d: %v", wrote, err)
 				return
 			}
 			wrote++
@@ -207,16 +208,14 @@ func TestJoinDuringActiveTraffic(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	hi := maxSeq(r1, r2)
-	waitApplied(t, r1, hi)
-	waitApplied(t, r2, hi)
-	if get(r1, "counter") != get(r2, "counter") {
-		t.Fatalf("replicas diverge after concurrent join: %q vs %q",
-			get(r1, "counter"), get(r2, "counter"))
-	}
 	if wrote == 0 {
 		t.Fatal("writer made no progress; test proved nothing")
 	}
+	// The invariant is the last acknowledged write, not Applied(): either
+	// replica may still trail it when the writer stops.
+	last := fmt.Sprintf("%d", wrote-1)
+	waitValue(t, r1, "counter", last)
+	waitValue(t, r2, "counter", last)
 }
 
 func TestReplicaSurvivesSequencerCrash(t *testing.T) {
@@ -319,12 +318,18 @@ func TestThreeWayConvergenceUnderConcurrency(t *testing.T) {
 					return
 				}
 			}
+			// Per-sender FIFO: whoever has applied this marker has applied
+			// every contested write this replica submitted before it.
+			if err := r.Submit(ctx, set(fmt.Sprintf("done-%d", i), "yes")); err != nil {
+				t.Errorf("submit marker: %v", err)
+			}
 		}()
 	}
 	wg.Wait()
-	hi := maxSeq(replicas...)
 	for _, r := range replicas {
-		waitApplied(t, r, hi)
+		for i := range replicas {
+			waitValue(t, r, fmt.Sprintf("done-%d", i), "yes")
+		}
 	}
 	want := get(replicas[0], "contested")
 	for i, r := range replicas[1:] {

@@ -34,9 +34,9 @@
 //
 // By default appends reach the operating system (surviving any process
 // crash) but are not fsynced (a kernel panic or power loss may lose the
-// tail). Options.Sync forces an fsync per append record, at the throughput
-// cost amoeba-bench's "durable" experiment measures; checkpoints are always
-// fsynced. Note what Sync does and does not promise: a replica journals at
+// tail). Options.Sync forces an fsync per append record, at the cost the
+// benchmark's wal.append_sync_p50_us rung measures against
+// wal.append_p50_us; checkpoints are always fsynced. Note what Sync does and does not promise: a replica journals at
 // APPLY time, so an entry is on this disk once this replica has applied it —
 // a command whose send completed but whose delivery no surviving replica had
 // yet applied and journaled can still be lost to a simultaneous power cut.
