@@ -171,8 +171,10 @@ type GroupStats struct {
 	Sent uint64
 	// Delivered counts messages delivered to the application.
 	Delivered uint64
-	// Retries counts request retry rounds against an unresponsive
-	// sequencer.
+	// Retries counts this member's request retry rounds: every firing of
+	// the send retry timer, whatever left the request unanswered (a lost
+	// packet, a dead sequencer, a history pinned full by a silent member).
+	// On a network that drops nothing it stays zero.
 	Retries uint64
 	// Ordered counts messages this member assigned sequence numbers to
 	// (as sequencer).
@@ -440,6 +442,8 @@ func (g *Group) registerStatsSource(hub *obs.Hub) {
 			{Name: "amoeba_core_lost_gaps_total", Value: s.LostGaps},
 			{Name: "amoeba_core_resets_total", Value: s.Resets},
 			{Name: "amoeba_core_dropped_full_total", Value: s.DroppedFull},
+			{Name: "amoeba_core_order_parked_total", Value: s.Parked},
+			{Name: "amoeba_core_status_solicits_total", Value: s.StatusSolicits},
 			{Name: "amoeba_core_lease_grants_total", Value: s.LeaseGrants},
 			{Name: "amoeba_core_lease_renewals_total", Value: s.LeaseRenewals},
 			{Name: "amoeba_core_lease_fences_total", Value: s.LeaseFences},

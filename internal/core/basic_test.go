@@ -9,7 +9,7 @@ import (
 )
 
 func TestCreateGroupDeliversOwnJoin(t *testing.T) {
-	g := newGroup(t, 1, memnet.Config{}, nil)
+	g := newGroup(t, 1, memnet.Config{}, noRetryCfg)
 	ds := g.nodes[0].waitDeliveries(1)
 	if ds[0].Kind != KindJoin || ds[0].Sender != 0 || ds[0].Seq != 1 {
 		t.Fatalf("first delivery = %+v", ds[0])
@@ -18,10 +18,11 @@ func TestCreateGroupDeliversOwnJoin(t *testing.T) {
 	if !info.IsSequencer || info.Self != 0 || len(info.Members) != 1 {
 		t.Fatalf("info = %+v", info)
 	}
+	requireNoRetries(t, g)
 }
 
 func TestJoinersSeeOrderedJoins(t *testing.T) {
-	g := newGroup(t, 4, memnet.Config{}, nil)
+	g := newGroup(t, 4, memnet.Config{}, noRetryCfg)
 	// Joins occupy seqs 1..4; every node must agree on the overlap.
 	requireSameOrder(t, g.nodes, 4)
 	for i, nd := range g.nodes {
@@ -33,10 +34,11 @@ func TestJoinersSeeOrderedJoins(t *testing.T) {
 			t.Fatalf("node %d has id %d", i, info.Self)
 		}
 	}
+	requireNoRetries(t, g)
 }
 
 func TestSendPBDeliversEverywhereInOrder(t *testing.T) {
-	g := newGroup(t, 3, memnet.Config{}, func(c *Config) { c.Method = MethodPB })
+	g := newGroup(t, 3, memnet.Config{}, func(c *Config) { noRetryCfg(c); c.Method = MethodPB })
 	for i := 0; i < 5; i++ {
 		if err := g.send(1, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -54,10 +56,11 @@ func TestSendPBDeliversEverywhereInOrder(t *testing.T) {
 		}
 	}
 	requireSameOrder(t, g.nodes, 3+5)
+	requireNoRetries(t, g)
 }
 
 func TestSendBBDeliversEverywhereInOrder(t *testing.T) {
-	g := newGroup(t, 3, memnet.Config{}, func(c *Config) { c.Method = MethodBB })
+	g := newGroup(t, 3, memnet.Config{}, func(c *Config) { noRetryCfg(c); c.Method = MethodBB })
 	for i := 0; i < 5; i++ {
 		if err := g.send(2, []byte(fmt.Sprintf("bb-%d", i))); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -72,10 +75,11 @@ func TestSendBBDeliversEverywhereInOrder(t *testing.T) {
 		}
 	}
 	requireSameOrder(t, g.nodes, 3+5)
+	requireNoRetries(t, g)
 }
 
 func TestSequencerSelfSendFastPath(t *testing.T) {
-	g := newGroup(t, 2, memnet.Config{}, nil)
+	g := newGroup(t, 2, memnet.Config{}, noRetryCfg)
 	if err := g.send(0, []byte("from-sequencer")); err != nil {
 		t.Fatalf("send: %v", err)
 	}
@@ -83,10 +87,11 @@ func TestSequencerSelfSendFastPath(t *testing.T) {
 	if string(data[0].Payload) != "from-sequencer" || data[0].Sender != 0 {
 		t.Fatalf("delivery = %+v", data[0])
 	}
+	requireNoRetries(t, g)
 }
 
 func TestAutoMethodHandlesMixedSizes(t *testing.T) {
-	g := newGroup(t, 3, memnet.Config{}, func(c *Config) { c.BBThreshold = 256 })
+	g := newGroup(t, 3, memnet.Config{}, func(c *Config) { noRetryCfg(c); c.BBThreshold = 256 })
 	payloads := [][]byte{
 		[]byte("small"),
 		make([]byte, 1000), // BB, single fragment
@@ -111,10 +116,11 @@ func TestAutoMethodHandlesMixedSizes(t *testing.T) {
 			}
 		}
 	}
+	requireNoRetries(t, g)
 }
 
 func TestFIFOPerSenderUnderConcurrency(t *testing.T) {
-	g := newGroup(t, 3, memnet.Config{}, nil)
+	g := newGroup(t, 3, memnet.Config{}, noRetryCfg)
 	const perSender = 20
 	errs := make(chan error, 3*perSender)
 	for s := 0; s < 3; s++ {
@@ -157,6 +163,7 @@ func TestFIFOPerSenderUnderConcurrency(t *testing.T) {
 	// And the total order is identical.
 	last := g.nodes[0].waitData(3 * perSender)[3*perSender-1].Seq
 	requireSameOrder(t, g.nodes, last)
+	requireNoRetries(t, g)
 }
 
 func TestTotalOrderUnderLossDupsAndCorruption(t *testing.T) {
@@ -252,7 +259,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 }
 
 func TestHistoryStaysBounded(t *testing.T) {
-	g := newGroup(t, 3, memnet.Config{}, func(c *Config) { c.HistorySize = 16 })
+	g := newGroup(t, 3, memnet.Config{}, func(c *Config) { noRetryCfg(c); c.HistorySize = 16 })
 	for i := 0; i < 100; i++ {
 		if err := g.send(1, []byte{byte(i)}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -267,10 +274,11 @@ func TestHistoryStaysBounded(t *testing.T) {
 			t.Fatalf("node %d history holds %d entries, cap 16", i, n)
 		}
 	}
+	requireNoRetries(t, g)
 }
 
 func TestManyMembersDeliverEverything(t *testing.T) {
-	g := newGroup(t, 8, memnet.Config{}, nil)
+	g := newGroup(t, 8, memnet.Config{}, noRetryCfg)
 	const msgs = 10
 	for i := 0; i < msgs; i++ {
 		if err := g.send(i%8, []byte{byte(i)}); err != nil {
@@ -279,4 +287,5 @@ func TestManyMembersDeliverEverything(t *testing.T) {
 	}
 	last := g.nodes[0].waitData(msgs)[msgs-1].Seq
 	requireSameOrder(t, g.nodes, last)
+	requireNoRetries(t, g)
 }

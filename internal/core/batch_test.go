@@ -45,6 +45,7 @@ func requireFIFO(t *testing.T, data []Delivery, sender MemberID, want int) {
 func TestPipelinedSendsCoalesceAndStayFIFO(t *testing.T) {
 	const msgs = 48
 	g := newGroup(t, 3, memnet.Config{}, func(c *Config) {
+		noRetryCfg(c)
 		c.SendWindow = 2
 		c.MaxBatch = 8
 	})
@@ -73,6 +74,7 @@ func TestPipelinedSendsCoalesceAndStayFIFO(t *testing.T) {
 	}
 	upTo := g.nodes[0].ep.Info().NextSeq - 1
 	requireSameOrder(t, g.nodes, upTo)
+	requireNoRetries(t, g)
 }
 
 // TestPipelinedSendsUnderLoss runs the same pipelined workload over a lossy,
@@ -110,6 +112,7 @@ func TestPipelinedSendsUnderLoss(t *testing.T) {
 func TestBatchedResilienceAcksOnce(t *testing.T) {
 	const msgs = 24
 	g := newGroup(t, 3, memnet.Config{}, func(c *Config) {
+		noRetryCfg(c)
 		c.Resilience = 1
 		c.SendWindow = 2
 		c.MaxBatch = 6
@@ -141,6 +144,7 @@ func TestBatchedResilienceAcksOnce(t *testing.T) {
 	}
 	upTo := g.nodes[0].ep.Info().NextSeq - 1
 	requireSameOrder(t, g.nodes, upTo)
+	requireNoRetries(t, g)
 }
 
 // TestPipelinedWindowSurvivesSequencerFailover crashes the sequencer while a
@@ -191,6 +195,7 @@ func TestPipelinedWindowSurvivesSequencerFailover(t *testing.T) {
 func TestSequencerSelfSendsBatch(t *testing.T) {
 	const msgs = 48
 	g := newGroup(t, 3, memnet.Config{}, func(c *Config) {
+		noRetryCfg(c)
 		c.SendWindow = 2
 		c.MaxBatch = 8
 	})
@@ -230,6 +235,7 @@ func TestSequencerSelfSendsBatch(t *testing.T) {
 	}
 	upTo := seq.ep.Info().NextSeq - 1
 	requireSameOrder(t, g.nodes, upTo)
+	requireNoRetries(t, g)
 }
 
 // TestSequencerSelfSendsBatchWithResilience: the deferral must compose with
@@ -238,6 +244,7 @@ func TestSequencerSelfSendsBatch(t *testing.T) {
 func TestSequencerSelfSendsBatchWithResilience(t *testing.T) {
 	const msgs = 24
 	g := newGroup(t, 3, memnet.Config{}, func(c *Config) {
+		noRetryCfg(c)
 		c.Resilience = 1
 		c.SendWindow = 2
 		c.MaxBatch = 8
@@ -268,4 +275,5 @@ func TestSequencerSelfSendsBatchWithResilience(t *testing.T) {
 	if st := seq.ep.Stats(); st.OrderedBatches == 0 {
 		t.Fatalf("resilient self-sends formed no batches: %+v", st)
 	}
+	requireNoRetries(t, g)
 }

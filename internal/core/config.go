@@ -151,7 +151,9 @@ type Config struct {
 	// BB. Default 1024 bytes.
 	BBThreshold int
 	// HistorySize bounds the history buffer. Default 128, as in the
-	// paper's experiments.
+	// paper's experiments. A full buffer costs a sender one status round
+	// trip, not a retry: the sequencer parks what it cannot order and
+	// replays it when the members' reports free room.
 	HistorySize int
 	// MaxMessage bounds application payloads. Default 64 KiB (the paper
 	// measures up to 8000 bytes but the protocol handles more).
@@ -166,8 +168,8 @@ type Config struct {
 	// restores the seed's one-request-at-a-time behaviour. Default 4.
 	SendWindow int
 	// MaxBatch bounds the payloads coalesced into one batch request.
-	// Default 16; 1 disables coalescing (batches also stay within
-	// MaxMessage bytes of payload regardless of count).
+	// Default 16, capped at HistorySize; 1 disables coalescing (batches
+	// also stay within MaxMessage bytes of payload regardless of count).
 	MaxBatch int
 	// FirstSeq seeds a creator's sequence space: the new group's first
 	// entry is ordered at FirstSeq+1, as if FirstSeq messages had already
@@ -179,7 +181,9 @@ type Config struct {
 	FirstSeq uint32
 
 	// RetryInterval spaces sender retransmissions of unacknowledged
-	// requests and joins. Default 50 ms.
+	// requests and joins. It is a loss-recovery timer only: on a network
+	// that drops nothing it never fires (a full history parks requests at
+	// the sequencer instead of dropping them). Default 50 ms.
 	RetryInterval time.Duration
 	// MaxRetries bounds request retransmissions before the sequencer is
 	// suspected dead. Default 10.
@@ -271,6 +275,11 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
+	}
+	if c.MaxBatch > c.HistorySize {
+		// A batch takes one history slot per message: one larger than the
+		// whole buffer could never be ordered, only parked for good.
+		c.MaxBatch = c.HistorySize
 	}
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 50 * time.Millisecond

@@ -94,7 +94,9 @@ type Stats struct {
 	Retransmitted  uint64 // retransmissions served (sequencer/holder side)
 	RequestRetries uint64 // sender-side request retry rounds
 	Ordered        uint64 // messages assigned a seqno (sequencer side)
-	DroppedFull    uint64 // requests refused because history was full
+	DroppedFull    uint64 // ordering attempts refused because history was full
+	Parked         uint64 // requests held at the sequencer for history room (counted per parking)
+	StatusSolicits uint64 // status solicitations multicast to free history room
 	AcksSent       uint64 // resilience acks sent
 	Resets         uint64 // recoveries completed
 	LostGaps       uint64 // sequence numbers lost to failures (r=0 only)
@@ -161,6 +163,7 @@ type Endpoint struct {
 	nextDeliver uint32   // next seqno to hand to the application
 	maxSeen     uint32   // highest seqno known to exist
 	bbCache     map[bbKey][]byte
+	bbEarly     map[bbKey]uint32 // seqnos of BB accepts that arrived before their data
 	nakTimer    sim.Timer
 	nakBackoff  time.Duration
 	nakSnap     uint32 // nextDeliver when the NAK timer was armed (stall detection)
@@ -195,6 +198,9 @@ type Endpoint struct {
 	leavers         map[MemberID]uint32 // departed members still owed retransmissions, by leave seqno
 	joinAcks        map[flip.Address]joinAck
 	pendingJoinAcks map[uint32]flip.Address // join acks gated on resilience acceptance
+	parked          []parkedReq             // requests awaiting history room, in arrival order (see parkLocked)
+	replayArmed     bool                    // a replay of parked is queued behind the current drain
+	solicitSeq      uint32                  // globalSeq at the last status solicitation (paces pruneAheadLocked)
 
 	// Read leases (cfg.LeaseDur > 0; see lease.go).
 	leases       map[MemberID]time.Duration // granter-side conservative expiries
@@ -619,6 +625,7 @@ func (ep *Endpoint) stopTimersLocked() {
 		}
 	}
 	ep.statusProbe = nil
+	ep.parked = nil
 	if ep.rec != nil {
 		ep.rec.stopTimersLocked()
 	}
@@ -738,10 +745,10 @@ func (ep *Endpoint) DebugSnapshot() string {
 			active++
 		}
 	}
-	return fmt.Sprintf("st=%s inc=%d self=%d seq=%d isSeq=%v members=%d pending=%d floor=%d next=%d global=%d maxSeen=%d held=%d tentative=%v window=%d/%d queued=%d batches=%d batchMsgs=%d maxBatch=%d",
+	return fmt.Sprintf("st=%s inc=%d self=%d seq=%d isSeq=%v members=%d pending=%d floor=%d next=%d global=%d maxSeen=%d held=%d tentative=%v parked=%d window=%d/%d queued=%d batches=%d batchMsgs=%d maxBatch=%d",
 		ep.st, ep.view.incarnation, ep.self, ep.view.sequencer, ep.isSeq,
 		len(ep.view.members), len(ep.pending.members), ep.hist.floor,
-		ep.nextDeliver, ep.globalSeq, ep.maxSeen, held, tent,
+		ep.nextDeliver, ep.globalSeq, ep.maxSeen, held, tent, len(ep.parked),
 		active, ep.cfg.SendWindow, len(ep.sendQ),
 		ep.stats.OrderedBatches, ep.stats.BatchedMsgs, ep.stats.MaxBatchMsgs)
 }

@@ -63,7 +63,14 @@ func newGroup(t *testing.T, n int, netCfg memnet.Config, mod func(*Config)) *gro
 		net:  memnet.New(netCfg),
 		addr: flip.AddressForName("test-group"),
 	}
-	t.Cleanup(g.net.Close)
+	t.Cleanup(func() {
+		// Close the endpoints too: their sync and probe timers would
+		// otherwise tick on for the rest of the test binary's run.
+		for _, nd := range g.nodes {
+			nd.ep.Close()
+		}
+		g.net.Close()
+	})
 	g.cfg = Config{
 		Group:         g.addr,
 		RetryInterval: 30 * time.Millisecond,
@@ -219,6 +226,32 @@ func (n *node) waitData(count int) []Delivery {
 func (n *node) crash() {
 	n.ep.Close()
 	n.tr.Unbind()
+}
+
+// noRetryCfg lengthens the retry and NAK delays of a fault-free test far
+// beyond anything the test waits for, so that a timer firing (and counted by
+// requireNoRetries) is a wakeup the protocol missed — never a goroutine
+// descheduled for a few milliseconds on a busy CI host.
+func noRetryCfg(c *Config) {
+	c.RetryInterval = time.Second
+	c.NakDelay = time.Second
+}
+
+// requireNoRetries asserts the fault-free invariant: while the network has
+// dropped nothing, no endpoint's request-retry or NAK timer has fired. Every
+// such firing on a lossless fabric is a wakeup the protocol missed.
+func requireNoRetries(t *testing.T, g *group) {
+	t.Helper()
+	if d := g.net.Dropped(); d != 0 {
+		t.Logf("network dropped %d frames: retry counters not asserted", d)
+		return
+	}
+	for i, nd := range g.nodes {
+		if st := nd.ep.Stats(); st.RequestRetries != 0 || st.NaksSent != 0 {
+			t.Errorf("node %d: %d request retries, %d NAKs on a lossless fabric\n stats=%+v\n seq=%s",
+				i, st.RequestRetries, st.NaksSent, st, g.nodes[0].ep.DebugSnapshot())
+		}
+	}
 }
 
 // requireSameOrder asserts that all nodes delivered identical sequences over

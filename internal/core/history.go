@@ -76,9 +76,12 @@ func newBatchEntry(seq uint32, sender MemberID, localID uint32, body []byte) *en
 // under every seqno it covers, so per-seqno lookups (gap detection, delivery,
 // retransmission) need no range search; capacity is counted in seqnos, so a
 // 16-message batch consumes 16 slots and backpressure still bounds the
-// number of outstanding messages, not requests. The sequencer refuses to
-// order new messages when the buffer is full until acknowledgement state
-// (piggybacked lastRecv values) lets it prune.
+// number of outstanding messages, not requests. The sequencer prunes from
+// acknowledgement state (piggybacked lastRecv values) and, in small groups,
+// asks for it once the buffer is half full; a request that still finds the
+// buffer full is not ordered yet but held at the sequencer, and the status
+// round its refusal starts re-drives it (see sequencer.go: pruneAheadLocked,
+// makeRoomLocked, parkLocked).
 type history struct {
 	cap     int
 	floor   uint32 // everything ≤ floor has been pruned

@@ -116,24 +116,29 @@ func (ep *Endpoint) deferSelfOrderLocked(op *sendOp) {
 	})
 }
 
-// flushSelfOrdersLocked orders every deferred self-send that is still
-// pending. Ops that completed meanwhile (a retransmission round raced the
-// flush) or whose endpoint stopped sequencing (recovery, handoff) are
-// skipped — the normal send path re-homes the survivors.
-//
-// The flush walks the send queue, NOT the deferral list: the queue is the
-// authoritative per-sender FIFO. A flush that bails on a full history can
-// leave earlier ops unordered while a second flush — enqueued by a pump
-// that ran mid-flush — holds only later ones; ordering from that younger
-// deferral list would advance the self-dedup state past the stranded ops,
-// falsely completing them via the prefix rule without ever sequencing them.
-// Walking the queue makes every flush retry the oldest unordered op first.
+// flushSelfOrdersLocked runs the deferred order of the sequencer's own sends.
 func (ep *Endpoint) flushSelfOrdersLocked() {
 	ep.selfFlush = false
 	if len(ep.selfPend) == 0 {
 		return
 	}
 	ep.selfPend = nil
+	ep.orderOwnSendsLocked()
+}
+
+// orderOwnSendsLocked orders every active own send that is still unordered.
+// Ops that completed meanwhile (a retransmission round raced the flush) or
+// whose endpoint stopped sequencing (recovery, handoff) are skipped — the
+// normal send path re-homes the survivors.
+//
+// It walks the send queue, NOT the deferral list: the queue is the
+// authoritative per-sender FIFO. A pass that stops on a full history leaves
+// earlier ops unordered while a later flush — enqueued by a pump that ran
+// meanwhile — may hold only younger ones; ordering from that younger list
+// would advance the self-dedup state past the stranded ops, falsely
+// completing them via the prefix rule without ever sequencing them. Walking
+// the queue makes every pass start with the oldest unordered op.
+func (ep *Endpoint) orderOwnSendsLocked() {
 	if ep.st != stNormal || !ep.isSeq {
 		return
 	}
@@ -149,11 +154,14 @@ func (ep *Endpoint) flushSelfOrdersLocked() {
 		}
 		kind, body := op.wireBody()
 		if !ep.orderLocked(kind, ep.self, op.localID, body) {
-			// History full: stop the whole flush. Ordering a LATER op now
+			// History full: stop the whole pass. Ordering a LATER op now
 			// would advance the self-dedup state past this one — falsely
 			// completing it via the prefix rule and breaking per-sender
-			// FIFO. The send retry re-transmits the window in localID
-			// order, which re-defers every remaining op.
+			// FIFO. Park a marker (the zero packet) so the status round the
+			// refusal started re-runs this pass, behind whatever was refused
+			// before it; the retry timer stays armed only as the budget that
+			// ends in ErrSequencerDead when a silent member pins the floor.
+			ep.parkLocked(packet{}, 0)
 			ep.armSendRetryLocked()
 			return
 		}
@@ -401,33 +409,16 @@ func entryFromPacket(p packet, origin MemberID) *entry {
 	return &entry{seq: p.seq, kind: p.kind, sender: origin, localID: p.localID, payload: pl}
 }
 
-// handleBBData caches an unordered BB payload until its accept arrives.
+// handleBBData caches an unordered BB payload until its accept arrives — or,
+// on the sequencer, orders it the moment the data is seen.
 func (ep *Endpoint) handleBBData(p packet) {
 	if !ep.currentViewLocked(p) {
 		return
 	}
-	key := bbKey{sender: p.sender, localID: p.localID}
-	if _, ok := ep.bbCache[key]; ok {
-		return
-	}
-	// Bound the cache: a slot per history entry is plenty; beyond that the
-	// accept path will fetch from the sequencer instead.
-	if len(ep.bbCache) >= ep.cfg.HistorySize {
-		return
-	}
-	pl := make([]byte, len(p.payload))
-	copy(pl, p.payload)
-	ep.bbCache[key] = pl
-
 	if ep.isSeq {
-		// The sequencer orders a BB message the moment it sees the
-		// data.
-		delete(ep.bbCache, key)
-		m, ok := ep.pending.find(p.sender)
-		if !ok {
+		if _, ok := ep.pending.find(p.sender); !ok {
 			return
 		}
-		_ = m
 		if d, ok := ep.dedup[p.sender]; ok && p.localID <= d.localID {
 			// Duplicate BB data for something already ordered: the
 			// accept was lost at the sender; re-announce it.
@@ -440,14 +431,47 @@ func (ep *Endpoint) handleBBData(p packet) {
 			}
 			return
 		}
+		if ep.parkBehindLocked(p, 0) {
+			return
+		}
 		if !ep.fifoAdmitsLocked(p.sender, p.localID, p.aux) {
 			// Arrived ahead of an earlier in-flight send (pipelining):
 			// ordering it now would break the sender's FIFO. The
 			// sender's retry resends the window in order.
 			return
 		}
-		ep.orderBBLocked(p.sender, p.localID, p.kind, pl)
+		if !ep.orderBBLocked(p.sender, p.localID, p.kind, p.payload) {
+			// Parked with its payload: the sender multicast the data once
+			// and is waiting for the accept, not to send it again.
+			ep.parkLocked(p, 0)
+		}
+		return
 	}
+	key := bbKey{sender: p.sender, localID: p.localID}
+	if seq, ok := ep.bbEarly[key]; ok {
+		// The accept got here first (handleAccept): the data goes straight
+		// to the slot it named, before the NAK armed for the gap fires.
+		delete(ep.bbEarly, key)
+		if _, held := ep.hist.get(seq); !held && seq >= ep.nextDeliver && !ep.hist.full() {
+			p.seq = seq
+			ep.hist.add(entryFromPacket(p, p.sender))
+			ep.deliverReadyLocked()
+			ep.checkGapLocked()
+			return
+		}
+	}
+	if _, ok := ep.bbCache[key]; ok {
+		return
+	}
+	// Bound the cache: every member may have a full window of unordered
+	// data outstanding (the sequencer parks what its history has no room
+	// for), plus a history's worth of slack for entries whose accept never
+	// matched; beyond that the accept path will fetch from the sequencer
+	// instead.
+	if len(ep.bbCache) >= ep.cfg.HistorySize+len(ep.view.members)*ep.cfg.SendWindow {
+		return
+	}
+	ep.bbCache[key] = append([]byte(nil), p.payload...)
 }
 
 // handleAccept processes the sequencer's short accept: either the ordering
@@ -493,17 +517,42 @@ func (ep *Endpoint) handleAccept(p packet) {
 	}
 	if _, ok := ep.hist.get(p.seq); !ok && !ep.hist.full() {
 		key := bbKey{sender: sender, localID: p.localID}
-		pl, have := ep.bbCache[key]
-		if have {
+		if pl, have := ep.bbCache[key]; have {
 			delete(ep.bbCache, key)
 			ep.hist.add(&entry{seq: p.seq, kind: p.kind, sender: sender, localID: p.localID, payload: pl})
+		} else {
+			// Data missing: leave the slot empty; the gap logic NAKs and
+			// the sequencer retransmits the full message. Unless the data
+			// is merely behind: it travels from the sender, the accept from
+			// the sequencer, and nothing orders the two (a sender's own
+			// loopback copy can lose the race too). Remember where it
+			// belongs so that handleBBData can close the gap without a NAK.
+			ep.noteEarlyAcceptLocked(key, p.seq)
 		}
-		// Data missing: leave the slot empty; the gap logic NAKs and
-		// the sequencer retransmits the full message.
 	}
 	ep.completeSendsUpToLocked(sender, p.localID)
 	ep.deliverReadyLocked()
 	ep.checkGapLocked()
+}
+
+// noteEarlyAcceptLocked records a BB accept that arrived before its data.
+// The table is bounded like the BB cache; entries whose slot was since filled
+// by a retransmission are dropped when room is needed.
+func (ep *Endpoint) noteEarlyAcceptLocked(key bbKey, seq uint32) {
+	if len(ep.bbEarly) >= ep.cfg.HistorySize {
+		for k, s := range ep.bbEarly {
+			if s < ep.nextDeliver {
+				delete(ep.bbEarly, k)
+			}
+		}
+		if len(ep.bbEarly) >= ep.cfg.HistorySize {
+			return
+		}
+	}
+	if ep.bbEarly == nil {
+		ep.bbEarly = make(map[bbKey]uint32)
+	}
+	ep.bbEarly[key] = seq
 }
 
 // handleTentative buffers a resilience-degree message and acknowledges it if

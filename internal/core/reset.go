@@ -152,6 +152,12 @@ func (ep *Endpoint) freezeLocked() {
 		}
 	}
 	ep.statusProbe = nil
+	// Parked requests belong to the regime being frozen; their senders
+	// resend their windows to whoever sequences next. So do early BB
+	// accepts: recovery may hand the sequence numbers they name to other
+	// messages.
+	ep.parked = nil
+	ep.bbEarly = nil
 }
 
 // sendInvitesLocked multicasts and unicasts the recovery invitation to every

@@ -52,10 +52,15 @@ func (ep *Endpoint) handleReq(p packet, from flip.Address) {
 		}
 		return
 	}
+	if ep.parkBehindLocked(p, from) {
+		return
+	}
 	if !ep.fifoAdmitsLocked(p.sender, p.localID, p.aux) {
 		return // an earlier send is still in flight: its retry resends the window in order
 	}
-	ep.orderLocked(p.kind, p.sender, p.localID, p.payload)
+	if !ep.orderLocked(p.kind, p.sender, p.localID, p.payload) {
+		ep.parkLocked(p, from)
+	}
 }
 
 // fifoAdmitsLocked is the per-sender FIFO admission rule under pipelining:
@@ -93,9 +98,11 @@ func wireBatchCount(body []byte) int {
 // ack/tentative round regardless of how many messages it carries — the
 // amortisation the paper's conclusion 1 (processing-bound, not
 // protocol-bound) predicts pays off.
-// It reports false when the history buffer is full, in which case the
-// message is NOT ordered and the sender's retry will try again later — the
-// protocol's backpressure.
+// It reports false when the history buffer has no room even after pruning, in
+// which case the message is NOT ordered — the protocol's backpressure. The
+// refusal has already asked the group for the acknowledgement state that
+// frees room (makeRoomLocked); callers holding a data request park it
+// (parkLocked) so that the answer, not the sender's retry timer, re-drives it.
 func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, payload []byte) bool {
 	// Stage timing (paper-style per-stage decomposition): t0 is when the
 	// ordering decision starts; the append histogram closes after the
@@ -122,14 +129,8 @@ func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, p
 		copy(pl, payload)
 		e = &entry{seq: ep.globalSeq + 1, kind: kind, sender: sender, localID: localID, payload: pl}
 	}
-	if !ep.hist.hasRoom(int(e.span())) {
-		ep.tryPruneLocked()
-		if !ep.hist.hasRoom(int(e.span())) {
-			ep.stats.DroppedFull++
-			o.Flight.Recordf(o.Tag, "order refused: history full at seq %d (sender %d)", ep.globalSeq, sender)
-			ep.solicitStatusLocked()
-			return false
-		}
+	if !ep.makeRoomLocked(int(e.span()), sender) {
+		return false
 	}
 	seq := e.seq
 	ep.globalSeq = e.lastSeq()
@@ -171,6 +172,7 @@ func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, p
 		// With no other members to ack (tiny group), finalise at once.
 		ep.maybeAcceptLocked(e)
 		ep.armTentativeRetryLocked()
+		ep.pruneAheadLocked()
 		return true
 	}
 	ep.multicastPkt(packet{
@@ -185,6 +187,7 @@ func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, p
 	if kind == KindData || kind == KindBatch {
 		ep.completeSendsUpToLocked(sender, e.lastLocalID())
 	}
+	ep.pruneAheadLocked()
 	return true
 }
 
@@ -211,14 +214,8 @@ func (ep *Endpoint) orderBBLocked(sender MemberID, localID uint32, kind MsgKind,
 	if timed {
 		t0 = ep.cfg.Clock.Now()
 	}
-	if ep.hist.full() {
-		ep.tryPruneLocked()
-		if ep.hist.full() {
-			ep.stats.DroppedFull++
-			o.Flight.Recordf(o.Tag, "BB order refused: history full at seq %d (sender %d)", ep.globalSeq, sender)
-			ep.solicitStatusLocked()
-			return false
-		}
+	if !ep.makeRoomLocked(1, sender) {
+		return false
 	}
 	ep.globalSeq++
 	seq := ep.globalSeq
@@ -242,6 +239,7 @@ func (ep *Endpoint) orderBBLocked(sender MemberID, localID uint32, kind MsgKind,
 		ep.observeMulticastLocked(t0)
 	}
 	ep.completeSendsUpToLocked(sender, localID)
+	ep.pruneAheadLocked()
 	return true
 }
 
@@ -348,6 +346,16 @@ func (ep *Endpoint) maybeAcceptLocked(e *entry) {
 		e = next
 	}
 	ep.deliverReadyLocked()
+	if len(ep.parked) > 0 {
+		// Acceptance is what lets members deliver, and only delivery moves
+		// the acknowledgement state the parked requests wait on. The status
+		// round their refusal started was answered before these accepts went
+		// out; a member that only listens reports nothing more unasked.
+		ep.tryPruneLocked()
+		if !ep.replayArmed {
+			ep.solicitStatusLocked()
+		}
+	}
 }
 
 // armTentativeRetryLocked schedules re-multicast of tentative entries whose
@@ -492,11 +500,18 @@ func (ep *Endpoint) noteLastRecvLocked(m MemberID, last uint32) {
 		delete(ep.leavers, m)
 		delete(ep.lastRecv, m)
 	}
+	if len(ep.parked) > 0 {
+		ep.tryPruneLocked() // this report may be the room a parked request waits for
+	}
 	ep.maybeFinishHandoffLocked()
 }
 
 // tryPruneLocked advances the history floor to the minimum acknowledged
-// sequence number across members (and not-yet-departed leavers).
+// sequence number across members (and not-yet-departed leavers). Raising the
+// floor is the event parked requests wait for, so it schedules their replay —
+// as a queued action rather than inline, because pruning also runs in the
+// middle of an ordering decision (makeRoomLocked) that a nested one would
+// corrupt.
 func (ep *Endpoint) tryPruneLocked() {
 	if !ep.isSeq || len(ep.pending.members) == 0 {
 		return
@@ -515,17 +530,75 @@ func (ep *Endpoint) tryPruneLocked() {
 			min = last
 		}
 	}
+	floor := ep.hist.floor
 	ep.hist.pruneTo(min)
+	if ep.hist.floor > floor && len(ep.parked) > 0 && !ep.replayArmed {
+		ep.replayArmed = true
+		ep.enqueue(func() {
+			ep.mu.Lock()
+			ep.replayParkedLocked()
+			ep.mu.Unlock()
+			// Runs inside a drain, which picks up what the replay enqueued.
+		})
+	}
 }
 
-// solicitStatusLocked asks the group for fresh acknowledgement state when
-// the history is under pressure, then probes individual laggards.
+// solicitStatusLocked asks every member to report its acknowledgement state
+// now (ptSync with aux2=1, answered by ptStatus). Acknowledgements otherwise
+// ride only on a member's own sends, so a member that just listens would pin
+// the history floor for as long as it stays quiet.
 func (ep *Endpoint) solicitStatusLocked() {
+	ep.stats.StatusSolicits++
+	ep.solicitSeq = ep.globalSeq
 	ep.multicastPkt(packet{typ: ptSync, seq: ep.globalSeq, aux: ep.hist.floor, aux2: 1})
-	// Probe members whose acknowledgement state pins the floor.
-	ep.tryPruneLocked()
-	if !ep.hist.full() {
+}
+
+// pruneAheadLocked runs after every append and keeps the history from ever
+// filling under fault-free traffic: once it is half full, prune from the
+// piggybacked state already held and, if that is not enough, solicit fresh
+// state — at most once per quarter-history of sequence numbers, so the round
+// trip overlaps with the traffic that fills the other half. Bursts that
+// outrun the round are parked, not refused (parkLocked).
+//
+// Soliciting early doubles how often a status round happens, and a round
+// costs the sequencer one reply per member — the acknowledgement implosion
+// the paper's design avoids (§2.2). For the small groups replicated services
+// run that is three packets per 64 messages; for a 30-member group it is a
+// measurable tax on every message (internal/experiments pins it). So the
+// early round is spent only while it stays under one status packet per eight
+// ordered messages; larger groups wait for the refusal, as the paper's
+// sequencer does, and parking makes that cost them a round trip, not a
+// RetryInterval.
+func (ep *Endpoint) pruneAheadLocked() {
+	half := ep.hist.cap / 2
+	if ep.hist.len() < half {
 		return
+	}
+	ep.tryPruneLocked()
+	if ep.hist.len() >= half && len(ep.pending.members)*16 <= ep.hist.cap &&
+		ep.globalSeq-ep.solicitSeq >= uint32(ep.hist.cap/4) {
+		ep.solicitStatusLocked()
+	}
+}
+
+// makeRoomLocked reports whether the history can take n more sequence
+// numbers, pruning from the acknowledgement state already held if it must.
+// When it cannot, the refusal is counted, the group is asked for fresh state,
+// and the members pinning a full buffer are probed: a live laggard's answer
+// frees the room, a corpse exhausts its probes (probeMemberLocked).
+func (ep *Endpoint) makeRoomLocked(n int, sender MemberID) bool {
+	if ep.hist.hasRoom(n) {
+		return true
+	}
+	ep.tryPruneLocked()
+	if ep.hist.hasRoom(n) {
+		return true
+	}
+	ep.stats.DroppedFull++
+	ep.cfg.Obs.Flight.Recordf(ep.cfg.Obs.Tag, "order refused: history full at seq %d (sender %d)", ep.globalSeq, sender)
+	ep.solicitStatusLocked()
+	if !ep.hist.full() {
+		return false
 	}
 	floor := ep.hist.floor
 	for _, m := range ep.pending.members {
@@ -533,6 +606,93 @@ func (ep *Endpoint) solicitStatusLocked() {
 			continue
 		}
 		ep.probeMemberLocked(m)
+	}
+	return false
+}
+
+// --- Parking: requests the history had no room for ---------------------------
+//
+// A request refused for lack of room is held at the sequencer, not dropped:
+// the status round its refusal starts frees the buffer within a round trip,
+// and nothing else would re-run the ordering before the sender's retry timer
+// (RetryInterval later). Everything arriving while the queue is non-empty
+// parks behind it — a sender's window arrives as a run, and ordering the
+// second request while the first is parked would fail the FIFO admission
+// check and strand it just the same. The queue is bounded by what correct
+// senders can have in flight (members × SendWindow); it is dropped whenever
+// the endpoint stops sequencing in normal state, and a request pinned behind a
+// genuinely silent member still ends in its sender's retry budget.
+
+// parkedReq is one held ordering request: the ptReq or ptBBData packet as it
+// arrived, or — zero packet — the sequencer's own stranded sends, which need
+// no copy because the send queue already holds them.
+type parkedReq struct {
+	p    packet
+	from flip.Address
+	at   time.Duration // when it was parked
+}
+
+// isParkedLocked reports whether the request (by type, sender and localID)
+// is already held.
+func (ep *Endpoint) isParkedLocked(p packet) bool {
+	for _, r := range ep.parked {
+		if r.p.typ == p.typ && r.p.sender == p.sender && r.p.localID == p.localID {
+			return true
+		}
+	}
+	return false
+}
+
+// parkBehindLocked queues an arriving request behind those already parked and
+// reports whether it did. A sender's retry of a parked request is not queued
+// twice; it falls through to the ordering attempt, whose refusal solicits
+// status again — the retry means the last solicitation or its answers were
+// lost.
+func (ep *Endpoint) parkBehindLocked(p packet, from flip.Address) bool {
+	if len(ep.parked) == 0 || ep.isParkedLocked(p) {
+		return false
+	}
+	ep.parkLocked(p, from)
+	return true
+}
+
+// parkLocked holds a request until history room frees. Duplicates and
+// overflow are dropped, as every refused request used to be.
+func (ep *Endpoint) parkLocked(p packet, from flip.Address) {
+	if ep.isParkedLocked(p) || len(ep.parked) >= len(ep.pending.members)*ep.cfg.SendWindow {
+		return
+	}
+	p.payload = append([]byte(nil), p.payload...) // the packet aliases its receive buffer
+	ep.parked = append(ep.parked, parkedReq{p: p, from: from, at: ep.cfg.Clock.Now()})
+	ep.stats.Parked++
+}
+
+// replayParkedLocked re-drives the parked requests, oldest first, through the
+// checks a fresh arrival gets (membership, duplicate suppression, FIFO
+// admission) until the history fills again; the one refused re-parks itself
+// and the rest keep their places behind it.
+func (ep *Endpoint) replayParkedLocked() {
+	ep.replayArmed = false
+	q := ep.parked
+	ep.parked = nil
+	if len(q) == 0 || !ep.isSeq || ep.st != stNormal {
+		return
+	}
+	ep.cfg.Obs.Flight.Recordf(ep.cfg.Obs.Tag, "history room freed (floor %d): replaying %d parked requests, oldest waited %v",
+		ep.hist.floor, len(q), ep.cfg.Clock.Now()-q[0].at)
+	for i, r := range q {
+		switch r.p.typ {
+		case ptReq:
+			ep.handleReq(r.p, r.from)
+		case ptBBData:
+			ep.handleBBData(r.p)
+		default:
+			ep.orderOwnSendsLocked()
+		}
+		if len(ep.parked) > 0 {
+			ep.parked = append(ep.parked, q[i+1:]...)
+			return
+		}
 	}
 }
 

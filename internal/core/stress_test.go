@@ -90,7 +90,7 @@ func TestIdleTailRecoveredBySync(t *testing.T) {
 }
 
 func TestConcurrentJoinersAllAdmitted(t *testing.T) {
-	g := newGroup(t, 1, memnet.Config{}, nil)
+	g := newGroup(t, 1, memnet.Config{}, noRetryCfg)
 	const joiners = 5
 	var wg sync.WaitGroup
 	errs := make(chan error, joiners)
@@ -144,6 +144,7 @@ func TestConcurrentJoinersAllAdmitted(t *testing.T) {
 		t.Fatalf("send: %v", err)
 	}
 	g.nodes[5].waitData(1)
+	requireNoRetries(t, g)
 }
 
 func TestJoinAckLossRetriesToSameIdentity(t *testing.T) {

@@ -72,8 +72,8 @@ func fnvAdd(h, v uint64) uint64 {
 // resultSum folds one dedup-window entry: id, outcome flags, key, and the
 // SHAPE of read results — lengths and found bits; the values themselves are
 // derived from items at apply time, and hashing lengths keeps the fold
-// cheap. setResult maintains the wrapping sum of these across the window
-// (mapSM.dedupSum) so digestState reads the whole window in O(1).
+// cheap. The result window maintains the wrapping sum of these across its
+// entries (resultWindow.sum) so digestState reads the whole window in O(1).
 func resultSum(id uint64, r result) uint64 {
 	var flags uint64
 	if r.OK {
@@ -130,15 +130,15 @@ func (s *mapSM) digestState(n int) obs.Digest {
 		d.Ranges[bucket] += h
 	}
 	// Meta: the dedup window as its incrementally-maintained wrapping sum
-	// of per-entry folds (see resultSum; setResult keeps dedupSum current),
+	// of per-entry folds (see resultSum; resultWindow keeps the sum current),
 	// plus the entry count. The sum is order-independent, but honest
 	// replicas apply the same total order and so hold the same FIFO — a
 	// membership difference is what divergence looks like, and walking a
 	// 64Ki-entry window on every audit is what the sum avoids. Then
 	// routing, pending, and transaction state.
 	m := uint64(fnvOffset64)
-	m = fnvAdd(m, uint64(len(s.order)))
-	m = fnvAdd(m, s.dedupSum)
+	m = fnvAdd(m, uint64(s.results.len()))
+	m = fnvAdd(m, s.results.sum)
 	m = fnvAdd(m, s.routing.Epoch)
 	m = fnvAdd(m, uint64(s.routing.Shards))
 	m = fnvAdd(m, uint64(s.routing.VNodes))
@@ -308,7 +308,7 @@ func (s *Store) AuditNow(ctx context.Context) error {
 			return fmt.Errorf("kv: audit shard %d: %w", i, err)
 		}
 		err := r.Wait(ctx, func(sm shared.StateMachine) bool {
-			_, done := sm.(*mapSM).results[id]
+			_, done := sm.(*mapSM).lookup(id)
 			return done
 		})
 		if err != nil {

@@ -1102,7 +1102,7 @@ func (s *Store) do(ctx context.Context, shard int, id uint64, cmd []byte) (resul
 		if err == nil {
 			var res result
 			err = r.Wait(ctx, func(sm shared.StateMachine) bool {
-				v, ok := sm.(*mapSM).results[id]
+				v, ok := sm.(*mapSM).lookup(id)
 				if ok {
 					res = v
 				}
@@ -1149,10 +1149,10 @@ func (s *Store) doBatch(ctx context.Context, shard int, ids []uint64, cmds [][]b
 		if err == nil {
 			moved := false
 			err = r.Wait(ctx, func(sm shared.StateMachine) bool {
-				results := sm.(*mapSM).results
+				m := sm.(*mapSM)
 				moved = false
 				for _, id := range ids {
-					res, ok := results[id]
+					res, ok := m.lookup(id)
 					if !ok {
 						return false
 					}

@@ -107,6 +107,10 @@ func TestRequiredMetricFamiliesRender(t *testing.T) {
 		{"amoeba_core_delivered_total", true},
 		{"amoeba_core_lease_grants_total", false},
 		{"amoeba_core_lease_renewals_total", false},
+		// History pressure: what a full sequencer history cost.
+		{"amoeba_core_dropped_full_total", false},
+		{"amoeba_core_order_parked_total", false},
+		{"amoeba_core_status_solicits_total", false},
 		// Access tier.
 		{"amoeba_kv_client_local_ops_total", true},
 		{"amoeba_kv_client_remote_ops_total", true},

@@ -213,16 +213,7 @@ func (p *txnPortion) subPortion(keys []string) *txnPortion {
 // operates under. Apply is deterministic; shared serialises all access.
 type mapSM struct {
 	items   map[string][]byte
-	results map[uint64]result
-	order   []uint64 // result ids, oldest first, for deterministic eviction
-	window  int
-	// resultSums/dedupSum maintain the audit digest of the result window
-	// incrementally: per-entry folds (see resultSum in audit.go) combined
-	// with a wrapping sum, added on insert and subtracted on eviction, so
-	// digesting the window is O(1) instead of a 64Ki-entry walk per audit.
-	// Derived from results — rebuilt on restore, never snapshotted.
-	resultSums map[uint64]uint64
-	dedupSum   uint64
+	results resultWindow // command results by id, oldest evicted first (resultwindow.go)
 
 	// Transaction state (replicated): portions keyed by txn id, the FIFO
 	// eviction queue of RESOLVED portion ids (prepared portions never
@@ -282,9 +273,7 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 	}
 	s := &mapSM{
 		items:       make(map[string][]byte),
-		results:     make(map[uint64]result),
-		resultSums:  make(map[uint64]uint64),
-		window:      window,
+		results:     newResultWindow(window),
 		txns:        make(map[uint64]*txnPortion),
 		locks:       make(map[string]uint64),
 		lockSeen:    make(map[uint64]time.Time),
@@ -300,24 +289,11 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 	return s
 }
 
-func (s *mapSM) setResult(id uint64, r result) {
-	if _, dup := s.results[id]; !dup {
-		s.order = append(s.order, id)
-	} else {
-		s.dedupSum -= s.resultSums[id]
-	}
-	s.results[id] = r
-	h := resultSum(id, r)
-	s.resultSums[id] = h
-	s.dedupSum += h
-	for len(s.order) > s.window {
-		old := s.order[0]
-		s.dedupSum -= s.resultSums[old]
-		delete(s.resultSums, old)
-		delete(s.results, old)
-		s.order = s.order[1:]
-	}
-}
+func (s *mapSM) setResult(id uint64, r result) { s.results.set(id, r) }
+
+// lookup returns the result of a command this shard applied, while the
+// result window still holds it.
+func (s *mapSM) lookup(id uint64) (result, bool) { return s.results.lookup(id) }
 
 // serves reports whether this shard serves key at this point in the total
 // order: the key must be owned under the current table AND not be mid-move
@@ -371,7 +347,7 @@ func (s *mapSM) Apply(cmd []byte) {
 	if err != nil {
 		return
 	}
-	if prev, done := s.results[c.id]; done && !prev.Moved {
+	if prev, done := s.results.lookup(c.id); done && !prev.Moved {
 		s.tracer.Addf(c.id, "dedup hit at shard %d (seq %d)", s.shard, s.seq)
 		return
 	}
@@ -875,13 +851,15 @@ type savedResult struct {
 func (s *mapSM) Snapshot() ([]byte, error) {
 	st := snapshotState{
 		Items:   s.items,
-		Results: make([]savedResult, 0, len(s.order)),
-		Window:  s.window,
+		Results: make([]savedResult, 0, s.results.len()),
+		Window:  s.results.window,
 		Routing: s.routing,
 		Pending: s.pending,
 	}
-	for _, id := range s.order {
-		st.Results = append(st.Results, savedResult{ID: id, result: s.results[id]})
+	for _, run := range s.results.fifo() {
+		for i := range run {
+			st.Results = append(st.Results, savedResult{ID: run[i].id, result: run[i].res})
+		}
 	}
 	txnIDs := make([]uint64, 0, len(s.txns))
 	for id := range s.txns {
@@ -902,10 +880,7 @@ func (s *mapSM) Snapshot() ([]byte, error) {
 func (s *mapSM) Restore(snap []byte) error {
 	if snap == nil {
 		s.items = make(map[string][]byte)
-		s.results = make(map[uint64]result)
-		s.resultSums = make(map[uint64]uint64)
-		s.dedupSum = 0
-		s.order = nil
+		s.results.reset(nil, 0)
 		s.txns = make(map[uint64]*txnPortion)
 		s.txnOrder = nil
 		s.locks = make(map[string]uint64)
@@ -928,20 +903,7 @@ func (s *mapSM) Restore(snap []byte) error {
 	if s.items == nil {
 		s.items = make(map[string][]byte)
 	}
-	s.results = make(map[uint64]result, len(st.Results))
-	s.resultSums = make(map[uint64]uint64, len(st.Results))
-	s.dedupSum = 0
-	s.order = make([]uint64, 0, len(st.Results))
-	for _, r := range st.Results {
-		s.order = append(s.order, r.ID)
-		s.results[r.ID] = r.result
-		h := resultSum(r.ID, r.result)
-		s.resultSums[r.ID] = h
-		s.dedupSum += h
-	}
-	if st.Window > 0 {
-		s.window = st.Window
-	}
+	s.results.reset(st.Results, st.Window)
 	if st.Routing.Shards > 0 {
 		s.routing = st.Routing
 		s.curRing = st.Routing.ring(s.store)
@@ -1018,17 +980,19 @@ func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 		ch := chunkFor(dest, len(k)+len(v)+16)
 		ch.Pairs = append(ch.Pairs, Pair{Key: k, Val: append([]byte(nil), v...)})
 	}
-	for _, id := range s.order {
-		r := s.results[id]
-		if r.Key == "" {
-			continue // reads and migration markers stay behind
+	for _, run := range s.results.fifo() {
+		for i := range run {
+			id, r := run[i].id, &run[i].res
+			if r.Key == "" {
+				continue // reads and migration markers stay behind
+			}
+			dest := next.shard(r.Key)
+			if dest == s.shard {
+				continue
+			}
+			ch := chunkFor(dest, len(r.Key)+16)
+			ch.Results = append(ch.Results, importResult{ID: id, OK: r.OK, Key: r.Key})
 		}
-		dest := next.shard(r.Key)
-		if dest == s.shard {
-			continue
-		}
-		ch := chunkFor(dest, len(r.Key)+16)
-		ch.Results = append(ch.Results, importResult{ID: id, OK: r.OK, Key: r.Key})
 	}
 	// Transaction portions follow their keys: a prepared portion's slice
 	// moves wherever its locked keys go (the held-back writes included, so
