@@ -72,8 +72,9 @@ type Message struct {
 	// Sender is the member id of the sender (for membership events, the
 	// member that joined or left).
 	Sender int
-	// Payload is the application data; nil for membership events. The
-	// receiver owns it.
+	// Payload is the application data; nil for membership events. It is
+	// read-only and may be kept: it can be the protocol's own stored copy
+	// of the message, shared with retransmission (core.Delivery.Payload).
 	Payload []byte
 	// Members is the group size after this event.
 	Members int
@@ -302,12 +303,13 @@ func (g *Group) Close() {
 }
 
 // deliveryQueue buffers ordered deliveries between the protocol goroutines
-// and blocking Receive calls.
+// and blocking Receive calls. It is unbounded: a member that never calls
+// Receive grows it without limit (ROADMAP item 5a).
 type deliveryQueue struct {
 	mu     sync.Mutex
-	msgs   []Message
-	at     []time.Time // enqueue stamps, parallel to msgs; only kept when waitH != nil
-	pushed uint64      // pushes since start, for the wait-sampling rule
+	msgs   []queued // the queue is msgs[head:]
+	head   int      // next to pop; back to 0 whenever the queue empties, so the array is reused
+	pushed uint64   // pushes since start, for the wait-sampling rule
 	notify chan struct{}
 	closed bool
 
@@ -320,35 +322,51 @@ type deliveryQueue struct {
 	depth *obs.Gauge
 }
 
-func newDeliveryQueue(size int) *deliveryQueue {
-	if size <= 0 {
-		size = 1024
-	}
+// queued is one buffered message and, when its wait is being sampled, the time
+// it was pushed (zero otherwise).
+type queued struct {
+	m  Message
+	at time.Time
+}
+
+// maxKeptQueue bounds the array an emptied delivery queue keeps for reuse. A
+// consumer that keeps up never queues more; the array a backlog grew (hundreds
+// of messages when an apply loop stalls on its log) is not worth holding in
+// every group's live heap.
+const maxKeptQueue = 64
+
+func newDeliveryQueue() *deliveryQueue {
 	return &deliveryQueue{notify: make(chan struct{}, 1)}
 }
 
 func (q *deliveryQueue) push(d core.Delivery) {
-	m := Message{
+	e := queued{m: Message{
 		Kind:    kindOf(d.Kind),
 		Seq:     d.Seq,
 		Sender:  int(d.Sender),
 		Payload: d.Payload,
 		Members: d.Members,
-	}
+	}}
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		return
 	}
-	q.msgs = append(q.msgs, m)
 	if q.waitH != nil {
-		var at time.Time // zero = unsampled; pop skips the observation
 		if q.pushed&3 == 0 {
-			at = time.Now()
+			e.at = time.Now()
 		}
 		q.pushed++
-		q.at = append(q.at, at)
 	}
+	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
+		// Full, but popped slots lead the array: slide the queue down
+		// instead of growing — a consumer that lags without ever quite
+		// emptying the queue must not make the array grow forever.
+		n := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	q.msgs = append(q.msgs, e)
 	q.depth.Add(1)
 	q.mu.Unlock()
 	select {
@@ -360,19 +378,23 @@ func (q *deliveryQueue) push(d core.Delivery) {
 func (q *deliveryQueue) pop(ctx context.Context) (Message, error) {
 	for {
 		q.mu.Lock()
-		if len(q.msgs) > 0 {
-			m := q.msgs[0]
-			q.msgs = q.msgs[1:]
-			if q.waitH != nil && len(q.at) > 0 {
-				if !q.at[0].IsZero() {
-					q.waitH.Observe(time.Since(q.at[0]))
+		if q.head < len(q.msgs) {
+			e := q.msgs[q.head]
+			q.msgs[q.head] = queued{} // drop the queue's reference to the payload
+			q.head++
+			more := q.head < len(q.msgs)
+			if !more {
+				q.msgs, q.head = q.msgs[:0], 0
+				if cap(q.msgs) > maxKeptQueue {
+					q.msgs = nil
 				}
-				q.at = q.at[1:]
+			}
+			if !e.at.IsZero() {
+				q.waitH.Observe(time.Since(e.at))
 			}
 			if !q.closed {
 				q.depth.Add(-1)
 			}
-			more := len(q.msgs) > 0
 			q.mu.Unlock()
 			if more {
 				select {
@@ -380,7 +402,7 @@ func (q *deliveryQueue) pop(ctx context.Context) (Message, error) {
 				default:
 				}
 			}
-			return m, nil
+			return e.m, nil
 		}
 		closed := q.closed
 		q.mu.Unlock()
@@ -406,7 +428,7 @@ func (q *deliveryQueue) close() {
 	if !q.closed {
 		// Surrender the gauge's claim on still-buffered messages now;
 		// post-close pops (which may never come) skip the decrement.
-		q.depth.Add(-int64(len(q.msgs)))
+		q.depth.Add(-int64(len(q.msgs) - q.head))
 	}
 	q.closed = true
 	q.mu.Unlock()

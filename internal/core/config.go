@@ -72,7 +72,11 @@ func (m Method) String() string {
 
 // Transport is the sending half of the endpoint's world: point-to-point and
 // group multicast FLIP service. Delivery of inbound packets happens through
-// Endpoint.HandlePacket.
+// Endpoint.HandlePacket. Both directions follow the ownership rule of
+// netw.Frame.Payload: Send and Multicast only borrow payload — it is a pooled
+// encode buffer, recycled the moment the call returns, so an implementation
+// that queues it copies — and HandlePacket only borrows its message, copying
+// what it keeps (once, into the history entry).
 type Transport interface {
 	// Send transmits a group-protocol packet to the process address dst.
 	Send(dst flip.Address, payload []byte) error
@@ -94,8 +98,11 @@ type Delivery struct {
 	Sender MemberID
 	// SenderAddr is the FLIP address of the sender.
 	SenderAddr flip.Address
-	// Payload is the application data (KindData only). The receiver owns
-	// it.
+	// Payload is the application data (KindData only). It is read-only and
+	// may be kept: a single message's payload is the history entry's own
+	// bytes, shared with the retransmission path and never recycled. (Only
+	// what is being transported is lent — netw.Frame.Payload; what has
+	// been ordered has an owner for life.)
 	Payload []byte
 	// Members is the group size after applying this event.
 	Members int

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/cost"
 	"amoeba/internal/flip"
 	"amoeba/internal/sim"
@@ -126,6 +127,19 @@ type sendOp struct {
 	dones    []func(error) // one completion per payload, same order
 	active   bool          // transmitted and awaiting ordering proof
 	sent     bool          // transmitted at least once (survives deactivation)
+	// payloads and dones start out as these one-element arrays, so the
+	// common single-payload op is one allocation; coalescing a second
+	// payload moves them to the heap.
+	payload1 [1][]byte
+	done1    [1]func(error)
+}
+
+// newSendOp builds a single-payload op.
+func newSendOp(localID uint32, payload []byte, method Method, done func(error)) *sendOp {
+	op := &sendOp{localID: localID, size: len(payload), method: method}
+	op.payload1[0], op.done1[0] = payload, done
+	op.payloads, op.dones = op.payload1[:], op.done1[:]
+	return op
 }
 
 // count is the number of payloads in the op.
@@ -156,7 +170,8 @@ type Endpoint struct {
 	stats    Stats
 	closed   bool
 	draining bool
-	actions  []func()
+	actions  []action // side effects awaiting the drainer, in enqueue order
+	ran      []action // the batch the drainer last finished, emptied for reuse
 
 	// Receiving.
 	hist        *history // ordered messages: pending delivery + recovery store
@@ -169,10 +184,11 @@ type Endpoint struct {
 	nakSnap     uint32 // nextDeliver when the NAK timer was armed (stall detection)
 
 	// Sending.
-	nextLocalID uint32
-	sendQ       []*sendOp
-	sendTimer   sim.Timer
-	resending   bool // window retransmission in progress: pump suppressed
+	nextLocalID  uint32
+	sendQ        []*sendOp
+	sendDeadline time.Duration // when the oldest in-flight op is retried; 0 while nothing is in flight
+	sendTimer    sim.Timer     // fires at or before sendDeadline (see armSendRetryLocked)
+	resending    bool          // window retransmission in progress: pump suppressed
 	// Last values pushed to the shared send gauges (delta-updated so
 	// several endpoints can share one gauge).
 	obsQueued int64
@@ -180,8 +196,9 @@ type Endpoint struct {
 	// Sequencer self-send batching: the sequencer's own requests are not
 	// ordered inline but deferred one drain-cycle, so a burst coalesces
 	// into batch entries like a remote member's does.
-	selfPend  []*sendOp // own active ops awaiting the deferred order flush
-	selfFlush bool      // a flush action is already queued
+	selfPend    []*sendOp // own active ops awaiting the deferred order flush
+	selfFlush   bool      // a flush action is already queued
+	selfFlushFn func()    // that action: ep.flushSelfOrders, bound once so queueing it allocates nothing
 
 	// Sequencer.
 	globalSeq       uint32 // highest assigned seqno
@@ -309,12 +326,14 @@ func newEndpoint(cfg Config) (*Endpoint, error) {
 	// log starts past the recovered history (a joiner re-bases at its join
 	// regardless). Seqnos start at FirstSeq+1; the default is 1.
 	hist.floor = cfg.FirstSeq
-	return &Endpoint{
+	ep := &Endpoint{
 		cfg:         cfg,
 		hist:        hist,
 		bbCache:     make(map[bbKey][]byte),
 		nextDeliver: cfg.FirstSeq + 1,
-	}, nil
+	}
+	ep.selfFlushFn = ep.flushSelfOrders
+	return ep, nil
 }
 
 // --- Locking and upcall discipline -----------------------------------------
@@ -326,19 +345,57 @@ func newEndpoint(cfg Config) (*Endpoint, error) {
 // loopback, which re-enters HandlePacket synchronously) call back into the
 // endpoint freely.
 
-// enqueue records a side effect. Caller holds ep.mu.
-func (ep *Endpoint) enqueue(f func()) { ep.actions = append(ep.actions, f) }
+// action is one queued side effect. The effects every ordered message pays for
+// — a packet out, a delivery up, a send completed — are plain data, so queueing
+// them allocates nothing; everything rarer is a closure in fn.
+type action struct {
+	kind actionKind
+	fn   func()       // actFunc
+	dst  flip.Address // actSend
+	pkt  []byte       // actSend, actMulticast: the encoded packet, a pooled buffer put back once sent
+	d    Delivery     // actDeliver
+	op   *sendOp      // actComplete: the finished request, whose dones are called
+	err  error        // actComplete: with this
+}
+
+type actionKind uint8
+
+const (
+	actFunc      actionKind = iota // run fn
+	actSend                        // unicast pkt to dst
+	actMulticast                   // multicast pkt to the group
+	actDeliver                     // hand d to Config.OnDeliver
+	actComplete                    // report err to every done of op
+)
+
+// run performs the effect. Caller must NOT hold ep.mu.
+func (ep *Endpoint) run(a *action) {
+	switch a.kind {
+	case actSend:
+		_ = ep.cfg.Transport.Send(a.dst, a.pkt)
+		bufpool.Put(a.pkt)
+	case actMulticast:
+		_ = ep.cfg.Transport.Multicast(a.pkt)
+		bufpool.Put(a.pkt)
+	case actDeliver:
+		ep.cfg.OnDeliver(a.d)
+	case actComplete:
+		for _, done := range a.op.dones {
+			done(a.err)
+		}
+	default:
+		a.fn()
+	}
+}
+
+// enqueue records a side effect for the cold paths. Caller holds ep.mu.
+func (ep *Endpoint) enqueue(f func()) { ep.actions = append(ep.actions, action{fn: f}) }
 
 // failSendQLocked fails every queued send — every payload of every op — and
 // empties the queue.
 func (ep *Endpoint) failSendQLocked(err error) {
 	for _, op := range ep.sendQ {
-		dones := op.dones
-		ep.enqueue(func() {
-			for _, d := range dones {
-				d(err)
-			}
-		})
+		ep.actions = append(ep.actions, action{kind: actComplete, op: op, err: err})
 	}
 	ep.sendQ = nil
 	ep.syncSendGaugesLocked()
@@ -365,7 +422,15 @@ func (ep *Endpoint) syncSendGaugesLocked() {
 	ep.obsQueued, ep.obsActive = queued, active
 }
 
-// drain runs queued actions. Caller must NOT hold ep.mu.
+// maxKeptActions bounds the action arrays an endpoint keeps between drains: a
+// batch this size covers a full send window's worth of effects, and the array
+// a rare larger burst grew (a 16-message batch entry alone is 16 deliveries)
+// goes back to the collector instead of sitting in every endpoint's live heap.
+const maxKeptActions = 64
+
+// drain runs queued actions. Caller must NOT hold ep.mu. The queue is two
+// slices swapped batch by batch — handlers fill one while the drainer works
+// through the other — so in steady state neither is reallocated.
 func (ep *Endpoint) drain() {
 	ep.mu.Lock()
 	for {
@@ -375,12 +440,16 @@ func (ep *Endpoint) drain() {
 		}
 		ep.draining = true
 		acts := ep.actions
-		ep.actions = nil
+		ep.actions, ep.ran = ep.ran, nil
 		ep.mu.Unlock()
-		for _, a := range acts {
-			a()
+		for i := range acts {
+			ep.run(&acts[i])
+			acts[i] = action{} // the array lives on: let go of what it pointed at
 		}
 		ep.mu.Lock()
+		if cap(acts) <= maxKeptActions {
+			ep.ran = acts[:0]
+		}
 		ep.draining = false
 	}
 }
@@ -406,8 +475,7 @@ func (ep *Endpoint) sendPkt(dst flip.Address, p packet) {
 		p.sender = ep.self
 	}
 	p.lastRecv = ep.nextDeliver - 1
-	buf := p.encode()
-	ep.enqueue(func() { _ = ep.cfg.Transport.Send(dst, buf) })
+	ep.actions = append(ep.actions, action{kind: actSend, dst: dst, pkt: p.encode()})
 }
 
 // multicastPkt enqueues a group multicast. Caller holds ep.mu.
@@ -417,8 +485,7 @@ func (ep *Endpoint) multicastPkt(p packet) {
 		p.sender = ep.self
 	}
 	p.lastRecv = ep.nextDeliver - 1
-	buf := p.encode()
-	ep.enqueue(func() { _ = ep.cfg.Transport.Multicast(buf) })
+	ep.actions = append(ep.actions, action{kind: actMulticast, pkt: p.encode()})
 }
 
 // --- Application API --------------------------------------------------------
@@ -486,8 +553,7 @@ func (ep *Endpoint) queueSendLocked(payload []byte, done func(error)) error {
 			return nil
 		}
 	}
-	op := &sendOp{localID: ep.nextLocalID, payloads: [][]byte{p}, size: len(p), method: method, dones: []func(error){done}}
-	ep.sendQ = append(ep.sendQ, op)
+	ep.sendQ = append(ep.sendQ, newSendOp(ep.nextLocalID, p, method, done))
 	return nil
 }
 
@@ -619,6 +685,7 @@ func (ep *Endpoint) stopTimersLocked() {
 		}
 	}
 	ep.nakTimer, ep.sendTimer, ep.syncTimer, ep.tentTimer, ep.joinTimer, ep.fenceTimer = nil, nil, nil, nil, nil, nil
+	ep.sendDeadline = 0
 	for _, pr := range ep.statusProbe {
 		if pr.timer != nil {
 			pr.timer.Stop()

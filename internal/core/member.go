@@ -107,13 +107,16 @@ func (ep *Endpoint) deferSelfOrderLocked(op *sendOp) {
 		return
 	}
 	ep.selfFlush = true
-	ep.enqueue(func() {
-		ep.mu.Lock()
-		ep.flushSelfOrdersLocked()
-		ep.mu.Unlock()
-		// Runs inside a drain; actions the flush enqueued (multicasts,
-		// completions) are picked up by the running drainer.
-	})
+	ep.enqueue(ep.selfFlushFn)
+}
+
+// flushSelfOrders is the queued half of deferSelfOrderLocked. It runs inside a
+// drain; actions the flush enqueues (multicasts, completions) are picked up by
+// the running drainer.
+func (ep *Endpoint) flushSelfOrders() {
+	ep.mu.Lock()
+	ep.flushSelfOrdersLocked()
+	ep.mu.Unlock()
 }
 
 // flushSelfOrdersLocked runs the deferred order of the sequencer's own sends.
@@ -191,18 +194,38 @@ func (ep *Endpoint) findOwnOrderedLocked(localID uint32) (*entry, bool) {
 	return nil, false
 }
 
-// armSendRetryLocked arms the send retry timer if it is not already running.
-// The timer fires only after RetryInterval with no completed request; every
-// completion restarts it (see finishSendLocked), so a pipelined window that
-// is making progress never retransmits spuriously.
+// armSendRetryLocked starts the send retry clock if it is not already running.
+// The retry fires only after RetryInterval with no completed request; every
+// completion restarts the clock (see finishSendLocked), so a pipelined window
+// that is making progress never retransmits spuriously.
+//
+// The clock is a deadline, not a timer per send: progress moves sendDeadline,
+// and the one runtime timer, if it finds on firing that the deadline has moved
+// on, re-arms itself for the remainder. A busy sender thus costs one timer per
+// RetryInterval instead of one created and stopped per message, and the retry
+// still fires at last-progress + RetryInterval exactly.
 func (ep *Endpoint) armSendRetryLocked() {
-	if ep.sendTimer != nil {
+	if ep.sendDeadline != 0 {
 		return
 	}
-	ep.sendTimer = ep.after(ep.cfg.RetryInterval, func() {
-		ep.sendTimer = nil
-		ep.retrySendLocked()
-	})
+	ep.sendDeadline = ep.cfg.Clock.Now() + ep.cfg.RetryInterval
+	if ep.sendTimer == nil {
+		ep.sendTimer = ep.after(ep.cfg.RetryInterval, ep.sendTimerFiredLocked)
+	}
+}
+
+// sendTimerFiredLocked is the send retry timer's callback.
+func (ep *Endpoint) sendTimerFiredLocked() {
+	ep.sendTimer = nil
+	if ep.sendDeadline == 0 {
+		return // nothing in flight any more
+	}
+	if wait := ep.sendDeadline - ep.cfg.Clock.Now(); wait > 0 {
+		ep.sendTimer = ep.after(wait, ep.sendTimerFiredLocked)
+		return
+	}
+	ep.sendDeadline = 0
+	ep.retrySendLocked()
 }
 
 // retrySendLocked retransmits the whole in-flight window or gives up on the
@@ -275,27 +298,20 @@ func (ep *Endpoint) finishSendLocked(op *sendOp, err error) {
 		return // already completed
 	}
 	ep.sendQ = append(ep.sendQ[:idx], ep.sendQ[idx+1:]...)
-	// Progress: restart the retry clock for the rest of the window.
-	if ep.sendTimer != nil {
-		ep.sendTimer.Stop()
-		ep.sendTimer = nil
-	}
+	// Progress: restart the retry clock for the rest of the window (re-armed
+	// below if anything is still in flight).
+	ep.sendDeadline = 0
 	if err == nil {
 		ep.stats.Sent += uint64(len(op.payloads))
 	}
-	dones := op.dones
 	if err == nil && ep.fenced {
 		// A send completing during the lease fence was anointed by
 		// recovery but is not yet visible anywhere; reporting success now
 		// would let the sender read-back through a stale lease holder and
 		// miss its own write. Park the callbacks until the fence lifts.
-		ep.fencedDones = append(ep.fencedDones, dones)
+		ep.fencedDones = append(ep.fencedDones, op.dones)
 	} else {
-		ep.enqueue(func() {
-			for _, d := range dones {
-				d(err)
-			}
-		})
+		ep.actions = append(ep.actions, action{kind: actComplete, op: op, err: err})
 	}
 	for _, o := range ep.sendQ {
 		if o.active {
@@ -367,9 +383,14 @@ func (ep *Endpoint) handleBcast(p packet, retrans bool) {
 		origin = MemberID(p.aux2)
 	}
 	ep.noteSyncLocked(p.seq, p.aux)
-	e := entryFromPacket(p, origin)
-	if e == nil {
-		return // malformed batch body: NAK will refetch
+	// A packet for a message already held — every loopback of the
+	// sequencer's own broadcast, a duplicate, a retransmission that crossed
+	// the original — is answered for by the held entry: no second copy.
+	e, ok := ep.hist.get(p.seq)
+	if !ok || e.seq != p.seq || e.kind != p.kind || e.sender != origin || e.localID != p.localID {
+		if e = entryFromPacket(p, origin); e == nil {
+			return // malformed batch body: NAK will refetch
+		}
 	}
 	if e.lastSeq() > ep.maxSeen {
 		ep.maxSeen = e.lastSeq()
@@ -890,6 +911,9 @@ func (ep *Endpoint) deliverBatchLocked(e *entry) {
 	for ep.nextDeliver <= e.lastSeq() {
 		i := ep.nextDeliver - e.seq
 		ep.nextDeliver++
+		// A part is copied out, unlike a single message's payload: a part
+		// aliased by the application (a kv value kept in its map) would pin
+		// the whole batch body for as long as that one value lives.
 		pl := make([]byte, len(e.parts[i]))
 		copy(pl, e.parts[i])
 		charge := cost.UserDeliverNext
@@ -951,9 +975,10 @@ func (ep *Endpoint) applyDeliveryLocked(e *entry) {
 	}
 	d.Members = len(ep.view.members)
 	if e.kind == KindData {
-		pl := make([]byte, len(e.payload))
-		copy(pl, e.payload)
-		d.Payload = pl
+		// The entry's own bytes: an entry is written once, at construction,
+		// and never changed, so the application and the retransmission
+		// path can share them (Delivery.Payload is read-only).
+		d.Payload = e.payload
 	}
 	ep.deliverLocked(d)
 }
@@ -971,6 +996,5 @@ func (ep *Endpoint) deliverChargedLocked(d Delivery, k cost.Kind) {
 	if ep.cfg.OnDeliver == nil {
 		return
 	}
-	h := ep.cfg.OnDeliver
-	ep.enqueue(func() { h(d) })
+	ep.actions = append(ep.actions, action{kind: actDeliver, d: d})
 }

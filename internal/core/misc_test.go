@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/flip"
 	"amoeba/internal/netw/memnet"
+	"amoeba/internal/sim"
 )
 
 func TestLeaveUnderLossRetriesUntilOrdered(t *testing.T) {
@@ -173,6 +176,45 @@ func TestDoubleCloseAndLateCallbacks(t *testing.T) {
 			}
 		case <-time.After(testTimeout):
 			t.Fatalf("%s after close hung", name)
+		}
+	}
+}
+
+// keepingTransport breaks Transport's borrow rule on purpose: it keeps every
+// packet slice it is handed.
+type keepingTransport struct{ kept [][]byte }
+
+func (k *keepingTransport) Send(_ flip.Address, p []byte) error {
+	k.kept = append(k.kept, p)
+	return nil
+}
+
+func (k *keepingTransport) Multicast(p []byte) error {
+	k.kept = append(k.kept, p)
+	return nil
+}
+
+// TestRetainedTransportPayloadReadsPoison: what the endpoint hands its
+// Transport is a pooled encode buffer, recycled when the call returns. Race
+// builds overwrite it then, so a transport that queues the slice instead of
+// copying it is caught by `go test -race`.
+func TestRetainedTransportPayloadReadsPoison(t *testing.T) {
+	if !bufpool.Poison {
+		t.Skip("released buffers are poisoned only in -race builds")
+	}
+	tr := &keepingTransport{}
+	ep, err := NewCreator(Config{Group: flipAddr("lent"), Self: 1, Transport: tr, Clock: sim.NewManualClock()})
+	if err != nil {
+		t.Fatalf("NewCreator: %v", err)
+	}
+	defer ep.Close()
+	ep.Start() // orders the creator's own join: one multicast, sent before Start returns
+	if len(tr.kept) == 0 {
+		t.Fatal("the creator's join was never multicast")
+	}
+	for _, p := range tr.kept {
+		if want := bytes.Repeat([]byte{bufpool.PoisonByte}, len(p)); !bytes.Equal(p, want) {
+			t.Fatalf("packet kept past the transport call reads %x, want poison", p)
 		}
 	}
 }

@@ -141,6 +141,7 @@ func (ep *Endpoint) freezeLocked() {
 		}
 	}
 	ep.nakTimer, ep.sendTimer, ep.syncTimer, ep.tentTimer = nil, nil, nil, nil
+	ep.sendDeadline = 0
 	ep.nakBackoff = 0
 	// A frozen member must not serve lease reads: its silence is what lets
 	// a deposed sequencer's granting stop (lease.go rule 2), and silence

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/flip"
 )
 
@@ -156,9 +157,12 @@ func carriesPiggyback(t pktType) bool {
 	}
 }
 
-// encode renders the packet for the wire.
+// encode renders the packet for the wire into a pooled buffer, which the
+// caller puts back once the transport send it was encoded for returns
+// (Transport only borrows its payload). Every header byte is written: a
+// pooled buffer arrives dirty.
 func (p packet) encode() []byte {
-	buf := make([]byte, GroupHeaderSize+len(p.payload))
+	buf := bufpool.Get(GroupHeaderSize + len(p.payload))
 	buf[0] = byte(p.typ)
 	buf[1] = byte(p.kind)
 	binary.BigEndian.PutUint16(buf[2:], uint16(p.sender))

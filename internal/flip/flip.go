@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/cost"
 	"amoeba/internal/netw"
 	"amoeba/internal/sim"
@@ -49,7 +50,11 @@ type Message struct {
 	Src Address
 	// Dst is the local address (process or group) the message arrived on.
 	Dst Address
-	// Payload is the message body; the receiver owns it.
+	// Payload is the message body, lent to the handler under the rule of
+	// netw.Frame.Payload: valid until the handler returns, copied to be
+	// kept. A single-fragment message is the link frame's own bytes and a
+	// loopback message is the sender's buffer; only a reassembled message
+	// is freshly allocated, and handlers must not tell the difference.
 	Payload []byte
 	// SrcNode is the link-layer station the message arrived from, usable
 	// as a routing hint.
@@ -252,7 +257,8 @@ func (st *Stack) Close() {
 }
 
 // Send transmits payload from src to the process address dst. Delivery is
-// unreliable datagram service; an error reports only local problems.
+// unreliable datagram service; an error reports only local problems. The
+// payload is only borrowed: the caller may reuse it once Send returns.
 func (st *Stack) Send(src, dst Address, payload []byte) error {
 	if src == 0 || dst == 0 {
 		return errZeroAddress
@@ -350,7 +356,9 @@ func (st *Stack) sendFragments(src, dst Address, payload []byte, msgID uint32, s
 		}
 		st.meter.Charge(cost.FLIPOut, 0)
 		pkt := encodePacket(h, payload[lo:hi])
-		if err := send(pkt); err != nil {
+		err := send(pkt)
+		bufpool.Put(pkt)
+		if err != nil {
 			return // link closed or frame invalid: datagram semantics
 		}
 		st.mu.Lock()
@@ -361,6 +369,7 @@ func (st *Stack) sendFragments(src, dst Address, payload []byte, msgID uint32, s
 
 // loopback delivers a unicast message to a local address. Local handoff
 // bypasses FLIP input processing (no packet to decode), so no FLIPIn charge.
+// The handler borrows the sender's own buffer for the call.
 func (st *Stack) loopback(src, dst Address, payload []byte, _ uint32) {
 	st.mu.Lock()
 	h := st.local[dst]
@@ -371,9 +380,7 @@ func (st *Stack) loopback(src, dst Address, payload []byte, _ uint32) {
 	}
 	st.stats.MessagesDelivered++
 	st.mu.Unlock()
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	h(Message{Src: src, Dst: dst, Payload: p, SrcNode: st.station.ID()})
+	h(Message{Src: src, Dst: dst, Payload: payload, SrcNode: st.station.ID()})
 }
 
 // loopbackGroup delivers a multicast to the local group member; like
@@ -387,12 +394,11 @@ func (st *Stack) loopbackGroup(src, dst Address, payload []byte) {
 	}
 	st.stats.MessagesDelivered++
 	st.mu.Unlock()
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	h(Message{Src: src, Dst: dst, Payload: p, SrcNode: st.station.ID()})
+	h(Message{Src: src, Dst: dst, Payload: payload, SrcNode: st.station.ID()})
 }
 
-// queueForLocate buffers a payload until dst is located. Caller holds st.mu.
+// queueForLocate buffers a copy of a payload until dst is located — the one
+// place the send path keeps bytes past the call. Caller holds st.mu.
 func (st *Stack) queueForLocate(src, dst Address, payload []byte) {
 	p := make([]byte, len(payload))
 	copy(p, payload)
@@ -415,6 +421,7 @@ func (st *Stack) sendLocateLocked(dst Address, ls *locateState) {
 	// Transmit outside the lock is preferable, but locate is rare and the
 	// station send path does not call back into the stack.
 	_ = st.station.Multicast(LocateChannel, pkt)
+	bufpool.Put(pkt)
 	ls.timer = st.clock.AfterFunc(st.cfg.LocateInterval, func() { st.locateRetry(dst) })
 }
 
@@ -466,6 +473,7 @@ func (st *Stack) handleLocate(h header, from netw.NodeID) {
 	}
 	reply := encodePacket(header{typ: ptHere, src: h.dst, fragCount: 1}, nil)
 	_ = st.station.Send(from, reply)
+	bufpool.Put(reply)
 }
 
 func (st *Stack) handleHere(h header, from netw.NodeID) {
@@ -518,13 +526,13 @@ func (st *Stack) handleData(h header, payload []byte, from netw.NodeID) {
 	if h.fragCount == 1 {
 		st.stats.MessagesDelivered++
 		st.mu.Unlock()
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		deliver(Message{Src: h.src, Dst: h.dst, Payload: p, SrcNode: from})
+		// The frame's own bytes, lent onward (Message.Payload).
+		deliver(Message{Src: h.src, Dst: h.dst, Payload: payload, SrcNode: from})
 		return
 	}
 
-	// Multi-fragment: stash and deliver on completion.
+	// Multi-fragment: each fragment is copied out of its frame — the
+	// frames are gone by the time the last one completes the message.
 	key := reasmKey{src: h.src, msgID: h.msgID}
 	buf := st.reasm[key]
 	if buf == nil {

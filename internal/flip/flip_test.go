@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/netw/memnet"
 	"amoeba/internal/sim"
 )
@@ -36,7 +37,8 @@ func newRig(t *testing.T, n int, cfg memnet.Config) *rig {
 	return r
 }
 
-// inbox collects messages for one registered address.
+// inbox collects messages for one registered address, copying each payload:
+// the handler only borrows it (Message.Payload).
 type inbox struct {
 	mu   sync.Mutex
 	msgs []Message
@@ -47,6 +49,7 @@ func newInbox() *inbox { return &inbox{ch: make(chan struct{}, 1024)} }
 
 func (in *inbox) handler() Handler {
 	return func(m Message) {
+		m.Payload = append([]byte(nil), m.Payload...)
 		in.mu.Lock()
 		in.msgs = append(in.msgs, m)
 		in.mu.Unlock()
@@ -223,6 +226,8 @@ func TestLocalLoopbackUnicast(t *testing.T) {
 	}
 }
 
+// TestFragmentationRoundTrip also holds reassembly to its copies: a stack that
+// kept slices of the fragments' frames would, under -race, assemble poison.
 func TestFragmentationRoundTrip(t *testing.T) {
 	r := newRig(t, 2, memnet.Config{})
 	a, b := r.stacks[0], r.stacks[1]
@@ -241,6 +246,10 @@ func TestFragmentationRoundTrip(t *testing.T) {
 		if err := a.Send(addrA, addrB, payload); err != nil {
 			t.Fatalf("Send(%d): %v", size, err)
 		}
+		// Messages queued behind the locate are flushed from the HERE
+		// upcall and can be overtaken by a direct send from here: let the
+		// first one establish the route before relying on FIFO.
+		in.wait(t, 1)
 	}
 	msgs := in.wait(t, len(sizes))
 	for i, size := range sizes {
@@ -252,6 +261,59 @@ func TestFragmentationRoundTrip(t *testing.T) {
 				t.Fatalf("message %d corrupted at byte %d", i, j)
 			}
 		}
+	}
+}
+
+// TestRetainedMessagePayloadReadsPoison: a single-fragment message is handed
+// up as the link frame's own bytes, so a handler that keeps the slice past its
+// return holds a recycled buffer — which race builds make visible at once.
+func TestRetainedMessagePayloadReadsPoison(t *testing.T) {
+	if !bufpool.Poison {
+		t.Skip("released buffers are poisoned only in -race builds")
+	}
+	r := newRig(t, 2, memnet.Config{})
+	a, b := r.stacks[0], r.stacks[1]
+	addrA, addrB := a.AllocAddress(), b.AllocAddress()
+	kept := make(chan []byte, 2)
+	a.Register(addrA, func(Message) {})
+	b.Register(addrB, func(m Message) { kept <- m.Payload })
+	for _, body := range []string{"first", "second"} {
+		if err := a.Send(addrA, addrB, []byte(body)); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	first := <-kept
+	<-kept // the second upcall began, so the first frame's buffer was released
+	if want := bytes.Repeat([]byte{bufpool.PoisonByte}, len("first")); !bytes.Equal(first, want) {
+		t.Fatalf("payload kept past the handler reads %q, want poison", first)
+	}
+}
+
+// TestAllocBudgetUnicast holds a routed single-fragment unicast, Send to
+// handler, to two heap objects in steady state (the encode buffer and the
+// ring buffer are pooled; the hand-up borrows).
+func TestAllocBudgetUnicast(t *testing.T) {
+	if bufpool.Poison || testing.Short() {
+		t.Skip("allocation counts are for plain, full runs")
+	}
+	r := newRig(t, 2, memnet.Config{})
+	a, b := r.stacks[0], r.stacks[1]
+	addrA, addrB := a.AllocAddress(), b.AllocAddress()
+	arrived := make(chan struct{}, 1)
+	a.Register(addrA, func(Message) {})
+	b.Register(addrB, func(Message) { arrived <- struct{}{} })
+	payload := make([]byte, 64)
+	send := func() {
+		if err := a.Send(addrA, addrB, payload); err != nil {
+			t.Error(err)
+		}
+		<-arrived
+	}
+	for i := 0; i < 100; i++ {
+		send() // locate the route, fill the pools
+	}
+	if got := testing.AllocsPerRun(2000, send); got > 2 {
+		t.Fatalf("a FLIP unicast costs %.0f heap objects, budget 2", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/netw"
 )
 
@@ -68,17 +69,22 @@ var (
 	errUnregistered = errors.New("flip: source address not registered")
 )
 
-// encodePacket renders a header and payload into a frame buffer.
+// encodePacket renders a header and payload into a pooled frame buffer, which
+// the caller puts back once the link-layer send it was encoded for returns
+// (netw.Station.Send only borrows its payload).
 func encodePacket(h header, payload []byte) []byte {
-	buf := make([]byte, HeaderSize+len(payload))
+	buf := bufpool.Get(HeaderSize + len(payload))
+	// Every header byte is written: a pooled buffer arrives dirty.
 	buf[0] = headerVersion
 	buf[1] = byte(h.typ)
+	buf[2], buf[3] = 0, 0
 	binary.BigEndian.PutUint64(buf[4:], uint64(h.src))
 	binary.BigEndian.PutUint64(buf[12:], uint64(h.dst))
 	binary.BigEndian.PutUint32(buf[20:], h.msgID)
 	binary.BigEndian.PutUint16(buf[24:], h.fragIndex)
 	binary.BigEndian.PutUint16(buf[26:], h.fragCount)
 	binary.BigEndian.PutUint32(buf[28:], h.totalLen)
+	binary.BigEndian.PutUint64(buf[32:], 0) // checksum (filled in below) and reserved
 	copy(buf[HeaderSize:], payload)
 	// Checksum with the checksum field zeroed.
 	sum := crc32.ChecksumIEEE(buf)

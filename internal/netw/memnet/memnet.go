@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/netw"
 )
 
@@ -201,8 +202,15 @@ func (n *Network) Close() {
 	}
 }
 
-// transmit routes one frame, applying fault injection. Called with payload
-// already copied.
+// target is one station a transmit delivers to, with the frame a reorder hold
+// was keeping back for it, if any: released now, behind the new frame.
+type target struct {
+	s        *station
+	released *netw.Frame
+}
+
+// transmit routes one frame, applying fault injection. The payload is the
+// sender's and is only read: every receiver gets its own copy (enqueue).
 func (n *Network) transmit(f netw.Frame) {
 	n.mu.Lock()
 	if n.isolated[f.Src] {
@@ -220,7 +228,26 @@ func (n *Network) transmit(f netw.Frame) {
 		copies = 2
 	}
 	corrupt := n.roll(n.cfg.CorruptRate)
-	var targets []*station
+	// The plan lives on the stack for the group sizes the stack runs; a
+	// multicast to more than eight receivers spills to the heap.
+	var planArr [8]target
+	plan := planArr[:0]
+	// Reorder decisions draw once per target while the lock still
+	// serialises the rng, keeping the draw sequence a pure function of the
+	// transmit sequence. A held-back frame is released behind the next
+	// frame bound for the same station — the pairwise swap.
+	route := func(s *station) {
+		if prev := s.held; prev != nil {
+			s.held = nil
+			plan = append(plan, target{s: s, released: prev})
+		} else if n.roll(n.cfg.ReorderRate) {
+			held := f
+			held.Payload = append([]byte(nil), f.Payload...)
+			s.held = &held
+		} else {
+			plan = append(plan, target{s: s})
+		}
+	}
 	if f.Dst == netw.Broadcast {
 		for _, s := range n.stations {
 			if s.id == f.Src || n.isolated[s.id] || n.cut[cutKey(f.Src, s.id)] {
@@ -230,73 +257,46 @@ func (n *Network) transmit(f netw.Frame) {
 			subscribed := !s.closed && s.subs[f.Channel]
 			s.mu.Unlock()
 			if subscribed {
-				targets = append(targets, s)
+				route(s)
 			}
 		}
 	} else if int(f.Dst) < len(n.stations) && f.Dst >= 0 && !n.isolated[f.Dst] && !n.cut[cutKey(f.Src, f.Dst)] {
-		targets = append(targets, n.stations[f.Dst])
-	}
-	// Reorder decisions draw once per target while the lock still
-	// serialises the rng, keeping the draw sequence a pure function of the
-	// transmit sequence. A held-back frame is released behind the next
-	// frame bound for the same station — the pairwise swap.
-	type delivery struct {
-		s      *station
-		frames []netw.Frame
-	}
-	plan := make([]delivery, 0, len(targets))
-	for _, s := range targets {
-		d := delivery{s: s}
-		if prev := s.held; prev != nil {
-			s.held = nil
-			d.frames = append(d.frames, f, *prev)
-		} else if n.roll(n.cfg.ReorderRate) {
-			held := f
-			held.Payload = append([]byte(nil), f.Payload...)
-			s.held = &held
-		} else {
-			d.frames = append(d.frames, f)
-		}
-		if len(d.frames) > 0 {
-			plan = append(plan, d)
-		}
+		route(n.stations[f.Dst])
 	}
 	n.mu.Unlock()
 
 	if corrupt && len(f.Payload) > 0 {
-		// Flip one bit of a copy so other receivers of the same
-		// multicast still see the original bytes.
+		// Flip one bit of a copy, so the sender's buffer — and any frame
+		// just held back, or released now — keeps the original bytes.
 		b := make([]byte, len(f.Payload))
 		copy(b, f.Payload)
 		n.mu.Lock()
 		i := n.rng.Intn(len(b))
 		n.mu.Unlock()
 		b[i] ^= 0x40
-		// frames[0] is always the frame transmitted now (a released
-		// held frame rides second and keeps its original bytes).
-		for pi := range plan {
-			plan[pi].frames[0].Payload = b
-		}
+		f.Payload = b
 	}
 
-	for _, d := range plan {
-		for _, fr := range d.frames {
-			n.enqueue(d.s, fr, copies)
+	for _, t := range plan {
+		n.enqueue(t.s, f, copies)
+		if t.released != nil {
+			n.enqueue(t.s, *t.released, copies)
 		}
 	}
 }
 
 // enqueue delivers one frame to a station's receive ring, copies times,
-// dropping on overflow.
+// dropping on overflow. This is the fabric's one copy: each receiver's bytes
+// live in a pooled ring buffer that is the station's until its handler returns.
 func (n *Network) enqueue(s *station, f netw.Frame, copies int) {
 	for c := 0; c < copies; c++ {
-		// Per-receiver copy: receivers own their frame buffers.
 		dup := f
-		dup.Payload = make([]byte, len(f.Payload))
+		dup.Payload = bufpool.Get(len(f.Payload))
 		copy(dup.Payload, f.Payload)
 		select {
 		case s.ring <- dup:
 		default: // receive ring overflow: drop, as the Lance does
+			bufpool.Put(dup.Payload)
 			n.mu.Lock()
 			n.dropped++
 			n.mu.Unlock()
@@ -316,7 +316,7 @@ type station struct {
 	net  *Network
 	id   netw.NodeID
 	name string
-	ring chan netw.Frame
+	ring chan netw.Frame // payloads are pooled buffers, put back by deliverLoop
 	done chan struct{}
 	wg   sync.WaitGroup
 	// held is a frame delayed by ReorderRate, waiting for the next frame
@@ -397,7 +397,16 @@ func (s *station) deliverLoop() {
 	for {
 		select {
 		case <-s.done:
-			return
+			// Give back what the ring still holds; frames sent to a
+			// closed station afterwards are left to the collector.
+			for {
+				select {
+				case f := <-s.ring:
+					bufpool.Put(f.Payload)
+				default:
+					return
+				}
+			}
 		case f := <-s.ring:
 			s.mu.Lock()
 			h := s.handler
@@ -406,6 +415,8 @@ func (s *station) deliverLoop() {
 			if h != nil && !closed {
 				h(f)
 			}
+			// The handler only borrowed the payload.
+			bufpool.Put(f.Payload)
 		}
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/netw"
 )
 
-// collector accumulates frames delivered to a station.
+// collector accumulates frames delivered to a station, copying each payload:
+// the handler only borrows it (netw.Frame).
 type collector struct {
 	mu     sync.Mutex
 	frames []netw.Frame
@@ -19,6 +21,7 @@ type collector struct {
 func newCollector(s netw.Station) *collector {
 	c := &collector{notify: make(chan struct{}, 1024)}
 	s.SetHandler(func(f netw.Frame) {
+		f.Payload = append([]byte(nil), f.Payload...)
 		c.mu.Lock()
 		c.frames = append(c.frames, f)
 		c.mu.Unlock()
@@ -297,18 +300,89 @@ func TestRingOverflowDrops(t *testing.T) {
 	n.Close()
 }
 
-func TestReceiverOwnsPayloadCopy(t *testing.T) {
+// retainer is a handler that breaks the borrow rule on purpose: it keeps every
+// payload slice it is handed.
+type retainer struct {
+	kept    chan []byte
+	proceed chan struct{} // each handler call waits for one token before returning
+}
+
+func newRetainer(s netw.Station) *retainer {
+	r := &retainer{kept: make(chan []byte, 8), proceed: make(chan struct{}, 8)}
+	s.SetHandler(func(f netw.Frame) {
+		r.kept <- f.Payload
+		<-r.proceed
+	})
+	return r
+}
+
+// TestReceiverBorrowsItsOwnCopy is the fabric's half of the ownership rule:
+// what a handler sees is the station's copy, never the sender's buffer, so a
+// sender may reuse its buffer the moment Send returns.
+func TestReceiverBorrowsItsOwnCopy(t *testing.T) {
 	n := NewReliable()
 	defer n.Close()
 	a, _ := n.Attach("a")
 	b, _ := n.Attach("b")
-	cb := newCollector(b)
+	r := newRetainer(b)
 	buf := []byte("mutate-me")
 	_ = a.Send(b.ID(), buf)
-	frames := cb.waitFor(t, 1)
 	buf[0] = 'X' // sender reuses its buffer
-	if frames[0].Payload[0] != 'm' {
-		t.Fatal("receiver payload aliases sender buffer")
+	got := <-r.kept
+	if string(got) != "mutate-me" { // the handler has not returned: still borrowed
+		t.Fatalf("receiver payload aliases the sender's buffer: %q", got)
+	}
+	r.proceed <- struct{}{}
+}
+
+// TestRetainedFramePayloadReadsPoison is the other half: the copy is the
+// station's only until the handler returns. Race builds overwrite it then, so
+// a handler that keeps the slice is caught by `go test -race`.
+func TestRetainedFramePayloadReadsPoison(t *testing.T) {
+	if !bufpool.Poison {
+		t.Skip("released buffers are poisoned only in -race builds")
+	}
+	n := NewReliable()
+	defer n.Close()
+	a, _ := n.Attach("a")
+	b, _ := n.Attach("b")
+	r := newRetainer(b)
+	_ = a.Send(b.ID(), []byte("first"))
+	_ = a.Send(b.ID(), []byte("second"))
+	first := <-r.kept
+	r.proceed <- struct{}{}
+	<-r.kept // the second handler call began, so the first frame's buffer was put back
+	if want := bytes.Repeat([]byte{bufpool.PoisonByte}, len("first")); !bytes.Equal(first, want) {
+		t.Fatalf("payload kept past the handler reads %q, want poison", first)
+	}
+	r.proceed <- struct{}{}
+}
+
+// TestAllocBudgetUnicastFrame holds the fabric to one heap object per frame,
+// send to handler, in steady state (it was four: per-transmit bookkeeping
+// slices and a fresh receive buffer).
+func TestAllocBudgetUnicastFrame(t *testing.T) {
+	if bufpool.Poison || testing.Short() {
+		t.Skip("allocation counts are for plain, full runs")
+	}
+	n := NewReliable()
+	defer n.Close()
+	a, _ := n.Attach("a")
+	b, _ := n.Attach("b")
+	arrived := make(chan struct{}, 1)
+	b.SetHandler(func(netw.Frame) { arrived <- struct{}{} })
+	payload := make([]byte, 64)
+	send := func() {
+		if err := a.Send(b.ID(), payload); err != nil {
+			t.Error(err)
+		}
+		<-arrived
+	}
+	for i := 0; i < 100; i++ {
+		send() // fill the pool
+	}
+	if got := testing.AllocsPerRun(2000, send); got > 1 {
+		t.Fatalf("a unicast frame costs %.2f heap objects, budget 1", got)
 	}
 }
 

@@ -40,8 +40,15 @@ type Frame struct {
 	// Channel is the multicast channel; meaningful only when Dst is
 	// Broadcast.
 	Channel ChannelID
-	// Payload is the frame body. Receivers must not retain it past the
-	// handler call; implementations may reuse the buffer.
+	// Payload is the frame body, lent to the handler: valid until the
+	// handler returns, copied to be kept. memnet recycles the ring buffer it
+	// lives in, udpnet reads the next datagram over it, and netsim hands
+	// every receiver the same transmit copy. This is the one ownership rule
+	// of the whole stack, restated at each hand-off above (flip.Message,
+	// core.Transport, core.Delivery, amoeba.Message): a buffer has one
+	// owner, a callee borrows it for the call, and whoever keeps bytes
+	// copies them. Race builds overwrite recycled buffers
+	// (internal/bufpool), so `go test -race` fails a handler that forgets.
 	Payload []byte
 }
 
@@ -56,7 +63,8 @@ type Station interface {
 	// Send transmits payload to the station dst. It returns
 	// ErrFrameTooLarge if the payload exceeds MTU and ErrClosed after
 	// Close. Delivery is unreliable: frames may be dropped (buffer
-	// overflow, injected faults) without error.
+	// overflow, injected faults) without error. The payload is only
+	// borrowed: the caller may reuse it as soon as Send returns.
 	Send(dst NodeID, payload []byte) error
 	// Multicast transmits payload to every station subscribed to ch,
 	// excluding the sender itself (matching NIC behaviour: a station does

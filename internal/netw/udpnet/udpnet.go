@@ -262,8 +262,9 @@ func (s *Station) recvLoop() {
 		typ := buf[0]
 		src := netw.NodeID(binary.BigEndian.Uint32(buf[1:]))
 		ch := netw.ChannelID(binary.BigEndian.Uint32(buf[5:]))
-		payload := make([]byte, n-frameHeader)
-		copy(payload, buf[frameHeader:n])
+		// Lent to the handler, which runs on this loop: the next read
+		// overwrites it (netw.Frame).
+		payload := buf[frameHeader:n]
 
 		s.mu.Lock()
 		h := s.handler

@@ -20,6 +20,7 @@ type sink struct {
 func newSink(s netw.Station) *sink {
 	k := &sink{notify: make(chan struct{}, 256)}
 	s.SetHandler(func(f netw.Frame) {
+		f.Payload = append([]byte(nil), f.Payload...) // borrowed: the next datagram overwrites it
 		k.mu.Lock()
 		k.frames = append(k.frames, f)
 		k.mu.Unlock()

@@ -100,9 +100,11 @@ var (
 	ErrClosed = errors.New("rpc: endpoint closed")
 )
 
-// Handler serves one request. Returning a non-zero forward address instead of
-// a reply hands the request to that server (the ForwardRequest primitive); the
-// reply then reaches the client from wherever the request lands. When
+// Handler serves one request. req is the handler's own copy of the request
+// body, to keep or alias as it likes. Returning a non-zero forward address
+// instead of a reply hands the request to that server (the ForwardRequest
+// primitive); the reply then reaches the client from wherever the request
+// lands. When
 // forwarding, a non-nil reply REPLACES the request payload — the handler may
 // rewrite the request before handing it on (e.g. to stamp an already-forwarded
 // marker); a nil reply forwards the original bytes unchanged.
@@ -494,11 +496,16 @@ func (s *Server) onMessage(m flip.Message) {
 		}
 		return
 	}
+	if s.cfg.Concurrent && s.inflight[key] {
+		s.mu.Unlock()
+		return // handler already running; the reply will be cached
+	}
+	// The request outlives this upcall from here on — queued for a worker,
+	// or handed to application code that may keep it — and m.Payload is
+	// only borrowed (flip.Message): this is the RPC server's one copy.
+	// Duplicates answered from the cache above never pay it.
+	payload = append([]byte(nil), payload...)
 	if s.cfg.Concurrent {
-		if s.inflight[key] {
-			s.mu.Unlock()
-			return // handler already running; the reply will be cached
-		}
 		select {
 		case s.work <- job{h: h, client: client, payload: payload}:
 			s.inflight[key] = true

@@ -474,7 +474,7 @@ func TestReplyCachePerTransaction(t *testing.T) {
 	replies := make(chan rep, 16)
 	cs.Register(clientAddr, func(m flip.Message) {
 		if txn, payload, ok := DecodeReply(m.Payload); ok {
-			replies <- rep{txn: txn, payload: payload}
+			replies <- rep{txn: txn, payload: append([]byte(nil), payload...)} // m.Payload is borrowed
 		}
 	})
 	defer cs.Unregister(clientAddr)
@@ -509,7 +509,10 @@ func TestReplyCachePerTransaction(t *testing.T) {
 
 // TestConcurrentPoolBounded: Concurrent mode must cap handler parallelism at
 // MaxConcurrent — a burst beyond the cap queues or sheds (and retransmits),
-// never spawns unbounded goroutines — while every call still completes.
+// never spawns unbounded goroutines — while every call still completes, with
+// its own request echoed: a request waits in the worker queue long after the
+// frame it arrived in was recycled, so the server must have copied it (under
+// -race a borrowed slice would echo poison).
 func TestConcurrentPoolBounded(t *testing.T) {
 	net := memnet.NewReliable()
 	defer net.Close()
@@ -549,14 +552,21 @@ func TestConcurrentPoolBounded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cs := newStack(t, net)
-			cl, err := NewClient(cfg(cs))
+			ccfg := cfg(newStack(t, net))
+			// A shed request retransmits until the gate opens at 300 ms;
+			// give it twice that, not the default budget's bare 315 ms.
+			ccfg.MaxRetries = 40
+			cl, err := NewClient(ccfg)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			defer cl.Close()
-			_, errs[i] = cl.Call(srv.Addr(), []byte{byte(i)})
+			reply, err := cl.Call(srv.Addr(), []byte{byte(i)})
+			if err == nil && !bytes.Equal(reply, []byte{byte(i)}) {
+				err = fmt.Errorf("echoed %x, sent %x", reply, i)
+			}
+			errs[i] = err
 		}()
 	}
 	// Let the burst saturate the pool, then release the handlers.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"amoeba/internal/core"
@@ -140,9 +141,6 @@ type GroupOptions struct {
 	// consistent across partitions should set a majority of the
 	// replication factor; the fuzz harness defaults to that.
 	MinSurvivors int
-	// ReceiveBuffer bounds messages queued for Receive before Send-side
-	// backpressure (default 1024).
-	ReceiveBuffer int
 	// LeaseDur, when > 0, enables sequencer-granted read leases: grants
 	// ride the periodic sync ticks and a member holding an unexpired lease
 	// serves linearizable reads from local state (Group.Lease). The price
@@ -242,7 +240,7 @@ func (k *Kernel) newGroup(name string, opts GroupOptions) (*Group, core.Config) 
 		kernel: k,
 		name:   name,
 		tr:     core.NewFLIPTransport(k.stack, self, groupAddr),
-		queue:  newDeliveryQueue(opts.ReceiveBuffer),
+		queue:  newDeliveryQueue(),
 	}
 	cfg := opts.coreConfig()
 	cfg.Group = groupAddr
@@ -279,16 +277,33 @@ var (
 	ErrSequencerDead = core.ErrSequencerDead
 )
 
+// waiter is one blocking call's completion: the channel the caller sleeps on
+// and the callback that feeds it, allocated together and recycled.
+type waiter struct {
+	ch   chan error
+	done func(error) // sends to ch; bound once, when the waiter is made
+}
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{ch: make(chan error, 1)}
+	w.done = func(e error) { w.ch <- e }
+	return w
+}}
+
 // waitCtx adapts a callback completion to ctx cancellation.
 func waitCtx(ctx context.Context, start func(func(error))) error {
-	done := make(chan error, 1)
-	start(func(e error) { done <- e })
+	w := waiters.Get().(*waiter)
+	start(w.done)
 	select {
-	case err := <-done:
+	case err := <-w.ch:
+		// The callback has fired — it fires once — so nothing references w
+		// any more. This is the only path that recycles it.
+		waiters.Put(w)
 		return err
 	case <-ctx.Done():
 		// The protocol operation continues in the background; only the
-		// wait is abandoned.
+		// wait is abandoned — and w with it, since its callback is still
+		// owed a call and must not land in a later call's channel.
 		return ctx.Err()
 	}
 }

@@ -1,0 +1,52 @@
+package kv
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"amoeba"
+	"amoeba/internal/bufpool"
+)
+
+// TestAllocBudgetClientPut holds a replicated write to its allocation budget:
+// the heap objects the whole process allocates per Client.Do(Put) on a
+// three-node in-memory store (four shards, every node a replica of each) — the
+// kv codec, one ordered send, three applies and the wait for the local one —
+// in steady state. Before buffers had one owner each this read about 64.
+func TestAllocBudgetClientPut(t *testing.T) {
+	if bufpool.Poison || testing.Short() {
+		t.Skip("allocation counts are for plain, full runs")
+	}
+	ctx := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "budget", 3, Options{Shards: 4, ResultWindow: 256})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	cl := stores[1].NewClient()
+	defer cl.Close()
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	val := make([]byte, 64)
+	n := 0
+	put := func() {
+		n++
+		resp, err := cl.Do(ctx, &Request{Op: ReqPut, Key: keys[n%len(keys)], Val: val})
+		if err != nil || !resp.OK {
+			t.Errorf("Put: %+v, %v", resp, err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		put() // fill the pools and the result windows, pass the first history prunes
+	}
+	const budget = 19 // measured 17, plus a tenth
+	if got := testing.AllocsPerRun(3000, put); got > budget {
+		t.Fatalf("a replicated Put costs %.0f heap objects process-wide, budget %d", got, budget)
+	}
+}

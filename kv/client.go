@@ -62,6 +62,13 @@ type Client struct {
 	nonce   uint64
 	seq     atomic.Uint64
 
+	// The store's well-known addresses. Each is the hash of a formatted
+	// name (StoreAddr, ShardAddr, NodeAddr), so they are computed once
+	// here, not once per call.
+	storeAddr  amoeba.Addr
+	shardAddrs addrTable
+	nodeAddrs  addrTable
+
 	// Dial'd clients with ring knowledge cache their own routing view,
 	// refreshed from responses; bound clients read the store's.
 	rtMu  sync.RWMutex
@@ -176,6 +183,8 @@ func (s *Store) NewClient() *Client {
 		kernel:  s.kernel,
 		cluster: s.name,
 		nonce:   clientNonce(),
+
+		storeAddr: StoreAddr(s.name),
 	}
 	c.topoNodes.Store(int64(s.opts.Nodes))
 	c.topoRepl.Store(int64(s.opts.Replication))
@@ -228,12 +237,14 @@ func Dial(k *amoeba.Kernel, cluster string, o DialOptions) (*Client, error) {
 		entry:   o.Addr,
 		anycast: o.Anycast,
 		nonce:   clientNonce(),
+
+		storeAddr: StoreAddr(cluster),
 	}
 	if c.entry == 0 {
 		if o.Anycast {
-			c.entry = StoreAddr(cluster)
+			c.entry = c.storeAddr
 		} else {
-			c.entry = NodeAddr(cluster, o.Node)
+			c.entry = c.nodeAddr(o.Node)
 		}
 	}
 	if o.Shards > 0 {
@@ -336,6 +347,37 @@ func (c *Client) rpcClient(shard int) (*amoeba.RPCClient, error) {
 	return cl, nil
 }
 
+// addrTable memoises one family of well-known addresses by index. A table is
+// immutable and replaced whole, so readers take no lock, and growers that race
+// store the same values.
+type addrTable struct{ tab atomic.Pointer[[]amoeba.Addr] }
+
+// at returns the i-th address, extending the table with name when i is new.
+func (t *addrTable) at(i int, name func(int) amoeba.Addr) amoeba.Addr {
+	if i < 0 {
+		return name(i) // a caller's nonsense index (DialOptions.Node) is not worth a slot
+	}
+	if tab := t.tab.Load(); tab != nil && i < len(*tab) {
+		return (*tab)[i]
+	}
+	tab := make([]amoeba.Addr, i+1)
+	for j := range tab {
+		tab[j] = name(j)
+	}
+	t.tab.Store(&tab)
+	return tab[i]
+}
+
+// shardAddr is ShardAddr(c.cluster, shard), memoised.
+func (c *Client) shardAddr(shard int) amoeba.Addr {
+	return c.shardAddrs.at(shard, func(i int) amoeba.Addr { return ShardAddr(c.cluster, i) })
+}
+
+// nodeAddr is NodeAddr(c.cluster, node), memoised.
+func (c *Client) nodeAddr(node int) amoeba.Addr {
+	return c.nodeAddrs.at(node, func(i int) amoeba.Addr { return NodeAddr(c.cluster, i) })
+}
+
 // sleepCtx pauses between retries of operations held by a frozen range.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	select {
@@ -367,7 +409,9 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		if req.ID == 0 {
 			req.ID = c.nextID()
 		}
-		c.tracer.Addf(req.ID, "submitted op=%d key=%q", req.Op, req.Key)
+		if c.tracer.Sampled(req.ID) { // asked first: Addf's arguments are boxed before it can decline them
+			c.tracer.Addf(req.ID, "submitted op=%d key=%q", req.Op, req.Key)
+		}
 		resp, err := c.doShard(ctx, c.shardFor(req.Key), req)
 		if err != nil {
 			c.tracer.Addf(req.ID, "failed: %v", err)
@@ -709,13 +753,13 @@ func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Resp
 		targets = append(targets, holder)
 	}
 	if shard >= 0 {
-		targets = append(targets, ShardAddr(c.cluster, shard))
+		targets = append(targets, c.shardAddr(shard))
 	}
 	if c.entry != 0 {
 		targets = append(targets, c.entry)
 	}
-	if sa := StoreAddr(c.cluster); c.anycast && c.entry != sa {
-		targets = append(targets, sa)
+	if c.anycast && c.entry != c.storeAddr {
+		targets = append(targets, c.storeAddr)
 	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("kv: shard %d is not hosted on this node and the client has no remote path (start a kv.Service on the hosting nodes)", shard)
@@ -744,16 +788,18 @@ func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Resp
 		// Direct = the shard's own well-known address or a steered lease
 		// holder (one hop); anything else enters through a proxy node that
 		// may forward.
-		direct := shard >= 0 && target == ShardAddr(c.cluster, shard) ||
+		direct := shard >= 0 && target == c.shardAddr(shard) ||
 			holder != 0 && target == holder
 		pathH := c.fwdH
 		if direct {
 			pathH = c.directH
 		}
-		if direct {
-			c.tracer.Addf(req.ID, "sent direct to shard %d", shard)
-		} else {
-			c.tracer.Addf(req.ID, "sent via entry %v", target)
+		if c.tracer.Sampled(req.ID) { // asked first: Addf's arguments are boxed before it can decline them
+			if direct {
+				c.tracer.Addf(req.ID, "sent direct to shard %d", shard)
+			} else {
+				c.tracer.Addf(req.ID, "sent via entry %v", target)
+			}
 		}
 		var t0 time.Time
 		if pathH != nil {
@@ -827,7 +873,7 @@ func (c *Client) readTarget(shard int, req *Request) amoeba.Addr {
 	if len(hosts) == 0 {
 		return 0
 	}
-	return NodeAddr(c.cluster, hosts[c.readSeq.Add(1)%uint64(len(hosts))])
+	return c.nodeAddr(hosts[c.readSeq.Add(1)%uint64(len(hosts))])
 }
 
 func (c *Client) remoteErr(shard int, err error) error {

@@ -285,7 +285,7 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 		fwd := *req
 		fwd.Flags |= flagForwarded
 		fwd.Epoch = rt.Epoch // forward under this node's (newer) table
-		return EncodeRequest(&fwd), ShardAddr(svc.store.name, shards[0])
+		return EncodeRequest(&fwd), svc.client.shardAddr(shards[0])
 	}
 	if len(shards) > 1 {
 		// A client with no (or stale) routing knowledge packed several

@@ -255,9 +255,10 @@ type mapSM struct {
 	// stamps "applied@seq" spans for sampled command ids, flight records
 	// migrate phase transitions; seq is the sequence number of the command
 	// currently applying, set by ApplySeq for the duration of one Apply.
-	tracer *obs.Tracer
-	flight *obs.Recorder
-	seq    uint32
+	tracer    *obs.Tracer
+	flight    *obs.Recorder
+	flightTag string // labels this shard's flight-recorder events: "kv/<store>/<shard>"
+	seq       uint32
 	// onAudit, when non-nil, receives the digest this replica computed for
 	// each applied audit command (see audit.go). Node-local like onRouting:
 	// it runs under the replica lock and must not call back into replicas.
@@ -282,6 +283,7 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 		initRouting: rt,
 		onRouting:   onRouting,
 		routing:     rt,
+		flightTag:   fmt.Sprintf("kv/%s/%d", store, shard),
 	}
 	if rt.Shards > 0 {
 		s.curRing = rt.ring(store)
@@ -347,11 +349,18 @@ func (s *mapSM) Apply(cmd []byte) {
 	if err != nil {
 		return
 	}
+	// Sampled is asked first: Addf's arguments are boxed before it can
+	// decline them, on every command of every replica.
+	sampled := s.tracer.Sampled(c.id)
 	if prev, done := s.results.lookup(c.id); done && !prev.Moved {
-		s.tracer.Addf(c.id, "dedup hit at shard %d (seq %d)", s.shard, s.seq)
+		if sampled {
+			s.tracer.Addf(c.id, "dedup hit at shard %d (seq %d)", s.shard, s.seq)
+		}
 		return
 	}
-	s.tracer.Addf(c.id, "applied@seq %d op=%d shard=%d", s.seq, c.op, s.shard)
+	if sampled {
+		s.tracer.Addf(c.id, "applied@seq %d op=%d shard=%d", s.seq, c.op, s.shard)
+	}
 	switch c.op {
 	case opPut:
 		if !s.serves(c.key) || s.locked(c.key) {
@@ -518,7 +527,7 @@ func (s *mapSM) applyTxnPrepare(c command) {
 	if p == nil {
 		p = &txnPortion{TxnID: c.txnID, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStatePrepared}
 		s.txns[c.txnID] = p
-		s.flight.Recordf(s.flightTag(), "txn %016x prepared: %d reads %d writes %d conds",
+		s.flight.Recordf(s.flightTag, "txn %016x prepared: %d reads %d writes %d conds",
 			c.txnID, len(c.keys), len(c.writes), len(c.conds))
 	}
 	haveRead := make(map[string]bool, len(p.Reads))
@@ -577,7 +586,7 @@ func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 	delete(s.lockSeen, p.TxnID)
 	s.txnOrder = append(s.txnOrder, p.TxnID)
 	s.evictTxns()
-	s.flight.Recordf(s.flightTag(), "txn %016x resolved: state=%d", p.TxnID, p.State)
+	s.flight.Recordf(s.flightTag, "txn %016x resolved: state=%d", p.TxnID, p.State)
 }
 
 // applyTxnResolve applies a commit/abort decision to this shard's portion.
@@ -629,7 +638,7 @@ func (s *mapSM) applyTxnResolve(c command) {
 	s.txns[c.txnID] = f
 	s.txnOrder = append(s.txnOrder, c.txnID)
 	s.evictTxns()
-	s.flight.Recordf(s.flightTag(), "txn %016x fenced aborted", c.txnID)
+	s.flight.Recordf(s.flightTag, "txn %016x fenced aborted", c.txnID)
 	s.setResult(c.id, result{TxnState: txnStateAborted})
 }
 
@@ -661,16 +670,11 @@ func (s *mapSM) applyMigrateBegin(c command) {
 		s.pending = &rt
 		s.pendRing = rt.ring(s.store)
 		ok = true
-		s.flight.Recordf(s.flightTag(), "migrate begin: epoch %d -> %d (%d -> %d shards)",
+		s.flight.Recordf(s.flightTag, "migrate begin: epoch %d -> %d (%d -> %d shards)",
 			s.routing.Epoch, rt.Epoch, s.routing.Shards, rt.Shards)
 		s.notifyRouting()
 	}
 	s.setResult(c.id, result{OK: ok})
-}
-
-// flightTag labels this shard's flight-recorder events.
-func (s *mapSM) flightTag() string {
-	return fmt.Sprintf("kv/%s/%d", s.store, s.shard)
 }
 
 // applyMigrateCommit flips the shard to the new routing table: moved keys
@@ -732,7 +736,7 @@ func (s *mapSM) applyMigrateCommit(c command) {
 			}
 		}
 	}
-	s.flight.Recordf(s.flightTag(), "migrate commit: epoch %d, %d moved keys dropped, %d kept",
+	s.flight.Recordf(s.flightTag, "migrate commit: epoch %d, %d moved keys dropped, %d kept",
 		c.routing.Epoch, dropped, len(s.items))
 	s.setResult(c.id, result{OK: true})
 	s.notifyRouting()
@@ -747,7 +751,7 @@ func (s *mapSM) applyMigrateAbort(c command) {
 		s.pending = nil
 		s.pendRing = nil
 		ok = true
-		s.flight.Recordf(s.flightTag(), "migrate abort: epoch %d rolled back, serving epoch %d",
+		s.flight.Recordf(s.flightTag, "migrate abort: epoch %d rolled back, serving epoch %d",
 			c.routing.Epoch, s.routing.Epoch)
 		s.notifyRouting()
 	}

@@ -202,9 +202,15 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 		found = true
 		// The frozen shard traces its apply too (it executes the command
 		// and answers Moved), so require an apply AFTER the final bounce —
-		// the one at the new owner — followed by the reply.
+		// the one at the new owner — followed by the reply. Both nodes
+		// trace into this one hub and only the client's own replica is
+		// known to apply before the reply, so it is the first such apply
+		// that counts: the other node's may land on either side of it.
 		sub := firstIndexContaining(events, "submitted")
-		app := lastIndexContaining(events, "applied@seq")
+		app := firstIndexContaining(events[mv+1:], "applied@seq")
+		if app >= 0 {
+			app += mv + 1
+		}
 		rep := lastIndexContaining(events, "replied")
 		if sub < 0 || app < 0 || rep < 0 || !(sub < mv && mv < app && app < rep) {
 			t.Fatalf("trace %d missing or misordered Moved-retry stages:\n%s",

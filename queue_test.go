@@ -11,7 +11,7 @@ import (
 )
 
 func TestDeliveryQueueOrderAndBlocking(t *testing.T) {
-	q := newDeliveryQueue(0)
+	q := newDeliveryQueue()
 	for i := 0; i < 5; i++ {
 		q.push(core.Delivery{Kind: core.KindData, Seq: uint32(i + 1)})
 	}
@@ -44,7 +44,7 @@ func TestDeliveryQueueOrderAndBlocking(t *testing.T) {
 }
 
 func TestDeliveryQueueCloseUnblocksPoppers(t *testing.T) {
-	q := newDeliveryQueue(0)
+	q := newDeliveryQueue()
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := q.pop(context.Background())
@@ -70,7 +70,7 @@ func TestDeliveryQueueCloseUnblocksPoppers(t *testing.T) {
 // next blocked one. With many receivers blocked concurrently, all of them —
 // not just the first — must unblock with ErrNotMember.
 func TestDeliveryQueueCloseWakesAllPoppers(t *testing.T) {
-	q := newDeliveryQueue(0)
+	q := newDeliveryQueue()
 	const poppers = 16
 	errs := make(chan error, poppers)
 	var started sync.WaitGroup
@@ -105,7 +105,7 @@ func TestDeliveryQueueCloseWakesAllPoppers(t *testing.T) {
 // cascade: N poppers blocked, N pushes, every message must come out even
 // though the token channel holds one entry.
 func TestDeliveryQueuePushWakesBlockedPopperPerMessage(t *testing.T) {
-	q := newDeliveryQueue(0)
+	q := newDeliveryQueue()
 	const n = 8
 	seen := make(chan uint32, n)
 	for i := 0; i < n; i++ {
@@ -135,8 +135,34 @@ func TestDeliveryQueuePushWakesBlockedPopperPerMessage(t *testing.T) {
 	q.close()
 }
 
+// TestDeliveryQueueReusesItsArray: a consumer that keeps up without ever quite
+// emptying the queue must neither lose order nor make the backing array grow —
+// popped slots are reclaimed by sliding the queue down, not by reallocating.
+func TestDeliveryQueueReusesItsArray(t *testing.T) {
+	q := newDeliveryQueue()
+	ctx := context.Background()
+	next := uint32(1)
+	push := func() {
+		q.push(core.Delivery{Kind: core.KindData, Seq: next})
+		next++
+	}
+	push()
+	push()
+	push()
+	for want := uint32(1); want <= 10000; want++ {
+		push()
+		m, err := q.pop(ctx)
+		if err != nil || m.Seq != want {
+			t.Fatalf("pop = seq %d, %v; want seq %d", m.Seq, err, want)
+		}
+	}
+	if c := cap(q.msgs); c > 16 {
+		t.Fatalf("a queue never more than 4 deep grew its array to %d slots", c)
+	}
+}
+
 func TestDeliveryQueueConcurrentPoppers(t *testing.T) {
-	q := newDeliveryQueue(0)
+	q := newDeliveryQueue()
 	const n = 50
 	var wg sync.WaitGroup
 	seen := make(chan uint32, n)

@@ -90,9 +90,12 @@ type Replica struct {
 	members     int
 	stopped     bool
 	closed      bool
-	// applyWake is closed and replaced after every apply (and on stop), so
-	// Wait callers can sleep until the state machine may have changed.
+	// applyWake is what Wait callers sleep on until the state machine may
+	// have changed: closed and replaced by the first apply (or stop) after
+	// a caller took it — waiting says one has since the last wake — and
+	// left alone while nobody is listening.
 	applyWake chan struct{}
+	waiting   bool
 
 	// Durability (nil log: in-memory replica, the paper's semantics). The
 	// apply loop journals delivered entries before applying them and
@@ -345,6 +348,10 @@ func (r *Replica) start() {
 
 // wakeLocked wakes every Wait caller; r.mu must be held.
 func (r *Replica) wakeLocked() {
+	if !r.waiting {
+		return
+	}
+	r.waiting = false
 	close(r.applyWake)
 	r.applyWake = make(chan struct{})
 }
@@ -581,12 +588,13 @@ func (r *Replica) Wait(ctx context.Context, pred func(sm StateMachine) bool) err
 			r.mu.Unlock()
 			return nil
 		}
-		stopped := r.stopped
-		wake := r.applyWake
-		r.mu.Unlock()
-		if stopped {
+		if r.stopped {
+			r.mu.Unlock()
 			return ErrStopped
 		}
+		wake := r.applyWake
+		r.waiting = true
+		r.mu.Unlock()
 		select {
 		case <-wake:
 		case <-ctx.Done():
