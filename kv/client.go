@@ -457,11 +457,18 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 				req.IDs[i] = c.nextID()
 			}
 		}
+		c.traceBatch(req, "submitted op=batchput")
 		for {
 			resp, err := c.doBatchPut(ctx, req)
-			if !errors.Is(err, errMoved) {
-				return resp, err
+			if err == nil {
+				c.traceBatch(req, "replied")
+				return resp, nil
 			}
+			if !errors.Is(err, errMoved) {
+				c.traceBatch(req, "failed: "+err.Error())
+				return nil, err
+			}
+			c.traceBatch(req, "batch moved, re-splitting")
 			if err := sleepCtx(ctx, movedRetryDelay); err != nil {
 				return nil, err
 			}
@@ -489,6 +496,16 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		return c.doShard(ctx, c.shardFor(req.Key), req)
 	default:
 		return nil, fmt.Errorf("kv: unknown request op %d", req.Op)
+	}
+}
+
+// traceBatch stamps a caller-side span on every sampled pair of a batch put:
+// a pair is traced under its own id, like the lone Put it stands for.
+func (c *Client) traceBatch(req *Request, event string) {
+	for i, id := range req.IDs {
+		if c.tracer.Sampled(id) { // asked first: Addf's arguments are boxed before it can decline them
+			c.tracer.Addf(id, "%s key=%q", event, req.Pairs[i].Key)
+		}
 	}
 }
 
@@ -898,14 +915,17 @@ type Pair struct {
 	Val []byte
 }
 
-// BatchPut writes several pairs as one coalesced burst: pairs are grouped by
-// owning shard, each shard's writes are submitted together (the group layer
-// packs them into batch ordering requests, paying the sequencer's
-// per-request cost once per batch), and the per-shard bursts run in
-// parallel — locally or across the RPC proxy. When BatchPut returns nil,
-// every write is totally ordered on its shard. Writes to one shard apply in
-// slice order; ordering across shards is independent, as for any multi-shard
-// operation.
+// BatchPut writes several pairs at the cost of a few: pairs are grouped by
+// owning shard, each shard's pairs travel as one ordered command (one per
+// 32 KiB of them: one group message, one delivery, one journal entry and one
+// apply on every replica, however many pairs it carries), and the shards'
+// commands run in parallel — locally or across the RPC proxy. When BatchPut
+// returns nil, every write is totally ordered on its shard. Writes to one
+// shard apply in slice order; ordering across shards is independent, as for
+// any multi-shard operation. A batch is not atomic: each pair is
+// deduplicated and answered under its own id, so a batch cut short by a
+// failure or a resharding may have landed in part, and retrying it
+// re-executes only what did not (use Txn for all-or-nothing).
 func (c *Client) BatchPut(ctx context.Context, pairs []Pair) error {
 	if len(pairs) == 0 {
 		return nil
@@ -1097,11 +1117,7 @@ func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Respon
 		}
 		return out, nil
 	case ReqBatchPut:
-		cmds := make([][]byte, len(req.Pairs))
-		for i, p := range req.Pairs {
-			cmds[i] = encodePut(req.IDs[i], p.Key, p.Val)
-		}
-		if err := s.doBatch(ctx, shard, req.IDs, cmds); err != nil {
+		if err := s.putBatch(ctx, shard, req.IDs, req.Pairs); err != nil {
 			return nil, err
 		}
 		return &Response{OK: true}, nil
@@ -1179,11 +1195,42 @@ func (s *Store) do(ctx context.Context, shard int, id uint64, cmd []byte) (resul
 	}
 }
 
+// putBatch writes one shard's pairs, pairs[i] under ids[i], in slice order.
+// A command is filled to maxCommandBytes, so a shard's pairs usually travel
+// as one ordered message; commands are submitted and awaited in runs of at
+// most half a result window of pairs, because doBatch needs every result of
+// a run in the window at once — which a run larger than the window never is.
+func (s *Store) putBatch(ctx context.Context, shard int, ids []uint64, pairs []Pair) error {
+	maxRun := max(s.opts.ResultWindow/2, 1)
+	for len(pairs) > 0 {
+		run := min(len(pairs), maxRun)
+		var cmds [][]byte
+		for start := 0; start < run; {
+			end, size := start, 0
+			for end < run {
+				need := batchPairBytes(pairs[end])
+				if end > start && size+need > maxCommandBytes {
+					break
+				}
+				size += need
+				end++
+			}
+			cmds = append(cmds, encodeBatchPut(ids[start:end], pairs[start:end]))
+			start = end
+		}
+		if err := s.doBatch(ctx, shard, ids[:run], cmds); err != nil {
+			return err
+		}
+		ids, pairs = ids[run:], pairs[run:]
+	}
+	return nil
+}
+
 // doBatch submits one shard's command burst and waits until every result
 // lands in the local replica's result window, with the same
 // replica-swap-and-retry semantics as do (commands are deduplicated by id,
 // so retrying a partially committed batch is safe and exactly-once). If any
-// command answered Moved — the batch straddled an epoch flip — errMoved is
+// pair answered Moved — the batch straddled an epoch flip — errMoved is
 // returned and the caller re-splits; only the moved pairs re-execute.
 func (s *Store) doBatch(ctx context.Context, shard int, ids []uint64, cmds [][]byte) error {
 	for {

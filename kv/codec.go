@@ -30,6 +30,17 @@ import (
 // position in the shard's total order; resolve applies or discards the
 // portion. Like the migrate ops they are ordinary sequenced commands, so an
 // in-doubt transaction survives any crash the write-ahead log survives.
+//
+// opBatchPut is what a BatchPut sends a shard: one command carrying many
+// pairs, each under its own id,
+//
+//	op | id | count uvarint | { id(8) key val }*
+//
+// so one ordered message, one delivery, one journal entry and one apply carry
+// them all, while every pair is still deduplicated and answered by its own id
+// exactly as a lone opPut is. A batch has no result of its own: the header id
+// repeats the first pair's. A shard's pairs travel in as few commands as fit
+// maxCommandBytes.
 const (
 	opPut byte = iota + 1
 	opDelete
@@ -47,7 +58,16 @@ const (
 	// audit.go). Riding the order like any op is what makes the digests
 	// comparable — all replicas evaluate the identical state.
 	opAudit
+	// New ops are appended: journals hold the op bytes, and one written
+	// before an op existed must replay unchanged.
+	opBatchPut
 )
+
+// maxCommandBytes bounds the payload one multi-element command (a batch put,
+// a migrate-import chunk) is filled to, comfortably under the group layer's
+// default 64 KiB message limit. A single element larger than this still
+// travels, alone.
+const maxCommandBytes = 32 << 10
 
 var errBadCommand = errors.New("kv: malformed command")
 
@@ -76,6 +96,29 @@ func commandHeader(op byte, id uint64) []byte {
 func encodePut(id uint64, key string, val []byte) []byte {
 	dst := appendBytes(commandHeader(opPut, id), []byte(key))
 	return appendBytes(dst, val)
+}
+
+// batchPairBytes bounds what one pair adds to an opBatchPut command.
+func batchPairBytes(p Pair) int {
+	return 8 + 2*binary.MaxVarintLen32 + len(p.Key) + len(p.Val)
+}
+
+// encodeBatchPut encodes pairs, pairs[i] under ids[i], as one command.
+func encodeBatchPut(ids []uint64, pairs []Pair) []byte {
+	size := 9 + binary.MaxVarintLen32
+	for _, p := range pairs {
+		size += batchPairBytes(p)
+	}
+	dst := make([]byte, 9, size)
+	dst[0] = opBatchPut
+	binary.BigEndian.PutUint64(dst[1:], ids[0])
+	dst = binary.AppendUvarint(dst, uint64(len(pairs)))
+	for i, p := range pairs {
+		dst = binary.BigEndian.AppendUint64(dst, ids[i])
+		dst = appendBytes(dst, []byte(p.Key))
+		dst = appendBytes(dst, p.Val)
+	}
+	return dst
 }
 
 func encodeDelete(id uint64, key string) []byte {
@@ -869,7 +912,8 @@ type command struct {
 	expect        []byte
 	keys          []string       // opGet; opTxnPrepare: the read set
 	routing       Routing        // migrate ops: the target table
-	pairs         []Pair         // opMigrateImport
+	pairs         []Pair         // opMigrateImport, opBatchPut
+	ids           []uint64       // opBatchPut: one id per pair
 	impResults    []importResult // opMigrateImport: migrated dedup results
 	txns          []*txnPortion  // opMigrateImport: migrated txn portions
 	txnID         uint64         // txn ops
@@ -1032,6 +1076,35 @@ func decodeCommand(b []byte) (command, error) {
 			return command{}, errBadCommand
 		}
 		c.ranges = int(n)
+	case opBatchPut:
+		// A pair is at least ten bytes, which bounds what a hostile count can
+		// make this allocate.
+		n, w := binary.Uvarint(rest)
+		if w <= 0 || n == 0 || n > uint64(len(rest)-w)/10 {
+			return command{}, errBadCommand
+		}
+		rest = rest[w:]
+		c.ids = make([]uint64, 0, n)
+		c.pairs = make([]Pair, 0, n)
+		for i := uint64(0); i < n; i++ {
+			if len(rest) < 8 {
+				return command{}, errBadCommand
+			}
+			c.ids = append(c.ids, binary.BigEndian.Uint64(rest))
+			if raw, rest, err = takeBytes(rest[8:]); err != nil {
+				return command{}, err
+			}
+			key := string(raw)
+			if raw, rest, err = takeBytes(rest); err != nil {
+				return command{}, err
+			}
+			// The value is copied out, as an import's is: the state machine
+			// keeps it, and it must not keep the whole command alive.
+			c.pairs = append(c.pairs, Pair{Key: key, Val: append([]byte(nil), raw...)})
+		}
+		if len(rest) != 0 || c.ids[0] != c.id {
+			return command{}, errBadCommand
+		}
 	default:
 		return command{}, fmt.Errorf("kv: unknown op %d: %w", c.op, errBadCommand)
 	}

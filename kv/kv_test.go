@@ -95,16 +95,35 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
-// TestBatchPutCoalescesAcrossShards bulk-loads through the write-coalescing
-// path: pairs scatter to their owning shards, each shard's burst rides the
-// group layer's batch requests, and every write must be readable afterwards
-// — from another node — with the shard sequencers reporting actual
-// multi-message batches.
+// groupCounters sums every hosted replica's group counters per shard.
+func groupCounters(stores []*Store) (ordered, batches map[int]uint64) {
+	ordered, batches = map[int]uint64{}, map[int]uint64{}
+	for _, s := range stores {
+		for i := 0; i < s.Shards(); i++ {
+			if r := s.Replica(i); r != nil {
+				st := r.Stats()
+				ordered[i] += st.Ordered
+				batches[i] += st.OrderedBatches
+			}
+		}
+	}
+	return ordered, batches
+}
+
+// TestBatchPutCoalescesAcrossShards bulk-loads through the batch command:
+// pairs scatter to their owning shards, each shard's pairs travel as ONE
+// ordered message however many they are, and every write must be readable
+// afterwards — from another node too. Only a shard's pairs beyond the
+// per-command byte bound take several commands, and those ride the group
+// layer's batch requests (kv's one test on core's batch path).
 func TestBatchPutCoalescesAcrossShards(t *testing.T) {
 	ctx := ctxT(t, 30*time.Second)
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
-	stores := newCluster(t, ctx, net, "batchput", 2, Options{Shards: 2})
+	// Method PB: left to itself the group layer broadcasts a payload of a
+	// kilobyte or more itself (BB), and only PB requests coalesce.
+	stores := newCluster(t, ctx, net, "batchput", 2, Options{Shards: 2,
+		Group: amoeba.GroupOptions{Method: amoeba.MethodPB}})
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -112,15 +131,26 @@ func TestBatchPutCoalescesAcrossShards(t *testing.T) {
 	}()
 
 	// Issue the batch from the node that does NOT sequence every shard, so
-	// at least one shard's burst crosses the wire as batch requests.
+	// at least one shard's command crosses the wire.
 	cl := stores[1].NewClient()
+	other := stores[0].NewClient()
 	const n = 64
 	pairs := make([]Pair, n)
 	for i := range pairs {
 		pairs[i] = Pair{Key: fmt.Sprintf("bulk-%03d", i), Val: []byte(fmt.Sprintf("v%d", i))}
 	}
+	before, _ := groupCounters(stores)
 	if err := cl.BatchPut(ctx, pairs); err != nil {
 		t.Fatalf("BatchPut: %v", err)
+	}
+	after, batches := groupCounters(stores)
+	for shard := 0; shard < 2; shard++ {
+		if got := after[shard] - before[shard]; got != 1 {
+			t.Errorf("shard %d ordered %d messages for its share of one BatchPut, want 1", shard, got)
+		}
+		if batches[shard] != 0 {
+			t.Errorf("shard %d ordered %d batch requests: one command needs none", shard, batches[shard])
+		}
 	}
 	// Read-your-writes locally on the issuing node...
 	for _, p := range pairs {
@@ -129,7 +159,6 @@ func TestBatchPutCoalescesAcrossShards(t *testing.T) {
 		}
 	}
 	// ...and sequenced reads from the other node agree.
-	other := stores[0].NewClient()
 	got, err := other.MGet(ctx, "bulk-000", "bulk-031", "bulk-063")
 	if err != nil {
 		t.Fatalf("MGet: %v", err)
@@ -139,23 +168,38 @@ func TestBatchPutCoalescesAcrossShards(t *testing.T) {
 			t.Fatalf("MGet %s = %q, want %q", k, got[k], want)
 		}
 	}
-	// The bursts must actually have coalesced somewhere.
-	var batches uint64
-	for _, s := range stores {
-		for i := 0; i < s.Shards(); i++ {
-			if r := s.Replica(i); r != nil {
-				batches += r.Stats().OrderedBatches
-			}
-		}
+
+	// Twelve 8 KiB values on one shard are four commands of three (a fourth
+	// pair would pass the bound): they go through SubmitBatch, the sequencer
+	// orders them as batch requests of two (three would pass the group
+	// layer's message limit), and every pair lands on both nodes.
+	big := make([]Pair, 12)
+	for i := range big {
+		big[i] = Pair{Key: keyOnShard(stores[0], 0, fmt.Sprintf("big-%02d", i)), Val: bytes.Repeat([]byte{byte('a' + i)}, 8<<10)}
 	}
-	if batches == 0 {
-		t.Fatal("BatchPut produced no batch ordering requests")
+	before, _ = groupCounters(stores)
+	if err := cl.BatchPut(ctx, big); err != nil {
+		t.Fatalf("BatchPut of %d KiB on one shard: %v", len(big)*8, err)
+	}
+	after, batches = groupCounters(stores)
+	if got := after[0] - before[0]; got != 4 {
+		t.Errorf("shard 0 ordered %d messages for 96 KiB of pairs, want 4 commands under the %d KiB bound", got, maxCommandBytes>>10)
+	}
+	if batches[0] == 0 {
+		t.Error("several commands for one shard produced no batch ordering request")
+	}
+	for _, p := range big {
+		v, ok, err := other.Get(ctx, p.Key)
+		if err != nil || !ok || !bytes.Equal(v, p.Val) {
+			t.Fatalf("Get %s from the other node: %d bytes, found %v, err %v", p.Key, len(v), ok, err)
+		}
 	}
 }
 
 // TestBatchPutIsExactlyOnceUnderRetry checks the id-dedup contract the
 // BatchPut retry loop depends on: re-submitting an already-committed batch
-// must not re-execute it.
+// must not re-execute it, and a batch command that mixes applied ids with new
+// ones — what a re-split after an epoch flip sends — executes only the new.
 func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 	ctx := ctxT(t, 30*time.Second)
 	net := amoeba.NewMemoryNetwork()
@@ -165,20 +209,62 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 
 	cl := stores[0].NewClient()
 	ids := []uint64{cl.nextID(), cl.nextID()}
-	cmds := [][]byte{encodePut(ids[0], "k", []byte("first")), encodePut(ids[1], "k", []byte("second"))}
-	if err := stores[0].doBatch(ctx, 0, ids, cmds); err != nil {
-		t.Fatalf("doBatch: %v", err)
+	pairs := []Pair{{Key: "k", Val: []byte("first")}, {Key: "k", Val: []byte("second")}}
+	if err := stores[0].putBatch(ctx, 0, ids, pairs); err != nil {
+		t.Fatalf("putBatch: %v", err)
+	}
+	if v, ok := cl.LocalGet("k"); !ok || string(v) != "second" {
+		t.Fatalf("k = %q %v: a batch's pairs must apply in slice order", v, ok)
 	}
 	if err := cl.Put(ctx, "k", []byte("third")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	// Replaying the original batch (a retry after a presumed-lost reply)
-	// must be a no-op: the commands' ids already have results.
-	if err := stores[0].doBatch(ctx, 0, ids, cmds); err != nil {
-		t.Fatalf("doBatch replay: %v", err)
+	// must be a no-op: the pairs' ids already have results.
+	if err := stores[0].putBatch(ctx, 0, ids, pairs); err != nil {
+		t.Fatalf("putBatch replay: %v", err)
 	}
 	if v, ok := cl.LocalGet("k"); !ok || string(v) != "third" {
 		t.Fatalf("k = %q %v: replayed batch re-executed", v, ok)
+	}
+	// The mixed case: one applied id (leading the command, so a dedup keyed
+	// on the command rather than the pair would swallow both) and one new.
+	mixedIDs := []uint64{ids[1], cl.nextID()}
+	mixed := []Pair{{Key: "k", Val: []byte("second")}, {Key: "fresh", Val: []byte("new")}}
+	if err := stores[0].putBatch(ctx, 0, mixedIDs, mixed); err != nil {
+		t.Fatalf("putBatch mixed: %v", err)
+	}
+	if v, ok := cl.LocalGet("k"); !ok || string(v) != "third" {
+		t.Fatalf("k = %q %v: the applied pair of a mixed batch re-executed", v, ok)
+	}
+	if v, ok := cl.LocalGet("fresh"); !ok || string(v) != "new" {
+		t.Fatalf("fresh = %q %v: the new pair of a mixed batch did not execute", v, ok)
+	}
+}
+
+// TestBatchPutLargerThanResultWindow writes more pairs to one shard than its
+// result window holds. The pairs are submitted and awaited in runs the window
+// can hold at once; waiting for all 64 results in a 16-entry window waits
+// forever.
+func TestBatchPutLargerThanResultWindow(t *testing.T) {
+	ctx := ctxT(t, 10*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "batchwindow", 1, Options{Shards: 1, ResultWindow: 16})
+	defer stores[0].Close()
+
+	cl := stores[0].NewClient()
+	pairs := make([]Pair, 64)
+	for i := range pairs {
+		pairs[i] = Pair{Key: fmt.Sprintf("wide-%02d", i), Val: []byte{byte(i)}}
+	}
+	if err := cl.BatchPut(ctx, pairs); err != nil {
+		t.Fatalf("BatchPut of %d pairs through a 16-entry result window: %v", len(pairs), err)
+	}
+	for _, p := range pairs {
+		if v, ok := cl.LocalGet(p.Key); !ok || !bytes.Equal(v, p.Val) {
+			t.Fatalf("LocalGet %s = %v %v", p.Key, v, ok)
+		}
 	}
 }
 

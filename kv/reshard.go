@@ -37,10 +37,6 @@ import (
 	"amoeba/shared"
 )
 
-// maxImportChunk bounds one import command's payload, comfortably under the
-// group layer's default 64 KiB message limit.
-const maxImportChunk = 32 << 10
-
 // ErrReshardPending reports a Resharding call that conflicts with a handoff
 // already in progress (resume it by asking for the pending shard count).
 var ErrReshardPending = errors.New("kv: a resharding is already in progress")
@@ -217,7 +213,7 @@ func (s *Store) exportShard(ctx context.Context, src int, next *ring, target Rou
 	}
 	var chunks map[int][]*importChunk
 	r.Read(func(sm shared.StateMachine) {
-		chunks = sm.(*mapSM).exportChunks(next, maxImportChunk)
+		chunks = sm.(*mapSM).exportChunks(next, maxCommandBytes)
 	})
 	for dest, list := range chunks {
 		for _, chunk := range list {

@@ -344,11 +344,30 @@ func (s *mapSM) ApplySeq(seq uint32, cmd []byte) {
 // observe its own first execution. Moved results do not suppress the retry —
 // the command never executed, and the total order decides afresh whether the
 // shard serves the key by then.
+//
+// A batch put is its pairs applied in slice order, each as the opPut it
+// replaces: deduplicated, refused (Moved) and answered under its own id, so a
+// batch that straddles a retry or an epoch flip re-executes only the pairs
+// that did not land.
 func (s *mapSM) Apply(cmd []byte) {
 	c, err := decodeCommand(cmd)
 	if err != nil {
 		return
 	}
+	if c.op != opBatchPut {
+		s.applyCommand(c)
+		return
+	}
+	put := command{op: opPut}
+	for i, p := range c.pairs {
+		put.id, put.key, put.val = c.ids[i], p.Key, p.Val
+		s.applyCommand(put)
+	}
+}
+
+// applyCommand executes one decoded command (never an opBatchPut: Apply
+// unpacks those), unless its id already has a real result.
+func (s *mapSM) applyCommand(c command) {
 	// Sampled is asked first: Addf's arguments are boxed before it can
 	// decline them, on every command of every replica.
 	sampled := s.tracer.Sampled(c.id)

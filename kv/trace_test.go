@@ -224,3 +224,51 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 		t.Fatalf("Get %q after flip = %q %v %v", moving, v, ok, err)
 	}
 }
+
+// TestTraceBatchPutPairs checks that a pair of a BatchPut is traced end to
+// end under its own id, like the lone Put it stands for: submitted at the
+// caller, applied on every replica at its command's position, replied.
+func TestTraceBatchPutPairs(t *testing.T) {
+	ctx := ctxT(t, 30*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+
+	hub := obs.NewHub(obs.Options{Node: "batch", TraceMod: 1})
+	hub.Flight().DumpOnFailure(t)
+	stores := newCluster(t, ctx, net, "tracebatch", 2, Options{Shards: 2, Group: amoeba.GroupOptions{Obs: hub}})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	cl := stores[0].NewClient()
+	defer cl.Close()
+
+	pairs := make([]Pair, 8)
+	for i := range pairs {
+		pairs[i] = Pair{Key: fmt.Sprintf("pair-%d", i), Val: []byte("v")}
+	}
+	if err := cl.BatchPut(ctx, pairs); err != nil {
+		t.Fatalf("BatchPut: %v", err)
+	}
+	traced := 0
+	for _, id := range hub.Tracer().IDs() {
+		spans := hub.Tracer().Trace(id)
+		events := spanEvents(spans)
+		sub := firstIndexContaining(events, "submitted op=batchput key=\"pair-")
+		if sub < 0 {
+			continue
+		}
+		traced++
+		// Only the caller's own replica is known to apply before the reply.
+		app := firstIndexContaining(events, "applied@seq")
+		rep := lastIndexContaining(events, "replied")
+		if !(sub < app && app < rep) {
+			t.Errorf("trace %d missing or misordered stages (submitted=%d applied=%d replied=%d):\n%s",
+				id, sub, app, rep, obs.FormatTrace(id, spans))
+		}
+	}
+	if traced != len(pairs) {
+		t.Errorf("%d of %d pairs have a caller-side trace", traced, len(pairs))
+	}
+}

@@ -240,21 +240,48 @@ func transferAddr(group string, member int) amoeba.Addr {
 	return amoeba.AddrForName(fmt.Sprintf("shared-xfer/%s/%d", group, member))
 }
 
-// serveTransfers starts this replica's snapshot service.
+// transferWait bounds how long a donor holds a transfer request for a
+// sequence number it has not applied yet — inside the half second the RPC
+// layer retransmits for, so a donor that stays behind still answers in time
+// to be told apart from a dead one.
+const transferWait = 400 * time.Millisecond
+
+// serveTransfers starts this replica's snapshot service. A request carries
+// the sequence number the snapshot must reflect (4 bytes big-endian; none
+// means any), and the donor answers once it has applied that far: a joiner's
+// join is ordered before the donor's apply loop has seen it, and a donor
+// that answered "not yet" would send the joiner on to the next member —
+// during a concurrent boot the other joiner, which serves nothing until its
+// own join completes. The handler waits, so it runs off the kernel's delivery
+// goroutine (the apply it waits for needs deliveries) — on one worker:
+// joiners are few, and a second one's request is answered as soon as the
+// first's is.
 func (r *Replica) serveTransfers() error {
 	self := r.group.Info().Self
-	srv, err := r.kernel.NewRPCServer(transferAddr(r.name, self), func(req []byte) ([]byte, amoeba.Addr) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		snap, err := r.sm.Snapshot()
-		if err != nil {
-			return nil, 0 // empty reply: the joiner tries another member
+	srv, err := r.kernel.NewRPCServerWith(transferAddr(r.name, self), func(req []byte) ([]byte, amoeba.Addr) {
+		var minSeq uint32
+		if len(req) >= 4 {
+			minSeq = binary.BigEndian.Uint32(req)
 		}
-		out := make([]byte, 4+len(snap))
-		binary.BigEndian.PutUint32(out, r.lastApplied)
-		copy(out[4:], snap)
+		ctx, cancel := context.WithTimeout(context.Background(), transferWait)
+		defer cancel()
+		var out []byte
+		err := r.Wait(ctx, func(sm StateMachine) bool {
+			if r.lastApplied < minSeq {
+				return false
+			}
+			if snap, err := sm.Snapshot(); err == nil {
+				out = make([]byte, 4+len(snap))
+				binary.BigEndian.PutUint32(out, r.lastApplied)
+				copy(out[4:], snap)
+			}
+			return true
+		})
+		if err != nil {
+			return nil, 0 // still behind, or stopped; empty reply: the joiner asks again, or another member
+		}
 		return out, 0
-	})
+	}, amoeba.RPCServerOptions{Concurrent: true, MaxConcurrent: 1})
 	if err != nil {
 		return fmt.Errorf("shared: starting transfer service: %w", err)
 	}
@@ -263,8 +290,9 @@ func (r *Replica) serveTransfers() error {
 }
 
 // fetchSnapshot asks existing members for a snapshot reflecting at least
-// minSeq, retrying (members may not have applied our join yet). drain is
-// called between attempts to keep the delivery queue flowing.
+// minSeq (our join, which a donor may not have applied yet: it holds the
+// request until it has). drain is called between rounds to keep the delivery
+// queue flowing.
 func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32, drain func() error) (uint32, []byte, error) {
 	cl, err := r.kernel.NewRPCClient()
 	if err != nil {
@@ -272,6 +300,7 @@ func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32, drain func()
 	}
 	defer cl.Close()
 
+	want := binary.BigEndian.AppendUint32(nil, minSeq)
 	info := r.group.Info()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -280,14 +309,14 @@ func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32, drain func()
 				continue
 			}
 			callCtx, cancel := context.WithTimeout(ctx, time.Second)
-			reply, err := cl.Call(callCtx, transferAddr(r.name, member), nil)
+			reply, err := cl.Call(callCtx, transferAddr(r.name, member), want)
 			cancel()
 			if err != nil || len(reply) < 4 {
 				continue
 			}
 			snapSeq := binary.BigEndian.Uint32(reply)
 			if snapSeq < minSeq {
-				continue // donor has not applied our join yet; retry
+				continue // never install a state older than our join
 			}
 			return snapSeq, reply[4:], nil
 		}
@@ -491,11 +520,14 @@ func (r *Replica) Submit(ctx context.Context, cmd []byte) error {
 }
 
 // SubmitBatch routes several commands through the group as one pipelined
-// burst: each command is ordered and applied individually (in slice order
-// relative to this replica's other submissions), but the group coalesces
-// them into batch ordering requests, amortising the sequencer's per-request
-// work — the write-coalescing fast path for bulk loads. It returns the first
-// error encountered.
+// burst: each command is ordered, journaled and applied individually (in
+// slice order relative to this replica's other submissions), but the group
+// coalesces small ones into batch ordering requests, amortising the
+// sequencer's per-request work. Every per-command cost on every replica
+// remains — a delivery, a journal entry (Durability.CheckpointEvery counts
+// these), an apply — so a caller with many small writes does better to pack
+// them into one command, as kv's BatchPut does, and use this only for what
+// does not fit one. It returns the first error encountered.
 func (r *Replica) SubmitBatch(ctx context.Context, cmds [][]byte) error {
 	r.mu.Lock()
 	stopped := r.stopped

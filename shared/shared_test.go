@@ -178,8 +178,11 @@ func TestJoinDuringActiveTraffic(t *testing.T) {
 	}
 	defer r1.Close()
 
-	// A writer hammers the state machine while the joiner transfers.
+	// A writer hammers the state machine while the joiner transfers. The
+	// join waits for the writer to be under way: a transfer takes well under
+	// a millisecond, less than a goroutine may take to start.
 	stop := make(chan struct{})
+	underWay := make(chan struct{})
 	var wrote int
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -196,9 +199,17 @@ func TestJoinDuringActiveTraffic(t *testing.T) {
 				return
 			}
 			wrote++
+			if wrote == 10 {
+				close(underWay)
+			}
 		}
 	}()
 
+	select {
+	case <-underWay:
+	case <-ctx.Done():
+		t.Fatal("writer never got under way")
+	}
 	k2, _ := net.NewKernel("r2")
 	r2, err := Join(ctx, k2, "busy", newKV(), amoeba.GroupOptions{})
 	if err != nil {
@@ -337,4 +348,90 @@ func TestThreeWayConvergenceUnderConcurrency(t *testing.T) {
 			t.Fatalf("replica %d: contested = %q, replica 0 has %q", i+1, got, want)
 		}
 	}
+}
+
+// slowSM is a kvSM whose applies take a while, so its replica runs behind
+// the total order; it counts the snapshots it is asked for.
+type slowSM struct {
+	*kvSM
+	apply     time.Duration
+	snapshots *int
+}
+
+func (s slowSM) Apply(cmd []byte) {
+	time.Sleep(s.apply)
+	s.kvSM.Apply(cmd)
+}
+
+func (s slowSM) Snapshot() ([]byte, error) {
+	*s.snapshots++ // under the replica's lock, like every call
+	return s.kvSM.Snapshot()
+}
+
+// TestConcurrentJoinsDoNotWaitOnEachOther boots a three-member group the way
+// a store boots a shard — one creator, two members joining at once — while
+// the creator is still applying a few milliseconds of earlier commands, so
+// both joiners find their only donor behind their join. They must wait for
+// that apply at the donor, which then serialises exactly one snapshot a
+// joiner. Giving up on a donor that is merely behind, for the next member,
+// asks the other joiner, whose transfer service is not up until its own join
+// is done: a 560 ms RPC timeout, which used to be the slow mode of a store's
+// boot (and polling the donor cost the common case 20 ms a round).
+func TestConcurrentJoinsDoNotWaitOnEachOther(t *testing.T) {
+	ctx := ctxT(t)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	kernels := make([]*amoeba.Kernel, 3)
+	for i := range kernels {
+		k, err := net.NewKernel(fmt.Sprintf("boot-%d", i))
+		if err != nil {
+			t.Fatalf("kernel %d: %v", i, err)
+		}
+		kernels[i] = k
+	}
+	var worst time.Duration
+	for round := 0; round < 25; round++ {
+		name := fmt.Sprintf("boot-%d", round)
+		reps := make([]*Replica, len(kernels))
+		errs := make([]error, len(kernels))
+		snapshots := 0
+		reps[0], errs[0] = Create(ctx, kernels[0], name, slowSM{newKV(), time.Millisecond, &snapshots}, amoeba.GroupOptions{})
+		if errs[0] != nil {
+			t.Fatalf("round %d: Create: %v", round, errs[0])
+		}
+		for i := 0; i < 5; i++ {
+			if err := reps[0].Submit(ctx, set("k", fmt.Sprint(i))); err != nil {
+				t.Fatalf("round %d: Submit: %v", round, err)
+			}
+		}
+		start := time.Now()
+		var wg sync.WaitGroup
+		for i := 1; i < len(kernels); i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				reps[i], errs[i] = Join(ctx, kernels[i], name, newKV(), amoeba.GroupOptions{})
+			}(i)
+		}
+		wg.Wait()
+		took := time.Since(start)
+		for i, r := range reps {
+			if errs[i] != nil {
+				t.Errorf("round %d: member %d: %v", round, i, errs[i])
+				continue
+			}
+			if i > 0 && get(r, "k") != "4" {
+				t.Errorf("round %d: member %d joined with k = %q, want the state as of its join (4)", round, i, get(r, "k"))
+			}
+			r.Close()
+		}
+		if snapshots != 2 {
+			t.Errorf("round %d: the donor serialised %d snapshots for two joiners", round, snapshots)
+		}
+		worst = max(worst, took)
+		if took > 300*time.Millisecond {
+			t.Fatalf("round %d: two concurrent joins took %v", round, took)
+		}
+	}
+	t.Logf("worst of 25 boots: %v", worst)
 }
