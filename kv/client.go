@@ -22,8 +22,8 @@ import (
 // retry exactly-once.
 var errMoved = errors.New("kv: key range moved or frozen by resharding")
 
-// movedRetryDelay spaces retries of operations held by a frozen range while
-// the handoff completes.
+// movedRetryDelay caps the backoff between re-drives of a held operation
+// (see awaitChange), and paces them while a handoff completes.
 const movedRetryDelay = 20 * time.Millisecond
 
 // Client issues key-value operations against a store. Methods are safe for
@@ -213,9 +213,6 @@ type DialOptions struct {
 	// misroutes with a ForwardRequest and attaches its routing table, so
 	// the client converges after one hop.
 	Shards int
-	// VirtualNodes matches Options.VirtualNodes (default 64). Meaningful
-	// only with Shards.
-	VirtualNodes int
 	// Obs wires the client into an observability hub: access-path latency
 	// histograms, op counters, and trace spans for sampled command ids.
 	// Nil (the default) is the no-op sink.
@@ -248,11 +245,7 @@ func Dial(k *amoeba.Kernel, cluster string, o DialOptions) (*Client, error) {
 		}
 	}
 	if o.Shards > 0 {
-		vn := o.VirtualNodes
-		if vn <= 0 {
-			vn = defaultVirtualNodes
-		}
-		c.rt = Routing{Epoch: 0, Shards: o.Shards, VNodes: vn}
+		c.rt = Routing{Epoch: 0, Shards: o.Shards, VNodes: defaultVirtualNodes}
 		c.cring = c.rt.ring(cluster)
 	}
 	c.wireObs(o.Obs)
@@ -378,25 +371,45 @@ func (c *Client) nodeAddr(node int) amoeba.Addr {
 	return c.nodeAddrs.at(node, func(i int) amoeba.Addr { return NodeAddr(c.cluster, i) })
 }
 
-// sleepCtx pauses between retries of operations held by a frozen range.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// awaitChange waits out one Moved answer (or one stopped replica): until the
+// node's routing table or hosted replica set changes — wake, the
+// RoutingWatch channel taken BEFORE the attempt being waited out, so a change
+// that lands between the answer and this wait is an already-closed channel,
+// not a missed wakeup — or until the backoff expires, or ctx ends. The
+// backoff stays because a prepare lock's release has no node-local event: it
+// starts at 250µs (a lock is held for about half that) and doubles up to
+// movedRetryDelay. While this node knows of a handoff in progress the wait
+// starts at the cap: a freeze lasts as long as the handoff does and ends with
+// an event, so quick re-drives would only be a storm.
+func (s *Store) awaitChange(ctx context.Context, wake <-chan struct{}, backoff *time.Duration) error {
+	*backoff = min(max(2**backoff, 250*time.Microsecond), movedRetryDelay)
+	if s.PendingRouting() != nil {
+		*backoff = movedRetryDelay
+	}
+	t := time.NewTimer(*backoff)
+	defer t.Stop()
 	select {
+	case <-wake:
+	case <-t.C:
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-time.After(d):
-		return nil
 	}
+	return nil
 }
 
 // --- The generic entry point -------------------------------------------------
 
 // Do executes one access-protocol request: the single entry every public
 // method, the amoeba-kv daemon, and the Service proxy route through. Command
-// ids are assigned here if the request does not carry them; multi-shard
-// requests (ReqGet over several keys, ReqBatchPut) are split by the routing
-// table and scatter-gathered, each part over its own best path. Operations
-// that land on a range mid-handoff are held and retried internally until
-// the epoch flips — the ids make the retries exactly-once.
+// ids are assigned here, once, if the request does not carry them; then one
+// loop takes the node's change channel, reads the routing table, splits the
+// request by shard (split), runs the parts — a lone part on this goroutine,
+// several scattered, each over its own best path (doShard) — and, when any
+// part answers Moved (its range is frozen mid-handoff, flipped to another
+// shard, or prepare-locked), waits for the change and goes round again under
+// the then-current table. The ids make every re-drive exactly-once. It is
+// the only retry loop for Moved: a remote node runs its own for its callers,
+// so only a node-bound client ever sees the answer.
 //
 // The caller's Request is never modified: ids assigned for one execution
 // live on an internal copy, so a Request value can be rebuilt or reused
@@ -405,26 +418,10 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 	cp := *caller
 	req := &cp
 	switch req.Op {
-	case ReqPut, ReqDelete, ReqCAS:
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
-		if c.tracer.Sampled(req.ID) { // asked first: Addf's arguments are boxed before it can decline them
-			c.tracer.Addf(req.ID, "submitted op=%d key=%q", req.Op, req.Key)
-		}
-		resp, err := c.doShard(ctx, c.shardFor(req.Key), req)
-		if err != nil {
-			c.tracer.Addf(req.ID, "failed: %v", err)
-		} else {
-			c.tracer.Add(req.ID, "replied")
-		}
-		return resp, err
+	case ReqPut, ReqDelete, ReqCAS, ReqTxn, ReqTxnPrepare, ReqTxnResolve:
 	case ReqGet:
 		if len(req.Keys) == 0 {
 			return nil, fmt.Errorf("kv: get of zero keys")
-		}
-		if req.ID == 0 {
-			req.ID = c.nextID()
 		}
 		// Invite lease serving: a bound client knows whether its store
 		// grants leases; a Dial'd client cannot know, and the flag is free
@@ -432,20 +429,6 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		// staleness bound is the weaker, cheaper contract.
 		if req.Flags&flagStaleRead == 0 && (c.s == nil || c.s.leasesOn()) {
 			req.Flags |= flagLeaseRead
-		}
-		c.tracer.Addf(req.ID, "submitted op=get keys=%d", len(req.Keys))
-		for {
-			resp, err := c.doGet(ctx, req)
-			if !errors.Is(err, errMoved) {
-				if err == nil {
-					c.tracer.Add(req.ID, "replied")
-				}
-				return resp, err
-			}
-			c.tracer.Add(req.ID, "moved, retrying")
-			if err := sleepCtx(ctx, movedRetryDelay); err != nil {
-				return nil, err
-			}
 		}
 	case ReqBatchPut:
 		if len(req.Pairs) == 0 {
@@ -457,135 +440,257 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 				req.IDs[i] = c.nextID()
 			}
 		}
-		c.traceBatch(req, "submitted op=batchput")
-		for {
-			resp, err := c.doBatchPut(ctx, req)
-			if err == nil {
-				c.traceBatch(req, "replied")
-				return resp, nil
-			}
-			if !errors.Is(err, errMoved) {
-				c.traceBatch(req, "failed: "+err.Error())
-				return nil, err
-			}
-			c.traceBatch(req, "batch moved, re-splitting")
-			if err := sleepCtx(ctx, movedRetryDelay); err != nil {
-				return nil, err
-			}
-		}
-	case ReqTxn:
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
-		if r, _ := c.routingRing(); r == nil {
-			// Ring-less client: the entry node's coordinator runs the 2PC.
-			return c.remoteCall(ctx, -1, req)
-		}
-		return c.txnExecute(ctx, req)
-	case ReqTxnPrepare:
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
-		return c.doTxnPrepare(ctx, req)
-	case ReqTxnResolve:
-		if req.ID == 0 {
-			req.ID = c.nextID()
-		}
-		// Routed by the representative key; a Moved answer retries in place
-		// (doShard), chasing the portion across the epoch flip.
-		return c.doShard(ctx, c.shardFor(req.Key), req)
 	default:
 		return nil, fmt.Errorf("kv: unknown request op %d", req.Op)
 	}
-}
-
-// traceBatch stamps a caller-side span on every sampled pair of a batch put:
-// a pair is traced under its own id, like the lone Put it stands for.
-func (c *Client) traceBatch(req *Request, event string) {
-	for i, id := range req.IDs {
-		if c.tracer.Sampled(id) { // asked first: Addf's arguments are boxed before it can decline them
-			c.tracer.Addf(id, "%s key=%q", event, req.Pairs[i].Key)
+	if req.ID == 0 && req.Op != ReqBatchPut { // a batch is its pairs' ids
+		req.ID = c.nextID()
+	}
+	if req.Op == ReqTxn {
+		if r, _ := c.routingRing(); r != nil {
+			return c.txnExecute(ctx, req)
+		}
+		// Ring-less client: the entry node's coordinator runs the 2PC.
+	}
+	c.trace(req, "submitted")
+	var backoff time.Duration
+	for {
+		var wake <-chan struct{}
+		if c.s != nil {
+			wake = c.s.RoutingWatch()
+		}
+		r, rt := c.routingRing()
+		req.Epoch = rt.Epoch
+		var resp *Response
+		var err error
+		if shard, parts := c.split(r, rt, req); parts == nil {
+			resp, err = c.doShard(ctx, shard, req)
+		} else {
+			resp, err = c.gather(ctx, req, parts)
+		}
+		switch {
+		case err == nil:
+			c.trace(req, "replied")
+			return resp, nil
+		case !errors.Is(err, errMoved):
+			c.trace(req, "failed: "+err.Error())
+			return nil, err
+		}
+		c.trace(req, "moved, retrying")
+		if err := c.s.awaitChange(ctx, wake, &backoff); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// shardFor maps a key onto its owning shard, or -1 when the client has no
-// ring knowledge (the entry node routes instead).
-func (c *Client) shardFor(key string) int {
-	r, _ := c.routingRing()
-	if r == nil {
+// trace stamps a caller-side span on the operation: under its id, or, for a
+// batch put, under the id of every sampled pair — a pair is traced like the
+// lone Put it stands for.
+func (c *Client) trace(req *Request, event string) {
+	if req.Op != ReqBatchPut {
+		if c.tracer.Sampled(req.ID) { // asked first: Addf's arguments are boxed before it can decline them
+			c.tracer.Addf(req.ID, "%s op=%d key=%q keys=%d", event, req.Op, req.Key, len(req.Keys))
+		}
+		return
+	}
+	for i, id := range req.IDs {
+		if c.tracer.Sampled(id) {
+			c.tracer.Addf(id, "%s op=batchput key=%q", event, req.Pairs[i].Key)
+		}
+	}
+}
+
+// numKeys and keyAt enumerate the keys that decide where a request runs —
+// the one place that knows each op's key fields: a read's Keys, a batch's
+// pairs, a transaction's (or one of its prepares') reads, writes and
+// conditions in that order, and the lone Key of everything else (for a
+// resolve, the representative key its portion is routed by).
+func (r *Request) numKeys() int {
+	switch r.Op {
+	case ReqGet:
+		return len(r.Keys)
+	case ReqBatchPut:
+		return len(r.Pairs)
+	case ReqTxn, ReqTxnPrepare:
+		return len(r.Keys) + len(r.Writes) + len(r.Conds)
+	}
+	return 1
+}
+
+func (r *Request) keyAt(i int) string {
+	switch r.Op {
+	case ReqGet:
+		return r.Keys[i]
+	case ReqBatchPut:
+		return r.Pairs[i].Key
+	case ReqTxn, ReqTxnPrepare:
+		switch reads, writes := len(r.Keys), len(r.Writes); {
+		case i < reads:
+			return r.Keys[i]
+		case i < reads+writes:
+			return r.Writes[i-reads].Key
+		default:
+			return r.Conds[i-reads-writes].Key
+		}
+	}
+	return r.Key
+}
+
+// shardPart is one shard's share of a request: the first of its keys, the
+// sub-request split builds for it, and for the sub-request's read keys their
+// positions in the whole request's Keys, which is how the answers find their
+// way back (gather, mergePrepareAnswers).
+type shardPart struct {
+	shard int
+	key   string
+	req   *Request
+	idx   []int
+}
+
+// oneShard answers what every hot-path operation asks of the router — which
+// one shard takes this request whole? — without allocating: the shard all of
+// req's keys live on, or -1 when they span several, when there are none, or
+// when the client has no ring (the entry node routes).
+func oneShard(r *ring, req *Request) int {
+	n := req.numKeys()
+	if r == nil || n == 0 {
 		return -1
 	}
-	return r.shard(key)
+	first := r.shard(req.keyAt(0))
+	for i := 1; i < n; i++ {
+		if r.shard(req.keyAt(i)) != first {
+			return -1
+		}
+	}
+	return first
 }
 
-// doGet executes a sequenced read, splitting multi-shard key sets under the
-// current routing table. errMoved bubbles up when the table changed under a
-// sub-read; the caller re-splits and retries.
-func (c *Client) doGet(ctx context.Context, req *Request) (*Response, error) {
-	r, rt := c.routingRing()
-	if r == nil {
-		return c.doShard(ctx, -1, req)
+// group is the one place keys are grouped by shard: the i-th of req's keys
+// belongs to parts[partOf[i]], and the parts come in order of first
+// appearance.
+func group(r *ring, req *Request) (partOf []int, parts []shardPart) {
+	partOf = make([]int, req.numKeys())
+	parts = make([]shardPart, 0, min(len(partOf), r.shards))
+	for i := range partOf {
+		key := req.keyAt(i)
+		s, j := r.shard(key), 0
+		for j < len(parts) && parts[j].shard != s {
+			j++
+		}
+		if j == len(parts) {
+			parts = append(parts, shardPart{shard: s, key: key})
+		}
+		partOf[i] = j
 	}
-	req.Epoch = rt.Epoch
-	byShard := make(map[int][]int) // shard -> indices into req.Keys
-	for i, k := range req.Keys {
-		s := r.shard(k)
-		byShard[s] = append(byShard[s], i)
+	return partOf, parts
+}
+
+// split maps a request onto shards under one routing view. When one shard
+// takes it whole (oneShard) — every single-key op, every request of a
+// ring-less client, and every read, batch or prepare whose keys share a
+// shard — split answers with that shard and nil parts, having allocated
+// nothing. A whole transaction that spans shards also has no one shard (-1,
+// nil): whoever holds it coordinates it. Otherwise the answer is one
+// sub-request per shard (group), each holding its shard's elements in
+// request order and stamped with the table's epoch. Sub-reads and
+// sub-prepares take fresh command ids — reads are idempotent and prepares
+// accrete under the transaction id, so a node re-splitting a forwarded
+// request, or a re-drive after an epoch flip, is free to split differently —
+// while batch pairs keep their own ids, so every replica deduplicates a pair
+// identically however the batch reached it. req is only read.
+func (c *Client) split(r *ring, rt Routing, req *Request) (int, []shardPart) {
+	if shard := oneShard(r, req); shard >= 0 || r == nil || req.Op == ReqTxn || req.numKeys() == 0 {
+		return shard, nil
 	}
-	if len(byShard) == 1 {
-		for s := range byShard {
-			return c.doShard(ctx, s, req)
+	partOf, parts := group(r, req)
+	sizes := make([]int, len(parts)) // so that a part's slices are allocated once
+	for _, j := range partOf {
+		sizes[j]++
+	}
+	for j := range parts {
+		p := &parts[j]
+		p.req = &Request{Op: req.Op, Flags: req.Flags &^ flagForwarded, Budget: req.Budget, Epoch: rt.Epoch,
+			MaxStale: req.MaxStale, TxnID: req.TxnID, HomeKey: req.HomeKey, AllKeys: req.AllKeys}
+		switch req.Op {
+		case ReqBatchPut:
+			p.req.Pairs, p.req.IDs = make([]Pair, 0, sizes[j]), make([]uint64, 0, sizes[j])
+			continue
+		case ReqGet:
+			p.req.Keys, p.idx = make([]string, 0, sizes[j]), make([]int, 0, sizes[j])
+		}
+		p.req.ID = c.nextID()
+	}
+	reads, writes := len(req.Keys), len(req.Writes)
+	for i, j := range partOf {
+		switch p := &parts[j]; {
+		case req.Op == ReqBatchPut:
+			p.req.Pairs = append(p.req.Pairs, req.Pairs[i])
+			p.req.IDs = append(p.req.IDs, req.IDs[i])
+		case i < reads:
+			p.req.Keys = append(p.req.Keys, req.Keys[i])
+			p.idx = append(p.idx, i)
+		case i < reads+writes:
+			p.req.Writes = append(p.req.Writes, req.Writes[i-reads])
+		default:
+			p.req.Conds = append(p.req.Conds, req.Conds[i-reads-writes])
 		}
 	}
-	out := &Response{OK: true, Values: make([][]byte, len(req.Keys)), Found: make([]bool, len(req.Keys))}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-		paths []byte
-	)
-	for s, idx := range byShard {
-		s, idx := s, idx
-		keys := make([]string, len(idx))
-		for j, i := range idx {
-			keys[j] = req.Keys[i]
+	return -1, parts
+}
+
+// gather runs a split request's parts side by side and merges their answers.
+func (c *Client) gather(ctx context.Context, req *Request, parts []shardPart) (*Response, error) {
+	answers, err := scatter(parts, func(p shardPart) (*Response, error) {
+		return c.doShard(ctx, p.shard, p.req)
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch req.Op {
+	case ReqGet:
+		out := newReadResponse(len(req.Keys), ReadSequenced)
+		paths := make([]byte, len(parts))
+		for p, resp := range answers {
+			for j, i := range parts[p].idx {
+				out.Values[i], out.Found[i] = resp.Values[j], resp.Found[j]
+			}
+			paths[p] = resp.ReadPath
+			out.StaleFor = max(out.StaleFor, resp.StaleFor)
 		}
-		// Sub-reads take fresh ids: reads are idempotent, and a node
-		// re-splitting a forwarded multi-shard read must be free to do
-		// the same. Flags and the staleness bound travel with each part.
-		sub := &Request{Op: ReqGet, Flags: req.Flags, ID: c.nextID(), Budget: req.Budget,
-			Epoch: rt.Epoch, MaxStale: req.MaxStale, Keys: keys}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.doShard(ctx, s, sub)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				// A real error beats errMoved: the retry loop only helps
-				// the moved case, and must not mask a persistent failure.
-				if first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved) {
-					first = err
-				}
-				return
-			}
-			for j, i := range idx {
-				out.Values[i] = resp.Values[j]
-				out.Found[i] = resp.Found[j]
-			}
-			paths = append(paths, resp.ReadPath)
-			if resp.StaleFor > out.StaleFor {
-				out.StaleFor = resp.StaleFor
-			}
-		}()
+		out.ReadPath = mergeReadPaths(paths)
+		return out, nil
+	case ReqTxnPrepare:
+		return mergePrepareAnswers(req, parts, answers), nil
 	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
+	return &Response{OK: true}, nil
+}
+
+// scatter is the one fan-out: it runs every part, each on its own goroutine
+// (a lone part on the caller's), and returns the answers in part order. Its
+// one error rule is that a real error beats errMoved: the retry loop only
+// helps the moved case, and must not mask a persistent failure.
+func scatter(parts []shardPart, run func(shardPart) (*Response, error)) ([]*Response, error) {
+	answers, errs := make([]*Response, len(parts)), make([]error, len(parts))
+	if len(parts) == 1 {
+		answers[0], errs[0] = run(parts[0])
+	} else {
+		var wg sync.WaitGroup
+		for i := range parts {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				answers[i], errs[i] = run(parts[i])
+			}(i)
+		}
+		wg.Wait()
 	}
-	out.ReadPath = mergeReadPaths(paths)
-	return out, nil
+	var first error
+	for _, err := range errs {
+		if err != nil && (first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved)) {
+			first = err
+		}
+	}
+	return answers, first
 }
 
 // mergeReadPaths folds per-shard read paths into one report: any stale part
@@ -608,110 +713,36 @@ func mergeReadPaths(paths []byte) byte {
 	return merged
 }
 
-// doBatchPut executes a bulk write, splitting multi-shard pair sets. Per-pair
-// ids travel with their pairs, so however the batch is split — here, at the
-// entry node, or after a forward — every replica deduplicates identically,
-// and a re-split after an epoch flip re-executes only the pairs the first
-// pass could not place.
-func (c *Client) doBatchPut(ctx context.Context, req *Request) (*Response, error) {
-	r, rt := c.routingRing()
-	if r == nil {
-		return c.doShard(ctx, -1, req)
-	}
-	req.Epoch = rt.Epoch
-	byShard := make(map[int][]int)
-	for i, p := range req.Pairs {
-		s := r.shard(p.Key)
-		byShard[s] = append(byShard[s], i)
-	}
-	if len(byShard) == 1 {
-		for s := range byShard {
-			return c.doShard(ctx, s, req)
-		}
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	for s, idx := range byShard {
-		s, idx := s, idx
-		sub := &Request{Op: ReqBatchPut, Budget: req.Budget, Epoch: rt.Epoch,
-			Pairs: make([]Pair, len(idx)), IDs: make([]uint64, len(idx))}
-		for j, i := range idx {
-			sub.Pairs[j] = req.Pairs[i]
-			sub.IDs[j] = req.IDs[i]
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.doShard(ctx, s, sub); err != nil {
-				mu.Lock()
-				if first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved) {
-					first = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
-	}
-	return &Response{OK: true}, nil
-}
-
 // doShard executes a single-shard request (shard -1: unknown, entry decides)
-// over the best available path. A Moved outcome on the local path — the key
-// range is frozen mid-handoff or flipped to a new owner — re-resolves the
-// shard and retries single-key ops in place; multi-element ops bubble
-// errMoved up for a full re-split.
+// over the best available path: a local lease or bounded-stale read, the
+// in-process replica, or RPC. A Moved answer from the local replica — the key
+// range is frozen mid-handoff, flipped to a new owner, or prepare-locked —
+// goes back to Do as errMoved.
 func (c *Client) doShard(ctx context.Context, shard int, req *Request) (*Response, error) {
-	for {
-		if c.s == nil || shard < 0 || c.s.Replica(shard) == nil {
-			// A shard this node SHOULD host but does not yet is being
-			// opened by the topology worker (a split in flight): wait for
-			// the local replica instead of assuming a remote owner.
-			if c.s != nil && shard >= 0 && c.s.expectsShard(shard) && !c.s.isClosed() {
-				if req.Op == ReqGet || req.Op == ReqBatchPut || req.Op == ReqTxnPrepare {
-					return nil, errMoved // re-split at the Do level
-				}
-				if err := sleepCtx(ctx, movedRetryDelay); err != nil {
-					return nil, err
-				}
-				shard = c.shardFor(req.Key)
-				continue
-			}
-			return c.remoteCall(ctx, shard, req)
+	if c.s == nil || shard < 0 || c.s.Replica(shard) == nil {
+		// A shard this node SHOULD host but does not yet is being opened by
+		// the topology worker (a split in flight): its installation is a
+		// change Do's loop waits for, instead of assuming a remote owner.
+		if c.s != nil && shard >= 0 && c.s.expectsShard(shard) && !c.s.isClosed() {
+			return nil, errMoved
 		}
-		if req.Op == ReqGet {
-			if resp, ok := c.localFastRead(shard, req); ok {
-				return resp, nil
-			}
-		}
-		c.localOps.Add(1)
-		_, rt := c.routingRing()
-		req.Epoch = rt.Epoch
-		var t0 time.Time
-		if c.localH != nil {
-			t0 = time.Now()
-		}
-		resp, err := c.s.execLocal(ctx, shard, req)
-		if !errors.Is(err, errMoved) {
-			if err == nil && c.localH != nil {
-				c.localH.Observe(time.Since(t0))
-			}
-			return resp, err
-		}
-		c.tracer.Addf(req.ID, "moved at shard %d, retrying", shard)
-		if req.Op == ReqGet || req.Op == ReqBatchPut || req.Op == ReqTxnPrepare {
-			return nil, err // re-split at the Do level
-		}
-		if err := sleepCtx(ctx, movedRetryDelay); err != nil {
-			return nil, err
-		}
-		shard = c.shardFor(req.Key)
+		return c.remoteCall(ctx, shard, req)
 	}
+	if req.Op == ReqGet {
+		if resp, ok := c.localFastRead(shard, req); ok {
+			return resp, nil
+		}
+	}
+	c.localOps.Add(1)
+	var t0 time.Time
+	if c.localH != nil {
+		t0 = time.Now()
+	}
+	resp, err := c.s.execLocal(ctx, shard, req)
+	if err == nil && c.localH != nil {
+		c.localH.Observe(time.Since(t0))
+	}
+	return resp, err
 }
 
 // localFastRead tries the read shortcuts against this node's replica of
@@ -781,8 +812,6 @@ func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Resp
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("kv: shard %d is not hosted on this node and the client has no remote path (start a kv.Service on the hosting nodes)", shard)
 	}
-	_, rt := c.routingRing()
-	req.Epoch = rt.Epoch
 	// Without a caller deadline, bound the attempts so a store with no
 	// services running fails with a clear error instead of spinning.
 	attempts := 8
@@ -1082,99 +1111,99 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 // translating it into deduplicated shard commands. It is the shared
 // execution path of node-bound clients and the Service. It returns errMoved
 // when the replica does not serve (all of) the request's keys at the
-// command's position in the total order — mid-handoff freeze or a completed
-// flip — and the caller re-resolves and retries.
+// command's position in the total order — mid-handoff freeze, a completed
+// flip, or a prepare lock — and Do re-resolves and retries.
 func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Response, error) {
+	var cmd []byte
 	switch req.Op {
 	case ReqPut:
-		_, err := s.do(ctx, shard, req.ID, encodePut(req.ID, req.Key, req.Val))
-		if err != nil {
-			return nil, err
-		}
-		return &Response{OK: true}, nil
+		cmd = encodePut(req.ID, req.Key, req.Val)
 	case ReqDelete:
-		res, err := s.do(ctx, shard, req.ID, encodeDelete(req.ID, req.Key))
-		if err != nil {
-			return nil, err
-		}
-		return &Response{OK: res.OK}, nil
+		cmd = encodeDelete(req.ID, req.Key)
 	case ReqCAS:
-		cmd := encodeCAS(req.ID, req.Key, req.ExpectPresent, req.Expect, req.Val)
-		res, err := s.do(ctx, shard, req.ID, cmd)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{OK: res.OK}, nil
+		cmd = encodeCAS(req.ID, req.Key, req.ExpectPresent, req.Expect, req.Val)
 	case ReqGet:
-		res, err := s.do(ctx, shard, req.ID, encodeGet(req.ID, req.Keys))
-		if err != nil {
-			return nil, err
-		}
-		out := &Response{OK: true, Values: make([][]byte, len(req.Keys)), Found: make([]bool, len(req.Keys))}
-		for i := range req.Keys {
-			out.Values[i] = copyVal(res.Values[i])
-			out.Found[i] = res.Found[i]
-		}
-		return out, nil
+		cmd = encodeGet(req.ID, req.Keys)
 	case ReqBatchPut:
 		if err := s.putBatch(ctx, shard, req.IDs, req.Pairs); err != nil {
 			return nil, err
 		}
 		return &Response{OK: true}, nil
 	case ReqTxnPrepare:
-		cmd := encodeTxnPrepare(req.ID, req.TxnID, req.HomeKey, req.AllKeys, req.Keys, req.Writes, req.Conds)
-		res, err := s.do(ctx, shard, req.ID, cmd)
-		if err != nil {
-			return nil, err
-		}
-		out := &Response{OK: res.OK, TxnState: res.TxnState, Conflict: res.Conflict, CondFailed: res.CondFailed,
-			Values: make([][]byte, len(res.Values)), Found: append([]bool(nil), res.Found...)}
-		for i, v := range res.Values {
-			out.Values[i] = copyVal(v)
-		}
-		return out, nil
+		cmd = encodeTxnPrepare(req.ID, req.TxnID, req.HomeKey, req.AllKeys, req.Keys, req.Writes, req.Conds)
 	case ReqTxnResolve:
-		res, err := s.do(ctx, shard, req.ID, encodeTxnResolve(req.ID, req.TxnID, req.Commit, req.HomeKey, req.AllKeys))
-		if err != nil {
-			return nil, err
-		}
-		return &Response{OK: res.OK, TxnState: res.TxnState}, nil
+		cmd = encodeTxnResolve(req.ID, req.TxnID, req.Commit, req.HomeKey, req.AllKeys)
 	default:
 		return nil, fmt.Errorf("kv: unknown request op %d", req.Op)
 	}
+	res, err := s.do(ctx, shard, []uint64{req.ID}, [][]byte{cmd})
+	if err != nil {
+		return nil, err
+	}
+	return res.response(), nil
 }
 
-// do submits cmd to shard and waits until its result lands in the local
-// replica's result window — i.e. until the command has been totally ordered
-// AND applied locally, which gives read-your-writes even for LocalGet. A
-// Moved result surfaces as errMoved for the caller to re-route.
+// response renders a command's replicated result as the access protocol's
+// answer, with copies of whatever the result window still holds.
+func (res *result) response() *Response {
+	out := &Response{OK: res.OK, TxnState: res.TxnState, Conflict: res.Conflict, CondFailed: res.CondFailed}
+	if res.Values != nil {
+		out.Values, out.Found = append([][]byte(nil), res.Values...), append([]bool(nil), res.Found...)
+		detach(out.Values)
+	}
+	return out
+}
+
+// do submits one shard's commands — a lone command through Submit, a burst
+// through SubmitBatch — and waits until the result of every id lands in the
+// local replica's result window, i.e. until the commands have been totally
+// ordered AND applied locally, which gives read-your-writes even for
+// LocalGet. It returns the first id's result, and errMoved if any id
+// answered Moved (a batch that straddled an epoch flip: the caller re-splits
+// and only the moved pairs re-execute).
 //
 // If the local replica stops mid-operation (expelled by a recovery this node
 // missed), do retries against the replacement the store's self-heal swaps
-// in. Retrying is safe: commands are deduplicated by id in the replicated
-// state machine, and if the first attempt did commit, the rejoined replica's
-// transferred state already holds its result.
-func (s *Store) do(ctx context.Context, shard int, id uint64, cmd []byte) (result, error) {
+// in, whose installation wakes it. Retrying is safe: commands are
+// deduplicated by id in the replicated state machine, and if the first
+// attempt did commit, the rejoined replica's transferred state already holds
+// its result.
+func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds [][]byte) (result, error) {
+	var backoff time.Duration
 	for {
 		r := s.Replica(shard)
 		if r == nil {
 			return result{}, fmt.Errorf("kv: shard %d is not hosted on this node (replication %d)", shard, s.opts.Replication)
 		}
-		err := r.Submit(ctx, cmd)
+		var err error
+		if len(cmds) == 1 {
+			err = r.Submit(ctx, cmds[0])
+		} else {
+			err = r.SubmitBatch(ctx, cmds)
+		}
 		if err == nil {
-			var res result
+			var first result
+			moved := false
 			err = r.Wait(ctx, func(sm shared.StateMachine) bool {
-				v, ok := sm.(*mapSM).lookup(id)
-				if ok {
-					res = v
+				m := sm.(*mapSM)
+				moved = false
+				for i, id := range ids {
+					res, ok := m.lookup(id)
+					if !ok {
+						return false
+					}
+					if i == 0 {
+						first = res
+					}
+					moved = moved || res.Moved
 				}
-				return ok
+				return true
 			})
 			if err == nil {
-				if res.Moved {
-					return res, errMoved
+				if moved {
+					return first, errMoved
 				}
-				return res, nil
+				return first, nil
 			}
 		}
 		// ErrStopped: the replica stopped under us. ErrNotMember: an
@@ -1187,10 +1216,10 @@ func (s *Store) do(ctx context.Context, shard int, id uint64, cmd []byte) (resul
 		if s.isClosed() {
 			return result{}, fmt.Errorf("kv: shard %d: %w", shard, shared.ErrStopped)
 		}
-		select {
-		case <-ctx.Done():
+		// The channel is taken before the re-check, so a swap on either
+		// side of it is seen.
+		if wake := s.RoutingWatch(); s.Replica(shard) == r && s.awaitChange(ctx, wake, &backoff) != nil {
 			return result{}, fmt.Errorf("kv: shard %d: %w", shard, err)
-		case <-time.After(50 * time.Millisecond):
 		}
 	}
 }
@@ -1198,8 +1227,8 @@ func (s *Store) do(ctx context.Context, shard int, id uint64, cmd []byte) (resul
 // putBatch writes one shard's pairs, pairs[i] under ids[i], in slice order.
 // A command is filled to maxCommandBytes, so a shard's pairs usually travel
 // as one ordered message; commands are submitted and awaited in runs of at
-// most half a result window of pairs, because doBatch needs every result of
-// a run in the window at once — which a run larger than the window never is.
+// most half a result window of pairs, because do needs every result of a run
+// in the window at once — which a run larger than the window never is.
 func (s *Store) putBatch(ctx context.Context, shard int, ids []uint64, pairs []Pair) error {
 	maxRun := max(s.opts.ResultWindow/2, 1)
 	for len(pairs) > 0 {
@@ -1218,60 +1247,10 @@ func (s *Store) putBatch(ctx context.Context, shard int, ids []uint64, pairs []P
 			cmds = append(cmds, encodeBatchPut(ids[start:end], pairs[start:end]))
 			start = end
 		}
-		if err := s.doBatch(ctx, shard, ids[:run], cmds); err != nil {
+		if _, err := s.do(ctx, shard, ids[:run], cmds); err != nil {
 			return err
 		}
 		ids, pairs = ids[run:], pairs[run:]
 	}
 	return nil
-}
-
-// doBatch submits one shard's command burst and waits until every result
-// lands in the local replica's result window, with the same
-// replica-swap-and-retry semantics as do (commands are deduplicated by id,
-// so retrying a partially committed batch is safe and exactly-once). If any
-// pair answered Moved — the batch straddled an epoch flip — errMoved is
-// returned and the caller re-splits; only the moved pairs re-execute.
-func (s *Store) doBatch(ctx context.Context, shard int, ids []uint64, cmds [][]byte) error {
-	for {
-		r := s.Replica(shard)
-		if r == nil {
-			return fmt.Errorf("kv: shard %d is not hosted on this node (replication %d)", shard, s.opts.Replication)
-		}
-		err := r.SubmitBatch(ctx, cmds)
-		if err == nil {
-			moved := false
-			err = r.Wait(ctx, func(sm shared.StateMachine) bool {
-				m := sm.(*mapSM)
-				moved = false
-				for _, id := range ids {
-					res, ok := m.lookup(id)
-					if !ok {
-						return false
-					}
-					if res.Moved {
-						moved = true
-					}
-				}
-				return true
-			})
-			if err == nil {
-				if moved {
-					return errMoved
-				}
-				return nil
-			}
-		}
-		if !errors.Is(err, shared.ErrStopped) && !errors.Is(err, amoeba.ErrNotMember) {
-			return fmt.Errorf("kv: shard %d: %w", shard, err)
-		}
-		if s.isClosed() {
-			return fmt.Errorf("kv: shard %d: %w", shard, shared.ErrStopped)
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("kv: shard %d: %w", shard, err)
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
 }

@@ -238,7 +238,7 @@ func appendTxnWrites(dst []byte, writes []TxnWrite) []byte {
 
 func takeTxnWrites(src []byte) ([]TxnWrite, []byte, error) {
 	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)) {
+	if w <= 0 || n > uint64(len(src)-w)/3 { // a write is at least three bytes
 		return nil, nil, errBadCommand
 	}
 	src = src[w:]
@@ -277,7 +277,7 @@ func appendTxnConds(dst []byte, conds []TxnCond) []byte {
 
 func takeTxnConds(src []byte) ([]TxnCond, []byte, error) {
 	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)) {
+	if w <= 0 || n > uint64(len(src)-w)/3 { // a condition is at least three bytes
 		return nil, nil, errBadCommand
 	}
 	src = src[w:]
@@ -300,7 +300,10 @@ func takeTxnConds(src []byte) ([]TxnCond, []byte, error) {
 	return out, src, nil
 }
 
-// appendKeys / takeKeys encode a key list.
+// appendKeys / takeKeys encode a key list. takeKeys, like takeTxnWrites and
+// takeTxnConds, believes a count only up to what the remaining bytes could
+// hold at the element's minimum size, which bounds what a hostile count can
+// make it allocate.
 func appendKeys(dst []byte, keys []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
@@ -311,7 +314,7 @@ func appendKeys(dst []byte, keys []string) []byte {
 
 func takeKeys(src []byte) ([]string, []byte, error) {
 	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)) {
+	if w <= 0 || n > uint64(len(src)-w) { // a key is at least one byte
 		return nil, nil, errBadCommand
 	}
 	src = src[w:]
@@ -596,18 +599,8 @@ func DecodeRequest(b []byte) (*Request, error) {
 			return nil, errBadRequest
 		}
 		r.MaxStale = time.Duration(stale) * time.Millisecond
-		rest = rest[w:]
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n == 0 || n > uint64(len(rest)) {
+		if r.Keys, _, err = takeKeys(rest[w:]); err != nil || len(r.Keys) == 0 {
 			return nil, errBadRequest
-		}
-		rest = rest[w:]
-		r.Keys = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return nil, errBadRequest
-			}
-			r.Keys = append(r.Keys, string(raw))
 		}
 	case ReqPut:
 		if raw, rest, err = takeBytes(rest); err != nil {
@@ -640,7 +633,7 @@ func DecodeRequest(b []byte) (*Request, error) {
 		}
 	case ReqBatchPut:
 		n, w := binary.Uvarint(rest)
-		if w <= 0 || n == 0 || n > uint64(len(rest)) {
+		if w <= 0 || n == 0 || n > uint64(len(rest)-w)/10 { // a pair is at least ten bytes
 			return nil, errBadRequest
 		}
 		rest = rest[w:]

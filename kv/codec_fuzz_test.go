@@ -90,3 +90,115 @@ func FuzzDecodeCommand(f *testing.F) {
 		}
 	})
 }
+
+// requestSeeds is one access-protocol request per op.
+func requestSeeds() []*Request {
+	pairs := []Pair{{Key: "alpha", Val: []byte("one")}, {Key: "beta"}, {Key: "", Val: bytes.Repeat([]byte{7}, 200)}}
+	writes := []TxnWrite{{Key: "w", Val: []byte("v")}, {Key: "gone", Delete: true}}
+	conds := []TxnCond{{Key: "c", ExpectPresent: true, Expect: []byte("e")}, {Key: "absent"}}
+	all := []string{"absent", "c", "gone", "r", "w"}
+	return []*Request{
+		{Op: ReqGet, ID: 1, Flags: flagStaleRead, MaxStale: 40e6, Epoch: 3, Keys: []string{"a", "bb", "", "a"}},
+		{Op: ReqPut, ID: 2, Budget: 5e9, Key: "key", Val: []byte("value")},
+		{Op: ReqDelete, ID: 3, Key: "key"},
+		{Op: ReqCAS, ID: 4, Key: "key", ExpectPresent: true, Expect: []byte("old"), Val: []byte("new")},
+		{Op: ReqBatchPut, Pairs: pairs, IDs: []uint64{5, 6, 7}},
+		{Op: ReqTxnPrepare, ID: 8, TxnID: 21, HomeKey: "absent", AllKeys: all, Keys: []string{"r", "w"}, Writes: writes, Conds: conds},
+		{Op: ReqTxnResolve, ID: 9, TxnID: 21, Commit: true, Key: "w", HomeKey: "absent", AllKeys: all},
+		{Op: ReqTxn, ID: 10, Keys: []string{"r"}, Writes: writes, Conds: conds},
+	}
+}
+
+// FuzzRequestSplit holds the two things a node does with a request's bytes
+// before it knows who sent them — DecodeRequest, then the split that decides
+// where it runs — to their contracts on arbitrary input: decoding never
+// panics and no claimed count makes it allocate more than a fixed multiple
+// of the input's length (the worst honest case is about 16x: a string header
+// per one-byte key); and whatever decodes splits, under a four-shard ring,
+// into parts that hold every key, pair, write and condition exactly once, on
+// the shard that owns it, in request order.
+func FuzzRequestSplit(f *testing.F) {
+	for _, req := range requestSeeds() {
+		seed := EncodeRequest(req)
+		if _, err := DecodeRequest(seed); err != nil {
+			f.Fatalf("seed %+v does not decode: %v", req, err)
+		}
+		for cut := 0; cut <= len(seed); cut++ {
+			f.Add(seed[:cut])
+		}
+	}
+	cl, r, rt, _ := splitFixture(f)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var req *Request
+		var err error
+		bound := 64*uint64(len(b)) + 4096
+		if got := allocatedBy(bound, func() { req, err = DecodeRequest(b) }); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
+		}
+		if err != nil {
+			return
+		}
+		shard, parts := cl.split(r, rt, req)
+		if parts == nil {
+			for i := 0; shard >= 0 && i < req.numKeys(); i++ {
+				if got := r.shard(req.keyAt(i)); got != shard {
+					t.Fatalf("split sends the request whole to shard %d, but key %d (%q) lives on %d", shard, i, req.keyAt(i), got)
+				}
+			}
+			return
+		}
+		// Putting every part's elements back where the ring says they came
+		// from must rebuild the request: walk the request in order, taking
+		// each element from the front of its owner's part.
+		byShard := map[int]*Request{}
+		for _, p := range parts {
+			if byShard[p.shard] != nil {
+				t.Fatalf("two parts for shard %d", p.shard)
+			}
+			cp := *p.req
+			byShard[p.shard] = &cp
+		}
+		take := func(key string) *Request {
+			p := byShard[r.shard(key)]
+			if p == nil {
+				t.Fatalf("no part for key %q's shard %d", key, r.shard(key))
+			}
+			return p
+		}
+		for i, p := range req.Pairs {
+			sub := take(p.Key)
+			if len(sub.Pairs) == 0 || !reflect.DeepEqual(sub.Pairs[0], p) || sub.IDs[0] != req.IDs[i] {
+				t.Fatalf("pair %d (%q, id %d) is not next in its shard's part", i, p.Key, req.IDs[i])
+			}
+			sub.Pairs, sub.IDs = sub.Pairs[1:], sub.IDs[1:]
+		}
+		if req.Op != ReqBatchPut {
+			for i, k := range req.Keys {
+				sub := take(k)
+				if len(sub.Keys) == 0 || sub.Keys[0] != k {
+					t.Fatalf("key %d (%q) is not next in its shard's part", i, k)
+				}
+				sub.Keys = sub.Keys[1:]
+			}
+			for i, w := range req.Writes {
+				sub := take(w.Key)
+				if len(sub.Writes) == 0 || !reflect.DeepEqual(sub.Writes[0], w) {
+					t.Fatalf("write %d (%q) is not next in its shard's part", i, w.Key)
+				}
+				sub.Writes = sub.Writes[1:]
+			}
+			for i, c := range req.Conds {
+				sub := take(c.Key)
+				if len(sub.Conds) == 0 || !reflect.DeepEqual(sub.Conds[0], c) {
+					t.Fatalf("cond %d (%q) is not next in its shard's part", i, c.Key)
+				}
+				sub.Conds = sub.Conds[1:]
+			}
+		}
+		for s, left := range byShard {
+			if len(left.Keys)+len(left.Pairs)+len(left.IDs)+len(left.Writes)+len(left.Conds) != 0 {
+				t.Fatalf("shard %d's part holds elements the request does not: %+v", s, left)
+			}
+		}
+	})
+}

@@ -78,8 +78,6 @@ type Options struct {
 	// fills it in; Join with bounded replication requires it (a
 	// replacement node takes the slot of the node it replaces).
 	NodeIndex int
-	// VirtualNodes is the consistent-hash points per shard (default 64).
-	VirtualNodes int
 	// ResultWindow bounds the per-shard replicated result table
 	// (default 65536 commands).
 	ResultWindow int
@@ -142,9 +140,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
-	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = defaultVirtualNodes
 	}
 	if o.ResultWindow <= 0 {
 		o.ResultWindow = defaultResultWindow
@@ -217,8 +212,8 @@ type Store struct {
 	// carries a pending table — even after the store-level epoch already
 	// flipped (a crash between per-shard commits leaves stragglers whose
 	// freeze only the resume path can lift). Guarded by routeMu;
-	// routeWake is closed and replaced on every change (see
-	// RoutingWatch).
+	// routeWake is closed and replaced on every change, and whenever a
+	// hosted replica is installed, swapped or retired (see RoutingWatch).
 	routeMu      sync.RWMutex
 	routing      Routing
 	ring         *ring
@@ -258,7 +253,7 @@ type Store struct {
 
 func newStore(name string, k *amoeba.Kernel, opts Options) *Store {
 	ctx, cancel := context.WithCancel(context.Background())
-	rt := Routing{Epoch: 0, Shards: opts.Shards, VNodes: opts.VirtualNodes}
+	rt := Routing{Epoch: 0, Shards: opts.Shards, VNodes: defaultVirtualNodes}
 	s := &Store{
 		name:         name,
 		opts:         opts,
@@ -330,11 +325,25 @@ func (s *Store) routingRing() (*ring, Routing) {
 }
 
 // RoutingWatch returns a channel closed at the next routing change (epoch
-// flip or handoff start). Re-call after each wakeup for the next one.
+// flip, handoff start or end) or change to the set of replicas this node
+// hosts (one installed by a split or a join, swapped in by the self-heal, or
+// retired by a merge). Re-call after each wakeup for the next one. It is the
+// one event everything held on node-local state waits for: take the channel,
+// then look at the state, then wait — a change between the look and the wait
+// has already closed the channel.
 func (s *Store) RoutingWatch() <-chan struct{} {
 	s.routeMu.RLock()
 	defer s.routeMu.RUnlock()
 	return s.routeWake
+}
+
+// replicasChanged wakes RoutingWatch's waiters after the hosted replica set
+// changed.
+func (s *Store) replicasChanged() {
+	s.routeMu.Lock()
+	close(s.routeWake)
+	s.routeWake = make(chan struct{})
+	s.routeMu.Unlock()
 }
 
 // noteRouting folds one replica's routing state into the node-local view.
@@ -477,6 +486,7 @@ func (s *Store) watchShard(i int) {
 		}
 		s.shards[i] = rep
 		s.mu.Unlock()
+		s.replicasChanged()
 	}
 }
 
@@ -544,6 +554,7 @@ func (s *Store) reconcileTopology() {
 		}
 		s.shards[i] = rep
 		s.mu.Unlock()
+		s.replicasChanged()
 		s.healWG.Add(1)
 		go s.watchShard(i)
 	}
@@ -594,6 +605,7 @@ func (s *Store) retireShard(i int, r *shared.Replica, epoch uint64) {
 	}
 	s.shards[i] = nil
 	s.mu.Unlock()
+	s.replicasChanged()
 	if err == nil {
 		leaveCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = r.Leave(leaveCtx)
@@ -1009,73 +1021,57 @@ func (s *Store) LeaseStats() (leased, leaseFallback, stale, staleFallback uint64
 // leaseGet answers a single-shard multi-key read from shard's local replica
 // under its read lease — linearizable with no group send. It fails (false)
 // when the replica is absent or holds no valid lease, or when any requested
-// key is frozen by a live handoff or locked by a prepared transaction; the
-// caller then falls back to the sequenced read marker, whose Moved/locked
-// handling is the one retry loop. Safe across a live reshard: the lease
+// key is held (frozen by a live handoff or locked by a prepared
+// transaction); the caller then falls back to the sequenced read marker,
+// whose Moved answer Do's loop handles. Safe across a live reshard: the lease
 // watermark covers every completed write, and a completed migrate-begin is
-// itself lease-gated, so any key moving away is already frozen (serves()
-// false) in the state a valid lease exposes.
+// itself lease-gated, so any key moving away is already frozen in the state
+// a valid lease exposes.
 func (s *Store) leaseGet(shard int, keys []string) (*Response, bool) {
-	r := s.Replica(shard)
-	if r == nil {
-		return nil, false
+	resp, ok := newReadResponse(len(keys), ReadLease), false
+	if r := s.Replica(shard); r != nil {
+		r.LeaseRead(func(sm shared.StateMachine) { ok = sm.(*mapSM).readKeys(keys, resp.Values, resp.Found) })
 	}
-	resp := &Response{OK: true, ReadPath: ReadLease,
-		Values: make([][]byte, len(keys)), Found: make([]bool, len(keys))}
-	served := true
-	ok := r.LeaseRead(func(sm shared.StateMachine) {
-		m := sm.(*mapSM)
-		for i, k := range keys {
-			if !m.serves(k) || m.locked(k) {
-				served = false
-				return
-			}
-			if v, found := m.items[k]; found {
-				resp.Values[i] = append([]byte(nil), v...)
-				resp.Found[i] = true
-			}
-		}
-	})
-	if !ok || !served {
+	if !ok {
 		s.leaseFallback.Add(1)
 		return nil, false
 	}
 	s.leaseServed.Add(1)
+	detach(resp.Values)
 	return resp, true
 }
 
 // staleGet answers a single-shard multi-key read from shard's local replica
 // at a bounded staleness (no lease required — the follower-read path). The
-// bound covers the total order, not the handoff freeze, so frozen or locked
-// keys fall back like leaseGet's.
+// bound covers the total order, not the handoff freeze, so held keys fall
+// back like leaseGet's.
 func (s *Store) staleGet(shard int, keys []string, maxStale time.Duration) (*Response, bool) {
-	r := s.Replica(shard)
-	if r == nil || maxStale <= 0 {
-		return nil, false
+	resp, ok := newReadResponse(len(keys), ReadStale), false
+	if r := s.Replica(shard); r != nil && maxStale > 0 {
+		resp.StaleFor, _ = r.StaleRead(maxStale, func(sm shared.StateMachine) {
+			ok = sm.(*mapSM).readKeys(keys, resp.Values, resp.Found)
+		})
 	}
-	resp := &Response{OK: true, ReadPath: ReadStale,
-		Values: make([][]byte, len(keys)), Found: make([]bool, len(keys))}
-	served := true
-	bound, ok := r.StaleRead(maxStale, func(sm shared.StateMachine) {
-		m := sm.(*mapSM)
-		for i, k := range keys {
-			if !m.serves(k) || m.locked(k) {
-				served = false
-				return
-			}
-			if v, found := m.items[k]; found {
-				resp.Values[i] = append([]byte(nil), v...)
-				resp.Found[i] = true
-			}
-		}
-	})
-	if !ok || !served {
+	if !ok {
 		s.staleFallback.Add(1)
 		return nil, false
 	}
-	resp.StaleFor = bound
 	s.staleServed.Add(1)
+	detach(resp.Values)
 	return resp, true
+}
+
+// newReadResponse is an n-key read's answer, to be filled by readKeys.
+func newReadResponse(n int, path byte) *Response {
+	return &Response{OK: true, ReadPath: path, Values: make([][]byte, n), Found: make([]bool, n)}
+}
+
+// detach copies values out of the state machine's storage in place: callers
+// own what they get back, and mutating it must not corrupt the local replica.
+func detach(vals [][]byte) {
+	for i, v := range vals {
+		vals[i] = copyVal(v)
+	}
 }
 
 // isClosed reports whether Close or Leave has begun.

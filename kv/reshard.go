@@ -239,7 +239,7 @@ func (s *Store) migrate(ctx context.Context, shard int, cmd []byte) error {
 	if err != nil {
 		return err
 	}
-	res, err := s.do(ctx, shard, c.id, cmd)
+	res, err := s.do(ctx, shard, []uint64{c.id}, [][]byte{cmd})
 	if err != nil {
 		if errors.Is(err, errMoved) {
 			return nil
@@ -274,8 +274,10 @@ func (s *Store) anyShardAtEpoch(ctx context.Context, n int, epoch uint64) (bool,
 // waitHosted blocks until this node hosts replicas of shards [lo, hi) — the
 // topology worker joins/creates them once the begins propagate.
 func (s *Store) waitHosted(ctx context.Context, lo, hi int) error {
-	s.nudgeTopology()
+	var backoff time.Duration
 	for {
+		wake := s.RoutingWatch() // fires as each replica is installed
+		s.nudgeTopology()
 		missing := -1
 		for i := lo; i < hi; i++ {
 			if s.Replica(i) == nil {
@@ -286,11 +288,8 @@ func (s *Store) waitHosted(ctx context.Context, lo, hi int) error {
 		if missing < 0 {
 			return nil
 		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("kv: waiting for new shard %d to come up: %w", missing, ctx.Err())
-		case <-time.After(25 * time.Millisecond):
-			s.nudgeTopology()
+		if err := s.awaitChange(ctx, wake, &backoff); err != nil {
+			return fmt.Errorf("kv: waiting for new shard %d to come up: %w", missing, err)
 		}
 	}
 }

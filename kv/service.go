@@ -82,6 +82,7 @@ type Service struct {
 	srvs      []*amoeba.RPCServer // fixed entries: node + store anycast
 	shardSrvs map[int]*amoeba.RPCServer
 	closed    bool
+	stop      chan struct{} // closed by Close: ends the routing watcher
 	watchDone chan struct{}
 
 	served      atomic.Uint64
@@ -90,26 +91,27 @@ type Service struct {
 	staleEpochs atomic.Uint64
 	errors      atomic.Uint64
 
-	// defaultBudget bounds requests that carry no caller budget;
-	// maxBudget caps even explicit ones, so a client that vanished
-	// mid-call cannot pin a handler goroutine forever (the RPC hop
-	// carries deadlines forward but not cancellations).
-	defaultBudget time.Duration
-	maxBudget     time.Duration
-
 	obsUnreg func() // detaches the stats source from the hub registry
 }
+
+// defaultBudget bounds requests that carry no caller budget; maxBudget caps
+// even explicit ones, so a client that vanished mid-call cannot pin a handler
+// goroutine forever (the RPC hop carries deadlines forward but not
+// cancellations).
+const (
+	defaultBudget = 10 * time.Second
+	maxBudget     = 2 * time.Minute
+)
 
 // NewService starts serving this node's shards. Close the service before
 // closing the store.
 func NewService(s *Store) (*Service, error) {
 	svc := &Service{
-		store:         s,
-		client:        s.NewClient(),
-		shardSrvs:     make(map[int]*amoeba.RPCServer),
-		watchDone:     make(chan struct{}),
-		defaultBudget: 10 * time.Second,
-		maxBudget:     2 * time.Minute,
+		store:     s,
+		client:    s.NewClient(),
+		shardSrvs: make(map[int]*amoeba.RPCServer),
+		stop:      make(chan struct{}),
+		watchDone: make(chan struct{}),
 	}
 	fail := func(err error) (*Service, error) {
 		close(svc.watchDone) // watcher never started
@@ -181,27 +183,22 @@ func (svc *Service) reconcileShards() error {
 	return nil
 }
 
-// watchRouting re-registers shard servers whenever the routing table (or
-// the hosted replica set) changes — the service half of live resharding.
+// watchRouting re-registers shard servers whenever the routing table or the
+// hosted replica set changes — the service half of live resharding. The
+// channel is taken before the reconcile it follows, so a change during one
+// is not missed; a registration that fails is retried at the next change.
 func (svc *Service) watchRouting() {
 	defer close(svc.watchDone)
 	for {
 		wake := svc.store.RoutingWatch()
-		svc.mu.Lock()
-		closed := svc.closed
-		svc.mu.Unlock()
-		if closed {
-			return
-		}
+		_ = svc.reconcileShards()
 		select {
 		case <-wake:
 		case <-svc.store.healCtx.Done():
 			return
-		case <-time.After(time.Second):
-			// Periodic sweep: replica creation lags the routing nudge, so
-			// re-check hosted shards even without a table change.
+		case <-svc.stop:
+			return
 		}
-		_ = svc.reconcileShards() // transient failures retried next sweep
 	}
 }
 
@@ -225,6 +222,7 @@ func (svc *Service) Close() {
 		return
 	}
 	svc.closed = true
+	close(svc.stop)
 	srvs := svc.srvs
 	svc.srvs = nil
 	for _, srv := range svc.shardSrvs {
@@ -253,7 +251,7 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 		svc.errors.Add(1)
 		return EncodeResponse(&Response{Err: err.Error()}), 0
 	}
-	rt := svc.store.Routing()
+	ring, rt := svc.store.routingRing()
 	stale := req.Epoch != rt.Epoch
 	if stale {
 		svc.staleEpochs.Add(1)
@@ -270,24 +268,28 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 		resp.Replication = svc.store.opts.Replication
 		return EncodeResponse(resp)
 	}
-	shards := svc.shardsOf(req)
-	if len(shards) == 1 && svc.store.Replica(shards[0]) == nil {
+	// The one shard that takes the request whole, or -1 when its keys span
+	// several (every key a transaction touches counts: a single-shard one
+	// can be forwarded to its owner like any write, a multi-shard one is
+	// coordinated here, in process).
+	shard := oneShard(ring, req)
+	if shard >= 0 && svc.store.Replica(shard) == nil {
 		// Misroute: the one shard this request needs lives elsewhere.
 		if req.Flags&flagForwarded != 0 {
 			// Already forwarded once; routing tables disagree. Answer
 			// rather than bounce the request around.
 			svc.errors.Add(1)
 			return attach(&Response{Err: fmt.Sprintf(
-				"shard %d not hosted at forward target (routing mismatch?)", shards[0])}), 0
+				"shard %d not hosted at forward target (routing mismatch?)", shard)}), 0
 		}
 		svc.forwarded.Add(1)
-		svc.client.tracer.Addf(req.ID, "forwarded to shard %d", shards[0])
+		svc.client.tracer.Addf(req.ID, "forwarded to shard %d", shard)
 		fwd := *req
 		fwd.Flags |= flagForwarded
 		fwd.Epoch = rt.Epoch // forward under this node's (newer) table
-		return EncodeRequest(&fwd), svc.client.shardAddr(shards[0])
+		return EncodeRequest(&fwd), svc.client.shardAddr(shard)
 	}
-	if len(shards) > 1 {
+	if shard < 0 {
 		// A client with no (or stale) routing knowledge packed several
 		// shards' keys into one request: this node re-scatters it, local
 		// parts in process and remote parts over RPC — the full proxy.
@@ -296,11 +298,9 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 	svc.served.Add(1)
 	budget := req.Budget
 	if budget <= 0 {
-		budget = svc.defaultBudget
+		budget = defaultBudget
 	}
-	if budget > svc.maxBudget {
-		budget = svc.maxBudget
-	}
+	budget = min(budget, maxBudget)
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	// Sub-requests the client issues for re-scattered parts are fresh
@@ -311,46 +311,4 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 		return attach(&Response{Err: err.Error()}), 0
 	}
 	return attach(resp), 0
-}
-
-// shardsOf lists the distinct shards a request touches, under this node's
-// current routing table.
-func (svc *Service) shardsOf(req *Request) []int {
-	ring, _ := svc.store.routingRing()
-	seen := make(map[int]bool)
-	var out []int
-	add := func(key string) {
-		s := ring.shard(key)
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	switch req.Op {
-	case ReqGet:
-		for _, k := range req.Keys {
-			add(k)
-		}
-	case ReqBatchPut:
-		for _, p := range req.Pairs {
-			add(p.Key)
-		}
-	case ReqTxn, ReqTxnPrepare:
-		// Every key the transaction touches: a multi-shard transaction is
-		// re-scattered here (this node coordinates it in process), a
-		// single-shard one can be forwarded to its owner like any write.
-		// ReqTxnResolve routes by its representative Key (default case).
-		for _, k := range req.Keys {
-			add(k)
-		}
-		for _, w := range req.Writes {
-			add(w.Key)
-		}
-		for _, cc := range req.Conds {
-			add(cc.Key)
-		}
-	default:
-		add(req.Key)
-	}
-	return out
 }

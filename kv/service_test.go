@@ -409,3 +409,26 @@ func TestDialWithRingGoesDirect(t *testing.T) {
 		t.Fatal("stale-ring client triggered no forwards (all routes accidentally correct?)")
 	}
 }
+
+// TestServiceCloseIsPrompt: Close waits for the routing watcher, and the
+// watcher waits on events — a change, the store's end, Close itself — not on
+// a timer it has to sit out (it used to poll once a second, and Close took
+// most of one).
+func TestServiceCloseIsPrompt(t *testing.T) {
+	ctx := ctxT(t, 30*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "closeprompt", 2, Options{Shards: 2})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	for i, svc := range startServices(t, stores) {
+		t0 := time.Now()
+		svc.Close()
+		if took := time.Since(t0); took > 100*time.Millisecond {
+			t.Errorf("closing node %d's service took %v, want under 100ms", i, took)
+		}
+	}
+}

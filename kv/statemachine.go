@@ -381,49 +381,29 @@ func (s *mapSM) applyCommand(c command) {
 		s.tracer.Addf(c.id, "applied@seq %d op=%d shard=%d", s.seq, c.op, s.shard)
 	}
 	switch c.op {
-	case opPut:
-		if !s.serves(c.key) || s.locked(c.key) {
+	case opPut, opDelete, opCAS:
+		if s.held(c.key) {
 			s.setResult(c.id, result{Moved: true})
 			return
 		}
-		s.items[c.key] = c.val
-		s.setResult(c.id, result{OK: true, Key: c.key})
-	case opDelete:
-		if !s.serves(c.key) || s.locked(c.key) {
-			s.setResult(c.id, result{Moved: true})
-			return
-		}
-		_, existed := s.items[c.key]
-		delete(s.items, c.key)
-		s.setResult(c.id, result{OK: existed, Key: c.key})
-	case opCAS:
-		if !s.serves(c.key) || s.locked(c.key) {
-			s.setResult(c.id, result{Moved: true})
-			return
-		}
-		cur, present := s.items[c.key]
-		ok := present == c.expectPresent && (!present || string(cur) == string(c.expect))
-		if ok {
+		ok := true
+		switch c.op {
+		case opPut:
 			s.items[c.key] = c.val
+		case opDelete:
+			_, ok = s.items[c.key]
+			delete(s.items, c.key)
+		case opCAS:
+			cur, present := s.items[c.key]
+			if ok = present == c.expectPresent && (!present || string(cur) == string(c.expect)); ok {
+				s.items[c.key] = c.val
+			}
 		}
 		s.setResult(c.id, result{OK: ok, Key: c.key})
 	case opGet:
-		for _, k := range c.keys {
-			if !s.serves(k) || s.locked(k) {
-				s.setResult(c.id, result{Moved: true})
-				return
-			}
-		}
-		r := result{
-			OK:     true,
-			Values: make([][]byte, len(c.keys)),
-			Found:  make([]bool, len(c.keys)),
-		}
-		for i, k := range c.keys {
-			if v, ok := s.items[k]; ok {
-				r.Values[i] = v
-				r.Found[i] = true
-			}
+		r := result{OK: true, Values: make([][]byte, len(c.keys)), Found: make([]bool, len(c.keys))}
+		if !s.readKeys(c.keys, r.Values, r.Found) {
+			r = result{Moved: true}
 		}
 		s.setResult(c.id, r)
 	case opMigrateBegin:
@@ -443,14 +423,32 @@ func (s *mapSM) applyCommand(c command) {
 	}
 }
 
-// locked reports whether key is held by a prepared transaction. Ordinary
-// commands on a locked key answer Moved (not executed, retried by the
-// client) — a write slipping between a transaction's prepare and its commit
-// would break the transaction's atomicity (its conditions were checked and
-// its reads captured at prepare; its writes land at resolve).
-func (s *mapSM) locked(key string) bool {
-	_, held := s.locks[key]
-	return held
+// held reports whether key is temporarily unservable here, the one check
+// every ordinary read and write consults: the shard does not serve it at
+// this point in the total order (frozen mid-handoff, or moved), or a prepared
+// transaction holds its lock — a write slipping between a transaction's
+// prepare and its commit would break the transaction's atomicity (its
+// conditions were checked and its reads captured at prepare; its writes land
+// at resolve). A command on a held key answers Moved: not executed, retried
+// by the client once the hold clears.
+func (s *mapSM) held(key string) bool {
+	_, locked := s.locks[key]
+	return locked || !s.serves(key)
+}
+
+// readKeys is the one read body — the sequenced read marker's apply, a lease
+// read and a bounded-stale read all answer with it: it fills vals and found
+// (one slot per key) from the state as it stands, or reports false if any
+// key is held. The values alias the stored ones, which are replaced, never
+// written to; a caller handing them out copies them (detach).
+func (s *mapSM) readKeys(keys []string, vals [][]byte, found []bool) bool {
+	for i, k := range keys {
+		if s.held(k) {
+			return false
+		}
+		vals[i], found[i] = s.items[k]
+	}
+	return true
 }
 
 // touchLock stamps the node-local last-seen time for a prepared portion.

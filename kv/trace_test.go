@@ -178,6 +178,7 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 	// The Put lands on the frozen range: it must bounce with Moved and
 	// keep retrying under the same command id until the flip.
 	done := make(chan error, 1)
+	held := time.Now()
 	go func() { done <- cl.Put(ctx, moving, []byte("travelled")) }()
 	time.Sleep(100 * time.Millisecond) // let it bounce at least once
 
@@ -189,6 +190,7 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Put across the freeze: %v", err)
 	}
+	freeze := time.Since(held)
 	waitShards(t, stores[0], 2, 10*time.Second)
 
 	var found bool
@@ -200,6 +202,19 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 			continue
 		}
 		found = true
+		// No storm: a held op is re-driven by the handoff's own events (a
+		// handful: the flips) and otherwise at the capped backoff — not at
+		// the sub-millisecond pace that suits a prepare lock.
+		moved := 0
+		for _, e := range events {
+			if strings.Contains(e, "moved") {
+				moved++
+			}
+		}
+		if limit := 5 + int(freeze/movedRetryDelay); moved > limit {
+			t.Errorf("trace %d: %d re-drives in a %v freeze, want at most %d:\n%s",
+				id, moved, freeze, limit, obs.FormatTrace(id, spans))
+		}
 		// The frozen shard traces its apply too (it executes the command
 		// and answers Moved), so require an apply AFTER the final bounce —
 		// the one at the new owner — followed by the reply. Both nodes

@@ -2,11 +2,10 @@ package kv
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"amoeba/shared"
@@ -136,8 +135,10 @@ func (c *Client) txnExecute(ctx context.Context, req *Request) (*Response, error
 			// Jittered backoff so colliding coordinators separate.
 			d := time.Duration(n+1) * 2 * time.Millisecond
 			d += time.Duration(rand.Int63n(int64(d)))
-			if err := sleepCtx(ctx, d); err != nil {
-				return nil, err
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-time.After(d):
 			}
 			continue
 		}
@@ -160,25 +161,12 @@ func (c *Client) txnExecute(ctx context.Context, req *Request) (*Response, error
 // txnKeys is the sorted, deduplicated union of a transaction's keys. Its
 // first element is the home key.
 func txnKeys(req *Request) []string {
-	seen := make(map[string]bool)
-	keys := make([]string, 0, len(req.Keys)+len(req.Writes)+len(req.Conds))
-	add := func(k string) {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for _, k := range req.Keys {
-		add(k)
-	}
-	for _, w := range req.Writes {
-		add(w.Key)
-	}
-	for _, cc := range req.Conds {
-		add(cc.Key)
+	keys := make([]string, req.numKeys())
+	for i := range keys {
+		keys[i] = req.keyAt(i)
 	}
 	sort.Strings(keys)
-	return keys
+	return slices.Compact(keys)
 }
 
 // txnAttempt drives one attempt of the 2PC. It reports (result, retry, err):
@@ -191,8 +179,10 @@ func (c *Client) txnAttempt(ctx context.Context, txnID uint64, allKeys []string,
 	c.tracer.Addf(txnID, "txn prepare: %d keys, home %q", len(allKeys), homeKey)
 
 	// Phase 1: prepare every participant. One request covering the whole
-	// transaction; doTxnPrepare splits it per shard under the live table
-	// and merges the answers (re-splitting across epoch flips as needed).
+	// transaction; Do splits it per shard under the live table and merges
+	// the answers (re-splitting across epoch flips as needed — a single
+	// attempt's content may end up partitioned differently across re-drives,
+	// which the state machine's accretive prepare merge absorbs).
 	var prepT0 time.Time
 	if c.txnPrepH != nil {
 		prepT0 = time.Now()
@@ -290,49 +280,23 @@ func (c *Client) txnResolveEcho(ctx context.Context, txnID uint64, commit bool, 
 		if r == nil {
 			return fmt.Errorf("kv: txn %016x: resolve echo needs ring knowledge", txnID)
 		}
-		groups := make(map[int][]string)
-		for _, k := range allKeys {
-			s := r.shard(k)
-			groups[s] = append(groups[s], k)
-		}
+		// One resolve per shard that serves any of the keys — the groups a
+		// read of them all would form — each routed by its group's first key.
+		_, parts := group(r, &Request{Op: ReqGet, Keys: allKeys})
 		if homeDone {
 			homeDone = false
-			delete(groups, r.shard(homeKey))
-			if len(groups) == 0 {
-				// Single-shard transaction: phase 2 resolved everything.
-				if _, rt2 := c.routingRing(); rt2.Epoch == rt.Epoch {
-					return nil
-				}
-				continue
-			}
+			home := r.shard(homeKey)
+			parts = slices.DeleteFunc(parts, func(p shardPart) bool { return p.shard == home })
 			c.tracer.Addf(txnID, "txn echo: home shard skipped (already resolved)")
 		}
-		var (
-			wg    sync.WaitGroup
-			mu    sync.Mutex
-			first error
-		)
-		for _, keys := range groups {
-			keys := keys
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, err := c.Do(ctx, &Request{
-					Op: ReqTxnResolve, TxnID: txnID, Commit: commit,
-					Key: keys[0], HomeKey: homeKey, AllKeys: allKeys,
-				})
-				if err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		if first != nil {
-			return fmt.Errorf("kv: txn %016x resolve echo: %w", txnID, first)
+		// Each resolve is a request of its own: a Moved answer re-drives it
+		// in Do, chasing its portion across the epoch flip.
+		_, err := scatter(parts, func(p shardPart) (*Response, error) {
+			return c.Do(ctx, &Request{Op: ReqTxnResolve, TxnID: txnID, Commit: commit,
+				Key: p.key, HomeKey: homeKey, AllKeys: allKeys})
+		})
+		if err != nil {
+			return fmt.Errorf("kv: txn %016x resolve echo: %w", txnID, err)
 		}
 		if _, rt2 := c.routingRing(); rt2.Epoch == rt.Epoch {
 			return nil
@@ -340,107 +304,17 @@ func (c *Client) txnResolveEcho(ctx context.Context, txnID uint64, commit bool, 
 	}
 }
 
-// doTxnPrepare executes one prepare request, splitting it per shard under
-// the live routing table. Moved answers (a frozen or flipped range) re-split
-// under the refreshed table — a single attempt's content may end up
-// partitioned differently across re-drives, which the state machine's
-// accretive prepare merge absorbs.
-func (c *Client) doTxnPrepare(ctx context.Context, req *Request) (*Response, error) {
-	for {
-		r, rt := c.routingRing()
-		if r == nil {
-			return c.remoteCall(ctx, -1, req)
-		}
-		req.Epoch = rt.Epoch
-		shards := make(map[int]bool)
-		for _, k := range req.Keys {
-			shards[r.shard(k)] = true
-		}
-		for _, w := range req.Writes {
-			shards[r.shard(w.Key)] = true
-		}
-		for _, cc := range req.Conds {
-			shards[r.shard(cc.Key)] = true
-		}
-		var resp *Response
-		var err error
-		if len(shards) <= 1 {
-			shard := -1
-			for s := range shards {
-				shard = s
-			}
-			resp, err = c.doShard(ctx, shard, req)
-		} else {
-			resp, err = c.txnPrepareSplit(ctx, r, rt, req)
-		}
-		if !errors.Is(err, errMoved) {
-			return resp, err
-		}
-		if err := sleepCtx(ctx, movedRetryDelay); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// txnPrepareSplit fans a prepare out as per-shard sub-prepares of the same
-// transaction (fresh command ids, same txn id) and merges the answers back
-// into one response aligned with the request's read set.
-func (c *Client) txnPrepareSplit(ctx context.Context, r *ring, rt Routing, req *Request) (*Response, error) {
-	parts := make(map[int]*Request)
-	part := func(s int) *Request {
-		p := parts[s]
-		if p == nil {
-			p = &Request{Op: ReqTxnPrepare, Budget: req.Budget, Epoch: rt.Epoch,
-				TxnID: req.TxnID, HomeKey: req.HomeKey, AllKeys: req.AllKeys}
-			parts[s] = p
-		}
-		return p
-	}
-	for _, k := range req.Keys {
-		p := part(r.shard(k))
-		p.Keys = append(p.Keys, k)
-	}
-	for _, w := range req.Writes {
-		p := part(r.shard(w.Key))
-		p.Writes = append(p.Writes, w)
-	}
-	for _, cc := range req.Conds {
-		p := part(r.shard(cc.Key))
-		p.Conds = append(p.Conds, cc)
-	}
-	list := make([]*Request, 0, len(parts))
-	for _, p := range parts {
-		list = append(list, p)
-	}
-	answers := make([]*Response, len(list))
-	errs := make([]error, len(list))
-	var wg sync.WaitGroup
-	for i := range list {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			answers[i], errs[i] = c.Do(ctx, list[i])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mergePrepareAnswers(req, list, answers), nil
-}
-
 // mergePrepareAnswers folds per-shard prepare answers into one response:
 // the most decided state wins (aborted > committed > prepared), conflict and
-// condition failures accumulate, and read values re-align to the request's
-// key order.
-func mergePrepareAnswers(req *Request, parts []*Request, answers []*Response) *Response {
+// condition failures accumulate, and read values return to their places in
+// the request's key order.
+func mergePrepareAnswers(req *Request, parts []shardPart, answers []*Response) *Response {
 	out := &Response{TxnState: txnStatePrepared}
-	vals := make(map[string][]byte)
-	fnd := make(map[string]bool)
-	for i, resp := range answers {
+	if len(req.Keys) > 0 {
+		out.Values = make([][]byte, len(req.Keys))
+		out.Found = make([]bool, len(req.Keys))
+	}
+	for p, resp := range answers {
 		if resp.Conflict {
 			out.Conflict = true
 		}
@@ -455,24 +329,16 @@ func mergePrepareAnswers(req *Request, parts []*Request, answers []*Response) *R
 				out.TxnState = txnStateCommitted
 			}
 		}
-		for j, k := range parts[i].Keys {
+		for j, i := range parts[p].idx { // a refusal carries no values
 			if j < len(resp.Values) {
-				vals[k] = resp.Values[j]
+				out.Values[i] = resp.Values[j]
 			}
 			if j < len(resp.Found) {
-				fnd[k] = resp.Found[j]
+				out.Found[i] = resp.Found[j]
 			}
 		}
 	}
 	out.OK = !out.Conflict && !out.CondFailed && out.TxnState != txnStateAborted
-	if len(req.Keys) > 0 {
-		out.Values = make([][]byte, len(req.Keys))
-		out.Found = make([]bool, len(req.Keys))
-		for i, k := range req.Keys {
-			out.Values[i] = vals[k]
-			out.Found[i] = fnd[k]
-		}
-	}
 	return out
 }
 
