@@ -74,13 +74,12 @@ func fnvAdd(h, v uint64) uint64 {
 // derived from items at apply time, and hashing lengths keeps the fold
 // cheap. The result window maintains the wrapping sum of these across its
 // entries (resultWindow.sum) so digestState reads the whole window in O(1).
+// (Bit 1 of the flags was a recorded refusal's; none is recorded any more, and
+// the other bits keep their places so older checkpoints' stamps still verify.)
 func resultSum(id uint64, r result) uint64 {
 	var flags uint64
 	if r.OK {
 		flags |= 1
-	}
-	if r.Moved {
-		flags |= 1 << 1
 	}
 	if r.Conflict {
 		flags |= 1 << 2
@@ -224,8 +223,8 @@ var _ shared.Digester = (*mapSM)(nil)
 
 // applyAudit evaluates one sequenced audit: hash the state as it stands at
 // this position in the order (BEFORE recording the audit's own result), hand
-// the digest to the node-local auditor hook, and record an OK result so the
-// submitter's Wait completes. Dedup suppresses re-execution of a retried
+// the digest to the node-local auditor hook, and record an OK result, which is
+// also what wakes AuditNow. Dedup suppresses re-execution of a retried
 // audit id, so one id yields at most one report per replica per timeline;
 // WAL replay re-reporting an id recomputes the identical digest — harmless.
 func (s *mapSM) applyAudit(c command) {
@@ -304,14 +303,7 @@ func (s *Store) AuditNow(ctx context.Context) error {
 			continue
 		}
 		id := s.nextCmdID()
-		if err := r.Submit(ctx, encodeAudit(id, defaultAuditRanges)); err != nil {
-			return fmt.Errorf("kv: audit shard %d: %w", i, err)
-		}
-		err := r.Wait(ctx, func(sm shared.StateMachine) bool {
-			_, done := sm.(*mapSM).lookup(id)
-			return done
-		})
-		if err != nil {
+		if _, err := s.do(ctx, i, []uint64{id}, [][]byte{encodeAudit(id, defaultAuditRanges)}); err != nil {
 			return fmt.Errorf("kv: audit shard %d: %w", i, err)
 		}
 		aud.Progress(auditScope(s.name, i), node, r.Applied())

@@ -1067,39 +1067,28 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 	if len(keys) == 0 {
 		return map[string][]byte{}, nil
 	}
-	if r, _ := c.routingRing(); r != nil {
-		single := true
-		s0 := r.shard(keys[0])
-		for _, k := range keys[1:] {
-			if r.shard(k) != s0 {
-				single = false
-				break
-			}
+	var values [][]byte
+	var found []bool
+	get := &Request{Op: ReqGet, Keys: keys}
+	if r, _ := c.routingRing(); oneShard(r, get) >= 0 {
+		resp, err := c.Do(ctx, get)
+		if err != nil {
+			return nil, err
 		}
-		if single {
-			resp, err := c.Do(ctx, &Request{Op: ReqGet, Keys: keys})
-			if err != nil {
-				return nil, err
-			}
-			out := make(map[string][]byte, len(keys))
-			for i, k := range keys {
-				if resp.Found[i] {
-					out[k] = resp.Values[i]
-				}
-			}
-			return out, nil
+		values, found = resp.Values, resp.Found
+	} else {
+		// Multi-shard (or ring-less, where the serving node decides): a
+		// read-only transaction captures all keys under one set of locks.
+		res, err := c.Txn(ctx, TxnOp{Reads: keys})
+		if err != nil {
+			return nil, err
 		}
-	}
-	// Multi-shard (or ring-less, where the serving node decides): a
-	// read-only transaction captures all keys under one set of locks.
-	res, err := c.Txn(ctx, TxnOp{Reads: keys})
-	if err != nil {
-		return nil, err
+		values, found = res.Values, res.Found
 	}
 	out := make(map[string][]byte, len(keys))
 	for i, k := range keys {
-		if i < len(res.Found) && res.Found[i] {
-			out[k] = res.Values[i]
+		if i < len(found) && found[i] {
+			out[k] = values[i]
 		}
 	}
 	return out, nil
@@ -1143,8 +1132,8 @@ func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Respon
 	return res.response(), nil
 }
 
-// response renders a command's replicated result as the access protocol's
-// answer, with copies of whatever the result window still holds.
+// response renders a command's answer as the access protocol's, with copies
+// of the values it carries: a read's alias the state machine's storage.
 func (res *result) response() *Response {
 	out := &Response{OK: res.OK, TxnState: res.TxnState, Conflict: res.Conflict, CondFailed: res.CondFailed}
 	if res.Values != nil {
@@ -1154,20 +1143,23 @@ func (res *result) response() *Response {
 	return out
 }
 
-// do submits one shard's commands — a lone command through Submit, a burst
-// through SubmitBatch — and waits until the result of every id lands in the
-// local replica's result window, i.e. until the commands have been totally
-// ordered AND applied locally, which gives read-your-writes even for
-// LocalGet. It returns the first id's result, and errMoved if any id
-// answered Moved (a batch that straddled an epoch flip: the caller re-splits
-// and only the moved pairs re-execute).
+// do submits one shard's commands — a lone command through Submit, several
+// through SubmitBatch — and sleeps until the local replica has applied every
+// one, i.e. until they are totally ordered AND applied locally, which gives
+// read-your-writes even for LocalGet. The ids are registered with the state
+// machine BEFORE the submit and each answer is handed over as its command
+// applies (answerWaiter): nothing is looked up afterwards, so neither the
+// number of ids nor what the result window has evicted meanwhile matters. It
+// returns the first id's answer, and errMoved if any command was refused (a
+// batch that straddled an epoch flip: the caller re-splits and only the refused
+// pairs re-execute).
 //
 // If the local replica stops mid-operation (expelled by a recovery this node
-// missed), do retries against the replacement the store's self-heal swaps
-// in, whose installation wakes it. Retrying is safe: commands are
-// deduplicated by id in the replicated state machine, and if the first
-// attempt did commit, the rejoined replica's transferred state already holds
-// its result.
+// missed), do retries against the replacement the store's self-heal swaps in,
+// whose installation wakes it. Retrying is safe: commands are deduplicated by
+// id in the replicated state machine, and if the first attempt did commit, the
+// rejoined replica's transferred state holds its result, which the
+// re-application meets and hands over.
 func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds [][]byte) (result, error) {
 	var backoff time.Duration
 	for {
@@ -1175,6 +1167,8 @@ func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds [][]byte) 
 		if r == nil {
 			return result{}, fmt.Errorf("kv: shard %d is not hosted on this node (replication %d)", shard, s.opts.Replication)
 		}
+		w := answerWaiters.Get().(*answerWaiter)
+		r.Read(func(sm shared.StateMachine) { sm.(*mapSM).expect(w, ids) })
 		var err error
 		if len(cmds) == 1 {
 			err = r.Submit(ctx, cmds[0])
@@ -1182,30 +1176,26 @@ func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds [][]byte) 
 			err = r.SubmitBatch(ctx, cmds)
 		}
 		if err == nil {
-			var first result
-			moved := false
-			err = r.Wait(ctx, func(sm shared.StateMachine) bool {
-				m := sm.(*mapSM)
-				moved = false
-				for i, id := range ids {
-					res, ok := m.lookup(id)
-					if !ok {
-						return false
-					}
-					if i == 0 {
-						first = res
-					}
-					moved = moved || res.Moved
-				}
-				return true
-			})
-			if err == nil {
+			select {
+			case <-w.done:
+				// Every claim is answered and unlinked: nothing references w
+				// any more. This is the only path that recycles it.
+				first, moved := w.first, w.moved
+				w.first, w.moved = result{}, false
+				answerWaiters.Put(w)
 				if moved {
 					return first, errMoved
 				}
 				return first, nil
+			case <-ctx.Done():
+				err = ctx.Err()
+			case <-r.Stopped():
+				err = shared.ErrStopped
 			}
 		}
+		// Leaving without the answers: withdraw the claims. w is let go, not
+		// recycled — its last answer may have raced this exit into w.done.
+		r.Read(func(sm shared.StateMachine) { sm.(*mapSM).forget(w) })
 		// ErrStopped: the replica stopped under us. ErrNotMember: an
 		// in-flight Submit was aborted by the expulsion itself. Both mean
 		// "this replica is gone"; wait for the self-heal watcher to swap
@@ -1224,33 +1214,25 @@ func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds [][]byte) 
 	}
 }
 
-// putBatch writes one shard's pairs, pairs[i] under ids[i], in slice order.
-// A command is filled to maxCommandBytes, so a shard's pairs usually travel
-// as one ordered message; commands are submitted and awaited in runs of at
-// most half a result window of pairs, because do needs every result of a run
-// in the window at once — which a run larger than the window never is.
+// putBatch writes one shard's pairs, pairs[i] under ids[i], in slice order. A
+// command is filled to maxCommandBytes, so a shard's pairs usually travel as
+// one ordered message; however many commands and pairs there are, they are one
+// submission and one wait.
 func (s *Store) putBatch(ctx context.Context, shard int, ids []uint64, pairs []Pair) error {
-	maxRun := max(s.opts.ResultWindow/2, 1)
-	for len(pairs) > 0 {
-		run := min(len(pairs), maxRun)
-		var cmds [][]byte
-		for start := 0; start < run; {
-			end, size := start, 0
-			for end < run {
-				need := batchPairBytes(pairs[end])
-				if end > start && size+need > maxCommandBytes {
-					break
-				}
-				size += need
-				end++
+	var cmds [][]byte
+	for start := 0; start < len(pairs); {
+		end, size := start, 0
+		for end < len(pairs) {
+			need := batchPairBytes(pairs[end])
+			if end > start && size+need > maxCommandBytes {
+				break
 			}
-			cmds = append(cmds, encodeBatchPut(ids[start:end], pairs[start:end]))
-			start = end
+			size += need
+			end++
 		}
-		if _, err := s.do(ctx, shard, ids[:run], cmds); err != nil {
-			return err
-		}
-		ids, pairs = ids[run:], pairs[run:]
+		cmds = append(cmds, encodeBatchPut(ids[start:end], pairs[start:end]))
+		start = end
 	}
-	return nil
+	_, err := s.do(ctx, shard, ids, cmds)
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -15,7 +16,8 @@ import (
 //	op(1) | id(8, big-endian) | op-specific payload
 //
 // Byte strings are uvarint-length-prefixed. The id correlates a command with
-// the result its apply deposits in the state machine's result window; ids
+// the answer its apply hands its submitter, and with the result an executed
+// command leaves in the state machine's result window for its retries; ids
 // are unique per client operation (random client nonce + counter).
 //
 // The migrate ops are the live-resharding handoff protocol: begin installs a
@@ -834,7 +836,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 		r.ReadPath = rest[2]
 		rest = rest[3:]
 		stale, w := binary.Uvarint(rest)
-		if w <= 0 {
+		if w <= 0 || stale > uint64(math.MaxInt64/time.Millisecond) {
 			return nil, errBadRequest
 		}
 		r.StaleFor = time.Duration(stale) * time.Millisecond
@@ -865,7 +867,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 			rest = tail
 		}
 		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
+		if w <= 0 || n > uint64(len(rest)-w)/2 { // a value is at least two bytes
 			return nil, errBadRequest
 		}
 		rest = rest[w:]
@@ -977,8 +979,10 @@ func decodeCommand(b []byte) (command, error) {
 		if c.routing, rest, err = takeRouting(rest); err != nil {
 			return command{}, err
 		}
+		// Each count is bounded by what the bytes left could hold at the
+		// element's minimum size, as a batch put's is.
 		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
+		if w <= 0 || n > uint64(len(rest)-w)/2 { // a pair is at least two bytes
 			return command{}, errBadCommand
 		}
 		rest = rest[w:]
@@ -994,7 +998,7 @@ func decodeCommand(b []byte) (command, error) {
 			c.pairs = append(c.pairs, Pair{Key: key, Val: append([]byte(nil), raw...)})
 		}
 		n, w = binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
+		if w <= 0 || n > uint64(len(rest)-w)/10 { // a result is at least ten bytes
 			return command{}, errBadCommand
 		}
 		rest = rest[w:]
@@ -1012,7 +1016,7 @@ func decodeCommand(b []byte) (command, error) {
 			c.impResults = append(c.impResults, ir)
 		}
 		n, w = binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
+		if w <= 0 || n > uint64(len(rest)-w)/3 { // a portion is at least a length and "{}"
 			return command{}, errBadCommand
 		}
 		rest = rest[w:]

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // commandSeeds is one output of every shard-command encoder in codec.go.
@@ -199,6 +200,56 @@ func FuzzRequestSplit(f *testing.F) {
 			if len(left.Keys)+len(left.Pairs)+len(left.IDs)+len(left.Writes)+len(left.Conds) != 0 {
 				t.Fatalf("shard %d's part holds elements the request does not: %+v", s, left)
 			}
+		}
+	})
+}
+
+// responseSeeds is one access-protocol response per shape.
+func responseSeeds() []*Response {
+	return []*Response{
+		{Err: "kv: shard 3 is not hosted on this node"},
+		{OK: true},
+		{OK: false},
+		{OK: true, TxnState: txnStatePrepared, Values: [][]byte{[]byte("read"), nil}, Found: []bool{true, false}},
+		{TxnState: txnStateAborted, Conflict: true},
+		{TxnState: txnStateAborted, CondFailed: true},
+		{OK: true, ReadPath: ReadSequenced, Values: [][]byte{[]byte("v"), nil, {}, bytes.Repeat([]byte{7}, 200)}, Found: []bool{true, false, true, true}},
+		{OK: true, ReadPath: ReadStale, StaleFor: 40 * time.Millisecond, Values: [][]byte{[]byte("v")}, Found: []bool{true}},
+		{OK: true, ReadPath: ReadLease, Nodes: 5, Replication: 3, Routing: &Routing{Epoch: 3, Shards: 8, VNodes: 64},
+			Values: [][]byte{[]byte("v")}, Found: []bool{true}},
+	}
+}
+
+// FuzzDecodeResponse holds DecodeResponse — which a client runs on whatever
+// answers at a well-known address — to three properties on arbitrary bytes: it
+// never panics; no claimed count makes it allocate more than a fixed multiple
+// of the input's length (the worst honest case is about 13x: a slice header
+// and a found flag per two-byte absent value); and what it accepts is
+// something the encoder says — it re-encodes to bytes that decode to the same
+// response.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, resp := range responseSeeds() {
+		seed := EncodeResponse(resp)
+		if _, err := DecodeResponse(seed); err != nil {
+			f.Fatalf("seed %+v does not decode: %v", resp, err)
+		}
+		for cut := 0; cut <= len(seed); cut++ {
+			f.Add(seed[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var resp *Response
+		var err error
+		bound := 64*uint64(len(b)) + 4096
+		if got := allocatedBy(bound, func() { resp, err = DecodeResponse(b) }); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeResponse(EncodeResponse(resp))
+		if err != nil || !reflect.DeepEqual(resp, again) {
+			t.Fatalf("re-encoded response decodes to %+v, %v; want %+v", again, err, resp)
 		}
 	})
 }

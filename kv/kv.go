@@ -78,8 +78,9 @@ type Options struct {
 	// fills it in; Join with bounded replication requires it (a
 	// replacement node takes the slot of the node it replaces).
 	NodeIndex int
-	// ResultWindow bounds the per-shard replicated result table
-	// (default 65536 commands).
+	// ResultWindow bounds the per-shard replicated result table, the
+	// exactly-once horizon: a command retried after this many further
+	// commands executed on its shard executes again (default 65536).
 	ResultWindow int
 	// DataDir, when set, makes every hosted shard durable: each replica
 	// journals its deliveries to a write-ahead log under
@@ -405,11 +406,8 @@ func (s *Store) nudgeTopology() {
 // startSelfHeal launches the per-shard watchers and the topology worker;
 // called once construction succeeded.
 func (s *Store) startSelfHeal() {
-	s.mu.RLock()
-	n := len(s.shards)
-	s.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		if s.Replica(i) == nil {
+	for i, r := range s.snapshotShards() {
+		if r == nil {
 			continue // not hosted under bounded replication
 		}
 		s.healWG.Add(1)
@@ -436,26 +434,17 @@ func (s *Store) flight() *obs.Recorder {
 func (s *Store) watchShard(i int) {
 	defer s.healWG.Done()
 	for {
-		s.mu.RLock()
-		var r *shared.Replica
-		if i < len(s.shards) {
-			r = s.shards[i]
-		}
-		s.mu.RUnlock()
+		r := s.Replica(i)
 		if r == nil {
 			return // retired (or never hosted)
 		}
-		// Block until the replica stops; the always-false predicate makes
-		// Wait return only on ErrStopped (expelled or closed) or ctx end.
-		err := r.Wait(s.healCtx, func(shared.StateMachine) bool { return false })
-		if s.healCtx.Err() != nil || !errors.Is(err, shared.ErrStopped) {
+		// Block until the replica stops (expelled or closed).
+		select {
+		case <-r.Stopped():
+		case <-s.healCtx.Done():
 			return
 		}
-		s.mu.RLock()
-		closed := s.closed
-		current := i < len(s.shards) && s.shards[i] == r
-		s.mu.RUnlock()
-		if closed || !current {
+		if s.isClosed() || s.Replica(i) != r {
 			return // store closing, or the shard was retired/swapped
 		}
 		if rt := s.Routing(); i >= rt.Shards && s.PendingRouting() == nil {
@@ -516,13 +505,9 @@ func (s *Store) reconcileTopology() {
 	if pending != nil && pending.Shards > want {
 		want = pending.Shards
 	}
-	nodes := s.opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
 	// Grow: open replicas for announced shards this node should host.
 	for i := 0; i < want; i++ {
-		if !hostsShard(i, s.opts.NodeIndex, nodes, s.opts.Replication) {
+		if !hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication) {
 			continue
 		}
 		s.mu.Lock()
@@ -560,11 +545,8 @@ func (s *Store) reconcileTopology() {
 	}
 	// Shrink: retire shards the committed table no longer contains.
 	if pending == nil {
-		s.mu.RLock()
-		n := len(s.shards)
-		s.mu.RUnlock()
-		for i := cur.Shards; i < n; i++ {
-			if r := s.Replica(i); r != nil {
+		for i, r := range s.snapshotShards() {
+			if i >= cur.Shards && r != nil {
 				s.healWG.Add(1)
 				go s.retireShard(i, r, cur.Epoch)
 			}
@@ -667,32 +649,11 @@ func Bootstrap(ctx context.Context, kernels []*amoeba.Kernel, name string, opts 
 			return fail(fmt.Errorf("kv: creating %s: %w", group, err))
 		}
 		stores[creator].shards[i] = r
-		// The remaining hosting nodes join concurrently; each join is a
-		// group membership change plus a (tiny, empty-state) transfer.
-		var wg sync.WaitGroup
-		errs := make([]error, len(kernels))
-		for n := range kernels {
-			if n == creator || !hostsShard(i, n, len(kernels), opts.Replication) {
-				continue
-			}
-			n := n
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep, err := stores[n].joinShard(ctx, i)
-				if err != nil {
-					errs[n] = fmt.Errorf("kv: node %d joining %s: %w", n, group, err)
-					return
-				}
-				stores[n].shards[i] = rep
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return fail(err)
-			}
-		}
+	}
+	// The remaining hosting nodes join; each join is a group membership
+	// change plus a (tiny, empty-state) transfer.
+	if err := openHosted(ctx, stores, opts.Shards, false); err != nil {
+		return fail(err)
 	}
 	for _, s := range stores {
 		s.startSelfHeal()
@@ -739,53 +700,12 @@ func bootstrapDurable(ctx context.Context, kernels []*amoeba.Kernel, name string
 		o := opts
 		o.NodeIndex = n
 		stores[n] = newStore(name, kernels[n], o)
-		stores[n].mu.Lock()
-		for len(stores[n].shards) < shardCount {
-			stores[n].shards = append(stores[n].shards, nil)
-		}
-		stores[n].mu.Unlock()
 	}
-	// One shard failing must cancel its siblings: a joiner whose creator
-	// never came up retries until its context ends, so without this a
-	// single bad data directory would hang the whole boot.
-	openCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for n := range kernels {
-		for i := 0; i < shardCount; i++ {
-			if !hostsShard(i, n, len(kernels), opts.Replication) {
-				continue
-			}
-			n, i := n, i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep, err := stores[n].openShard(openCtx, i, fresh)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("kv: node %d opening %s: %w", n, shardGroupName(name, i), err)
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				stores[n].mu.Lock()
-				stores[n].shards[i] = rep
-				stores[n].mu.Unlock()
-			}()
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
+	if err := openHosted(ctx, stores, shardCount, fresh); err != nil {
 		for _, s := range stores {
 			s.abandon()
 		}
-		return nil, firstErr
+		return nil, err
 	}
 	for _, s := range stores {
 		s.startSelfHeal()
@@ -840,42 +760,59 @@ func Join(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*St
 		shardCount = discoverShardCount(opts.DataDir, name, opts.NodeIndex, shardCount)
 	}
 	s := newStore(name, k, opts)
-	s.mu.Lock()
-	for len(s.shards) < shardCount {
-		s.shards = append(s.shards, nil)
-	}
-	s.mu.Unlock()
-	var (
-		wg   sync.WaitGroup
-		errs = make([]error, shardCount)
-	)
-	for i := 0; i < shardCount; i++ {
-		if !hostsShard(i, opts.NodeIndex, opts.Nodes, opts.Replication) {
-			continue
-		}
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep, err := s.openShard(ctx, i, false)
-			if err != nil {
-				errs[i] = fmt.Errorf("kv: joining shard %d of %q: %w", i, name, err)
-				return
-			}
-			s.mu.Lock()
-			s.shards[i] = rep
-			s.mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			s.abandon()
-			return nil, err
-		}
+	if err := openHosted(ctx, []*Store{s}, shardCount, false); err != nil {
+		s.abandon()
+		return nil, err
 	}
 	s.startSelfHeal()
 	return s, nil
+}
+
+// openHosted sizes each store's shard table to shardCount and opens, through
+// openShard (fresh marks a declared first boot), every shard its placement
+// slot hosts and it does not hold yet — all of them side by side, across the
+// stores too: a shard's cold-start election needs its peers up. The first
+// failure wins and cancels the rest: a joiner whose creator never came up
+// retries until its context ends, so without this a single bad data directory
+// would hang the whole boot.
+func openHosted(ctx context.Context, stores []*Store, shardCount int, fresh bool) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+	)
+	for _, s := range stores {
+		s.mu.Lock()
+		for len(s.shards) < shardCount {
+			s.shards = append(s.shards, nil)
+		}
+		for i := 0; i < shardCount; i++ {
+			if s.shards[i] != nil || !hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication) {
+				continue
+			}
+			s, i := s, i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rep, err := s.openShard(ctx, i, fresh)
+				if err != nil {
+					once.Do(func() {
+						firstErr = fmt.Errorf("kv: node %d opening %s: %w", s.opts.NodeIndex, shardGroupName(s.name, i), err)
+						cancel()
+					})
+					return
+				}
+				s.mu.Lock()
+				s.shards[i] = rep
+				s.mu.Unlock()
+			}()
+		}
+		s.mu.Unlock()
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // openShard obtains one shard replica over whichever path the options name:
@@ -887,10 +824,7 @@ func (s *Store) openShard(ctx context.Context, shard int, bootstrap bool) (*shar
 	if s.opts.DataDir == "" {
 		return s.joinShard(ctx, shard)
 	}
-	nodes := s.opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
+	nodes := s.nodes()
 	dur := shared.Durability{
 		Dir:             shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, shard),
 		Sync:            s.opts.WALSync,
@@ -988,12 +922,12 @@ func (s *Store) expectsShard(i int) bool {
 	if i < 0 || i >= want {
 		return false
 	}
-	nodes := s.opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	return hostsShard(i, s.opts.NodeIndex, nodes, s.opts.Replication)
+	return hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication)
 }
+
+// nodes is the placement rule's modulus: the configured node count, or one
+// for a node joined without it (full replication).
+func (s *Store) nodes() int { return max(s.opts.Nodes, 1) }
 
 // Replica exposes shard i's underlying replica, for group-level operations
 // (Reset, Info, Applied) and advanced reads. After a self-heal the handle a

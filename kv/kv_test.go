@@ -243,8 +243,8 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 }
 
 // TestBatchPutLargerThanResultWindow writes more pairs to one shard than its
-// result window holds. The pairs are submitted and awaited in runs the window
-// can hold at once; waiting for all 64 results in a 16-entry window waits
+// result window holds. Each pair's answer is handed to the caller as the pair
+// applies; looking all 64 results up afterwards in a 16-entry window waits
 // forever.
 func TestBatchPutLargerThanResultWindow(t *testing.T) {
 	ctx := ctxT(t, 10*time.Second)
@@ -264,6 +264,59 @@ func TestBatchPutLargerThanResultWindow(t *testing.T) {
 	for _, p := range pairs {
 		if v, ok := cl.LocalGet(p.Key); !ok || !bytes.Equal(v, p.Val) {
 			t.Fatalf("LocalGet %s = %v %v", p.Key, v, ok)
+		}
+	}
+}
+
+// TestConcurrentBatchPutThroughSmallWindow has four clients write 64-pair
+// batches to one shard whose result window holds 16: whatever a caller's
+// batch records, the other callers' evict before it runs again. Every call
+// must return all the same — a caller is handed its answers as its pairs
+// apply and needs nothing of the window — and every key must read back its
+// caller's last round.
+func TestConcurrentBatchPutThroughSmallWindow(t *testing.T) {
+	ctx := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "batchcrowd", 1, Options{Shards: 1, ResultWindow: 16})
+	defer stores[0].Close()
+
+	const clients, rounds, width = 4, 50, 64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		c := c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := stores[0].NewClient()
+			defer cl.Close()
+			pairs := make([]Pair, width)
+			for round := 0; round < rounds; round++ {
+				for i := range pairs {
+					pairs[i] = Pair{Key: fmt.Sprintf("crowd-%d-%02d", c, i), Val: []byte{byte(round)}}
+				}
+				callCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+				err := cl.BatchPut(callCtx, pairs)
+				cancel()
+				if err != nil {
+					t.Errorf("client %d round %d: BatchPut of %d pairs: %v", c, round, width, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	cl := stores[0].NewClient()
+	defer cl.Close()
+	for c := 0; c < clients; c++ {
+		for i := 0; i < width; i++ {
+			key := fmt.Sprintf("crowd-%d-%02d", c, i)
+			if v, ok := cl.LocalGet(key); !ok || !bytes.Equal(v, []byte{rounds - 1}) {
+				t.Fatalf("LocalGet %s = %v %v, want its caller's last round %d", key, v, ok, rounds-1)
+			}
 		}
 	}
 }

@@ -102,9 +102,9 @@ func TestResultWindowMatchesOldForm(t *testing.T) {
 			t.Fatalf("step %d: Snapshot bytes differ from the old form\n got %.200s…\nwant %.200s…", step, got, want)
 		}
 		for id := uint64(1); id <= idSpan; id++ {
-			g, gok := sm.lookup(id)
+			g, gok := sm.results.lookup(id)
 			w, wok := ref.results[id]
-			if gok != wok || g.OK != w.OK || g.Key != w.Key || g.Moved != w.Moved {
+			if gok != wok || g.OK != w.OK || g.Key != w.Key || g.Conflict != w.Conflict {
 				t.Fatalf("step %d: lookup(%d) = %+v %v, old form %+v %v", step, id, g, gok, w, wok)
 			}
 		}
@@ -128,10 +128,10 @@ func TestResultWindowMatchesOldForm(t *testing.T) {
 		id := uint64(1 + rng.Intn(idSpan))
 		r := result{OK: rng.Intn(2) == 0}
 		switch rng.Intn(4) {
-		case 0: // a sequenced read: no key, stays behind in a migration
+		case 0: // a prepare's captured reads: no key, stays behind in a migration
 			r.Values, r.Found = [][]byte{[]byte("v")}, []bool{true}
-		case 1:
-			r = result{Moved: true}
+		case 1: // a prepare that lost its keys: no key either
+			r = result{Conflict: true}
 		default:
 			r.Key = fmt.Sprintf("key-%d", rng.Intn(64))
 		}

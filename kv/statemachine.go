@@ -5,47 +5,40 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"amoeba/obs"
 	"amoeba/shared"
 )
 
-// defaultResultWindow bounds the replicated result table. A result is
-// evicted after this many further commands apply, so a client has that much
-// slack between its command applying locally and its Wait observing the
-// result — far more than any realistic scheduling delay.
+// defaultResultWindow bounds the replicated result table: the retry horizon. A
+// result is evicted after this many further ones are recorded on its shard,
+// and a command re-driven later than that — across a replica swap, a failover
+// or a routing epoch — executes again. It is not slack for a waiter: an answer
+// is handed over when its command applies, whatever the window holds by then.
 const defaultResultWindow = 65536
 
-// result is the replicated outcome of one command, keyed by command id. It
-// is part of the state machine (every replica computes the identical table),
-// which is what lets a client read its CAS outcome or sequenced-get values
-// from its local replica.
+// result is the recorded outcome of one executed command, keyed by command id:
+// the exactly-once table. It is part of the state machine (every replica
+// computes the identical table) because a retry may reach any replica, at any
+// later time, and must be answered with what the first execution did. Only
+// what a retry needs is recorded: a refusal (see refuse) and a sequenced
+// read's values (re-executing a read under a retry is just a later
+// linearizable read) are handed to the local waiter and kept nowhere.
 type result struct {
 	// OK reports mutation success: CAS swapped, Delete found the key.
 	OK bool `json:"ok"`
-	// Values and Found carry sequenced-read results, aligned with the
-	// command's key list.
+	// Values and Found carry read results, aligned with the command's key
+	// list: a prepare's captured reads (recorded) or a sequenced read's.
 	Values [][]byte `json:"values,omitempty"`
 	Found  []bool   `json:"found,omitempty"`
 	// Key is the mutated key (write ops only). It lets a resharding
 	// migrate the result alongside the data: a command retried after the
 	// epoch flip routes to the key's NEW owner, and only if the result
 	// moved with the key does the dedup window still answer it there —
-	// exactly-once across reshardings. (Sequenced reads carry no key;
-	// re-executing a read under a retry is just a later linearizable
-	// read.)
+	// exactly-once across reshardings.
 	Key string `json:"key,omitempty"`
-	// Moved reports that the command touched a key this shard does not
-	// serve at the command's position in the total order: either the key
-	// range is frozen mid-handoff (owned now, but moving under the pending
-	// routing) or it already moved (a stale client's routing lags the
-	// epoch). The command was NOT executed; the caller re-resolves the
-	// owner and retries — and because a Moved result does not arm the
-	// dedup suppression, the retried id executes normally wherever it
-	// lands. Ordinary writes to a prepare-locked key answer Moved too: the
-	// command did not execute and the client retries after the lock clears.
-	Moved bool `json:"moved,omitempty"`
 	// TxnState, Conflict, and CondFailed answer the txn ops (see txn.go):
 	// the portion's state after the command, a prepare that lost its keys
 	// to another live transaction, and a prepare whose conditions failed.
@@ -53,6 +46,30 @@ type result struct {
 	Conflict   bool `json:"conflict,omitempty"`
 	CondFailed bool `json:"condFailed,omitempty"`
 }
+
+// answerWaiter is one local caller (Store.do) asleep on the answers to its
+// commands. It registers their ids BEFORE submitting (expect) and the apply
+// loop hands each answer over as its command applies (hand), under the replica
+// lock; the caller reads first and moved only after done delivers. Waiters are
+// node-local: never replicated, snapshotted or digested.
+type answerWaiter struct {
+	regs    []answerReg   // one claim per id
+	pending int           // claims not yet answered
+	first   result        // the answer to regs[0].id
+	moved   bool          // a command was refused: not executed, re-resolve and retry
+	done    chan struct{} // one slot, filled when pending reaches zero
+}
+
+// answerReg is a waiter's claim on one command id, chained to the other claims
+// on it: a request can reach this node twice, over a second path, while its
+// first arrival is still held.
+type answerReg struct {
+	id   uint64
+	w    *answerWaiter
+	next *answerReg
+}
+
+var answerWaiters = sync.Pool{New: func() any { return &answerWaiter{done: make(chan struct{}, 1)} }}
 
 // Transaction portion states (see txn.go for the 2PC protocol).
 const (
@@ -213,7 +230,10 @@ func (p *txnPortion) subPortion(keys []string) *txnPortion {
 // operates under. Apply is deterministic; shared serialises all access.
 type mapSM struct {
 	items   map[string][]byte
-	results resultWindow // command results by id, oldest evicted first (resultwindow.go)
+	results resultWindow // executed commands' results by id, oldest evicted first (resultwindow.go)
+	// waiters is node-local: the local callers' claims on the commands they
+	// sleep on, by command id (see answerWaiter).
+	waiters map[uint64]*answerReg
 
 	// Transaction state (replicated): portions keyed by txn id, the FIFO
 	// eviction queue of RESOLVED portion ids (prepared portions never
@@ -275,6 +295,7 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 	s := &mapSM{
 		items:       make(map[string][]byte),
 		results:     newResultWindow(window),
+		waiters:     make(map[uint64]*answerReg),
 		txns:        make(map[uint64]*txnPortion),
 		locks:       make(map[string]uint64),
 		lockSeen:    make(map[uint64]time.Time),
@@ -291,11 +312,75 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 	return s
 }
 
-func (s *mapSM) setResult(id uint64, r result) { s.results.set(id, r) }
+// setResult answers a command that executed: recorded, so that a retry of the
+// id is answered with it instead of executing again, and handed to its waiters.
+func (s *mapSM) setResult(id uint64, r result) {
+	s.results.set(id, r)
+	s.hand(id, r, false)
+}
 
-// lookup returns the result of a command this shard applied, while the
-// result window still holds it.
-func (s *mapSM) lookup(id uint64) (result, bool) { return s.results.lookup(id) }
+// refuse answers a command that did NOT execute: it touched a key this shard
+// does not serve at this point in the total order (frozen mid-handoff, or
+// moved: a stale client's routing lags the epoch) or one a prepared
+// transaction holds locked. The caller re-resolves the owner and retries;
+// nothing is recorded, so the retried id executes normally wherever it lands
+// and is answered by that application only.
+func (s *mapSM) refuse(id uint64) { s.hand(id, result{}, true) }
+
+// hand is the one place an answer leaves the state machine: every local caller
+// registered for id gets it, and one whose last answer it is wakes. On every
+// replica but the submitter's that is one map miss.
+func (s *mapSM) hand(id uint64, r result, moved bool) {
+	reg := s.waiters[id]
+	if reg == nil {
+		return
+	}
+	delete(s.waiters, id)
+	for reg != nil {
+		w, next := reg.w, reg.next // a woken caller may recycle w at once, regs included
+		if reg == &w.regs[0] {
+			w.first = r
+		}
+		w.moved = w.moved || moved
+		if w.pending--; w.pending == 0 {
+			w.done <- struct{}{}
+		}
+		reg = next
+	}
+}
+
+// expect registers w for the answers to ids, which its caller is about to
+// submit. A repeated id is a claim of its own, so w wakes once every command
+// has applied however the ids repeat. Caller holds the replica lock (Read).
+func (s *mapSM) expect(w *answerWaiter, ids []uint64) {
+	if cap(w.regs) < len(ids) {
+		w.regs = make([]answerReg, len(ids))
+	}
+	w.regs, w.pending = w.regs[:len(ids)], len(ids)
+	for i, id := range ids {
+		w.regs[i] = answerReg{id: id, w: w, next: s.waiters[id]}
+		s.waiters[id] = &w.regs[i]
+	}
+}
+
+// forget withdraws the claims w still has registered: its caller is leaving
+// without its answers (its context ended, or the replica stopped). An answered
+// claim is in no chain any more and is passed over. Caller holds the replica
+// lock (Read).
+func (s *mapSM) forget(w *answerWaiter) {
+	for i := range w.regs {
+		reg := &w.regs[i]
+		if link := s.waiters[reg.id]; link != reg {
+			for ; link != nil; link = link.next {
+				if link.next == reg {
+					link.next = reg.next
+				}
+			}
+		} else if s.waiters[reg.id] = reg.next; reg.next == nil {
+			delete(s.waiters, reg.id)
+		}
+	}
+}
 
 // serves reports whether this shard serves key at this point in the total
 // order: the key must be owned under the current table AND not be mid-move
@@ -339,16 +424,16 @@ func (s *mapSM) ApplySeq(seq uint32, cmd []byte) {
 
 // Apply executes one committed command. Malformed commands are ignored (a
 // byzantine client must not be able to diverge or crash the replicas), and a
-// command whose id already has a real result is not re-executed: clients
+// command whose id already has a recorded result is not re-executed: clients
 // retry across replica swaps and routing epochs, and a retried CAS must not
-// observe its own first execution. Moved results do not suppress the retry —
-// the command never executed, and the total order decides afresh whether the
-// shard serves the key by then.
+// observe its own first execution. A refusal records nothing and so does not
+// suppress the retry: the total order decides afresh whether the shard serves
+// the key by then.
 //
 // A batch put is its pairs applied in slice order, each as the opPut it
-// replaces: deduplicated, refused (Moved) and answered under its own id, so a
-// batch that straddles a retry or an epoch flip re-executes only the pairs
-// that did not land.
+// replaces: deduplicated, refused and answered under its own id, so a batch
+// that straddles a retry or an epoch flip re-executes only the pairs that did
+// not land.
 func (s *mapSM) Apply(cmd []byte) {
 	c, err := decodeCommand(cmd)
 	if err != nil {
@@ -366,15 +451,17 @@ func (s *mapSM) Apply(cmd []byte) {
 }
 
 // applyCommand executes one decoded command (never an opBatchPut: Apply
-// unpacks those), unless its id already has a real result.
+// unpacks those), unless its id already has a recorded result — which is then
+// the answer.
 func (s *mapSM) applyCommand(c command) {
 	// Sampled is asked first: Addf's arguments are boxed before it can
 	// decline them, on every command of every replica.
 	sampled := s.tracer.Sampled(c.id)
-	if prev, done := s.results.lookup(c.id); done && !prev.Moved {
+	if prev, done := s.results.lookup(c.id); done {
 		if sampled {
 			s.tracer.Addf(c.id, "dedup hit at shard %d (seq %d)", s.shard, s.seq)
 		}
+		s.hand(c.id, prev, false)
 		return
 	}
 	if sampled {
@@ -383,7 +470,7 @@ func (s *mapSM) applyCommand(c command) {
 	switch c.op {
 	case opPut, opDelete, opCAS:
 		if s.held(c.key) {
-			s.setResult(c.id, result{Moved: true})
+			s.refuse(c.id)
 			return
 		}
 		ok := true
@@ -401,11 +488,17 @@ func (s *mapSM) applyCommand(c command) {
 		}
 		s.setResult(c.id, result{OK: ok, Key: c.key})
 	case opGet:
+		// A read changes nothing and its answer is no dedup state: it is
+		// worked out only where its caller waits.
+		if s.waiters[c.id] == nil {
+			return
+		}
 		r := result{OK: true, Values: make([][]byte, len(c.keys)), Found: make([]bool, len(c.keys))}
 		if !s.readKeys(c.keys, r.Values, r.Found) {
-			r = result{Moved: true}
+			s.refuse(c.id)
+			return
 		}
-		s.setResult(c.id, r)
+		s.hand(c.id, r, false)
 	case opMigrateBegin:
 		s.applyMigrateBegin(c)
 	case opMigrateCommit:
@@ -429,8 +522,8 @@ func (s *mapSM) applyCommand(c command) {
 // transaction holds its lock — a write slipping between a transaction's
 // prepare and its commit would break the transaction's atomicity (its
 // conditions were checked and its reads captured at prepare; its writes land
-// at resolve). A command on a held key answers Moved: not executed, retried
-// by the client once the hold clears.
+// at resolve). A command on a held key is refused: not executed, retried by
+// the client once the hold clears.
 func (s *mapSM) held(key string) bool {
 	_, locked := s.locks[key]
 	return locked || !s.serves(key)
@@ -521,7 +614,7 @@ func (s *mapSM) applyTxnPrepare(c command) {
 	}
 	for _, k := range fresh {
 		if !s.serves(k) {
-			s.setResult(c.id, result{Moved: true})
+			s.refuse(c.id)
 			return
 		}
 	}
@@ -610,7 +703,7 @@ func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 // The home shard (owner of HomeKey) arbitrates: the first resolve to
 // sequence against its prepared portion fixes the transaction's outcome,
 // and every later resolve or prepare re-answers it. A portion whose keys
-// are frozen mid-reshard answers Moved — the portion migrates with its keys
+// are frozen mid-reshard is refused — the portion migrates with its keys
 // and the decision chases it to the new owner, which is what guarantees a
 // reshard serializes entirely before or after the commit.
 func (s *mapSM) applyTxnResolve(c command) {
@@ -618,7 +711,7 @@ func (s *mapSM) applyTxnResolve(c command) {
 		if p.State == txnStatePrepared {
 			for _, k := range p.localKeys() {
 				if !s.serves(k) {
-					s.setResult(c.id, result{Moved: true})
+					s.refuse(c.id)
 					return
 				}
 			}
@@ -639,7 +732,7 @@ func (s *mapSM) applyTxnResolve(c command) {
 		owned = s.curRing.shard(k) == s.shard
 	}
 	if !owned {
-		s.setResult(c.id, result{Moved: true})
+		s.refuse(c.id)
 		return
 	}
 	if c.txnCommit {
@@ -783,7 +876,7 @@ func (s *mapSM) applyMigrateAbort(c command) {
 // source's frozen value.
 func (s *mapSM) applyMigrateImport(c command) {
 	if s.routing.Epoch >= c.routing.Epoch {
-		s.setResult(c.id, result{Moved: true}) // late chunk: already flipped
+		s.refuse(c.id) // late chunk: already flipped
 		return
 	}
 	for _, p := range c.pairs {
@@ -866,6 +959,11 @@ type snapshotState struct {
 type savedResult struct {
 	ID uint64 `json:"id"`
 	result
+	// Moved marks a refusal in a snapshot from before refusals stopped being
+	// recorded. It is only read: restoring drops the entry (resultWindow.reset),
+	// which kept as a result would answer the refused command's retry without
+	// executing it.
+	Moved bool `json:"moved,omitempty"`
 }
 
 // Snapshot serialises the shard for atomic state transfer to a joiner.
@@ -1005,7 +1103,7 @@ func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 		for i := range run {
 			id, r := run[i].id, &run[i].res
 			if r.Key == "" {
-				continue // reads and migration markers stay behind
+				continue // migration markers, txn answers and audits stay behind
 			}
 			dest := next.shard(r.Key)
 			if dest == s.shard {

@@ -761,6 +761,7 @@ func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 		}
 	}
 	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+	t.Logf("median resolve-to-Put-returns gap %v over %d rounds", gaps[rounds/2], rounds)
 	if median := gaps[rounds/2]; median > 5*time.Millisecond {
 		t.Errorf("median resolve-to-Put-returns gap %v over %d rounds, want under 5ms (all: %v)", median, rounds, gaps)
 	}

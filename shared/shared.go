@@ -89,6 +89,7 @@ type Replica struct {
 	lastApplied uint32
 	members     int
 	stopped     bool
+	stoppedCh   chan struct{} // closed when stopped is set (stopLocked); see Stopped
 	closed      bool
 	// applyWake is what Wait callers sleep on until the state machine may
 	// have changed: closed and replaced by the first apply (or stop) after
@@ -223,6 +224,7 @@ func newReplica(k *amoeba.Kernel, g *amoeba.Group, name string, sm StateMachine,
 		kernel:    k,
 		name:      name,
 		sm:        sm,
+		stoppedCh: make(chan struct{}),
 		applyWake: make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -353,8 +355,7 @@ func (r *Replica) start() {
 			m, err := r.group.Receive(ctx)
 			if err != nil {
 				r.mu.Lock()
-				r.stopped = true
-				r.wakeLocked()
+				r.stopLocked()
 				r.mu.Unlock()
 				return
 			}
@@ -374,6 +375,23 @@ func (r *Replica) start() {
 		}
 	}()
 }
+
+// stopLocked marks the replica stopped — its group is gone, it was expelled,
+// or it was closed — and tells everyone asleep on it: Stopped's channel closes
+// and Wait's callers wake. r.mu must be held.
+func (r *Replica) stopLocked() {
+	if !r.stopped {
+		r.stopped = true
+		close(r.stoppedCh)
+	}
+	r.wakeLocked()
+}
+
+// Stopped returns a channel closed once the replica has stopped: nothing more
+// will be applied through it, and a caller waiting for a command of its own to
+// apply should give up on this replica (Submit answers ErrStopped from then
+// on).
+func (r *Replica) Stopped() <-chan struct{} { return r.stoppedCh }
 
 // wakeLocked wakes every Wait caller; r.mu must be held.
 func (r *Replica) wakeLocked() {
@@ -489,7 +507,7 @@ func (r *Replica) applyLocked(m amoeba.Message) {
 			r.lastApplied = m.Seq
 		}
 	case amoeba.Expelled:
-		r.stopped = true
+		r.stopLocked()
 	}
 }
 
@@ -510,13 +528,12 @@ func (r *Replica) walFailLocked(err error) {
 // local state reflects it once the apply loop catches up — use Read for
 // read-your-writes patterns.
 func (r *Replica) Submit(ctx context.Context, cmd []byte) error {
-	r.mu.Lock()
-	stopped := r.stopped
-	r.mu.Unlock()
-	if stopped {
+	select {
+	case <-r.stoppedCh:
 		return ErrStopped
+	default:
+		return r.group.Send(ctx, cmd)
 	}
-	return r.group.Send(ctx, cmd)
 }
 
 // SubmitBatch routes several commands through the group as one pipelined
@@ -529,13 +546,12 @@ func (r *Replica) Submit(ctx context.Context, cmd []byte) error {
 // them into one command, as kv's BatchPut does, and use this only for what
 // does not fit one. It returns the first error encountered.
 func (r *Replica) SubmitBatch(ctx context.Context, cmds [][]byte) error {
-	r.mu.Lock()
-	stopped := r.stopped
-	r.mu.Unlock()
-	if stopped {
+	select {
+	case <-r.stoppedCh:
 		return ErrStopped
+	default:
+		return r.group.SendBatch(ctx, cmds)
 	}
-	return r.group.SendBatch(ctx, cmds)
 }
 
 // Stats exposes the underlying group's protocol counters, including the
@@ -674,8 +690,7 @@ func (r *Replica) Close() {
 		return
 	}
 	r.closed = true
-	r.stopped = true
-	r.wakeLocked()
+	r.stopLocked()
 	r.mu.Unlock()
 	if r.cancel != nil {
 		r.cancel()
