@@ -162,9 +162,8 @@ func TestHarnessFaultScheduleRun(t *testing.T) {
 // quorum-less recovery (MinSurvivors 1) both partition sides complete the
 // reset protocol independently — two sequencers, two divergent total
 // orders, a non-linearizable history. The majority default masks the same
-// schedule. The fault is timing-dependent — about every other quorum-less
-// run recovers cleanly (28 of 64 measured on a two-core host) — so the
-// violating half retries.
+// schedule. The fault is timing-dependent enough that a single quorum-less
+// run occasionally recovers cleanly, so the violating half retries.
 func TestHarnessQuorumlessSplitBrainRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault schedule")
@@ -176,7 +175,7 @@ func TestHarnessQuorumlessSplitBrainRegression(t *testing.T) {
 	}
 
 	caught := false
-	for attempt := 0; attempt < 6 && !caught; attempt++ {
+	for attempt := 0; attempt < 3 && !caught; attempt++ {
 		res := Run(Config{MinSurvivors: -1}, sched)
 		if res.Err != nil {
 			t.Fatalf("harness error: %v", res.Err)

@@ -74,8 +74,7 @@ func fnvAdd(h, v uint64) uint64 {
 // derived from items at apply time, and hashing lengths keeps the fold
 // cheap. The result window maintains the wrapping sum of these across its
 // entries (resultWindow.sum) so digestState reads the whole window in O(1).
-// (Bit 1 of the flags was a recorded refusal's; none is recorded any more, and
-// the other bits keep their places so older checkpoints' stamps still verify.)
+// (Bit 1 of the flags is unused: a refusal is not recorded.)
 func resultSum(id uint64, r result) uint64 {
 	var flags uint64
 	if r.OK {
@@ -294,7 +293,10 @@ func (s *Store) auditTick(ctx context.Context) {
 
 // AuditNow submits one audit to every hosted shard and waits for each to
 // apply locally, regardless of whether a periodic driver is running. Tests
-// and the wire-protocol HEALTH path use it to force a fresh comparison.
+// and the wire-protocol HEALTH path use it to force a fresh comparison. Like
+// any operation (Store.do) it rides out a replica swap: an audit whose replica
+// stops under it is re-driven, under the same id, against the replacement the
+// self-heal installs, until ctx ends — it does not fail with ErrStopped.
 func (s *Store) AuditNow(ctx context.Context) error {
 	aud := s.opts.Group.Obs.Health()
 	node := auditNodeName(s.opts.NodeIndex)

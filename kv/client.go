@@ -1067,28 +1067,39 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 	if len(keys) == 0 {
 		return map[string][]byte{}, nil
 	}
-	var values [][]byte
-	var found []bool
-	get := &Request{Op: ReqGet, Keys: keys}
-	if r, _ := c.routingRing(); oneShard(r, get) >= 0 {
-		resp, err := c.Do(ctx, get)
-		if err != nil {
-			return nil, err
+	if r, _ := c.routingRing(); r != nil {
+		single := true
+		s0 := r.shard(keys[0])
+		for _, k := range keys[1:] {
+			if r.shard(k) != s0 {
+				single = false
+				break
+			}
 		}
-		values, found = resp.Values, resp.Found
-	} else {
-		// Multi-shard (or ring-less, where the serving node decides): a
-		// read-only transaction captures all keys under one set of locks.
-		res, err := c.Txn(ctx, TxnOp{Reads: keys})
-		if err != nil {
-			return nil, err
+		if single {
+			resp, err := c.Do(ctx, &Request{Op: ReqGet, Keys: keys})
+			if err != nil {
+				return nil, err
+			}
+			out := make(map[string][]byte, len(keys))
+			for i, k := range keys {
+				if resp.Found[i] {
+					out[k] = resp.Values[i]
+				}
+			}
+			return out, nil
 		}
-		values, found = res.Values, res.Found
+	}
+	// Multi-shard (or ring-less, where the serving node decides): a
+	// read-only transaction captures all keys under one set of locks.
+	res, err := c.Txn(ctx, TxnOp{Reads: keys})
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string][]byte, len(keys))
 	for i, k := range keys {
-		if i < len(found) && found[i] {
-			out[k] = values[i]
+		if i < len(res.Found) && res.Found[i] {
+			out[k] = res.Values[i]
 		}
 	}
 	return out, nil
@@ -1144,9 +1155,10 @@ func (res *result) response() *Response {
 }
 
 // do submits one shard's commands — a lone command through Submit, several
-// through SubmitBatch — and sleeps until the local replica has applied every
-// one, i.e. until they are totally ordered AND applied locally, which gives
-// read-your-writes even for LocalGet. The ids are registered with the state
+// through SubmitBatch — and sleeps until the local replica has answered every
+// id, i.e. until each is totally ordered AND applied locally (an id that
+// repeats is answered by its first application; a later one changes nothing),
+// which gives read-your-writes even for LocalGet. The ids are registered with the state
 // machine BEFORE the submit and each answer is handed over as its command
 // applies (answerWaiter): nothing is looked up afterwards, so neither the
 // number of ids nor what the result window has evicted meanwhile matters. It

@@ -139,22 +139,6 @@ func TestAnswerHandoff(t *testing.T) {
 				t.Fatal("a withdrawn waiter was woken")
 			}
 		}},
-		{"a refusal an older snapshot recorded is dropped at restore, so its retry executes", func(t *testing.T, sm *mapSM) {
-			old := `{"items":{},"window":64,"routing":{"Epoch":0,"Shards":1,"VNodes":8},` +
-				`"results":[{"id":60,"ok":false,"moved":true},{"id":61,"ok":true,"key":"other"}]}`
-			if err := sm.Restore([]byte(old)); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			if recorded(sm, 60) || !recorded(sm, 61) || sm.results.len() != 1 {
-				t.Fatalf("restored window holds %d results (60: %v, 61: %v), want only 61",
-					sm.results.len(), recorded(sm, 60), recorded(sm, 61))
-			}
-			w := expect(sm, 60)
-			sm.Apply(encodePut(60, "k", []byte("v")))
-			if !woken(w) || w.moved || !w.first.OK || string(sm.items["k"]) != "v" {
-				t.Fatalf("the retried Put: first %+v moved %v, k = %q", w.first, w.moved, sm.items["k"])
-			}
-		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -406,8 +406,11 @@ func (s *Store) nudgeTopology() {
 // startSelfHeal launches the per-shard watchers and the topology worker;
 // called once construction succeeded.
 func (s *Store) startSelfHeal() {
-	for i, r := range s.snapshotShards() {
-		if r == nil {
+	s.mu.RLock()
+	n := len(s.shards)
+	s.mu.RUnlock()
+	for i := 0; i < n; i++ {
+		if s.Replica(i) == nil {
 			continue // not hosted under bounded replication
 		}
 		s.healWG.Add(1)
@@ -434,7 +437,12 @@ func (s *Store) flight() *obs.Recorder {
 func (s *Store) watchShard(i int) {
 	defer s.healWG.Done()
 	for {
-		r := s.Replica(i)
+		s.mu.RLock()
+		var r *shared.Replica
+		if i < len(s.shards) {
+			r = s.shards[i]
+		}
+		s.mu.RUnlock()
 		if r == nil {
 			return // retired (or never hosted)
 		}
@@ -444,7 +452,11 @@ func (s *Store) watchShard(i int) {
 		case <-s.healCtx.Done():
 			return
 		}
-		if s.isClosed() || s.Replica(i) != r {
+		s.mu.RLock()
+		closed := s.closed
+		current := i < len(s.shards) && s.shards[i] == r
+		s.mu.RUnlock()
+		if closed || !current {
 			return // store closing, or the shard was retired/swapped
 		}
 		if rt := s.Routing(); i >= rt.Shards && s.PendingRouting() == nil {
@@ -505,9 +517,13 @@ func (s *Store) reconcileTopology() {
 	if pending != nil && pending.Shards > want {
 		want = pending.Shards
 	}
+	nodes := s.opts.Nodes
+	if nodes <= 0 {
+		nodes = 1
+	}
 	// Grow: open replicas for announced shards this node should host.
 	for i := 0; i < want; i++ {
-		if !hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication) {
+		if !hostsShard(i, s.opts.NodeIndex, nodes, s.opts.Replication) {
 			continue
 		}
 		s.mu.Lock()
@@ -545,8 +561,11 @@ func (s *Store) reconcileTopology() {
 	}
 	// Shrink: retire shards the committed table no longer contains.
 	if pending == nil {
-		for i, r := range s.snapshotShards() {
-			if i >= cur.Shards && r != nil {
+		s.mu.RLock()
+		n := len(s.shards)
+		s.mu.RUnlock()
+		for i := cur.Shards; i < n; i++ {
+			if r := s.Replica(i); r != nil {
 				s.healWG.Add(1)
 				go s.retireShard(i, r, cur.Epoch)
 			}
@@ -649,11 +668,32 @@ func Bootstrap(ctx context.Context, kernels []*amoeba.Kernel, name string, opts 
 			return fail(fmt.Errorf("kv: creating %s: %w", group, err))
 		}
 		stores[creator].shards[i] = r
-	}
-	// The remaining hosting nodes join; each join is a group membership
-	// change plus a (tiny, empty-state) transfer.
-	if err := openHosted(ctx, stores, opts.Shards, false); err != nil {
-		return fail(err)
+		// The remaining hosting nodes join concurrently; each join is a
+		// group membership change plus a (tiny, empty-state) transfer.
+		var wg sync.WaitGroup
+		errs := make([]error, len(kernels))
+		for n := range kernels {
+			if n == creator || !hostsShard(i, n, len(kernels), opts.Replication) {
+				continue
+			}
+			n := n
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rep, err := stores[n].joinShard(ctx, i)
+				if err != nil {
+					errs[n] = fmt.Errorf("kv: node %d joining %s: %w", n, group, err)
+					return
+				}
+				stores[n].shards[i] = rep
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return fail(err)
+			}
+		}
 	}
 	for _, s := range stores {
 		s.startSelfHeal()
@@ -770,11 +810,10 @@ func Join(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*St
 
 // openHosted sizes each store's shard table to shardCount and opens, through
 // openShard (fresh marks a declared first boot), every shard its placement
-// slot hosts and it does not hold yet — all of them side by side, across the
-// stores too: a shard's cold-start election needs its peers up. The first
-// failure wins and cancels the rest: a joiner whose creator never came up
-// retries until its context ends, so without this a single bad data directory
-// would hang the whole boot.
+// slot hosts — all of them side by side, across the stores too: a shard's
+// cold-start election needs its peers up. The first failure wins and cancels
+// the rest: a joiner whose creator never came up retries until its context
+// ends, so without this a single bad data directory would hang the whole boot.
 func openHosted(ctx context.Context, stores []*Store, shardCount int, fresh bool) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -788,8 +827,9 @@ func openHosted(ctx context.Context, stores []*Store, shardCount int, fresh bool
 		for len(s.shards) < shardCount {
 			s.shards = append(s.shards, nil)
 		}
+		s.mu.Unlock()
 		for i := 0; i < shardCount; i++ {
-			if s.shards[i] != nil || !hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication) {
+			if !hostsShard(i, s.opts.NodeIndex, s.opts.Nodes, s.opts.Replication) {
 				continue
 			}
 			s, i := s, i
@@ -809,7 +849,6 @@ func openHosted(ctx context.Context, stores []*Store, shardCount int, fresh bool
 				s.mu.Unlock()
 			}()
 		}
-		s.mu.Unlock()
 	}
 	wg.Wait()
 	return firstErr
@@ -824,7 +863,10 @@ func (s *Store) openShard(ctx context.Context, shard int, bootstrap bool) (*shar
 	if s.opts.DataDir == "" {
 		return s.joinShard(ctx, shard)
 	}
-	nodes := s.nodes()
+	nodes := s.opts.Nodes
+	if nodes <= 0 {
+		nodes = 1
+	}
 	dur := shared.Durability{
 		Dir:             shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, shard),
 		Sync:            s.opts.WALSync,
@@ -922,12 +964,12 @@ func (s *Store) expectsShard(i int) bool {
 	if i < 0 || i >= want {
 		return false
 	}
-	return hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication)
+	nodes := s.opts.Nodes
+	if nodes <= 0 {
+		nodes = 1
+	}
+	return hostsShard(i, s.opts.NodeIndex, nodes, s.opts.Replication)
 }
-
-// nodes is the placement rule's modulus: the configured node count, or one
-// for a node joined without it (full replication).
-func (s *Store) nodes() int { return max(s.opts.Nodes, 1) }
 
 // Replica exposes shard i's underlying replica, for group-level operations
 // (Reset, Info, Applied) and advanced reads. After a self-heal the handle a

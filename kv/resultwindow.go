@@ -75,8 +75,7 @@ func (w *resultWindow) fifo() [2][]resultSlot {
 
 // reset replaces the contents with results given oldest first, under a new
 // window when window > 0. A list longer than the window — none an honest
-// replica snapshots — keeps its newest entries, and a refusal, which only an
-// older version recorded, is passed over.
+// replica snapshots — keeps its newest entries.
 func (w *resultWindow) reset(results []savedResult, window int) {
 	if window > 0 {
 		w.window = window
@@ -88,8 +87,6 @@ func (w *resultWindow) reset(results []savedResult, window int) {
 	w.index = make(map[uint64]int32, len(results))
 	w.head, w.sum = 0, 0
 	for _, r := range results {
-		if !r.Moved {
-			w.set(r.ID, r.result)
-		}
+		w.set(r.ID, r.result)
 	}
 }

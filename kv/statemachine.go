@@ -55,7 +55,7 @@ type result struct {
 type answerWaiter struct {
 	regs    []answerReg   // one claim per id
 	pending int           // claims not yet answered
-	first   result        // the answer to regs[0].id
+	first   result        // the answer to the first id
 	moved   bool          // a command was refused: not executed, re-resolve and retry
 	done    chan struct{} // one slot, filled when pending reaches zero
 }
@@ -338,7 +338,7 @@ func (s *mapSM) hand(id uint64, r result, moved bool) {
 	delete(s.waiters, id)
 	for reg != nil {
 		w, next := reg.w, reg.next // a woken caller may recycle w at once, regs included
-		if reg == &w.regs[0] {
+		if id == w.regs[0].id {
 			w.first = r
 		}
 		w.moved = w.moved || moved
@@ -350,8 +350,9 @@ func (s *mapSM) hand(id uint64, r result, moved bool) {
 }
 
 // expect registers w for the answers to ids, which its caller is about to
-// submit. A repeated id is a claim of its own, so w wakes once every command
-// has applied however the ids repeat. Caller holds the replica lock (Read).
+// submit. A repeated id is a claim of its own, and all the claims on an id are
+// answered together at its first application (a later one is a dedup hit that
+// changes nothing). Caller holds the replica lock (Read).
 func (s *mapSM) expect(w *answerWaiter, ids []uint64) {
 	if cap(w.regs) < len(ids) {
 		w.regs = make([]answerReg, len(ids))
@@ -959,11 +960,6 @@ type snapshotState struct {
 type savedResult struct {
 	ID uint64 `json:"id"`
 	result
-	// Moved marks a refusal in a snapshot from before refusals stopped being
-	// recorded. It is only read: restoring drops the entry (resultWindow.reset),
-	// which kept as a result would answer the refused command's retry without
-	// executing it.
-	Moved bool `json:"moved,omitempty"`
 }
 
 // Snapshot serialises the shard for atomic state transfer to a joiner.
