@@ -123,7 +123,7 @@ func (g *Group) Name() string { return g.name }
 // until the message is totally ordered (and, with resilience r, stored by r
 // other members). Sends from one Group handle are delivered FIFO.
 func (g *Group) Send(ctx context.Context, payload []byte) error {
-	return waitCtx(ctx, func(done func(error)) { g.ep.Send(payload, done) })
+	return waitCtx(ctx, func(done func(error)) { g.Start([][]byte{payload}, done) })
 }
 
 // SendBatch broadcasts several payloads to the group as one pipelined burst:
@@ -135,33 +135,55 @@ func (g *Group) Send(ctx context.Context, payload []byte) error {
 // payload is ordered (and, with resilience r, stored by r other members); it
 // returns the first error encountered.
 func (g *Group) SendBatch(ctx context.Context, payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	errs := make(chan error, len(payloads))
-	dones := make([]func(error), len(payloads))
-	for i := range dones {
-		dones[i] = func(e error) { errs <- e }
-	}
-	// One submission under one lock: the burst coalesces into batch
-	// requests before the send window starts transmitting — on the
-	// sequencer's own node too, where ordering is deferred one drain cycle
-	// for exactly this purpose.
-	g.ep.SendMany(payloads, dones)
-	var first error
-	for range payloads {
-		select {
-		case err := <-errs:
-			if err != nil && first == nil {
-				first = err
-			}
-		case <-ctx.Done():
-			// The protocol operations continue in the background;
-			// only the wait is abandoned.
-			return ctx.Err()
+	return waitCtx(ctx, func(done func(error)) { g.Start(payloads, done) })
+}
+
+// Start is the non-blocking half of Send and SendBatch, which are Start plus
+// a wait: it submits payloads as one burst and returns, and done is called
+// once, when every payload is ordered (and, with resilience r, stored by r
+// other members), with the first error any of them met. The payloads are
+// copied before Start returns. done may run before Start returns, on the
+// caller's goroutine, or later on a protocol goroutine; it must not block.
+func (g *Group) Start(payloads [][]byte, done func(error)) {
+	switch len(payloads) {
+	case 0:
+		done(nil)
+	case 1:
+		g.ep.SendMany(payloads, []func(error){done})
+	default:
+		one := (&allDone{left: len(payloads), done: done}).one
+		dones := make([]func(error), len(payloads))
+		for i := range dones {
+			dones[i] = one
 		}
+		// One submission under one lock: the burst coalesces into batch
+		// requests before the send window starts transmitting — on the
+		// sequencer's own node too, where ordering is deferred one drain
+		// cycle for exactly this purpose.
+		g.ep.SendMany(payloads, dones)
 	}
-	return first
+}
+
+// allDone folds a burst's per-payload completions into one: the first error,
+// reported once the last payload completes.
+type allDone struct {
+	mu   sync.Mutex
+	left int
+	err  error
+	done func(error)
+}
+
+func (a *allDone) one(err error) {
+	a.mu.Lock()
+	if a.err == nil {
+		a.err = err
+	}
+	a.left--
+	last := a.left == 0
+	a.mu.Unlock()
+	if last {
+		a.done(a.err)
+	}
 }
 
 // GroupStats counts protocol events on this member's endpoint. The batch

@@ -105,9 +105,9 @@ func resultSum(id uint64, r result) uint64 {
 // digestState hashes the replicated state into n key-range digests plus a
 // meta digest. It is a pure function of the replicated state: every replica
 // of one shard computes the identical result at the same position in the
-// total order, and a replica restored from a snapshot (nil vs empty slices
-// normalised by the JSON round-trip) computes the same value as the replica
-// that took it.
+// total order, and a replica restored from a snapshot computes the same value
+// as the replica that took it — the fold reads lengths and contents, never
+// whether a slice is nil or empty, which a snapshot need not keep apart.
 func (s *mapSM) digestState(n int) obs.Digest {
 	if n <= 0 {
 		n = 1
@@ -294,7 +294,7 @@ func (s *Store) auditTick(ctx context.Context) {
 // AuditNow submits one audit to every hosted shard and waits for each to
 // apply locally, regardless of whether a periodic driver is running. Tests
 // and the wire-protocol HEALTH path use it to force a fresh comparison. Like
-// any operation (Store.do) it rides out a replica swap: an audit whose replica
+// any operation (Store.finish) it rides out a replica swap: an audit whose replica
 // stops under it is re-driven, under the same id, against the replacement the
 // self-heal installs, until ctx ends — it does not fail with ErrStopped.
 func (s *Store) AuditNow(ctx context.Context) error {

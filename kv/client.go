@@ -640,9 +640,10 @@ func (c *Client) split(r *ring, rt Routing, req *Request) (int, []shardPart) {
 
 // gather runs a split request's parts side by side and merges their answers.
 func (c *Client) gather(ctx context.Context, req *Request, parts []shardPart) (*Response, error) {
-	answers, err := scatter(parts, func(p shardPart) (*Response, error) {
-		return c.doShard(ctx, p.shard, p.req)
-	})
+	calls := make([]localCall, len(parts)) // each part's state from start to finish
+	answers, err := scatter(parts,
+		func(i int) bool { return c.start(parts[i].shard, parts[i].req, &calls[i]) },
+		func(i int) (*Response, error) { return c.finish(ctx, parts[i].shard, parts[i].req, &calls[i]) })
 	if err != nil {
 		return nil, err
 	}
@@ -665,25 +666,37 @@ func (c *Client) gather(ctx context.Context, req *Request, parts []shardPart) (*
 	return &Response{OK: true}, nil
 }
 
-// scatter is the one fan-out: it runs every part, each on its own goroutine
-// (a lone part on the caller's), and returns the answers in part order. Its
-// one error rule is that a real error beats errMoved: the retry loop only
-// helps the moved case, and must not mask a persistent failure.
-func scatter(parts []shardPart, run func(shardPart) (*Response, error)) ([]*Response, error) {
+// scatter is the one fan-out. start is offered every part first, in order, on
+// the caller's goroutine, and reports whether it took the part on without
+// blocking — answered it outright, or begun it on this node's replica, its
+// commands submitted and its answers on their way. A part start leaves
+// (a nil start leaves all) blocks in finish — an RPC, a whole request's retry
+// loop — and runs on a goroutine of its own unless it is the only part. Then
+// finish runs for every part start took, in order, on the caller's goroutine:
+// the answers are handed over as the commands apply, so waiting for one part
+// delays none of the others. The answers come back in part order. The one
+// error rule is that a real error beats errMoved: the retry loop only helps
+// the moved case, and must not mask a persistent failure.
+func scatter(parts []shardPart, start func(i int) bool, finish func(i int) (*Response, error)) ([]*Response, error) {
 	answers, errs := make([]*Response, len(parts)), make([]error, len(parts))
-	if len(parts) == 1 {
-		answers[0], errs[0] = run(parts[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := range parts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				answers[i], errs[i] = run(parts[i])
-			}(i)
+	taken := make([]bool, len(parts))
+	var wg sync.WaitGroup
+	for i := range parts {
+		if taken[i] = start != nil && start(i) || len(parts) == 1; taken[i] {
+			continue
 		}
-		wg.Wait()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			answers[i], errs[i] = finish(i)
+		}(i)
 	}
+	for i := range parts {
+		if taken[i] {
+			answers[i], errs[i] = finish(i)
+		}
+	}
+	wg.Wait()
 	var first error
 	for _, err := range errs {
 		if err != nil && (first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved)) {
@@ -719,30 +732,71 @@ func mergeReadPaths(paths []byte) byte {
 // range is frozen mid-handoff, flipped to a new owner, or prepare-locked —
 // goes back to Do as errMoved.
 func (c *Client) doShard(ctx context.Context, shard int, req *Request) (*Response, error) {
+	var call localCall
+	c.start(shard, req, &call)
+	return c.finish(ctx, shard, req, &call)
+}
+
+// localCall is what Client.start made of a request it took on: an answer it
+// had at once (resp, err), or the request's commands begun on this node's
+// replica (shardCall) for finish to wait out.
+type localCall struct {
+	shardCall
+	resp *Response
+	err  error
+	t0   time.Time // when the commands were begun, for the local-path histogram
+}
+
+// start is the non-blocking half of doShard. It takes on what needs no other
+// node: a local lease or bounded-stale read, answered at once; a shard this
+// node should host but is still installing, answered Moved; and a request
+// this node executes on its own replica, begun (Store.begin). It reports
+// false, touching nothing, for a request that must go over RPC.
+func (c *Client) start(shard int, req *Request, call *localCall) bool {
 	if c.s == nil || shard < 0 || c.s.Replica(shard) == nil {
 		// A shard this node SHOULD host but does not yet is being opened by
 		// the topology worker (a split in flight): its installation is a
 		// change Do's loop waits for, instead of assuming a remote owner.
 		if c.s != nil && shard >= 0 && c.s.expectsShard(shard) && !c.s.isClosed() {
-			return nil, errMoved
+			call.err = errMoved
+			return true
 		}
-		return c.remoteCall(ctx, shard, req)
+		return false
 	}
 	if req.Op == ReqGet {
-		if resp, ok := c.localFastRead(shard, req); ok {
-			return resp, nil
+		var ok bool
+		if call.resp, ok = c.localFastRead(shard, req); ok {
+			return true
 		}
 	}
 	c.localOps.Add(1)
-	var t0 time.Time
 	if c.localH != nil {
-		t0 = time.Now()
+		call.t0 = time.Now()
 	}
-	resp, err := c.s.execLocal(ctx, shard, req)
-	if err == nil && c.localH != nil {
-		c.localH.Observe(time.Since(t0))
+	call.err = c.s.beginRequest(&call.shardCall, shard, req)
+	return true
+}
+
+// finish is doShard's other half: the answer to a request start took on —
+// waited for, if start began it — or, for one start left, the RPC.
+func (c *Client) finish(ctx context.Context, shard int, req *Request, call *localCall) (*Response, error) {
+	if call.w == nil {
+		if call.resp == nil && call.err == nil {
+			return c.remoteCall(ctx, shard, req)
+		}
+		return call.resp, call.err
 	}
-	return resp, err
+	res, err := c.s.finish(ctx, &call.shardCall)
+	if err != nil {
+		return nil, err
+	}
+	if c.localH != nil {
+		c.localH.Observe(time.Since(call.t0))
+	}
+	if req.Op == ReqBatchPut {
+		return &Response{OK: true}, nil
+	}
+	return res.response(), nil
 }
 
 // localFastRead tries the read shortcuts against this node's replica of
@@ -1107,13 +1161,28 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 
 // --- Local execution (the in-process fast path) ------------------------------
 
-// execLocal runs a single-shard request against this node's replica,
-// translating it into deduplicated shard commands. It is the shared
-// execution path of node-bound clients and the Service. It returns errMoved
-// when the replica does not serve (all of) the request's keys at the
-// command's position in the total order — mid-handoff freeze, a completed
-// flip, or a prepare lock — and Do re-resolves and retries.
-func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Response, error) {
+// shardCall is one shard's commands on their way through this node's replica,
+// split in two so that a caller with several shards to write starts them all
+// before it waits for any (scatter): begin claims the ids with the replica's
+// state machine and starts the submission, finish waits for both to come back.
+type shardCall struct {
+	shard int
+	// The commands, pairwise: cmds[i] answers under ids[i] (a batch put's
+	// command under all its pairs' ids). A lone command is id and cmd
+	// instead, with ids nil: held in the call, its two one-element lists are
+	// temporaries of begin's and need no heap.
+	ids  []uint64
+	cmds [][]byte
+	id   uint64
+	cmd  []byte
+	r    *shared.Replica // the replica it was begun on
+	w    *answerWaiter   // its claims and the submission's outcome; nil until begun
+}
+
+// beginRequest translates a single-shard request into deduplicated shard
+// commands and begins them on this node's replica of shard, into c. It is the
+// shared execution path of node-bound clients and the Service.
+func (s *Store) beginRequest(c *shardCall, shard int, req *Request) error {
 	var cmd []byte
 	switch req.Op {
 	case ReqPut:
@@ -1125,22 +1194,17 @@ func (s *Store) execLocal(ctx context.Context, shard int, req *Request) (*Respon
 	case ReqGet:
 		cmd = encodeGet(req.ID, req.Keys)
 	case ReqBatchPut:
-		if err := s.putBatch(ctx, shard, req.IDs, req.Pairs); err != nil {
-			return nil, err
-		}
-		return &Response{OK: true}, nil
+		c.shard, c.ids, c.cmds = shard, req.IDs, batchPutCommands(req.IDs, req.Pairs)
+		return s.begin(c)
 	case ReqTxnPrepare:
 		cmd = encodeTxnPrepare(req.ID, req.TxnID, req.HomeKey, req.AllKeys, req.Keys, req.Writes, req.Conds)
 	case ReqTxnResolve:
 		cmd = encodeTxnResolve(req.ID, req.TxnID, req.Commit, req.HomeKey, req.AllKeys)
 	default:
-		return nil, fmt.Errorf("kv: unknown request op %d", req.Op)
+		return fmt.Errorf("kv: unknown request op %d", req.Op)
 	}
-	res, err := s.do(ctx, shard, []uint64{req.ID}, [][]byte{cmd})
-	if err != nil {
-		return nil, err
-	}
-	return res.response(), nil
+	c.shard, c.id, c.cmd = shard, req.ID, cmd
+	return s.begin(c)
 }
 
 // response renders a command's answer as the access protocol's, with copies
@@ -1154,83 +1218,100 @@ func (res *result) response() *Response {
 	return out
 }
 
-// do submits one shard's commands — a lone command through Submit, several
-// through SubmitBatch — and sleeps until the local replica has answered every
-// id, i.e. until each is totally ordered AND applied locally (an id that
-// repeats is answered by its first application; a later one changes nothing),
-// which gives read-your-writes even for LocalGet. The ids are registered with the state
-// machine BEFORE the submit and each answer is handed over as its command
-// applies (answerWaiter): nothing is looked up afterwards, so neither the
-// number of ids nor what the result window has evicted meanwhile matters. It
+// do runs one shard's commands to the end: begin, then finish.
+func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds [][]byte) (result, error) {
+	c := shardCall{shard: shard, ids: ids, cmds: cmds}
+	if err := s.begin(&c); err != nil {
+		return result{}, err
+	}
+	return s.finish(ctx, &c)
+}
+
+// begin registers c's ids with the state machine of this node's replica of
+// c.shard and then starts submitting c's commands, waiting for neither. The
+// ids are registered BEFORE the submission, and each answer is handed over
+// as its command applies (answerWaiter): nothing is looked up afterwards, so
+// neither the number of ids nor what the result window evicts meanwhile
+// matters, nor how long the caller takes to come back for them.
+func (s *Store) begin(c *shardCall) error {
+	r := s.Replica(c.shard)
+	if r == nil {
+		return fmt.Errorf("kv: shard %d is not hosted on this node (replication %d)", c.shard, s.opts.Replication)
+	}
+	ids, cmds := c.ids, c.cmds
+	if ids == nil {
+		ids, cmds = []uint64{c.id}, [][]byte{c.cmd}
+	}
+	w := answerWaiters.Get().(*answerWaiter)
+	r.Read(func(sm shared.StateMachine) { sm.(*mapSM).expect(w, ids) })
+	c.r, c.w = r, w
+	r.Start(cmds, w.started)
+	return nil
+}
+
+// finish waits for a begun call until the submission has completed and the
+// local replica has answered every id — until each command is totally ordered
+// (and, with resilience, stored by r other members) AND applied locally (an id
+// that repeats is answered by its first application; a later one changes
+// nothing), which gives read-your-writes even for LocalGet. A failed
+// submission (a command over the group's size limit) returns at once. It
 // returns the first id's answer, and errMoved if any command was refused (a
-// batch that straddled an epoch flip: the caller re-splits and only the refused
-// pairs re-execute).
+// batch that straddled an epoch flip: the caller re-splits and only the
+// refused pairs re-execute).
 //
 // If the local replica stops mid-operation (expelled by a recovery this node
-// missed), do retries against the replacement the store's self-heal swaps in,
-// whose installation wakes it. Retrying is safe: commands are deduplicated by
-// id in the replicated state machine, and if the first attempt did commit, the
-// rejoined replica's transferred state holds its result, which the
-// re-application meets and hands over.
-func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds [][]byte) (result, error) {
+// missed), finish begins the call again on the replacement the store's
+// self-heal swaps in, whose installation wakes it. Retrying is safe: commands
+// are deduplicated by id in the replicated state machine, and if the first
+// attempt did commit, the rejoined replica's transferred state holds its
+// result, which the re-application meets and hands over.
+func (s *Store) finish(ctx context.Context, c *shardCall) (result, error) {
 	var backoff time.Duration
 	for {
-		r := s.Replica(shard)
-		if r == nil {
-			return result{}, fmt.Errorf("kv: shard %d is not hosted on this node (replication %d)", shard, s.opts.Replication)
-		}
-		w := answerWaiters.Get().(*answerWaiter)
-		r.Read(func(sm shared.StateMachine) { sm.(*mapSM).expect(w, ids) })
-		var err error
-		if len(cmds) == 1 {
-			err = r.Submit(ctx, cmds[0])
-		} else {
-			err = r.SubmitBatch(ctx, cmds)
-		}
+		r, w := c.r, c.w
+		err := w.wait(ctx, r.Stopped())
 		if err == nil {
-			select {
-			case <-w.done:
-				// Every claim is answered and unlinked: nothing references w
-				// any more. This is the only path that recycles it.
-				first, moved := w.first, w.moved
-				w.first, w.moved = result{}, false
-				answerWaiters.Put(w)
-				if moved {
-					return first, errMoved
-				}
-				return first, nil
-			case <-ctx.Done():
-				err = ctx.Err()
-			case <-r.Stopped():
-				err = shared.ErrStopped
+			// Every claim is answered and unlinked, and the submission has
+			// reported: nothing references w any more. This is the only path
+			// that recycles it.
+			first, moved := w.first, w.moved
+			w.first, w.moved = result{}, false
+			answerWaiters.Put(w)
+			if moved {
+				return first, errMoved
 			}
+			return first, nil
 		}
 		// Leaving without the answers: withdraw the claims. w is let go, not
-		// recycled — its last answer may have raced this exit into w.done.
+		// recycled — its last answer or the submission's outcome may yet
+		// arrive.
 		r.Read(func(sm shared.StateMachine) { sm.(*mapSM).forget(w) })
 		// ErrStopped: the replica stopped under us. ErrNotMember: an
-		// in-flight Submit was aborted by the expulsion itself. Both mean
-		// "this replica is gone"; wait for the self-heal watcher to swap
-		// in a fresh one — unless the whole store is closed.
+		// in-flight submission was aborted by the expulsion itself. Both mean
+		// "this replica is gone"; wait for the self-heal watcher to swap in a
+		// fresh one — unless the whole store is closed.
 		if !errors.Is(err, shared.ErrStopped) && !errors.Is(err, amoeba.ErrNotMember) {
-			return result{}, fmt.Errorf("kv: shard %d: %w", shard, err)
+			return result{}, fmt.Errorf("kv: shard %d: %w", c.shard, err)
 		}
 		if s.isClosed() {
-			return result{}, fmt.Errorf("kv: shard %d: %w", shard, shared.ErrStopped)
+			return result{}, fmt.Errorf("kv: shard %d: %w", c.shard, shared.ErrStopped)
 		}
 		// The channel is taken before the re-check, so a swap on either
 		// side of it is seen.
-		if wake := s.RoutingWatch(); s.Replica(shard) == r && s.awaitChange(ctx, wake, &backoff) != nil {
-			return result{}, fmt.Errorf("kv: shard %d: %w", shard, err)
+		if wake := s.RoutingWatch(); s.Replica(c.shard) == r && s.awaitChange(ctx, wake, &backoff) != nil {
+			return result{}, fmt.Errorf("kv: shard %d: %w", c.shard, err)
+		}
+		if err := s.begin(c); err != nil {
+			return result{}, err
 		}
 	}
 }
 
-// putBatch writes one shard's pairs, pairs[i] under ids[i], in slice order. A
-// command is filled to maxCommandBytes, so a shard's pairs usually travel as
-// one ordered message; however many commands and pairs there are, they are one
-// submission and one wait.
-func (s *Store) putBatch(ctx context.Context, shard int, ids []uint64, pairs []Pair) error {
+// batchPutCommands packs one shard's pairs, pairs[i] under ids[i], into
+// commands in slice order. A command is filled to maxCommandBytes, so a
+// shard's pairs usually travel as one ordered message; however many commands
+// and pairs there are, they are one submission and one wait.
+func batchPutCommands(ids []uint64, pairs []Pair) [][]byte {
 	var cmds [][]byte
 	for start := 0; start < len(pairs); {
 		end, size := start, 0
@@ -1245,6 +1326,5 @@ func (s *Store) putBatch(ctx context.Context, shard int, ids []uint64, pairs []P
 		cmds = append(cmds, encodeBatchPut(ids[start:end], pairs[start:end]))
 		start = end
 	}
-	_, err := s.do(ctx, shard, ids, cmds)
-	return err
+	return cmds
 }

@@ -208,9 +208,8 @@ func encodeMigrateImport(id uint64, rt Routing, chunk *importChunk) []byte {
 		}
 		dst = appendBytes(dst, []byte(r.Key))
 	}
-	// Transaction portions travel as their snapshot (JSON) form: they are
-	// rare relative to pairs, and reusing the snapshot codec keeps the two
-	// serialisations from drifting apart.
+	// Transaction portions travel as JSON (txnPortion's tags): they are rare
+	// relative to pairs, and journals hold this spelling, so it stays.
 	dst = binary.AppendUvarint(dst, uint64(len(chunk.Txns)))
 	for _, p := range chunk.Txns {
 		blob, err := json.Marshal(p)

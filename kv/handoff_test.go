@@ -1,7 +1,14 @@
 package kv
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
+	"time"
+
+	"amoeba"
+	"amoeba/shared"
 )
 
 // TestAnswerHandoff holds the one place a command is answered to its contract,
@@ -144,5 +151,148 @@ func TestAnswerHandoff(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			row.run(t, newMapSM("handoff", 0, Routing{Shards: 1, VNodes: 8}, 64, nil))
 		})
+	}
+}
+
+// TestSplitPhaseFailures holds the split-phase local path — every shard's part
+// of a BatchPut begun on the caller's goroutine before any is waited for — to
+// its failure contract on a three-node store, from node 1. To keep parts
+// waiting, node 1 is cut off the network: a part whose shard another node
+// sequences cannot be ordered until the cable is back.
+func TestSplitPhaseFailures(t *testing.T) {
+	base := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, base, net, "split", 3, Options{Shards: 4})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	node := stores[1]
+	cl := node.NewClient()
+	defer cl.Close()
+	claims := func(shard int) int {
+		n := 0
+		node.Replica(shard).Read(func(sm shared.StateMachine) { n = len(sm.(*mapSM).waiters) })
+		return n
+	}
+	allClaims := func() int {
+		n := 0
+		for i := 0; i < 4; i++ {
+			n += claims(i)
+		}
+		return n
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	// pairs is one pair per shard, in shard order, under a fresh tag.
+	pairs := func(tag string) []Pair {
+		out := make([]Pair, 4)
+		for i := range out {
+			out[i] = Pair{Key: keyOnShard(node, i, tag), Val: []byte(tag)}
+		}
+		return out
+	}
+	// remote is a shard node 1 does not sequence: its part waits while node 1
+	// is cut off.
+	remote := -1
+	for i := 0; i < 4 && remote < 0; i++ {
+		if !node.Replica(i).Info().IsSequencer {
+			remote = i
+		}
+	}
+	if remote < 0 {
+		t.Fatal("node 1 sequences every shard")
+	}
+	// batchPutCut starts a BatchPut of ps with node 1 cut off and returns, the
+	// cable still out, once the remote shard's part is waiting.
+	batchPutCut := func(ctx context.Context, ps []Pair) <-chan error {
+		net.Isolate(node.kernel, true)
+		done := make(chan error, 1)
+		go func() { done <- cl.BatchPut(ctx, ps) }()
+		waitFor("the remote shard's part to wait", func() bool { return claims(remote) > 0 })
+		return done
+	}
+
+	rows := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"a cancelled wait withdraws every shard's claims", func(t *testing.T) {
+			ps := pairs("cancel")
+			ctx, cancel := context.WithCancel(base)
+			done := batchPutCut(ctx, ps)
+			cancel()
+			err := <-done
+			net.Isolate(node.kernel, false)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("BatchPut cancelled mid-wait: %v", err)
+			}
+			if n := allClaims(); n != 0 {
+				t.Fatalf("%d claims left registered after the cancelled BatchPut", n)
+			}
+			// The abandoned parts still land; a repeat returns once they have.
+			if err := cl.BatchPut(base, ps); err != nil {
+				t.Fatalf("BatchPut after reconnecting: %v", err)
+			}
+		}},
+		{"a part whose replica stops mid-wait is re-driven on the replacement, and only that part", func(t *testing.T) {
+			ps := pairs("swap")
+			applied := make([]uint32, 4)
+			for i := range applied {
+				applied[i] = node.Replica(i).Applied()
+			}
+			done := batchPutCut(base, ps)
+			old := node.Replica(remote)
+			old.Close()
+			net.Isolate(node.kernel, false)
+			if err := <-done; err != nil {
+				t.Fatalf("BatchPut across the replica swap: %v", err)
+			}
+			if node.Replica(remote) == old {
+				t.Fatal("BatchPut returned on the stopped replica")
+			}
+			for _, p := range ps {
+				if v, ok := cl.LocalGet(p.Key); !ok || string(v) != "swap" {
+					t.Fatalf("LocalGet %s = %q %v after the BatchPut returned", p.Key, v, ok)
+				}
+			}
+			// Every other part was ordered and applied once: kept, not re-driven.
+			for i := range applied {
+				if got := node.Replica(i).Applied() - applied[i]; i != remote && got != 1 {
+					t.Fatalf("shard %d applied %d commands for a one-command part", i, got)
+				}
+			}
+			if n := allClaims(); n != 0 {
+				t.Fatalf("%d claims left registered", n)
+			}
+		}},
+		{"a failed submission returns at once", func(t *testing.T) {
+			ps := pairs("big")
+			ps[remote].Val = make([]byte, 70<<10) // over the group's 64 KiB MaxMessage
+			ctx, cancel := context.WithTimeout(base, 20*time.Second)
+			defer cancel()
+			t0 := time.Now()
+			err := cl.BatchPut(ctx, ps)
+			if err == nil || !strings.Contains(err.Error(), "exceeds maximum size") {
+				t.Fatalf("BatchPut with an oversized pair: %v", err)
+			}
+			if took := time.Since(t0); took > 5*time.Second {
+				t.Fatalf("the refused submission took %v to report", took)
+			}
+			if n := allClaims(); n != 0 {
+				t.Fatalf("%d claims left registered", n)
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, row.run)
 	}
 }

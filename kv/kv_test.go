@@ -207,10 +207,14 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 	stores := newCluster(t, ctx, net, "batchonce", 1, Options{Shards: 1})
 	defer stores[0].Close()
 
+	putBatch := func(ids []uint64, pairs []Pair) error {
+		_, err := stores[0].do(ctx, 0, ids, batchPutCommands(ids, pairs))
+		return err
+	}
 	cl := stores[0].NewClient()
 	ids := []uint64{cl.nextID(), cl.nextID()}
 	pairs := []Pair{{Key: "k", Val: []byte("first")}, {Key: "k", Val: []byte("second")}}
-	if err := stores[0].putBatch(ctx, 0, ids, pairs); err != nil {
+	if err := putBatch(ids, pairs); err != nil {
 		t.Fatalf("putBatch: %v", err)
 	}
 	if v, ok := cl.LocalGet("k"); !ok || string(v) != "second" {
@@ -221,7 +225,7 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 	}
 	// Replaying the original batch (a retry after a presumed-lost reply)
 	// must be a no-op: the pairs' ids already have results.
-	if err := stores[0].putBatch(ctx, 0, ids, pairs); err != nil {
+	if err := putBatch(ids, pairs); err != nil {
 		t.Fatalf("putBatch replay: %v", err)
 	}
 	if v, ok := cl.LocalGet("k"); !ok || string(v) != "third" {
@@ -231,7 +235,7 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 	// on the command rather than the pair would swallow both) and one new.
 	mixedIDs := []uint64{ids[1], cl.nextID()}
 	mixed := []Pair{{Key: "k", Val: []byte("second")}, {Key: "fresh", Val: []byte("new")}}
-	if err := stores[0].putBatch(ctx, 0, mixedIDs, mixed); err != nil {
+	if err := putBatch(mixedIDs, mixed); err != nil {
 		t.Fatalf("putBatch mixed: %v", err)
 	}
 	if v, ok := cl.LocalGet("k"); !ok || string(v) != "third" {

@@ -28,8 +28,11 @@ type resultSlot struct {
 	sum uint64 // resultSum(id, res), remembered so eviction need not refold
 }
 
-func newResultWindow(window int) resultWindow {
-	return resultWindow{index: make(map[uint64]int32), window: window}
+// newResultWindow returns an empty window of the given size with room for n
+// results (no more than the window holds).
+func newResultWindow(window, n int) resultWindow {
+	n = min(n, window)
+	return resultWindow{slots: make([]resultSlot, 0, n), index: make(map[uint64]int32, n), window: window}
 }
 
 // lookup returns the result recorded for a command id, if the window still
@@ -71,22 +74,4 @@ func (w *resultWindow) set(id uint64, r result) {
 // fifo returns the held results oldest first, as the two runs of the ring.
 func (w *resultWindow) fifo() [2][]resultSlot {
 	return [2][]resultSlot{w.slots[w.head:], w.slots[:w.head]}
-}
-
-// reset replaces the contents with results given oldest first, under a new
-// window when window > 0. A list longer than the window — none an honest
-// replica snapshots — keeps its newest entries.
-func (w *resultWindow) reset(results []savedResult, window int) {
-	if window > 0 {
-		w.window = window
-	}
-	if over := len(results) - w.window; over > 0 {
-		results = results[over:]
-	}
-	w.slots = make([]resultSlot, 0, len(results))
-	w.index = make(map[uint64]int32, len(results))
-	w.head, w.sum = 0, 0
-	for _, r := range results {
-		w.set(r.ID, r.result)
-	}
 }

@@ -1,8 +1,6 @@
 package kv
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -42,34 +40,15 @@ func (s *refWindow) set(id uint64, r result) {
 	}
 }
 
-func (s *refWindow) saved() []savedResult {
-	out := make([]savedResult, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, savedResult{ID: id, result: s.results[id]})
-	}
-	return out
-}
-
-// restore is the old Restore's window half: adopt the snapshot's FIFO and,
-// when it names one, its window.
-func (s *refWindow) restore(results []savedResult, window int) {
-	*s = *newRefWindow(s.window)
-	for _, r := range results {
-		s.set(r.ID, r.result)
-	}
-	if window > 0 {
-		s.window = window
-	}
-}
-
 // TestResultWindowMatchesOldForm drives the ring and the old two-maps-and-a-
 // slice window with the same 10 000-command random trace — ids repeat both
 // while still held (overwritten in place, age kept) and after eviction
-// (re-inserted as new) — and requires, all along: the same Snapshot bytes,
-// the same audit-digest ingredients (entry count and wrapping sum), the same
-// lookup answers, and the same migration export order. Half way, each state
-// is snapshotted and restored into a machine configured with a different
-// window, which must adopt the snapshot's.
+// (re-inserted as new) — and requires, all along: the same audit-digest
+// ingredients (entry count and wrapping sum), the same lookup answers, the
+// same migration export order, and a Snapshot that restores to the old form's
+// FIFO, window and sum and to the same StateDigest. Half way, the state is
+// snapshotted and restored into a machine configured with a different window,
+// which must adopt the snapshot's.
 func TestResultWindowMatchesOldForm(t *testing.T) {
 	const (
 		window = 257
@@ -88,18 +67,26 @@ func TestResultWindowMatchesOldForm(t *testing.T) {
 			t.Fatalf("step %d: digest ingredients (len, sum) = (%d, %x), old form (%d, %x)",
 				step, sm.results.len(), sm.results.sum, len(ref.order), ref.dedupSum)
 		}
-		got, err := sm.Snapshot()
+		snap, err := sm.Snapshot()
 		if err != nil {
 			t.Fatalf("step %d: Snapshot: %v", step, err)
 		}
-		want, err := json.Marshal(snapshotState{
-			Items: sm.items, Results: ref.saved(), Window: ref.window, Routing: sm.routing,
-		})
-		if err != nil {
-			t.Fatalf("step %d: marshal: %v", step, err)
+		restored := newMapSM("ring", 0, rt, 1, nil)
+		if err := restored.Restore(snap); err != nil {
+			t.Fatalf("step %d: Restore: %v", step, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("step %d: Snapshot bytes differ from the old form\n got %.200s…\nwant %.200s…", step, got, want)
+		var fifo []uint64
+		for _, run := range restored.results.fifo() {
+			for _, slot := range run {
+				fifo = append(fifo, slot.id)
+			}
+		}
+		if fmt.Sprint(fifo) != fmt.Sprint(ref.order) || restored.results.window != ref.window || restored.results.sum != ref.dedupSum {
+			t.Fatalf("step %d: the snapshot restores to FIFO %v, window %d, sum %x; old form %v, %d, %x",
+				step, fifo, restored.results.window, restored.results.sum, ref.order, ref.window, ref.dedupSum)
+		}
+		if restored.StateDigest() != sm.StateDigest() {
+			t.Fatalf("step %d: StateDigest %x restored, %x snapshotted", step, restored.StateDigest(), sm.StateDigest())
 		}
 		for id := uint64(1); id <= idSpan; id++ {
 			g, gok := sm.results.lookup(id)
@@ -151,7 +138,6 @@ func TestResultWindowMatchesOldForm(t *testing.T) {
 			if err := sm.Restore(snap); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
-			ref.restore(ref.saved(), ref.window)
 			check(step)
 		}
 	}
@@ -173,7 +159,7 @@ func TestResultWindowMatchesOldForm(t *testing.T) {
 	if err := sm.Restore(nil); err != nil {
 		t.Fatalf("Restore(nil): %v", err)
 	}
-	ref.restore(nil, 0)
+	*ref = *newRefWindow(ref.window)
 	sm.setResult(1, result{OK: true, Key: "key-1"})
 	ref.set(1, result{OK: true, Key: "key-1"})
 	check(steps + 1)

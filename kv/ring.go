@@ -37,6 +37,14 @@ func (rt Routing) ring(store string) *ring {
 	return newRing(store, rt.Shards, rt.VNodes)
 }
 
+// points is the size of the ring rt materialises.
+func (rt Routing) points() int {
+	if rt.VNodes <= 0 {
+		return rt.Shards * defaultVirtualNodes
+	}
+	return rt.Shards * rt.VNodes
+}
+
 // ring maps keys to shards by consistent hashing: each shard owns
 // virtualNodes points on a 64-bit circle and a key belongs to the shard
 // owning the first point at or after the key's hash. Adding a shard moves

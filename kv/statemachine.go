@@ -2,9 +2,8 @@ package kv
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,29 +27,30 @@ const defaultResultWindow = 65536
 // linearizable read) are handed to the local waiter and kept nowhere.
 type result struct {
 	// OK reports mutation success: CAS swapped, Delete found the key.
-	OK bool `json:"ok"`
+	OK bool
 	// Values and Found carry read results, aligned with the command's key
 	// list: a prepare's captured reads (recorded) or a sequenced read's.
-	Values [][]byte `json:"values,omitempty"`
-	Found  []bool   `json:"found,omitempty"`
+	Values [][]byte
+	Found  []bool
 	// Key is the mutated key (write ops only). It lets a resharding
 	// migrate the result alongside the data: a command retried after the
 	// epoch flip routes to the key's NEW owner, and only if the result
 	// moved with the key does the dedup window still answer it there —
 	// exactly-once across reshardings.
-	Key string `json:"key,omitempty"`
+	Key string
 	// TxnState, Conflict, and CondFailed answer the txn ops (see txn.go):
 	// the portion's state after the command, a prepare that lost its keys
 	// to another live transaction, and a prepare whose conditions failed.
-	TxnState   byte `json:"txn,omitempty"`
-	Conflict   bool `json:"conflict,omitempty"`
-	CondFailed bool `json:"condFailed,omitempty"`
+	TxnState   byte
+	Conflict   bool
+	CondFailed bool
 }
 
-// answerWaiter is one local caller (Store.do) asleep on the answers to its
-// commands. It registers their ids BEFORE submitting (expect) and the apply
+// answerWaiter is one local caller's commands on their way (Store.begin, then
+// Store.finish). It registers their ids BEFORE submitting (expect) and the apply
 // loop hands each answer over as its command applies (hand), under the replica
-// lock; the caller reads first and moved only after done delivers. Waiters are
+// lock; the caller reads first and moved only after done delivers. Beside the
+// answers it carries the submission's own outcome (sent). Waiters are
 // node-local: never replicated, snapshotted or digested.
 type answerWaiter struct {
 	regs    []answerReg   // one claim per id
@@ -58,6 +58,40 @@ type answerWaiter struct {
 	first   result        // the answer to the first id
 	moved   bool          // a command was refused: not executed, re-resolve and retry
 	done    chan struct{} // one slot, filled when pending reaches zero
+	sent    chan error    // one slot: the submission's outcome
+	started func(error)   // feeds sent; bound once, when the waiter is made
+}
+
+func newAnswerWaiter() *answerWaiter {
+	w := &answerWaiter{done: make(chan struct{}, 1), sent: make(chan error, 1)}
+	w.started = func(err error) { w.sent <- err }
+	return w
+}
+
+// wait sleeps until the submission has completed and then until the last
+// answer is in — the order a blocking Submit and a wait would see them — or
+// until the submission fails, ctx ends or the replica stops. On nil w may be
+// recycled; on any other return it must be let go, for a callback may still be
+// owed to it.
+func (w *answerWaiter) wait(ctx context.Context, stopped <-chan struct{}) error {
+	select {
+	case err := <-w.sent:
+		if err != nil {
+			return err
+		}
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-stopped:
+		return shared.ErrStopped
+	}
+	select {
+	case <-w.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-stopped:
+		return shared.ErrStopped
+	}
 }
 
 // answerReg is a waiter's claim on one command id, chained to the other claims
@@ -69,7 +103,7 @@ type answerReg struct {
 	next *answerReg
 }
 
-var answerWaiters = sync.Pool{New: func() any { return &answerWaiter{done: make(chan struct{}, 1)} }}
+var answerWaiters = sync.Pool{New: func() any { return newAnswerWaiter() }}
 
 // Transaction portion states (see txn.go for the 2PC protocol).
 const (
@@ -294,7 +328,7 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 	}
 	s := &mapSM{
 		items:       make(map[string][]byte),
-		results:     newResultWindow(window),
+		results:     newResultWindow(window, 0),
 		waiters:     make(map[uint64]*answerReg),
 		txns:        make(map[uint64]*txnPortion),
 		locks:       make(map[string]uint64),
@@ -943,106 +977,6 @@ func (s *mapSM) importPortion(t *txnPortion) {
 		// Aborted + prepared (writes discarded), or both resolved.
 		ex.mergeReads(t)
 	}
-}
-
-// snapshotState is the wire form of a shard snapshot. Results travel in FIFO
-// order so the joiner rebuilds the identical eviction queue.
-type snapshotState struct {
-	Items    map[string][]byte `json:"items"`
-	Results  []savedResult     `json:"results"`
-	Window   int               `json:"window"`
-	Routing  Routing           `json:"routing"`
-	Pending  *Routing          `json:"pending,omitempty"`
-	Txns     []*txnPortion     `json:"txns,omitempty"`
-	TxnOrder []uint64          `json:"txnOrder,omitempty"`
-}
-
-type savedResult struct {
-	ID uint64 `json:"id"`
-	result
-}
-
-// Snapshot serialises the shard for atomic state transfer to a joiner.
-func (s *mapSM) Snapshot() ([]byte, error) {
-	st := snapshotState{
-		Items:   s.items,
-		Results: make([]savedResult, 0, s.results.len()),
-		Window:  s.results.window,
-		Routing: s.routing,
-		Pending: s.pending,
-	}
-	for _, run := range s.results.fifo() {
-		for i := range run {
-			st.Results = append(st.Results, savedResult{ID: run[i].id, result: run[i].res})
-		}
-	}
-	txnIDs := make([]uint64, 0, len(s.txns))
-	for id := range s.txns {
-		txnIDs = append(txnIDs, id)
-	}
-	sort.Slice(txnIDs, func(i, j int) bool { return txnIDs[i] < txnIDs[j] })
-	for _, id := range txnIDs {
-		st.Txns = append(st.Txns, s.txns[id])
-	}
-	st.TxnOrder = s.txnOrder
-	return json.Marshal(st)
-}
-
-// Restore replaces the shard state with a snapshot. A nil snapshot resets
-// the shard to its zero state — the wal recovery path uses this when every
-// digest-stamped checkpoint was refused and replay must start from scratch
-// (see wal.Log.RecoverVerified).
-func (s *mapSM) Restore(snap []byte) error {
-	if snap == nil {
-		s.items = make(map[string][]byte)
-		s.results.reset(nil, 0)
-		s.txns = make(map[uint64]*txnPortion)
-		s.txnOrder = nil
-		s.locks = make(map[string]uint64)
-		s.lockSeen = make(map[uint64]time.Time)
-		s.routing = s.initRouting
-		s.curRing = nil
-		if s.routing.Shards > 0 {
-			s.curRing = s.routing.ring(s.store)
-		}
-		s.pending = nil
-		s.pendRing = nil
-		s.notifyRouting()
-		return nil
-	}
-	var st snapshotState
-	if err := json.Unmarshal(snap, &st); err != nil {
-		return err
-	}
-	s.items = st.Items
-	if s.items == nil {
-		s.items = make(map[string][]byte)
-	}
-	s.results.reset(st.Results, st.Window)
-	if st.Routing.Shards > 0 {
-		s.routing = st.Routing
-		s.curRing = st.Routing.ring(s.store)
-	}
-	s.pending = st.Pending
-	s.pendRing = nil
-	if s.pending != nil {
-		s.pendRing = s.pending.ring(s.store)
-	}
-	s.txns = make(map[uint64]*txnPortion, len(st.Txns))
-	s.locks = make(map[string]uint64)
-	s.lockSeen = make(map[uint64]time.Time)
-	for _, p := range st.Txns {
-		s.txns[p.TxnID] = p
-		if p.State == txnStatePrepared {
-			for _, k := range p.localKeys() {
-				s.locks[k] = p.TxnID
-			}
-			s.touchLock(p.TxnID)
-		}
-	}
-	s.txnOrder = st.TxnOrder
-	s.notifyRouting()
-	return nil
 }
 
 // migrationView is a consistent read of the shard's routing state, for the

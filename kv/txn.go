@@ -291,9 +291,9 @@ func (c *Client) txnResolveEcho(ctx context.Context, txnID uint64, commit bool, 
 		}
 		// Each resolve is a request of its own: a Moved answer re-drives it
 		// in Do, chasing its portion across the epoch flip.
-		_, err := scatter(parts, func(p shardPart) (*Response, error) {
+		_, err := scatter(parts, nil, func(i int) (*Response, error) {
 			return c.Do(ctx, &Request{Op: ReqTxnResolve, TxnID: txnID, Commit: commit,
-				Key: p.key, HomeKey: homeKey, AllKeys: allKeys})
+				Key: parts[i].key, HomeKey: homeKey, AllKeys: allKeys})
 		})
 		if err != nil {
 			return fmt.Errorf("kv: txn %016x resolve echo: %w", txnID, err)

@@ -528,12 +528,7 @@ func (r *Replica) walFailLocked(err error) {
 // local state reflects it once the apply loop catches up — use Read for
 // read-your-writes patterns.
 func (r *Replica) Submit(ctx context.Context, cmd []byte) error {
-	select {
-	case <-r.stoppedCh:
-		return ErrStopped
-	default:
-		return r.group.Send(ctx, cmd)
-	}
+	return r.SubmitBatch(ctx, [][]byte{cmd})
 }
 
 // SubmitBatch routes several commands through the group as one pipelined
@@ -551,6 +546,22 @@ func (r *Replica) SubmitBatch(ctx context.Context, cmds [][]byte) error {
 		return ErrStopped
 	default:
 		return r.group.SendBatch(ctx, cmds)
+	}
+}
+
+// Start is the non-blocking half of SubmitBatch: it submits cmds and returns,
+// and done is called once, when every command is ordered, with the first
+// error (ErrStopped at once if the replica has stopped). The commands are
+// copied before Start returns. A caller that starts several submissions —
+// to several replicas — and then waits for them all pays one goroutine, not
+// one per replica. done may run before Start returns or on a protocol
+// goroutine; it must not block.
+func (r *Replica) Start(cmds [][]byte, done func(error)) {
+	select {
+	case <-r.stoppedCh:
+		done(ErrStopped)
+	default:
+		r.group.Start(cmds, done)
 	}
 }
 
