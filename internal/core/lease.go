@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"time"
 )
 
@@ -435,7 +436,7 @@ func decodeLeaseGrants(body []byte) (time.Duration, []MemberID, error) {
 		return 0, nil, nil
 	}
 	ms, w := binary.Uvarint(body)
-	if w <= 0 {
+	if w <= 0 || ms > uint64(math.MaxInt64/time.Millisecond) {
 		return 0, nil, errBadLeaseGrants
 	}
 	body = body[w:]

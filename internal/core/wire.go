@@ -224,10 +224,12 @@ func encodeBatchBody(payloads [][]byte) []byte {
 	return buf
 }
 
-// decodeBatchBody parses a batch body. The returned payloads alias body.
+// decodeBatchBody parses a batch body. The returned payloads alias body. A
+// payload takes at least its length byte, so the count is believed only up to
+// the bytes left: a short body cannot make it preallocate.
 func decodeBatchBody(body []byte) ([][]byte, error) {
 	count, w := binary.Uvarint(body)
-	if w <= 0 || count == 0 || count > maxBatchWire {
+	if w <= 0 || count == 0 || count > maxBatchWire || count > uint64(len(body)-w) {
 		return nil, errBadBatch
 	}
 	body = body[w:]

@@ -291,6 +291,7 @@ func TestBatchBodyRejectsGarbage(t *testing.T) {
 		{1, 5, 'a'},            // length overruns body
 		{1, 1, 'a', 'b'},       // trailing bytes
 		{0xff, 0xff, 0xff, 1},  // absurd count
+		{0x80, 0x20},           // a count the bytes left cannot hold
 		append([]byte{1}, 200), // truncated length varint
 	}
 	for i, body := range bad {
@@ -300,6 +301,12 @@ func TestBatchBodyRejectsGarbage(t *testing.T) {
 	}
 	if newBatchEntry(7, 3, 9, []byte{0}) != nil {
 		t.Fatal("newBatchEntry accepted malformed body")
+	}
+	// Refused before anything is allocated: believed, the count would cost a
+	// 96 KiB slice for a 2-byte body.
+	short := []byte{0x80, 0x20}
+	if n := testing.AllocsPerRun(10, func() { decodeBatchBody(short) }); n != 0 {
+		t.Fatalf("a 2-byte body claiming 4096 payloads allocated %v times", n)
 	}
 }
 

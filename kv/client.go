@@ -1121,28 +1121,19 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 	if len(keys) == 0 {
 		return map[string][]byte{}, nil
 	}
-	if r, _ := c.routingRing(); r != nil {
-		single := true
-		s0 := r.shard(keys[0])
-		for _, k := range keys[1:] {
-			if r.shard(k) != s0 {
-				single = false
-				break
+	req := &Request{Op: ReqGet, Keys: keys}
+	if r, _ := c.routingRing(); oneShard(r, req) >= 0 {
+		resp, err := c.Do(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		out := make(map[string][]byte, len(keys))
+		for i, k := range keys {
+			if resp.Found[i] {
+				out[k] = resp.Values[i]
 			}
 		}
-		if single {
-			resp, err := c.Do(ctx, &Request{Op: ReqGet, Keys: keys})
-			if err != nil {
-				return nil, err
-			}
-			out := make(map[string][]byte, len(keys))
-			for i, k := range keys {
-				if resp.Found[i] {
-					out[k] = resp.Values[i]
-				}
-			}
-			return out, nil
-		}
+		return out, nil
 	}
 	// Multi-shard (or ring-less, where the serving node decides): a
 	// read-only transaction captures all keys under one set of locks.

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -43,6 +42,22 @@ import (
 // exactly as a lone opPut is. A batch has no result of its own: the header id
 // repeats the first pair's. A shard's pairs travel in as few commands as fit
 // maxCommandBytes.
+//
+// Decoding. kv reads bytes one way: decodeCommand, DecodeRequest,
+// DecodeResponse and decodeSnapshot all read through reader (at the end of
+// this file), none of them trusting its input — a replica decodes whatever
+// the order delivers, a client whatever answers, a joiner whatever transfer
+// reply arrives. The reader checks every read against the bytes left, and its
+// first failure sticks, so a decoder reads its fields straight through and
+// looks for an error once. Counts are clamped in one place, reader.count: a
+// claimed element count is believed only up to what the bytes left can hold
+// at the element's minimum size, so no count makes a decoder allocate more
+// than a small multiple of its input. Other numbers are bounded where they
+// are read (reader.upTo): routing sizes, millisecond durations, audit ranges.
+// Each decoder picks per field whether to alias its input (reader.raw) or
+// copy out of it (reader.bytes): a lone put keeps its value in its own small
+// command, while a batch's or an import's values are copied, so that one kept
+// value does not keep a whole chunk alive.
 const (
 	opPut byte = iota + 1
 	opDelete
@@ -79,13 +94,12 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// takeBytes consumes one length-prefixed byte string.
-func takeBytes(src []byte) ([]byte, []byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 || uint64(len(src)-w) < n {
-		return nil, nil, errBadCommand
+// appendBool appends a flag byte: 1 for true, 0 for false.
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
 	}
-	return src[w : w+int(n) : w+int(n)], src[w+int(n):], nil
+	return append(dst, 0)
 }
 
 func commandHeader(op byte, id uint64) []byte {
@@ -114,6 +128,12 @@ func encodeBatchPut(ids []uint64, pairs []Pair) []byte {
 	dst := make([]byte, 9, size)
 	dst[0] = opBatchPut
 	binary.BigEndian.PutUint64(dst[1:], ids[0])
+	return appendIDPairs(dst, ids, pairs)
+}
+
+// appendIDPairs encodes a batch put's pairs, pairs[i] under ids[i], as the
+// shard command and the access protocol both carry them.
+func appendIDPairs(dst []byte, ids []uint64, pairs []Pair) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(pairs)))
 	for i, p := range pairs {
 		dst = binary.BigEndian.AppendUint64(dst, ids[i])
@@ -136,11 +156,7 @@ func encodeAudit(id uint64, ranges int) []byte {
 // succeeds only if the key is absent (atomic create).
 func encodeCAS(id uint64, key string, expectPresent bool, expect, val []byte) []byte {
 	dst := appendBytes(commandHeader(opCAS, id), []byte(key))
-	if expectPresent {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = appendBool(dst, expectPresent)
 	dst = appendBytes(dst, expect)
 	return appendBytes(dst, val)
 }
@@ -149,38 +165,14 @@ func encodeCAS(id uint64, key string, expectPresent bool, expect, val []byte) []
 // read travels the total order like a write, so the values it captures are
 // linearizable.
 func encodeGet(id uint64, keys []string) []byte {
-	dst := binary.AppendUvarint(commandHeader(opGet, id), uint64(len(keys)))
-	for _, k := range keys {
-		dst = appendBytes(dst, []byte(k))
-	}
-	return dst
+	return appendKeys(commandHeader(opGet, id), keys)
 }
 
-// appendRouting / takeRouting encode a routing table as three uvarints.
+// appendRouting encodes a routing table as three uvarints.
 func appendRouting(dst []byte, rt Routing) []byte {
 	dst = binary.AppendUvarint(dst, rt.Epoch)
 	dst = binary.AppendUvarint(dst, uint64(rt.Shards))
 	return binary.AppendUvarint(dst, uint64(rt.VNodes))
-}
-
-func takeRouting(src []byte) (Routing, []byte, error) {
-	var rt Routing
-	e, w := binary.Uvarint(src)
-	if w <= 0 {
-		return rt, nil, errBadCommand
-	}
-	src = src[w:]
-	sh, w := binary.Uvarint(src)
-	if w <= 0 || sh == 0 || sh > 1<<20 {
-		return rt, nil, errBadCommand
-	}
-	src = src[w:]
-	vn, w := binary.Uvarint(src)
-	if w <= 0 || vn > 1<<20 {
-		return rt, nil, errBadCommand
-	}
-	rt.Epoch, rt.Shards, rt.VNodes = e, int(sh), int(vn)
-	return rt, src[w:], nil
 }
 
 // encodeMigrate encodes a begin, commit, or abort carrying the target table.
@@ -201,22 +193,13 @@ func encodeMigrateImport(id uint64, rt Routing, chunk *importChunk) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(chunk.Results)))
 	for _, r := range chunk.Results {
 		dst = binary.BigEndian.AppendUint64(dst, r.ID)
-		if r.OK {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendBool(dst, r.OK)
 		dst = appendBytes(dst, []byte(r.Key))
 	}
-	// Transaction portions travel as JSON (txnPortion's tags): they are rare
-	// relative to pairs, and journals hold this spelling, so it stays.
+	// Transaction portions are spelled as a snapshot spells them.
 	dst = binary.AppendUvarint(dst, uint64(len(chunk.Txns)))
 	for _, p := range chunk.Txns {
-		blob, err := json.Marshal(p)
-		if err != nil {
-			blob = nil // unreachable: txnPortion has no unmarshalable fields
-		}
-		dst = appendBytes(dst, blob)
+		dst = appendPortion(dst, p)
 	}
 	return dst
 }
@@ -227,108 +210,29 @@ func appendTxnWrites(dst []byte, writes []TxnWrite) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(writes)))
 	for _, w := range writes {
 		dst = appendBytes(dst, []byte(w.Key))
-		if w.Delete {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendBool(dst, w.Delete)
 		dst = appendBytes(dst, w.Val)
 	}
 	return dst
-}
-
-func takeTxnWrites(src []byte) ([]TxnWrite, []byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)-w)/3 { // a write is at least three bytes
-		return nil, nil, errBadCommand
-	}
-	src = src[w:]
-	out := make([]TxnWrite, 0, n)
-	for i := uint64(0); i < n; i++ {
-		raw, rest, err := takeBytes(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		tw := TxnWrite{Key: string(raw)}
-		if len(rest) < 1 {
-			return nil, nil, errBadCommand
-		}
-		tw.Delete = rest[0] != 0
-		if tw.Val, src, err = takeBytes(rest[1:]); err != nil {
-			return nil, nil, err
-		}
-		out = append(out, tw)
-	}
-	return out, src, nil
 }
 
 func appendTxnConds(dst []byte, conds []TxnCond) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(conds)))
 	for _, c := range conds {
 		dst = appendBytes(dst, []byte(c.Key))
-		if c.ExpectPresent {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendBool(dst, c.ExpectPresent)
 		dst = appendBytes(dst, c.Expect)
 	}
 	return dst
 }
 
-func takeTxnConds(src []byte) ([]TxnCond, []byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)-w)/3 { // a condition is at least three bytes
-		return nil, nil, errBadCommand
-	}
-	src = src[w:]
-	out := make([]TxnCond, 0, n)
-	for i := uint64(0); i < n; i++ {
-		raw, rest, err := takeBytes(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		tc := TxnCond{Key: string(raw)}
-		if len(rest) < 1 {
-			return nil, nil, errBadCommand
-		}
-		tc.ExpectPresent = rest[0] != 0
-		if tc.Expect, src, err = takeBytes(rest[1:]); err != nil {
-			return nil, nil, err
-		}
-		out = append(out, tc)
-	}
-	return out, src, nil
-}
-
-// appendKeys / takeKeys encode a key list. takeKeys, like takeTxnWrites and
-// takeTxnConds, believes a count only up to what the remaining bytes could
-// hold at the element's minimum size, which bounds what a hostile count can
-// make it allocate.
+// appendKeys encodes a key list.
 func appendKeys(dst []byte, keys []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		dst = appendBytes(dst, []byte(k))
 	}
 	return dst
-}
-
-func takeKeys(src []byte) ([]string, []byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 || n > uint64(len(src)-w) { // a key is at least one byte
-		return nil, nil, errBadCommand
-	}
-	src = src[w:]
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		raw, rest, err := takeBytes(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, string(raw))
-		src = rest
-	}
-	return out, src, nil
 }
 
 // encodeTxnPrepare encodes a transaction prepare: lock the local keys, check
@@ -352,11 +256,7 @@ func encodeTxnPrepare(id, txnID uint64, homeKey string, allKeys, reads []string,
 func encodeTxnResolve(id, txnID uint64, commit bool, homeKey string, allKeys []string) []byte {
 	dst := commandHeader(opTxnResolve, id)
 	dst = binary.BigEndian.AppendUint64(dst, txnID)
-	if commit {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = appendBool(dst, commit)
 	dst = appendBytes(dst, []byte(homeKey))
 	return appendKeys(dst, allKeys)
 }
@@ -514,10 +414,7 @@ func EncodeRequest(r *Request) []byte {
 	case ReqGet:
 		// v4: the staleness bound precedes the keys (always present).
 		dst = binary.AppendUvarint(dst, uint64(r.MaxStale/time.Millisecond))
-		dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
-		for _, k := range r.Keys {
-			dst = appendBytes(dst, []byte(k))
-		}
+		dst = appendKeys(dst, r.Keys)
 	case ReqPut:
 		dst = appendBytes(dst, []byte(r.Key))
 		dst = appendBytes(dst, r.Val)
@@ -525,20 +422,11 @@ func EncodeRequest(r *Request) []byte {
 		dst = appendBytes(dst, []byte(r.Key))
 	case ReqCAS:
 		dst = appendBytes(dst, []byte(r.Key))
-		if r.ExpectPresent {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendBool(dst, r.ExpectPresent)
 		dst = appendBytes(dst, r.Expect)
 		dst = appendBytes(dst, r.Val)
 	case ReqBatchPut:
-		dst = binary.AppendUvarint(dst, uint64(len(r.Pairs)))
-		for i, p := range r.Pairs {
-			dst = binary.BigEndian.AppendUint64(dst, r.IDs[i])
-			dst = appendBytes(dst, []byte(p.Key))
-			dst = appendBytes(dst, p.Val)
-		}
+		dst = appendIDPairs(dst, r.IDs, r.Pairs)
 	case ReqTxnPrepare:
 		dst = binary.BigEndian.AppendUint64(dst, r.TxnID)
 		dst = appendBytes(dst, []byte(r.HomeKey))
@@ -548,11 +436,7 @@ func EncodeRequest(r *Request) []byte {
 		dst = appendTxnConds(dst, r.Conds)
 	case ReqTxnResolve:
 		dst = binary.BigEndian.AppendUint64(dst, r.TxnID)
-		if r.Commit {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendBool(dst, r.Commit)
 		dst = appendBytes(dst, []byte(r.Key))
 		dst = appendBytes(dst, []byte(r.HomeKey))
 		dst = appendKeys(dst, r.AllKeys)
@@ -573,140 +457,43 @@ func DecodeRequest(b []byte) (*Request, error) {
 		return nil, errVersion
 	}
 	r := &Request{Op: b[1], Flags: b[2]}
-	rest := b[3:]
-	ms, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return nil, errBadRequest
+	in := reader{b: b[3:]}
+	r.Budget, r.Epoch, r.ID = in.millis(), in.uvarint(), in.u64()
+	if in.failed {
+		return nil, errBadRequest // a malformed header, reported before an unknown op
 	}
-	r.Budget = time.Duration(ms) * time.Millisecond
-	rest = rest[w:]
-	epoch, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return nil, errBadRequest
-	}
-	r.Epoch = epoch
-	rest = rest[w:]
-	if len(rest) < 8 {
-		return nil, errBadRequest
-	}
-	r.ID = binary.BigEndian.Uint64(rest)
-	rest = rest[8:]
-	var raw []byte
-	var err error
 	switch r.Op {
 	case ReqGet:
-		stale, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return nil, errBadRequest
-		}
-		r.MaxStale = time.Duration(stale) * time.Millisecond
-		if r.Keys, _, err = takeKeys(rest[w:]); err != nil || len(r.Keys) == 0 {
-			return nil, errBadRequest
+		if r.MaxStale, r.Keys = in.millis(), in.keys(); len(r.Keys) == 0 {
+			in.fail()
 		}
 	case ReqPut:
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.Key = string(raw)
-		if r.Val, _, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
+		r.Key, r.Val = in.str(), in.raw()
 	case ReqDelete:
-		if raw, _, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.Key = string(raw)
+		r.Key = in.str()
 	case ReqCAS:
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.Key = string(raw)
-		if len(rest) < 1 {
-			return nil, errBadRequest
-		}
-		r.ExpectPresent = rest[0] != 0
-		rest = rest[1:]
-		if r.Expect, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Val, _, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
+		r.Key, r.ExpectPresent, r.Expect, r.Val = in.str(), in.flag(), in.raw(), in.raw()
 	case ReqBatchPut:
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n == 0 || n > uint64(len(rest)-w)/10 { // a pair is at least ten bytes
-			return nil, errBadRequest
+		n := in.count(10) // an id and two length bytes
+		r.IDs, r.Pairs = make([]uint64, n), make([]Pair, n)
+		for i := range r.Pairs {
+			r.IDs[i], r.Pairs[i] = in.u64(), Pair{Key: in.str(), Val: in.raw()}
 		}
-		rest = rest[w:]
-		r.Pairs = make([]Pair, 0, n)
-		r.IDs = make([]uint64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if len(rest) < 8 {
-				return nil, errBadRequest
-			}
-			r.IDs = append(r.IDs, binary.BigEndian.Uint64(rest))
-			rest = rest[8:]
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return nil, errBadRequest
-			}
-			key := string(raw)
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return nil, errBadRequest
-			}
-			r.Pairs = append(r.Pairs, Pair{Key: key, Val: raw})
+		if n == 0 {
+			in.fail()
 		}
 	case ReqTxnPrepare:
-		if len(rest) < 8 {
-			return nil, errBadRequest
-		}
-		r.TxnID = binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.HomeKey = string(raw)
-		if r.AllKeys, rest, err = takeKeys(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Keys, rest, err = takeKeys(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Writes, rest, err = takeTxnWrites(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Conds, _, err = takeTxnConds(rest); err != nil {
-			return nil, errBadRequest
-		}
+		r.TxnID, r.HomeKey, r.AllKeys, r.Keys = in.u64(), in.str(), in.keys(), in.keys()
+		r.Writes, r.Conds = in.writes(), in.conds()
 	case ReqTxnResolve:
-		if len(rest) < 9 {
-			return nil, errBadRequest
-		}
-		r.TxnID = binary.BigEndian.Uint64(rest)
-		r.Commit = rest[8] != 0
-		rest = rest[9:]
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.Key = string(raw)
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return nil, errBadRequest
-		}
-		r.HomeKey = string(raw)
-		if r.AllKeys, _, err = takeKeys(rest); err != nil {
-			return nil, errBadRequest
-		}
+		r.TxnID, r.Commit, r.Key, r.HomeKey, r.AllKeys = in.u64(), in.flag(), in.str(), in.str(), in.keys()
 	case ReqTxn:
-		if r.Keys, rest, err = takeKeys(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Writes, rest, err = takeTxnWrites(rest); err != nil {
-			return nil, errBadRequest
-		}
-		if r.Conds, _, err = takeTxnConds(rest); err != nil {
-			return nil, errBadRequest
-		}
+		r.Keys, r.Writes, r.Conds = in.keys(), in.writes(), in.conds()
 	default:
 		return nil, fmt.Errorf("kv: unknown request op %d: %w", r.Op, errBadRequest)
+	}
+	if in.failed {
+		return nil, errBadRequest
 	}
 	return r, nil
 }
@@ -764,11 +551,7 @@ func EncodeResponse(r *Response) []byte {
 		return appendBytes(dst, []byte(r.Err))
 	}
 	dst = append(dst, ProtoVersion, statusOK)
-	if r.OK {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = appendBool(dst, r.OK)
 	// Txn outcome byte (v3): bits 0–1 TxnState, bit 2 Conflict, bit 3
 	// CondFailed. Always present; zero for non-txn responses.
 	txn := r.TxnState & 3
@@ -785,19 +568,10 @@ func EncodeResponse(r *Response) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.StaleFor/time.Millisecond))
 	dst = binary.AppendUvarint(dst, uint64(r.Nodes))
 	dst = binary.AppendUvarint(dst, uint64(r.Replication))
-	if r.Routing != nil {
-		dst = append(dst, 1)
-		dst = appendRouting(dst, *r.Routing)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = appendOptRouting(dst, r.Routing)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Values)))
 	for i, v := range r.Values {
-		if i < len(r.Found) && r.Found[i] {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendBool(dst, i < len(r.Found) && r.Found[i])
 		dst = appendBytes(dst, v)
 	}
 	return dst
@@ -812,88 +586,36 @@ func DecodeResponse(b []byte) (*Response, error) {
 		return nil, errVersion
 	}
 	r := &Response{}
-	rest := b[2:]
+	in := reader{b: b[2:]}
 	switch b[1] {
 	case statusErr:
-		raw, _, err := takeBytes(rest)
-		if err != nil {
-			return nil, errBadRequest
-		}
-		r.Err = string(raw)
-		if r.Err == "" {
+		if r.Err = in.str(); r.Err == "" {
 			r.Err = "kv: unspecified remote error"
 		}
-		return r, nil
 	case statusOK:
-		if len(rest) < 3 {
-			return nil, errBadRequest
-		}
-		r.OK = rest[0] != 0
-		r.TxnState = rest[1] & 3
-		r.Conflict = rest[1]&(1<<2) != 0
-		r.CondFailed = rest[1]&(1<<3) != 0
-		r.ReadPath = rest[2]
-		rest = rest[3:]
-		stale, w := binary.Uvarint(rest)
-		if w <= 0 || stale > uint64(math.MaxInt64/time.Millisecond) {
-			return nil, errBadRequest
-		}
-		r.StaleFor = time.Duration(stale) * time.Millisecond
-		rest = rest[w:]
-		nodes, w := binary.Uvarint(rest)
-		if w <= 0 || nodes > 1<<20 {
-			return nil, errBadRequest
-		}
-		r.Nodes = int(nodes)
-		rest = rest[w:]
-		repl, w := binary.Uvarint(rest)
-		if w <= 0 || repl > 1<<20 {
-			return nil, errBadRequest
-		}
-		r.Replication = int(repl)
-		rest = rest[w:]
-		if len(rest) < 1 {
-			return nil, errBadRequest
-		}
-		hasRouting := rest[0] != 0
-		rest = rest[1:]
-		if hasRouting {
-			rt, tail, err := takeRouting(rest)
-			if err != nil {
-				return nil, errBadRequest
-			}
+		r.OK = in.flag()
+		txn := in.u8()
+		r.TxnState, r.Conflict, r.CondFailed = txn&3, txn&(1<<2) != 0, txn&(1<<3) != 0
+		r.ReadPath, r.StaleFor = in.u8(), in.millis()
+		r.Nodes, r.Replication = int(in.upTo(1<<20)), int(in.upTo(1<<20))
+		if in.flag() {
+			rt := in.routing()
 			r.Routing = &rt
-			rest = tail
 		}
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)-w)/2 { // a value is at least two bytes
-			return nil, errBadRequest
+		n := in.count(2) // a found flag and a length byte
+		r.Values, r.Found = make([][]byte, n), make([]bool, n)
+		for i := range r.Values {
+			if r.Found[i], r.Values[i] = in.flag(), in.bytes(); !r.Found[i] {
+				r.Values[i] = nil
+			}
 		}
-		rest = rest[w:]
-		r.Values = make([][]byte, 0, n)
-		r.Found = make([]bool, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if len(rest) < 1 {
-				return nil, errBadRequest
-			}
-			found := rest[0] != 0
-			rest = rest[1:]
-			raw, tail, err := takeBytes(rest)
-			if err != nil {
-				return nil, errBadRequest
-			}
-			rest = tail
-			val := append([]byte(nil), raw...)
-			if !found {
-				val = nil
-			}
-			r.Values = append(r.Values, val)
-			r.Found = append(r.Found, found)
-		}
-		return r, nil
 	default:
 		return nil, errBadRequest
 	}
+	if in.failed {
+		return nil, errBadRequest
+	}
+	return r, nil
 }
 
 // command is the decoded form of a wire command.
@@ -924,185 +646,200 @@ func decodeCommand(b []byte) (command, error) {
 		return command{}, errBadCommand
 	}
 	c := command{op: b[0], id: binary.BigEndian.Uint64(b[1:9])}
-	rest := b[9:]
-	var err error
-	var raw []byte
+	r := reader{b: b[9:]}
 	switch c.op {
 	case opPut:
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.key = string(raw)
-		if c.val, _, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
+		c.key, c.val = r.str(), r.raw()
 	case opDelete:
-		if raw, _, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.key = string(raw)
+		c.key = r.str()
 	case opCAS:
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.key = string(raw)
-		if len(rest) < 1 {
-			return command{}, errBadCommand
-		}
-		c.expectPresent = rest[0] != 0
-		rest = rest[1:]
-		if c.expect, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		if c.val, _, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
+		c.key, c.expectPresent, c.expect, c.val = r.str(), r.flag(), r.raw(), r.raw()
 	case opGet:
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)) {
-			return command{}, errBadCommand
-		}
-		rest = rest[w:]
-		c.keys = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			c.keys = append(c.keys, string(raw))
-		}
+		c.keys = r.keys()
 	case opMigrateBegin, opMigrateCommit, opMigrateAbort:
-		if c.routing, _, err = takeRouting(rest); err != nil {
-			return command{}, err
-		}
+		c.routing = r.routing()
 	case opMigrateImport:
-		if c.routing, rest, err = takeRouting(rest); err != nil {
-			return command{}, err
+		c.routing = r.routing()
+		c.pairs = make([]Pair, r.count(2)) // two length bytes
+		for i := range c.pairs {
+			c.pairs[i] = Pair{Key: r.str(), Val: r.bytes()}
 		}
-		// Each count is bounded by what the bytes left could hold at the
-		// element's minimum size, as a batch put's is.
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)-w)/2 { // a pair is at least two bytes
-			return command{}, errBadCommand
+		c.impResults = make([]importResult, r.count(10)) // id, flag, length byte
+		for i := range c.impResults {
+			c.impResults[i] = importResult{ID: r.u64(), OK: r.flag(), Key: r.str()}
 		}
-		rest = rest[w:]
-		c.pairs = make([]Pair, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			key := string(raw)
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			c.pairs = append(c.pairs, Pair{Key: key, Val: append([]byte(nil), raw...)})
-		}
-		n, w = binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)-w)/10 { // a result is at least ten bytes
-			return command{}, errBadCommand
-		}
-		rest = rest[w:]
-		c.impResults = make([]importResult, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if len(rest) < 9 {
-				return command{}, errBadCommand
-			}
-			ir := importResult{ID: binary.BigEndian.Uint64(rest), OK: rest[8] != 0}
-			rest = rest[9:]
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			ir.Key = string(raw)
-			c.impResults = append(c.impResults, ir)
-		}
-		n, w = binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)-w)/3 { // a portion is at least a length and "{}"
-			return command{}, errBadCommand
-		}
-		rest = rest[w:]
-		c.txns = make([]*txnPortion, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
-			p := &txnPortion{}
-			if err := json.Unmarshal(raw, p); err != nil {
-				return command{}, errBadCommand
-			}
-			c.txns = append(c.txns, p)
+		c.txns = make([]*txnPortion, r.count(minPortionBytes))
+		for i := range c.txns {
+			c.txns[i] = r.portion()
 		}
 	case opTxnPrepare:
-		if len(rest) < 8 {
-			return command{}, errBadCommand
-		}
-		c.txnID = binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.homeKey = string(raw)
-		if c.allKeys, rest, err = takeKeys(rest); err != nil {
-			return command{}, err
-		}
-		if c.keys, rest, err = takeKeys(rest); err != nil {
-			return command{}, err
-		}
-		if c.writes, rest, err = takeTxnWrites(rest); err != nil {
-			return command{}, err
-		}
-		if c.conds, _, err = takeTxnConds(rest); err != nil {
-			return command{}, err
-		}
+		c.txnID, c.homeKey, c.allKeys, c.keys = r.u64(), r.str(), r.keys(), r.keys()
+		c.writes, c.conds = r.writes(), r.conds()
 	case opTxnResolve:
-		if len(rest) < 9 {
-			return command{}, errBadCommand
-		}
-		c.txnID = binary.BigEndian.Uint64(rest)
-		c.txnCommit = rest[8] != 0
-		rest = rest[9:]
-		if raw, rest, err = takeBytes(rest); err != nil {
-			return command{}, err
-		}
-		c.homeKey = string(raw)
-		if c.allKeys, _, err = takeKeys(rest); err != nil {
-			return command{}, err
-		}
+		c.txnID, c.txnCommit, c.homeKey, c.allKeys = r.u64(), r.flag(), r.str(), r.keys()
 	case opAudit:
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n == 0 || n > maxAuditRanges {
-			return command{}, errBadCommand
+		if c.ranges = int(r.upTo(maxAuditRanges)); c.ranges == 0 {
+			r.fail()
 		}
-		c.ranges = int(n)
 	case opBatchPut:
-		// A pair is at least ten bytes, which bounds what a hostile count can
-		// make this allocate.
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n == 0 || n > uint64(len(rest)-w)/10 {
-			return command{}, errBadCommand
-		}
-		rest = rest[w:]
-		c.ids = make([]uint64, 0, n)
-		c.pairs = make([]Pair, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if len(rest) < 8 {
-				return command{}, errBadCommand
-			}
-			c.ids = append(c.ids, binary.BigEndian.Uint64(rest))
-			if raw, rest, err = takeBytes(rest[8:]); err != nil {
-				return command{}, err
-			}
-			key := string(raw)
-			if raw, rest, err = takeBytes(rest); err != nil {
-				return command{}, err
-			}
+		n := r.count(10) // an id and two length bytes
+		c.ids, c.pairs = make([]uint64, n), make([]Pair, n)
+		for i := range c.pairs {
 			// The value is copied out, as an import's is: the state machine
 			// keeps it, and it must not keep the whole command alive.
-			c.pairs = append(c.pairs, Pair{Key: key, Val: append([]byte(nil), raw...)})
+			c.ids[i], c.pairs[i] = r.u64(), Pair{Key: r.str(), Val: r.bytes()}
 		}
-		if len(rest) != 0 || c.ids[0] != c.id {
-			return command{}, errBadCommand
+		// A batch is spelled one way: at least one pair, the header id the
+		// first pair's, nothing after the last.
+		if n == 0 || c.ids[0] != c.id || len(r.b) != 0 {
+			r.fail()
 		}
 	default:
 		return command{}, fmt.Errorf("kv: unknown op %d: %w", c.op, errBadCommand)
 	}
+	if r.failed {
+		return command{}, errBadCommand
+	}
 	return c, nil
+}
+
+// reader is kv's one byte reader: the shard commands, the access protocol and
+// the snapshot are all decoded through it. It reads front to back and checks
+// every read against the bytes left. Its first failure sticks — every later
+// read returns a zero value — so a decoder reads its fields straight through
+// and looks at failed once, at the end, to return its own malformed-input
+// error.
+type reader struct {
+	b      []byte
+	failed bool
+}
+
+func (r *reader) fail() {
+	r.b, r.failed = nil, true
+}
+
+func (r *reader) u8() byte {
+	if len(r.b) < 1 {
+		r.fail()
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *reader) flag() bool { return r.u8() != 0 }
+
+func (r *reader) u64() uint64 {
+	if len(r.b) < 8 {
+		r.fail()
+		return 0
+	}
+	v := binary.BigEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *reader) uvarint() uint64 { return r.upTo(math.MaxUint64) }
+
+// upTo reads a uvarint and refuses one above max.
+func (r *reader) upTo(max uint64) uint64 {
+	v, w := binary.Uvarint(r.b)
+	if w <= 0 || v > max {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[w:]
+	return v
+}
+
+// millis reads a duration in whole milliseconds, refusing one a
+// time.Duration cannot hold.
+func (r *reader) millis() time.Duration {
+	return time.Duration(r.upTo(uint64(math.MaxInt64/time.Millisecond))) * time.Millisecond
+}
+
+// count reads an element count and believes it only up to what the bytes left
+// could hold at minSize bytes an element. It is the one place a claimed count
+// meets the input's length, which is what bounds what a hostile count can make
+// a decoder allocate.
+func (r *reader) count(minSize int) int {
+	n, w := binary.Uvarint(r.b)
+	if w <= 0 || n > uint64((len(r.b)-w)/minSize) {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[w:]
+	return int(n)
+}
+
+// raw reads a byte string in place: the result aliases the input, its
+// capacity cut to its length so an append cannot write past it.
+func (r *reader) raw() []byte {
+	n, w := binary.Uvarint(r.b)
+	if w <= 0 || n > uint64(len(r.b)-w) {
+		r.fail()
+		return nil
+	}
+	end := w + int(n)
+	b := r.b[w:end:end]
+	r.b = r.b[end:]
+	return b
+}
+
+// bytes reads a byte string into a copy of its own (nil when empty), for what
+// outlives the input.
+func (r *reader) bytes() []byte { return copyVal(r.raw()) }
+
+func (r *reader) str() string { return string(r.raw()) }
+
+func (r *reader) keys() []string {
+	out := make([]string, r.count(1)) // a length byte
+	for i := range out {
+		out[i] = r.str()
+	}
+	return out
+}
+
+// writes and conds read a prepare's write and condition sets; their values
+// alias the input.
+func (r *reader) writes() []TxnWrite {
+	out := make([]TxnWrite, r.count(3)) // a length byte, a flag, a length byte
+	for i := range out {
+		out[i].Key, out[i].Delete, out[i].Val = r.str(), r.flag(), r.raw()
+	}
+	return out
+}
+
+func (r *reader) conds() []TxnCond {
+	out := make([]TxnCond, r.count(3)) // a length byte, a flag, a length byte
+	for i := range out {
+		out[i].Key, out[i].ExpectPresent, out[i].Expect = r.str(), r.flag(), r.raw()
+	}
+	return out
+}
+
+func (r *reader) values() [][]byte {
+	out := make([][]byte, r.count(1))
+	for i := range out {
+		out[i] = r.bytes()
+	}
+	return out
+}
+
+func (r *reader) found() []bool {
+	out := make([]bool, r.count(1))
+	for i := range out {
+		out[i] = r.flag()
+	}
+	return out
+}
+
+// routing reads a routing table, refusing sizes no store has.
+func (r *reader) routing() Routing {
+	rt := Routing{Epoch: r.uvarint(), Shards: int(r.upTo(1 << 20)), VNodes: int(r.upTo(1 << 20))}
+	if rt.Shards == 0 {
+		r.fail()
+	}
+	return rt
 }

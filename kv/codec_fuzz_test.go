@@ -36,6 +36,23 @@ func commandSeeds() [][]byte {
 	}
 }
 
+// legacyImportSeed is commandSeeds' migrate import as journals written before
+// transaction portions shared the snapshot's codec hold it: the same record
+// with its one portion spelled in JSON.
+func legacyImportSeed() []byte {
+	rt := Routing{Epoch: 3, Shards: 8, VNodes: 64}
+	chunk := &importChunk{
+		Pairs:   []Pair{{Key: "alpha", Val: []byte("one")}, {Key: "beta", Val: nil}, {Key: "", Val: bytes.Repeat([]byte{7}, 200)}},
+		Results: []importResult{{ID: 11, OK: true, Key: "alpha"}, {ID: 12, Key: "beta"}},
+	}
+	b := encodeMigrateImport(8, rt, chunk)
+	b[len(b)-1] = 1 // the portion count
+	return appendBytes(b, []byte(`{"id":21,"home":"w","all":["r","w"],"state":1,"reads":["r"],`+
+		`"writes":[{"Key":"w","Val":"dg==","Delete":false},{"Key":"gone","Val":null,"Delete":true}],`+
+		`"conds":[{"Key":"c","ExpectPresent":true,"Expect":"ZQ=="},{"Key":"absent","ExpectPresent":false,"Expect":null}],`+
+		`"values":["eA=="],"found":[true]}`))
+}
+
 // allocatedBy reports the heap bytes f allocates. The count is the whole
 // process's, so a straggler goroutine of an earlier test can add to it: the
 // least of three readings is taken before a bound is called broken.
@@ -54,11 +71,13 @@ func allocatedBy(bound uint64, f func()) uint64 {
 // FuzzDecodeCommand holds decodeCommand — which every replica runs on every
 // delivered payload, whoever sent it — to three properties on arbitrary
 // bytes: it never panics; no count field makes it allocate more than a fixed
-// multiple of the input's length (the worst honest case is about 80×, a
-// migrated transaction portion's JSON; a count believed without a bound is
-// millions); and a batch put it accepts is one the encoder produces — it
-// re-encodes to the same command, byte for byte when the input's varints are
-// minimal, so there is no second spelling for replicas to disagree on.
+// multiple of the input's length (the worst honest case is about 24x: a
+// migrated transaction portion's slice header per one-byte value, as in a
+// snapshot; a count believed without a bound is millions); and a batch put it
+// accepts is one the encoder produces — it re-encodes to the same command,
+// byte for byte when the input's varints are minimal, so there is no second
+// spelling for replicas to disagree on. A migrate import as journals held it
+// before its transaction portions left JSON is refused, and seeds the corpus.
 func FuzzDecodeCommand(f *testing.F) {
 	for _, seed := range commandSeeds() {
 		if _, err := decodeCommand(seed); err != nil {
@@ -68,10 +87,17 @@ func FuzzDecodeCommand(f *testing.F) {
 			f.Add(seed[:cut])
 		}
 	}
+	legacy := legacyImportSeed()
+	if _, err := decodeCommand(legacy); err == nil {
+		f.Fatalf("a migrate import with a JSON portion decodes")
+	}
+	for cut := 0; cut <= len(legacy); cut++ {
+		f.Add(legacy[:cut])
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var c command
 		var err error
-		bound := 128*uint64(len(b)) + 4096
+		bound := 64*uint64(len(b)) + 4096
 		if got := allocatedBy(bound, func() { c, err = decodeCommand(b) }); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
 		}
@@ -117,7 +143,10 @@ func requestSeeds() []*Request {
 // of the input's length (the worst honest case is about 16x: a string header
 // per one-byte key); and whatever decodes splits, under a four-shard ring,
 // into parts that hold every key, pair, write and condition exactly once, on
-// the shard that owns it, in request order.
+// the shard that owns it, in request order. What decodes is also something
+// the encoder says: it re-encodes to bytes that decode to the same request —
+// which a budget or staleness bound past what a time.Duration holds would
+// not, so the decoder refuses those.
 func FuzzRequestSplit(f *testing.F) {
 	for _, req := range requestSeeds() {
 		seed := EncodeRequest(req)
@@ -138,6 +167,9 @@ func FuzzRequestSplit(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if again, err := DecodeRequest(EncodeRequest(req)); err != nil || !reflect.DeepEqual(req, again) {
+			t.Fatalf("re-encoded request decodes to %+v, %v; want %+v", again, err, req)
 		}
 		shard, parts := cl.split(r, rt, req)
 		if parts == nil {

@@ -142,9 +142,10 @@ type shardState struct {
 }
 
 // decodeSnapshot parses a snapshot. Nothing in it is trusted — a transfer
-// reply comes from whoever answers at a well-known address — so every count is
-// believed only up to what the bytes left could hold at the element's minimum
-// size, and everything kept is copied out of snap, which is only borrowed.
+// reply comes from whoever answers at a well-known address — so it reads
+// through the codec's reader, which believes a count only up to what the bytes
+// left can hold, and everything kept is copied out of snap, which is only
+// borrowed.
 func decodeSnapshot(snap []byte) (shardState, error) {
 	switch {
 	case len(snap) > 0 && snap[0] == '{':
@@ -152,28 +153,28 @@ func decodeSnapshot(snap []byte) (shardState, error) {
 	case len(snap) == 0 || snap[0] != snapshotVersion:
 		return shardState{}, fmt.Errorf("%w: unknown snapshot format (this build reads binary version %d)", errBadSnapshot, snapshotVersion)
 	}
-	r := &snapReader{b: snap[1:]}
+	r := &reader{b: snap[1:]}
 	var st shardState
 	n := r.count(2) // a key and a value: one length byte each
 	st.items = make(map[string][]byte, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && !r.failed; i++ {
 		k := r.str()
 		st.items[k] = r.bytes()
 	}
-	window := r.uvarint()
-	if window == 0 || window > math.MaxInt32 {
+	window := int(r.upTo(math.MaxInt32))
+	if window == 0 {
 		r.fail()
 	}
 	n = r.count(11) // id, flags, txn state, key length
-	st.results = newResultWindow(int(window), n)
-	for i := 0; i < n && r.err == nil; i++ {
+	st.results = newResultWindow(window, n)
+	for i := 0; i < n && !r.failed; i++ {
 		id := r.u64()
 		st.results.set(id, r.result())
 	}
-	st.routing, st.pending = r.routing(), r.routing()
-	n = r.count(16) // id, state, and seven empty strings or lists
+	st.routing, st.pending = r.optRouting(), r.optRouting()
+	n = r.count(minPortionBytes)
 	st.txns = make([]*txnPortion, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && !r.failed; i++ {
 		st.txns = append(st.txns, r.portion())
 	}
 	n = r.count(8)
@@ -181,127 +182,25 @@ func decodeSnapshot(snap []byte) (shardState, error) {
 	for i := range st.txnOrder {
 		st.txnOrder[i] = r.u64()
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail()
+	if len(r.b) != 0 || r.failed {
+		return st, errBadSnapshot
 	}
-	return st, r.err
+	return st, nil
 }
 
-// snapReader reads a snapshot front to back. Its first failure sticks: every
-// later read returns a zero value, and the decoder reports the failure.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) fail() {
-	if r.err == nil {
-		r.err = errBadSnapshot
-	}
-	r.b = nil
-}
-
-func (r *snapReader) u8() byte {
-	if len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-func (r *snapReader) u64() uint64 {
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *snapReader) uvarint() uint64 {
-	v, w := binary.Uvarint(r.b)
-	if w <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[w:]
-	return v
-}
-
-// count reads an element count and believes it only up to what the bytes left
-// could hold at minSize bytes an element.
-func (r *snapReader) count(minSize int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/minSize) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// raw reads a byte string in place; callers copy what they keep.
-func (r *snapReader) raw() []byte {
-	b, rest, err := takeBytes(r.b)
-	if err != nil {
-		r.fail()
+// optRouting reads what appendOptRouting wrote.
+func (r *reader) optRouting() *Routing {
+	if !r.flag() {
 		return nil
 	}
-	r.b = rest
-	return b
-}
-
-func (r *snapReader) str() string { return string(r.raw()) }
-
-func (r *snapReader) bytes() []byte { return copyVal(r.raw()) }
-
-func (r *snapReader) values() [][]byte {
-	out := make([][]byte, r.count(1))
-	for i := range out {
-		out[i] = r.bytes()
-	}
-	return out
-}
-
-func (r *snapReader) found() []bool {
-	out := make([]bool, r.count(1))
-	for i := range out {
-		out[i] = r.u8() != 0
-	}
-	return out
-}
-
-// list reads one of the command codec's lists (takeKeys, takeTxnWrites,
-// takeTxnConds), which clamp their own counts.
-func list[T any](r *snapReader, take func([]byte) ([]T, []byte, error)) []T {
-	if r.err != nil {
-		return nil
-	}
-	out, rest, err := take(r.b)
-	if err != nil {
+	rt := r.routing()
+	if rt.points() > maxRingPoints {
 		r.fail()
-		return nil
 	}
-	r.b = rest
-	return out
-}
-
-func (r *snapReader) routing() *Routing {
-	if r.u8() == 0 {
-		return nil
-	}
-	rt, rest, err := takeRouting(r.b)
-	if err != nil || rt.points() > maxRingPoints {
-		r.fail()
-		return nil
-	}
-	r.b = rest
 	return &rt
 }
 
-func (r *snapReader) result() result {
+func (r *reader) result() result {
 	var res result
 	flags := r.u8()
 	res.OK, res.Conflict, res.CondFailed = flags&1 != 0, flags&2 != 0, flags&4 != 0
@@ -313,12 +212,15 @@ func (r *snapReader) result() result {
 	return res
 }
 
-func (r *snapReader) portion() *txnPortion {
-	p := &txnPortion{TxnID: r.u64(), State: r.u8(), HomeKey: r.str()}
-	p.AllKeys, p.Reads = list(r, takeKeys), list(r, takeKeys)
-	p.Values, p.Found = r.values(), r.found()
-	p.Writes, p.Conds = list(r, takeTxnWrites), list(r, takeTxnConds)
-	// The codec's lists alias the bytes they were read from.
+// minPortionBytes is the least a portion takes: id, state, and seven empty
+// strings or lists.
+const minPortionBytes = 16
+
+// portion reads a transaction portion, a snapshot's or a migrate import's.
+// It copies out everything it keeps: a portion outlives the bytes it came in.
+func (r *reader) portion() *txnPortion {
+	p := &txnPortion{TxnID: r.u64(), State: r.u8(), HomeKey: r.str(), AllKeys: r.keys(), Reads: r.keys(),
+		Values: r.values(), Found: r.found(), Writes: r.writes(), Conds: r.conds()}
 	for i := range p.Writes {
 		p.Writes[i].Val = copyVal(p.Writes[i].Val)
 	}
@@ -383,11 +285,7 @@ func appendValues(dst []byte, vals [][]byte) []byte {
 func appendFound(dst []byte, found []bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(found)))
 	for _, f := range found {
-		if f {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendBool(dst, f)
 	}
 	return dst
 }

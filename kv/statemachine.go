@@ -126,15 +126,15 @@ const txnTombstoneWindow = 8192
 // stays as a tombstone (writes and conds trimmed) so re-driven prepares and
 // resolves re-answer the decision instead of re-executing.
 type txnPortion struct {
-	TxnID   uint64     `json:"id"`
-	HomeKey string     `json:"home"`
-	AllKeys []string   `json:"all"`
-	State   byte       `json:"state"`
-	Reads   []string   `json:"reads,omitempty"`
-	Writes  []TxnWrite `json:"writes,omitempty"`
-	Conds   []TxnCond  `json:"conds,omitempty"`
-	Values  [][]byte   `json:"values,omitempty"`
-	Found   []bool     `json:"found,omitempty"`
+	TxnID   uint64
+	HomeKey string
+	AllKeys []string
+	State   byte
+	Reads   []string
+	Writes  []TxnWrite
+	Conds   []TxnCond
+	Values  [][]byte
+	Found   []bool
 }
 
 // localKeys is the deduplicated union of the portion's read, write, and
