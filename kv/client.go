@@ -755,7 +755,7 @@ type localCall struct {
 func (c *Client) start(shard int, req *Request, call *localCall) bool {
 	if c.s == nil || shard < 0 || c.s.Replica(shard) == nil {
 		// A shard this node SHOULD host but does not yet is being opened by
-		// the topology worker (a split in flight): its installation is a
+		// the slot's owner (a split in flight): its installation is a
 		// change Do's loop waits for, instead of assuming a remote owner.
 		if c.s != nil && shard >= 0 && c.s.expectsShard(shard) && !c.s.isClosed() {
 			call.err = errMoved
@@ -1279,7 +1279,7 @@ func (s *Store) finish(ctx context.Context, c *shardCall) (result, error) {
 		r.Read(func(sm shared.StateMachine) { sm.(*mapSM).forget(w) })
 		// ErrStopped: the replica stopped under us. ErrNotMember: an
 		// in-flight submission was aborted by the expulsion itself. Both mean
-		// "this replica is gone"; wait for the self-heal watcher to swap in a
+		// "this replica is gone"; wait for the slot's owner to swap in a
 		// fresh one — unless the whole store is closed.
 		if !errors.Is(err, shared.ErrStopped) && !errors.Is(err, amoeba.ErrNotMember) {
 			return result{}, fmt.Errorf("kv: shard %d: %w", c.shard, err)

@@ -72,7 +72,9 @@ type Options struct {
 	Replication int
 	// Nodes is the cluster's node count — the modulus of the placement
 	// rule. Bootstrap fills it in; Join with bounded replication requires
-	// it (with NodeIndex) to know which shards to host.
+	// it (with NodeIndex) to know which shards to host. A node joined
+	// without it places itself as the only node, which full replication
+	// does not mind (Store.nodes holds that default).
 	Nodes int
 	// NodeIndex is this node's placement slot in [0, Nodes). Bootstrap
 	// fills it in; Join with bounded replication requires it (a
@@ -184,23 +186,25 @@ func hostsShard(i, nodeIndex, nodes, repl int) bool {
 	return (nodeIndex-i%nodes+nodes)%nodes < repl
 }
 
-// Store is one node's handle on a sharded store: a replica of every shard,
-// hosted on a single kernel.
+// Store is one node's handle on a sharded store: a replica of every shard it
+// hosts, on a single kernel.
 //
-// A store self-heals: if one of its shard replicas is expelled — the group
-// recovered while this node was too slow to vote, the paper's unreliable
-// failure detector at work — a background watcher rejoins that shard with
+// Every hosted shard slot has one owner, a goroutine (hostShard) that is the
+// only code putting a replica into the slot or taking one out. The owner
+// opens the slot's replica and keeps it: if the replica is expelled — the
+// group recovered while this node was too slow to vote, the paper's
+// unreliable failure detector at work — the owner rejoins the shard with
 // atomic state transfer and swaps the fresh replica in. Client operations
 // in flight across the swap fail with ErrStopped internally and are retried
 // against the new replica (commands are deduplicated by id, so a retry of an
 // already-applied command is not re-executed).
 //
 // A store also follows the routing table: when a migrate-begin announcing
-// new shard groups is applied by any hosted replica, a topology worker
-// creates or joins the groups this node should host, and when an epoch flip
-// retires shards (a merge), it leaves their groups and reclaims their logs.
-// Every node converges on the table independently — the coordinator only
-// drives the sequenced commands.
+// new shard groups is applied by any hosted replica, the store starts an
+// owner for every new slot this node should host, which creates or joins
+// the slot's group; when an epoch flip retires a slot (a merge), its owner
+// leaves the group and reclaims the log. Every node converges on the table
+// independently — the coordinator only drives the sequenced commands.
 type Store struct {
 	name   string
 	opts   Options
@@ -233,8 +237,11 @@ type Store struct {
 	reshardMu    sync.Mutex
 	coordinating atomic.Bool
 
+	// shards is written only by each slot's owner (hostShard); owners
+	// records the slots that have one.
 	mu     sync.RWMutex
 	shards []*shared.Replica // index = shard id; grows on split
+	owners map[int]bool
 	closed bool
 
 	// Read-path counters: how many reads each shortcut served and how many
@@ -246,7 +253,8 @@ type Store struct {
 	staleFallback atomic.Uint64
 	obsUnreg      func()
 
-	ensureCh   chan struct{}
+	// healCtx ends at shutdown; healWG counts the owners and background
+	// loops shutdown waits for.
 	healCtx    context.Context
 	healCancel context.CancelFunc
 	healWG     sync.WaitGroup
@@ -265,7 +273,7 @@ func newStore(name string, k *amoeba.Kernel, opts Options) *Store {
 		routeWake:    make(chan struct{}),
 		idNonce:      clientNonce(),
 		shards:       make([]*shared.Replica, opts.Shards),
-		ensureCh:     make(chan struct{}, 1),
+		owners:       make(map[int]bool),
 		healCtx:      ctx,
 		healCancel:   cancel,
 	}
@@ -350,7 +358,7 @@ func (s *Store) replicasChanged() {
 // noteRouting folds one replica's routing state into the node-local view.
 // It is called by shard state machines under their replica lock (including
 // during write-ahead-log recovery), so it must not call back into replicas;
-// topology work happens on the worker goroutine it nudges.
+// topology work happens on the goroutines its RoutingWatch wakeup reaches.
 func (s *Store) noteRouting(shard int, cur Routing, pending Routing, hasPending bool) {
 	s.routeMu.Lock()
 	changed := false
@@ -389,42 +397,36 @@ func (s *Store) noteRouting(shard int, cur Routing, pending Routing, hasPending 
 		s.routeWake = make(chan struct{})
 	}
 	s.routeMu.Unlock()
-	if changed {
-		s.nudgeTopology()
-	}
 }
 
-// nudgeTopology asks the topology worker to reconcile hosted shards with the
-// routing table.
-func (s *Store) nudgeTopology() {
-	select {
-	case s.ensureCh <- struct{}{}:
-	default:
+// span returns the committed routing table, whether a handoff is pending,
+// and how many shard slots the committed and pending tables span together.
+func (s *Store) span() (cur Routing, pending bool, want int) {
+	s.routeMu.RLock()
+	defer s.routeMu.RUnlock()
+	want = s.routing.Shards
+	if s.pendingRt != nil {
+		want = max(want, s.pendingRt.Shards)
 	}
+	return s.routing, s.pendingRt != nil, want
 }
 
-// startSelfHeal launches the per-shard watchers and the topology worker;
-// called once construction succeeded.
-func (s *Store) startSelfHeal() {
-	s.mu.RLock()
-	n := len(s.shards)
-	s.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		if s.Replica(i) == nil {
-			continue // not hosted under bounded replication
-		}
-		s.healWG.Add(1)
-		go s.watchShard(i)
-	}
+// nodes is the placement modulus: Options.Nodes, or 1 for a node joined
+// without it.
+func (s *Store) nodes() int { return max(s.opts.Nodes, 1) }
+
+// start launches the loops that run beside the slot owners: the topology
+// loop, the transaction janitor and, when configured, the audit driver.
+// Called once construction succeeded.
+func (s *Store) start() {
 	s.healWG.Add(1)
-	go s.topologyWorker()
+	go s.followTopology()
 	s.healWG.Add(1)
 	go s.txnJanitor(s.healCtx)
 	if s.opts.AuditEvery > 0 && s.opts.Group.Obs != nil {
 		s.healWG.Add(1)
 		go s.auditDriver(s.healCtx)
 	}
-	s.nudgeTopology()
 }
 
 // flight returns the store's flight recorder (nil-safe: a nil hub records
@@ -433,192 +435,167 @@ func (s *Store) flight() *obs.Recorder {
 	return s.opts.Group.Obs.Flight()
 }
 
-// watchShard rejoins shard i whenever its replica stops underneath us.
-func (s *Store) watchShard(i int) {
+// followTopology starts an owner for every slot the committed or a pending
+// routing table gives this node that has none — the half of a split every
+// node runs on its own; the coordinator only drives the sequenced migration
+// commands. It looks again at every routing or hosted-set change.
+func (s *Store) followTopology() {
 	defer s.healWG.Done()
 	for {
-		s.mu.RLock()
-		var r *shared.Replica
-		if i < len(s.shards) {
-			r = s.shards[i]
+		wake := s.RoutingWatch()
+		_, _, want := s.span()
+		for i := 0; i < want; i++ {
+			if hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication) {
+				s.own(i, nil)
+			}
 		}
-		s.mu.RUnlock()
-		if r == nil {
-			return // retired (or never hosted)
-		}
-		// Block until the replica stops (expelled or closed).
 		select {
-		case <-r.Stopped():
+		case <-wake:
 		case <-s.healCtx.Done():
 			return
 		}
-		s.mu.RLock()
-		closed := s.closed
-		current := i < len(s.shards) && s.shards[i] == r
-		s.mu.RUnlock()
-		if closed || !current {
-			return // store closing, or the shard was retired/swapped
-		}
-		if rt := s.Routing(); i >= rt.Shards && s.PendingRouting() == nil {
-			return // shard retired by a merge: nothing to heal
-		}
-		r.Close() // release the expelled replica's transfer service (and log)
-		rep, err := s.openShard(s.healCtx, i, false)
-		if err != nil {
-			if s.healCtx.Err() != nil {
-				return
-			}
-			// Unexpected failure (e.g. a second expulsion raced the
-			// rejoin in a way joinShard does not classify): back off
-			// and keep trying — giving up would strand the shard on
-			// this node forever.
-			select {
-			case <-s.healCtx.Done():
-				return
-			case <-time.After(time.Second):
-			}
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			rep.Close()
-			return
-		}
-		s.shards[i] = rep
-		s.mu.Unlock()
-		s.replicasChanged()
 	}
 }
 
-// topologyWorker reconciles the set of hosted shard replicas with the
-// routing table: joining or creating the groups a pending split announced,
-// and retiring the groups an epoch flip removed (merge). It is the half of
-// the handoff every node runs independently; the coordinator only drives
-// the sequenced migration commands.
-func (s *Store) topologyWorker() {
-	defer s.healWG.Done()
-	for {
-		select {
-		case <-s.healCtx.Done():
-			return
-		case <-s.ensureCh:
-		}
-		s.reconcileTopology()
-	}
+// bootOpen is a Bootstrap or Join waiting for one slot's first replica.
+type bootOpen struct {
+	ctx   context.Context // bounds the first open
+	found bool            // see openShard
+	done  func(error)     // called once: nil when the replica is installed
 }
 
-func (s *Store) reconcileTopology() {
-	s.routeMu.RLock()
-	cur := s.routing
-	pending := s.pendingRt
-	s.routeMu.RUnlock()
-	want := cur.Shards
-	if pending != nil && pending.Shards > want {
-		want = pending.Shards
-	}
-	nodes := s.opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	// Grow: open replicas for announced shards this node should host.
-	for i := 0; i < want; i++ {
-		if !hostsShard(i, s.opts.NodeIndex, nodes, s.opts.Replication) {
-			continue
-		}
-		s.mu.Lock()
-		for len(s.shards) < want {
-			s.shards = append(s.shards, nil)
-		}
-		have := s.shards[i] != nil
-		closed := s.closed
-		s.mu.Unlock()
-		if have || closed {
-			continue
-		}
-		// Bound each attempt so one unreachable group cannot wedge the
-		// worker; a failure re-arms a retry nudge.
-		attemptCtx, cancel := context.WithTimeout(s.healCtx, 30*time.Second)
-		rep, err := s.openNewShard(attemptCtx, i)
-		cancel()
-		if err != nil {
-			if s.healCtx.Err() == nil {
-				time.AfterFunc(250*time.Millisecond, s.nudgeTopology)
-			}
-			continue
-		}
-		s.mu.Lock()
-		if s.closed || s.shards[i] != nil {
-			s.mu.Unlock()
-			rep.Close()
-			continue
-		}
-		s.shards[i] = rep
-		s.mu.Unlock()
-		s.replicasChanged()
-		s.healWG.Add(1)
-		go s.watchShard(i)
-	}
-	// Shrink: retire shards the committed table no longer contains.
-	if pending == nil {
-		s.mu.RLock()
-		n := len(s.shards)
-		s.mu.RUnlock()
-		for i := cur.Shards; i < n; i++ {
-			if r := s.Replica(i); r != nil {
-				s.healWG.Add(1)
-				go s.retireShard(i, r, cur.Epoch)
-			}
-		}
-	}
-}
-
-// openNewShard obtains a replica of a shard announced by a pending split.
-// Durable stores run the write-ahead-log path's cold-start election (virgin
-// logs everywhere: the best candidate among the nodes that are UP creates,
-// so a dead preferred rank cannot strand the shard). In-memory stores have
-// no election machinery, so the handoff coordinator — alive by definition —
-// creates the group and everyone else joins with retry; a fixed designated
-// creator would deadlock the split if that node happened to be the one
-// whose death the resharding is racing.
-func (s *Store) openNewShard(ctx context.Context, i int) (*shared.Replica, error) {
-	if s.opts.DataDir != "" {
-		return s.openShard(ctx, i, false)
-	}
-	if s.coordinating.Load() {
-		return shared.Create(ctx, s.kernel, shardGroupName(s.name, i), s.newShardSM(i), s.opts.Group)
-	}
-	return s.joinShard(ctx, i)
-}
-
-// retireShard removes a shard a merge deleted: wait until the local replica
-// has applied its own epoch flip (so the departure is sequenced after the
-// commit), leave the group in total order, and reclaim the log directory.
-func (s *Store) retireShard(i int, r *shared.Replica, epoch uint64) {
-	defer s.healWG.Done()
-	err := r.Wait(s.healCtx, func(sm shared.StateMachine) bool {
-		return sm.(*mapSM).routing.Epoch >= epoch
-	})
+// own starts slot i's owner unless the slot has one or the store is shutting
+// down. boot is set when Bootstrap or Join opens the slot: it has no owner
+// yet, and the store is not shutting down, so boot is always told.
+func (s *Store) own(i int, boot *bootOpen) {
 	s.mu.Lock()
-	if s.closed || i >= len(s.shards) || s.shards[i] != r {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closed || s.owners[i] {
 		return
 	}
-	s.shards[i] = nil
-	s.mu.Unlock()
-	s.replicasChanged()
-	if err == nil {
-		leaveCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = r.Leave(leaveCtx)
-		cancel()
+	for len(s.shards) <= i {
+		s.shards = append(s.shards, nil)
 	}
-	r.Close()
-	if s.opts.DataDir != "" {
-		// The shard's history now lives (merged) in the surviving shards'
-		// logs; a leftover directory would only resurrect a zombie group
-		// at the next restart.
-		_ = os.RemoveAll(shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, i))
+	s.owners[i] = true
+	s.healWG.Add(1)
+	go s.hostShard(i, boot)
+}
+
+// hostShard owns shard slot i for as long as this node hosts it: it is the
+// only code that puts a replica into s.shards[i] or takes one out. It opens
+// the slot's replica, retrying with backoff, and reopens it whenever it
+// stops (the self-heal). Once a committed table drops the slot (a merge), it
+// retires the replica, or gives the slot up if it never opened one. It
+// returns at shutdown, which closes or leaves what the slot still holds.
+//
+// A boot owner's first open runs under the Bootstrap or Join ctx and is
+// reported to it; a failure other than a transient one ends the owner, as
+// does the ctx ending. Later opens retry every failure: giving up would
+// strand the shard on this node forever.
+func (s *Store) hostShard(i int, boot *bootOpen) {
+	defer s.healWG.Done()
+	// put installs r in the slot, or with nil empties the slot and gives it
+	// up. It refuses once shutdown has begun.
+	put := func(r *shared.Replica) bool {
+		s.mu.Lock()
+		ok := !s.closed
+		if ok {
+			s.shards[i] = r
+			if r == nil {
+				delete(s.owners, i)
+			}
+		}
+		s.mu.Unlock()
+		if ok {
+			s.replicasChanged()
+		}
+		return ok
 	}
+	var (
+		rep     *shared.Replica
+		backoff time.Duration
+	)
+	for {
+		wake := s.RoutingWatch()
+		cur, pending, want := s.span()
+		switch {
+		case rep == nil && boot == nil && i >= want:
+			put(nil)
+			return
+		case rep != nil && !pending && i >= cur.Shards:
+			// Retire: wait until the replica has applied its own epoch flip,
+			// so the departure is sequenced after the commit, leave the group
+			// in total order, and reclaim the log directory.
+			err := rep.Wait(s.healCtx, func(sm shared.StateMachine) bool {
+				return sm.(*mapSM).routing.Epoch >= cur.Epoch
+			})
+			if !put(nil) {
+				return
+			}
+			if err == nil {
+				ctx, cancel := leaveCtx()
+				_ = rep.Leave(ctx)
+				cancel()
+			}
+			rep.Close()
+			if s.opts.DataDir != "" {
+				// The shard's history now lives (merged) in the surviving
+				// shards' logs; a leftover directory would only resurrect a
+				// zombie group at the next restart.
+				_ = os.RemoveAll(shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, i))
+			}
+			return
+		case rep != nil:
+			select {
+			case <-wake:
+				continue
+			case <-s.healCtx.Done():
+				return
+			case <-rep.Stopped():
+				rep.Close() // release the expelled replica's transfer service (and log)
+			}
+		}
+		ctx, found := s.healCtx, rep == nil && s.opts.DataDir == "" && s.coordinating.Load()
+		if boot != nil {
+			ctx, found = boot.ctx, boot.found
+		}
+		r, err := s.openShard(ctx, i, found)
+		switch {
+		case err == nil:
+			if !put(r) {
+				r.Close()
+				return
+			}
+			rep, backoff = r, 0
+			if boot != nil {
+				boot.done(nil)
+				boot = nil
+			}
+			continue
+		// The failures a group in mid-recovery produces are transient:
+		// ErrNoGroup (the sequencer died and the survivors have not rebuilt
+		// yet, or the join raced a reset), ErrTransferFailed (no member could
+		// donate a current snapshot in time), and ErrNotMember (a recovery
+		// excluded the half-joined member before the transfer finished).
+		case boot != nil && (ctx.Err() != nil || !errors.Is(err, amoeba.ErrNoGroup) &&
+			!errors.Is(err, shared.ErrTransferFailed) && !errors.Is(err, amoeba.ErrNotMember)):
+			boot.done(fmt.Errorf("kv: node %d opening %s: %w", s.opts.NodeIndex, shardGroupName(s.name, i), err))
+			return
+		case s.healCtx.Err() != nil:
+			return
+		}
+		backoff = min(max(2*backoff, 20*time.Millisecond), time.Second)
+		select {
+		case <-ctx.Done():
+		case <-time.After(backoff):
+		}
+	}
+}
+
+// leaveCtx bounds a departure nobody waits on: a retiring slot's, or an
+// abandoned boot's.
+func leaveCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), 5*time.Second)
 }
 
 // Bootstrap creates a store named name across the given kernels (one node
@@ -645,8 +622,18 @@ func Bootstrap(ctx context.Context, kernels []*amoeba.Kernel, name string, opts 
 	}
 	opts = opts.withDefaults()
 	opts.Nodes = len(kernels)
+	// A durable store's directory that does not exist yet marks a genuine
+	// first boot, letting each shard's preferred creator skip the survivor
+	// probe; an existing directory is a restart, and every shard runs the
+	// full recover-join-or-elect path.
+	fresh, shardCount := true, opts.Shards
 	if opts.DataDir != "" {
-		return bootstrapDurable(ctx, kernels, name, opts)
+		_, err := os.Stat(filepath.Join(opts.DataDir, name))
+		if fresh = os.IsNotExist(err); !fresh {
+			for n := range kernels {
+				shardCount = discoverShardCount(opts.DataDir, name, n, shardCount)
+			}
+		}
 	}
 	stores := make([]*Store, len(kernels))
 	for n := range kernels {
@@ -654,49 +641,28 @@ func Bootstrap(ctx context.Context, kernels []*amoeba.Kernel, name string, opts 
 		o.NodeIndex = n
 		stores[n] = newStore(name, kernels[n], o)
 	}
-	fail := func(err error) ([]*Store, error) {
+	if err := openHosted(ctx, stores, shardCount, fresh); err != nil {
 		for _, s := range stores {
 			s.abandon()
 		}
 		return nil, err
 	}
-	for i := 0; i < opts.Shards; i++ {
-		creator := i % len(kernels)
-		group := shardGroupName(name, i)
-		r, err := shared.Create(ctx, kernels[creator], group, stores[creator].newShardSM(i), opts.Group)
-		if err != nil {
-			return fail(fmt.Errorf("kv: creating %s: %w", group, err))
-		}
-		stores[creator].shards[i] = r
-		// The remaining hosting nodes join concurrently; each join is a
-		// group membership change plus a (tiny, empty-state) transfer.
-		var wg sync.WaitGroup
-		errs := make([]error, len(kernels))
-		for n := range kernels {
-			if n == creator || !hostsShard(i, n, len(kernels), opts.Replication) {
-				continue
-			}
-			n := n
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep, err := stores[n].joinShard(ctx, i)
-				if err != nil {
-					errs[n] = fmt.Errorf("kv: node %d joining %s: %w", n, group, err)
-					return
-				}
-				stores[n].shards[i] = rep
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return fail(err)
-			}
-		}
-	}
 	for _, s := range stores {
-		s.startSelfHeal()
+		s.start()
+	}
+	// A crash mid-handoff leaves pending routing in the recovered state;
+	// finish the migration deterministically before handing the store out.
+	if !fresh {
+		if err := stores[0].resumeResharding(ctx); err != nil {
+			for _, s := range stores {
+				s.Close()
+			}
+			return nil, fmt.Errorf("kv: resuming interrupted resharding of %q: %w", name, err)
+		}
+		// Likewise for transactions a kill-all interrupted between prepare
+		// and commit: the coordinators are certainly gone, so arbitrate
+		// every in-doubt prepare now instead of waiting out the janitor.
+		stores[0].recoverInDoubt(ctx, 0)
 	}
 	return stores, nil
 }
@@ -719,52 +685,6 @@ func discoverShardCount(dataDir, store string, node, configured int) int {
 		}
 	}
 	return n
-}
-
-// bootstrapDurable boots (or restarts) a durable store: every node opens
-// its hosted shards through the write-ahead-log path concurrently. A store
-// directory that does not exist yet marks a genuine first boot, letting each
-// shard's preferred creator skip the survivor probe; an existing directory
-// is a restart, and every shard runs the full recover-join-or-elect path.
-func bootstrapDurable(ctx context.Context, kernels []*amoeba.Kernel, name string, opts Options) ([]*Store, error) {
-	_, err := os.Stat(filepath.Join(opts.DataDir, name))
-	fresh := os.IsNotExist(err)
-	shardCount := opts.Shards
-	if !fresh {
-		for n := range kernels {
-			shardCount = discoverShardCount(opts.DataDir, name, n, shardCount)
-		}
-	}
-	stores := make([]*Store, len(kernels))
-	for n := range kernels {
-		o := opts
-		o.NodeIndex = n
-		stores[n] = newStore(name, kernels[n], o)
-	}
-	if err := openHosted(ctx, stores, shardCount, fresh); err != nil {
-		for _, s := range stores {
-			s.abandon()
-		}
-		return nil, err
-	}
-	for _, s := range stores {
-		s.startSelfHeal()
-	}
-	// A crash mid-handoff leaves pending routing in the recovered state;
-	// finish the migration deterministically before handing the store out.
-	if !fresh {
-		if err := stores[0].resumeResharding(ctx); err != nil {
-			for _, s := range stores {
-				s.Close()
-			}
-			return nil, fmt.Errorf("kv: resuming interrupted resharding of %q: %w", name, err)
-		}
-		// Likewise for transactions a kill-all interrupted between prepare
-		// and commit: the coordinators are certainly gone, so arbitrate
-		// every in-doubt prepare now instead of waiting out the janitor.
-		stores[0].recoverInDoubt(ctx, 0)
-	}
-	return stores, nil
 }
 
 // Open (re)starts one durable node of a store: every hosted shard is
@@ -804,135 +724,97 @@ func Join(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*St
 		s.abandon()
 		return nil, err
 	}
-	s.startSelfHeal()
+	s.start()
 	return s, nil
 }
 
-// openHosted sizes each store's shard table to shardCount and opens, through
-// openShard (fresh marks a declared first boot), every shard its placement
-// slot hosts — all of them side by side, across the stores too: a shard's
-// cold-start election needs its peers up. The first failure wins and cancels
-// the rest: a joiner whose creator never came up retries until its context
-// ends, so without this a single bad data directory would hang the whole boot.
+// openHosted opens, on each store, every slot below shardCount its placement
+// slot hosts, each by the slot's owner, and returns once all are installed.
+// They open side by side, across the stores too — a durable shard's
+// cold-start election needs its peers up — except that the slots a store
+// founds go first, so no joiner at a fresh in-memory boot waits out a retry
+// for a group that is not made yet. fresh marks a store's first boot. The
+// first failure wins and cancels the rest: a joiner whose creator never came
+// up retries until its context ends, so without this a single bad data
+// directory would hang the whole boot.
 func openHosted(ctx context.Context, stores []*Store, shardCount int, fresh bool) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wg       sync.WaitGroup
-		once     sync.Once
+		mu       sync.Mutex
 		firstErr error
 	)
-	for _, s := range stores {
-		s.mu.Lock()
-		for len(s.shards) < shardCount {
-			s.shards = append(s.shards, nil)
-		}
-		s.mu.Unlock()
-		for i := 0; i < shardCount; i++ {
-			if !hostsShard(i, s.opts.NodeIndex, s.opts.Nodes, s.opts.Replication) {
-				continue
-			}
-			s, i := s, i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep, err := s.openShard(ctx, i, fresh)
-				if err != nil {
-					once.Do(func() {
-						firstErr = fmt.Errorf("kv: node %d opening %s: %w", s.opts.NodeIndex, shardGroupName(s.name, i), err)
-						cancel()
-					})
-					return
+	for _, founders := range []bool{true, false} {
+		var wg sync.WaitGroup
+		for _, s := range stores {
+			for i := 0; i < shardCount; i++ {
+				found := fresh && (s.opts.DataDir != "" || i%s.nodes() == s.opts.NodeIndex)
+				if found != founders || !hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication) {
+					continue
 				}
-				s.mu.Lock()
-				s.shards[i] = rep
-				s.mu.Unlock()
-			}()
+				wg.Add(1)
+				s.own(i, &bootOpen{ctx: ctx, found: found, done: func(err error) {
+					defer wg.Done()
+					mu.Lock()
+					defer mu.Unlock()
+					if err != nil && firstErr == nil {
+						firstErr = err
+						cancel()
+					}
+				}})
+			}
+		}
+		wg.Wait()
+		if firstErr != nil {
+			return firstErr
 		}
 	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
-// openShard obtains one shard replica over whichever path the options name:
-// in-memory stores join with retry (joinShard); durable stores go through
-// shared.Open — recover the write-ahead log, join the live group if one
-// exists, otherwise elect the longest surviving log to reform it. bootstrap
-// marks a declared first boot (see shared.Durability.Bootstrap).
-func (s *Store) openShard(ctx context.Context, shard int, bootstrap bool) (*shared.Replica, error) {
-	if s.opts.DataDir == "" {
-		return s.joinShard(ctx, shard)
-	}
-	nodes := s.opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	dur := shared.Durability{
-		Dir:             shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, shard),
-		Sync:            s.opts.WALSync,
-		SyncDelay:       s.opts.WALSyncDelay,
-		CheckpointEvery: s.opts.CheckpointEvery,
-		FaultHook:       s.opts.WALFaultHook,
-		Rank:            s.opts.NodeIndex,
-		Peers:           nodes,
-		Preferred:       shard % nodes,
-		Bootstrap:       bootstrap,
-	}
-	return shared.Open(ctx, s.kernel, shardGroupName(s.name, shard), s.newShardSM(shard), s.opts.Group, dur)
-}
-
-// joinShard joins one shard group, retrying the failures that a group in
-// mid-recovery produces: ErrNoGroup (the sequencer died and the survivors
-// have not rebuilt yet, or the join raced a reset), ErrTransferFailed (no
-// member could donate a current snapshot in time), and ErrNotMember (a
-// recovery excluded the half-joined member before the transfer finished).
-// The caller's ctx bounds the retries; a group whose survivors never
-// recover fails when ctx does.
-func (s *Store) joinShard(ctx context.Context, shard int) (*shared.Replica, error) {
-	group := shardGroupName(s.name, shard)
-	for {
-		rep, err := shared.Join(ctx, s.kernel, group, s.newShardSM(shard), s.opts.Group)
-		if err == nil {
-			return rep, nil
-		}
-		if !errors.Is(err, amoeba.ErrNoGroup) && !errors.Is(err, shared.ErrTransferFailed) &&
-			!errors.Is(err, amoeba.ErrNotMember) {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, err // the transient error names the stuck shard
-		case <-time.After(100 * time.Millisecond):
-		}
+// openShard makes one attempt at shard slot i's replica. A durable store
+// goes through shared.Open: recover the write-ahead log, join the live group
+// if one exists, otherwise elect the longest surviving log to reform it;
+// found marks a declared first boot (shared.Durability.Bootstrap), in which
+// the slot's preferred rank creates. A slot a split adds runs the full
+// election instead (virgin logs everywhere: the best candidate among the
+// nodes that are up creates), so a dead preferred rank cannot strand it.
+//
+// In memory, the node that founds the slot's group creates it and every other
+// node joins it with state transfer. The founder is node i mod nodes at a
+// fresh Bootstrap, and the handoff coordinator for a slot a split adds — alive
+// by definition, where a fixed creator would deadlock the split if it were
+// the node whose death the resharding is racing.
+func (s *Store) openShard(ctx context.Context, i int, found bool) (*shared.Replica, error) {
+	group, sm := shardGroupName(s.name, i), s.newShardSM(i)
+	switch {
+	case s.opts.DataDir != "":
+		return shared.Open(ctx, s.kernel, group, sm, s.opts.Group, shared.Durability{
+			Dir:             shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, i),
+			Sync:            s.opts.WALSync,
+			SyncDelay:       s.opts.WALSyncDelay,
+			CheckpointEvery: s.opts.CheckpointEvery,
+			FaultHook:       s.opts.WALFaultHook,
+			Rank:            s.opts.NodeIndex,
+			Peers:           s.nodes(),
+			Preferred:       i % s.nodes(),
+			Bootstrap:       found,
+		})
+	case found:
+		return shared.Create(ctx, s.kernel, group, sm, s.opts.Group)
+	default:
+		return shared.Join(ctx, s.kernel, group, sm, s.opts.Group)
 	}
 }
 
-// abandon unwinds a partially constructed node (self-heal not started yet).
-// Unlike Close (crash semantics), it leaves each joined shard group in total
-// order, so a failed Bootstrap or Join does not plant dead members — which
-// would otherwise inherit ack duty in resilient groups and stall the next
-// attempt.
+// abandon unwinds a node whose Bootstrap or Join failed. Unlike Close (crash
+// semantics), it leaves each joined shard group in total order, so a failed
+// Bootstrap or Join does not plant dead members — which would otherwise
+// inherit ack duty in resilient groups and stall the next attempt.
 func (s *Store) abandon() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.healCancel()
-	s.obsUnreg()
-	var wg sync.WaitGroup
-	for _, r := range s.snapshotShards() {
-		if r == nil {
-			continue
-		}
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = r.Leave(ctx) // Leave falls back to Close internally
-		}()
-	}
-	wg.Wait()
+	ctx, cancel := leaveCtx()
+	defer cancel()
+	_ = s.shutdown(ctx, true)
 }
 
 // Name returns the store's name.
@@ -951,24 +833,12 @@ func (s *Store) ShardFor(key string) int {
 func (s *Store) HostsShard(i int) bool { return s.Replica(i) != nil }
 
 // expectsShard reports whether this node's placement slot should host shard
-// i under the current (or pending) table — true with a nil Replica means
-// the topology worker is still opening it (mid-split), and local callers
-// should wait rather than assume a remote owner.
+// i under the current (or pending) table — true with a nil Replica means the
+// slot's owner is still opening it (mid-split), and local callers should wait
+// rather than assume a remote owner.
 func (s *Store) expectsShard(i int) bool {
-	s.routeMu.RLock()
-	want := s.routing.Shards
-	if s.pendingRt != nil && s.pendingRt.Shards > want {
-		want = s.pendingRt.Shards
-	}
-	s.routeMu.RUnlock()
-	if i < 0 || i >= want {
-		return false
-	}
-	nodes := s.opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	return hostsShard(i, s.opts.NodeIndex, nodes, s.opts.Replication)
+	_, _, want := s.span()
+	return i >= 0 && i < want && hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication)
 }
 
 // Replica exposes shard i's underlying replica, for group-level operations
@@ -1093,54 +963,49 @@ func (s *Store) Members(i int) int {
 
 // Close stops the node without protocol goodbye: to the rest of the store,
 // this node has crashed. Surviving nodes recover with Reset (or AutoReset).
-func (s *Store) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	shards := append([]*shared.Replica(nil), s.shards...)
-	s.mu.Unlock()
-	s.healCancel()
-	s.obsUnreg()
-	var wg sync.WaitGroup
-	for _, r := range shards {
-		if r == nil {
-			continue
-		}
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.Close()
-		}()
-	}
-	wg.Wait()
-	s.healWG.Wait()
-}
+func (s *Store) Close() { _ = s.shutdown(context.Background(), false) }
 
 // Leave departs every shard group in total order and stops the node.
-func (s *Store) Leave(ctx context.Context) error {
+func (s *Store) Leave(ctx context.Context) error { return s.shutdown(ctx, true) }
+
+// shutdown stops the node, once: the slot owners and background loops
+// first, then every replica the slots still hold — departed in total order
+// under ctx when leave is set, closed (a crash, to the rest of the store)
+// otherwise. It returns the first departure's error.
+func (s *Store) shutdown(ctx context.Context, leave bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	shards := append([]*shared.Replica(nil), s.shards...)
 	s.mu.Unlock()
 	s.healCancel()
 	s.obsUnreg()
 	s.healWG.Wait()
-	var firstErr error
-	for _, r := range shards {
+	shards := s.snapshotShards()
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, r := range shards {
 		if r == nil {
 			continue
 		}
-		if err := r.Leave(ctx); err != nil && firstErr == nil {
-			firstErr = err
+		i, r := i, r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if leave {
+				errs[i] = r.Leave(ctx) // Leave falls back to Close internally
+			} else {
+				r.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }

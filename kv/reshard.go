@@ -138,9 +138,9 @@ func (s *Store) reshardTo(ctx context.Context, target Routing) error {
 				return fmt.Errorf("kv: migrate-begin on shard %d: %w", i, err)
 			}
 		}
-		// Phase 2: topology. The begins just applied nudge every node's
-		// topology worker to create/join the announced groups (the shard's
-		// designated creator creates, everyone else joins) — wait until
+		// Phase 2: topology. The begins just applied start an owner on
+		// every node for each announced slot, which creates (this node, the
+		// coordinator, in memory) or joins the slot's group — wait until
 		// this node hosts them all.
 		if target.Shards > oldN {
 			if err := s.waitHosted(ctx, oldN, target.Shards); err != nil {
@@ -177,9 +177,9 @@ func (s *Store) reshardTo(ctx context.Context, target Routing) error {
 // commitAll drives migrate-commit through every shard that could still be
 // pre-flip: sources delete their moved keys, frozen ranges thaw at their
 // new owners. Commits are idempotent, so driving an already-committed shard
-// is a no-op. A merged-away shard may already have been retired by the
-// topology worker (retirement waits for that shard's own flip, so a missing
-// replica proves its commit applied) — racing a retire is success.
+// is a no-op. A merged-away shard may already have been retired by its
+// owner (retirement waits for that shard's own flip, so a missing replica
+// proves its commit applied) — racing a retire is success.
 func (s *Store) commitAll(ctx context.Context, target Routing) error {
 	n := len(s.snapshotShards())
 	if target.Shards > n {
@@ -197,8 +197,8 @@ func (s *Store) commitAll(ctx context.Context, target Routing) error {
 			return fmt.Errorf("kv: migrate-commit on shard %d: %w", i, err)
 		}
 	}
-	// The topology worker retires merged-away shards on every node as the
-	// flip is observed; nothing to wait for here.
+	// The slot owners retire merged-away shards on every node as the flip
+	// is observed; nothing to wait for here.
 	return nil
 }
 
@@ -272,12 +272,11 @@ func (s *Store) anyShardAtEpoch(ctx context.Context, n int, epoch uint64) (bool,
 }
 
 // waitHosted blocks until this node hosts replicas of shards [lo, hi) — the
-// topology worker joins/creates them once the begins propagate.
+// slots' owners join or create them once the begins propagate.
 func (s *Store) waitHosted(ctx context.Context, lo, hi int) error {
 	var backoff time.Duration
 	for {
 		wake := s.RoutingWatch() // fires as each replica is installed
-		s.nudgeTopology()
 		missing := -1
 		for i := lo; i < hi; i++ {
 			if s.Replica(i) == nil {

@@ -883,8 +883,10 @@ func (s *mapSM) applyMigrateCommit(c command) {
 	}
 	s.flight.Recordf(s.flightTag, "migrate commit: epoch %d, %d moved keys dropped, %d kept",
 		c.routing.Epoch, dropped, len(s.items))
-	s.setResult(c.id, result{OK: true})
+	// The store's view first, as begin and abort do: whoever the answer
+	// wakes (the coordinator) must find the flip there.
 	s.notifyRouting()
+	s.setResult(c.id, result{OK: true})
 }
 
 // applyMigrateAbort rolls a pending handoff back: the freeze lifts and the
