@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"amoeba"
@@ -190,6 +191,10 @@ type Result struct {
 	// Audits counts completed cross-replica digest comparisons — proof
 	// the auditor was actually live during the schedule.
 	Audits int
+	// WALErrs are, by node, the errors that retired shard replicas' logs
+	// (shared.DurabilityStats.Err) on the nodes up at the end of the run:
+	// proof that the schedule's disk faults reached the logs.
+	WALErrs map[int][]string
 	// Flight is the cluster's flight-recorder dump, captured when the
 	// verdict failed (empty otherwise): the postmortem to read first.
 	Flight string
@@ -230,57 +235,112 @@ func (r Result) String() string {
 		r.Check, r.Atomic, r.Ops, r.Failed, r.Applied, len(r.Schedule.Events))
 }
 
-// walController routes schedule-injected log faults to the right replica
-// logs: one process-wide hook, targeted by the node index embedded in each
-// log's directory path.
+// walController is the schedule's disk: one wal.FS that every node's shard
+// logs share. It is the operating system's file system, except that it fails
+// (disk full) or tears (half the bytes, then an error) a targeted node's next
+// segment writes. A file's node is the index in its path (nodeOfDir).
 type walController struct {
 	mu       sync.Mutex
-	diskFull map[int]int  // node -> remaining appends to fail ENOSPC
-	torn     map[int]bool // node -> tear the next append
+	diskFull map[int]int  // node -> remaining segment writes to fail ENOSPC
+	torn     map[int]bool // node -> tear the next segment write
 }
 
 func newWALController() *walController {
 	return &walController{diskFull: make(map[int]int), torn: make(map[int]bool)}
 }
 
-func (w *walController) injectDiskFull(node, appends int) {
+// inject arms a disk event against node: a torn write tears its next segment
+// write, a disk-full event fails its next B (default 4) with ENOSPC.
+func (w *walController) inject(e Event, node int) {
 	w.mu.Lock()
-	w.diskFull[node] += appends
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	switch {
+	case e.Kind == EvTornWrite:
+		w.torn[node] = true
+	case e.B > 0:
+		w.diskFull[node] += e.B
+	default:
+		w.diskFull[node] += 4
+	}
 }
 
-func (w *walController) injectTorn(node int) {
-	w.mu.Lock()
-	w.torn[node] = true
-	w.mu.Unlock()
-}
-
-// hook implements wal.FaultHook. Only appends are targeted: sync and
-// checkpoint failures exercise the same degradation paths with less
-// schedule-visible effect.
-func (w *walController) hook(dir string, op wal.FaultOp) wal.InjectedFault {
-	if op != wal.FaultAppend {
-		return wal.NoFault
-	}
-	node, ok := nodeOfDir(dir)
-	if !ok {
-		return wal.NoFault
-	}
+// fault returns the error node's next segment write fails with (nil: none),
+// and whether half its bytes land first.
+func (w *walController) fault(node int) (torn bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.torn[node] {
 		delete(w.torn, node)
-		return wal.TornWrite
+		return true, fmt.Errorf("fuzz: node %d: torn write: %w", node, syscall.EIO)
 	}
 	if w.diskFull[node] > 0 {
 		w.diskFull[node]--
-		return wal.DiskFull
+		return false, fmt.Errorf("fuzz: node %d: disk full: %w", node, syscall.ENOSPC)
 	}
-	return wal.NoFault
+	return false, nil
 }
 
-// nodeOfDir extracts the node index from a shard log directory
-// (…/node-<n>/shard-<i>).
+// OpenAppend opens a segment: the log appends to nothing else. Checkpoints
+// are left alone; a failed one takes the same path as a failed append.
+func (w *walController) OpenAppend(name string) (wal.File, error) {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	node, ok := nodeOfDir(name)
+	if !ok {
+		return f, nil
+	}
+	return faultySegment{File: f, ctl: w, node: node}, nil
+}
+
+func (*walController) Create(name string) (wal.File, error) { return os.Create(name) }
+
+func (*walController) ReadDir(dir string) ([]string, error) {
+	des, err := os.ReadDir(dir)
+	names := make([]string, len(des))
+	for i, de := range des {
+		names[i] = de.Name()
+	}
+	return names, err
+}
+
+func (*walController) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+func (*walController) ReadFile(name string) ([]byte, error)   { return os.ReadFile(name) }
+func (*walController) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
+func (*walController) Remove(name string) error               { return os.Remove(name) }
+func (*walController) Truncate(name string, size int64) error { return os.Truncate(name, size) }
+func (*walController) MkdirAll(dir string) error              { return os.MkdirAll(dir, 0o755) }
+
+// faultySegment is a segment file of a node the schedule may fail.
+type faultySegment struct {
+	*os.File
+	ctl  *walController
+	node int
+}
+
+func (f faultySegment) Write(p []byte) (int, error) {
+	torn, err := f.ctl.fault(f.node)
+	if err == nil {
+		return f.File.Write(p)
+	}
+	if !torn {
+		return 0, err
+	}
+	n, _ := f.File.Write(p[:len(p)/2])
+	return n, err
+}
+
+// nodeOfDir extracts the node index from a path in a shard log directory
+// (…/node-<n>/shard-<i>/…).
 func nodeOfDir(dir string) (int, bool) {
 	i := strings.LastIndex(dir, "/node-")
 	if i < 0 {
@@ -461,10 +521,8 @@ func (c *cluster) apply(e Event, walCtl *walController) {
 		c.net.SetDropRate(0)
 		c.net.SetReorderRate(0)
 		c.net.SetDuplicateRate(0)
-	case EvDiskFull:
-		c.walCtlInject(walCtl, e)
-	case EvTornWrite:
-		walCtl.injectTorn(e.A % c.cfg.Nodes)
+	case EvDiskFull, EvTornWrite:
+		walCtl.inject(e, e.A%c.cfg.Nodes)
 	case EvReshard:
 		s := c.live(0)
 		if s == nil || e.A <= 0 {
@@ -482,12 +540,22 @@ func (c *cluster) apply(e Event, walCtl *walController) {
 	}
 }
 
-func (c *cluster) walCtlInject(walCtl *walController, e Event) {
-	n := e.B
-	if n <= 0 {
-		n = 4
+// walErrs collects, by node, the errors that retired the live nodes' shard
+// logs.
+func (c *cluster) walErrs() map[int][]string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	errs := make(map[int][]string)
+	for n, s := range c.stores {
+		for i := 0; s != nil && i < s.Shards(); i++ {
+			if r := s.Replica(i); r != nil {
+				if err := r.DurabilityStats().Err; err != "" {
+					errs[n] = append(errs[n], err)
+				}
+			}
+		}
 	}
-	walCtl.injectDiskFull(e.A%c.cfg.Nodes, n)
+	return errs
 }
 
 // closeAll tears the cluster down and waits for stragglers.
@@ -542,7 +610,7 @@ func Run(cfg Config, sched Schedule) Result {
 		Leases:          cfg.Leases,
 		DataDir:         dataDir,
 		CheckpointEvery: 32, // small cadence: restarts exercise snapshot + suffix replay
-		WALFaultHook:    walCtl.hook,
+		WALFS:           walCtl,
 		AuditEvery:      cfg.AuditEvery,
 		Group: amoeba.GroupOptions{
 			Resilience:   cfg.Resilience,
@@ -659,6 +727,7 @@ func Run(cfg Config, sched Schedule) Result {
 			res.StaleReads += stale
 		}
 	}
+	res.WALErrs = cl.walErrs()
 	cl.closeAll()
 
 	events := hist.Events()

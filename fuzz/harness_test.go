@@ -128,9 +128,10 @@ func TestHarnessPlantedStaleServeCaught(t *testing.T) {
 }
 
 // TestHarnessFaultScheduleRun: a real schedule — crash+restart, a
-// partition+heal, message loss, and a disk fault — must complete with a
+// partition+heal, message loss, and two disk faults — must complete with a
 // linearizable history (full resilience plus the WAL make every injected
-// fault maskable).
+// fault maskable), and each disk fault must have reached a log on the node
+// it targeted: a miswired disk would inject nothing and still pass.
 func TestHarnessFaultScheduleRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault schedule")
@@ -142,6 +143,7 @@ func TestHarnessFaultScheduleRun(t *testing.T) {
 		{At: 900 * time.Millisecond, Kind: EvHeal},
 		{At: 1000 * time.Millisecond, Kind: EvNetClean},
 		{At: 1100 * time.Millisecond, Kind: EvDiskFull, A: 0, B: 3},
+		{At: 1150 * time.Millisecond, Kind: EvTornWrite, A: 2},
 		{At: 1200 * time.Millisecond, Kind: EvRestart, A: 1},
 	}}
 	res := Run(Config{Clients: 3, Keys: 3, Tail: 1500 * time.Millisecond, Logf: t.Logf}, sched)
@@ -153,6 +155,11 @@ func TestHarnessFaultScheduleRun(t *testing.T) {
 	}
 	if res.Applied != len(sched.Events) {
 		t.Fatalf("applied %d of %d events", res.Applied, len(sched.Events))
+	}
+	for node, want := range map[int]string{0: "fuzz: node 0: disk full", 2: "fuzz: node 2: torn write"} {
+		if !strings.Contains(strings.Join(res.WALErrs[node], "\n"), want) {
+			t.Errorf("no log on node %d reports %q; logs retired by node: %q", node, want, res.WALErrs)
+		}
 	}
 }
 

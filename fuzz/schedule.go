@@ -41,12 +41,12 @@ const (
 	EvDuplicate
 	// EvNetClean zeroes loss, reorder, and duplication.
 	EvNetClean
-	// EvDiskFull makes node A's next B write-ahead-log appends fail with
-	// ENOSPC (clean failures; the logs stay usable).
+	// EvDiskFull makes node A's next B (default 4) log segment writes fail
+	// with ENOSPC, landing nothing; each log hit poisons itself, as below.
 	EvDiskFull
-	// EvTornWrite tears node A's next log append mid-record: the replica's
-	// log poisons itself and the replica degrades to in-memory operation —
-	// the path a real torn tail exercises at the next reboot.
+	// EvTornWrite tears node A's next log segment write mid-record: the
+	// replica's log poisons itself and the replica degrades to in-memory
+	// operation — the path a real torn tail exercises at the next reboot.
 	EvTornWrite
 	// EvReshard resplits the store to A shard groups through the routing
 	// epoch protocol, live.

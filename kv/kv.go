@@ -101,12 +101,11 @@ type Options struct {
 	// this long after it, so a slow disk batches group commits instead of
 	// paying one rotation per burst. Zero syncs every append.
 	WALSyncDelay time.Duration
-	// WALFaultHook, when non-nil, is passed to every shard replica's log so
-	// adversarial tests can inject disk-full and torn-tail failures mid-run;
-	// the hook receives each log's directory, so one process-wide hook can
-	// target a single replica (see wal.Options.FaultHook). Nil injects
-	// nothing.
-	WALFaultHook wal.FaultHook
+	// WALFS is the file system every shard replica's log does its I/O
+	// through (nil: the operating system's). Each log names its own
+	// directory in every call, so one wrapper can fail a single replica's
+	// disk (see wal.Options.FS).
+	WALFS wal.FS
 	// CheckpointEvery is the number of journaled commands between
 	// snapshot checkpoints per shard (default 1024).
 	CheckpointEvery int
@@ -794,7 +793,7 @@ func (s *Store) openShard(ctx context.Context, i int, found bool) (*shared.Repli
 			Sync:            s.opts.WALSync,
 			SyncDelay:       s.opts.WALSyncDelay,
 			CheckpointEvery: s.opts.CheckpointEvery,
-			FaultHook:       s.opts.WALFaultHook,
+			FS:              s.opts.WALFS,
 			Rank:            s.opts.NodeIndex,
 			Peers:           s.nodes(),
 			Preferred:       i % s.nodes(),

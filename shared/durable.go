@@ -67,10 +67,9 @@ type Durability struct {
 	// The power-loss window widens by at most SyncDelay; zero syncs every
 	// append record (see wal.Options.SyncDelay).
 	SyncDelay time.Duration
-	// FaultHook, when non-nil, is passed to the log so tests and the fuzz
-	// harness can inject disk-full and torn-tail failures mid-run (see
-	// wal.Options.FaultHook). Nil injects nothing.
-	FaultHook wal.FaultHook
+	// FS is the file system the log does its I/O through (nil: the
+	// operating system's); see wal.Options.FS.
+	FS wal.FS
 
 	// Rank is this replica's slot among the group's durable hosts, in
 	// [0, Peers); it names the replica's recovery beacon.
@@ -225,7 +224,7 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 		return nil, errors.New("shared: Durability.Dir is required")
 	}
 	dur = dur.withDefaults()
-	log, err := wal.Open(dur.Dir, wal.Options{SegmentSize: dur.SegmentSize, Sync: dur.Sync, SyncDelay: dur.SyncDelay, Obs: opts.Obs, FaultHook: dur.FaultHook})
+	log, err := wal.Open(dur.Dir, wal.Options{SegmentSize: dur.SegmentSize, Sync: dur.Sync, SyncDelay: dur.SyncDelay, Obs: opts.Obs, FS: dur.FS})
 	if err != nil {
 		return nil, fmt.Errorf("shared: opening log for %q: %w", name, err)
 	}

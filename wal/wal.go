@@ -44,6 +44,21 @@
 // rejoins the group and state transfer supplies whatever the log lost — the
 // log's job is to survive the restarts state transfer cannot help with,
 // when every replica went down at once.
+//
+// The crash model is the one the package's crash-state test enumerates: a
+// file keeps its bytes up to its last fsync plus any prefix of the writes
+// after it, and a directory keeps its entries up to its last fsync plus any
+// prefix of the creations, renames and removals after it. In every state
+// that model allows, recovery returns a contiguous prefix of the appended
+// history — no hole, and nothing from a timeline Reset discarded — holding
+// everything covered by the last completed Sync, Close, checkpoint or (with
+// Options.Sync) Append. A new segment's directory entry is fsynced lazily,
+// with the first fsync a caller asks for after it appears.
+//
+// One failure rule: any failed write or fsync poisons the log until it is
+// reopened (ErrPoisoned). A partial record may end the active segment, and
+// after a failed fsync the page cache no longer says what is on the disk;
+// Open truncates whatever tail the failure left.
 package wal
 
 import (
@@ -51,13 +66,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"amoeba/obs"
@@ -69,43 +82,6 @@ type Entry struct {
 	Seq     uint32
 	Payload []byte
 }
-
-// FaultOp names an injectable I/O site inside the log.
-type FaultOp int
-
-const (
-	// FaultAppend is the entry-record write in Append.
-	FaultAppend FaultOp = iota
-	// FaultSync is an fsync of appended records (immediate or delayed).
-	FaultSync
-	// FaultCheckpoint is the checkpoint snapshot write.
-	FaultCheckpoint
-)
-
-// InjectedFault is what a FaultHook asks the log to simulate at a fault
-// point.
-type InjectedFault int
-
-const (
-	// NoFault lets the operation run normally.
-	NoFault InjectedFault = iota
-	// DiskFull fails the operation cleanly with ErrDiskFull before any
-	// byte reaches the file — ENOSPC. The log stays usable; a later
-	// operation may succeed if the hook stops injecting.
-	DiskFull
-	// TornWrite lets only a prefix of the record reach the file before
-	// failing — the half-written tail a power cut leaves behind. The log
-	// poisons itself (see ErrPoisoned): nothing may be appended after a
-	// partial record, because replay stops at the first invalid record and
-	// would silently lose every entry behind it.
-	TornWrite
-)
-
-// FaultHook decides, per operation, whether to inject a fault. It is called
-// with the log's directory (so one process-wide hook can target a specific
-// replica's log) and the operation about to run. Hooks run under the log
-// mutex: keep them fast and do not call back into the log.
-type FaultHook func(dir string, op FaultOp) InjectedFault
 
 // Options tunes a log; the zero value is ready to use.
 type Options struct {
@@ -130,16 +106,17 @@ type Options struct {
 	// the hub's amoeba_wal_append_ns / amoeba_wal_fsync_ns histograms and
 	// reports degradations to its flight recorder. Nil is the no-op sink.
 	Obs *obs.Hub
-	// FaultHook, when non-nil, is consulted before appends, fsyncs, and
-	// checkpoints so tests and the fuzz harness can inject disk-full and
-	// torn-tail failures mid-run instead of crafting fixtures offline.
-	// Nil injects nothing.
-	FaultHook FaultHook
+	// FS is the file system the log does its I/O through (nil: the
+	// operating system's).
+	FS FS
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 1 << 20
+	}
+	if o.FS == nil {
+		o.FS = osFS{}
 	}
 	return o
 }
@@ -183,14 +160,13 @@ var (
 	// ErrOutOfOrder reports an append whose sequence numbers do not
 	// strictly ascend past everything already logged.
 	ErrOutOfOrder = errors.New("wal: entries out of order")
-	// ErrDiskFull reports an injected out-of-space failure.
-	ErrDiskFull = errors.New("wal: disk full")
-	// ErrPoisoned reports an append to a log whose active segment holds a
-	// partial record: an earlier write failed midway, and anything
-	// appended after it would be unreachable to replay (recovery stops at
-	// the first invalid record). The caller must retire the log; the next
-	// Open truncates the torn tail and starts clean.
-	ErrPoisoned = errors.New("wal: log poisoned by a partial write")
+	// ErrPoisoned reports use of a log after a write, an fsync or another
+	// change to its directory failed. The active segment may end in a
+	// partial record, past which replay cannot reach, and a failed fsync
+	// leaves the page cache no guide to what is on the disk. The caller
+	// must retire the log; the next Open truncates the torn tail and starts
+	// clean.
+	ErrPoisoned = errors.New("wal: log poisoned by a failed write or fsync")
 )
 
 // Record layout:
@@ -249,33 +225,29 @@ type segment struct {
 type Log struct {
 	dir  string
 	opts Options
+	fs   FS
 
-	// mu guards everything below (the delayed-sync state keeps its own
-	// finer lock, shared with the timer goroutine).
+	// mu guards everything below; the delayed-fsync timer takes it too.
 	mu       sync.Mutex
 	segments []segment // sorted by base; the last is active
-	active   *os.File
+	active   File
 	activeSz int64
-	lastSeq  uint32 // highest seq logged or checkpointed
-	ckptSeq  uint32 // newest valid checkpoint's seq (0: none)
-	hasCkpt  bool   // a checkpoint file exists (even one at seq 0)
-	closed   bool
-	// writeErr poisons the log after a record write failed partway: the
-	// active segment may hold a partial record, and appending past it
-	// would strand every later entry beyond replay's reach (recovery
-	// stops at the first invalid record). Sticky until Close; the next
-	// Open truncates the tail and starts clean.
-	writeErr error
-	stats    Stats
-
-	// Delayed-sync state. Unlike the rest of the log this is touched by
-	// the timer goroutine too, so it has its own lock; syncs is read by
-	// Stats while the timer may fire.
-	syncMu    sync.Mutex
-	syncTimer *time.Timer
-	syncFile  *os.File // segment the pending delayed sync covers
-	syncErr   error    // first delayed-fsync failure, surfaced by the next Append/Sync
-	syncs     atomic.Uint64
+	// newSegment reports that the active segment's directory entry may not
+	// be durable: rotate created it, or Open found it left by a process
+	// that may never have synced the directory. The next fsync a caller
+	// asks for syncs the directory too, so a record it acknowledges is never
+	// in a file a power cut can unname; the Sync: false append path pays
+	// nothing for it.
+	newSegment bool
+	lastSeq    uint32 // highest seq logged or checkpointed
+	ckptSeq    uint32 // newest valid checkpoint's seq (0: none)
+	hasCkpt    bool   // a checkpoint file exists (even one at seq 0)
+	closed     bool
+	// failed is the first write or fsync failure; it poisons the log (see
+	// ErrPoisoned) until Close, and the next Open starts clean.
+	failed    error
+	stats     Stats
+	syncTimer *time.Timer // the pending delayed fsync (Options.SyncDelay)
 
 	// Stage-latency instruments, resolved once at Open (nil without Obs).
 	appendH  *obs.Histogram
@@ -284,16 +256,16 @@ type Log struct {
 	obsUnreg func() // detaches the stats source from the hub registry
 }
 
-// Open opens (creating if needed) the log directory, validates the tail of
-// the newest segment — truncating a torn final record back to the last
-// complete entry — and positions the log to append after the highest
-// recorded sequence number. Call Recover next to rebuild state.
+// Open opens (creating if needed) the log directory, finds the end of the
+// history Recover can reproduce — truncating a torn final record back to the
+// last complete entry — and positions the log to append after it. Call
+// Recover next to rebuild state.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, fs: opts.FS}
 	l.appendH = opts.Obs.Histogram("amoeba_wal_append_ns")
 	l.fsyncH = opts.Obs.Histogram("amoeba_wal_fsync_ns")
 	l.flight = opts.Obs.Flight()
@@ -310,14 +282,13 @@ func Open(dir string, opts Options) (*Log, error) {
 			{Name: "amoeba_wal_checkpoints_rejected_total", Value: s.CheckpointsRejected},
 		}
 	})
-	names, err := os.ReadDir(dir)
+	names, err := l.fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: reading %s: %w", dir, err)
 	}
-	for _, de := range names {
-		name := de.Name()
+	for _, name := range names {
 		if strings.HasSuffix(name, tmpSuffix) {
-			_ = os.Remove(filepath.Join(dir, name)) // interrupted checkpoint
+			_ = l.fs.Remove(filepath.Join(dir, name)) // interrupted checkpoint
 			continue
 		}
 		if base, ok := parseSeq(name, segPrefix, segSuffix); ok {
@@ -332,67 +303,128 @@ func Open(dir string, opts Options) (*Log, error) {
 	if _, seq, _, ok := l.readBestCheckpoint(); ok {
 		l.ckptSeq, l.hasCkpt = seq, true
 	}
-	l.lastSeq = l.ckptSeq
-
-	// Find the last segment holding a valid record: it defines lastSeq and
-	// becomes the active segment after tail validation.
-	for i := len(l.segments) - 1; i >= 0; i-- {
-		validLen, maxSeq, torn, err := scanSegment(l.segments[i].path, nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		if i == len(l.segments)-1 && torn {
-			if err := os.Truncate(l.segments[i].path, validLen); err != nil {
-				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", l.segments[i].path, err)
-			}
-			l.stats.TailTruncated = true
-		}
-		if maxSeq > 0 {
-			if maxSeq > l.lastSeq {
-				l.lastSeq = maxSeq
-			}
-			break
-		}
+	reached, last, cut, err := l.walk(l.ckptSeq, nil)
+	if err == nil {
+		err = l.adopt(reached, last, cut)
 	}
-	if len(l.segments) == 0 {
-		if err := l.rotate(); err != nil {
-			return nil, err
-		}
-	} else {
-		tail := l.segments[len(l.segments)-1]
-		f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("wal: opening active segment: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: sizing active segment: %w", err)
-		}
-		l.active, l.activeSz = f, st.Size()
+	if err != nil {
+		return nil, err
 	}
 	return l, nil
 }
 
-// scanSegment walks a segment's records, calling visit (when non-nil) for
-// every entry with seq > afterSeq, in order. It returns the byte length of
-// the valid prefix, the highest seq seen, and whether the scan stopped at an
-// invalid (torn or corrupt) record before the end of the file.
-func scanSegment(path string, visit func(Entry) error, afterSeq uint32) (validLen int64, maxSeq uint32, torn bool, err error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: reading %s: %w", path, err)
+// walk replays the history after seq from: every entry above from, in
+// order, to visit (when non-nil). The history ends at the first torn or
+// corrupt record, and before the first segment whose base is above the seq
+// reached so far: the segments that would bridge that hole are gone (an
+// interrupted Reset removes them oldest first), so nothing beyond it is the
+// same history. walk returns the seq reached, the index of the segment the
+// history ends in (-1: none), and that segment's valid length when a torn
+// record ends it (-1 otherwise).
+func (l *Log) walk(from uint32, visit func(Entry) error) (reached uint32, last int, cut int64, err error) {
+	reached, last, cut = from, -1, -1
+	for i, seg := range l.segments {
+		if seg.base > reached {
+			break
+		}
+		buf, err := l.fs.ReadFile(seg.path)
+		if err != nil {
+			return reached, last, cut, fmt.Errorf("wal: reading %s: %w", seg.path, err)
+		}
+		validLen, maxSeq, err := scanSegment(buf, func(e Entry) error {
+			if e.Seq <= reached {
+				return nil // idempotent replay: a record may straddle the checkpoint
+			}
+			if visit != nil {
+				if err := visit(e); err != nil {
+					return err
+				}
+			}
+			reached = e.Seq
+			return nil
+		})
+		if err != nil {
+			return reached, last, cut, err
+		}
+		last = i
+		reached = max(reached, maxSeq)
+		if validLen < int64(len(buf)) {
+			// A damaged record ends the trustworthy history; anything
+			// beyond it is unusable because order can no longer be
+			// guaranteed. (A crash tears only the final segment; mid-log
+			// damage means disk corruption, handled the same way.)
+			cut = validLen
+			break
+		}
 	}
+	return reached, last, cut, nil
+}
+
+// adopt makes the end of a walk the end of the log: the segment the history
+// ends in is truncated to its valid prefix and becomes the active one, and
+// every segment beyond it is removed. Recover can never reach those, and one
+// left in place would replay its stale entries after the next append.
+func (l *Log) adopt(reached uint32, last int, cut int64) error {
+	if l.active != nil {
+		l.active.Close()
+		l.active = nil
+	}
+	l.lastSeq = reached
+	if cut >= 0 {
+		if err := l.fs.Truncate(l.segments[last].path, cut); err != nil {
+			return fmt.Errorf("wal: truncating torn tail of %s: %w", l.segments[last].path, err)
+		}
+		l.stats.TailTruncated = true
+	}
+	if beyond := l.segments[last+1:]; len(beyond) > 0 {
+		for _, seg := range beyond {
+			if err := l.fs.Remove(seg.path); err != nil {
+				return fmt.Errorf("wal: removing %s beyond the end of the history: %w", seg.path, err)
+			}
+		}
+		// Durable before anything is appended in their place.
+		if err := l.fs.SyncDir(l.dir); err != nil {
+			return fmt.Errorf("wal: syncing %s: %w", l.dir, err)
+		}
+		l.segments = l.segments[:last+1]
+	}
+	if last < 0 {
+		return l.rotate()
+	}
+	return l.openActive(l.segments[last].path)
+}
+
+// openActive opens the segment at path, creating it if absent, as the one
+// appends go to.
+func (l *Log) openActive(path string) error {
+	f, err := l.fs.OpenAppend(path)
+	if err != nil {
+		return fmt.Errorf("wal: opening segment: %w", err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("wal: sizing segment: %w", err)
+	}
+	l.active, l.activeSz, l.newSegment = f, st.Size(), true
+	return nil
+}
+
+// scanSegment walks a segment's records, calling visit for every entry in
+// order. It returns the byte length of the valid prefix — short of len(buf)
+// when the scan stopped at an invalid (torn or corrupt) record — and the
+// highest seq seen.
+func scanSegment(buf []byte, visit func(Entry) error) (validLen int64, maxSeq uint32, err error) {
 	off := int64(0)
 	for int64(len(buf))-off >= recordHeaderSize {
 		size := binary.BigEndian.Uint32(buf[off:])
 		crc := binary.BigEndian.Uint32(buf[off+4:])
 		if size < recordBodyFixed || size > maxRecordBody || int64(size) > int64(len(buf))-off-recordHeaderSize {
-			return off, maxSeq, true, nil
+			return off, maxSeq, nil
 		}
 		body := buf[off+recordHeaderSize : off+recordHeaderSize+int64(size)]
 		if crc32.ChecksumIEEE(body) != crc {
-			return off, maxSeq, true, nil
+			return off, maxSeq, nil
 		}
 		hi := binary.BigEndian.Uint32(body[4:])
 		count := int(binary.BigEndian.Uint16(body[8:]))
@@ -412,82 +444,91 @@ func scanSegment(path string, visit func(Entry) error, afterSeq uint32) (validLe
 			}
 			payload := rest[w : w+int(n)]
 			rest = rest[w+int(n):]
-			if visit != nil && seq > afterSeq {
-				if err := visit(Entry{Seq: seq, Payload: payload}); err != nil {
-					return off, maxSeq, false, err
-				}
+			if err := visit(Entry{Seq: seq, Payload: payload}); err != nil {
+				return off, maxSeq, err
 			}
 		}
 		if !ok {
 			// The CRC matched but the body does not parse: treat as the
 			// end of the valid prefix, like a torn record.
-			return off, maxSeq, true, nil
+			return off, maxSeq, nil
 		}
 		if hi > maxSeq {
 			maxSeq = hi
 		}
 		off += recordHeaderSize + int64(size)
 	}
-	return off, maxSeq, int64(len(buf)) != off, nil
+	return off, maxSeq, nil
 }
 
-// armDelayedSync schedules (or coalesces into) the pending delayed fsync of
-// the active segment: the first dirty append arms the timer, later appends
-// inside the window ride the same fsync — group commit across bursts. A
-// failure of an earlier delayed fsync is returned here (and from Sync), so
-// a dying disk degrades the log exactly as the immediate-sync path would —
-// one window late, never silently.
-func (l *Log) armDelayedSync() error {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	if l.syncErr != nil {
-		return fmt.Errorf("wal: delayed fsync failed: %w", l.syncErr)
+// usable reports why the log refuses an operation: it is closed, or poisoned.
+func (l *Log) usable() error {
+	if l.closed {
+		return ErrClosed
 	}
-	l.syncFile = l.active
-	if l.syncTimer != nil {
-		return nil // an fsync is already scheduled; this append joins it
+	if l.failed != nil {
+		return fmt.Errorf("%w: %w", ErrPoisoned, l.failed)
 	}
-	l.syncTimer = time.AfterFunc(l.opts.SyncDelay, l.fireDelayedSync)
 	return nil
 }
 
-// fireDelayedSync runs on the timer goroutine: flush whatever segment the
-// window's appends landed in. *os.File is safe for concurrent Sync/Write; a
-// segment sealed meanwhile was already fsynced by rotate.
-func (l *Log) fireDelayedSync() {
-	l.syncMu.Lock()
-	f := l.syncFile
-	l.syncTimer = nil
-	l.syncFile = nil
-	l.syncMu.Unlock()
-	if f == nil {
-		return
+// poison records the first failed write or fsync and returns err.
+func (l *Log) poison(err error) error {
+	if l.failed == nil {
+		l.failed = err
 	}
-	s0 := time.Now()
-	if err := f.Sync(); err != nil {
-		l.syncMu.Lock()
-		if l.syncErr == nil {
-			l.syncErr = err
+	return err
+}
+
+// syncActive fsyncs the active segment and, when it is new, the directory.
+func (l *Log) syncActive() error {
+	if err := l.active.Sync(); err != nil {
+		return fmt.Errorf("wal: syncing segment: %w", err)
+	}
+	if l.newSegment {
+		if err := l.fs.SyncDir(l.dir); err != nil {
+			return fmt.Errorf("wal: syncing %s: %w", l.dir, err)
 		}
-		l.syncMu.Unlock()
-		l.flight.Recordf("wal", "delayed fsync failed in %s: %v", l.dir, err)
-		return
+		l.newSegment = false
+	}
+	return nil
+}
+
+// syncAppended is the fsync Options.Sync asks for: immediate in Append, or
+// coalesced by the delayed-fsync timer.
+func (l *Log) syncAppended() error {
+	s0 := time.Now()
+	if err := l.syncActive(); err != nil {
+		return l.poison(err)
 	}
 	l.fsyncH.Observe(time.Since(s0))
-	l.syncs.Add(1)
+	l.stats.Syncs++
+	return nil
+}
+
+// fireDelayedSync runs on the timer goroutine: one fsync covers every append
+// since the timer was armed. It holds the log's mutex, so an append arriving
+// meanwhile waits for it, and the fsync never races a seal or a Close.
+func (l *Log) fireDelayedSync() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.syncTimer == nil || l.usable() != nil {
+		return // cancelled: whoever cancelled it fsyncs or discards the segment
+	}
+	l.syncTimer = nil
+	if err := l.syncAppended(); err != nil {
+		l.flight.Recordf("wal", "delayed fsync failed in %s: %v", l.dir, err)
+	}
 }
 
 // flushDelayedSync cancels the pending delayed fsync, if any; callers are
 // about to fsync (or close) the segment themselves.
 func (l *Log) flushDelayedSync() {
-	l.syncMu.Lock()
 	if l.syncTimer != nil {
 		l.syncTimer.Stop()
 		l.syncTimer = nil
-		l.syncs.Add(1) // the caller's explicit fsync stands in for it
+		l.stats.Syncs++ // the caller's explicit fsync stands in for it
 	}
-	l.syncFile = nil
-	l.syncMu.Unlock()
 }
 
 // rotate seals the active segment and starts a new one based at lastSeq.
@@ -501,17 +542,10 @@ func (l *Log) rotate() error {
 		l.active = nil
 	}
 	seg := segment{base: l.lastSeq, path: filepath.Join(l.dir, segName(l.lastSeq))}
-	f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: creating segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("wal: sizing segment: %w", err)
+	if err := l.openActive(seg.path); err != nil {
+		return err
 	}
 	l.segments = append(l.segments, seg)
-	l.active, l.activeSz = f, st.Size()
 	return nil
 }
 
@@ -522,11 +556,8 @@ func (l *Log) rotate() error {
 func (l *Log) Append(entries []Entry) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.writeErr != nil {
-		return l.writeErr
+	if err := l.usable(); err != nil {
+		return err
 	}
 	if len(entries) == 0 {
 		return nil
@@ -554,56 +585,29 @@ func (l *Log) Append(entries []Entry) error {
 	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(body))
 	copy(rec[recordHeaderSize:], body)
 
-	if hook := l.opts.FaultHook; hook != nil {
-		switch hook(l.dir, FaultAppend) {
-		case DiskFull:
-			// ENOSPC before any byte landed: a clean failure the caller
-			// may retry once space frees; the segment stays readable.
-			return fmt.Errorf("wal: appending: %w", ErrDiskFull)
-		case TornWrite:
-			// Half the record reaches the disk — the tail a power cut
-			// tears. The file now ends in garbage, so the log poisons
-			// itself: see ErrPoisoned.
-			n, _ := l.active.Write(rec[:recordHeaderSize+len(body)/2])
-			l.activeSz += int64(n)
-			l.writeErr = ErrPoisoned
-			return fmt.Errorf("wal: appending: torn write: %w", ErrPoisoned)
-		}
+	n, err := l.active.Write(rec)
+	l.activeSz += int64(n)
+	if err != nil {
+		return l.poison(fmt.Errorf("wal: appending: %w", err))
 	}
-	if n, err := l.active.Write(rec); err != nil {
-		if n > 0 {
-			// A partial record is on disk. Without poisoning, the next
-			// successful append would sit behind an invalid record and
-			// replay — which stops at the first bad record — would
-			// silently lose it and everything after it.
-			l.activeSz += int64(n)
-			l.writeErr = ErrPoisoned
-		}
-		return fmt.Errorf("wal: appending: %w", err)
-	}
-	if l.opts.Sync {
-		if l.opts.SyncDelay > 0 {
-			if err := l.armDelayedSync(); err != nil {
-				return err
-			}
-		} else {
-			if hook := l.opts.FaultHook; hook != nil && hook(l.dir, FaultSync) != NoFault {
-				return fmt.Errorf("wal: syncing append: %w", ErrDiskFull)
-			}
-			s0 := time.Now()
-			if err := l.active.Sync(); err != nil {
-				return fmt.Errorf("wal: syncing append: %w", err)
-			}
-			l.fsyncH.Observe(time.Since(s0))
-			l.syncs.Add(1)
-		}
-	}
-	l.activeSz += int64(len(rec))
 	l.lastSeq = last
 	l.stats.Appends++
 	l.stats.Entries += uint64(len(entries))
+	switch {
+	case !l.opts.Sync:
+	case l.opts.SyncDelay > 0:
+		if l.syncTimer == nil { // else this append joins the pending fsync
+			l.syncTimer = time.AfterFunc(l.opts.SyncDelay, l.fireDelayedSync)
+		}
+	default:
+		if err := l.syncAppended(); err != nil {
+			return err
+		}
+	}
 	if l.activeSz >= int64(l.opts.SegmentSize) {
-		return l.rotate()
+		if err := l.rotate(); err != nil {
+			return l.poison(err)
+		}
 	}
 	return nil
 }
@@ -661,53 +665,33 @@ func (l *Log) RecoverVerified(restore func(snapshot []byte, seq uint32) error, a
 			rejected = true
 			l.stats.CheckpointsRejected++
 			l.flight.Recordf("wal", "checkpoint seq %d in %s refused: state digest mismatch, falling back", seq, l.dir)
-			_ = os.Remove(filepath.Join(l.dir, ckptName(seq)))
+			_ = l.fs.Remove(filepath.Join(l.dir, ckptName(seq)))
 			continue
 		}
 		afterSeq = seq
 		break
 	}
-	recovered := afterSeq
-	for _, seg := range l.segments {
-		_, maxSeq, torn, err := scanSegment(seg.path, func(e Entry) error {
-			if e.Seq <= recovered {
-				return nil // idempotent replay: a record may straddle the checkpoint
+	recovered, last, cut, err := l.walk(afterSeq, func(e Entry) error {
+		// Detach the payload from the read buffer; appliers may retain it.
+		p := make([]byte, len(e.Payload))
+		copy(p, e.Payload)
+		if apply != nil {
+			if err := apply(Entry{Seq: e.Seq, Payload: p}); err != nil {
+				return err
 			}
-			// Detach the payload from the read buffer; appliers may retain it.
-			p := make([]byte, len(e.Payload))
-			copy(p, e.Payload)
-			if apply != nil {
-				if err := apply(Entry{Seq: e.Seq, Payload: p}); err != nil {
-					return err
-				}
-			}
-			recovered = e.Seq
-			l.stats.RecoveredEntries++
-			return nil
-		}, recovered)
-		if err != nil {
-			return recovered, err
 		}
-		if maxSeq > recovered {
-			recovered = maxSeq
-		}
-		if torn {
-			// A damaged record ends the trustworthy history; anything
-			// beyond it is unusable because order can no longer be
-			// guaranteed. (Only the final segment can be torn by a crash;
-			// mid-log damage means disk corruption, handled the same way.)
-			break
-		}
+		l.stats.RecoveredEntries++
+		return nil
+	})
+	if err != nil {
+		return recovered, err
 	}
-	if recovered > l.lastSeq {
-		l.lastSeq = recovered
-	}
-	if rejected && recovered < l.lastSeq {
-		// The refused checkpoint had inflated lastSeq past what the
-		// surviving history can actually reproduce; lower the append
-		// baseline to the recovery point or post-recovery appends would be
-		// refused as out of order.
-		l.lastSeq = recovered
+	if rejected {
+		// Open positioned the log after the refused checkpoint's history;
+		// the surviving one may reproduce less.
+		if err := l.adopt(recovered, last, cut); err != nil {
+			return recovered, l.poison(err)
+		}
 	}
 	return recovered, nil
 }
@@ -729,13 +713,13 @@ const ckptRetain = 2
 
 // listCheckpoints returns the checkpoint seqs present on disk, newest first.
 func (l *Log) listCheckpoints() []uint32 {
-	names, err := os.ReadDir(l.dir)
+	names, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return nil
 	}
 	var seqs []uint32
-	for _, de := range names {
-		if seq, ok := parseSeq(de.Name(), ckptPrefix, ckptSuffix); ok {
+	for _, name := range names {
+		if seq, ok := parseSeq(name, ckptPrefix, ckptSuffix); ok {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -748,15 +732,15 @@ func (l *Log) listCheckpoints() []uint32 {
 func (l *Log) readBestCheckpoint() ([]byte, uint32, uint64, bool) {
 	for _, seq := range l.listCheckpoints() {
 		path := filepath.Join(l.dir, ckptName(seq))
-		buf, err := os.ReadFile(path)
+		buf, err := l.fs.ReadFile(path)
 		if err != nil || len(buf) < ckptHeaderSize {
-			_ = os.Remove(path)
+			_ = l.fs.Remove(path)
 			continue
 		}
 		crc := binary.BigEndian.Uint32(buf)
 		stored := binary.BigEndian.Uint32(buf[4:])
 		if stored != seq || crc32.ChecksumIEEE(buf[4:]) != crc {
-			_ = os.Remove(path)
+			_ = l.fs.Remove(path)
 			continue
 		}
 		digest := binary.BigEndian.Uint64(buf[8:])
@@ -782,18 +766,13 @@ func (l *Log) Checkpoint(seq uint32, snapshot []byte) error {
 func (l *Log) CheckpointDigest(seq uint32, digest uint64, snapshot []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.checkpointLocked(seq, digest, snapshot)
+	if err := l.usable(); err != nil {
+		return err
+	}
+	return l.poison(l.checkpointLocked(seq, digest, snapshot))
 }
 
 func (l *Log) checkpointLocked(seq uint32, digest uint64, snapshot []byte) error {
-	if l.closed {
-		return ErrClosed
-	}
-	if hook := l.opts.FaultHook; hook != nil && hook(l.dir, FaultCheckpoint) != NoFault {
-		// Checkpoints are atomic (temp + rename), so any injected failure is
-		// the clean kind: the previous checkpoint stays in force.
-		return fmt.Errorf("wal: writing checkpoint: %w", ErrDiskFull)
-	}
 	buf := make([]byte, ckptHeaderSize+len(snapshot))
 	binary.BigEndian.PutUint32(buf[4:], seq)
 	binary.BigEndian.PutUint64(buf[8:], digest)
@@ -801,13 +780,17 @@ func (l *Log) checkpointLocked(seq uint32, digest uint64, snapshot []byte) error
 	binary.BigEndian.PutUint32(buf, crc32.ChecksumIEEE(buf[4:]))
 	final := filepath.Join(l.dir, ckptName(seq))
 	tmp := final + tmpSuffix
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := l.writeFileSync(tmp, buf); err != nil {
 		return fmt.Errorf("wal: writing checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := l.fs.Rename(tmp, final); err != nil {
 		return fmt.Errorf("wal: installing checkpoint: %w", err)
 	}
-	syncDir(l.dir)
+	// The rename must be durable before anything it makes dead is removed.
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: syncing %s: %w", l.dir, err)
+	}
+	l.newSegment = false
 	l.ckptSeq = seq
 	l.hasCkpt = true
 	if seq > l.lastSeq {
@@ -817,7 +800,7 @@ func (l *Log) checkpointLocked(seq uint32, digest uint64, snapshot []byte) error
 	// Prune to the retained pair: the new checkpoint plus its predecessor.
 	for i, old := range l.listCheckpoints() {
 		if i >= ckptRetain {
-			_ = os.Remove(filepath.Join(l.dir, ckptName(old)))
+			_ = l.fs.Remove(filepath.Join(l.dir, ckptName(old)))
 		}
 	}
 	return l.dropDeadSegments()
@@ -829,12 +812,18 @@ func (l *Log) checkpointLocked(seq uint32, digest uint64, snapshot []byte) error
 // installs the transferred snapshot with Reset — the transfer is
 // authoritative, and entries journaled on the replica's previous timeline
 // (before it crashed or was expelled) must not resurface in a later replay.
+// A crash part way leaves a prefix of the old history or the new one: the
+// segments go oldest first, and recovery stops at the hole that leaves.
 func (l *Log) Reset(seq uint32, digest uint64, snapshot []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.usable(); err != nil {
+		return err
 	}
+	return l.poison(l.resetLocked(seq, digest, snapshot))
+}
+
+func (l *Log) resetLocked(seq uint32, digest uint64, snapshot []byte) error {
 	if l.active != nil {
 		l.flushDelayedSync()
 		l.active.Close()
@@ -845,7 +834,7 @@ func (l *Log) Reset(seq uint32, digest uint64, snapshot []byte) error {
 		l.flight.Recordf("wal", "reset discarded %d entries beyond seq %d in %s", l.lastSeq-seq, seq, l.dir)
 	}
 	for _, seg := range l.segments {
-		if err := os.Remove(seg.path); err != nil {
+		if err := l.fs.Remove(seg.path); err != nil {
 			return fmt.Errorf("wal: resetting: %w", err)
 		}
 		l.stats.SegmentsRemoved++
@@ -855,7 +844,7 @@ func (l *Log) Reset(seq uint32, digest uint64, snapshot []byte) error {
 	// Checkpoints from the discarded timeline must not survive as fallback
 	// candidates: the transfer is authoritative.
 	for _, old := range l.listCheckpoints() {
-		_ = os.Remove(filepath.Join(l.dir, ckptName(old)))
+		_ = l.fs.Remove(filepath.Join(l.dir, ckptName(old)))
 	}
 	l.hasCkpt = false
 	if err := l.checkpointLocked(seq, digest, snapshot); err != nil {
@@ -877,7 +866,7 @@ func (l *Log) dropDeadSegments() error {
 	keep := l.segments[:0]
 	for i, seg := range l.segments {
 		if i+1 < len(l.segments) && l.segments[i+1].base <= cover {
-			if err := os.Remove(seg.path); err != nil {
+			if err := l.fs.Remove(seg.path); err != nil {
 				return fmt.Errorf("wal: removing dead segment: %w", err)
 			}
 			l.stats.SegmentsRemoved++
@@ -915,10 +904,8 @@ func (l *Log) Virgin() bool {
 // Stats returns a snapshot of the log's counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
-	st := l.stats
-	l.mu.Unlock()
-	st.Syncs = l.syncs.Load()
-	return st
+	defer l.mu.Unlock()
+	return l.stats
 }
 
 // Dir returns the log's directory.
@@ -929,20 +916,11 @@ func (l *Log) Dir() string { return l.dir }
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.active == nil {
-		return nil
+	if err := l.usable(); err != nil {
+		return err
 	}
 	l.flushDelayedSync()
-	l.syncMu.Lock()
-	err := l.syncErr
-	l.syncMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("wal: delayed fsync failed: %w", err)
-	}
-	return l.active.Sync()
+	return l.poison(l.syncActive())
 }
 
 // Close flushes and closes the log. The directory remains ready for the next
@@ -965,7 +943,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.flushDelayedSync()
-	err := l.active.Sync()
+	var err error
+	if l.failed == nil {
+		err = l.syncActive()
+	}
 	if cerr := l.active.Close(); err == nil {
 		err = cerr
 	}
@@ -973,9 +954,9 @@ func (l *Log) Close() error {
 	return err
 }
 
-// writeFileSync writes data and fsyncs before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeFileSync writes data to a fresh file and fsyncs it before closing.
+func (l *Log) writeFileSync(path string, data []byte) error {
+	f, err := l.fs.Create(path)
 	if err != nil {
 		return err
 	}
@@ -988,13 +969,4 @@ func writeFileSync(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-// syncDir fsyncs a directory so renames in it survive power loss; best
-// effort (not every platform supports directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -464,43 +465,83 @@ func TestSyncWithoutDelaySyncsEveryAppend(t *testing.T) {
 	}
 }
 
-// scriptedHook injects a scripted fault for one FaultOp: the nth matching
-// operation (0-based) fails, everything else runs clean.
-type scriptedHook struct {
-	op    FaultOp
-	at    int
-	fault InjectedFault
-	seen  int
+// faultFS is the operating system's file system with one scripted fault:
+// the at'th (0-based) call of op — "write" or "sync" — on a file whose name
+// holds match fails the real call the way a failing disk does. A failing
+// write lands torn (half its bytes, then the error) or, when torn is false,
+// nothing at all: the disk is full.
+type faultFS struct {
+	osFS
+	op, match string
+	at        int
+	torn      bool
+	seen      *int
 }
 
-func (h *scriptedHook) hook(dir string, op FaultOp) InjectedFault {
-	if op != h.op {
-		return NoFault
-	}
-	h.seen++
-	if h.seen-1 == h.at {
-		return h.fault
-	}
-	return NoFault
+func newFaultFS(op, match string, at int, torn bool) faultFS {
+	return faultFS{op: op, match: match, at: at, torn: torn, seen: new(int)}
 }
 
-func TestInjectedDiskFullIsCleanAndRetryable(t *testing.T) {
+func (f faultFS) OpenAppend(name string) (File, error) { return f.wrap(f.osFS.OpenAppend(name)) }
+func (f faultFS) Create(name string) (File, error)     { return f.wrap(f.osFS.Create(name)) }
+
+func (f faultFS) wrap(file File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return faultFile{File: file, fs: f, name: file.(*os.File).Name()}, nil
+}
+
+// fails reports whether this call of op on name is the scripted one.
+func (f faultFS) fails(op, name string) bool {
+	if op != f.op || !strings.Contains(filepath.Base(name), f.match) {
+		return false
+	}
+	*f.seen++
+	return *f.seen-1 == f.at
+}
+
+type faultFile struct {
+	File
+	fs   faultFS
+	name string
+}
+
+func (f faultFile) Write(p []byte) (int, error) {
+	if !f.fs.fails("write", f.name) {
+		return f.File.Write(p)
+	}
+	if !f.fs.torn {
+		return 0, syscall.ENOSPC
+	}
+	n, _ := f.File.Write(p[:len(p)/2])
+	return n, syscall.EIO
+}
+
+func (f faultFile) Sync() error {
+	if f.fs.fails("sync", f.name) {
+		return syscall.EIO
+	}
+	return f.File.Sync()
+}
+
+// TestInjectedDiskFullPoisonsUntilReopen: a write that finds the disk full
+// lands nothing, but the log still refuses every later append — one failure
+// rule for every failed write — and a reopened log carries on.
+func TestInjectedDiskFullPoisonsUntilReopen(t *testing.T) {
 	dir := t.TempDir()
-	h := &scriptedHook{op: FaultAppend, at: 1, fault: DiskFull}
-	l, err := Open(dir, Options{FaultHook: h.hook})
+	l, err := Open(dir, Options{FS: newFaultFS("write", segPrefix, 1, false)})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	if err := l.Append([]Entry{entry(1)}); err != nil {
 		t.Fatalf("Append 1: %v", err)
 	}
-	if err := l.Append([]Entry{entry(2)}); !errors.Is(err, ErrDiskFull) {
-		t.Fatalf("Append 2 = %v, want ErrDiskFull", err)
+	if err := l.Append([]Entry{entry(2)}); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Append 2 = %v, want ENOSPC", err)
 	}
-	// Disk-full is clean: no byte hit the file, so the retry succeeds and
-	// the log carries on.
-	if err := l.Append([]Entry{entry(2)}); err != nil {
-		t.Fatalf("retry after disk full: %v", err)
+	if err := l.Append([]Entry{entry(2)}); !errors.Is(err, ErrPoisoned) || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("retry after disk full = %v, want ErrPoisoned wrapping ENOSPC", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -510,24 +551,29 @@ func TestInjectedDiskFullIsCleanAndRetryable(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
+	if st := l2.Stats(); st.TailTruncated {
+		t.Fatal("a write that landed nothing left a tail to truncate")
+	}
 	_, _, entries, last := replayAll(t, l2)
-	if last != 2 || len(entries) != 2 {
-		t.Fatalf("recovered last=%d entries=%d, want 2 and 2", last, len(entries))
+	if last != 1 || len(entries) != 1 {
+		t.Fatalf("recovered last=%d entries=%d, want 1 and 1", last, len(entries))
+	}
+	if err := l2.Append([]Entry{entry(2)}); err != nil {
+		t.Fatalf("Append after reopen: %v", err)
 	}
 }
 
 func TestInjectedTornWritePoisonsUntilReopen(t *testing.T) {
 	dir := t.TempDir()
-	h := &scriptedHook{op: FaultAppend, at: 1, fault: TornWrite}
-	l, err := Open(dir, Options{FaultHook: h.hook})
+	l, err := Open(dir, Options{FS: newFaultFS("write", segPrefix, 1, true)})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	if err := l.Append([]Entry{entry(1)}); err != nil {
 		t.Fatalf("Append 1: %v", err)
 	}
-	if err := l.Append([]Entry{entry(2)}); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("torn Append = %v, want ErrPoisoned", err)
+	if err := l.Append([]Entry{entry(2)}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("torn Append = %v, want EIO", err)
 	}
 	// The partial record is on disk; every later append must refuse, or
 	// replay (which stops at the first invalid record) would silently lose
@@ -558,8 +604,7 @@ func TestInjectedTornWritePoisonsUntilReopen(t *testing.T) {
 
 func TestInjectedCheckpointFailureKeepsPreviousCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	h := &scriptedHook{op: FaultCheckpoint, at: 1, fault: DiskFull}
-	l, err := Open(dir, Options{FaultHook: h.hook})
+	l, err := Open(dir, Options{FS: newFaultFS("write", ckptPrefix, 1, false)})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -572,11 +617,14 @@ func TestInjectedCheckpointFailureKeepsPreviousCheckpoint(t *testing.T) {
 	if err := l.Append([]Entry{entry(3)}); err != nil {
 		t.Fatalf("Append 3: %v", err)
 	}
-	if err := l.Checkpoint(3, []byte("snap-3")); !errors.Is(err, ErrDiskFull) {
-		t.Fatalf("Checkpoint 3 = %v, want ErrDiskFull", err)
+	if err := l.Checkpoint(3, []byte("snap-3")); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Checkpoint 3 = %v, want ENOSPC", err)
 	}
 	if got := l.CheckpointSeq(); got != 2 {
 		t.Fatalf("CheckpointSeq = %d, want 2 (previous stays in force)", got)
+	}
+	if err := l.Append([]Entry{entry(4)}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Append after a failed checkpoint = %v, want ErrPoisoned", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -595,20 +643,35 @@ func TestInjectedCheckpointFailureKeepsPreviousCheckpoint(t *testing.T) {
 	}
 }
 
-func TestInjectedSyncFailureSurfacesFromAppend(t *testing.T) {
+// TestInjectedSyncFailurePoisonsUntilReopen: after a failed fsync the page
+// cache no longer says what is on the disk, so the append that asked for it
+// fails and so does every later one, though its record may have landed.
+func TestInjectedSyncFailurePoisonsUntilReopen(t *testing.T) {
 	dir := t.TempDir()
-	h := &scriptedHook{op: FaultSync, at: 0, fault: DiskFull}
-	l, err := Open(dir, Options{Sync: true, FaultHook: h.hook})
+	l, err := Open(dir, Options{Sync: true, FS: newFaultFS("sync", segPrefix, 0, false)})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer l.Close()
-	if err := l.Append([]Entry{entry(1)}); !errors.Is(err, ErrDiskFull) {
-		t.Fatalf("Append = %v, want ErrDiskFull from failed sync", err)
+	if err := l.Append([]Entry{entry(1)}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Append = %v, want EIO from the failed fsync", err)
 	}
-	// The record itself landed; the next append (whose sync succeeds)
-	// continues the sequence.
-	if err := l.Append([]Entry{entry(2)}); err != nil {
-		t.Fatalf("Append 2: %v", err)
+	if got := l.LastSeq(); got != 1 {
+		t.Fatalf("LastSeq = %d after a written but unsynced record, want 1", got)
+	}
+	if err := l.Append([]Entry{entry(2)}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Append 2 = %v, want ErrPoisoned", err)
+	}
+	if err := l.Sync(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Sync = %v, want ErrPoisoned", err)
+	}
+	l.Close()
+	l2, err := Open(dir, Options{Sync: true})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	_, _, entries, last := replayAll(t, l2)
+	if err := l2.Append([]Entry{entry(last + 1)}); err != nil || len(entries) != int(last) {
+		t.Fatalf("after reopen: recovered %d entries to %d, append: %v", len(entries), last, err)
 	}
 }
