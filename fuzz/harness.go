@@ -236,17 +236,19 @@ func (r Result) String() string {
 }
 
 // walController is the schedule's disk: one wal.FS that every node's shard
-// logs share. It is the operating system's file system, except that it fails
-// (disk full) or tears (half the bytes, then an error) a targeted node's next
-// segment writes. A file's node is the index in its path (nodeOfDir).
+// logs share. It is the operating system's file system (wal.OS), except that
+// it fails (disk full) or tears (half the bytes, then an error) a targeted
+// node's next segment writes. A file's node is the index in its path
+// (nodeOfDir).
 type walController struct {
+	wal.FS
 	mu       sync.Mutex
 	diskFull map[int]int  // node -> remaining segment writes to fail ENOSPC
 	torn     map[int]bool // node -> tear the next segment write
 }
 
 func newWALController() *walController {
-	return &walController{diskFull: make(map[int]int), torn: make(map[int]bool)}
+	return &walController{FS: wal.OS, diskFull: make(map[int]int), torn: make(map[int]bool)}
 }
 
 // inject arms a disk event against node: a torn write tears its next segment
@@ -283,7 +285,7 @@ func (w *walController) fault(node int) (torn bool, err error) {
 // OpenAppend opens a segment: the log appends to nothing else. Checkpoints
 // are left alone; a failed one takes the same path as a failed append.
 func (w *walController) OpenAppend(name string) (wal.File, error) {
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := w.FS.OpenAppend(name)
 	if err != nil {
 		return nil, err
 	}
@@ -294,35 +296,9 @@ func (w *walController) OpenAppend(name string) (wal.File, error) {
 	return faultySegment{File: f, ctl: w, node: node}, nil
 }
 
-func (*walController) Create(name string) (wal.File, error) { return os.Create(name) }
-
-func (*walController) ReadDir(dir string) ([]string, error) {
-	des, err := os.ReadDir(dir)
-	names := make([]string, len(des))
-	for i, de := range des {
-		names[i] = de.Name()
-	}
-	return names, err
-}
-
-func (*walController) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func (*walController) ReadFile(name string) ([]byte, error)   { return os.ReadFile(name) }
-func (*walController) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
-func (*walController) Remove(name string) error               { return os.Remove(name) }
-func (*walController) Truncate(name string, size int64) error { return os.Truncate(name, size) }
-func (*walController) MkdirAll(dir string) error              { return os.MkdirAll(dir, 0o755) }
-
 // faultySegment is a segment file of a node the schedule may fail.
 type faultySegment struct {
-	*os.File
+	wal.File
 	ctl  *walController
 	node int
 }

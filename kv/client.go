@@ -22,10 +22,6 @@ import (
 // retry exactly-once.
 var errMoved = errors.New("kv: key range moved or frozen by resharding")
 
-// movedRetryDelay caps the backoff between re-drives of a held operation
-// (see awaitChange), and paces them while a handoff completes.
-const movedRetryDelay = 20 * time.Millisecond
-
 // Client issues key-value operations against a store. Methods are safe for
 // concurrent use; create several clients for independent command streams.
 //
@@ -372,29 +368,23 @@ func (c *Client) nodeAddr(node int) amoeba.Addr {
 }
 
 // awaitChange waits out one Moved answer (or one stopped replica): until the
-// node's routing table or hosted replica set changes — wake, the
-// RoutingWatch channel taken BEFORE the attempt being waited out, so a change
-// that lands between the answer and this wait is an already-closed channel,
-// not a missed wakeup — or until the backoff expires, or ctx ends. The
-// backoff stays because a prepare lock's release has no node-local event: it
-// starts at 250µs (a lock is held for about half that) and doubles up to
-// movedRetryDelay. While this node knows of a handoff in progress the wait
-// starts at the cap: a freeze lasts as long as the handoff does and ends with
-// an event, so quick re-drives would only be a storm.
-func (s *Store) awaitChange(ctx context.Context, wake <-chan struct{}, backoff *time.Duration) error {
-	*backoff = min(max(2**backoff, 250*time.Microsecond), movedRetryDelay)
-	if s.PendingRouting() != nil {
-		*backoff = movedRetryDelay
-	}
-	t := time.NewTimer(*backoff)
-	defer t.Stop()
+// node's change channel fires — wake, the RoutingWatch channel taken BEFORE
+// the attempt being waited out, so a change that lands between the answer
+// and this wait is an already-closed channel, not a missed wakeup — or until
+// ctx ends or the store shuts down. Nothing is polled: every hold ends with
+// something on this node that fires the channel — a lock release or routing
+// change applied by the replica that refused (see mapSM.refused), a flip
+// applied by another hosted replica (the key's new owner, while the refusing
+// source still straggles), or a replica installed or swapped.
+func (s *Store) awaitChange(ctx context.Context, wake <-chan struct{}) error {
 	select {
 	case <-wake:
-	case <-t.C:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	case <-s.healCtx.Done():
+		return shared.ErrStopped
 	}
-	return nil
 }
 
 // --- The generic entry point -------------------------------------------------
@@ -453,7 +443,6 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		// Ring-less client: the entry node's coordinator runs the 2PC.
 	}
 	c.trace(req, "submitted")
-	var backoff time.Duration
 	for {
 		var wake <-chan struct{}
 		if c.s != nil {
@@ -477,7 +466,7 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 			return nil, err
 		}
 		c.trace(req, "moved, retrying")
-		if err := c.s.awaitChange(ctx, wake, &backoff); err != nil {
+		if err := c.s.awaitChange(ctx, wake); err != nil {
 			return nil, err
 		}
 	}
@@ -1257,7 +1246,6 @@ func (s *Store) begin(c *shardCall) error {
 // attempt did commit, the rejoined replica's transferred state holds its
 // result, which the re-application meets and hands over.
 func (s *Store) finish(ctx context.Context, c *shardCall) (result, error) {
-	var backoff time.Duration
 	for {
 		r, w := c.r, c.w
 		err := w.wait(ctx, r.Stopped())
@@ -1289,7 +1277,7 @@ func (s *Store) finish(ctx context.Context, c *shardCall) (result, error) {
 		}
 		// The channel is taken before the re-check, so a swap on either
 		// side of it is seen.
-		if wake := s.RoutingWatch(); s.Replica(c.shard) == r && s.awaitChange(ctx, wake, &backoff) != nil {
+		if wake := s.RoutingWatch(); s.Replica(c.shard) == r && s.awaitChange(ctx, wake) != nil {
 			return result{}, fmt.Errorf("kv: shard %d: %w", c.shard, err)
 		}
 		if err := s.begin(c); err != nil {

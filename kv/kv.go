@@ -216,8 +216,9 @@ type Store struct {
 	// carries a pending table — even after the store-level epoch already
 	// flipped (a crash between per-shard commits leaves stragglers whose
 	// freeze only the resume path can lift). Guarded by routeMu;
-	// routeWake is closed and replaced on every change, and whenever a
-	// hosted replica is installed, swapped or retired (see RoutingWatch).
+	// routeWake is closed and replaced on every change, whenever a hosted
+	// replica is installed, swapped or retired, and when a hold clears for
+	// a refused local caller (see RoutingWatch).
 	routeMu      sync.RWMutex
 	routing      Routing
 	ring         *ring
@@ -333,12 +334,14 @@ func (s *Store) routingRing() (*ring, Routing) {
 }
 
 // RoutingWatch returns a channel closed at the next routing change (epoch
-// flip, handoff start or end) or change to the set of replicas this node
+// flip, handoff start or end), change to the set of replicas this node
 // hosts (one installed by a split or a join, swapped in by the self-heal, or
-// retired by a merge). Re-call after each wakeup for the next one. It is the
-// one event everything held on node-local state waits for: take the channel,
-// then look at the state, then wait — a change between the look and the wait
-// has already closed the channel.
+// retired by a merge), or release of a prepare lock or freeze by a hosted
+// replica that has refused a local caller since it last fired. Re-call after
+// each wakeup for the next one. It is the one event everything held on
+// node-local state waits for: take the channel, then look at the state, then
+// wait — a change between the look and the wait has already closed the
+// channel.
 func (s *Store) RoutingWatch() <-chan struct{} {
 	s.routeMu.RLock()
 	defer s.routeMu.RUnlock()
@@ -354,13 +357,15 @@ func (s *Store) replicasChanged() {
 	s.routeMu.Unlock()
 }
 
-// noteRouting folds one replica's routing state into the node-local view.
-// It is called by shard state machines under their replica lock (including
-// during write-ahead-log recovery), so it must not call back into replicas;
-// topology work happens on the goroutines its RoutingWatch wakeup reaches.
-func (s *Store) noteRouting(shard int, cur Routing, pending Routing, hasPending bool) {
+// noteRouting folds one replica's routing state into the node-local view,
+// and wakes RoutingWatch's waiters if the view changed or wake is set (a hold
+// cleared on a replica that refused a local caller). It is called by shard
+// state machines under their replica lock (including during write-ahead-log
+// recovery), so it must not call back into replicas; topology work happens
+// on the goroutines its RoutingWatch wakeup reaches.
+func (s *Store) noteRouting(shard int, cur Routing, pending Routing, hasPending, wake bool) {
 	s.routeMu.Lock()
-	changed := false
+	changed := wake
 	if cur.Epoch > s.routing.Epoch || (cur.Epoch == s.routing.Epoch && cur.Shards != s.routing.Shards) {
 		s.routing = cur
 		s.ring = cur.ring(s.name)
@@ -583,6 +588,8 @@ func (s *Store) hostShard(i int, boot *bootOpen) {
 		case s.healCtx.Err() != nil:
 			return
 		}
+		// A timer, not the change channel: a group failing transiently
+		// raises no event on this node.
 		backoff = min(max(2*backoff, 20*time.Millisecond), time.Second)
 		select {
 		case <-ctx.Done():

@@ -170,9 +170,9 @@ func TestBatchPutCoalescesAcrossShards(t *testing.T) {
 	}
 
 	// Twelve 8 KiB values on one shard are four commands of three (a fourth
-	// pair would pass the bound): they go through SubmitBatch, the sequencer
-	// orders them as batch requests of two (three would pass the group
-	// layer's message limit), and every pair lands on both nodes.
+	// pair would pass the bound): they go through one Replica.Start, the
+	// sequencer orders them as batch requests of two (three would pass the
+	// group layer's message limit), and every pair lands on both nodes.
 	big := make([]Pair, 12)
 	for i := range big {
 		big[i] = Pair{Key: keyOnShard(stores[0], 0, fmt.Sprintf("big-%02d", i)), Val: bytes.Repeat([]byte{byte('a' + i)}, 8<<10)}

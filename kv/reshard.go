@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"amoeba/shared"
 )
@@ -274,7 +273,6 @@ func (s *Store) anyShardAtEpoch(ctx context.Context, n int, epoch uint64) (bool,
 // waitHosted blocks until this node hosts replicas of shards [lo, hi) — the
 // slots' owners join or create them once the begins propagate.
 func (s *Store) waitHosted(ctx context.Context, lo, hi int) error {
-	var backoff time.Duration
 	for {
 		wake := s.RoutingWatch() // fires as each replica is installed
 		missing := -1
@@ -287,7 +285,7 @@ func (s *Store) waitHosted(ctx context.Context, lo, hi int) error {
 		if missing < 0 {
 			return nil
 		}
-		if err := s.awaitChange(ctx, wake, &backoff); err != nil {
+		if err := s.awaitChange(ctx, wake); err != nil {
 			return fmt.Errorf("kv: waiting for new shard %d to come up: %w", missing, err)
 		}
 	}

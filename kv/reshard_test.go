@@ -651,3 +651,81 @@ func TestReshardingResumeAfterPartialCommit(t *testing.T) {
 	}
 	verifyKeys(t, ctx, stores2[1], want)
 }
+
+// TestHeldPutFollowsStragglerCommit pins the store-wide wake: a 4→2 merge
+// whose begins and exports ran on every old shard but whose commit reached
+// only the moving key's new owner. A bound client's Put held at the frozen
+// source must return, served by the new owner, without the handoff being
+// resumed — the source never applies anything that would release it, so
+// only the node's change channel, fired by the new owner's flip, can.
+func TestHeldPutFollowsStragglerCommit(t *testing.T) {
+	ctx := ctxT(t, 30*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	hub := obs.NewHub(obs.Options{Node: "straggler", TraceMod: 1})
+	hub.Flight().DumpOnFailure(t)
+	stores := newCluster(t, ctx, net, "straggler", 2, Options{Shards: 4, Group: amoeba.GroupOptions{Obs: hub}})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	cl := stores[0].NewClient()
+	defer cl.Close()
+
+	cur := stores[0].Routing()
+	target := Routing{Epoch: cur.Epoch + 1, Shards: 2, VNodes: cur.VNodes}
+	next := target.ring("straggler")
+	var moving string
+	for i := 0; moving == ""; i++ {
+		if k := fmt.Sprintf("st-%04d", i); stores[0].ShardFor(k) != next.shard(k) {
+			moving = k
+		}
+	}
+	src, dst := stores[0].ShardFor(moving), next.shard(moving)
+	for i := 0; i < cur.Shards; i++ {
+		if err := stores[0].migrate(ctx, i, encodeMigrate(opMigrateBegin, stores[0].nextCmdID(), target)); err != nil {
+			t.Fatalf("migrate-begin on shard %d: %v", i, err)
+		}
+	}
+	for i := 0; i < cur.Shards; i++ {
+		if err := stores[0].exportShard(ctx, i, next, target); err != nil {
+			t.Fatalf("export of shard %d: %v", i, err)
+		}
+	}
+
+	const putID = 0x57A6613E
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Do(ctx, &Request{Op: ReqPut, ID: putID, Key: moving, Val: []byte("landed")})
+		done <- err
+	}()
+	for firstIndexContaining(spanEvents(hub.Tracer().Trace(putID)), "moved") < 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("the Put returned (%v) while shard %d held its key frozen", err, src)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	if err := stores[0].migrate(ctx, dst, encodeMigrate(opMigrateCommit, stores[0].nextCmdID(), target)); err != nil {
+		t.Fatalf("migrate-commit on shard %d: %v", dst, err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Put after the new owner's flip: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the Put still waits 5s after shard %d, its key's new owner, committed", dst)
+	}
+	var frozen bool
+	stores[0].Replica(src).Read(func(sm shared.StateMachine) { frozen = sm.(*mapSM).pending != nil })
+	if !frozen {
+		t.Fatalf("shard %d committed too: the test meant it to stay a frozen straggler", src)
+	}
+	var v []byte
+	stores[0].Replica(dst).Read(func(sm shared.StateMachine) { v = sm.(*mapSM).items[moving] })
+	if string(v) != "landed" {
+		t.Fatalf("shard %d holds %q = %q, want the Put's value", dst, moving, v)
+	}
+}

@@ -289,10 +289,15 @@ type mapSM struct {
 	shard       int
 	initRouting Routing
 	// onRouting, when non-nil, is nudged after any apply or restore that
-	// changed routing or pending — the hook the hosting Store uses to keep
-	// its node-local routing view current. It runs under the replica lock
-	// and must not call back into the replica.
-	onRouting func(shard int, cur Routing, pending Routing, hasPending bool)
+	// changed routing or pending, and after a lock release — the hook the
+	// hosting Store uses to keep its node-local routing view current and to
+	// wake the callers a hold kept waiting (wake). It runs under the replica
+	// lock and must not call back into the replica.
+	onRouting func(shard int, cur Routing, pending Routing, hasPending, wake bool)
+	// refused is node-local: this replica has handed a local caller a
+	// refusal since it last woke the node. It keeps a lock release that
+	// holds nobody up from waking anyone.
+	refused bool
 
 	// routing is the epoch table this shard currently serves under;
 	// pending, when non-nil, is the next table a migrate-begin announced
@@ -322,7 +327,7 @@ type mapSM struct {
 var _ shared.StateMachine = (*mapSM)(nil)
 var _ shared.SeqApplier = (*mapSM)(nil)
 
-func newMapSM(store string, shard int, rt Routing, window int, onRouting func(int, Routing, Routing, bool)) *mapSM {
+func newMapSM(store string, shard int, rt Routing, window int, onRouting func(int, Routing, Routing, bool, bool)) *mapSM {
 	if window <= 0 {
 		window = defaultResultWindow
 	}
@@ -370,6 +375,7 @@ func (s *mapSM) hand(id uint64, r result, moved bool) {
 		return
 	}
 	delete(s.waiters, id)
+	s.refused = s.refused || moved
 	for reg != nil {
 		w, next := reg.w, reg.next // a woken caller may recycle w at once, regs included
 		if id == w.regs[0].id {
@@ -436,7 +442,11 @@ func (s *mapSM) serves(key string) bool {
 	return true
 }
 
-// notifyRouting nudges the hosting store after a routing/pending change.
+// notifyRouting nudges the hosting store after an apply that can clear a
+// hold: a routing/pending change, or a lock release (resolvePortion). A
+// caller this replica refused sleeps on the store's change channel, so the
+// nudge closes it whenever there is such a caller, whether or not the
+// store's routing view changed.
 func (s *mapSM) notifyRouting() {
 	if s.onRouting == nil {
 		return
@@ -445,7 +455,8 @@ func (s *mapSM) notifyRouting() {
 	if s.pending != nil {
 		pend = *s.pending
 	}
-	s.onRouting(s.shard, s.routing, pend, s.pending != nil)
+	s.onRouting(s.shard, s.routing, pend, s.pending != nil, s.refused)
+	s.refused = false
 }
 
 // ApplySeq is Apply with the command's sequence number alongside — the
@@ -732,6 +743,9 @@ func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 	s.txnOrder = append(s.txnOrder, p.TxnID)
 	s.evictTxns()
 	s.flight.Recordf(s.flightTag, "txn %016x resolved: state=%d", p.TxnID, p.State)
+	if s.refused {
+		s.notifyRouting()
+	}
 }
 
 // applyTxnResolve applies a commit/abort decision to this shard's portion.

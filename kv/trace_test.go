@@ -41,6 +41,17 @@ func lastIndexContaining(events []string, substr string) int {
 	return -1
 }
 
+// countContaining returns how many events contain substr.
+func countContaining(events []string, substr string) int {
+	n := 0
+	for _, e := range events {
+		if strings.Contains(e, substr) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTraceReassemblyAcrossForwardHop drives an operation through the
 // proxied access path — a Dial'd client holding one node's address, whose
 // entry node does not host the key's shard — and reassembles the op's
@@ -132,10 +143,11 @@ func TestTraceReassemblyAcrossForwardHop(t *testing.T) {
 
 // TestTraceReassemblyAcrossMovedRetry freezes the moving key ranges with a
 // manual migrate-begin (the first phase of a reshard), issues a Put against
-// a frozen key — which bounces with Moved and retries — then lets the
-// reshard complete. The op's trace must show the whole story under one
-// command id: submitted, bounced at the frozen shard, applied after the
-// flip, replied.
+// a frozen key — which bounces with Moved and waits — holds the freeze for
+// 300 ms, then lets the reshard complete. The op's trace must show the whole
+// story under one command id: submitted, bounced at the frozen shard,
+// applied after the flip, replied; and however long the freeze lasted, the
+// op is re-driven only by the handoff's own events.
 func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 	ctx := ctxT(t, 60*time.Second)
 	net := amoeba.NewMemoryNetwork()
@@ -180,7 +192,7 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 	done := make(chan error, 1)
 	held := time.Now()
 	go func() { done <- cl.Put(ctx, moving, []byte("travelled")) }()
-	time.Sleep(100 * time.Millisecond) // let it bounce at least once
+	time.Sleep(300 * time.Millisecond) // let it bounce, then sit out the freeze
 
 	// Complete the interrupted handoff (Resharding resumes the pending
 	// epoch: stream, then commit).
@@ -192,6 +204,11 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 	}
 	freeze := time.Since(held)
 	waitShards(t, stores[0], 2, 10*time.Second)
+	// No storm, and no timer: after its first bounce the op is re-driven
+	// only when the node's change channel fires, at most once per routing
+	// change the handoff applies on the node — a begin and a commit per old
+	// shard — whatever the freeze's length.
+	limit := 1 + 2*cur.Shards
 
 	var found bool
 	for _, id := range hub.Tracer().IDs() {
@@ -202,16 +219,7 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 			continue
 		}
 		found = true
-		// No storm: a held op is re-driven by the handoff's own events (a
-		// handful: the flips) and otherwise at the capped backoff — not at
-		// the sub-millisecond pace that suits a prepare lock.
-		moved := 0
-		for _, e := range events {
-			if strings.Contains(e, "moved") {
-				moved++
-			}
-		}
-		if limit := 5 + int(freeze/movedRetryDelay); moved > limit {
+		if moved := countContaining(events, "moved"); moved > limit {
 			t.Errorf("trace %d: %d re-drives in a %v freeze, want at most %d:\n%s",
 				id, moved, freeze, limit, obs.FormatTrace(id, spans))
 		}

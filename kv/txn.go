@@ -132,7 +132,9 @@ func (c *Client) txnExecute(ctx context.Context, req *Request) (*Response, error
 		if retry {
 			c.txnConflicts.Add(1)
 			c.tracer.Addf(txnID, "txn conflict, retrying (attempt %d)", n+1)
-			// Jittered backoff so colliding coordinators separate.
+			// Jittered backoff so colliding coordinators separate. A timer,
+			// not the change channel: the other coordinator may be remote,
+			// and only the jitter breaks the symmetry between the two.
 			d := time.Duration(n+1) * 2 * time.Millisecond
 			d += time.Duration(rand.Int63n(int64(d)))
 			select {

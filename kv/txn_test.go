@@ -706,10 +706,12 @@ func TestTxnSurvivesLiveReshard(t *testing.T) {
 }
 
 // TestPutBehindPrepareLockRetriesPromptly: a write that meets a prepare lock
-// answers Moved and is re-driven by Do's loop. The lock's release has no
-// node-local event, so the loop's backoff is what decides how long the write
-// trails the resolve — a fixed 20 ms sleep made that ~10 ms in the median for
-// a lock held a fraction of a millisecond.
+// answers Moved, and Do's loop sleeps on the node's change channel, which the
+// resolve that releases the lock fires — on the very replica that refused
+// the write. So the write trails the resolve by one round, not by a timer,
+// and it is re-driven once per release, not polled while the lock is held:
+// in every round, also those that hold the lock 50 ms after the first
+// bounce, the Put bounces exactly once.
 func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 	ctx := ctxT(t, 60*time.Second)
 	net := amoeba.NewMemoryNetwork()
@@ -743,7 +745,8 @@ func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 			}
 			returned <- time.Now()
 		}()
-		// Resolve only once the Put has met the lock at least once.
+		// Resolve only once the Put has met the lock; in every fourth round,
+		// hold the lock a while longer.
 		for firstIndexContaining(spanEvents(hub.Tracer().Trace(putID+uint64(round))), "moved") < 0 {
 			select {
 			case <-returned:
@@ -751,11 +754,17 @@ func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 			case <-time.After(100 * time.Microsecond):
 			}
 		}
+		if round%4 == 3 {
+			time.Sleep(50 * time.Millisecond)
+		}
 		if err := cl.txnResolveEcho(ctx, txnID, true, keys[0], keys, false); err != nil {
 			t.Fatalf("round %d: resolve: %v", round, err)
 		}
 		resolved := time.Now()
 		gaps = append(gaps, (<-returned).Sub(resolved))
+		if n := countContaining(spanEvents(hub.Tracer().Trace(putID+uint64(round))), "moved"); n != 1 {
+			t.Errorf("round %d: the Put bounced %d times, want once: only the lock's release re-drives it", round, n)
+		}
 		if v, ok, err := cl.Get(ctx, keys[1]); err != nil || !ok || string(v) != "p" {
 			t.Fatalf("round %d: after the txn and the Put, %q = %q %v %v; the Put is ordered last", round, keys[1], v, ok, err)
 		}
@@ -764,5 +773,51 @@ func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 	t.Logf("median resolve-to-Put-returns gap %v over %d rounds", gaps[rounds/2], rounds)
 	if median := gaps[rounds/2]; median > 5*time.Millisecond {
 		t.Errorf("median resolve-to-Put-returns gap %v over %d rounds, want under 5ms (all: %v)", median, rounds, gaps)
+	}
+}
+
+// TestHeldPutReturnsAtClose: a Put held by a prepare lock that nobody
+// resolves, under a context with no deadline, sleeps on the node's change
+// channel — and must end when its store closes, not sleep on.
+func TestHeldPutReturnsAtClose(t *testing.T) {
+	ctx := ctxT(t, 30*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	hub := obs.NewHub(obs.Options{Node: "heldclose", TraceMod: 1})
+	stores := newCluster(t, ctx, net, "heldclose", 2, Options{Shards: 2, Group: amoeba.GroupOptions{Obs: hub}})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	cl := stores[0].NewClient()
+	defer cl.Close()
+	key := "locked"
+	prep, err := cl.Do(ctx, &Request{Op: ReqTxnPrepare, TxnID: cl.nextID(), HomeKey: key, AllKeys: []string{key},
+		Writes: []TxnWrite{{Key: key, Val: []byte("t")}}})
+	if err != nil || !prep.OK || prep.TxnState != txnStatePrepared {
+		t.Fatalf("prepare = %+v, %v", prep, err)
+	}
+	const putID = 0xC105ED
+	returned := make(chan error, 1)
+	go func() {
+		_, err := cl.Do(context.Background(), &Request{Op: ReqPut, ID: putID, Key: key, Val: []byte("p")})
+		returned <- err
+	}()
+	for firstIndexContaining(spanEvents(hub.Tracer().Trace(putID)), "moved") < 0 {
+		select {
+		case err := <-returned:
+			t.Fatalf("the Put returned (%v) while its key was locked", err)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	stores[0].Close()
+	select {
+	case err := <-returned:
+		if err == nil {
+			t.Fatal("the Put behind the lock succeeded on a closed store")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the Put behind the lock still waits 1s after its store closed")
 	}
 }

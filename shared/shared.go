@@ -173,9 +173,7 @@ func joinWithLog(ctx context.Context, k *amoeba.Kernel, name string, sm StateMac
 		// Drain without blocking so the receive queue cannot pin the
 		// sender side while we wait on RPC.
 		for {
-			drainCtx, cancel := context.WithTimeout(ctx, time.Millisecond)
-			m, err := g.Receive(drainCtx)
-			cancel()
+			m, err := g.Receive(polled)
 			if err != nil {
 				return nil // queue momentarily empty
 			}
@@ -325,6 +323,7 @@ func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32, drain func()
 		if err := drain(); err != nil {
 			return 0, nil, err
 		}
+		// Paced by a timer: no event on this node says a donor came back.
 		select {
 		case <-ctx.Done():
 			return 0, nil, ctx.Err()
@@ -333,6 +332,15 @@ func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32, drain func()
 	}
 	return 0, nil, ErrTransferFailed
 }
+
+// polled is a context cancelled from the start: it makes Receive a
+// non-blocking poll, which returns a queued message if one is present and
+// the context error otherwise.
+var polled = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // maxJournalBurst bounds the deliveries coalesced into one journal record
 // (and, with Durability.Sync, one fsync).
@@ -345,10 +353,6 @@ const maxJournalBurst = 128
 func (r *Replica) start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
-	// A pre-cancelled context makes Receive a non-blocking poll: it returns
-	// a queued message if one is present and the context error otherwise.
-	pollCtx, pollCancel := context.WithCancel(context.Background())
-	pollCancel()
 	go func() {
 		defer close(r.done)
 		for {
@@ -365,7 +369,7 @@ func (r *Replica) start() {
 			}
 			burst := []amoeba.Message{m}
 			for len(burst) < maxJournalBurst {
-				m2, err := r.group.Receive(pollCtx)
+				m2, err := r.group.Receive(polled)
 				if err != nil {
 					break // queue momentarily empty
 				}
@@ -528,34 +532,24 @@ func (r *Replica) walFailLocked(err error) {
 // local state reflects it once the apply loop catches up — use Read for
 // read-your-writes patterns.
 func (r *Replica) Submit(ctx context.Context, cmd []byte) error {
-	return r.SubmitBatch(ctx, [][]byte{cmd})
-}
-
-// SubmitBatch routes several commands through the group as one pipelined
-// burst: each command is ordered, journaled and applied individually (in
-// slice order relative to this replica's other submissions), but the group
-// coalesces small ones into batch ordering requests, amortising the
-// sequencer's per-request work. Every per-command cost on every replica
-// remains — a delivery, a journal entry (Durability.CheckpointEvery counts
-// these), an apply — so a caller with many small writes does better to pack
-// them into one command, as kv's BatchPut does, and use this only for what
-// does not fit one. It returns the first error encountered.
-func (r *Replica) SubmitBatch(ctx context.Context, cmds [][]byte) error {
 	select {
 	case <-r.stoppedCh:
 		return ErrStopped
 	default:
-		return r.group.SendBatch(ctx, cmds)
+		return r.group.Send(ctx, cmd)
 	}
 }
 
-// Start is the non-blocking half of SubmitBatch: it submits cmds and returns,
-// and done is called once, when every command is ordered, with the first
-// error (ErrStopped at once if the replica has stopped). The commands are
-// copied before Start returns. A caller that starts several submissions —
-// to several replicas — and then waits for them all pays one goroutine, not
-// one per replica. done may run before Start returns or on a protocol
-// goroutine; it must not block.
+// Start submits cmds as one pipelined burst and returns without waiting. Each
+// command is ordered, journaled and applied on its own, in slice order, but
+// the group coalesces small ones into batch ordering requests; every
+// per-command cost on every replica remains, so many small writes do better
+// packed into one command, as kv's BatchPut does. done is called once, when
+// every command is ordered, with the first error (ErrStopped at once if the
+// replica has stopped). The commands are copied before Start returns. A
+// caller that starts several submissions — to several replicas — and then
+// waits for them all pays one goroutine, not one per replica. done may run
+// before Start returns or on a protocol goroutine; it must not block.
 func (r *Replica) Start(cmds [][]byte, done func(error)) {
 	select {
 	case <-r.stoppedCh:

@@ -33,7 +33,10 @@ type File interface {
 	Close() error
 }
 
-// osFS is the operating system's file system.
+// OS is the operating system's file system, the default. A wrapper that
+// fails some calls embeds it and overrides only those.
+var OS FS = osFS{}
+
 type osFS struct{}
 
 // OpenAppend and Create return a nil *os.File with an error; the log never

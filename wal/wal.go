@@ -116,7 +116,7 @@ func (o Options) withDefaults() Options {
 		o.SegmentSize = 1 << 20
 	}
 	if o.FS == nil {
-		o.FS = osFS{}
+		o.FS = OS
 	}
 	return o
 }
