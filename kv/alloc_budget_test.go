@@ -1,7 +1,9 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -93,4 +95,55 @@ func TestAllocBudgetClientBatchPut(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, put) / perCall; got > budget {
 		t.Fatalf("a replicated BatchPut costs %.1f heap objects per pair process-wide, budget %.1f", got, budget)
 	}
+}
+
+// TestAllocBudgetTxnTombstones holds what a resolved transaction leaves behind
+// on its shard: the heap one state machine retains per tombstone, after a
+// collection, once it has resolved a full window of four-key transactions —
+// half committed with two 64-byte reads and two writes, half read-only (an
+// MGet) and aborted with four reads, the mix a transactional workload leaves.
+// While a tombstone was the resolved *txnPortion itself, with its decoded key
+// strings and value copies, this read 742 B (amd64, Go 1.24); the bound is
+// half that. As one byte record each, committed ones alone keeping their reads,
+// it reads 243 B.
+func TestAllocBudgetTxnTombstones(t *testing.T) {
+	if bufpool.Poison || testing.Short() {
+		t.Skip("heap figures are for plain, full runs")
+	}
+	sm := newMapSM("tombs", 0, Routing{Shards: 1, VNodes: 8}, 64, nil)
+	val := bytes.Repeat([]byte{'v'}, 64)
+	const keys = 256
+	key := func(i int) string { return fmt.Sprintf("key-%05d", i%keys) }
+	for i := 0; i < keys; i++ {
+		sm.Apply(encodePut(uint64(i+1), key(i), val))
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	id := uint64(1 << 32)
+	for n := 0; n < txnTombstoneWindow; n++ {
+		ks := []string{key(4 * n), key(4*n + 1), key(4*n + 2), key(4*n + 3)}
+		txnID, commit := uint64(n+1), n%2 == 0
+		if commit {
+			sm.Apply(encodeTxnPrepare(id, txnID, ks[0], ks, ks[:2], []TxnWrite{{Key: ks[2], Val: val}, {Key: ks[3], Val: val}}, nil))
+		} else {
+			sm.Apply(encodeTxnPrepare(id, txnID, ks[0], ks, ks, nil, nil))
+		}
+		sm.Apply(encodeTxnResolve(id+1, txnID, commit, ks[0], ks))
+		id += 2
+	}
+	after := heap()
+	if got := len(sm.txnOrder); got != txnTombstoneWindow {
+		t.Fatalf("%d tombstones queued, want %d", got, txnTombstoneWindow)
+	}
+	const budget = 371 // half the figure above
+	if per := float64(after-before) / txnTombstoneWindow; per > budget {
+		t.Fatalf("a tombstone retains %.0f B of heap, budget %d", per, budget)
+	}
+	runtime.KeepAlive(sm)
 }

@@ -3,6 +3,7 @@ package kv
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -145,56 +146,27 @@ func (s *mapSM) digestState(n int) obs.Digest {
 		m = fnvAdd(m, uint64(s.pending.Shards))
 		m = fnvAdd(m, uint64(s.pending.VNodes))
 	}
-	// Transaction portions, sorted by id for determinism, folded fully —
-	// an in-flight portion's held-back writes are replicated state too.
-	txnIDs := make([]uint64, 0, len(s.txns))
+	// Transaction portions, prepared and tombstones alike, sorted by id
+	// for determinism and folded fully — an in-flight portion's held-back
+	// writes are replicated state too. A tombstone is folded from its
+	// record; a prepared portion is spelled the same way for the fold.
+	txnIDs := make([]uint64, 0, len(s.txns)+len(s.tombs))
 	for id := range s.txns {
 		txnIDs = append(txnIDs, id)
 	}
-	sort.Slice(txnIDs, func(i, j int) bool { return txnIDs[i] < txnIDs[j] })
+	for id := range s.tombs {
+		txnIDs = append(txnIDs, id)
+	}
+	slices.Sort(txnIDs)
 	m = fnvAdd(m, uint64(len(txnIDs)))
+	var spelled []byte
 	for _, id := range txnIDs {
-		p := s.txns[id]
-		m = fnvAdd(m, p.TxnID)
-		m = fnvAdd(m, uint64(p.State))
-		m = fnvStr(m, p.HomeKey)
-		m = fnvAdd(m, uint64(len(p.AllKeys)))
-		for _, k := range p.AllKeys {
-			m = fnvStr(m, k)
+		rec, ok := s.tombs[id]
+		if !ok {
+			spelled = appendPortion(spelled[:0], s.txns[id])
+			rec = spelled
 		}
-		m = fnvAdd(m, uint64(len(p.Reads)))
-		for i, k := range p.Reads {
-			m = fnvStr(m, k)
-			if i < len(p.Values) {
-				m = fnvAdd(m, uint64(len(p.Values[i])))
-				m = fnvBytes(m, p.Values[i])
-			}
-			if i < len(p.Found) && p.Found[i] {
-				m = fnvAdd(m, 1)
-			} else {
-				m = fnvAdd(m, 0)
-			}
-		}
-		m = fnvAdd(m, uint64(len(p.Writes)))
-		for _, w := range p.Writes {
-			m = fnvStr(m, w.Key)
-			m = fnvBytes(m, w.Val)
-			if w.Delete {
-				m = fnvAdd(m, 1)
-			} else {
-				m = fnvAdd(m, 0)
-			}
-		}
-		m = fnvAdd(m, uint64(len(p.Conds)))
-		for _, cc := range p.Conds {
-			m = fnvStr(m, cc.Key)
-			m = fnvBytes(m, cc.Expect)
-			if cc.ExpectPresent {
-				m = fnvAdd(m, 1)
-			} else {
-				m = fnvAdd(m, 0)
-			}
-		}
+		m = foldPortion(m, rec)
 	}
 	m = fnvAdd(m, uint64(len(s.txnOrder)))
 	for _, id := range s.txnOrder {
@@ -209,6 +181,69 @@ func (s *mapSM) digestState(n int) obs.Digest {
 	}
 	d.Sum = sum
 	return d
+}
+
+// foldPortion folds one transaction portion spelled as appendPortion spells
+// it: id, state, home key, all keys, then each read key with its captured
+// value and found bit beside it, each write (key, value, delete bit) and each
+// condition (key, expected value, presence bit). It reads the spelling in
+// place, the three read lists side by side, and allocates nothing.
+func foldPortion(m uint64, rec []byte) uint64 {
+	r := reader{b: rec}
+	m = fnvAdd(m, r.u64())
+	m = fnvAdd(m, uint64(r.u8()))
+	m = fnvBytes(m, r.raw())
+	n := r.count(1)
+	m = fnvAdd(m, uint64(n))
+	for ; n > 0; n-- {
+		m = fnvBytes(m, r.raw())
+	}
+	// Reads, values and found bits come as three lists: a reader at the
+	// head of each.
+	nReads := r.count(1)
+	reads := r
+	for i := 0; i < nReads; i++ {
+		r.raw()
+	}
+	nVals := r.count(1)
+	vals := r
+	for i := 0; i < nVals; i++ {
+		r.raw()
+	}
+	nFound := r.count(1)
+	found := r
+	for i := 0; i < nFound; i++ {
+		r.u8()
+	}
+	m = fnvAdd(m, uint64(nReads))
+	for i := 0; i < nReads; i++ {
+		m = fnvBytes(m, reads.raw())
+		if i < nVals {
+			v := vals.raw()
+			m = fnvAdd(m, uint64(len(v)))
+			m = fnvBytes(m, v)
+		}
+		m = fnvAdd(m, bit(i < nFound && found.flag()))
+	}
+	for list := 0; list < 2; list++ { // the writes, then the conditions
+		n = r.count(3)
+		m = fnvAdd(m, uint64(n))
+		for ; n > 0; n-- {
+			k, flag, v := r.raw(), r.flag(), r.raw()
+			m = fnvBytes(m, k)
+			m = fnvBytes(m, v)
+			m = fnvAdd(m, bit(flag))
+		}
+	}
+	return m
+}
+
+// bit is a flag as a digest word: 1 or 0.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // StateDigest implements shared.Digester: the single-range collapse of the

@@ -27,7 +27,9 @@ import (
 //
 // Counts, byte strings, key lists, writes, conditions and routing tables are
 // spelled as in the command codec (codec.go); values is a count and that many
-// byte strings, found a count and that many bytes. A result's flags are OK
+// byte strings, found a count and that many bytes. A tombstone record (see
+// mapSM.tombs) is a resolved portion already in this spelling, and is written
+// as it is stored. A result's flags are OK
 // (bit 0), Conflict (1), CondFailed (2), and whether read values follow (3).
 // Results come oldest first, so the restored window evicts in the same order.
 //
@@ -46,9 +48,12 @@ var errBadSnapshot = errors.New("kv: malformed snapshot")
 // Snapshot serialises the shard for atomic state transfer to a joiner and for
 // WAL checkpoints.
 func (s *mapSM) Snapshot() ([]byte, error) {
-	// One buffer, sized for the items and results up front: a checkpoint
-	// snapshots the whole shard every CheckpointEvery commands.
+	// One buffer, sized for the items, results and tombstones up front: a
+	// checkpoint snapshots the whole shard every CheckpointEvery commands.
 	size := 64
+	for _, rec := range s.tombs {
+		size += len(rec)
+	}
 	for k, v := range s.items {
 		size += len(k) + len(v) + 2*binary.MaxVarintLen32
 	}
@@ -77,9 +82,12 @@ func (s *mapSM) Snapshot() ([]byte, error) {
 	}
 	dst = appendOptRouting(dst, routing)
 	dst = appendOptRouting(dst, s.pending)
-	dst = binary.AppendUvarint(dst, uint64(len(s.txns)))
+	dst = binary.AppendUvarint(dst, uint64(len(s.txns)+len(s.tombs)))
 	for _, p := range s.txns {
 		dst = appendPortion(dst, p)
+	}
+	for _, rec := range s.tombs {
+		dst = append(dst, rec...) // a record is a portion as this spells it
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(s.txnOrder)))
 	for _, id := range s.txnOrder {
@@ -113,17 +121,27 @@ func (s *mapSM) Restore(snap []byte) error {
 	if s.pending != nil {
 		s.pendRing = s.pending.ring(s.store)
 	}
-	s.txns = make(map[uint64]*txnPortion, len(st.txns))
+	// A resolved portion is kept as it came, not trimmed the way a resolve
+	// or an import trims one: the state is the snapshotted one, and digests
+	// to its stamp. A later portion of the same id replaces an earlier one.
+	s.txns = make(map[uint64]*txnPortion)
+	s.tombs = make(map[uint64][]byte)
+	for _, p := range st.txns {
+		if p.State == txnStatePrepared {
+			delete(s.tombs, p.TxnID)
+			s.txns[p.TxnID] = p
+		} else {
+			delete(s.txns, p.TxnID)
+			s.setRecord(p)
+		}
+	}
 	s.locks = make(map[string]uint64)
 	s.lockSeen = make(map[uint64]time.Time)
-	for _, p := range st.txns {
-		s.txns[p.TxnID] = p
-		if p.State == txnStatePrepared {
-			for _, k := range p.localKeys() {
-				s.locks[k] = p.TxnID
-			}
-			s.touchLock(p.TxnID)
+	for id, p := range s.txns {
+		for _, k := range p.localKeys() {
+			s.locks[k] = id
 		}
+		s.touchLock(id)
 	}
 	s.txnOrder = st.txnOrder
 	s.notifyRouting()

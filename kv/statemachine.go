@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -112,19 +113,28 @@ const (
 	txnStateAborted   byte = 3
 )
 
-// txnTombstoneWindow bounds resolved transaction portions kept for
-// idempotent re-answers, FIFO like the result window. A transaction
-// re-driven after its tombstones evicted everywhere is presumed resolved —
-// the same horizon the result window already imposes on plain retries.
+// txnTombstoneWindow bounds the tombstones a shard keeps, FIFO like the
+// result window but counted in resolved portions, not commands. The 8192 most
+// recently resolved transactions on a shard re-answer their decision (and a
+// committed one its captured reads) to a re-driven prepare or resolve; past
+// that a resolve is presumed decided (a commit re-answers success, an abort
+// plants a fence) and a retried ReqTxn executes again under a fresh attempt.
+// It is not the result window's horizon: Options.ResultWindow counts commands
+// (65 536 by default, 1024 in the benchmark). It is a constant, not an option,
+// because every replica of a shard must evict at the same point in the order
+// (the queue is snapshotted and digested), and 8192 keeps a shard's
+// tombstones to a few megabytes while covering a retry that comes back
+// seconds later on a shard resolving a few thousand transactions a second.
 const txnTombstoneWindow = 8192
 
 // txnPortion is one shard's slice of a cross-shard transaction: the local
 // reads (with the values captured when the prepare sequenced), writes held
 // back until the decision, and conditions. It is replicated state — created
 // by opTxnPrepare, resolved by opTxnResolve, carried in snapshots and
-// migrated with its keys during resharding. After resolution the portion
-// stays as a tombstone (writes and conds trimmed) so re-driven prepares and
-// resolves re-answer the decision instead of re-executing.
+// migrated with its keys during resharding. Only a prepared portion lives as
+// one; a resolved one is kept as a tombstone record (see mapSM.tombs) so
+// re-driven prepares and resolves re-answer the decision instead of
+// re-executing.
 type txnPortion struct {
 	TxnID   uint64
 	HomeKey string
@@ -159,6 +169,51 @@ func (p *txnPortion) localKeys() []string {
 	}
 	return out
 }
+
+// everyKey reports whether f holds for every key the portion locks, asking
+// in read, write, condition order; a key in two sets is asked twice.
+func (p *txnPortion) everyKey(f func(string) bool) bool {
+	for _, k := range p.Reads {
+		if !f(k) {
+			return false
+		}
+	}
+	for _, w := range p.Writes {
+		if !f(w.Key) {
+			return false
+		}
+	}
+	for _, c := range p.Conds {
+		if !f(c.Key) {
+			return false
+		}
+	}
+	return true
+}
+
+// tombstone is the part of a resolved portion its record keeps: identity,
+// outcome and keys. A committed one keeps its captured reads too: a retried
+// ReqTxn re-drives attempt 0 and must be answered them again. An aborted
+// one's reads are never asked for again: an aborted answer wins every merge
+// (mergePrepareAnswers) and the coordinator retries under a fresh attempt id.
+// The held-back writes and conditions are spent.
+func (p *txnPortion) tombstone() txnPortion {
+	t := txnPortion{TxnID: p.TxnID, HomeKey: p.HomeKey, AllKeys: p.AllKeys, State: p.State}
+	if p.State == txnStateCommitted {
+		t.Reads, t.Values, t.Found = p.Reads, p.Values, p.Found
+	}
+	return t
+}
+
+// decodeRecord reads a tombstone record back into a portion, for the rare
+// paths that need more than its state byte.
+func decodeRecord(rec []byte) *txnPortion {
+	r := reader{b: rec}
+	return r.portion()
+}
+
+// recordState is a tombstone record's outcome: the byte after its id.
+func recordState(rec []byte) byte { return rec[8] }
 
 func (p *txnPortion) clone() *txnPortion {
 	cp := *p
@@ -269,12 +324,19 @@ type mapSM struct {
 	// sleep on, by command id (see answerWaiter).
 	waiters map[uint64]*answerReg
 
-	// Transaction state (replicated): portions keyed by txn id, the FIFO
-	// eviction queue of RESOLVED portion ids (prepared portions never
-	// evict), and the prepare locks derived from the prepared portions.
+	// Transaction state (replicated): the prepared portions by txn id — the
+	// live two-phase state — and the prepare locks derived from them; the
+	// resolved portions as tombstone records by txn id, each one immutable
+	// byte string in the snapshot's portion spelling (appendPortion), so a
+	// window of them costs the collector nothing to scan; and the FIFO
+	// eviction queue of tombstone ids. An id is in at most one of the maps.
 	txns     map[uint64]*txnPortion
-	txnOrder []uint64
 	locks    map[string]uint64 // key -> txn id holding its prepare lock
+	tombs    map[uint64][]byte
+	txnOrder []uint64
+	// recBuf is node-local scratch a record is spelled in before it is copied
+	// out at its exact size.
+	recBuf []byte
 
 	// lockSeen is node-local (never replicated): when this replica last saw
 	// each prepared portion, feeding the in-doubt recovery janitor's age
@@ -337,6 +399,7 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 		waiters:     make(map[uint64]*answerReg),
 		txns:        make(map[uint64]*txnPortion),
 		locks:       make(map[string]uint64),
+		tombs:       make(map[uint64][]byte),
 		lockSeen:    make(map[uint64]time.Time),
 		store:       store,
 		shard:       shard,
@@ -440,6 +503,12 @@ func (s *mapSM) serves(key string) bool {
 		return false
 	}
 	return true
+}
+
+// owns reports whether key belongs to this shard under its current table,
+// whatever a pending one says.
+func (s *mapSM) owns(key string) bool {
+	return s.curRing == nil || s.curRing.shard(key) == s.shard
 }
 
 // notifyRouting nudges the hosting store after an apply that can clear a
@@ -630,11 +699,11 @@ func (s *mapSM) txnPrepareResultFor(p *txnPortion, reads []string) result {
 // rather than demanding byte equality. A resolved portion answers its
 // decision — a late prepare must never relock after the outcome.
 func (s *mapSM) applyTxnPrepare(c command) {
-	p := s.txns[c.txnID]
-	if p != nil && p.State != txnStatePrepared {
-		s.setResult(c.id, s.txnPrepareResultFor(p, c.keys))
+	if rec := s.tombs[c.txnID]; rec != nil {
+		s.setResult(c.id, s.txnPrepareResultFor(decodeRecord(rec), c.keys))
 		return
 	}
+	p := s.txns[c.txnID]
 	resident := make(map[string]bool)
 	if p != nil {
 		for _, k := range p.localKeys() {
@@ -714,17 +783,14 @@ func (s *mapSM) applyTxnPrepare(c command) {
 
 // resolvePortion applies the decision to a prepared portion: commit lands
 // the held-back writes, abort discards them; either way the locks clear and
-// the portion becomes a tombstone (payloads trimmed, reads kept for
-// idempotent re-answers).
+// the portion becomes a tombstone record (see txnPortion.tombstone).
 func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
-	if p.State != txnStatePrepared {
-		return
-	}
-	for _, k := range p.localKeys() {
+	p.everyKey(func(k string) bool {
 		if s.locks[k] == p.TxnID {
 			delete(s.locks, k)
 		}
-	}
+		return true
+	})
 	if commit {
 		for _, w := range p.Writes {
 			if w.Delete {
@@ -737,15 +803,30 @@ func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 	} else {
 		p.State = txnStateAborted
 	}
-	p.Writes = nil
-	p.Conds = nil
-	delete(s.lockSeen, p.TxnID)
-	s.txnOrder = append(s.txnOrder, p.TxnID)
-	s.evictTxns()
+	s.entomb(p.tombstone())
 	s.flight.Recordf(s.flightTag, "txn %016x resolved: state=%d", p.TxnID, p.State)
 	if s.refused {
 		s.notifyRouting()
 	}
+}
+
+// entomb files t, resolved, as its tombstone record, in the place of whatever
+// portion its id had, and queues it for eviction.
+func (s *mapSM) entomb(t txnPortion) {
+	delete(s.txns, t.TxnID)
+	delete(s.lockSeen, t.TxnID)
+	s.setRecord(&t)
+	s.txnOrder = append(s.txnOrder, t.TxnID)
+	s.evictTxns()
+}
+
+// setRecord stores p as its tombstone record, as it is: spelled in the scratch
+// buffer, then copied into one of its own, exactly sized.
+func (s *mapSM) setRecord(p *txnPortion) {
+	s.recBuf = appendPortion(s.recBuf[:0], p)
+	rec := make([]byte, len(s.recBuf))
+	copy(rec, s.recBuf)
+	s.tombs[p.TxnID] = rec
 }
 
 // applyTxnResolve applies a commit/abort decision to this shard's portion.
@@ -757,30 +838,22 @@ func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 // reshard serializes entirely before or after the commit.
 func (s *mapSM) applyTxnResolve(c command) {
 	if p := s.txns[c.txnID]; p != nil {
-		if p.State == txnStatePrepared {
-			for _, k := range p.localKeys() {
-				if !s.serves(k) {
-					s.refuse(c.id)
-					return
-				}
-			}
-			s.resolvePortion(p, c.txnCommit)
+		if !p.everyKey(s.serves) {
+			s.refuse(c.id)
+			return
 		}
-		s.setResult(c.id, result{OK: p.State == txnStateCommitted, TxnState: p.State})
+		s.resolvePortion(p, c.txnCommit)
+	}
+	if rec := s.tombs[c.txnID]; rec != nil {
+		state := recordState(rec)
+		s.setResult(c.id, result{OK: state == txnStateCommitted, TxnState: state})
 		return
 	}
 	// No portion: this shard never saw the prepare, or already evicted the
 	// tombstone. It must at least own one of the transaction's keys —
 	// otherwise the decision belongs elsewhere (stale routing) and the
 	// caller re-resolves.
-	owned := s.curRing == nil
-	for _, k := range c.allKeys {
-		if owned {
-			break
-		}
-		owned = s.curRing.shard(k) == s.shard
-	}
-	if !owned {
+	if s.curRing != nil && !slices.ContainsFunc(c.allKeys, s.owns) {
 		s.refuse(c.id)
 		return
 	}
@@ -793,22 +866,16 @@ func (s *mapSM) applyTxnResolve(c command) {
 	}
 	// Abort with no portion: plant a fence so a straggling prepare re-drive
 	// cannot lock keys after the decision (presumed abort).
-	f := &txnPortion{TxnID: c.txnID, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStateAborted}
-	s.txns[c.txnID] = f
-	s.txnOrder = append(s.txnOrder, c.txnID)
-	s.evictTxns()
+	s.entomb(txnPortion{TxnID: c.txnID, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStateAborted})
 	s.flight.Recordf(s.flightTag, "txn %016x fenced aborted", c.txnID)
 	s.setResult(c.id, result{TxnState: txnStateAborted})
 }
 
-// evictTxns trims resolved portions past the tombstone window.
+// evictTxns trims tombstones past the tombstone window.
 func (s *mapSM) evictTxns() {
 	for len(s.txnOrder) > txnTombstoneWindow {
-		id := s.txnOrder[0]
+		delete(s.tombs, s.txnOrder[0])
 		s.txnOrder = s.txnOrder[1:]
-		if p, ok := s.txns[id]; ok && p.State != txnStatePrepared {
-			delete(s.txns, id)
-		}
 	}
 }
 
@@ -856,43 +923,34 @@ func (s *mapSM) applyMigrateCommit(c command) {
 			dropped++
 		}
 	}
-	// Transaction portions follow their keys: shrink each to the keys this
-	// shard still owns (the moved slices were exported as sub-portions
-	// before the commit sequenced) and drop portions with nothing left
-	// here. Locks are rederived from what remains.
+	// Transaction portions follow their keys: shrink each prepared one to
+	// the keys this shard still owns (the moved slices were exported as
+	// sub-portions before the commit sequenced), and drop a portion with
+	// nothing left here, or a tombstone none of whose transaction's keys
+	// this shard owns. Locks are rederived from what remains.
 	for id, p := range s.txns {
-		if p.State == txnStatePrepared {
-			var keep []string
-			for _, k := range p.localKeys() {
-				if s.curRing.shard(k) == s.shard {
-					keep = append(keep, k)
-				}
+		var keep []string
+		for _, k := range p.localKeys() {
+			if s.curRing.shard(k) == s.shard {
+				keep = append(keep, k)
 			}
-			if len(keep) == 0 {
-				delete(s.txns, id)
-				delete(s.lockSeen, id)
-				continue
-			}
-			s.txns[id] = p.subPortion(keep)
+		}
+		if len(keep) == 0 {
+			delete(s.txns, id)
+			delete(s.lockSeen, id)
 			continue
 		}
-		anyOwned := false
-		for _, k := range p.AllKeys {
-			if s.curRing.shard(k) == s.shard {
-				anyOwned = true
-				break
-			}
-		}
-		if !anyOwned {
-			delete(s.txns, id) // txnOrder entry left behind; evict tolerates it
+		s.txns[id] = p.subPortion(keep)
+	}
+	for id, rec := range s.tombs {
+		if !slices.ContainsFunc(decodeRecord(rec).AllKeys, s.owns) {
+			delete(s.tombs, id) // txnOrder entry left behind; evict tolerates it
 		}
 	}
 	s.locks = make(map[string]uint64)
 	for id, p := range s.txns {
-		if p.State == txnStatePrepared {
-			for _, k := range p.localKeys() {
-				s.locks[k] = id
-			}
+		for _, k := range p.localKeys() {
+			s.locks[k] = id
 		}
 	}
 	s.flight.Recordf(s.flightTag, "migrate commit: epoch %d, %d moved keys dropped, %d kept",
@@ -948,50 +1006,51 @@ func (s *mapSM) applyMigrateImport(c command) {
 // chunks arrived first): the resident and incoming states must converge on
 // one outcome with every write applied exactly once.
 func (s *mapSM) importPortion(t *txnPortion) {
-	ex, ok := s.txns[t.TxnID]
-	if !ok {
-		cp := t.clone()
-		s.txns[t.TxnID] = cp
-		if cp.State == txnStatePrepared {
-			for _, k := range cp.localKeys() {
-				s.locks[k] = cp.TxnID
-			}
-			s.touchLock(cp.TxnID)
-		} else {
-			cp.Writes = nil
-			cp.Conds = nil
-			s.txnOrder = append(s.txnOrder, cp.TxnID)
-			s.evictTxns()
+	if rec := s.tombs[t.TxnID]; rec != nil {
+		ex := decodeRecord(rec)
+		if ex.State != txnStateCommitted {
+			return // aborted: the incoming writes are discarded, and no reads are kept
 		}
+		if t.State == txnStatePrepared {
+			// The resident tombstone says committed, but the incoming keys'
+			// writes were still held back on their source when it froze:
+			// apply them here, exactly once — this is the only place they
+			// can ever land.
+			for _, w := range t.Writes {
+				if w.Delete {
+					delete(s.items, w.Key)
+				} else {
+					s.items[w.Key] = w.Val
+				}
+			}
+		}
+		ex.mergeReads(t)
+		s.setRecord(ex)
 		return
 	}
+	ex := s.txns[t.TxnID]
 	switch {
-	case ex.State == txnStatePrepared && t.State == txnStatePrepared:
+	case ex == nil && t.State == txnStatePrepared:
+		cp := t.clone()
+		s.txns[t.TxnID] = cp
+		for _, k := range cp.localKeys() {
+			s.locks[k] = cp.TxnID
+		}
+		s.touchLock(cp.TxnID)
+	case ex == nil:
+		s.entomb(t.tombstone())
+	case t.State == txnStatePrepared:
 		ex.mergeOps(t)
 		for _, k := range t.localKeys() {
 			s.locks[k] = ex.TxnID
 		}
 		s.touchLock(ex.TxnID)
-	case ex.State == txnStatePrepared:
-		// The transaction resolved elsewhere while this slice was in
-		// flight: land the decision on the resident portion too.
-		s.resolvePortion(ex, t.State == txnStateCommitted)
-		ex.mergeReads(t)
-	case ex.State == txnStateCommitted && t.State == txnStatePrepared:
-		// Resident tombstone says committed, but the incoming keys' writes
-		// were still held back on their source when it froze: apply them
-		// here, exactly once — this is the only place they can ever land.
-		for _, w := range t.Writes {
-			if w.Delete {
-				delete(s.items, w.Key)
-			} else {
-				s.items[w.Key] = w.Val
-			}
-		}
-		ex.mergeReads(t)
 	default:
-		// Aborted + prepared (writes discarded), or both resolved.
+		// The transaction resolved elsewhere while this slice was in
+		// flight: land the decision on the resident portion too, the
+		// incoming reads with it.
 		ex.mergeReads(t)
+		s.resolvePortion(ex, t.State == txnStateCommitted)
 	}
 }
 
@@ -1063,17 +1122,7 @@ func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 	// moves wherever its locked keys go (the held-back writes included, so
 	// an in-flight transaction survives the reshard); a tombstone's slice
 	// follows its AllKeys so re-drives keep finding the decision.
-	for _, p := range s.txns {
-		var keys []string
-		if p.State == txnStatePrepared {
-			keys = p.localKeys()
-		} else {
-			for _, k := range p.AllKeys {
-				if s.curRing == nil || s.curRing.shard(k) == s.shard {
-					keys = append(keys, k)
-				}
-			}
-		}
+	export := func(p *txnPortion, keys []string) {
 		byDest := make(map[int][]string)
 		for _, k := range keys {
 			if d := next.shard(k); d != s.shard {
@@ -1095,6 +1144,19 @@ func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 			ch := chunkFor(dest, need)
 			ch.Txns = append(ch.Txns, sub)
 		}
+	}
+	for _, p := range s.txns {
+		export(p, p.localKeys())
+	}
+	for _, rec := range s.tombs {
+		p := decodeRecord(rec)
+		var keys []string
+		for _, k := range p.AllKeys {
+			if s.owns(k) {
+				keys = append(keys, k)
+			}
+		}
+		export(p, keys)
 	}
 	return out
 }

@@ -381,7 +381,7 @@ func (s *Store) inDoubtTxns(minAge time.Duration) []*txnPortion {
 		r.Read(func(m shared.StateMachine) {
 			sm := m.(*mapSM)
 			for id, p := range sm.txns {
-				if p.State != txnStatePrepared || seen[id] {
+				if seen[id] {
 					continue
 				}
 				if !all {

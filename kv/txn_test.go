@@ -821,3 +821,137 @@ func TestHeldPutReturnsAtClose(t *testing.T) {
 		t.Fatal("the Put behind the lock still waits 1s after its store closed")
 	}
 }
+
+// commitPinnedTxn seeds two read keys, commits a transaction reading them and
+// writing two more under a pinned request id, and then overwrites all four
+// keys. It returns the retry: the same ReqTxn, driven through cl, must answer
+// committed with the reads captured at the first execution — re-answered from
+// the tombstones its attempt left, not read afresh — and must not write again.
+func commitPinnedTxn(t *testing.T, ctx context.Context, cl *Client, pinID uint64, reads, writes []string) func(cl *Client, after string) {
+	t.Helper()
+	for _, k := range reads {
+		if err := cl.Put(ctx, k, []byte("captured-"+k)); err != nil {
+			t.Fatalf("seed %s: %v", k, err)
+		}
+	}
+	req := func() *Request {
+		return &Request{Op: ReqTxn, ID: pinID, Keys: reads,
+			Writes: []TxnWrite{{Key: writes[0], Val: []byte("txn")}, {Key: writes[1], Val: []byte("txn")}}}
+	}
+	check := func(resp *Response, err error, what string) {
+		t.Helper()
+		if err != nil || !resp.OK || resp.TxnState != txnStateCommitted || len(resp.Values) != len(reads) {
+			t.Fatalf("%s: %+v %v, want committed", what, resp, err)
+		}
+		for i, k := range reads {
+			if !resp.Found[i] || string(resp.Values[i]) != "captured-"+k {
+				t.Fatalf("%s: read %s = %q (found %v), want the captured %q", what, k, resp.Values[i], resp.Found[i], "captured-"+k)
+			}
+		}
+	}
+	resp, err := cl.Do(ctx, req())
+	check(resp, err, "first execution")
+	for _, k := range append(append([]string(nil), reads...), writes...) {
+		if err := cl.Put(ctx, k, []byte("later")); err != nil {
+			t.Fatalf("overwrite %s: %v", k, err)
+		}
+	}
+	return func(cl *Client, after string) {
+		t.Helper()
+		resp, err := cl.Do(ctx, req())
+		check(resp, err, "retry "+after)
+		for _, k := range writes {
+			if v, ok, err := cl.Get(ctx, k); err != nil || !ok || string(v) != "later" {
+				t.Fatalf("retry %s: %s = %q %v %v, want the later write: the transaction wrote again", after, k, v, ok, err)
+			}
+		}
+	}
+}
+
+// TestRetriedTxnReanswersCapturedReads retries a committed transaction's
+// request twice: on the live store, and through a node that joined after the
+// commit, whose replicas hold the tombstones only as their state transfer's
+// snapshot carried them.
+func TestRetriedTxnReanswersCapturedReads(t *testing.T) {
+	ctx := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "txn-retry", 2, Options{Shards: 4})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	cl := stores[0].NewClient()
+	defer cl.Close()
+	keys := pickCrossShardKeys(t, stores[0], "retry", 4)
+	retry := commitPinnedTxn(t, ctx, cl, 0xBEEF0101, keys[:2], keys[2:])
+	retry(cl, "on the live store")
+
+	k, err := net.NewKernel("txn-retry-joiner")
+	if err != nil {
+		t.Fatalf("kernel: %v", err)
+	}
+	joiner, err := Join(ctx, k, "txn-retry", Options{Shards: 4})
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	defer joiner.Close()
+	jcl := joiner.NewClient()
+	defer jcl.Close()
+	retry(jcl, "through a joiner")
+}
+
+// TestRetriedTxnReanswersCapturedReadsAfterReshard retries a committed
+// transaction's request after a split moved both of its read keys, and with
+// them its tombstones, to new shards.
+func TestRetriedTxnReanswersCapturedReadsAfterReshard(t *testing.T) {
+	ctx := ctxT(t, 120*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "txn-retry-split", 2, Options{Shards: 4})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	cl := stores[0].NewClient()
+	defer cl.Close()
+	// Two read keys on two shards, each moving in the split, and two write
+	// keys on the other two shards.
+	rt := stores[0].Routing()
+	next := Routing{Shards: 8, VNodes: rt.VNodes}.ring("txn-retry-split")
+	byShard := make(map[int]string)
+	var reads, writes []string
+	for i := 0; (len(reads) < 2 || len(writes) < 2) && i < 10000; i++ {
+		k := fmt.Sprintf("split-%04d", i)
+		sh := stores[0].ShardFor(k)
+		if _, taken := byShard[sh]; taken {
+			continue
+		}
+		switch {
+		case len(reads) < 2 && next.shard(k) != sh:
+			reads = append(reads, k)
+		case len(writes) < 2 && len(reads) == 2:
+			writes = append(writes, k)
+		default:
+			continue
+		}
+		byShard[sh] = k
+	}
+	if len(reads) < 2 || len(writes) < 2 {
+		t.Fatalf("found reads %q and writes %q, want two of each", reads, writes)
+	}
+	retry := commitPinnedTxn(t, ctx, cl, 0xBEEF0201, reads, writes)
+	if err := stores[0].Resharding(ctx, 8); err != nil {
+		t.Fatalf("Resharding: %v", err)
+	}
+	for _, k := range reads {
+		if sh := stores[1].ShardFor(k); sh < 4 {
+			t.Fatalf("read key %s still on shard %d after the split", k, sh)
+		}
+	}
+	cl1 := stores[1].NewClient()
+	defer cl1.Close()
+	retry(cl1, "after the split")
+}
