@@ -326,7 +326,7 @@ func (g *Group) Close() {
 
 // deliveryQueue buffers ordered deliveries between the protocol goroutines
 // and blocking Receive calls. It is unbounded: a member that never calls
-// Receive grows it without limit (ROADMAP item 5a).
+// Receive grows it without limit (ROADMAP item 10).
 type deliveryQueue struct {
 	mu     sync.Mutex
 	msgs   []queued // the queue is msgs[head:]

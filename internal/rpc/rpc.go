@@ -6,9 +6,9 @@
 // The protocol is the classic blocking request/reply with at-most-once
 // execution: the client retransmits until a reply (or a server-side
 // acknowledgement of a long-running call) arrives; the server suppresses
-// duplicate transaction ids and caches replies — an LRU keyed by (client,
-// transaction), so pipelined calls from one client each keep their own
-// at-most-once slot — for retransmission. ForwardRequest — the Table 1
+// duplicate transaction ids and caches replies — the last replyCacheSize,
+// keyed by (client, transaction), so pipelined calls from one client each keep
+// their own at-most-once slot — for retransmission. ForwardRequest — the Table 1
 // primitive that bounces a
 // request to another group member — is supported by letting a handler return
 // a forward address: the server hands the original request to the new
@@ -16,7 +16,6 @@
 package rpc
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -122,25 +121,25 @@ type Config struct {
 	RetryInterval time.Duration
 	// MaxRetries bounds them (default 10).
 	MaxRetries int
-	// Concurrent makes a Server run request handlers on a bounded worker
-	// pool, so handlers may block — perform group sends, wait on other
-	// RPCs — without stalling the stack's delivery goroutine (which would
-	// deadlock a handler that needs inbound packets to make progress).
-	// Duplicate requests arriving while a handler runs are dropped; the
-	// client's retransmissions are answered from the reply cache once the
-	// handler completes.
+	// Concurrent makes a Server run request handlers on worker goroutines,
+	// started as requests need them, so handlers may block — perform group
+	// sends, wait on other RPCs — without stalling the stack's delivery
+	// goroutine (which would deadlock a handler that needs inbound packets
+	// to make progress). Duplicate requests arriving while a handler runs
+	// are dropped; the client's retransmissions are answered from the reply
+	// cache once the handler completes.
 	Concurrent bool
-	// MaxConcurrent bounds the Concurrent worker pool (default 64): a
-	// retransmission storm queues — and past the queue, drops — requests
-	// instead of spawning unbounded goroutines; dropped requests are
-	// served by the client's next retransmission.
-	MaxConcurrent int
-	// ReplyCacheSize bounds the at-most-once reply cache, an LRU keyed by
-	// (client, transaction) — so concurrent requests from one client each
-	// keep their own cached reply instead of thrashing a single slot
-	// (default 1024 entries).
-	ReplyCacheSize int
 }
+
+const (
+	// maxConcurrent bounds a Concurrent server's workers. A request that
+	// finds all of them busy is shed, and the client's retransmission
+	// offers it again.
+	maxConcurrent = 64
+	// replyCacheSize bounds the at-most-once reply cache: a new (client,
+	// transaction) overwrites the oldest.
+	replyCacheSize = 1024
+)
 
 func (c *Config) applyDefaults() {
 	if c.Meter == nil {
@@ -151,12 +150,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 10
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 64
-	}
-	if c.ReplyCacheSize <= 0 {
-		c.ReplyCacheSize = 1024
 	}
 }
 
@@ -336,26 +329,30 @@ type Server struct {
 
 	mu     sync.Mutex
 	closed bool
-	// Duplicate suppression and reply retransmission: an LRU keyed by
-	// (client, txn), so concurrent transactions from one client each keep
-	// their own cached reply instead of thrashing a single slot.
-	replies   map[inflightKey]*list.Element
-	replyList *list.List // front: most recently used cacheEntry
+	// Duplicate suppression and reply retransmission: the reply packet of
+	// each of the last replyCacheSize transactions, keyed by (client, txn),
+	// so concurrent transactions from one client each keep their own cached
+	// reply instead of thrashing a single slot. ring holds the keys in the
+	// order they were cached; next is the slot the next new key overwrites.
+	replies map[inflightKey][]byte
+	ring    []inflightKey
+	next    int
 	// Requests whose handler is still running (Concurrent mode):
 	// retransmissions arriving meanwhile are dropped, not re-executed.
 	inflight map[inflightKey]bool
 	// Last forward per client: a retransmission that forwards to the same
 	// destination again hints the forward route is stale.
 	lastFwd map[flip.Address]forwardMark
-	// Concurrent-mode worker pool: requests queue on work, MaxConcurrent
-	// workers drain it, overflow is dropped for the client to retransmit.
+	// Concurrent mode: a request goes to an idle worker through work, or
+	// to a new worker while fewer than maxConcurrent run. A worker counts
+	// as idle from the moment its handler returns, before its reply leaves,
+	// so the client's next request finds it. work, made with the first
+	// worker, holds a slot per worker, so handing a request to one never
+	// blocks the delivery goroutine, and a request is put there only for a
+	// worker that is idle.
 	work    chan job
-	dropped uint64
-}
-
-type cacheEntry struct {
-	key inflightKey
-	pkt []byte
+	workers int
+	idle    int
 }
 
 type job struct {
@@ -374,36 +371,26 @@ type forwardMark struct {
 	dst flip.Address
 }
 
-// cacheReplyLocked stores a reply packet under (client, txn), evicting the
-// least recently used entry past the cache bound.
+// cacheReplyLocked stores a reply packet under (client, txn), overwriting the
+// oldest cached reply once the cache is full.
 func (s *Server) cacheReplyLocked(key inflightKey, pkt []byte) {
-	if el, ok := s.replies[key]; ok {
-		el.Value.(*cacheEntry).pkt = pkt
-		s.replyList.MoveToFront(el)
-		return
+	if _, ok := s.replies[key]; !ok {
+		if len(s.ring) < replyCacheSize {
+			s.ring = append(s.ring, key)
+		} else {
+			delete(s.replies, s.ring[s.next])
+			s.ring[s.next] = key
+			s.next = (s.next + 1) % replyCacheSize
+		}
 	}
-	s.replies[key] = s.replyList.PushFront(&cacheEntry{key: key, pkt: pkt})
-	for len(s.replies) > s.cfg.ReplyCacheSize {
-		oldest := s.replyList.Back()
-		s.replyList.Remove(oldest)
-		delete(s.replies, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// cachedReplyLocked fetches the reply cached for (client, txn), refreshing
-// its recency.
-func (s *Server) cachedReplyLocked(key inflightKey) ([]byte, bool) {
-	el, ok := s.replies[key]
-	if !ok {
-		return nil, false
-	}
-	s.replyList.MoveToFront(el)
-	return el.Value.(*cacheEntry).pkt, true
+	s.replies[key] = pkt
 }
 
 // NewServer registers addr (allocating one when zero) and serves requests
-// with h. Handlers run on the stack's delivery goroutine; they may perform
-// their own sends but must not block indefinitely.
+// with h. Without Concurrent, handlers run on the stack's delivery goroutine;
+// they may perform their own sends but must not block indefinitely. With it,
+// they run on workers the server starts as requests need them and keeps for
+// later ones.
 func NewServer(cfg Config, addr flip.Address, h Handler) (*Server, error) {
 	if cfg.Stack == nil || cfg.Clock == nil {
 		return nil, errors.New("rpc: Stack and Clock are required")
@@ -416,45 +403,28 @@ func NewServer(cfg Config, addr flip.Address, h Handler) (*Server, error) {
 		addr = cfg.Stack.AllocAddress()
 	}
 	s := &Server{
-		cfg:       cfg,
-		addr:      addr,
-		handler:   h,
-		replies:   make(map[inflightKey]*list.Element),
-		replyList: list.New(),
-		inflight:  make(map[inflightKey]bool),
-		lastFwd:   make(map[flip.Address]forwardMark),
-	}
-	if cfg.Concurrent {
-		// The queue holds a few bursts beyond the pool so short spikes do
-		// not drop; a sustained storm drops and relies on retransmission.
-		s.work = make(chan job, 4*cfg.MaxConcurrent)
-		for i := 0; i < cfg.MaxConcurrent; i++ {
-			go s.worker()
-		}
+		cfg:      cfg,
+		addr:     addr,
+		handler:  h,
+		replies:  make(map[inflightKey][]byte),
+		inflight: make(map[inflightKey]bool),
+		lastFwd:  make(map[flip.Address]forwardMark),
 	}
 	cfg.Stack.Register(addr, s.onMessage)
 	return s, nil
 }
 
-// worker drains the Concurrent request queue.
-func (s *Server) worker() {
-	for j := range s.work {
+// worker serves j, then every request handed to it, until Close.
+func (s *Server) worker(j job) {
+	for ok := true; ok; j, ok = <-s.work {
 		s.serve(j.h, j.client, j.payload)
 	}
-}
-
-// Dropped reports requests shed because the Concurrent worker pool and its
-// queue were full; each was (or will be) served by a later retransmission.
-func (s *Server) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }
 
 // Addr returns the server's FLIP address.
 func (s *Server) Addr() flip.Address { return s.addr }
 
-// Close stops serving.
+// Close stops serving. Each worker exits once its handler returns.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -462,12 +432,13 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	work := s.work
 	s.mu.Unlock()
 	s.cfg.Stack.Unregister(s.addr)
-	if s.work != nil {
-		// Safe: enqueues happen under s.mu with the closed flag checked,
-		// so no sender can race this close.
-		close(s.work)
+	if work != nil {
+		// Safe: hand-offs and worker starts happen under s.mu with the
+		// closed flag checked, so no sender can race this close.
+		close(work)
 	}
 }
 
@@ -488,7 +459,7 @@ func (s *Server) onMessage(m flip.Message) {
 		s.mu.Unlock()
 		return
 	}
-	if pkt, ok := s.cachedReplyLocked(key); ok {
+	if pkt, ok := s.replies[key]; ok {
 		// Duplicate request: retransmit the cached reply.
 		s.mu.Unlock()
 		if pkt != nil {
@@ -500,19 +471,28 @@ func (s *Server) onMessage(m flip.Message) {
 		s.mu.Unlock()
 		return // handler already running; the reply will be cached
 	}
-	// The request outlives this upcall from here on — queued for a worker,
-	// or handed to application code that may keep it — and m.Payload is
-	// only borrowed (flip.Message): this is the RPC server's one copy.
+	// The request outlives this upcall from here on — handed to a worker,
+	// or to application code that may keep it — and m.Payload is only
+	// borrowed (flip.Message): this is the RPC server's one copy.
 	// Duplicates answered from the cache above never pay it.
 	payload = append([]byte(nil), payload...)
 	if s.cfg.Concurrent {
-		select {
-		case s.work <- job{h: h, client: client, payload: payload}:
+		j := job{h: h, client: client, payload: payload}
+		switch {
+		case s.idle > 0:
+			s.idle--
 			s.inflight[key] = true
+			s.work <- j
+		case s.workers < maxConcurrent:
+			if s.work == nil {
+				s.work = make(chan job, maxConcurrent)
+			}
+			s.workers++
+			s.inflight[key] = true
+			go s.worker(j)
 		default:
-			// Pool and queue saturated: shed the request rather than
-			// spawn; the client's retransmission will try again.
-			s.dropped++
+			// Every worker is busy: shed the request; the client's
+			// retransmission will offer it again.
 		}
 		s.mu.Unlock()
 		return
@@ -522,8 +502,8 @@ func (s *Server) onMessage(m flip.Message) {
 }
 
 // serve runs the handler for one request and transmits the reply or the
-// forward. In Concurrent mode it runs on a pool worker; otherwise on the
-// stack's delivery goroutine.
+// forward. In Concurrent mode it runs on a worker; otherwise on the stack's
+// delivery goroutine.
 func (s *Server) serve(h header, client flip.Address, payload []byte) {
 	// The handler is user code: waking the server thread is part of the
 	// RPC's cost — the hop a kernel-resident group sequencer does not pay
@@ -550,7 +530,7 @@ func (s *Server) serve(h header, client flip.Address, payload []byte) {
 			s.lastFwd = make(map[flip.Address]forwardMark)
 		}
 		s.lastFwd[client] = forwardMark{txn: h.txn, dst: forward}
-		delete(s.inflight, inflightKey{client: client, txn: h.txn})
+		s.finishLocked(inflightKey{client: client, txn: h.txn})
 		s.mu.Unlock()
 		fwd := encode(header{typ: ptForwarded, txn: h.txn, replyTo: client}, body)
 		_ = s.cfg.Stack.Send(s.addr, forward, fwd)
@@ -558,9 +538,19 @@ func (s *Server) serve(h header, client flip.Address, payload []byte) {
 	}
 	pkt := encode(header{typ: ptReply, txn: h.txn, replyTo: s.addr}, reply)
 	s.mu.Lock()
-	s.cacheReplyLocked(inflightKey{client: client, txn: h.txn}, pkt)
-	delete(s.inflight, inflightKey{client: client, txn: h.txn})
+	key := inflightKey{client: client, txn: h.txn}
+	s.cacheReplyLocked(key, pkt)
+	s.finishLocked(key)
 	s.mu.Unlock()
 	s.cfg.Meter.Charge(cost.GroupOut, 0)
 	_ = s.cfg.Stack.Send(s.addr, client, pkt)
+}
+
+// finishLocked ends key's execution. On a Concurrent server it also counts
+// the worker that ran it idle.
+func (s *Server) finishLocked(key inflightKey) {
+	delete(s.inflight, key)
+	if s.cfg.Concurrent {
+		s.idle++
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -507,18 +509,181 @@ func TestReplyCachePerTransaction(t *testing.T) {
 	}
 }
 
+// TestReplyCacheEvictsOldest: the reply cache holds the last replyCacheSize
+// transactions. Once replyCacheSize newer replies are cached, a
+// retransmission of the first transaction executes again, while one of the
+// second is still answered from the cache.
+func TestReplyCacheEvictsOldest(t *testing.T) {
+	net := memnet.NewReliable()
+	defer net.Close()
+	ss, cs := newStack(t, net), newStack(t, net)
+	var executions atomic.Uint64
+	srv, err := NewServer(cfg(ss), 0, func(req []byte) ([]byte, flip.Address) {
+		executions.Add(1)
+		return req, 0
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+
+	clientAddr := cs.AllocAddress()
+	replies := make(chan uint32, 1)
+	cs.Register(clientAddr, func(m flip.Message) {
+		if txn, _, ok := DecodeReply(m.Payload); ok {
+			replies <- txn
+		}
+	})
+	defer cs.Unregister(clientAddr)
+	call := func(txn uint32) {
+		t.Helper()
+		if err := cs.Send(clientAddr, srv.Addr(), EncodeRequest(txn, clientAddr, []byte("x"))); err != nil {
+			t.Fatalf("send txn %d: %v", txn, err)
+		}
+		select {
+		case got := <-replies:
+			if got != txn {
+				t.Fatalf("reply for txn %d, want %d", got, txn)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no reply for txn %d", txn)
+		}
+	}
+
+	for txn := uint32(1); txn <= 1+replyCacheSize; txn++ {
+		call(txn)
+	}
+	call(2) // replyCacheSize-1 newer replies: still cached
+	if got, want := executions.Load(), uint64(1+replyCacheSize); got != want {
+		t.Fatalf("handler executed %d times, want %d (txn 2's retransmission must hit the cache)", got, want)
+	}
+	call(1) // replyCacheSize newer replies: evicted
+	if got, want := executions.Load(), uint64(2+replyCacheSize); got != want {
+		t.Fatalf("handler executed %d times, want %d (txn 1's reply must have been evicted)", got, want)
+	}
+}
+
+// workerGoroutines returns the ids of the goroutines running a Concurrent
+// server's worker loop.
+func workerGoroutines() map[string]bool {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := make(map[string]bool)
+	for _, stack := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(stack, "amoeba/internal/rpc.(*Server).worker(") {
+			ids[strings.Fields(stack)[1]] = true
+		}
+	}
+	return ids
+}
+
+// TestConcurrentServerStartsWorkersOnDemand: a Concurrent server starts a
+// worker only when a request finds none idle, keeps it for later requests,
+// and lets every one go at Close. Workers of other tests' servers, still
+// exiting, are not counted.
+func TestConcurrentServerStartsWorkersOnDemand(t *testing.T) {
+	before := workerGoroutines()
+	workers := func() int {
+		n := 0
+		for id := range workerGoroutines() {
+			if !before[id] {
+				n++
+			}
+		}
+		return n
+	}
+	net := memnet.NewReliable()
+	defer net.Close()
+	ss, cs := newStack(t, net), newStack(t, net)
+
+	var held atomic.Int64
+	gate := make(chan struct{})
+	scfg := cfg(ss)
+	scfg.Concurrent = true
+	srv, err := NewServer(scfg, 0, func(req []byte) ([]byte, flip.Address) {
+		if string(req) == "hold" {
+			held.Add(1)
+			<-gate
+		}
+		return req, 0
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	if n := workers(); n != 0 {
+		t.Fatalf("NewServer started %d workers, want 0", n)
+	}
+
+	cl, err := NewClient(cfg(cs))
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer cl.Close()
+	for i := 0; i < 200; i++ {
+		req := []byte(fmt.Sprintf("seq-%d", i))
+		if reply, err := cl.Call(srv.Addr(), req); err != nil || !bytes.Equal(reply, req) {
+			t.Fatalf("call %d: %q, %v", i, reply, err)
+		}
+	}
+	if n := workers(); n != 1 {
+		t.Fatalf("200 sequential calls left %d workers, want 1", n)
+	}
+
+	const concurrent = 8
+	errs := make(chan error, concurrent)
+	for i := 0; i < concurrent; i++ {
+		go func() {
+			reply, err := cl.Call(srv.Addr(), []byte("hold"))
+			if err == nil && string(reply) != "hold" {
+				err = fmt.Errorf("reply %q", reply)
+			}
+			errs <- err
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for held.Load() < concurrent && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if h := held.Load(); h != concurrent {
+		t.Fatalf("%d handlers held, want %d", h, concurrent)
+	}
+	if n := workers(); n != concurrent {
+		t.Fatalf("%d calls held at once left %d workers, want %d", concurrent, n, concurrent)
+	}
+	close(gate)
+	for i := 0; i < concurrent; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("held call: %v", err)
+		}
+	}
+
+	srv.Close()
+	for deadline := time.Now().Add(5 * time.Second); workers() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers outlived Close", workers())
+		}
+	}
+}
+
 // TestConcurrentPoolBounded: Concurrent mode must cap handler parallelism at
-// MaxConcurrent — a burst beyond the cap queues or sheds (and retransmits),
-// never spawns unbounded goroutines — while every call still completes, with
-// its own request echoed: a request waits in the worker queue long after the
-// frame it arrived in was recycled, so the server must have copied it (under
-// -race a borrowed slice would echo poison).
+// maxConcurrent — a burst beyond the cap is shed (and retransmits), never
+// spawns unbounded goroutines — while every call still completes, with its
+// own request echoed: a request reaches its worker after the frame it arrived
+// in was recycled, so the server must have copied it (under -race a borrowed
+// slice would echo poison).
 func TestConcurrentPoolBounded(t *testing.T) {
 	net := memnet.NewReliable()
 	defer net.Close()
 	ss := newStack(t, net)
 
-	const cap = 4
 	var (
 		running atomic.Int64
 		peak    atomic.Int64
@@ -526,7 +691,6 @@ func TestConcurrentPoolBounded(t *testing.T) {
 	gate := make(chan struct{})
 	scfg := cfg(ss)
 	scfg.Concurrent = true
-	scfg.MaxConcurrent = cap
 	srv, err := NewServer(scfg, 0, func(req []byte) ([]byte, flip.Address) {
 		n := running.Add(1)
 		for {
@@ -544,7 +708,21 @@ func TestConcurrentPoolBounded(t *testing.T) {
 	}
 	defer srv.Close()
 
-	const calls = 32
+	// Four clients, each multiplexing a quarter of the calls: a client per
+	// call would flood the fabric with locates once calls start to
+	// retransmit.
+	const calls = maxConcurrent + 16
+	clients := make([]*Client, 4)
+	for i := range clients {
+		ccfg := cfg(newStack(t, net))
+		// A shed request retransmits until the gate opens at 300 ms;
+		// give it twice that, not the default budget's bare 315 ms.
+		ccfg.MaxRetries = 40
+		if clients[i], err = NewClient(ccfg); err != nil {
+			t.Fatalf("NewClient: %v", err)
+		}
+		defer clients[i].Close()
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, calls)
 	for i := 0; i < calls; i++ {
@@ -552,24 +730,14 @@ func TestConcurrentPoolBounded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ccfg := cfg(newStack(t, net))
-			// A shed request retransmits until the gate opens at 300 ms;
-			// give it twice that, not the default budget's bare 315 ms.
-			ccfg.MaxRetries = 40
-			cl, err := NewClient(ccfg)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer cl.Close()
-			reply, err := cl.Call(srv.Addr(), []byte{byte(i)})
+			reply, err := clients[i%len(clients)].Call(srv.Addr(), []byte{byte(i)})
 			if err == nil && !bytes.Equal(reply, []byte{byte(i)}) {
 				err = fmt.Errorf("echoed %x, sent %x", reply, i)
 			}
 			errs[i] = err
 		}()
 	}
-	// Let the burst saturate the pool, then release the handlers.
+	// Let the burst saturate the workers, then release the handlers.
 	time.Sleep(300 * time.Millisecond)
 	close(gate)
 	wg.Wait()
@@ -578,8 +746,8 @@ func TestConcurrentPoolBounded(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if p := peak.Load(); p > cap {
-		t.Fatalf("handler parallelism peaked at %d, cap is %d", p, cap)
+	if p := peak.Load(); p > maxConcurrent {
+		t.Fatalf("handler parallelism peaked at %d, cap is %d", p, maxConcurrent)
 	}
 	if p := peak.Load(); p == 0 {
 		t.Fatal("no handler ever ran")

@@ -71,13 +71,11 @@ type Client struct {
 	rt    Routing
 	cring *ring // nil: no ring knowledge, everything goes via entry
 
-	// The RPC connection pool, one client per shard (key -1: the entry
-	// path). Per-shard pooling keeps a slow shard's in-flight calls from
-	// head-of-line blocking reads bound for its siblings, which is what
-	// lets a fleet-shaped reader drive every shard's lease holders at once.
-	rpcMu   sync.Mutex
-	rpcPool map[int]*amoeba.RPCClient
-	closed  bool
+	// The RPC client every remote call goes through, created on first use.
+	// It multiplexes concurrent calls by transaction id.
+	rpcMu  sync.Mutex
+	rpc    *amoeba.RPCClient
+	closed bool
 
 	// Topology learned from v4 responses (bound clients read the store's
 	// options instead): node count and replication factor, which combined
@@ -301,9 +299,9 @@ func (c *Client) Close() {
 	c.rpcMu.Lock()
 	defer c.rpcMu.Unlock()
 	c.closed = true
-	for shard, cl := range c.rpcPool {
-		cl.Close()
-		delete(c.rpcPool, shard)
+	if c.rpc != nil {
+		c.rpc.Close()
+		c.rpc = nil
 	}
 	if c.obsUnreg != nil {
 		c.obsUnreg()
@@ -311,29 +309,21 @@ func (c *Client) Close() {
 	}
 }
 
-// rpcClient returns shard's pooled RPC client, creating it on first use
-// (shard -1: the entry path's connection).
-func (c *Client) rpcClient(shard int) (*amoeba.RPCClient, error) {
-	if shard < 0 {
-		shard = -1
-	}
+// rpcClient returns the client's RPC client, creating it on first use.
+func (c *Client) rpcClient() (*amoeba.RPCClient, error) {
 	c.rpcMu.Lock()
 	defer c.rpcMu.Unlock()
 	if c.closed {
 		return nil, fmt.Errorf("kv: client closed")
 	}
-	if c.rpcPool == nil {
-		c.rpcPool = make(map[int]*amoeba.RPCClient)
+	if c.rpc == nil {
+		cl, err := c.kernel.NewRPCClient()
+		if err != nil {
+			return nil, fmt.Errorf("kv: creating RPC client: %w", err)
+		}
+		c.rpc = cl
 	}
-	if cl, ok := c.rpcPool[shard]; ok {
-		return cl, nil
-	}
-	cl, err := c.kernel.NewRPCClient()
-	if err != nil {
-		return nil, fmt.Errorf("kv: creating RPC client: %w", err)
-	}
-	c.rpcPool[shard] = cl
-	return cl, nil
+	return c.rpc, nil
 }
 
 // addrTable memoises one family of well-known addresses by index. A table is
@@ -834,7 +824,7 @@ func (c *Client) localFastRead(shard int, req *Request) (*Response, bool) {
 // node at a different routing epoch carries the new table, which the client
 // adopts before any further routing.
 func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Response, error) {
-	cl, err := c.rpcClient(shard)
+	cl, err := c.rpcClient()
 	if err != nil {
 		return nil, err
 	}

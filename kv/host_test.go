@@ -211,12 +211,27 @@ func TestFailingSlotDelaysNoOtherSlot(t *testing.T) {
 	})
 }
 
-// kvGoroutineRE picks a goroutine's id out of its stack header.
-var kvGoroutineRE = regexp.MustCompile(`^goroutine (\d+) `)
+// goroutineRE picks a goroutine's id out of its stack header.
+var goroutineRE = regexp.MustCompile(`^goroutine (\d+) `)
 
 // kvGoroutines returns, by id, the stack of every goroutine but the caller's
-// that holds a kv frame.
+// that holds a kv frame or an RPC one: a Service's handlers run on its RPC
+// servers' workers.
 func kvGoroutines() map[string]string {
+	return goroutines(func(stack []byte) bool {
+		return bytes.Contains(stack, []byte("amoeba/kv.")) || bytes.Contains(stack, []byte("amoeba/internal/rpc."))
+	})
+}
+
+// amoebaGoroutines returns, by id, the stack of every goroutine but the
+// caller's that runs any of this module's code.
+func amoebaGoroutines() map[string]string {
+	return goroutines(func(stack []byte) bool { return bytes.Contains(stack, []byte("\namoeba")) })
+}
+
+// goroutines returns, by id, the stack of every goroutine but the caller's
+// that match accepts.
+func goroutines(match func(stack []byte) bool) map[string]string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -228,8 +243,8 @@ func kvGoroutines() map[string]string {
 	}
 	out := make(map[string]string)
 	for i, stack := range bytes.Split(buf, []byte("\n\n")) {
-		m := kvGoroutineRE.FindSubmatch(stack)
-		if i == 0 || m == nil || !bytes.Contains(stack, []byte("amoeba/kv.")) {
+		m := goroutineRE.FindSubmatch(stack)
+		if i == 0 || m == nil || !match(stack) {
 			continue // the caller's own goroutine comes first
 		}
 		out[string(m[1])] = string(stack)
@@ -239,7 +254,8 @@ func kvGoroutines() map[string]string {
 
 // TestNoGoroutineOutlivesStore runs a store through everything that starts
 // kv goroutines — boot, a split, a merge, a Join that fails and is
-// abandoned, Close and Leave — and then requires every one of them gone.
+// abandoned, a Service on every node serving a ring-less client, Close and
+// Leave — and then requires every one of them gone.
 // Goroutines of other tests that were already running are not counted.
 func TestNoGoroutineOutlivesStore(t *testing.T) {
 	before := kvGoroutines()
@@ -298,6 +314,38 @@ func TestNoGoroutineOutlivesStore(t *testing.T) {
 		t.Fatal("Join of a store without shard 2 succeeded")
 	}
 
+	// Requests through the Services start RPC workers, which must go with
+	// the Services.
+	var svcs []*Service
+	for i, s := range stores {
+		svc, err := NewService(s)
+		if err != nil {
+			t.Fatalf("service %d: %v", i, err)
+		}
+		svcs = append(svcs, svc)
+	}
+	ck, err := net.NewKernel("leak-caller")
+	if err != nil {
+		t.Fatalf("kernel: %v", err)
+	}
+	dc, err := Dial(ck, "leak", DialOptions{Node: 0})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	for i := 0; i < 16; i++ {
+		key := fmt.Sprintf("leak-svc-%d", i)
+		if err := dc.Put(ctx, key, []byte("v")); err != nil {
+			t.Fatalf("Put via service: %v", err)
+		}
+		if _, ok, err := dc.Get(ctx, key); err != nil || !ok {
+			t.Fatalf("Get via service: %v %v", ok, err)
+		}
+	}
+	dc.Close()
+	for _, svc := range svcs {
+		svc.Close()
+	}
+
 	for _, s := range stores[1:] {
 		if err := s.Leave(ctx); err != nil {
 			t.Fatalf("Leave: %v", err)
@@ -320,4 +368,86 @@ func TestNoGoroutineOutlivesStore(t *testing.T) {
 		stacks = append(stacks, s)
 	}
 	t.Fatalf("%d kv goroutines outlived their stores:\n\n%s", len(left), strings.Join(stacks, "\n\n"))
+}
+
+// TestProxiedStoreGoroutines boots the benchmark's proxied shape — four
+// nodes, four shards of two replicas, a Service per node, and two ring-less
+// clients entering at node 0 — and drives a mixed load through it. A node's
+// RPC servers keep only the workers their traffic has needed, so the store
+// runs well under a hundred goroutines; servers that start their whole pool
+// up front park a thousand.
+func TestProxiedStoreGoroutines(t *testing.T) {
+	before := amoebaGoroutines()
+	ctx := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "goro", 4, Options{Shards: 4, Replication: 2})
+	var svcs []*Service
+	defer func() {
+		for _, svc := range svcs {
+			svc.Close()
+		}
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	for i, s := range stores {
+		svc, err := NewService(s)
+		if err != nil {
+			t.Fatalf("service %d: %v", i, err)
+		}
+		svcs = append(svcs, svc)
+	}
+
+	const callers, rounds = 2, 50
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		k, err := net.NewKernel(fmt.Sprintf("goro-caller-%d", c))
+		if err != nil {
+			t.Fatalf("kernel: %v", err)
+		}
+		cl, err := Dial(k, "goro", DialOptions{Node: 0})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer cl.Close()
+		go func(c int) {
+			errs <- func() error {
+				for i := 0; i < rounds; i++ {
+					a, b := fmt.Sprintf("goro-%d-%d", c, i), fmt.Sprintf("goro-%d-%d", c, i+rounds)
+					if err := cl.Put(ctx, a, []byte("v")); err != nil {
+						return fmt.Errorf("Put: %w", err)
+					}
+					if _, ok, err := cl.Get(ctx, a); err != nil || !ok {
+						return fmt.Errorf("Get: %v %w", ok, err)
+					}
+					if _, err := cl.MGet(ctx, a, b); err != nil {
+						return fmt.Errorf("MGet: %w", err)
+					}
+					if _, err := cl.Txn(ctx, TxnOp{Reads: []string{a}, Writes: []TxnWrite{{Key: b, Val: []byte("t")}}}); err != nil {
+						return fmt.Errorf("Txn: %w", err)
+					}
+				}
+				return nil
+			}()
+		}(c)
+	}
+	for c := 0; c < callers; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	running := amoebaGoroutines()
+	for id := range before {
+		delete(running, id)
+	}
+	t.Logf("%d goroutines run amoeba code after %d operations", len(running), callers*rounds*4)
+	if len(running) >= 100 {
+		var stacks []string
+		for _, s := range running {
+			stacks = append(stacks, s)
+		}
+		t.Fatalf("%d goroutines run amoeba code, want fewer than 100:\n\n%s", len(running), strings.Join(stacks, "\n\n"))
+	}
 }

@@ -34,22 +34,17 @@ type RPCServer struct {
 
 // RPCServerOptions tunes an RPCServer.
 type RPCServerOptions struct {
-	// Concurrent runs request handlers on a bounded worker pool, so
-	// handlers may block — perform group sends, issue RPCs of their own —
-	// without stalling the kernel's packet delivery (which would deadlock
-	// a handler that needs inbound packets to make progress). Duplicate
-	// requests arriving while a handler runs are suppressed; once it
-	// completes, retransmissions are answered from the per-(client,
-	// transaction) reply cache.
+	// Concurrent runs request handlers on worker goroutines, so handlers
+	// may block — perform group sends, issue RPCs of their own — without
+	// stalling the kernel's packet delivery (which would deadlock a handler
+	// that needs inbound packets to make progress). The server starts a
+	// worker when a request finds none idle and keeps it for later
+	// requests, up to 64; a request that finds all 64 busy is shed and
+	// served by the client's next retransmission. Duplicate requests
+	// arriving while a handler runs are suppressed; once it completes,
+	// retransmissions are answered from the per-(client, transaction)
+	// reply cache.
 	Concurrent bool
-	// MaxConcurrent bounds the Concurrent worker pool (default 64). A
-	// retransmission storm queues and then sheds requests instead of
-	// spawning unbounded goroutines; shed requests are served by the
-	// client's next retransmission.
-	MaxConcurrent int
-	// ReplyCacheSize bounds the at-most-once reply cache (default 1024
-	// (client, transaction) entries).
-	ReplyCacheSize int
 }
 
 // NewRPCServer starts serving at addr (use AddrForName for well-known
@@ -62,13 +57,7 @@ func (k *Kernel) NewRPCServer(addr Addr, h RPCHandler) (*RPCServer, error) {
 
 // NewRPCServerWith starts serving at addr with explicit options.
 func (k *Kernel) NewRPCServerWith(addr Addr, h RPCHandler, opts RPCServerOptions) (*RPCServer, error) {
-	srv, err := rpc.NewServer(rpc.Config{
-		Stack:          k.stack,
-		Clock:          k.clock,
-		Concurrent:     opts.Concurrent,
-		MaxConcurrent:  opts.MaxConcurrent,
-		ReplyCacheSize: opts.ReplyCacheSize,
-	},
+	srv, err := rpc.NewServer(rpc.Config{Stack: k.stack, Clock: k.clock, Concurrent: opts.Concurrent},
 		flip.Address(addr),
 		func(req []byte) ([]byte, flip.Address) {
 			reply, fwd := h(req)

@@ -253,9 +253,9 @@ const transferWait = 400 * time.Millisecond
 // that answered "not yet" would send the joiner on to the next member —
 // during a concurrent boot the other joiner, which serves nothing until its
 // own join completes. The handler waits, so it runs off the kernel's delivery
-// goroutine (the apply it waits for needs deliveries) — on one worker:
-// joiners are few, and a second one's request is answered as soon as the
-// first's is.
+// goroutine (the apply it waits for needs deliveries) on a worker the server
+// starts when a joiner first asks; joiners are few, so it seldom needs a
+// second.
 func (r *Replica) serveTransfers() error {
 	self := r.group.Info().Self
 	srv, err := r.kernel.NewRPCServerWith(transferAddr(r.name, self), func(req []byte) ([]byte, amoeba.Addr) {
@@ -281,7 +281,7 @@ func (r *Replica) serveTransfers() error {
 			return nil, 0 // still behind, or stopped; empty reply: the joiner asks again, or another member
 		}
 		return out, 0
-	}, amoeba.RPCServerOptions{Concurrent: true, MaxConcurrent: 1})
+	}, amoeba.RPCServerOptions{Concurrent: true})
 	if err != nil {
 		return fmt.Errorf("shared: starting transfer service: %w", err)
 	}
