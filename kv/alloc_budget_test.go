@@ -24,7 +24,7 @@ func TestAllocBudgetClientPut(t *testing.T) {
 	ctx := ctxT(t, 60*time.Second)
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
-	stores := newCluster(t, ctx, net, "budget", 3, Options{Shards: 4, ResultWindow: 256})
+	stores := newCluster(t, ctx, net, "budget", 3, Options{Shards: 4})
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -46,7 +46,7 @@ func TestAllocBudgetClientPut(t *testing.T) {
 		}
 	}
 	for i := 0; i < 1000; i++ {
-		put() // fill the pools and the result windows, pass the first history prunes
+		put() // fill the pools and the session tables, pass the first history prunes
 	}
 	const budget = 15 // measured 14, plus a tenth
 	if got := testing.AllocsPerRun(3000, put); got > budget {
@@ -65,7 +65,7 @@ func TestAllocBudgetClientBatchPut(t *testing.T) {
 	ctx := ctxT(t, 60*time.Second)
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
-	stores := newCluster(t, ctx, net, "batchbudget", 3, Options{Shards: 4, ResultWindow: 256})
+	stores := newCluster(t, ctx, net, "batchbudget", 3, Options{Shards: 4})
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -89,7 +89,7 @@ func TestAllocBudgetClientBatchPut(t *testing.T) {
 		}
 	}
 	for i := 0; i < 200; i++ {
-		put() // fill the pools and the result windows, pass the first history prunes
+		put() // fill the pools and the session tables, pass the first history prunes
 	}
 	const budget = 13.0 // measured 11.8 (189 a call), plus a tenth
 	if got := testing.AllocsPerRun(1000, put) / perCall; got > budget {
@@ -97,25 +97,25 @@ func TestAllocBudgetClientBatchPut(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetTxnTombstones holds what a resolved transaction leaves behind
-// on its shard: the heap one state machine retains per tombstone, after a
-// collection, once it has resolved a full window of four-key transactions —
-// half committed with two 64-byte reads and two writes, half read-only (an
-// MGet) and aborted with four reads, the mix a transactional workload leaves.
-// While a tombstone was the resolved *txnPortion itself, with its decoded key
-// strings and value copies, this read 742 B (amd64, Go 1.24); the bound is
-// half that. As one byte record each, committed ones alone keeping their reads,
-// it reads 243 B.
-func TestAllocBudgetTxnTombstones(t *testing.T) {
+// TestAllocBudgetSessionRecords holds what resolved transactions leave
+// behind on their shard once their client has acknowledged them: nothing. It
+// resolves 2 × 8 192 four-key transactions of one session — half committed
+// with two 64-byte reads and two writes, half read-only (an MGet) and aborted
+// with four reads, the mix a transactional workload leaves — each carrying the
+// ack of the one before, and reads the heap one state machine retains after a
+// collection. A shard used to keep the newest 8 192 resolved portions whatever
+// their clients knew (about 240 B each as byte records); a session's records
+// are freed by its ack, so the heap retained does not grow with the count.
+func TestAllocBudgetSessionRecords(t *testing.T) {
 	if bufpool.Poison || testing.Short() {
 		t.Skip("heap figures are for plain, full runs")
 	}
-	sm := newMapSM("tombs", 0, Routing{Shards: 1, VNodes: 8}, 64, nil)
+	sm := newMapSM("records", 0, Routing{Shards: 1, VNodes: 8}, nil)
 	val := bytes.Repeat([]byte{'v'}, 64)
 	const keys = 256
 	key := func(i int) string { return fmt.Sprintf("key-%05d", i%keys) }
 	for i := 0; i < keys; i++ {
-		sm.Apply(encodePut(uint64(i+1), key(i), val))
+		sm.Apply(encodePut(at(uint64(i+1)), key(i), val))
 	}
 	heap := func() uint64 {
 		runtime.GC()
@@ -124,26 +124,33 @@ func TestAllocBudgetTxnTombstones(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	before := heap()
-	id := uint64(1 << 32)
-	for n := 0; n < txnTombstoneWindow; n++ {
-		ks := []string{key(4 * n), key(4*n + 1), key(4*n + 2), key(4*n + 3)}
-		txnID, commit := uint64(n+1), n%2 == 0
-		if commit {
-			sm.Apply(encodeTxnPrepare(id, txnID, ks[0], ks, ks[:2], []TxnWrite{{Key: ks[2], Val: val}, {Key: ks[3], Val: val}}, nil))
-		} else {
-			sm.Apply(encodeTxnPrepare(id, txnID, ks[0], ks, ks, nil, nil))
+	seq := uint64(keys)
+	resolve := func(n int) {
+		for ; n > 0; n-- {
+			seq++
+			h := header{session: testSession, seq: seq, ack: seq} // every earlier transaction acknowledged
+			ks := []string{key(4 * int(seq)), key(4*int(seq) + 1), key(4*int(seq) + 2), key(4*int(seq) + 3)}
+			commit := seq%2 == 0
+			if commit {
+				sm.Apply(encodeTxnPrepare(h, 0, ks[0], ks, ks[:2], []TxnWrite{{Key: ks[2], Val: val}, {Key: ks[3], Val: val}}, nil))
+			} else {
+				sm.Apply(encodeTxnPrepare(h, 0, ks[0], ks, ks, nil, nil))
+			}
+			sm.Apply(encodeTxnResolve(h, 0, commit, ks[0], ks))
 		}
-		sm.Apply(encodeTxnResolve(id+1, txnID, commit, ks[0], ks))
-		id += 2
 	}
+	resolve(64) // the session's lists reach their working size
+	before := heap()
+	const count = 2 * 8192
+	resolve(count)
 	after := heap()
-	if got := len(sm.txnOrder); got != txnTombstoneWindow {
-		t.Fatalf("%d tombstones queued, want %d", got, txnTombstoneWindow)
+	st := sm.sessions[testSession]
+	if len(sm.txns) != 0 || st == nil || len(st.records) != 1 {
+		t.Fatalf("%d prepared portions and %v records held, want 0 and the last transaction's 1", len(sm.txns), st)
 	}
-	const budget = 371 // half the figure above
-	if per := float64(after-before) / txnTombstoneWindow; per > budget {
-		t.Fatalf("a tombstone retains %.0f B of heap, budget %d", per, budget)
+	const budget = 8 // bytes per transaction: the collector's noise, not a record
+	if per := float64(int64(after)-int64(before)) / count; per > budget {
+		t.Fatalf("an acknowledged transaction retains %.1f B of heap, budget %d", per, budget)
 	}
 	runtime.KeepAlive(sm)
 }

@@ -24,8 +24,9 @@ import (
 // The digest is range-partitioned: keys hash into defaultAuditRanges buckets
 // and each bucket folds its items with an order-independent wrapping sum, so
 // two replicas' digests can be diffed bucket-by-bucket without shipping the
-// state. Everything replicated participates — items, the dedup result
-// window, routing epoch and pending table, transaction portions — while
+// state. Everything replicated participates — items, the client sessions'
+// outcomes and records, routing epoch and pending table, transaction
+// portions — while
 // node-local fields (lockSeen, rings, trace hooks) are excluded by
 // construction. The same fold (collapsed to one range) stamps WAL
 // checkpoints via shared.Digester, so cold-start recovery verifies the state
@@ -70,39 +71,6 @@ func fnvAdd(h, v uint64) uint64 {
 	return h
 }
 
-// resultSum folds one dedup-window entry: id, outcome flags, key, and the
-// SHAPE of read results — lengths and found bits; the values themselves are
-// derived from items at apply time, and hashing lengths keeps the fold
-// cheap. The result window maintains the wrapping sum of these across its
-// entries (resultWindow.sum) so digestState reads the whole window in O(1).
-// (Bit 1 of the flags is unused: a refusal is not recorded.)
-func resultSum(id uint64, r result) uint64 {
-	var flags uint64
-	if r.OK {
-		flags |= 1
-	}
-	if r.Conflict {
-		flags |= 1 << 2
-	}
-	if r.CondFailed {
-		flags |= 1 << 3
-	}
-	flags |= uint64(r.TxnState) << 4
-	h := fnvAdd(fnvOffset64, id)
-	h = fnvAdd(h, flags)
-	h = fnvStr(h, r.Key)
-	h = fnvAdd(h, uint64(len(r.Values)))
-	for i, v := range r.Values {
-		h = fnvAdd(h, uint64(len(v)))
-		if i < len(r.Found) && r.Found[i] {
-			h = fnvAdd(h, 1)
-		} else {
-			h = fnvAdd(h, 0)
-		}
-	}
-	return h
-}
-
 // digestState hashes the replicated state into n key-range digests plus a
 // meta digest. It is a pure function of the replicated state: every replica
 // of one shard computes the identical result at the same position in the
@@ -128,16 +96,15 @@ func (s *mapSM) digestState(n int) obs.Digest {
 		bucket := fnvStr(fnvOffset64, k) % uint64(n)
 		d.Ranges[bucket] += h
 	}
-	// Meta: the dedup window as its incrementally-maintained wrapping sum
-	// of per-entry folds (see resultSum; resultWindow keeps the sum current),
-	// plus the entry count. The sum is order-independent, but honest
-	// replicas apply the same total order and so hold the same FIFO — a
-	// membership difference is what divergence looks like, and walking a
-	// 64Ki-entry window on every audit is what the sum avoids. Then
-	// routing, pending, and transaction state.
+	// Meta: the session table as its incrementally-maintained wrapping sum
+	// of per-entry folds (every session's ack, outcome and record — see
+	// session.go, which keeps the sum current), with the session count and
+	// the clock: folding the table entry by entry on every audit is what the
+	// sum avoids. Then routing, pending, and the prepared portions.
 	m := uint64(fnvOffset64)
-	m = fnvAdd(m, uint64(s.results.len()))
-	m = fnvAdd(m, s.results.sum)
+	m = fnvAdd(m, uint64(len(s.sessions)))
+	m = fnvAdd(m, s.clock)
+	m = fnvAdd(m, s.sessSum)
 	m = fnvAdd(m, s.routing.Epoch)
 	m = fnvAdd(m, uint64(s.routing.Shards))
 	m = fnvAdd(m, uint64(s.routing.VNodes))
@@ -146,31 +113,19 @@ func (s *mapSM) digestState(n int) obs.Digest {
 		m = fnvAdd(m, uint64(s.pending.Shards))
 		m = fnvAdd(m, uint64(s.pending.VNodes))
 	}
-	// Transaction portions, prepared and tombstones alike, sorted by id
-	// for determinism and folded fully — an in-flight portion's held-back
-	// writes are replicated state too. A tombstone is folded from its
-	// record; a prepared portion is spelled the same way for the fold.
-	txnIDs := make([]uint64, 0, len(s.txns)+len(s.tombs))
+	// Prepared portions, sorted for determinism and folded fully — an
+	// in-flight portion's held-back writes are replicated state too — as
+	// their records are: spelled, then folded.
+	txnIDs := make([]txnID, 0, len(s.txns))
 	for id := range s.txns {
 		txnIDs = append(txnIDs, id)
 	}
-	for id := range s.tombs {
-		txnIDs = append(txnIDs, id)
-	}
-	slices.Sort(txnIDs)
+	slices.SortFunc(txnIDs, txnID.compare)
 	m = fnvAdd(m, uint64(len(txnIDs)))
 	var spelled []byte
 	for _, id := range txnIDs {
-		rec, ok := s.tombs[id]
-		if !ok {
-			spelled = appendPortion(spelled[:0], s.txns[id])
-			rec = spelled
-		}
-		m = foldPortion(m, rec)
-	}
-	m = fnvAdd(m, uint64(len(s.txnOrder)))
-	for _, id := range s.txnOrder {
-		m = fnvAdd(m, id)
+		spelled = appendPortion(spelled[:0], s.txns[id])
+		m = foldPortion(m, spelled)
 	}
 	d.Meta = m
 	// Sum folds the meta and every range into one word — the value a WAL
@@ -184,14 +139,17 @@ func (s *mapSM) digestState(n int) obs.Digest {
 }
 
 // foldPortion folds one transaction portion spelled as appendPortion spells
-// it: id, state, home key, all keys, then each read key with its captured
-// value and found bit beside it, each write (key, value, delete bit) and each
-// condition (key, expected value, presence bit). It reads the spelling in
-// place, the three read lists side by side, and allocates nothing.
+// it: state, attempt, home key, all keys, then each read key with its
+// captured value and found bit beside it, each write (key, value, delete bit)
+// and each condition (key, expected value, presence bit). It reads the
+// spelling in place, the three read lists side by side, and allocates
+// nothing.
 func foldPortion(m uint64, rec []byte) uint64 {
 	r := reader{b: rec}
-	m = fnvAdd(m, r.u64())
 	m = fnvAdd(m, uint64(r.u8()))
+	m = fnvAdd(m, r.u64())
+	m = fnvAdd(m, r.uvarint())
+	m = fnvAdd(m, r.uvarint())
 	m = fnvBytes(m, r.raw())
 	n := r.count(1)
 	m = fnvAdd(m, uint64(n))
@@ -256,19 +214,18 @@ func (s *mapSM) StateDigest() uint64 {
 var _ shared.Digester = (*mapSM)(nil)
 
 // applyAudit evaluates one sequenced audit: hash the state as it stands at
-// this position in the order (BEFORE recording the audit's own result), hand
-// the digest to the node-local auditor hook, and record an OK result, which is
-// also what wakes AuditNow. Dedup suppresses re-execution of a retried
-// audit id, so one id yields at most one report per replica per timeline;
-// WAL replay re-reporting an id recomputes the identical digest — harmless.
-func (s *mapSM) applyAudit(c command) {
+// this position in the order (BEFORE its own outcome is recorded, which is
+// also what wakes AuditNow) and hand the digest to the node-local auditor
+// hook. Dedup suppresses re-execution of a retried audit, so one audit yields
+// at most one report per replica per timeline; WAL replay re-reporting one
+// recomputes the identical digest — harmless.
+func (s *mapSM) applyAudit(c *command) {
 	if s.onAudit != nil {
 		d := s.digestState(c.ranges)
-		d.ID = c.id
+		d.ID = c.waitID()
 		d.Seq = s.seq
 		s.onAudit(s.shard, d)
 	}
-	s.setResult(c.id, result{OK: true})
 }
 
 // auditScope names one shard's audit stream — the same label the shard's
@@ -316,10 +273,12 @@ func (s *Store) auditTick(ctx context.Context) {
 		if !info.IsSequencer {
 			continue
 		}
-		cmd := encodeAudit(s.nextCmdID(), defaultAuditRanges)
+		session, seq, ack := s.sess.begin(1)
+		cmd := encodeAudit(header{session: session, seq: seq, ack: ack}, defaultAuditRanges)
 		sctx, cancel := context.WithTimeout(ctx, s.opts.AuditEvery)
 		err := r.Submit(sctx, cmd)
 		cancel()
+		s.sess.end(session, seq, 1)
 		if err != nil && ctx.Err() == nil {
 			s.flight().Recordf(auditScope(s.name, i), "audit submit failed: %v", err)
 		}
@@ -339,8 +298,7 @@ func (s *Store) AuditNow(ctx context.Context) error {
 		if r == nil {
 			continue
 		}
-		id := s.nextCmdID()
-		if _, err := s.do(ctx, i, []uint64{id}, [][]byte{encodeAudit(id, defaultAuditRanges)}); err != nil {
+		if _, err := s.run(ctx, i, opAudit, func(h header) []byte { return encodeAudit(h, defaultAuditRanges) }); err != nil {
 			return fmt.Errorf("kv: audit shard %d: %w", i, err)
 		}
 		aud.Progress(auditScope(s.name, i), node, r.Applied())

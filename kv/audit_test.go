@@ -18,33 +18,33 @@ import (
 // a presumed-abort fence.
 func TestDigestDeterministicAcrossSnapshotRestore(t *testing.T) {
 	rt := Routing{Epoch: 0, Shards: 1, VNodes: 8}
-	a := newMapSM("dig", 0, rt, 64, nil)
+	a := newMapSM("dig", 0, rt, nil)
 	for i := 0; i < 50; i++ {
-		a.Apply(encodePut(uint64(1000+i), fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i))))
+		a.Apply(encodePut(at(uint64(1000+i)), fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i))))
 	}
-	a.Apply(encodeDelete(2000, "key-3"))
-	a.Apply(encodeGet(2001, []string{"key-1", "missing"}))
-	a.Apply(encodeCAS(2002, "key-5", true, []byte("val-5"), []byte("swapped")))
+	a.Apply(encodeDelete(at(2000), "key-3"))
+	a.Apply(encodeGet(at(2001), []string{"key-1", "missing"}))
+	a.Apply(encodeCAS(at(2002), "key-5", true, []byte("val-5"), []byte("swapped")))
 	for _, cmd := range [][]byte{
-		encodeTxnPrepare(3000, 30, "key-10", []string{"key-10", "key-11", "key-12"}, []string{"key-10"},
+		encodeTxnPrepare(at(30), 0, "key-10", []string{"key-10", "key-11", "key-12"}, []string{"key-10"},
 			[]TxnWrite{{Key: "key-11", Val: []byte("t")}, {Key: "key-12", Delete: true}}, []TxnCond{{Key: "key-11", ExpectPresent: true, Expect: []byte("val-11")}}),
-		encodeTxnPrepare(3001, 31, "key-20", []string{"key-20", "key-21"}, []string{"key-20", "key-21"}, []TxnWrite{{Key: "key-21", Val: []byte("c")}}, nil),
-		encodeTxnResolve(3002, 31, true, "key-20", []string{"key-20", "key-21"}),
-		encodeTxnPrepare(3003, 32, "key-30", []string{"key-30", "key-31"}, []string{"key-30", "key-31"}, nil, nil),
-		encodeTxnResolve(3004, 32, false, "key-30", []string{"key-30", "key-31"}),
-		encodeTxnResolve(3005, 33, false, "key-40", []string{"key-40"}),
+		encodeTxnPrepare(at(31), 0, "key-20", []string{"key-20", "key-21"}, []string{"key-20", "key-21"}, []TxnWrite{{Key: "key-21", Val: []byte("c")}}, nil),
+		encodeTxnResolve(at(31), 0, true, "key-20", []string{"key-20", "key-21"}),
+		encodeTxnPrepare(at(32), 0, "key-30", []string{"key-30", "key-31"}, []string{"key-30", "key-31"}, nil, nil),
+		encodeTxnResolve(at(32), 0, false, "key-30", []string{"key-30", "key-31"}),
+		encodeTxnResolve(at(33), 0, false, "key-40", []string{"key-40"}),
 	} {
 		a.Apply(cmd)
 	}
-	if len(a.txns) != 1 || len(a.tombs) != 3 {
-		t.Fatalf("%d prepared portions and %d tombstones, want 1 and 3", len(a.txns), len(a.tombs))
+	if len(a.txns) != 1 || records(a) != 3 {
+		t.Fatalf("%d prepared portions and %d records, want 1 and 3", len(a.txns), records(a))
 	}
 
 	snap, err := a.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	b := newMapSM("dig", 0, rt, 64, nil)
+	b := newMapSM("dig", 0, rt, nil)
 	if err := b.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -61,8 +61,8 @@ func TestDigestDeterministicAcrossSnapshotRestore(t *testing.T) {
 	if a.StateDigest() != b.StateDigest() {
 		t.Fatal("StateDigest differs across snapshot/restore")
 	}
-	if len(b.txns) != 1 || len(b.tombs) != 3 || len(b.locks) != 3 {
-		t.Fatalf("restored %d prepared portions, %d tombstones and %d locks, want 1, 3 and 3", len(b.txns), len(b.tombs), len(b.locks))
+	if len(b.txns) != 1 || records(b) != 3 || len(b.locks) != 3 {
+		t.Fatalf("restored %d prepared portions, %d records and %d locks, want 1, 3 and 3", len(b.txns), records(b), len(b.locks))
 	}
 
 	// And the digest actually discriminates: flip one value byte.

@@ -2,8 +2,6 @@ package kv
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -18,9 +16,14 @@ import (
 // errMoved reports a command that reached a shard which does not serve the
 // key at that point in the total order: the range is frozen mid-handoff or
 // already moved to another shard. The caller re-resolves the owner under
-// the (possibly updated) routing table and retries; command ids keep the
-// retry exactly-once.
+// the (possibly updated) routing table and retries; the session header keeps
+// the retry exactly-once.
 var errMoved = errors.New("kv: key range moved or frozen by resharding")
+
+// errStale reports a command a shard refused without executing it: its
+// session had already acknowledged it — its caller gave up on it, and this
+// is a late copy — or the session expired (see session.go).
+var errStale = errors.New("kv: stale command: its session acknowledged it or expired")
 
 // Client issues key-value operations against a store. Methods are safe for
 // concurrent use; create several clients for independent command streams.
@@ -39,9 +42,10 @@ var errMoved = errors.New("kv: key range moved or frozen by resharding")
 //     shards it hosts and answers misroutes with a ForwardRequest to an
 //     owning node — the reply comes back from wherever the request lands.
 //
-// All three speak the same versioned codec (see EncodeRequest), and command
-// ids chosen here are deduplicated by the replicas, so retries across paths,
-// forwards, failovers, and routing epochs stay exactly-once. Sequenced reads
+// All three speak the same versioned codec (see EncodeRequest), and every
+// request is numbered here in the client's session (session.go), which the
+// replicas deduplicate by, so retries across paths, forwards, failovers, and
+// routing epochs stay exactly-once. Sequenced reads
 // run the read marker through the total order on whichever replica serves
 // them, so Get and MGet are linearizable over every path.
 //
@@ -55,8 +59,7 @@ type Client struct {
 	cluster string
 	entry   amoeba.Addr // entry-node address; 0: direct shard addressing only
 	anycast bool        // fall back to the store-wide anycast entry address
-	nonce   uint64
-	seq     atomic.Uint64
+	sess    session     // numbers the requests and keeps their ack
 
 	// The store's well-known addresses. Each is the hash of a formatted
 	// name (StoreAddr, ShardAddr, NodeAddr), so they are computed once
@@ -176,7 +179,6 @@ func (s *Store) NewClient() *Client {
 		s:       s,
 		kernel:  s.kernel,
 		cluster: s.name,
-		nonce:   clientNonce(),
 
 		storeAddr: StoreAddr(s.name),
 	}
@@ -227,7 +229,6 @@ func Dial(k *amoeba.Kernel, cluster string, o DialOptions) (*Client, error) {
 		cluster: cluster,
 		entry:   o.Addr,
 		anycast: o.Anycast,
-		nonce:   clientNonce(),
 
 		storeAddr: StoreAddr(cluster),
 	}
@@ -245,19 +246,6 @@ func Dial(k *amoeba.Kernel, cluster string, o DialOptions) (*Client, error) {
 	c.wireObs(o.Obs)
 	return c, nil
 }
-
-// clientNonce draws the random base for this client's command ids.
-func clientNonce() uint64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("kv: reading client nonce: %v", err))
-	}
-	return binary.BigEndian.Uint64(b[:])
-}
-
-// nextID returns a command id unique across clients and operations: a random
-// 64-bit client nonce perturbed by a per-client counter.
-func (c *Client) nextID() uint64 { return c.nonce + c.seq.Add(1) }
 
 // routingRing returns the routing view the client targets requests with:
 // the bound store's live table, the Dial'd client's cached table, or
@@ -380,20 +368,32 @@ func (s *Store) awaitChange(ctx context.Context, wake <-chan struct{}) error {
 // --- The generic entry point -------------------------------------------------
 
 // Do executes one access-protocol request: the single entry every public
-// method, the amoeba-kv daemon, and the Service proxy route through. Command
-// ids are assigned here, once, if the request does not carry them; then one
-// loop takes the node's change channel, reads the routing table, splits the
-// request by shard (split), runs the parts — a lone part on this goroutine,
-// several scattered, each over its own best path (doShard) — and, when any
-// part answers Moved (its range is frozen mid-handoff, flipped to another
-// shard, or prepare-locked), waits for the change and goes round again under
-// the then-current table. The ids make every re-drive exactly-once. It is
-// the only retry loop for Moved: a remote node runs its own for its callers,
-// so only a node-bound client ever sees the answer.
+// method, the amoeba-kv daemon, and the Service proxy route through. A request
+// without a Session is numbered here, once, in the client's session — a seq
+// per request, or per pair of a batch — and its seq is acknowledged when Do
+// returns, answered or not; then one loop takes the node's change channel,
+// reads the routing table, splits the request by shard (split), runs the
+// parts — a lone part on this goroutine, several scattered, each over its own
+// best path (doShard) — and, when any part answers Moved (its range is frozen
+// mid-handoff, flipped to another shard, or prepare-locked), waits for the
+// change and goes round again under the then-current table. The session
+// header makes every re-drive exactly-once. It is the only retry loop for
+// Moved: a remote node runs its own for its callers, so only a node-bound
+// client ever sees the answer.
 //
-// The caller's Request is never modified: ids assigned for one execution
-// live on an internal copy, so a Request value can be rebuilt or reused
-// without a stale id silently deduplicating the next operation away.
+// A request that comes with its Session set is pinned: Do sends it as it is,
+// unless the session was born too far ahead of this node's clock
+// (futureSession). Every request a Service takes is pinned, so that is where
+// one from outside is checked, on the node it is submitted from.
+//
+// A transaction that fails is the exception to acknowledging: it may have
+// left a participant prepared, whose decision its records must keep until
+// the recovery janitor has resolved it, so Do retires the session instead
+// (session.retire) and later requests go out in a new one.
+//
+// The caller's Request is never modified: the header assigned for one
+// execution lives on an internal copy, so a Request value can be rebuilt or
+// reused without a stale seq silently deduplicating the next operation away.
 func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 	cp := *caller
 	req := &cp
@@ -414,18 +414,41 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		if len(req.Pairs) == 0 {
 			return &Response{OK: true}, nil
 		}
-		if len(req.IDs) != len(req.Pairs) {
-			req.IDs = make([]uint64, len(req.Pairs))
-			for i := range req.IDs {
-				req.IDs[i] = c.nextID()
-			}
+		if req.Session != 0 && len(req.IDs) != len(req.Pairs) {
+			return nil, fmt.Errorf("kv: batch of %d pairs pins %d seqs", len(req.Pairs), len(req.IDs))
 		}
 	default:
 		return nil, fmt.Errorf("kv: unknown request op %d", req.Op)
 	}
-	if req.ID == 0 && req.Op != ReqBatchPut { // a batch is its pairs' ids
-		req.ID = c.nextID()
+	if req.Session != 0 {
+		if err := futureSession(req.Session, time.Now()); err != nil {
+			return nil, err
+		}
+		return c.drive(ctx, req)
 	}
+	n := 1
+	if req.Op == ReqBatchPut {
+		n = len(req.Pairs)
+	}
+	session, first, ack := c.sess.begin(n)
+	req.Session, req.ID, req.Ack = session, first, ack
+	if req.Op == ReqBatchPut { // a batch is its pairs' seqs
+		req.IDs = make([]uint64, n)
+		for i := range req.IDs {
+			req.IDs[i] = first + uint64(i)
+		}
+	}
+	resp, err := c.drive(ctx, req)
+	if err != nil && req.Op == ReqTxn {
+		c.sess.retire(session)
+	} else {
+		c.sess.end(session, first, n)
+	}
+	return resp, err
+}
+
+// drive runs a numbered request to its answer: Do's loop.
+func (c *Client) drive(ctx context.Context, req *Request) (*Response, error) {
 	if req.Op == ReqTxn {
 		if r, _ := c.routingRing(); r != nil {
 			return c.txnExecute(ctx, req)
@@ -442,7 +465,7 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		req.Epoch = rt.Epoch
 		var resp *Response
 		var err error
-		if shard, parts := c.split(r, rt, req); parts == nil {
+		if shard, parts := split(r, rt, req); parts == nil {
 			resp, err = c.doShard(ctx, shard, req)
 		} else {
 			resp, err = c.gather(ctx, req, parts)
@@ -467,17 +490,20 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 // lone Put it stands for.
 func (c *Client) trace(req *Request, event string) {
 	if req.Op != ReqBatchPut {
-		if c.tracer.Sampled(req.ID) { // asked first: Addf's arguments are boxed before it can decline them
-			c.tracer.Addf(req.ID, "%s op=%d key=%q keys=%d", event, req.Op, req.Key, len(req.Keys))
+		if id := req.traceID(); c.tracer.Sampled(id) { // asked first: Addf's arguments are boxed before it can decline them
+			c.tracer.Addf(id, "%s op=%d key=%q keys=%d", event, req.Op, req.Key, len(req.Keys))
 		}
 		return
 	}
-	for i, id := range req.IDs {
-		if c.tracer.Sampled(id) {
+	for i, seq := range req.IDs {
+		if id := cmdID(req.Session, seq); c.tracer.Sampled(id) {
 			c.tracer.Addf(id, "%s op=batchput key=%q", event, req.Pairs[i].Key)
 		}
 	}
 }
+
+// traceID is the id a request's spans go by: its shard commands' (cmdID).
+func (r *Request) traceID() uint64 { return cmdID(r.Session, r.ID) }
 
 // numKeys and keyAt enumerate the keys that decide where a request runs —
 // the one place that knows each op's key fields: a read's Keys, a batch's
@@ -571,13 +597,14 @@ func group(r *ring, req *Request) (partOf []int, parts []shardPart) {
 // nothing. A whole transaction that spans shards also has no one shard (-1,
 // nil): whoever holds it coordinates it. Otherwise the answer is one
 // sub-request per shard (group), each holding its shard's elements in
-// request order and stamped with the table's epoch. Sub-reads and
-// sub-prepares take fresh command ids — reads are idempotent and prepares
-// accrete under the transaction id, so a node re-splitting a forwarded
-// request, or a re-drive after an epoch flip, is free to split differently —
-// while batch pairs keep their own ids, so every replica deduplicates a pair
-// identically however the batch reached it. req is only read.
-func (c *Client) split(r *ring, rt Routing, req *Request) (int, []shardPart) {
+// request order and stamped with the table's epoch. Every part keeps the
+// request's session header: a sub-read's answer is waited for on its own
+// shard only, and sub-prepares accrete under the transaction's attempt, so a
+// node re-splitting a forwarded request, or a re-drive after an epoch flip,
+// is free to split differently — while batch pairs keep their own seqs, so
+// every replica deduplicates a pair identically however the batch reached
+// it. req is only read.
+func split(r *ring, rt Routing, req *Request) (int, []shardPart) {
 	if shard := oneShard(r, req); shard >= 0 || r == nil || req.Op == ReqTxn || req.numKeys() == 0 {
 		return shard, nil
 	}
@@ -589,15 +616,14 @@ func (c *Client) split(r *ring, rt Routing, req *Request) (int, []shardPart) {
 	for j := range parts {
 		p := &parts[j]
 		p.req = &Request{Op: req.Op, Flags: req.Flags &^ flagForwarded, Budget: req.Budget, Epoch: rt.Epoch,
-			MaxStale: req.MaxStale, TxnID: req.TxnID, HomeKey: req.HomeKey, AllKeys: req.AllKeys}
+			Session: req.Session, ID: req.ID, Ack: req.Ack, MaxStale: req.MaxStale,
+			Attempt: req.Attempt, HomeKey: req.HomeKey, AllKeys: req.AllKeys}
 		switch req.Op {
 		case ReqBatchPut:
 			p.req.Pairs, p.req.IDs = make([]Pair, 0, sizes[j]), make([]uint64, 0, sizes[j])
-			continue
 		case ReqGet:
 			p.req.Keys, p.idx = make([]string, 0, sizes[j]), make([]int, 0, sizes[j])
 		}
-		p.req.ID = c.nextID()
 	}
 	reads, writes := len(req.Keys), len(req.Writes)
 	for i, j := range partOf {
@@ -795,7 +821,7 @@ func (c *Client) localFastRead(shard int, req *Request) (*Response, bool) {
 			if c.localH != nil {
 				c.localH.Observe(time.Since(t0))
 			}
-			c.tracer.Addf(req.ID, "served locally at staleness ≤%v", resp.StaleFor)
+			c.tracer.Addf(req.traceID(), "served locally at staleness ≤%v", resp.StaleFor)
 			return resp, true
 		}
 	}
@@ -808,7 +834,7 @@ func (c *Client) localFastRead(shard int, req *Request) (*Response, bool) {
 			if c.localH != nil {
 				c.localH.Observe(time.Since(t0))
 			}
-			c.tracer.Add(req.ID, "served locally under lease")
+			c.tracer.Add(req.traceID(), "served locally under lease")
 			return resp, true
 		}
 	}
@@ -820,7 +846,7 @@ func (c *Client) localFastRead(shard int, req *Request) (*Response, bool) {
 // known), then the entry node, then the store-wide anycast entry. Timeouts
 // alternate targets — a shard address mid-failover re-locates to a surviving
 // host (the RPC layer forgets silent routes), and an entry node can always
-// forward. Command ids make the retries exactly-once, and a response from a
+// forward. The session header makes the retries exactly-once, and a response from a
 // node at a different routing epoch carries the new table, which the client
 // adopts before any further routing.
 func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Response, error) {
@@ -873,11 +899,11 @@ func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Resp
 		if direct {
 			pathH = c.directH
 		}
-		if c.tracer.Sampled(req.ID) { // asked first: Addf's arguments are boxed before it can decline them
+		if id := req.traceID(); c.tracer.Sampled(id) { // asked first: Addf's arguments are boxed before it can decline them
 			if direct {
-				c.tracer.Addf(req.ID, "sent direct to shard %d", shard)
+				c.tracer.Addf(id, "sent direct to shard %d", shard)
 			} else {
-				c.tracer.Addf(req.ID, "sent via entry %v", target)
+				c.tracer.Addf(id, "sent via entry %v", target)
 			}
 		}
 		var t0 time.Time
@@ -1011,7 +1037,7 @@ func (c *Client) Delete(ctx context.Context, key string) (bool, error) {
 // compare against a stored empty value, pass a non-nil empty slice. The
 // outcome is decided by the shard's total order, so concurrent CAS calls on
 // one key serialise identically on every node — and retries are deduplicated
-// by command id, so a CAS never observes its own first execution.
+// by the session header, so a CAS never observes its own first execution.
 func (c *Client) CAS(ctx context.Context, key string, expect, val []byte) (bool, error) {
 	resp, err := c.Do(ctx, &Request{Op: ReqCAS, Key: key,
 		ExpectPresent: expect != nil, Expect: expect, Val: val})
@@ -1137,43 +1163,46 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 // state machine and starts the submission, finish waits for both to come back.
 type shardCall struct {
 	shard int
-	// The commands, pairwise: cmds[i] answers under ids[i] (a batch put's
-	// command under all its pairs' ids). A lone command is id and cmd
-	// instead, with ids nil: held in the call, its two one-element lists are
-	// temporaries of begin's and need no heap.
-	ids  []uint64
-	cmds [][]byte
-	id   uint64
-	cmd  []byte
-	r    *shared.Replica // the replica it was begun on
-	w    *answerWaiter   // its claims and the submission's outcome; nil until begun
+	// The commands: a batch put's, answered under its pairs' seqs of
+	// session, or else a lone command answered under its waiter id. Held in
+	// the call, the lone command's one-element list is a temporary of
+	// begin's and needs no heap.
+	session uint64
+	seqs    []uint64
+	cmds    [][]byte
+	id      uint64
+	cmd     []byte
+	r       *shared.Replica // the replica it was begun on
+	w       *answerWaiter   // its claims and the submission's outcome; nil until begun
 }
 
 // beginRequest translates a single-shard request into deduplicated shard
 // commands and begins them on this node's replica of shard, into c. It is the
 // shared execution path of node-bound clients and the Service.
 func (s *Store) beginRequest(c *shardCall, shard int, req *Request) error {
+	h := header{session: req.Session, seq: req.ID, ack: req.Ack}
+	var op byte
 	var cmd []byte
 	switch req.Op {
 	case ReqPut:
-		cmd = encodePut(req.ID, req.Key, req.Val)
+		op, cmd = opPut, encodePut(h, req.Key, req.Val)
 	case ReqDelete:
-		cmd = encodeDelete(req.ID, req.Key)
+		op, cmd = opDelete, encodeDelete(h, req.Key)
 	case ReqCAS:
-		cmd = encodeCAS(req.ID, req.Key, req.ExpectPresent, req.Expect, req.Val)
+		op, cmd = opCAS, encodeCAS(h, req.Key, req.ExpectPresent, req.Expect, req.Val)
 	case ReqGet:
-		cmd = encodeGet(req.ID, req.Keys)
+		op, cmd = opGet, encodeGet(h, req.Keys)
 	case ReqBatchPut:
-		c.shard, c.ids, c.cmds = shard, req.IDs, batchPutCommands(req.IDs, req.Pairs)
+		c.shard, c.session, c.seqs, c.cmds = shard, req.Session, req.IDs, batchPutCommands(h, req.IDs, req.Pairs)
 		return s.begin(c)
 	case ReqTxnPrepare:
-		cmd = encodeTxnPrepare(req.ID, req.TxnID, req.HomeKey, req.AllKeys, req.Keys, req.Writes, req.Conds)
+		op, cmd = opTxnPrepare, encodeTxnPrepare(h, req.Attempt, req.HomeKey, req.AllKeys, req.Keys, req.Writes, req.Conds)
 	case ReqTxnResolve:
-		cmd = encodeTxnResolve(req.ID, req.TxnID, req.Commit, req.HomeKey, req.AllKeys)
+		op, cmd = opTxnResolve, encodeTxnResolve(h, req.Attempt, req.Commit, req.HomeKey, req.AllKeys)
 	default:
 		return fmt.Errorf("kv: unknown request op %d", req.Op)
 	}
-	c.shard, c.id, c.cmd = shard, req.ID, cmd
+	c.shard, c.id, c.cmd = shard, waitID(op, req.Session, req.ID, req.Attempt), cmd
 	return s.begin(c)
 }
 
@@ -1188,31 +1217,36 @@ func (res *result) response() *Response {
 	return out
 }
 
-// do runs one shard's commands to the end: begin, then finish.
-func (s *Store) do(ctx context.Context, shard int, ids []uint64, cmds [][]byte) (result, error) {
-	c := shardCall{shard: shard, ids: ids, cmds: cmds}
+// do runs one command on shard to the end: begin, then finish.
+func (s *Store) do(ctx context.Context, shard int, id uint64, cmd []byte) (result, error) {
+	c := shardCall{shard: shard, id: id, cmd: cmd}
 	if err := s.begin(&c); err != nil {
 		return result{}, err
 	}
 	return s.finish(ctx, &c)
 }
 
-// begin registers c's ids with the state machine of this node's replica of
-// c.shard and then starts submitting c's commands, waiting for neither. The
-// ids are registered BEFORE the submission, and each answer is handed over
-// as its command applies (answerWaiter): nothing is looked up afterwards, so
-// neither the number of ids nor what the result window evicts meanwhile
+// begin registers c's waiter ids with the state machine of this node's
+// replica of c.shard and then starts submitting c's commands, waiting for
+// neither. The ids are registered BEFORE the submission, and each answer is
+// handed over as its command applies (answerWaiter): nothing is looked up
+// afterwards, so neither the number of ids nor what the shard frees meanwhile
 // matters, nor how long the caller takes to come back for them.
 func (s *Store) begin(c *shardCall) error {
 	r := s.Replica(c.shard)
 	if r == nil {
 		return fmt.Errorf("kv: shard %d is not hosted on this node (replication %d)", c.shard, s.opts.Replication)
 	}
-	ids, cmds := c.ids, c.cmds
-	if ids == nil {
-		ids, cmds = []uint64{c.id}, [][]byte{c.cmd}
-	}
 	w := answerWaiters.Get().(*answerWaiter)
+	ids, cmds := w.ids[:0], c.cmds
+	if c.seqs == nil {
+		ids, cmds = append(ids, c.id), [][]byte{c.cmd}
+	} else {
+		for _, seq := range c.seqs {
+			ids = append(ids, cmdID(c.session, seq))
+		}
+	}
+	w.ids = ids
 	r.Read(func(sm shared.StateMachine) { sm.(*mapSM).expect(w, ids) })
 	c.r, c.w = r, w
 	r.Start(cmds, w.started)
@@ -1225,16 +1259,16 @@ func (s *Store) begin(c *shardCall) error {
 // that repeats is answered by its first application; a later one changes
 // nothing), which gives read-your-writes even for LocalGet. A failed
 // submission (a command over the group's size limit) returns at once. It
-// returns the first id's answer, and errMoved if any command was refused (a
-// batch that straddled an epoch flip: the caller re-splits and only the
-// refused pairs re-execute).
+// returns the first id's answer, errStale if any command was refused as
+// stale, and errMoved if any was refused as moved (a batch that straddled an
+// epoch flip: the caller re-splits and only the refused pairs re-execute).
 //
 // If the local replica stops mid-operation (expelled by a recovery this node
 // missed), finish begins the call again on the replacement the store's
 // self-heal swaps in, whose installation wakes it. Retrying is safe: commands
-// are deduplicated by id in the replicated state machine, and if the first
-// attempt did commit, the rejoined replica's transferred state holds its
-// result, which the re-application meets and hands over.
+// are deduplicated by (session, seq) in the replicated state machine, and if
+// the first attempt did commit, the rejoined replica's transferred state
+// holds its outcome, which the re-application meets and hands over.
 func (s *Store) finish(ctx context.Context, c *shardCall) (result, error) {
 	for {
 		r, w := c.r, c.w
@@ -1243,10 +1277,13 @@ func (s *Store) finish(ctx context.Context, c *shardCall) (result, error) {
 			// Every claim is answered and unlinked, and the submission has
 			// reported: nothing references w any more. This is the only path
 			// that recycles it.
-			first, moved := w.first, w.moved
-			w.first, w.moved = result{}, false
+			first, moved, stale := w.first, w.moved, w.stale
+			w.first, w.moved, w.stale = result{}, false, false
 			answerWaiters.Put(w)
-			if moved {
+			switch {
+			case stale:
+				return first, fmt.Errorf("kv: shard %d: %w", c.shard, errStale)
+			case moved:
 				return first, errMoved
 			}
 			return first, nil
@@ -1276,11 +1313,12 @@ func (s *Store) finish(ctx context.Context, c *shardCall) (result, error) {
 	}
 }
 
-// batchPutCommands packs one shard's pairs, pairs[i] under ids[i], into
-// commands in slice order. A command is filled to maxCommandBytes, so a
-// shard's pairs usually travel as one ordered message; however many commands
-// and pairs there are, they are one submission and one wait.
-func batchPutCommands(ids []uint64, pairs []Pair) [][]byte {
+// batchPutCommands packs one shard's pairs, pairs[i] under seqs[i] of h's
+// session, into commands in slice order. A command is filled to
+// maxCommandBytes, so a shard's pairs usually travel as one ordered message;
+// however many commands and pairs there are, they are one submission and one
+// wait.
+func batchPutCommands(h header, seqs []uint64, pairs []Pair) [][]byte {
 	var cmds [][]byte
 	for start := 0; start < len(pairs); {
 		end, size := start, 0
@@ -1292,7 +1330,7 @@ func batchPutCommands(ids []uint64, pairs []Pair) [][]byte {
 			size += need
 			end++
 		}
-		cmds = append(cmds, encodeBatchPut(ids[start:end], pairs[start:end]))
+		cmds = append(cmds, encodeBatchPut(h, seqs[start:end], pairs[start:end]))
 		start = end
 	}
 	return cmds

@@ -12,12 +12,13 @@ import (
 // group's total order and is applied by every replica, so the encoding must
 // be deterministic and self-contained:
 //
-//	op(1) | id(8, big-endian) | op-specific payload
+//	op(1) | session(8, big-endian) | seq uvarint | seq−ack uvarint | op-specific payload
 //
-// Byte strings are uvarint-length-prefixed. The id correlates a command with
-// the answer its apply hands its submitter, and with the result an executed
-// command leaves in the state machine's result window for its retries; ids
-// are unique per client operation (random client nonce + counter).
+// Byte strings are uvarint-length-prefixed. The header is the command's
+// client session, its sequence number within it and the session's ack (see
+// session.go): the shard deduplicates by (session, seq) and frees what the
+// session keeps below ack. Folded (waitID), (session, seq) also correlates a
+// command with the answer its apply hands its submitter.
 //
 // The migrate ops are the live-resharding handoff protocol: begin installs a
 // pending routing table (freezing the ranges that move away), import streams
@@ -33,15 +34,15 @@ import (
 // in-doubt transaction survives any crash the write-ahead log survives.
 //
 // opBatchPut is what a BatchPut sends a shard: one command carrying many
-// pairs, each under its own id,
+// pairs, each under its own seq of the header's session,
 //
-//	op | id | count uvarint | { id(8) key val }*
+//	op | session | seq | seq−ack | count uvarint | key val | { delta varint key val }*
 //
 // so one ordered message, one delivery, one journal entry and one apply carry
-// them all, while every pair is still deduplicated and answered by its own id
-// exactly as a lone opPut is. A batch has no result of its own: the header id
-// repeats the first pair's. A shard's pairs travel in as few commands as fit
-// maxCommandBytes.
+// them all, while every pair is still deduplicated and answered by its own seq
+// exactly as a lone opPut is. The header's seq is the first pair's, and each
+// later pair carries its seq as a (zigzag) delta from the one before. A
+// shard's pairs travel in as few commands as fit maxCommandBytes.
 //
 // Decoding. kv reads bytes one way: decodeCommand, DecodeRequest,
 // DecodeResponse and decodeSnapshot all read through reader (at the end of
@@ -102,60 +103,113 @@ func appendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-func commandHeader(op byte, id uint64) []byte {
-	dst := make([]byte, 9, 32)
-	dst[0] = op
-	binary.BigEndian.PutUint64(dst[1:], id)
-	return dst
+// header is who sent a command: its client session, its sequence number in
+// the session, and the session's ack — the lowest seq whose caller still
+// waits.
+type header struct {
+	session, seq, ack uint64
 }
 
-func encodePut(id uint64, key string, val []byte) []byte {
-	dst := appendBytes(commandHeader(opPut, id), []byte(key))
+// headerBytes bounds an encoded command header.
+const headerBytes = 1 + 8 + 2*binary.MaxVarintLen64
+
+// appendHeader spells a header. An ack above seq is sent as seq: it frees
+// nothing a command at seq may still need.
+func appendHeader(dst []byte, h header) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, h.session)
+	dst = binary.AppendUvarint(dst, h.seq)
+	return binary.AppendUvarint(dst, h.seq-min(h.ack, h.seq))
+}
+
+// header reads what appendHeader spelled.
+func (r *reader) header() header {
+	h := header{session: r.u64(), seq: r.uvarint()}
+	if back := r.uvarint(); back <= h.seq {
+		h.ack = h.seq - back
+	} else {
+		r.fail()
+	}
+	return h
+}
+
+func commandHeader(op byte, h header) []byte {
+	dst := make([]byte, 0, 48)
+	return appendHeader(append(dst, op), h)
+}
+
+func encodePut(h header, key string, val []byte) []byte {
+	dst := appendBytes(commandHeader(opPut, h), []byte(key))
 	return appendBytes(dst, val)
 }
 
 // batchPairBytes bounds what one pair adds to an opBatchPut command.
 func batchPairBytes(p Pair) int {
-	return 8 + 2*binary.MaxVarintLen32 + len(p.Key) + len(p.Val)
+	return binary.MaxVarintLen64 + 2*binary.MaxVarintLen32 + len(p.Key) + len(p.Val)
 }
 
-// encodeBatchPut encodes pairs, pairs[i] under ids[i], as one command.
-func encodeBatchPut(ids []uint64, pairs []Pair) []byte {
-	size := 9 + binary.MaxVarintLen32
+// encodeBatchPut encodes pairs, pairs[i] under seqs[i] of h's session, as one
+// command; h's own seq is ignored.
+func encodeBatchPut(h header, seqs []uint64, pairs []Pair) []byte {
+	size := headerBytes + binary.MaxVarintLen32
 	for _, p := range pairs {
 		size += batchPairBytes(p)
 	}
-	dst := make([]byte, 9, size)
-	dst[0] = opBatchPut
-	binary.BigEndian.PutUint64(dst[1:], ids[0])
-	return appendIDPairs(dst, ids, pairs)
+	h.seq = seqs[0]
+	dst := appendHeader(append(make([]byte, 0, size), opBatchPut), h)
+	return appendSeqPairs(dst, seqs, pairs)
 }
 
-// appendIDPairs encodes a batch put's pairs, pairs[i] under ids[i], as the
-// shard command and the access protocol both carry them.
-func appendIDPairs(dst []byte, ids []uint64, pairs []Pair) []byte {
+// appendSeqPairs encodes a batch put's pairs, pairs[i] under seqs[i], as the
+// shard command and the access protocol both carry them: the first pair's seq
+// is the header's, and every later one is a delta from the one before.
+func appendSeqPairs(dst []byte, seqs []uint64, pairs []Pair) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(pairs)))
 	for i, p := range pairs {
-		dst = binary.BigEndian.AppendUint64(dst, ids[i])
+		if i > 0 {
+			dst = binary.AppendVarint(dst, int64(seqs[i]-seqs[i-1]))
+		}
 		dst = appendBytes(dst, []byte(p.Key))
 		dst = appendBytes(dst, p.Val)
 	}
 	return dst
 }
 
-func encodeDelete(id uint64, key string) []byte {
-	return appendBytes(commandHeader(opDelete, id), []byte(key))
+// seqPairs reads what appendSeqPairs spelled, the first pair under seq. The
+// values are copied out when keep is set: a state machine keeps them, and
+// one kept value must not keep a whole command alive.
+func (r *reader) seqPairs(seq uint64, keep bool) ([]uint64, []Pair) {
+	n := r.count(2) // two length bytes
+	seqs, pairs := make([]uint64, n), make([]Pair, n)
+	for i := range pairs {
+		if i > 0 {
+			seq += uint64(r.varint())
+		}
+		seqs[i], pairs[i].Key = seq, r.str()
+		if keep {
+			pairs[i].Val = r.bytes()
+		} else {
+			pairs[i].Val = r.raw()
+		}
+	}
+	if n == 0 {
+		r.fail()
+	}
+	return seqs, pairs
+}
+
+func encodeDelete(h header, key string) []byte {
+	return appendBytes(commandHeader(opDelete, h), []byte(key))
 }
 
 // encodeAudit encodes a sequenced audit over ranges digest partitions.
-func encodeAudit(id uint64, ranges int) []byte {
-	return binary.AppendUvarint(commandHeader(opAudit, id), uint64(ranges))
+func encodeAudit(h header, ranges int) []byte {
+	return binary.AppendUvarint(commandHeader(opAudit, h), uint64(ranges))
 }
 
 // encodeCAS encodes a compare-and-swap. expectPresent=false means the swap
 // succeeds only if the key is absent (atomic create).
-func encodeCAS(id uint64, key string, expectPresent bool, expect, val []byte) []byte {
-	dst := appendBytes(commandHeader(opCAS, id), []byte(key))
+func encodeCAS(h header, key string, expectPresent bool, expect, val []byte) []byte {
+	dst := appendBytes(commandHeader(opCAS, h), []byte(key))
 	dst = appendBool(dst, expectPresent)
 	dst = appendBytes(dst, expect)
 	return appendBytes(dst, val)
@@ -164,8 +218,8 @@ func encodeCAS(id uint64, key string, expectPresent bool, expect, val []byte) []
 // encodeGet encodes a sequenced read of one or more keys on one shard. The
 // read travels the total order like a write, so the values it captures are
 // linearizable.
-func encodeGet(id uint64, keys []string) []byte {
-	return appendKeys(commandHeader(opGet, id), keys)
+func encodeGet(h header, keys []string) []byte {
+	return appendKeys(commandHeader(opGet, h), keys)
 }
 
 // appendRouting encodes a routing table as three uvarints.
@@ -176,25 +230,31 @@ func appendRouting(dst []byte, rt Routing) []byte {
 }
 
 // encodeMigrate encodes a begin, commit, or abort carrying the target table.
-func encodeMigrate(op byte, id uint64, rt Routing) []byte {
-	return appendRouting(commandHeader(op, id), rt)
+func encodeMigrate(op byte, h header, rt Routing) []byte {
+	return appendRouting(commandHeader(op, h), rt)
 }
 
-// encodeMigrateImport encodes one chunk of pairs (and migrated dedup
-// results and transaction portions) streamed into their new owner, tagged
-// with the target epoch that gates its application.
-func encodeMigrateImport(id uint64, rt Routing, chunk *importChunk) []byte {
-	dst := appendRouting(commandHeader(opMigrateImport, id), rt)
+// encodeMigrateImport encodes one chunk of pairs (and the sessions and
+// transaction portions that move with them) streamed into their new owner,
+// tagged with the target epoch that gates its application:
+//
+//	routing | pairs | clock uvarint | sessions | portions
+//
+// with the sessions spelled as a snapshot spells them, each outcome's seq as
+// its distance above the session's ack.
+func encodeMigrateImport(h header, rt Routing, chunk *importChunk) []byte {
+	dst := appendRouting(commandHeader(opMigrateImport, h), rt)
 	dst = binary.AppendUvarint(dst, uint64(len(chunk.Pairs)))
 	for _, p := range chunk.Pairs {
 		dst = appendBytes(dst, []byte(p.Key))
 		dst = appendBytes(dst, p.Val)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(chunk.Results)))
-	for _, r := range chunk.Results {
-		dst = binary.BigEndian.AppendUint64(dst, r.ID)
-		dst = appendBool(dst, r.OK)
-		dst = appendBytes(dst, []byte(r.Key))
+	dst = binary.AppendUvarint(dst, chunk.Clock)
+	dst = binary.AppendUvarint(dst, uint64(len(chunk.Moved)))
+	for _, m := range chunk.Moved {
+		dst = binary.BigEndian.AppendUint64(dst, m.ID)
+		dst = binary.AppendUvarint(dst, m.Ack)
+		dst = appendOutcomes(dst, m.Ack, m.Outcomes)
 	}
 	// Transaction portions are spelled as a snapshot spells them.
 	dst = binary.AppendUvarint(dst, uint64(len(chunk.Txns)))
@@ -237,12 +297,12 @@ func appendKeys(dst []byte, keys []string) []byte {
 
 // encodeTxnPrepare encodes a transaction prepare: lock the local keys, check
 // the conditions, capture the reads — all at one position in the shard's
-// total order. The txn id is carried in the payload (distinct from the
-// command id) so re-drives with fresh command ids still converge on one
-// portion.
-func encodeTxnPrepare(id, txnID uint64, homeKey string, allKeys, reads []string, writes []TxnWrite, conds []TxnCond) []byte {
-	dst := commandHeader(opTxnPrepare, id)
-	dst = binary.BigEndian.AppendUint64(dst, txnID)
+// total order. The header is the transaction's own (session, seq) and the
+// payload names the attempt: every prepare and resolve of one attempt,
+// however it is split or re-driven, converges on one portion.
+func encodeTxnPrepare(h header, attempt uint32, homeKey string, allKeys, reads []string, writes []TxnWrite, conds []TxnCond) []byte {
+	dst := commandHeader(opTxnPrepare, h)
+	dst = binary.AppendUvarint(dst, uint64(attempt))
 	dst = appendBytes(dst, []byte(homeKey))
 	dst = appendKeys(dst, allKeys)
 	dst = appendKeys(dst, reads)
@@ -253,9 +313,9 @@ func encodeTxnPrepare(id, txnID uint64, homeKey string, allKeys, reads []string,
 // encodeTxnResolve encodes a transaction resolve (commit or abort). It
 // carries the full key set so a shard that never saw the prepare can fence
 // the decision for the keys it serves.
-func encodeTxnResolve(id, txnID uint64, commit bool, homeKey string, allKeys []string) []byte {
-	dst := commandHeader(opTxnResolve, id)
-	dst = binary.BigEndian.AppendUint64(dst, txnID)
+func encodeTxnResolve(h header, attempt uint32, commit bool, homeKey string, allKeys []string) []byte {
+	dst := commandHeader(opTxnResolve, h)
+	dst = binary.AppendUvarint(dst, uint64(attempt))
 	dst = appendBool(dst, commit)
 	dst = appendBytes(dst, []byte(homeKey))
 	return appendKeys(dst, allKeys)
@@ -269,16 +329,18 @@ func encodeTxnResolve(id, txnID uint64, commit bool, homeKey string, allKeys []s
 // line protocol — so the in-process client, the RPC proxy, and the external
 // daemon speak one protocol. Requests are self-describing and versioned:
 //
-//	ver(1) | op(1) | flags(1) | budget-ms uvarint | epoch uvarint | id(8) | op payload
+//	ver(1) | op(1) | flags(1) | budget-ms uvarint | epoch uvarint | session(8) | seq uvarint | seq−ack uvarint | op payload
 //
 // and responses:
 //
 //	ver(1) | status(1) | status payload
 //
-// Command ids are chosen by the originating client and carried end to end
-// (batch ops carry one id per element): replicas deduplicate applies by id,
-// which is what keeps retries exactly-once across RPC retransmissions,
-// ForwardRequest hops, shard failovers, and routing-epoch flips. The epoch
+// The (session, seq, ack) header is chosen by the originating client and
+// carried end to end into the shard commands (a batch carries one seq per
+// pair, spelled as the shard command spells them): replicas deduplicate
+// applies by (session, seq), which is what keeps retries exactly-once across
+// RPC retransmissions, ForwardRequest hops, shard failovers, and
+// routing-epoch flips. The epoch
 // is the routing table the client targeted the request with; a service at a
 // different epoch still serves the request (under its own, newer-or-older
 // table, forwarding misroutes), and attaches its table to the response so
@@ -292,8 +354,10 @@ func encodeTxnResolve(id, txnID uint64, commit bool, homeKey string, allKeys []s
 // version 4 added the read-path flags (lease and bounded-staleness reads), a
 // max-staleness bound on ReqGet, and the read-path and topology fields on
 // responses (which path served the read, how stale it may be, and the node
-// count and replication factor a fleet-shaped client steers reads with).
-const ProtoVersion = 4
+// count and replication factor a fleet-shaped client steers reads with);
+// version 5 replaced the command id with the client session header and the
+// transaction id with the attempt number.
+const ProtoVersion = 5
 
 // Request ops.
 const (
@@ -307,15 +371,16 @@ const (
 	// ReqCAS swaps Key to Val if its value equals Expect (ExpectPresent
 	// false: only if absent).
 	ReqCAS
-	// ReqBatchPut writes Pairs, each deduplicated by its own id in IDs.
+	// ReqBatchPut writes Pairs, each deduplicated by its own seq in IDs.
 	ReqBatchPut
-	// ReqTxnPrepare locks one shard's portion of a transaction (TxnID,
-	// HomeKey, AllKeys; local reads in Keys, plus Writes and Conds) and
-	// captures its reads. Issued by the 2PC coordinator in Client.Txn.
+	// ReqTxnPrepare locks one shard's portion of a transaction attempt
+	// (Session, ID, Attempt; HomeKey, AllKeys; local reads in Keys, plus
+	// Writes and Conds) and captures its reads. Issued by the 2PC coordinator
+	// in Client.Txn.
 	ReqTxnPrepare
 	// ReqTxnResolve commits (Commit true) or aborts one shard's portion of
-	// TxnID. Key names a representative key the portion serves, so routing
-	// follows the portion across reshardings.
+	// the attempt. Key names a representative key the portion serves, so
+	// routing follows the portion across reshardings.
 	ReqTxnResolve
 	// ReqTxn is a whole transaction (reads in Keys, plus Writes and Conds):
 	// the form ring-less clients and the daemon's TXN verb send. A node (or
@@ -365,9 +430,15 @@ var (
 type Request struct {
 	Op    byte
 	Flags byte
-	// ID is the command id (single-command ops). The zero value asks the
-	// client to assign one; it is always set on the wire.
-	ID uint64
+	// Session, ID and Ack are the request's exactly-once header: the client
+	// session, the request's sequence number in it, and the session's ack —
+	// its lowest seq whose caller still waits. A zero Session asks the
+	// client to number the request in its own session (ID and Ack are then
+	// assigned too); a caller that sets Session pins the request, which a
+	// retry under the same (Session, ID) is then deduplicated against.
+	Session uint64
+	ID      uint64
+	Ack     uint64
 	// Budget is the caller's remaining time budget, carried across the
 	// RPC hop so the serving node's context expires with the caller's.
 	// Zero means "server default".
@@ -386,16 +457,17 @@ type Request struct {
 	ExpectPresent bool     // ReqCAS
 	Expect        []byte   // ReqCAS
 	Pairs         []Pair   // ReqBatchPut
-	// IDs carries one command id per Pairs element, preserved verbatim
+	// IDs carries one seq of Session per Pairs element, preserved verbatim
 	// across splits and forwards so every node deduplicates identically.
 	IDs []uint64 // ReqBatchPut
 
-	// Transaction fields (ReqTxn, ReqTxnPrepare, ReqTxnResolve). TxnID is
-	// the transaction's identity across every participant shard; HomeKey
-	// names the home portion whose shard order arbitrates the outcome;
-	// AllKeys is the full (sorted) key set, carried so any shard can fence
-	// the decision for keys it serves.
-	TxnID   uint64
+	// Transaction fields (ReqTxn, ReqTxnPrepare, ReqTxnResolve). A
+	// transaction is (Session, ID) — its ReqTxn's — across every participant
+	// shard, and Attempt numbers its tries; HomeKey names the home portion
+	// whose shard order arbitrates the outcome; AllKeys is the full (sorted)
+	// key set, carried so any shard can fence the decision for keys it
+	// serves.
+	Attempt uint32
 	HomeKey string
 	AllKeys []string
 	Writes  []TxnWrite // ReqTxn, ReqTxnPrepare (local subset)
@@ -409,7 +481,11 @@ func EncodeRequest(r *Request) []byte {
 	dst = append(dst, ProtoVersion, r.Op, r.Flags)
 	dst = binary.AppendUvarint(dst, uint64(r.Budget/time.Millisecond))
 	dst = binary.AppendUvarint(dst, r.Epoch)
-	dst = binary.BigEndian.AppendUint64(dst, r.ID)
+	h := header{session: r.Session, seq: r.ID, ack: r.Ack}
+	if r.Op == ReqBatchPut && len(r.IDs) > 0 {
+		h.seq = r.IDs[0] // a batch is its pairs' seqs
+	}
+	dst = appendHeader(dst, h)
 	switch r.Op {
 	case ReqGet:
 		// v4: the staleness bound precedes the keys (always present).
@@ -426,16 +502,16 @@ func EncodeRequest(r *Request) []byte {
 		dst = appendBytes(dst, r.Expect)
 		dst = appendBytes(dst, r.Val)
 	case ReqBatchPut:
-		dst = appendIDPairs(dst, r.IDs, r.Pairs)
+		dst = appendSeqPairs(dst, r.IDs, r.Pairs)
 	case ReqTxnPrepare:
-		dst = binary.BigEndian.AppendUint64(dst, r.TxnID)
+		dst = binary.AppendUvarint(dst, uint64(r.Attempt))
 		dst = appendBytes(dst, []byte(r.HomeKey))
 		dst = appendKeys(dst, r.AllKeys)
 		dst = appendKeys(dst, r.Keys)
 		dst = appendTxnWrites(dst, r.Writes)
 		dst = appendTxnConds(dst, r.Conds)
 	case ReqTxnResolve:
-		dst = binary.BigEndian.AppendUint64(dst, r.TxnID)
+		dst = binary.AppendUvarint(dst, uint64(r.Attempt))
 		dst = appendBool(dst, r.Commit)
 		dst = appendBytes(dst, []byte(r.Key))
 		dst = appendBytes(dst, []byte(r.HomeKey))
@@ -458,7 +534,9 @@ func DecodeRequest(b []byte) (*Request, error) {
 	}
 	r := &Request{Op: b[1], Flags: b[2]}
 	in := reader{b: b[3:]}
-	r.Budget, r.Epoch, r.ID = in.millis(), in.uvarint(), in.u64()
+	r.Budget, r.Epoch = in.millis(), in.uvarint()
+	h := in.header()
+	r.Session, r.ID, r.Ack = h.session, h.seq, h.ack
 	if in.failed {
 		return nil, errBadRequest // a malformed header, reported before an unknown op
 	}
@@ -474,19 +552,12 @@ func DecodeRequest(b []byte) (*Request, error) {
 	case ReqCAS:
 		r.Key, r.ExpectPresent, r.Expect, r.Val = in.str(), in.flag(), in.raw(), in.raw()
 	case ReqBatchPut:
-		n := in.count(10) // an id and two length bytes
-		r.IDs, r.Pairs = make([]uint64, n), make([]Pair, n)
-		for i := range r.Pairs {
-			r.IDs[i], r.Pairs[i] = in.u64(), Pair{Key: in.str(), Val: in.raw()}
-		}
-		if n == 0 {
-			in.fail()
-		}
+		r.IDs, r.Pairs = in.seqPairs(r.ID, false)
 	case ReqTxnPrepare:
-		r.TxnID, r.HomeKey, r.AllKeys, r.Keys = in.u64(), in.str(), in.keys(), in.keys()
+		r.Attempt, r.HomeKey, r.AllKeys, r.Keys = in.attempt(), in.str(), in.keys(), in.keys()
 		r.Writes, r.Conds = in.writes(), in.conds()
 	case ReqTxnResolve:
-		r.TxnID, r.Commit, r.Key, r.HomeKey, r.AllKeys = in.u64(), in.flag(), in.str(), in.str(), in.keys()
+		r.Attempt, r.Commit, r.Key, r.HomeKey, r.AllKeys = in.attempt(), in.flag(), in.str(), in.str(), in.keys()
 	case ReqTxn:
 		r.Keys, r.Writes, r.Conds = in.keys(), in.writes(), in.conds()
 	default:
@@ -620,8 +691,8 @@ func DecodeResponse(b []byte) (*Response, error) {
 
 // command is the decoded form of a wire command.
 type command struct {
-	op            byte
-	id            uint64
+	op byte
+	header
 	key           string
 	val           []byte
 	expectPresent bool
@@ -629,10 +700,11 @@ type command struct {
 	keys          []string       // opGet; opTxnPrepare: the read set
 	routing       Routing        // migrate ops: the target table
 	pairs         []Pair         // opMigrateImport, opBatchPut
-	ids           []uint64       // opBatchPut: one id per pair
-	impResults    []importResult // opMigrateImport: migrated dedup results
+	seqs          []uint64       // opBatchPut: one seq per pair
+	clock         uint64         // opMigrateImport: the source's session clock
+	moved         []movedSession // opMigrateImport: the sessions that travel
 	txns          []*txnPortion  // opMigrateImport: migrated txn portions
-	txnID         uint64         // txn ops
+	attempt       uint32         // txn ops
 	txnCommit     bool           // opTxnResolve: the decision
 	homeKey       string         // txn ops
 	allKeys       []string       // txn ops
@@ -641,12 +713,18 @@ type command struct {
 	ranges        int            // opAudit: digest partition count
 }
 
+// waitID is the id the command's local waiter registers under.
+func (c *command) waitID() uint64 { return waitID(c.op, c.session, c.seq, c.attempt) }
+
+// txnID is the transaction attempt a txn op names.
+func (c *command) txnID() txnID { return txnID{session: c.session, seq: c.seq, attempt: c.attempt} }
+
 func decodeCommand(b []byte) (command, error) {
-	if len(b) < 9 {
+	if len(b) < 1 {
 		return command{}, errBadCommand
 	}
-	c := command{op: b[0], id: binary.BigEndian.Uint64(b[1:9])}
-	r := reader{b: b[9:]}
+	r := reader{b: b[1:]}
+	c := command{op: b[0], header: r.header()}
 	switch c.op {
 	case opPut:
 		c.key, c.val = r.str(), r.raw()
@@ -664,34 +742,30 @@ func decodeCommand(b []byte) (command, error) {
 		for i := range c.pairs {
 			c.pairs[i] = Pair{Key: r.str(), Val: r.bytes()}
 		}
-		c.impResults = make([]importResult, r.count(10)) // id, flag, length byte
-		for i := range c.impResults {
-			c.impResults[i] = importResult{ID: r.u64(), OK: r.flag(), Key: r.str()}
+		c.clock = r.uvarint()
+		c.moved = make([]movedSession, r.count(10)) // an id, an ack and a count
+		for i := range c.moved {
+			m := &c.moved[i]
+			m.ID, m.Ack = r.u64(), r.uvarint()
+			m.Outcomes = r.outcomes(m.ID, m.Ack)
 		}
 		c.txns = make([]*txnPortion, r.count(minPortionBytes))
 		for i := range c.txns {
 			c.txns[i] = r.portion()
 		}
 	case opTxnPrepare:
-		c.txnID, c.homeKey, c.allKeys, c.keys = r.u64(), r.str(), r.keys(), r.keys()
+		c.attempt, c.homeKey, c.allKeys, c.keys = r.attempt(), r.str(), r.keys(), r.keys()
 		c.writes, c.conds = r.writes(), r.conds()
 	case opTxnResolve:
-		c.txnID, c.txnCommit, c.homeKey, c.allKeys = r.u64(), r.flag(), r.str(), r.keys()
+		c.attempt, c.txnCommit, c.homeKey, c.allKeys = r.attempt(), r.flag(), r.str(), r.keys()
 	case opAudit:
 		if c.ranges = int(r.upTo(maxAuditRanges)); c.ranges == 0 {
 			r.fail()
 		}
 	case opBatchPut:
-		n := r.count(10) // an id and two length bytes
-		c.ids, c.pairs = make([]uint64, n), make([]Pair, n)
-		for i := range c.pairs {
-			// The value is copied out, as an import's is: the state machine
-			// keeps it, and it must not keep the whole command alive.
-			c.ids[i], c.pairs[i] = r.u64(), Pair{Key: r.str(), Val: r.bytes()}
-		}
-		// A batch is spelled one way: at least one pair, the header id the
-		// first pair's, nothing after the last.
-		if n == 0 || c.ids[0] != c.id || len(r.b) != 0 {
+		// The values are copied out, as an import's are. A batch is spelled
+		// one way: at least one pair, nothing after the last.
+		if c.seqs, c.pairs = r.seqPairs(c.seq, true); len(r.b) != 0 {
 			r.fail()
 		}
 	default:
@@ -741,6 +815,20 @@ func (r *reader) u64() uint64 {
 }
 
 func (r *reader) uvarint() uint64 { return r.upTo(math.MaxUint64) }
+
+// varint reads a zigzag varint.
+func (r *reader) varint() int64 {
+	v, w := binary.Varint(r.b)
+	if w <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[w:]
+	return v
+}
+
+// attempt reads a transaction attempt's number.
+func (r *reader) attempt() uint32 { return uint32(r.upTo(math.MaxUint32)) }
 
 // upTo reads a uvarint and refuses one above max.
 func (r *reader) upTo(max uint64) uint64 {

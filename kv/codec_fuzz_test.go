@@ -8,31 +8,61 @@ import (
 	"time"
 )
 
-// commandSeeds is one output of every shard-command encoder in codec.go.
+// testSession is the session the state-machine tests send their commands in:
+// born at minute zero, so no clock those tests advance expires it.
+const testSession = 0x5e55
+
+// at is a command header of testSession at seq, acknowledging nothing.
+func at(seq uint64) header { return header{session: testSession, seq: seq} }
+
+// records counts the transaction records a shard keeps, over its sessions.
+func records(sm *mapSM) int {
+	n := 0
+	for _, st := range sm.sessions {
+		n += len(st.records)
+	}
+	return n
+}
+
+// seedSession is the session the codec seeds are spelled in: born in 2026,
+// as a client's would be.
+const seedSession = 0x1bb3e71c_5e55_1042
+
+// commandSeeds is one output of every shard-command encoder in codec.go, the
+// batch put's seqs out of order (the deltas between them are signed), the
+// import carrying sessions with outcomes and a transaction portion.
 func commandSeeds() [][]byte {
 	rt := Routing{Epoch: 3, Shards: 8, VNodes: 64}
+	h := func(seq, ack uint64) header { return header{session: seedSession, seq: seq, ack: ack} }
 	pairs := []Pair{{Key: "alpha", Val: []byte("one")}, {Key: "beta", Val: nil}, {Key: "", Val: bytes.Repeat([]byte{7}, 200)}}
 	writes := []TxnWrite{{Key: "w", Val: []byte("v")}, {Key: "gone", Delete: true}}
 	conds := []TxnCond{{Key: "c", ExpectPresent: true, Expect: []byte("e")}, {Key: "absent"}}
 	chunk := &importChunk{
-		Pairs:   pairs,
-		Results: []importResult{{ID: 11, OK: true, Key: "alpha"}, {ID: 12, Key: "beta"}},
-		Txns: []*txnPortion{{TxnID: 21, HomeKey: "w", AllKeys: []string{"r", "w"}, State: txnStatePrepared,
+		Pairs: pairs,
+		Clock: sessionBorn(seedSession),
+		Moved: []movedSession{
+			{ID: seedSession, Ack: 300, Outcomes: []outcome{{seq: 300, ok: true, key: "alpha"}, {seq: 1000, key: "beta"}}},
+			{ID: testSession, Ack: 7},
+		},
+		Txns: []*txnPortion{{ID: txnID{session: seedSession, seq: 21, attempt: 2}, HomeKey: "w", AllKeys: []string{"r", "w"}, State: txnStatePrepared,
 			Reads: []string{"r"}, Writes: writes, Conds: conds, Values: [][]byte{[]byte("x")}, Found: []bool{true}}},
 	}
 	return [][]byte{
-		encodePut(1, "key", []byte("value")),
-		encodeDelete(2, "key"),
-		encodeCAS(3, "key", true, []byte("old"), []byte("new")),
-		encodeGet(4, []string{"a", "bb", ""}),
-		encodeMigrate(opMigrateBegin, 5, rt),
-		encodeMigrate(opMigrateCommit, 6, rt),
-		encodeMigrate(opMigrateAbort, 7, rt),
-		encodeMigrateImport(8, rt, chunk),
-		encodeTxnPrepare(9, 21, "w", []string{"r", "w"}, []string{"r"}, writes, conds),
-		encodeTxnResolve(10, 21, true, "w", []string{"r", "w"}),
-		encodeAudit(13, 16),
-		encodeBatchPut([]uint64{14, 15, 16}, pairs),
+		encodePut(h(1, 1), "key", []byte("value")),
+		encodeDelete(h(2, 1), "key"),
+		encodeCAS(h(3, 0), "key", true, []byte("old"), []byte("new")),
+		encodeGet(h(4, 4), []string{"a", "bb", ""}),
+		encodeMigrate(opMigrateBegin, h(5, 5), rt),
+		encodeMigrate(opMigrateCommit, h(6, 5), rt),
+		encodeMigrate(opMigrateAbort, h(7, 5), rt),
+		encodeMigrateImport(h(8, 8), rt, chunk),
+		encodeTxnPrepare(h(21, 20), 2, "w", []string{"r", "w"}, []string{"r"}, writes, conds),
+		encodeTxnResolve(h(21, 20), 2, true, "w", []string{"r", "w"}),
+		encodeAudit(h(13, 9), 16),
+		encodeBatchPut(h(0, 14), []uint64{14, 15, 16}, pairs),
+		encodeBatchPut(h(0, 200), []uint64{300, 301, 299, 100000, 2}, []Pair{{Key: "a", Val: []byte("1")},
+			{Key: "b", Val: []byte("2")}, {Key: "c"}, {Key: "d", Val: bytes.Repeat([]byte{9}, 64)}, {Key: "e", Val: []byte("5")}}),
+		encodePut(header{session: ^uint64(0), seq: 1 << 62, ack: 1<<62 - 1}, "far", nil),
 	}
 }
 
@@ -42,10 +72,10 @@ func commandSeeds() [][]byte {
 func legacyImportSeed() []byte {
 	rt := Routing{Epoch: 3, Shards: 8, VNodes: 64}
 	chunk := &importChunk{
-		Pairs:   []Pair{{Key: "alpha", Val: []byte("one")}, {Key: "beta", Val: nil}, {Key: "", Val: bytes.Repeat([]byte{7}, 200)}},
-		Results: []importResult{{ID: 11, OK: true, Key: "alpha"}, {ID: 12, Key: "beta"}},
+		Pairs: []Pair{{Key: "alpha", Val: []byte("one")}, {Key: "beta", Val: nil}, {Key: "", Val: bytes.Repeat([]byte{7}, 200)}},
+		Moved: []movedSession{{ID: seedSession, Ack: 11, Outcomes: []outcome{{seq: 11, ok: true, key: "alpha"}, {seq: 12, key: "beta"}}}},
 	}
-	b := encodeMigrateImport(8, rt, chunk)
+	b := encodeMigrateImport(header{session: seedSession, seq: 8}, rt, chunk)
 	b[len(b)-1] = 1 // the portion count
 	return appendBytes(b, []byte(`{"id":21,"home":"w","all":["r","w"],"state":1,"reads":["r"],`+
 		`"writes":[{"Key":"w","Val":"dg==","Delete":false},{"Key":"gone","Val":null,"Delete":true}],`+
@@ -104,7 +134,7 @@ func FuzzDecodeCommand(f *testing.F) {
 		if err != nil || c.op != opBatchPut {
 			return
 		}
-		again := encodeBatchPut(c.ids, c.pairs)
+		again := encodeBatchPut(c.header, c.seqs, c.pairs)
 		if len(again) > len(b) {
 			t.Fatalf("a %d-byte batch re-encodes to %d bytes: the encoder is not minimal", len(b), len(again))
 		}
@@ -125,14 +155,15 @@ func requestSeeds() []*Request {
 	conds := []TxnCond{{Key: "c", ExpectPresent: true, Expect: []byte("e")}, {Key: "absent"}}
 	all := []string{"absent", "c", "gone", "r", "w"}
 	return []*Request{
-		{Op: ReqGet, ID: 1, Flags: flagStaleRead, MaxStale: 40e6, Epoch: 3, Keys: []string{"a", "bb", "", "a"}},
-		{Op: ReqPut, ID: 2, Budget: 5e9, Key: "key", Val: []byte("value")},
-		{Op: ReqDelete, ID: 3, Key: "key"},
-		{Op: ReqCAS, ID: 4, Key: "key", ExpectPresent: true, Expect: []byte("old"), Val: []byte("new")},
-		{Op: ReqBatchPut, Pairs: pairs, IDs: []uint64{5, 6, 7}},
-		{Op: ReqTxnPrepare, ID: 8, TxnID: 21, HomeKey: "absent", AllKeys: all, Keys: []string{"r", "w"}, Writes: writes, Conds: conds},
-		{Op: ReqTxnResolve, ID: 9, TxnID: 21, Commit: true, Key: "w", HomeKey: "absent", AllKeys: all},
-		{Op: ReqTxn, ID: 10, Keys: []string{"r"}, Writes: writes, Conds: conds},
+		{Op: ReqGet, Session: seedSession, ID: 1, Ack: 1, Flags: flagStaleRead, MaxStale: 40e6, Epoch: 3, Keys: []string{"a", "bb", "", "a"}},
+		{Op: ReqPut, Session: seedSession, ID: 2, Ack: 1, Budget: 5e9, Key: "key", Val: []byte("value")},
+		{Op: ReqDelete, Session: seedSession, ID: 3, Ack: 3, Key: "key"},
+		{Op: ReqCAS, Session: seedSession, ID: 4, Key: "key", ExpectPresent: true, Expect: []byte("old"), Val: []byte("new")},
+		{Op: ReqBatchPut, Session: seedSession, ID: 5, Ack: 4, Pairs: pairs, IDs: []uint64{5, 6, 7}},
+		{Op: ReqBatchPut, Session: seedSession, ID: 900, Ack: 300, Pairs: append(pairs, Pair{Key: "delta", Val: []byte("4")}), IDs: []uint64{900, 302, 301, 70000}},
+		{Op: ReqTxnPrepare, Session: seedSession, ID: 21, Ack: 20, Attempt: 2, HomeKey: "absent", AllKeys: all, Keys: []string{"r", "w"}, Writes: writes, Conds: conds},
+		{Op: ReqTxnResolve, Session: seedSession, ID: 21, Ack: 20, Attempt: 2, Commit: true, Key: "w", HomeKey: "absent", AllKeys: all},
+		{Op: ReqTxn, Session: seedSession, ID: 10, Ack: 8, Keys: []string{"r"}, Writes: writes, Conds: conds},
 	}
 }
 
@@ -157,7 +188,7 @@ func FuzzRequestSplit(f *testing.F) {
 			f.Add(seed[:cut])
 		}
 	}
-	cl, r, rt, _ := splitFixture(f)
+	_, r, rt, _ := splitFixture(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var req *Request
 		var err error
@@ -171,7 +202,7 @@ func FuzzRequestSplit(f *testing.F) {
 		if again, err := DecodeRequest(EncodeRequest(req)); err != nil || !reflect.DeepEqual(req, again) {
 			t.Fatalf("re-encoded request decodes to %+v, %v; want %+v", again, err, req)
 		}
-		shard, parts := cl.split(r, rt, req)
+		shard, parts := split(r, rt, req)
 		if parts == nil {
 			for i := 0; shard >= 0 && i < req.numKeys(); i++ {
 				if got := r.shard(req.keyAt(i)); got != shard {

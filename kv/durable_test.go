@@ -61,8 +61,9 @@ func TestDurableColdRestartExactlyOnce(t *testing.T) {
 	if err := cl.BatchPut(ctx, pairs); err != nil {
 		t.Fatalf("BatchPut: %v", err)
 	}
-	// An atomic create with a pinned command id — the retried command.
-	casReq := &Request{Op: ReqCAS, Key: "lock", Val: []byte("owner-1"), ID: 0xD00D_F00D}
+	// An atomic create pinned to a (session, seq) — the retried command.
+	pin := newSessionID(time.Now())
+	casReq := &Request{Op: ReqCAS, Key: "lock", Val: []byte("owner-1"), Session: pin, ID: 0xD00D_F00D}
 	resp, err := cl.Do(ctx, casReq)
 	if err != nil || !resp.OK {
 		t.Fatalf("CAS create = %+v, %v", resp, err)
@@ -91,10 +92,10 @@ func TestDurableColdRestartExactlyOnce(t *testing.T) {
 		}
 	}
 
-	// The client retries its CAS (same command id) across the restart: the
+	// The client retries its CAS (same session and seq) across the restart: the
 	// dedup state recovered from the WAL must suppress re-execution and
 	// answer the original result — OK, even though the key now exists.
-	retry := &Request{Op: ReqCAS, Key: "lock", Val: []byte("owner-1"), ID: 0xD00D_F00D}
+	retry := &Request{Op: ReqCAS, Key: "lock", Val: []byte("owner-1"), Session: pin, ID: 0xD00D_F00D}
 	resp2, err := cl2.Do(ctx, retry)
 	if err != nil || !resp2.OK {
 		t.Fatalf("retried CAS after restart = %+v, %v (duplicate was re-executed?)", resp2, err)

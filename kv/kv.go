@@ -80,9 +80,10 @@ type Options struct {
 	// fills it in; Join with bounded replication requires it (a
 	// replacement node takes the slot of the node it replaces).
 	NodeIndex int
-	// ResultWindow bounds the per-shard replicated result table, the
-	// exactly-once horizon: a command retried after this many further
-	// commands executed on its shard executes again (default 65536).
+	// ResultWindow is ignored. It bounded a count window of command
+	// results, the exactly-once horizon before client sessions; a shard now
+	// keeps a session's outcomes until the client acknowledges them (see
+	// session.go). The field stays so that callers which set it build.
 	ResultWindow int
 	// DataDir, when set, makes every hosted shard durable: each replica
 	// journals its deliveries to a write-ahead log under
@@ -142,9 +143,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
-	}
-	if o.ResultWindow <= 0 {
-		o.ResultWindow = defaultResultWindow
 	}
 	if o.TxnRecoveryAfter <= 0 {
 		o.TxnRecoveryAfter = 3 * time.Second
@@ -226,10 +224,9 @@ type Store struct {
 	shardPending map[int]Routing
 	routeWake    chan struct{}
 
-	// idNonce + idSeq mint command ids for this store's own sequenced
-	// commands (migration protocol).
-	idNonce uint64
-	idSeq   atomic.Uint64
+	// sess numbers this store's own sequenced commands (the migration
+	// protocol and audits), as a client's session numbers its commands.
+	sess session
 
 	// reshardMu serialises coordinators on this node; coordinating marks
 	// an active handoff driven from this node (it elects this node the
@@ -271,7 +268,6 @@ func newStore(name string, k *amoeba.Kernel, opts Options) *Store {
 		ring:         rt.ring(name),
 		shardPending: make(map[int]Routing),
 		routeWake:    make(chan struct{}),
-		idNonce:      clientNonce(),
 		shards:       make([]*shared.Replica, opts.Shards),
 		owners:       make(map[int]bool),
 		healCtx:      ctx,
@@ -291,7 +287,7 @@ func newStore(name string, k *amoeba.Kernel, opts Options) *Store {
 // newShardSM builds shard i's state machine, wired to report routing changes
 // back to this store.
 func (s *Store) newShardSM(shard int) *mapSM {
-	sm := newMapSM(s.name, shard, s.Routing(), s.opts.ResultWindow, s.noteRouting)
+	sm := newMapSM(s.name, shard, s.Routing(), s.noteRouting)
 	if hub := s.opts.Group.Obs; hub != nil {
 		sm.tracer = hub.Tracer()
 		sm.flight = hub.Flight()
@@ -303,8 +299,14 @@ func (s *Store) newShardSM(shard int) *mapSM {
 	return sm
 }
 
-// nextCmdID mints a command id for the store's own sequenced commands.
-func (s *Store) nextCmdID() uint64 { return s.idNonce + s.idSeq.Add(1) }
+// run submits one command of the store's own session — a migration step or
+// an audit, spelled by encode under the header it is given — through shard's
+// total order and waits for its answer.
+func (s *Store) run(ctx context.Context, shard int, op byte, encode func(header) []byte) (result, error) {
+	session, seq, ack := s.sess.begin(1)
+	defer s.sess.end(session, seq, 1)
+	return s.do(ctx, shard, waitID(op, session, seq, 0), encode(header{session: session, seq: seq, ack: ack}))
+}
 
 // Routing returns the store's current routing table: the highest epoch any
 // hosted replica has applied.

@@ -196,10 +196,11 @@ func TestBatchPutCoalescesAcrossShards(t *testing.T) {
 	}
 }
 
-// TestBatchPutIsExactlyOnceUnderRetry checks the id-dedup contract the
-// BatchPut retry loop depends on: re-submitting an already-committed batch
-// must not re-execute it, and a batch command that mixes applied ids with new
-// ones — what a re-split after an epoch flip sends — executes only the new.
+// TestBatchPutIsExactlyOnceUnderRetry checks the dedup contract the BatchPut
+// retry loop depends on: re-submitting an already-committed batch under its
+// (session, seqs) must not re-execute it, and a batch command that mixes
+// applied seqs with new ones — what a re-split after an epoch flip sends —
+// executes only the new.
 func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 	ctx := ctxT(t, 30*time.Second)
 	net := amoeba.NewMemoryNetwork()
@@ -207,12 +208,13 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 	stores := newCluster(t, ctx, net, "batchonce", 1, Options{Shards: 1})
 	defer stores[0].Close()
 
-	putBatch := func(ids []uint64, pairs []Pair) error {
-		_, err := stores[0].do(ctx, 0, ids, batchPutCommands(ids, pairs))
+	cl := stores[0].NewClient()
+	session := newSessionID(time.Now())
+	putBatch := func(seqs []uint64, pairs []Pair) error {
+		_, err := cl.Do(ctx, &Request{Op: ReqBatchPut, Session: session, IDs: seqs, Pairs: pairs})
 		return err
 	}
-	cl := stores[0].NewClient()
-	ids := []uint64{cl.nextID(), cl.nextID()}
+	ids := []uint64{1, 2}
 	pairs := []Pair{{Key: "k", Val: []byte("first")}, {Key: "k", Val: []byte("second")}}
 	if err := putBatch(ids, pairs); err != nil {
 		t.Fatalf("putBatch: %v", err)
@@ -224,16 +226,16 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	// Replaying the original batch (a retry after a presumed-lost reply)
-	// must be a no-op: the pairs' ids already have results.
+	// must be a no-op: the pairs' seqs already have outcomes.
 	if err := putBatch(ids, pairs); err != nil {
 		t.Fatalf("putBatch replay: %v", err)
 	}
 	if v, ok := cl.LocalGet("k"); !ok || string(v) != "third" {
 		t.Fatalf("k = %q %v: replayed batch re-executed", v, ok)
 	}
-	// The mixed case: one applied id (leading the command, so a dedup keyed
+	// The mixed case: one applied seq (leading the command, so a dedup keyed
 	// on the command rather than the pair would swallow both) and one new.
-	mixedIDs := []uint64{ids[1], cl.nextID()}
+	mixedIDs := []uint64{ids[1], 3}
 	mixed := []Pair{{Key: "k", Val: []byte("second")}, {Key: "fresh", Val: []byte("new")}}
 	if err := putBatch(mixedIDs, mixed); err != nil {
 		t.Fatalf("putBatch mixed: %v", err)
@@ -246,15 +248,16 @@ func TestBatchPutIsExactlyOnceUnderRetry(t *testing.T) {
 	}
 }
 
-// TestBatchPutLargerThanResultWindow writes more pairs to one shard than its
-// result window holds. Each pair's answer is handed to the caller as the pair
-// applies; looking all 64 results up afterwards in a 16-entry window waits
-// forever.
+// TestBatchPutLargerThanResultWindow writes 64 pairs to one shard in one
+// call — four times what the 16-entry result window of earlier builds held,
+// where looking the answers up after the batch applied waited forever. Each
+// pair's answer is handed to the caller as the pair applies, whatever the
+// shard keeps of it afterwards.
 func TestBatchPutLargerThanResultWindow(t *testing.T) {
 	ctx := ctxT(t, 10*time.Second)
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
-	stores := newCluster(t, ctx, net, "batchwindow", 1, Options{Shards: 1, ResultWindow: 16})
+	stores := newCluster(t, ctx, net, "batchwindow", 1, Options{Shards: 1})
 	defer stores[0].Close()
 
 	cl := stores[0].NewClient()
@@ -263,7 +266,7 @@ func TestBatchPutLargerThanResultWindow(t *testing.T) {
 		pairs[i] = Pair{Key: fmt.Sprintf("wide-%02d", i), Val: []byte{byte(i)}}
 	}
 	if err := cl.BatchPut(ctx, pairs); err != nil {
-		t.Fatalf("BatchPut of %d pairs through a 16-entry result window: %v", len(pairs), err)
+		t.Fatalf("BatchPut of %d pairs: %v", len(pairs), err)
 	}
 	for _, p := range pairs {
 		if v, ok := cl.LocalGet(p.Key); !ok || !bytes.Equal(v, p.Val) {
@@ -273,16 +276,17 @@ func TestBatchPutLargerThanResultWindow(t *testing.T) {
 }
 
 // TestConcurrentBatchPutThroughSmallWindow has four clients write 64-pair
-// batches to one shard whose result window holds 16: whatever a caller's
-// batch records, the other callers' evict before it runs again. Every call
-// must return all the same — a caller is handed its answers as its pairs
-// apply and needs nothing of the window — and every key must read back its
-// caller's last round.
+// batches to one shard at once — the crowd that, through the 16-entry result
+// window of earlier builds, evicted every caller's results before it came
+// back for them. Every call must return — a caller is handed its answers as
+// its pairs apply, and each session's outcomes are freed by that session's
+// own acks, never by the other callers' traffic — and every key must read
+// back its caller's last round.
 func TestConcurrentBatchPutThroughSmallWindow(t *testing.T) {
 	ctx := ctxT(t, 60*time.Second)
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
-	stores := newCluster(t, ctx, net, "batchcrowd", 1, Options{Shards: 1, ResultWindow: 16})
+	stores := newCluster(t, ctx, net, "batchcrowd", 1, Options{Shards: 1})
 	defer stores[0].Close()
 
 	const clients, rounds, width = 4, 50, 64

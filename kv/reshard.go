@@ -133,7 +133,7 @@ func (s *Store) reshardTo(ctx context.Context, target Routing) error {
 		// Phase 1: freeze. Every old shard installs the pending table; the
 		// ranges it loses stop serving until its commit.
 		for i := 0; i < oldN; i++ {
-			if err := s.migrate(ctx, i, encodeMigrate(opMigrateBegin, s.nextCmdID(), target)); err != nil {
+			if err := s.migrate(ctx, i, opMigrateBegin, target, nil); err != nil {
 				return fmt.Errorf("kv: migrate-begin on shard %d: %w", i, err)
 			}
 		}
@@ -146,7 +146,7 @@ func (s *Store) reshardTo(ctx context.Context, target Routing) error {
 				return err
 			}
 			for i := oldN; i < target.Shards; i++ {
-				if err := s.migrate(ctx, i, encodeMigrate(opMigrateBegin, s.nextCmdID(), target)); err != nil {
+				if err := s.migrate(ctx, i, opMigrateBegin, target, nil); err != nil {
 					return fmt.Errorf("kv: migrate-begin on new shard %d: %w", i, err)
 				}
 			}
@@ -189,7 +189,7 @@ func (s *Store) commitAll(ctx context.Context, target Routing) error {
 		if retired(i) {
 			continue
 		}
-		if err := s.migrate(ctx, i, encodeMigrate(opMigrateCommit, s.nextCmdID(), target)); err != nil {
+		if err := s.migrate(ctx, i, opMigrateCommit, target, nil); err != nil {
 			if retired(i) {
 				continue
 			}
@@ -216,8 +216,7 @@ func (s *Store) exportShard(ctx context.Context, src int, next *ring, target Rou
 	})
 	for dest, list := range chunks {
 		for _, chunk := range list {
-			cmd := encodeMigrateImport(s.nextCmdID(), target, chunk)
-			if err := s.migrate(ctx, dest, cmd); err != nil {
+			if err := s.migrate(ctx, dest, opMigrateImport, target, chunk); err != nil {
 				return fmt.Errorf("kv: importing %d pairs from shard %d into shard %d: %w",
 					len(chunk.Pairs), src, dest, err)
 			}
@@ -226,27 +225,29 @@ func (s *Store) exportShard(ctx context.Context, src int, next *ring, target Rou
 	return nil
 }
 
-// migrate submits one migration command through shard i's total order and
-// waits for its replicated result. A Moved result (an import landing after
-// the target already flipped — possible only when a second coordinator
-// finished the handoff first) counts as success: the flip it lost to
-// subsumes it. A rejected begin (OK false: the shard carries a CONFLICTING
-// pending table) is an error — exporting an unfrozen shard would lose the
-// writes that raced the export, so the coordinator must stop.
-func (s *Store) migrate(ctx context.Context, shard int, cmd []byte) error {
-	c, err := decodeCommand(cmd)
-	if err != nil {
-		return err
-	}
-	res, err := s.do(ctx, shard, []uint64{c.id}, [][]byte{cmd})
+// migrate submits one migration command — op to the target table, an import
+// carrying chunk — through shard's total order and waits for its replicated
+// result. A Moved result (an import landing after the target already flipped
+// — possible only when a second coordinator finished the handoff first)
+// counts as success: the flip it lost to subsumes it. A rejected begin (OK
+// false: the shard carries a CONFLICTING pending table) is an error —
+// exporting an unfrozen shard would lose the writes that raced the export, so
+// the coordinator must stop.
+func (s *Store) migrate(ctx context.Context, shard int, op byte, target Routing, chunk *importChunk) error {
+	res, err := s.run(ctx, shard, op, func(h header) []byte {
+		if op == opMigrateImport {
+			return encodeMigrateImport(h, target, chunk)
+		}
+		return encodeMigrate(op, h, target)
+	})
 	if err != nil {
 		if errors.Is(err, errMoved) {
 			return nil
 		}
 		return err
 	}
-	if !res.OK && c.op == opMigrateBegin {
-		return fmt.Errorf("kv: shard %d rejected migrate-begin for epoch %d (conflicting handoff in progress?)", shard, c.routing.Epoch)
+	if !res.OK && op == opMigrateBegin {
+		return fmt.Errorf("kv: shard %d rejected migrate-begin for epoch %d (conflicting handoff in progress?)", shard, target.Epoch)
 	}
 	return nil
 }

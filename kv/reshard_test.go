@@ -258,14 +258,15 @@ func TestReshardingExactlyOnceAcrossFlip(t *testing.T) {
 		}
 	}
 
+	pin := newSessionID(time.Now())
 	const casID, delID = 0xDEAD0001, 0xDEAD0002
-	if resp, err := cl.Do(ctx, &Request{Op: ReqCAS, Key: movingCAS, Val: []byte("owner"), ID: casID}); err != nil || !resp.OK {
+	if resp, err := cl.Do(ctx, &Request{Op: ReqCAS, Key: movingCAS, Val: []byte("owner"), Session: pin, ID: casID}); err != nil || !resp.OK {
 		t.Fatalf("CAS create: %+v %v", resp, err)
 	}
 	if err := cl.Put(ctx, movingDel, []byte("x")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if resp, err := cl.Do(ctx, &Request{Op: ReqDelete, Key: movingDel, ID: delID}); err != nil || !resp.OK {
+	if resp, err := cl.Do(ctx, &Request{Op: ReqDelete, Key: movingDel, Session: pin, ID: delID}); err != nil || !resp.OK {
 		t.Fatalf("Delete: %+v %v", resp, err)
 	}
 
@@ -274,9 +275,9 @@ func TestReshardingExactlyOnceAcrossFlip(t *testing.T) {
 	}
 	waitShards(t, stores[0], 8, 10*time.Second)
 
-	// Retried CAS (same id) must answer its original success, not observe
+	// Retried CAS (same session and seq) must answer its original success, not observe
 	// its own first execution.
-	if resp, err := cl.Do(ctx, &Request{Op: ReqCAS, Key: movingCAS, Val: []byte("owner"), ID: casID}); err != nil || !resp.OK {
+	if resp, err := cl.Do(ctx, &Request{Op: ReqCAS, Key: movingCAS, Val: []byte("owner"), Session: pin, ID: casID}); err != nil || !resp.OK {
 		t.Fatalf("retried CAS after flip = %+v %v (dedup result did not migrate)", resp, err)
 	}
 	// A fresh create must fail: the value exists on the new owner.
@@ -285,7 +286,7 @@ func TestReshardingExactlyOnceAcrossFlip(t *testing.T) {
 	}
 	// Retried delete of a key that no longer exists anywhere: its
 	// tombstoned result must still answer the original true.
-	if resp, err := cl.Do(ctx, &Request{Op: ReqDelete, Key: movingDel, ID: delID}); err != nil || !resp.OK {
+	if resp, err := cl.Do(ctx, &Request{Op: ReqDelete, Key: movingDel, Session: pin, ID: delID}); err != nil || !resp.OK {
 		t.Fatalf("retried Delete after flip = %+v %v (tombstone result did not migrate)", resp, err)
 	}
 }
@@ -397,8 +398,9 @@ func TestReshardingUnderChurn(t *testing.T) {
 	if err := cl.BatchPut(ctx, pairs); err != nil {
 		t.Fatalf("seeding: %v", err)
 	}
+	pin := newSessionID(time.Now())
 	const pinID = 0xC0FFEE01
-	if resp, err := cl.Do(ctx, &Request{Op: ReqCAS, Key: "churn-lock", Val: []byte("holder"), ID: pinID}); err != nil || !resp.OK {
+	if resp, err := cl.Do(ctx, &Request{Op: ReqCAS, Key: "churn-lock", Val: []byte("holder"), Session: pin, ID: pinID}); err != nil || !resp.OK {
 		t.Fatalf("pinned CAS: %+v %v", resp, err)
 	}
 	want["churn-lock"] = "holder"
@@ -430,7 +432,7 @@ func TestReshardingUnderChurn(t *testing.T) {
 	// re-execute.
 	cl2 := stores[2].NewClient()
 	defer cl2.Close()
-	if resp, err := cl2.Do(ctx, &Request{Op: ReqCAS, Key: "churn-lock", Val: []byte("holder"), ID: pinID}); err != nil || !resp.OK {
+	if resp, err := cl2.Do(ctx, &Request{Op: ReqCAS, Key: "churn-lock", Val: []byte("holder"), Session: pin, ID: pinID}); err != nil || !resp.OK {
 		t.Fatalf("pinned CAS retried across crash+flip = %+v %v", resp, err)
 	}
 	if ok, err := cl2.CAS(ctx, "churn-lock", nil, []byte("usurper")); err != nil || ok {
@@ -498,8 +500,9 @@ func TestReshardingDurableResume(t *testing.T) {
 	if err := cl.BatchPut(ctx, pairs); err != nil {
 		t.Fatalf("seeding: %v", err)
 	}
+	pin := newSessionID(time.Now())
 	const pinID = 0xFEED0001
-	if resp, err := cl.Do(ctx, &Request{Op: ReqCAS, Key: "resume-lock", Val: []byte("holder"), ID: pinID}); err != nil || !resp.OK {
+	if resp, err := cl.Do(ctx, &Request{Op: ReqCAS, Key: "resume-lock", Val: []byte("holder"), Session: pin, ID: pinID}); err != nil || !resp.OK {
 		t.Fatalf("pinned CAS: %+v %v", resp, err)
 	}
 	want["resume-lock"] = "holder"
@@ -535,7 +538,7 @@ func TestReshardingDurableResume(t *testing.T) {
 
 	cl2 := stores2[0].NewClient()
 	defer cl2.Close()
-	if resp, err := cl2.Do(ctx, &Request{Op: ReqCAS, Key: "resume-lock", Val: []byte("holder"), ID: pinID}); err != nil || !resp.OK {
+	if resp, err := cl2.Do(ctx, &Request{Op: ReqCAS, Key: "resume-lock", Val: []byte("holder"), Session: pin, ID: pinID}); err != nil || !resp.OK {
 		t.Fatalf("pinned CAS retried across restart+flip = %+v %v", resp, err)
 	}
 	if ok, err := cl2.CAS(ctx, "resume-lock", nil, []byte("usurper")); err != nil || ok {
@@ -604,7 +607,7 @@ func TestReshardingResumeAfterPartialCommit(t *testing.T) {
 	target := Routing{Epoch: 1, Shards: 8, VNodes: stores[0].Routing().VNodes}
 	co := stores[0]
 	for i := 0; i < 4; i++ {
-		if err := co.migrate(ctx, i, encodeMigrate(opMigrateBegin, co.nextCmdID(), target)); err != nil {
+		if err := co.migrate(ctx, i, opMigrateBegin, target, nil); err != nil {
 			t.Fatalf("begin %d: %v", i, err)
 		}
 	}
@@ -612,7 +615,7 @@ func TestReshardingResumeAfterPartialCommit(t *testing.T) {
 		t.Fatalf("targets up: %v", err)
 	}
 	for i := 4; i < 8; i++ {
-		if err := co.migrate(ctx, i, encodeMigrate(opMigrateBegin, co.nextCmdID(), target)); err != nil {
+		if err := co.migrate(ctx, i, opMigrateBegin, target, nil); err != nil {
 			t.Fatalf("begin %d: %v", i, err)
 		}
 	}
@@ -622,7 +625,7 @@ func TestReshardingResumeAfterPartialCommit(t *testing.T) {
 			t.Fatalf("export %d: %v", src, err)
 		}
 	}
-	if err := co.migrate(ctx, 0, encodeMigrate(opMigrateCommit, co.nextCmdID(), target)); err != nil {
+	if err := co.migrate(ctx, 0, opMigrateCommit, target, nil); err != nil {
 		t.Fatalf("commit 0: %v", err)
 	}
 	if rt := co.Routing(); rt.Epoch != 1 {
@@ -684,7 +687,7 @@ func TestHeldPutFollowsStragglerCommit(t *testing.T) {
 	}
 	src, dst := stores[0].ShardFor(moving), next.shard(moving)
 	for i := 0; i < cur.Shards; i++ {
-		if err := stores[0].migrate(ctx, i, encodeMigrate(opMigrateBegin, stores[0].nextCmdID(), target)); err != nil {
+		if err := stores[0].migrate(ctx, i, opMigrateBegin, target, nil); err != nil {
 			t.Fatalf("migrate-begin on shard %d: %v", i, err)
 		}
 	}
@@ -694,20 +697,21 @@ func TestHeldPutFollowsStragglerCommit(t *testing.T) {
 		}
 	}
 
+	pin := newSessionID(time.Now())
 	const putID = 0x57A6613E
 	done := make(chan error, 1)
 	go func() {
-		_, err := cl.Do(ctx, &Request{Op: ReqPut, ID: putID, Key: moving, Val: []byte("landed")})
+		_, err := cl.Do(ctx, &Request{Op: ReqPut, Session: pin, ID: putID, Key: moving, Val: []byte("landed")})
 		done <- err
 	}()
-	for firstIndexContaining(spanEvents(hub.Tracer().Trace(putID)), "moved") < 0 {
+	for firstIndexContaining(spanEvents(hub.Tracer().Trace(cmdID(pin, putID))), "moved") < 0 {
 		select {
 		case err := <-done:
 			t.Fatalf("the Put returned (%v) while shard %d held its key frozen", err, src)
 		case <-time.After(100 * time.Microsecond):
 		}
 	}
-	if err := stores[0].migrate(ctx, dst, encodeMigrate(opMigrateCommit, stores[0].nextCmdID(), target)); err != nil {
+	if err := stores[0].migrate(ctx, dst, opMigrateCommit, target, nil); err != nil {
 		t.Fatalf("migrate-commit on shard %d: %v", dst, err)
 	}
 	select {

@@ -100,13 +100,34 @@ func newRing(store string, shards, virtualNodes int) *ring {
 }
 
 // shard returns the shard owning key.
-func (r *ring) shard(key string) int {
-	h := hash64(key)
+func (r *ring) shard(key string) int { return r.owner(hash64(key)) }
+
+// owner returns the shard owning the keys that hash to h.
+func (r *ring) owner(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap around the circle
 	}
 	return r.points[i].shard
+}
+
+// heirs reports, per shard of next, whether it takes over some of the keys
+// shard owns under r: the shards a key can move to from shard when r gives
+// way to next. Between two neighbouring points of the two rings together,
+// every key has one owner under each, the owner of the arc's upper end.
+func (r *ring) heirs(next *ring, shard int) []bool {
+	to := make([]bool, next.shards)
+	for _, points := range [][]ringPoint{r.points, next.points} {
+		for _, p := range points {
+			if r.owner(p.hash) == shard {
+				to[next.owner(p.hash)] = true
+			}
+		}
+	}
+	if shard < len(to) {
+		to[shard] = false
+	}
+	return to
 }
 
 // owns reports whether shard s owns key under this ring.

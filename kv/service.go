@@ -283,7 +283,7 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 				"shard %d not hosted at forward target (routing mismatch?)", shard)}), 0
 		}
 		svc.forwarded.Add(1)
-		svc.client.tracer.Addf(req.ID, "forwarded to shard %d", shard)
+		svc.client.tracer.Addf(req.traceID(), "forwarded to shard %d", shard)
 		fwd := *req
 		fwd.Flags |= flagForwarded
 		fwd.Epoch = rt.Epoch // forward under this node's (newer) table

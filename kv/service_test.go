@@ -13,20 +13,21 @@ import (
 // survives encode/decode, and foreign versions are rejected loudly.
 func TestAccessCodecRoundTrip(t *testing.T) {
 	reqs := []*Request{
-		{Op: ReqGet, ID: 7, Budget: 1500 * time.Millisecond, Keys: []string{"a", "b", ""}},
-		{Op: ReqPut, ID: 8, Key: "k", Val: []byte("v")},
-		{Op: ReqPut, ID: 9, Key: "empty", Val: nil},
-		{Op: ReqDelete, ID: 10, Key: "gone"},
-		{Op: ReqCAS, ID: 11, Key: "c", ExpectPresent: true, Expect: []byte("old"), Val: []byte("new")},
-		{Op: ReqCAS, ID: 12, Key: "c", ExpectPresent: false, Val: []byte("fresh")},
-		{Op: ReqBatchPut, IDs: []uint64{13, 14}, Pairs: []Pair{{Key: "x", Val: []byte("1")}, {Key: "y", Val: nil}}, Flags: flagForwarded},
+		{Op: ReqGet, Session: seedSession, ID: 7, Ack: 7, Budget: 1500 * time.Millisecond, Keys: []string{"a", "b", ""}},
+		{Op: ReqPut, Session: seedSession, ID: 8, Ack: 3, Key: "k", Val: []byte("v")},
+		{Op: ReqPut, Session: seedSession, ID: 9, Key: "empty", Val: nil},
+		{Op: ReqDelete, Session: seedSession, ID: 10, Ack: 9, Key: "gone"},
+		{Op: ReqCAS, Session: seedSession, ID: 11, Ack: 10, Key: "c", ExpectPresent: true, Expect: []byte("old"), Val: []byte("new")},
+		{Op: ReqCAS, Session: seedSession, ID: 12, Ack: 10, Key: "c", ExpectPresent: false, Val: []byte("fresh")},
+		// A batch's own seq is its first pair's.
+		{Op: ReqBatchPut, Session: seedSession, ID: 13, Ack: 12, IDs: []uint64{13, 14}, Pairs: []Pair{{Key: "x", Val: []byte("1")}, {Key: "y", Val: nil}}, Flags: flagForwarded},
 	}
 	for _, want := range reqs {
 		got, err := DecodeRequest(EncodeRequest(want))
 		if err != nil {
 			t.Fatalf("op %d: decode: %v", want.Op, err)
 		}
-		if got.Op != want.Op || got.Flags != want.Flags || got.ID != want.ID ||
+		if got.Op != want.Op || got.Flags != want.Flags || got.Session != want.Session || got.ID != want.ID || got.Ack != want.Ack ||
 			got.Budget != want.Budget || got.Key != want.Key ||
 			!bytes.Equal(got.Val, want.Val) || got.ExpectPresent != want.ExpectPresent ||
 			!bytes.Equal(got.Expect, want.Expect) ||

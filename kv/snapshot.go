@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -14,29 +13,32 @@ import (
 //
 //	version(1) = snapshotVersion
 //	items      count | { key | value }*
-//	window     uvarint: the result window's size
-//	results    count | { id(8) | flags(1) | txnState(1) | key [| values | found] }*
 //	routing    0 | 1 routing   (0: the shard was built without a table)
 //	pending    0 | 1 routing
-//	txns       count | { portion }*
-//	txnOrder   count | { id(8) }*
+//	txns       count | { portion }*   (the prepared portions)
+//	clock      uvarint: the newest session birth applied
+//	sessions   count | { session(8) | ack uvarint | outcomes | records }*
 //
-// with a transaction portion
+// with a session's outcomes and records
 //
-//	txnID(8) | state(1) | homeKey | allKeys | reads | values | found | writes | conds
+//	outcomes   count | { seq−ack uvarint | ok(1) | key }*
+//	records    count | { portion }*   (its resolved attempts)
+//
+// and a transaction portion
+//
+//	state(1) | session(8) | seq uvarint | attempt uvarint | homeKey | allKeys | reads | values | found | writes | conds
 //
 // Counts, byte strings, key lists, writes, conditions and routing tables are
 // spelled as in the command codec (codec.go); values is a count and that many
-// byte strings, found a count and that many bytes. A tombstone record (see
-// mapSM.tombs) is a resolved portion already in this spelling, and is written
-// as it is stored. A result's flags are OK
-// (bit 0), Conflict (1), CondFailed (2), and whether read values follow (3).
-// Results come oldest first, so the restored window evicts in the same order.
+// byte strings, found a count and that many bytes. A record (see setRecord)
+// is a resolved portion already in this spelling, and is written as it is
+// stored. A session's outcomes and records come in seq order.
 //
-// The bytes are not canonical — items come in map order — but the state is:
-// a restored replica digests (StateDigest) exactly as the one that took the
-// snapshot did, which is what checkpoint verification and the audits compare.
-const snapshotVersion = 1
+// The bytes are not canonical — items and sessions come in map order — but
+// the state is: a restored replica digests (StateDigest) exactly as the one
+// that took the snapshot did, which is what checkpoint verification and the
+// audits compare.
+const snapshotVersion = 2
 
 // maxRingPoints bounds the routing tables a snapshot may carry: Restore builds
 // a ring of Shards×VNodes points from each, so a few hostile bytes must not
@@ -48,18 +50,19 @@ var errBadSnapshot = errors.New("kv: malformed snapshot")
 // Snapshot serialises the shard for atomic state transfer to a joiner and for
 // WAL checkpoints.
 func (s *mapSM) Snapshot() ([]byte, error) {
-	// One buffer, sized for the items, results and tombstones up front: a
+	// One buffer, sized for the items, outcomes and records up front: a
 	// checkpoint snapshots the whole shard every CheckpointEvery commands.
 	size := 64
-	for _, rec := range s.tombs {
-		size += len(rec)
-	}
 	for k, v := range s.items {
 		size += len(k) + len(v) + 2*binary.MaxVarintLen32
 	}
-	for _, run := range s.results.fifo() {
-		for i := range run {
-			size += 10 + binary.MaxVarintLen32 + len(run[i].res.Key)
+	for _, st := range s.sessions {
+		size += 8 + 3*binary.MaxVarintLen64
+		for _, o := range st.outcomes {
+			size += 1 + 2*binary.MaxVarintLen64 + len(o.key)
+		}
+		for _, r := range st.records {
+			size += len(r.rec)
 		}
 	}
 	dst := make([]byte, 0, size)
@@ -69,29 +72,26 @@ func (s *mapSM) Snapshot() ([]byte, error) {
 		dst = appendBytes(dst, []byte(k))
 		dst = appendBytes(dst, v)
 	}
-	dst = binary.AppendUvarint(dst, uint64(s.results.window))
-	dst = binary.AppendUvarint(dst, uint64(s.results.len()))
-	for _, run := range s.results.fifo() {
-		for i := range run {
-			dst = appendResult(dst, run[i].id, &run[i].res)
-		}
-	}
 	var routing *Routing
 	if s.routing.Shards > 0 {
 		routing = &s.routing
 	}
 	dst = appendOptRouting(dst, routing)
 	dst = appendOptRouting(dst, s.pending)
-	dst = binary.AppendUvarint(dst, uint64(len(s.txns)+len(s.tombs)))
+	dst = binary.AppendUvarint(dst, uint64(len(s.txns)))
 	for _, p := range s.txns {
 		dst = appendPortion(dst, p)
 	}
-	for _, rec := range s.tombs {
-		dst = append(dst, rec...) // a record is a portion as this spells it
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(s.txnOrder)))
-	for _, id := range s.txnOrder {
+	dst = binary.AppendUvarint(dst, s.clock)
+	dst = binary.AppendUvarint(dst, uint64(len(s.sessions)))
+	for id, st := range s.sessions {
 		dst = binary.BigEndian.AppendUint64(dst, id)
+		dst = binary.AppendUvarint(dst, st.ack)
+		dst = appendOutcomes(dst, st.ack, st.outcomes)
+		dst = binary.AppendUvarint(dst, uint64(len(st.records)))
+		for _, r := range st.records {
+			dst = append(dst, r.rec...) // a record is a portion as this spells it
+		}
 	}
 	return dst, nil
 }
@@ -100,16 +100,20 @@ func (s *mapSM) Snapshot() ([]byte, error) {
 // the shard to its zero state — the wal recovery path uses this when every
 // digest-stamped checkpoint was refused and replay must start from scratch
 // (see wal.Log.RecoverVerified). A snapshot in another format — the JSON one
-// older builds wrote — is refused by name, never restored as something else.
+// or binary version 1, which older builds wrote — is refused by name, never
+// restored as something else.
 func (s *mapSM) Restore(snap []byte) error {
-	st := shardState{items: make(map[string][]byte), results: newResultWindow(s.results.window, 0)}
+	var st shardState
 	if snap != nil {
 		var err error
 		if st, err = decodeSnapshot(snap); err != nil {
 			return err
 		}
 	}
-	s.items, s.results = st.items, st.results
+	s.items = st.items
+	if s.items == nil {
+		s.items = make(map[string][]byte)
+	}
 	s.routing, s.curRing = s.initRouting, nil
 	if st.routing != nil {
 		s.routing = *st.routing
@@ -121,53 +125,65 @@ func (s *mapSM) Restore(snap []byte) error {
 	if s.pending != nil {
 		s.pendRing = s.pending.ring(s.store)
 	}
-	// A resolved portion is kept as it came, not trimmed the way a resolve
-	// or an import trims one: the state is the snapshotted one, and digests
-	// to its stamp. A later portion of the same id replaces an earlier one.
-	s.txns = make(map[uint64]*txnPortion)
-	s.tombs = make(map[uint64][]byte)
+	// A later portion of the same attempt replaces an earlier one.
+	s.txns = make(map[txnID]*txnPortion)
 	for _, p := range st.txns {
-		if p.State == txnStatePrepared {
-			delete(s.tombs, p.TxnID)
-			s.txns[p.TxnID] = p
-		} else {
-			delete(s.txns, p.TxnID)
-			s.setRecord(p)
-		}
+		s.txns[p.ID] = p
 	}
-	s.locks = make(map[string]uint64)
-	s.lockSeen = make(map[uint64]time.Time)
+	s.locks = make(map[string]txnID)
+	s.lockSeen = make(map[txnID]time.Time)
 	for id, p := range s.txns {
 		for _, k := range p.localKeys() {
 			s.locks[k] = id
 		}
 		s.touchLock(id)
 	}
-	s.txnOrder = st.txnOrder
+	// The sessions are rebuilt entry by entry, so that the digest sum is
+	// the one their folds add up to. A record is kept as it came, not
+	// trimmed the way a resolve or an import trims one: the state is the
+	// snapshotted one, and digests to its stamp.
+	s.clock, s.sessSum = st.clock, 0
+	s.sessions = make(map[uint64]*sessionState, len(st.sessions))
+	for _, m := range st.sessions {
+		ss := &sessionState{ack: m.Ack, outcomes: m.Outcomes}
+		s.sessions[m.ID] = ss
+		s.sessSum += sessionSum(m.ID, m.Ack)
+		for _, o := range m.Outcomes {
+			s.sessSum += o.sum
+		}
+		for _, p := range st.records[m.ID] {
+			s.setRecord(p)
+		}
+	}
 	s.notifyRouting()
 	return nil
 }
 
-// shardState is a decoded snapshot, before Restore derives the rings, locks
-// and lock stamps from it.
+// shardState is a decoded snapshot, before Restore derives the rings, locks,
+// lock stamps and digest sums from it.
 type shardState struct {
 	items    map[string][]byte
-	results  resultWindow
 	routing  *Routing // nil: none, the constructor's table stands
 	pending  *Routing
 	txns     []*txnPortion
-	txnOrder []uint64
+	clock    uint64
+	sessions []movedSession
+	records  map[uint64][]*txnPortion // by session, in seq order
 }
 
 // decodeSnapshot parses a snapshot. Nothing in it is trusted — a transfer
 // reply comes from whoever answers at a well-known address — so it reads
 // through the codec's reader, which believes a count only up to what the bytes
 // left can hold, and everything kept is copied out of snap, which is only
-// borrowed.
+// borrowed. It refuses what no shard could have written: a resolved portion
+// among the prepared ones, a session twice, an outcome or record below its
+// session's ack or out of seq order, a record of another session.
 func decodeSnapshot(snap []byte) (shardState, error) {
 	switch {
 	case len(snap) > 0 && snap[0] == '{':
 		return shardState{}, fmt.Errorf("kv: the snapshot is JSON, the format before binary snapshot version %d; data written by that build is unsupported", snapshotVersion)
+	case len(snap) > 0 && snap[0] == 1:
+		return shardState{}, fmt.Errorf("kv: the snapshot is binary version 1, the format before client sessions; data written by that build is unsupported")
 	case len(snap) == 0 || snap[0] != snapshotVersion:
 		return shardState{}, fmt.Errorf("%w: unknown snapshot format (this build reads binary version %d)", errBadSnapshot, snapshotVersion)
 	}
@@ -179,31 +195,72 @@ func decodeSnapshot(snap []byte) (shardState, error) {
 		k := r.str()
 		st.items[k] = r.bytes()
 	}
-	window := int(r.upTo(math.MaxInt32))
-	if window == 0 {
-		r.fail()
-	}
-	n = r.count(11) // id, flags, txn state, key length
-	st.results = newResultWindow(window, n)
-	for i := 0; i < n && !r.failed; i++ {
-		id := r.u64()
-		st.results.set(id, r.result())
-	}
 	st.routing, st.pending = r.optRouting(), r.optRouting()
 	n = r.count(minPortionBytes)
 	st.txns = make([]*txnPortion, 0, n)
 	for i := 0; i < n && !r.failed; i++ {
-		st.txns = append(st.txns, r.portion())
+		p := r.portion()
+		if p.State != txnStatePrepared {
+			r.fail()
+		}
+		st.txns = append(st.txns, p)
 	}
-	n = r.count(8)
-	st.txnOrder = make([]uint64, n)
-	for i := range st.txnOrder {
-		st.txnOrder[i] = r.u64()
+	st.clock = r.uvarint()
+	n = r.count(11) // an id, an ack and two counts
+	st.sessions = make([]movedSession, 0, n)
+	st.records = make(map[uint64][]*txnPortion)
+	seen := make(map[uint64]bool, n)
+	for i := 0; i < n && !r.failed; i++ {
+		m := movedSession{ID: r.u64(), Ack: r.uvarint()}
+		if seen[m.ID] {
+			r.fail()
+		}
+		seen[m.ID] = true
+		m.Outcomes = r.outcomes(m.ID, m.Ack)
+		recs := r.count(minPortionBytes)
+		var last *txnPortion
+		for j := 0; j < recs && !r.failed; j++ {
+			p := r.portion()
+			if p.State == txnStatePrepared || p.ID.session != m.ID || p.ID.seq < m.Ack ||
+				last != nil && last.ID.compare(p.ID) >= 0 {
+				r.fail()
+			}
+			st.records[m.ID] = append(st.records[m.ID], p)
+			last = p
+		}
+		st.sessions = append(st.sessions, m)
 	}
 	if len(r.b) != 0 || r.failed {
 		return st, errBadSnapshot
 	}
 	return st, nil
+}
+
+// appendOutcomes spells a session's outcomes, each seq as its distance above
+// the session's ack.
+func appendOutcomes(dst []byte, ack uint64, outcomes []outcome) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(outcomes)))
+	for _, o := range outcomes {
+		dst = binary.AppendUvarint(dst, o.seq-ack)
+		dst = appendBool(dst, o.ok)
+		dst = appendBytes(dst, []byte(o.key))
+	}
+	return dst
+}
+
+// outcomes reads what appendOutcomes spelled, refusing seqs out of order.
+func (r *reader) outcomes(session, ack uint64) []outcome {
+	out := make([]outcome, r.count(3)) // a seq, a flag and a length byte
+	for i := range out {
+		o := &out[i]
+		o.seq = ack + r.uvarint()
+		o.ok, o.key = r.flag(), r.str()
+		o.sum = outcomeSum(session, o.seq, o.ok, o.key)
+		if o.seq < ack || i > 0 && o.seq <= out[i-1].seq {
+			r.fail()
+		}
+	}
+	return out
 }
 
 // optRouting reads what appendOptRouting wrote.
@@ -218,26 +275,15 @@ func (r *reader) optRouting() *Routing {
 	return &rt
 }
 
-func (r *reader) result() result {
-	var res result
-	flags := r.u8()
-	res.OK, res.Conflict, res.CondFailed = flags&1 != 0, flags&2 != 0, flags&4 != 0
-	res.TxnState = r.u8()
-	res.Key = r.str()
-	if flags&8 != 0 {
-		res.Values, res.Found = r.values(), r.found()
-	}
-	return res
-}
-
-// minPortionBytes is the least a portion takes: id, state, and seven empty
-// strings or lists.
-const minPortionBytes = 16
+// minPortionBytes is the least a portion takes: state, session, seq,
+// attempt, and seven empty strings or lists.
+const minPortionBytes = 18
 
 // portion reads a transaction portion, a snapshot's or a migrate import's.
 // It copies out everything it keeps: a portion outlives the bytes it came in.
 func (r *reader) portion() *txnPortion {
-	p := &txnPortion{TxnID: r.u64(), State: r.u8(), HomeKey: r.str(), AllKeys: r.keys(), Reads: r.keys(),
+	p := &txnPortion{State: r.u8(), ID: txnID{session: r.u64(), seq: r.uvarint(), attempt: r.attempt()},
+		HomeKey: r.str(), AllKeys: r.keys(), Reads: r.keys(),
 		Values: r.values(), Found: r.found(), Writes: r.writes(), Conds: r.conds()}
 	for i := range p.Writes {
 		p.Writes[i].Val = copyVal(p.Writes[i].Val)
@@ -255,34 +301,11 @@ func appendOptRouting(dst []byte, rt *Routing) []byte {
 	return appendRouting(append(dst, 1), *rt)
 }
 
-func appendResult(dst []byte, id uint64, r *result) []byte {
-	var flags byte
-	if r.OK {
-		flags |= 1
-	}
-	if r.Conflict {
-		flags |= 2
-	}
-	if r.CondFailed {
-		flags |= 4
-	}
-	reads := len(r.Values) > 0 || len(r.Found) > 0
-	if reads {
-		flags |= 8
-	}
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = append(dst, flags, r.TxnState)
-	dst = appendBytes(dst, []byte(r.Key))
-	if reads {
-		dst = appendValues(dst, r.Values)
-		dst = appendFound(dst, r.Found)
-	}
-	return dst
-}
-
 func appendPortion(dst []byte, p *txnPortion) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, p.TxnID)
 	dst = append(dst, p.State)
+	dst = binary.BigEndian.AppendUint64(dst, p.ID.session)
+	dst = binary.AppendUvarint(dst, p.ID.seq)
+	dst = binary.AppendUvarint(dst, uint64(p.ID.attempt))
 	dst = appendBytes(dst, []byte(p.HomeKey))
 	dst = appendKeys(dst, p.AllKeys)
 	dst = appendKeys(dst, p.Reads)

@@ -35,10 +35,11 @@ func splitFixture(t testing.TB) (*Client, *ring, Routing, [4][]string) {
 
 // TestSplitRequest holds the one split to its contract for every op under no
 // ring, keys on one shard, and keys on several: which shards, what each part
-// holds and in what order, which ids are fresh and which are kept, the epoch
-// stamped on every part, and the caller's request left as it was.
+// holds and in what order, the session header every part keeps (a batch's
+// pairs their own seqs), the epoch stamped on every part, and the caller's
+// request left as it was.
 func TestSplitRequest(t *testing.T) {
-	cl, r, rt, on := splitFixture(t)
+	_, r, rt, on := splitFixture(t)
 	a, b, d := on[0], on[1], on[3]
 	writes := func(keys ...string) []TxnWrite {
 		out := make([]TxnWrite, len(keys))
@@ -63,7 +64,7 @@ func TestSplitRequest(t *testing.T) {
 	}
 	type part struct {
 		shard int
-		req   Request // Op, ID, Epoch and the txn identity are checked apart
+		req   Request // Op, the session header, Epoch and the txn identity are checked apart
 		idx   []int
 	}
 	cases := []struct {
@@ -76,11 +77,11 @@ func TestSplitRequest(t *testing.T) {
 		{name: "delete", req: Request{Op: ReqDelete, ID: 1, Key: d[0]}, shard: 3},
 		{name: "cas", req: Request{Op: ReqCAS, ID: 1, Key: a[0], Val: []byte("v")}, shard: 0},
 		{name: "resolve routes by its key alone", shard: 1,
-			req: Request{Op: ReqTxnResolve, ID: 1, TxnID: 9, Key: b[0], HomeKey: a[0], AllKeys: []string{a[0], b[0], d[0]}}},
+			req: Request{Op: ReqTxnResolve, ID: 1, Attempt: 9, Key: b[0], HomeKey: a[0], AllKeys: []string{a[0], b[0], d[0]}}},
 		{name: "get, one key", req: Request{Op: ReqGet, ID: 1, Keys: []string{d[1]}}, shard: 3},
 		{name: "get, one shard", req: Request{Op: ReqGet, ID: 1, Keys: []string{b[0], b[1], b[0]}}, shard: 1},
 		{name: "get, three shards", shard: -1,
-			req: Request{Op: ReqGet, ID: 1, Flags: flagStaleRead | flagForwarded, MaxStale: 5, Budget: 3,
+			req: Request{Op: ReqGet, Session: 77, ID: 5, Ack: 2, Flags: flagStaleRead | flagForwarded, MaxStale: 5, Budget: 3,
 				Keys: []string{b[0], a[0], b[1], d[0], a[1], b[0]}},
 			parts: []part{
 				{shard: 1, req: Request{Flags: flagStaleRead, MaxStale: 5, Budget: 3, Keys: []string{b[0], b[1], b[0]}}, idx: []int{0, 2, 5}},
@@ -90,18 +91,18 @@ func TestSplitRequest(t *testing.T) {
 		{name: "batch, one shard", shard: 0,
 			req: Request{Op: ReqBatchPut, Pairs: pairs(a[0], a[1], a[2], a[3]), IDs: []uint64{11, 12, 13, 14}}},
 		{name: "batch, two shards", shard: -1,
-			req: Request{Op: ReqBatchPut, Budget: 3, Pairs: pairs(d[0], a[0], d[1], a[0]), IDs: []uint64{11, 12, 13, 14}},
+			req: Request{Op: ReqBatchPut, Session: 77, ID: 11, Ack: 9, Budget: 3, Pairs: pairs(d[0], a[0], d[1], a[0]), IDs: []uint64{11, 12, 13, 14}},
 			parts: []part{
 				{shard: 3, req: Request{Budget: 3, Pairs: pairs(d[0], d[1]), IDs: []uint64{11, 13}}},
 				{shard: 0, req: Request{Budget: 3, Pairs: pairs(a[0], a[0]), IDs: []uint64{12, 14}}},
 			}},
 		{name: "prepare, one shard", shard: 1,
-			req: Request{Op: ReqTxnPrepare, ID: 1, TxnID: 9, HomeKey: b[0], AllKeys: []string{b[0], b[1], b[2]},
+			req: Request{Op: ReqTxnPrepare, ID: 1, Attempt: 9, HomeKey: b[0], AllKeys: []string{b[0], b[1], b[2]},
 				Keys: []string{b[0]}, Writes: writes(b[1]), Conds: conds(b[2])}},
 		{name: "prepare, writes only, one shard", shard: 3,
-			req: Request{Op: ReqTxnPrepare, ID: 1, TxnID: 9, HomeKey: d[0], AllKeys: []string{d[0]}, Writes: writes(d[0])}},
+			req: Request{Op: ReqTxnPrepare, ID: 1, Attempt: 9, HomeKey: d[0], AllKeys: []string{d[0]}, Writes: writes(d[0])}},
 		{name: "prepare, three shards", shard: -1,
-			req: Request{Op: ReqTxnPrepare, ID: 1, TxnID: 9, Budget: 3, HomeKey: a[0], AllKeys: []string{a[0], a[1], b[0], d[0], d[1]},
+			req: Request{Op: ReqTxnPrepare, Session: 77, ID: 1, Ack: 1, Attempt: 9, Budget: 3, HomeKey: a[0], AllKeys: []string{a[0], a[1], b[0], d[0], d[1]},
 				Keys: []string{d[0], a[0], d[1]}, Writes: writes(a[1], b[0], a[0]), Conds: conds(d[0], b[0])},
 			parts: []part{
 				{shard: 3, req: Request{Budget: 3, Keys: []string{d[0], d[1]}, Conds: conds(d[0])}, idx: []int{0, 2}},
@@ -123,15 +124,13 @@ func TestSplitRequest(t *testing.T) {
 			before.Writes = append([]TxnWrite(nil), tc.req.Writes...)
 			before.Conds = append([]TxnCond(nil), tc.req.Conds...)
 
-			if shard, parts := cl.split(nil, Routing{}, &tc.req); shard != -1 || parts != nil {
+			if shard, parts := split(nil, Routing{}, &tc.req); shard != -1 || parts != nil {
 				t.Errorf("ring-less: split = shard %d, %d parts; want -1 and none (the entry node routes)", shard, len(parts))
 			}
-			idFloor := cl.nextID()
-			shard, parts := cl.split(r, rt, &tc.req)
+			shard, parts := split(r, rt, &tc.req)
 			if shard != tc.shard || len(parts) != len(tc.parts) {
 				t.Fatalf("split = shard %d, %d parts; want shard %d, %d parts", shard, len(parts), tc.shard, len(tc.parts))
 			}
-			fresh := map[uint64]bool{}
 			for i, want := range tc.parts {
 				got := parts[i]
 				if got.shard != want.shard || !reflect.DeepEqual(got.idx, want.idx) {
@@ -148,22 +147,15 @@ func TestSplitRequest(t *testing.T) {
 				if got.req.Op != tc.req.Op || got.req.Epoch != rt.Epoch {
 					t.Errorf("part %d: op %d epoch %d, want op %d and the table's epoch %d", i, got.req.Op, got.req.Epoch, tc.req.Op, rt.Epoch)
 				}
-				if got.req.TxnID != tc.req.TxnID || got.req.HomeKey != tc.req.HomeKey || !reflect.DeepEqual(got.req.AllKeys, tc.req.AllKeys) {
+				if got.req.Attempt != tc.req.Attempt || got.req.HomeKey != tc.req.HomeKey || !reflect.DeepEqual(got.req.AllKeys, tc.req.AllKeys) {
 					t.Errorf("part %d lost the transaction's identity: %+v", i, got.req)
 				}
-				switch {
-				case tc.req.Op == ReqBatchPut:
-					if got.req.ID != 0 {
-						t.Errorf("part %d of a batch has an id of its own (%d): pairs keep theirs", i, got.req.ID)
-					}
-				case got.req.ID-idFloor-1 >= uint64(len(tc.parts)) || fresh[got.req.ID]:
-					// Fresh means minted by this split: one of the next
-					// len(parts) ids after the floor, each used once.
-					t.Errorf("part %d: id %d is not a fresh one (floor %d)", i, got.req.ID, idFloor)
+				if got.req.Session != tc.req.Session || got.req.ID != tc.req.ID || got.req.Ack != tc.req.Ack {
+					t.Errorf("part %d: header (%d, %d, %d), want the request's (%d, %d, %d)", i,
+						got.req.Session, got.req.ID, got.req.Ack, tc.req.Session, tc.req.ID, tc.req.Ack)
 				}
-				fresh[got.req.ID] = true
-				want.req.Op, want.req.ID, want.req.Epoch = got.req.Op, got.req.ID, got.req.Epoch
-				want.req.TxnID, want.req.HomeKey, want.req.AllKeys = got.req.TxnID, got.req.HomeKey, got.req.AllKeys
+				want.req.Op, want.req.Session, want.req.ID, want.req.Ack, want.req.Epoch = got.req.Op, got.req.Session, got.req.ID, got.req.Ack, got.req.Epoch
+				want.req.Attempt, want.req.HomeKey, want.req.AllKeys = got.req.Attempt, got.req.HomeKey, got.req.AllKeys
 				if !reflect.DeepEqual(*got.req, want.req) {
 					t.Errorf("part %d holds\n %+v\nwant\n %+v", i, *got.req, want.req)
 				}
@@ -188,7 +180,7 @@ func TestSplitRequest(t *testing.T) {
 				Pairs: pairs(c[0], c[1], c[2], c[3])},
 		} {
 			allocs := testing.AllocsPerRun(100, func() {
-				if shard, parts := cl.split(r, rt, req); shard != 2 || parts != nil {
+				if shard, parts := split(r, rt, req); shard != 2 || parts != nil {
 					t.Errorf("%s: split = shard %d, %d parts; want shard 2 whole", name, shard, len(parts))
 				}
 			})

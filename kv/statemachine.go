@@ -2,8 +2,10 @@ package kv
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -12,32 +14,18 @@ import (
 	"amoeba/shared"
 )
 
-// defaultResultWindow bounds the replicated result table: the retry horizon. A
-// result is evicted after this many further ones are recorded on its shard,
-// and a command re-driven later than that — across a replica swap, a failover
-// or a routing epoch — executes again. It is not slack for a waiter: an answer
-// is handed over when its command applies, whatever the window holds by then.
-const defaultResultWindow = 65536
-
-// result is the recorded outcome of one executed command, keyed by command id:
-// the exactly-once table. It is part of the state machine (every replica
-// computes the identical table) because a retry may reach any replica, at any
-// later time, and must be answered with what the first execution did. Only
-// what a retry needs is recorded: a refusal (see refuse) and a sequenced
-// read's values (re-executing a read under a retry is just a later
-// linearizable read) are handed to the local waiter and kept nowhere.
+// result is the answer one applied command hands its local caller (hand). Of
+// an executed write only its outcome is kept, in its session (session.go),
+// for retries; a refusal, a read's values and a transaction op's answer are
+// kept nowhere — a transaction's are re-answered from its portion or record.
 type result struct {
 	// OK reports mutation success: CAS swapped, Delete found the key.
 	OK bool
 	// Values and Found carry read results, aligned with the command's key
-	// list: a prepare's captured reads (recorded) or a sequenced read's.
+	// list: a prepare's captured reads or a sequenced read's.
 	Values [][]byte
 	Found  []bool
-	// Key is the mutated key (write ops only). It lets a resharding
-	// migrate the result alongside the data: a command retried after the
-	// epoch flip routes to the key's NEW owner, and only if the result
-	// moved with the key does the dedup window still answer it there —
-	// exactly-once across reshardings.
+	// Key is the mutated key (write ops only).
 	Key string
 	// TxnState, Conflict, and CondFailed answer the txn ops (see txn.go):
 	// the portion's state after the command, a prepare that lost its keys
@@ -58,6 +46,8 @@ type answerWaiter struct {
 	pending int           // claims not yet answered
 	first   result        // the answer to the first id
 	moved   bool          // a command was refused: not executed, re-resolve and retry
+	stale   bool          // a command was refused as stale: acknowledged, or its session expired
+	ids     []uint64      // the ids begin registers, kept to be reused
 	done    chan struct{} // one slot, filled when pending reaches zero
 	sent    chan error    // one slot: the submission's outcome
 	started func(error)   // feeds sent; bound once, when the waiter is made
@@ -113,30 +103,38 @@ const (
 	txnStateAborted   byte = 3
 )
 
-// txnTombstoneWindow bounds the tombstones a shard keeps, FIFO like the
-// result window but counted in resolved portions, not commands. The 8192 most
-// recently resolved transactions on a shard re-answer their decision (and a
-// committed one its captured reads) to a re-driven prepare or resolve; past
-// that a resolve is presumed decided (a commit re-answers success, an abort
-// plants a fence) and a retried ReqTxn executes again under a fresh attempt.
-// It is not the result window's horizon: Options.ResultWindow counts commands
-// (65 536 by default, 1024 in the benchmark). It is a constant, not an option,
-// because every replica of a shard must evict at the same point in the order
-// (the queue is snapshotted and digested), and 8192 keeps a shard's
-// tombstones to a few megabytes while covering a retry that comes back
-// seconds later on a shard resolving a few thousand transactions a second.
-const txnTombstoneWindow = 8192
+// txnID names one attempt of a transaction: the session and seq of the
+// request that started the transaction, and the attempt's number. A
+// transaction belongs to that session: its records are freed when the
+// session's ack passes seq.
+type txnID struct {
+	session, seq uint64
+	attempt      uint32
+}
+
+func (a txnID) String() string { return fmt.Sprintf("%016x/%d/%d", a.session, a.seq, a.attempt) }
+
+// compare orders attempts by session, seq, attempt.
+func (a txnID) compare(b txnID) int {
+	switch {
+	case a.session != b.session:
+		return cmp.Compare(a.session, b.session)
+	case a.seq != b.seq:
+		return cmp.Compare(a.seq, b.seq)
+	}
+	return cmp.Compare(a.attempt, b.attempt)
+}
 
 // txnPortion is one shard's slice of a cross-shard transaction: the local
 // reads (with the values captured when the prepare sequenced), writes held
 // back until the decision, and conditions. It is replicated state — created
 // by opTxnPrepare, resolved by opTxnResolve, carried in snapshots and
 // migrated with its keys during resharding. Only a prepared portion lives as
-// one; a resolved one is kept as a tombstone record (see mapSM.tombs) so
+// one; a resolved one is kept as its session's record (see setRecord) so
 // re-driven prepares and resolves re-answer the decision instead of
 // re-executing.
 type txnPortion struct {
-	TxnID   uint64
+	ID      txnID
 	HomeKey string
 	AllKeys []string
 	State   byte
@@ -195,10 +193,10 @@ func (p *txnPortion) everyKey(f func(string) bool) bool {
 // outcome and keys. A committed one keeps its captured reads too: a retried
 // ReqTxn re-drives attempt 0 and must be answered them again. An aborted
 // one's reads are never asked for again: an aborted answer wins every merge
-// (mergePrepareAnswers) and the coordinator retries under a fresh attempt id.
+// (mergePrepareAnswers) and the coordinator retries under a fresh attempt.
 // The held-back writes and conditions are spent.
 func (p *txnPortion) tombstone() txnPortion {
-	t := txnPortion{TxnID: p.TxnID, HomeKey: p.HomeKey, AllKeys: p.AllKeys, State: p.State}
+	t := txnPortion{ID: p.ID, HomeKey: p.HomeKey, AllKeys: p.AllKeys, State: p.State}
 	if p.State == txnStateCommitted {
 		t.Reads, t.Values, t.Found = p.Reads, p.Values, p.Found
 	}
@@ -212,8 +210,8 @@ func decodeRecord(rec []byte) *txnPortion {
 	return r.portion()
 }
 
-// recordState is a tombstone record's outcome: the byte after its id.
-func recordState(rec []byte) byte { return rec[8] }
+// recordState is a record's outcome: its first byte.
+func recordState(rec []byte) byte { return rec[0] }
 
 func (p *txnPortion) clone() *txnPortion {
 	cp := *p
@@ -284,7 +282,7 @@ func (p *txnPortion) subPortion(keys []string) *txnPortion {
 	for _, k := range keys {
 		in[k] = true
 	}
-	sub := &txnPortion{TxnID: p.TxnID, HomeKey: p.HomeKey, AllKeys: p.AllKeys, State: p.State}
+	sub := &txnPortion{ID: p.ID, HomeKey: p.HomeKey, AllKeys: p.AllKeys, State: p.State}
 	for i, k := range p.Reads {
 		if !in[k] {
 			continue
@@ -314,26 +312,28 @@ func (p *txnPortion) subPortion(keys []string) *txnPortion {
 	return sub
 }
 
-// mapSM is the per-shard replicated state machine: the key-value items, a
-// bounded FIFO window of command results, and the routing table the shard
-// operates under. Apply is deterministic; shared serialises all access.
+// mapSM is the per-shard replicated state machine: the key-value items, the
+// client sessions' outcomes and records (session.go), and the routing table
+// the shard operates under. Apply is deterministic; shared serialises all
+// access.
 type mapSM struct {
-	items   map[string][]byte
-	results resultWindow // executed commands' results by id, oldest evicted first (resultwindow.go)
+	items map[string][]byte
+	// sessions is the exactly-once table, by session id; clock is the newest
+	// session birth applied, which expires the old ones; sessSum is the
+	// wrapping sum of the table's per-entry digest folds, kept current as
+	// entries come and go, so digesting the table is O(1).
+	sessions map[uint64]*sessionState
+	clock    uint64
+	sessSum  uint64
 	// waiters is node-local: the local callers' claims on the commands they
-	// sleep on, by command id (see answerWaiter).
+	// sleep on, by waiter id (see answerWaiter, waitID).
 	waiters map[uint64]*answerReg
 
-	// Transaction state (replicated): the prepared portions by txn id — the
-	// live two-phase state — and the prepare locks derived from them; the
-	// resolved portions as tombstone records by txn id, each one immutable
-	// byte string in the snapshot's portion spelling (appendPortion), so a
-	// window of them costs the collector nothing to scan; and the FIFO
-	// eviction queue of tombstone ids. An id is in at most one of the maps.
-	txns     map[uint64]*txnPortion
-	locks    map[string]uint64 // key -> txn id holding its prepare lock
-	tombs    map[uint64][]byte
-	txnOrder []uint64
+	// Transaction state (replicated): the prepared portions — the live
+	// two-phase state — and the prepare locks derived from them. A resolved
+	// portion leaves them for its session's records.
+	txns  map[txnID]*txnPortion
+	locks map[string]txnID // key -> the attempt holding its prepare lock
 	// recBuf is node-local scratch a record is spelled in before it is copied
 	// out at its exact size.
 	recBuf []byte
@@ -341,7 +341,7 @@ type mapSM struct {
 	// lockSeen is node-local (never replicated): when this replica last saw
 	// each prepared portion, feeding the in-doubt recovery janitor's age
 	// check. Stamped at prepare apply, restore, and import.
-	lockSeen map[uint64]time.Time
+	lockSeen map[txnID]time.Time
 
 	// Identity (constructor-set, not part of the replicated state: every
 	// replica of one shard is built with the same values). initRouting is
@@ -389,18 +389,14 @@ type mapSM struct {
 var _ shared.StateMachine = (*mapSM)(nil)
 var _ shared.SeqApplier = (*mapSM)(nil)
 
-func newMapSM(store string, shard int, rt Routing, window int, onRouting func(int, Routing, Routing, bool, bool)) *mapSM {
-	if window <= 0 {
-		window = defaultResultWindow
-	}
+func newMapSM(store string, shard int, rt Routing, onRouting func(int, Routing, Routing, bool, bool)) *mapSM {
 	s := &mapSM{
 		items:       make(map[string][]byte),
-		results:     newResultWindow(window, 0),
+		sessions:    make(map[uint64]*sessionState),
 		waiters:     make(map[uint64]*answerReg),
-		txns:        make(map[uint64]*txnPortion),
-		locks:       make(map[string]uint64),
-		tombs:       make(map[uint64][]byte),
-		lockSeen:    make(map[uint64]time.Time),
+		txns:        make(map[txnID]*txnPortion),
+		locks:       make(map[string]txnID),
+		lockSeen:    make(map[txnID]time.Time),
 		store:       store,
 		shard:       shard,
 		initRouting: rt,
@@ -414,37 +410,46 @@ func newMapSM(store string, shard int, rt Routing, window int, onRouting func(in
 	return s
 }
 
-// setResult answers a command that executed: recorded, so that a retry of the
-// id is answered with it instead of executing again, and handed to its waiters.
-func (s *mapSM) setResult(id uint64, r result) {
-	s.results.set(id, r)
-	s.hand(id, r, false)
+// What an answer tells its waiter (hand).
+const (
+	answered     = iota // the command applied, or re-answers its first application
+	refusedMoved        // the key is frozen, moved or locked: re-resolve and retry
+	refusedStale        // its session acknowledged it, or expired: it never executes
+)
+
+// setResult answers a command that executed: its outcome is recorded in its
+// session, so that a retry of it is answered with it instead of executing
+// again, and the answer is handed to its waiters.
+func (s *mapSM) setResult(c *command, st *sessionState, r result) {
+	s.setOutcome(c.session, st, c.seq, r.OK, r.Key)
+	s.hand(c.waitID(), r, answered)
 }
 
 // refuse answers a command that did NOT execute: it touched a key this shard
 // does not serve at this point in the total order (frozen mid-handoff, or
 // moved: a stale client's routing lags the epoch) or one a prepared
 // transaction holds locked. The caller re-resolves the owner and retries;
-// nothing is recorded, so the retried id executes normally wherever it lands
-// and is answered by that application only.
-func (s *mapSM) refuse(id uint64) { s.hand(id, result{}, true) }
+// nothing is recorded, so the retried command executes normally wherever it
+// lands and is answered by that application only.
+func (s *mapSM) refuse(id uint64) { s.hand(id, result{}, refusedMoved) }
 
 // hand is the one place an answer leaves the state machine: every local caller
 // registered for id gets it, and one whose last answer it is wakes. On every
 // replica but the submitter's that is one map miss.
-func (s *mapSM) hand(id uint64, r result, moved bool) {
+func (s *mapSM) hand(id uint64, r result, how int) {
 	reg := s.waiters[id]
 	if reg == nil {
 		return
 	}
 	delete(s.waiters, id)
-	s.refused = s.refused || moved
+	s.refused = s.refused || how == refusedMoved
 	for reg != nil {
 		w, next := reg.w, reg.next // a woken caller may recycle w at once, regs included
 		if id == w.regs[0].id {
 			w.first = r
 		}
-		w.moved = w.moved || moved
+		w.moved = w.moved || how == refusedMoved
+		w.stale = w.stale || how == refusedStale
 		if w.pending--; w.pending == 0 {
 			w.done <- struct{}{}
 		}
@@ -538,15 +543,17 @@ func (s *mapSM) ApplySeq(seq uint32, cmd []byte) {
 }
 
 // Apply executes one committed command. Malformed commands are ignored (a
-// byzantine client must not be able to diverge or crash the replicas), and a
-// command whose id already has a recorded result is not re-executed: clients
-// retry across replica swaps and routing epochs, and a retried CAS must not
-// observe its own first execution. A refusal records nothing and so does not
-// suppress the retry: the total order decides afresh whether the shard serves
-// the key by then.
+// byzantine client must not be able to diverge or crash the replicas). Every
+// command passes its session first (admit): one the client has acknowledged,
+// or whose session expired, is answered Stale and does nothing else, and one
+// whose seq already has an outcome is not re-executed — clients retry across
+// replica swaps and routing epochs, and a retried CAS must not observe its
+// own first execution. A refusal records nothing and so does not suppress the
+// retry: the total order decides afresh whether the shard serves the key by
+// then.
 //
 // A batch put is its pairs applied in slice order, each as the opPut it
-// replaces: deduplicated, refused and answered under its own id, so a batch
+// replaces: deduplicated, refused and answered under its own seq, so a batch
 // that straddles a retry or an epoch flip re-executes only the pairs that did
 // not land.
 func (s *mapSM) Apply(cmd []byte) {
@@ -555,37 +562,67 @@ func (s *mapSM) Apply(cmd []byte) {
 		return
 	}
 	if c.op != opBatchPut {
-		s.applyCommand(c)
+		s.applyCommand(&c)
 		return
 	}
-	put := command{op: opPut}
+	put := command{op: opPut, header: c.header}
 	for i, p := range c.pairs {
-		put.id, put.key, put.val = c.ids[i], p.Key, p.Val
-		s.applyCommand(put)
+		put.seq, put.key, put.val = c.seqs[i], p.Key, p.Val
+		s.applyCommand(&put)
 	}
 }
 
 // applyCommand executes one decoded command (never an opBatchPut: Apply
-// unpacks those), unless its id already has a recorded result — which is then
-// the answer.
-func (s *mapSM) applyCommand(c command) {
+// unpacks those), unless its seq already has an outcome — which is then the
+// answer.
+func (s *mapSM) applyCommand(c *command) {
+	id := c.waitID()
 	// Sampled is asked first: Addf's arguments are boxed before it can
 	// decline them, on every command of every replica.
-	sampled := s.tracer.Sampled(c.id)
-	if prev, done := s.results.lookup(c.id); done {
-		if sampled {
-			s.tracer.Addf(c.id, "dedup hit at shard %d (seq %d)", s.shard, s.seq)
+	sampled := s.tracer.Sampled(id)
+	st := s.admit(c.session, c.seq, c.ack)
+	if st == nil && c.op == opTxnResolve {
+		switch {
+		case s.txns[c.txnID()] != nil:
+			// A prepared portion's locks are released whatever its session
+			// says: the recovery janitor resolves what a coordinator that
+			// gave up left behind.
+			s.applyTxnResolve(c)
+			return
+		case !c.txnCommit && s.sessions[c.session] != nil:
+			// An abort of a transaction its session acknowledged (kept, so
+			// not expired) that finds no portion is presumed, and answered
+			// aborted: the client acknowledges a transaction only once every
+			// attempt's decision reached every participant, so no portion of
+			// an attempt that committed is left anywhere. This is the home's
+			// answer to the janitor for a portion a failed echo left behind.
+			s.hand(id, result{TxnState: txnStateAborted}, answered)
+			return
 		}
-		s.hand(c.id, prev, false)
+	}
+	if st == nil {
+		if sampled {
+			s.tracer.Addf(id, "stale at shard %d (seq %d)", s.shard, s.seq)
+		}
+		s.hand(id, result{}, refusedStale)
 		return
 	}
+	if c.op != opGet && c.op != opTxnPrepare && c.op != opTxnResolve {
+		if o, done := st.outcome(c.seq); done {
+			if sampled {
+				s.tracer.Addf(id, "dedup hit at shard %d (seq %d)", s.shard, s.seq)
+			}
+			s.hand(id, result{OK: o.ok, Key: o.key}, answered)
+			return
+		}
+	}
 	if sampled {
-		s.tracer.Addf(c.id, "applied@seq %d op=%d shard=%d", s.seq, c.op, s.shard)
+		s.tracer.Addf(id, "applied@seq %d op=%d shard=%d", s.seq, c.op, s.shard)
 	}
 	switch c.op {
 	case opPut, opDelete, opCAS:
 		if s.held(c.key) {
-			s.refuse(c.id)
+			s.refuse(id)
 			return
 		}
 		ok := true
@@ -601,33 +638,40 @@ func (s *mapSM) applyCommand(c command) {
 				s.items[c.key] = c.val
 			}
 		}
-		s.setResult(c.id, result{OK: ok, Key: c.key})
+		s.setResult(c, st, result{OK: ok, Key: c.key})
 	case opGet:
 		// A read changes nothing and its answer is no dedup state: it is
 		// worked out only where its caller waits.
-		if s.waiters[c.id] == nil {
+		if s.waiters[id] == nil {
 			return
 		}
 		r := result{OK: true, Values: make([][]byte, len(c.keys)), Found: make([]bool, len(c.keys))}
 		if !s.readKeys(c.keys, r.Values, r.Found) {
-			s.refuse(c.id)
+			s.refuse(id)
 			return
 		}
-		s.hand(c.id, r, false)
+		s.hand(id, r, answered)
 	case opMigrateBegin:
-		s.applyMigrateBegin(c)
+		s.setResult(c, st, result{OK: s.applyMigrateBegin(c)})
 	case opMigrateCommit:
 		s.applyMigrateCommit(c)
+		s.setResult(c, st, result{OK: true})
 	case opMigrateAbort:
-		s.applyMigrateAbort(c)
+		s.setResult(c, st, result{OK: s.applyMigrateAbort(c)})
 	case opMigrateImport:
+		if s.routing.Epoch >= c.routing.Epoch {
+			s.refuse(id) // late chunk: already flipped
+			return
+		}
 		s.applyMigrateImport(c)
+		s.setResult(c, st, result{OK: true})
 	case opTxnPrepare:
 		s.applyTxnPrepare(c)
 	case opTxnResolve:
 		s.applyTxnResolve(c)
 	case opAudit:
 		s.applyAudit(c)
+		s.setResult(c, st, result{OK: true})
 	}
 }
 
@@ -660,8 +704,8 @@ func (s *mapSM) readKeys(keys []string, vals [][]byte, found []bool) bool {
 }
 
 // touchLock stamps the node-local last-seen time for a prepared portion.
-func (s *mapSM) touchLock(txnID uint64) {
-	s.lockSeen[txnID] = time.Now()
+func (s *mapSM) touchLock(k txnID) {
+	s.lockSeen[k] = time.Now()
 }
 
 // txnPrepareResultFor renders a prepare answer from a portion, aligning the
@@ -697,13 +741,16 @@ func (s *mapSM) txnPrepareResultFor(p *txnPortion, reads []string) result {
 // along different shard boundaries, so a request against an existing
 // prepared portion merges its ops in (validating only the keys it adds)
 // rather than demanding byte equality. A resolved portion answers its
-// decision — a late prepare must never relock after the outcome.
-func (s *mapSM) applyTxnPrepare(c command) {
-	if rec := s.tombs[c.txnID]; rec != nil {
-		s.setResult(c.id, s.txnPrepareResultFor(decodeRecord(rec), c.keys))
+// decision from its record — a late prepare must never relock after the
+// outcome — and once the client has acknowledged the transaction a late
+// prepare is Stale (admit).
+func (s *mapSM) applyTxnPrepare(c *command) {
+	id, k := c.waitID(), c.txnID()
+	if rec := s.record(k); rec != nil {
+		s.hand(id, s.txnPrepareResultFor(decodeRecord(rec), c.keys), answered)
 		return
 	}
-	p := s.txns[c.txnID]
+	p := s.txns[k]
 	resident := make(map[string]bool)
 	if p != nil {
 		for _, k := range p.localKeys() {
@@ -727,15 +774,15 @@ func (s *mapSM) applyTxnPrepare(c command) {
 	for _, cc := range c.conds {
 		addFresh(cc.Key)
 	}
-	for _, k := range fresh {
-		if !s.serves(k) {
-			s.refuse(c.id)
+	for _, key := range fresh {
+		if !s.serves(key) {
+			s.refuse(id)
 			return
 		}
 	}
-	for _, k := range fresh {
-		if owner, held := s.locks[k]; held && owner != c.txnID {
-			s.setResult(c.id, result{Conflict: true})
+	for _, key := range fresh {
+		if owner, held := s.locks[key]; held && owner != k {
+			s.hand(id, result{Conflict: true}, answered)
 			return
 		}
 	}
@@ -745,27 +792,27 @@ func (s *mapSM) applyTxnPrepare(c command) {
 	for _, cc := range c.conds {
 		cur, present := s.items[cc.Key]
 		if present != cc.ExpectPresent || (present && !bytes.Equal(cur, cc.Expect)) {
-			s.setResult(c.id, result{CondFailed: true})
+			s.hand(id, result{CondFailed: true}, answered)
 			return
 		}
 	}
 	if p == nil {
-		p = &txnPortion{TxnID: c.txnID, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStatePrepared}
-		s.txns[c.txnID] = p
-		s.flight.Recordf(s.flightTag, "txn %016x prepared: %d reads %d writes %d conds",
-			c.txnID, len(c.keys), len(c.writes), len(c.conds))
+		p = &txnPortion{ID: k, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStatePrepared}
+		s.txns[k] = p
+		s.flight.Recordf(s.flightTag, "txn %v prepared: %d reads %d writes %d conds",
+			k, len(c.keys), len(c.writes), len(c.conds))
 	}
 	haveRead := make(map[string]bool, len(p.Reads))
-	for _, k := range p.Reads {
-		haveRead[k] = true
+	for _, key := range p.Reads {
+		haveRead[key] = true
 	}
-	for _, k := range c.keys {
-		if haveRead[k] {
+	for _, key := range c.keys {
+		if haveRead[key] {
 			continue
 		}
-		haveRead[k] = true
-		p.Reads = append(p.Reads, k)
-		v, found := s.items[k]
+		haveRead[key] = true
+		p.Reads = append(p.Reads, key)
+		v, found := s.items[key]
 		if found {
 			p.Values = append(p.Values, append([]byte(nil), v...))
 		} else {
@@ -774,19 +821,19 @@ func (s *mapSM) applyTxnPrepare(c command) {
 		p.Found = append(p.Found, found)
 	}
 	p.mergeOps(&txnPortion{Writes: c.writes, Conds: c.conds})
-	for _, k := range fresh {
-		s.locks[k] = c.txnID
+	for _, key := range fresh {
+		s.locks[key] = k
 	}
-	s.touchLock(c.txnID)
-	s.setResult(c.id, s.txnPrepareResultFor(p, c.keys))
+	s.touchLock(k)
+	s.hand(id, s.txnPrepareResultFor(p, c.keys), answered)
 }
 
 // resolvePortion applies the decision to a prepared portion: commit lands
 // the held-back writes, abort discards them; either way the locks clear and
-// the portion becomes a tombstone record (see txnPortion.tombstone).
+// the portion becomes its session's record (see txnPortion.tombstone).
 func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 	p.everyKey(func(k string) bool {
-		if s.locks[k] == p.TxnID {
+		if s.locks[k] == p.ID {
 			delete(s.locks, k)
 		}
 		return true
@@ -804,29 +851,18 @@ func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 		p.State = txnStateAborted
 	}
 	s.entomb(p.tombstone())
-	s.flight.Recordf(s.flightTag, "txn %016x resolved: state=%d", p.TxnID, p.State)
+	s.flight.Recordf(s.flightTag, "txn %v resolved: state=%d", p.ID, p.State)
 	if s.refused {
 		s.notifyRouting()
 	}
 }
 
-// entomb files t, resolved, as its tombstone record, in the place of whatever
-// portion its id had, and queues it for eviction.
+// entomb files t, resolved, as its session's record, in the place of the
+// prepared portion its attempt had.
 func (s *mapSM) entomb(t txnPortion) {
-	delete(s.txns, t.TxnID)
-	delete(s.lockSeen, t.TxnID)
+	delete(s.txns, t.ID)
+	delete(s.lockSeen, t.ID)
 	s.setRecord(&t)
-	s.txnOrder = append(s.txnOrder, t.TxnID)
-	s.evictTxns()
-}
-
-// setRecord stores p as its tombstone record, as it is: spelled in the scratch
-// buffer, then copied into one of its own, exactly sized.
-func (s *mapSM) setRecord(p *txnPortion) {
-	s.recBuf = appendPortion(s.recBuf[:0], p)
-	rec := make([]byte, len(s.recBuf))
-	copy(rec, s.recBuf)
-	s.tombs[p.TxnID] = rec
 }
 
 // applyTxnResolve applies a commit/abort decision to this shard's portion.
@@ -835,55 +871,52 @@ func (s *mapSM) setRecord(p *txnPortion) {
 // and every later resolve or prepare re-answers it. A portion whose keys
 // are frozen mid-reshard is refused — the portion migrates with its keys
 // and the decision chases it to the new owner, which is what guarantees a
-// reshard serializes entirely before or after the commit.
-func (s *mapSM) applyTxnResolve(c command) {
-	if p := s.txns[c.txnID]; p != nil {
+// reshard serializes entirely before or after the commit. A resolve whose
+// session has acknowledged it still resolves a prepared portion; without one
+// it changes nothing (applyCommand).
+func (s *mapSM) applyTxnResolve(c *command) {
+	id, k := c.waitID(), c.txnID()
+	if p := s.txns[k]; p != nil {
 		if !p.everyKey(s.serves) {
-			s.refuse(c.id)
+			s.refuse(id)
 			return
 		}
 		s.resolvePortion(p, c.txnCommit)
-	}
-	if rec := s.tombs[c.txnID]; rec != nil {
-		state := recordState(rec)
-		s.setResult(c.id, result{OK: state == txnStateCommitted, TxnState: state})
+		s.hand(id, result{OK: p.State == txnStateCommitted, TxnState: p.State}, answered)
 		return
 	}
-	// No portion: this shard never saw the prepare, or already evicted the
-	// tombstone. It must at least own one of the transaction's keys —
-	// otherwise the decision belongs elsewhere (stale routing) and the
-	// caller re-resolves.
+	if rec := s.record(k); rec != nil {
+		state := recordState(rec)
+		s.hand(id, result{OK: state == txnStateCommitted, TxnState: state}, answered)
+		return
+	}
+	// No portion: this shard never saw the prepare, or its record is gone
+	// with the acknowledgement. It must at least own one of the
+	// transaction's keys — otherwise the decision belongs elsewhere (stale
+	// routing) and the caller re-resolves.
 	if s.curRing != nil && !slices.ContainsFunc(c.allKeys, s.owns) {
-		s.refuse(c.id)
+		s.refuse(id)
 		return
 	}
 	if c.txnCommit {
 		// Presumed resolved: a commit decision exists only if the prepare
-		// phase finished everywhere, so re-answering success is safe even
-		// past the tombstone horizon.
-		s.setResult(c.id, result{OK: true, TxnState: txnStateCommitted})
+		// phase finished everywhere, so re-answering success is safe.
+		s.hand(id, result{OK: true, TxnState: txnStateCommitted}, answered)
 		return
 	}
 	// Abort with no portion: plant a fence so a straggling prepare re-drive
 	// cannot lock keys after the decision (presumed abort).
-	s.entomb(txnPortion{TxnID: c.txnID, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStateAborted})
-	s.flight.Recordf(s.flightTag, "txn %016x fenced aborted", c.txnID)
-	s.setResult(c.id, result{TxnState: txnStateAborted})
-}
-
-// evictTxns trims tombstones past the tombstone window.
-func (s *mapSM) evictTxns() {
-	for len(s.txnOrder) > txnTombstoneWindow {
-		delete(s.tombs, s.txnOrder[0])
-		s.txnOrder = s.txnOrder[1:]
-	}
+	s.setRecord(&txnPortion{ID: k, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStateAborted})
+	s.flight.Recordf(s.flightTag, "txn %v fenced aborted", k)
+	s.hand(id, result{TxnState: txnStateAborted}, answered)
 }
 
 // applyMigrateBegin installs the pending routing table, freezing the key
 // ranges that move away from this shard. Begins are idempotent, and a begin
 // for an epoch the shard already reached (or passed) is a no-op — the retry
-// of a completed handoff must not re-freeze anything.
-func (s *mapSM) applyMigrateBegin(c command) {
+// of a completed handoff must not re-freeze anything. It reports whether the
+// shard took the begin.
+func (s *mapSM) applyMigrateBegin(c *command) bool {
 	ok := false
 	switch {
 	case c.routing.Epoch <= s.routing.Epoch:
@@ -900,17 +933,16 @@ func (s *mapSM) applyMigrateBegin(c command) {
 			s.routing.Epoch, rt.Epoch, s.routing.Shards, rt.Shards)
 		s.notifyRouting()
 	}
-	s.setResult(c.id, result{OK: ok})
+	return ok
 }
 
 // applyMigrateCommit flips the shard to the new routing table: moved keys
 // (exported to their new owners before the commit was sequenced) are
 // deleted, the freeze lifts, and from this position in the total order the
 // shard serves exactly the ranges the new table assigns it.
-func (s *mapSM) applyMigrateCommit(c command) {
+func (s *mapSM) applyMigrateCommit(c *command) {
 	if c.routing.Epoch <= s.routing.Epoch {
-		s.setResult(c.id, result{OK: true}) // duplicate commit
-		return
+		return // duplicate commit
 	}
 	s.routing = c.routing
 	s.curRing = c.routing.ring(s.store)
@@ -926,8 +958,8 @@ func (s *mapSM) applyMigrateCommit(c command) {
 	// Transaction portions follow their keys: shrink each prepared one to
 	// the keys this shard still owns (the moved slices were exported as
 	// sub-portions before the commit sequenced), and drop a portion with
-	// nothing left here, or a tombstone none of whose transaction's keys
-	// this shard owns. Locks are rederived from what remains.
+	// nothing left here, or a record none of whose transaction's keys this
+	// shard owns. Locks are rederived from what remains.
 	for id, p := range s.txns {
 		var keep []string
 		for _, k := range p.localKeys() {
@@ -942,12 +974,14 @@ func (s *mapSM) applyMigrateCommit(c command) {
 		}
 		s.txns[id] = p.subPortion(keep)
 	}
-	for id, rec := range s.tombs {
-		if !slices.ContainsFunc(decodeRecord(rec).AllKeys, s.owns) {
-			delete(s.tombs, id) // txnOrder entry left behind; evict tolerates it
+	for session, st := range s.sessions {
+		for i := len(st.records) - 1; i >= 0; i-- {
+			if !slices.ContainsFunc(decodeRecord(st.records[i].rec).AllKeys, s.owns) {
+				s.dropRecord(session, i)
+			}
 		}
 	}
-	s.locks = make(map[string]uint64)
+	s.locks = make(map[string]txnID)
 	for id, p := range s.txns {
 		for _, k := range p.localKeys() {
 			s.locks[k] = id
@@ -958,13 +992,13 @@ func (s *mapSM) applyMigrateCommit(c command) {
 	// The store's view first, as begin and abort do: whoever the answer
 	// wakes (the coordinator) must find the flip there.
 	s.notifyRouting()
-	s.setResult(c.id, result{OK: true})
 }
 
 // applyMigrateAbort rolls a pending handoff back: the freeze lifts and the
 // shard keeps serving under its current table. Only the exact pending epoch
-// can be aborted, and never after the shard committed it.
-func (s *mapSM) applyMigrateAbort(c command) {
+// can be aborted, and never after the shard committed it. It reports whether
+// it rolled one back.
+func (s *mapSM) applyMigrateAbort(c *command) bool {
 	ok := false
 	if s.pending != nil && s.pending.Epoch == c.routing.Epoch {
 		s.pending = nil
@@ -974,30 +1008,34 @@ func (s *mapSM) applyMigrateAbort(c command) {
 			c.routing.Epoch, s.routing.Epoch)
 		s.notifyRouting()
 	}
-	s.setResult(c.id, result{OK: ok})
+	return ok
 }
 
-// applyMigrateImport installs a chunk of keys (and the dedup results that
-// travel with them) streamed out of a source shard. Imports are epoch-gated:
+// applyMigrateImport installs a chunk of keys streamed out of a source shard,
+// with what travels with them: every session's ack and the outcomes of the
+// moving keys' writes, so that a retry or a late duplicate is answered on the
+// new owner as it would have been on the old — and the transaction
+// sub-portions covering the keys. Imports are epoch-gated (applyCommand):
 // they apply only while this shard has not yet committed the target epoch —
 // after the flip clients may write the moved ranges here, and a late
 // (re-driven) import must never overwrite a newer client write with the
 // source's frozen value.
-func (s *mapSM) applyMigrateImport(c command) {
-	if s.routing.Epoch >= c.routing.Epoch {
-		s.refuse(c.id) // late chunk: already flipped
-		return
-	}
+func (s *mapSM) applyMigrateImport(c *command) {
 	for _, p := range c.pairs {
 		s.items[p.Key] = p.Val
 	}
-	for _, r := range c.impResults {
-		s.setResult(r.ID, result{OK: r.OK, Key: r.Key})
+	s.advanceClock(c.clock)
+	for _, m := range c.moved {
+		st := s.admit(m.ID, math.MaxUint64, m.Ack) // nil only if the session expired
+		for _, o := range m.Outcomes {
+			if st != nil && o.seq >= st.ack {
+				s.setOutcome(m.ID, st, o.seq, o.ok, o.key)
+			}
+		}
 	}
 	for _, t := range c.txns {
 		s.importPortion(t)
 	}
-	s.setResult(c.id, result{OK: true})
 }
 
 // importPortion merges one migrated transaction sub-portion into this
@@ -1006,7 +1044,7 @@ func (s *mapSM) applyMigrateImport(c command) {
 // chunks arrived first): the resident and incoming states must converge on
 // one outcome with every write applied exactly once.
 func (s *mapSM) importPortion(t *txnPortion) {
-	if rec := s.tombs[t.TxnID]; rec != nil {
+	if rec := s.record(t.ID); rec != nil {
 		ex := decodeRecord(rec)
 		if ex.State != txnStateCommitted {
 			return // aborted: the incoming writes are discarded, and no reads are kept
@@ -1028,23 +1066,23 @@ func (s *mapSM) importPortion(t *txnPortion) {
 		s.setRecord(ex)
 		return
 	}
-	ex := s.txns[t.TxnID]
+	ex := s.txns[t.ID]
 	switch {
 	case ex == nil && t.State == txnStatePrepared:
 		cp := t.clone()
-		s.txns[t.TxnID] = cp
+		s.txns[t.ID] = cp
 		for _, k := range cp.localKeys() {
-			s.locks[k] = cp.TxnID
+			s.locks[k] = cp.ID
 		}
-		s.touchLock(cp.TxnID)
+		s.touchLock(cp.ID)
 	case ex == nil:
 		s.entomb(t.tombstone())
 	case t.State == txnStatePrepared:
 		ex.mergeOps(t)
 		for _, k := range t.localKeys() {
-			s.locks[k] = ex.TxnID
+			s.locks[k] = ex.ID
 		}
-		s.touchLock(ex.TxnID)
+		s.touchLock(ex.ID)
 	default:
 		// The transaction resolved elsewhere while this slice was in
 		// flight: land the decision on the resident portion too, the
@@ -1062,27 +1100,32 @@ type migrationView struct {
 	Keys    int
 }
 
-// importChunk is one migrate-import command's cargo: moved key/value pairs
-// plus the dedup results whose keys move with them (tombstoned deletes
-// included — their result must follow the key even though the item is gone)
-// and the transaction sub-portions covering the moved keys.
+// importChunk is one migrate-import command's cargo: moved key/value pairs,
+// the shard's session clock and the sessions it keeps (movedSession), and the
+// transaction sub-portions covering the moved keys.
 type importChunk struct {
-	Pairs   []Pair
-	Results []importResult
-	Txns    []*txnPortion
+	Pairs []Pair
+	Clock uint64
+	Moved []movedSession
+	Txns  []*txnPortion
 }
 
-// importResult is one migrated dedup-window entry.
-type importResult struct {
-	ID  uint64
-	OK  bool
-	Key string
+// movedSession is what an import carries of one session: its ack — every
+// session's, so that a late duplicate is Stale on the new owner too — and the
+// outcomes of its writes to the moving keys (deletes included: the outcome
+// follows the key even though the item is gone).
+type movedSession struct {
+	ID       uint64
+	Ack      uint64
+	Outcomes []outcome
 }
 
-// exportChunks enumerates everything this shard loses under next — items
-// and keyed results — grouped by destination shard and chunked to stay
-// under maxBytes per chunk (at least one element per chunk). Caller must
-// hold the replica lock (Read).
+// exportChunks enumerates everything this shard loses under next — items,
+// the outcomes of their writes and transaction sub-portions — grouped by
+// destination shard and chunked to stay under maxBytes per chunk (at least
+// one element per chunk). The first chunk for each heir — each shard that
+// takes over some of this shard's keys — carries the session clock and every
+// session's ack. Caller must hold the replica lock (Read).
 func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 	out := make(map[int][]*importChunk)
 	size := make(map[int]int)
@@ -1096,6 +1139,29 @@ func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 		size[dest] += need
 		return chunks[len(chunks)-1]
 	}
+	// The sessions go first, in each heir's first chunk (chunks apply in
+	// order, and a record imported after them finds its session): each
+	// session's ack, with the outcomes of its writes to the keys moving
+	// there. Every heir needs every ack, even one that receives no item: a
+	// late duplicate is routed to the new owner of its key, and the key may
+	// be gone, its write's outcome freed. No other shard can be asked for a
+	// key of this one. Migration markers and audits, keyless, stay behind.
+	heirs := s.curRing.heirs(next, s.shard)
+	for id, st := range s.sessions {
+		moved := make(map[int][]outcome)
+		for _, o := range st.outcomes {
+			if dest := next.shard(o.key); o.key != "" && dest != s.shard {
+				moved[dest] = append(moved[dest], o)
+			}
+		}
+		for dest, heir := range heirs {
+			if heir {
+				ch := chunkFor(dest, 24+24*len(moved[dest]))
+				ch.Clock = s.clock
+				ch.Moved = append(ch.Moved, movedSession{ID: id, Ack: st.ack, Outcomes: moved[dest]})
+			}
+		}
+	}
 	for k, v := range s.items {
 		dest := next.shard(k)
 		if dest == s.shard {
@@ -1104,23 +1170,9 @@ func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 		ch := chunkFor(dest, len(k)+len(v)+16)
 		ch.Pairs = append(ch.Pairs, Pair{Key: k, Val: append([]byte(nil), v...)})
 	}
-	for _, run := range s.results.fifo() {
-		for i := range run {
-			id, r := run[i].id, &run[i].res
-			if r.Key == "" {
-				continue // migration markers, txn answers and audits stay behind
-			}
-			dest := next.shard(r.Key)
-			if dest == s.shard {
-				continue
-			}
-			ch := chunkFor(dest, len(r.Key)+16)
-			ch.Results = append(ch.Results, importResult{ID: id, OK: r.OK, Key: r.Key})
-		}
-	}
 	// Transaction portions follow their keys: a prepared portion's slice
 	// moves wherever its locked keys go (the held-back writes included, so
-	// an in-flight transaction survives the reshard); a tombstone's slice
+	// an in-flight transaction survives the reshard); a record's slice
 	// follows its AllKeys so re-drives keep finding the decision.
 	export := func(p *txnPortion, keys []string) {
 		byDest := make(map[int][]string)
@@ -1148,15 +1200,17 @@ func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 	for _, p := range s.txns {
 		export(p, p.localKeys())
 	}
-	for _, rec := range s.tombs {
-		p := decodeRecord(rec)
-		var keys []string
-		for _, k := range p.AllKeys {
-			if s.owns(k) {
-				keys = append(keys, k)
+	for _, st := range s.sessions {
+		for _, r := range st.records {
+			p := decodeRecord(r.rec)
+			var keys []string
+			for _, k := range p.AllKeys {
+				if s.owns(k) {
+					keys = append(keys, k)
+				}
 			}
+			export(p, keys)
 		}
-		export(p, keys)
 	}
 	return out
 }

@@ -182,7 +182,7 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 
 	// Phase 1 only: freeze every old shard's moving ranges, commit later.
 	for i := 0; i < cur.Shards; i++ {
-		if err := stores[0].migrate(ctx, i, encodeMigrate(opMigrateBegin, stores[0].nextCmdID(), target)); err != nil {
+		if err := stores[0].migrate(ctx, i, opMigrateBegin, target, nil); err != nil {
 			t.Fatalf("migrate-begin on shard %d: %v", i, err)
 		}
 	}

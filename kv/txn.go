@@ -27,7 +27,7 @@ import (
 // home shard — the owner of the lexicographically first key — arbitrates:
 // the first resolve to sequence against its prepared portion fixes the
 // outcome, and every later resolve or prepare re-answers that decision from
-// the portion tombstone. The coordinator (any Client) therefore:
+// the attempt's record. The coordinator (any Client) therefore:
 //
 //	phase 1: prepare every participant in parallel
 //	phase 2: resolve the home portion with commit=true — the commit point
@@ -42,6 +42,15 @@ import (
 // the recorded decision otherwise) and echoes the answer. Prepared portions
 // migrate with their keys during live resharding, so a reshard serializes
 // entirely before or after the commit, never through it.
+//
+// A transaction is the (session, seq) of the ReqTxn that started it, and its
+// attempts are numbered within it (txnID): every prepare and resolve of an
+// attempt carries that header, so a shard files the attempt's record under the
+// transaction's session and frees it when the session's ack passes the seq.
+// The coordinator's request is acknowledged only after every participant has
+// the decision (phase 3 returns), and a transaction that fails leaves its seq
+// unacknowledged for good (Client.Do retires the session), so a record is
+// never freed while a participant might still ask for its decision.
 
 // TxnWrite is one write in a transaction: set Key to Val, or remove it.
 type TxnWrite struct {
@@ -82,7 +91,7 @@ type TxnResult struct {
 // however many shards its keys span: either every write lands or none does,
 // conditions are checked against the same locked snapshot the reads
 // observe, and no other operation sees a half-applied state. Conflicts with
-// concurrent transactions retry internally with fresh attempt ids;
+// concurrent transactions retry internally under fresh attempts;
 // CondFailed aborts are final, like a failed CAS.
 func (c *Client) Txn(ctx context.Context, op TxnOp) (*TxnResult, error) {
 	resp, err := c.Do(ctx, &Request{Op: ReqTxn, Keys: op.Reads, Writes: op.Writes, Conds: op.Conds})
@@ -97,16 +106,10 @@ func (c *Client) Txn(ctx context.Context, op TxnOp) (*TxnResult, error) {
 	}, nil
 }
 
-// txnAttemptStride derives attempt n's transaction id from the request id:
-// id + n*stride (the 64-bit golden ratio, so chains from different requests
-// do not collide). Attempt 0 uses the request id itself, which is what makes
-// a RETRIED coordinator request idempotent: the retry re-drives the same
-// attempt chain, and every portion it touches re-answers instead of
-// re-executing.
-const txnAttemptStride = 0x9E3779B97F4A7C15
-
-func txnAttemptID(base uint64, attempt int) uint64 {
-	return base + uint64(attempt)*txnAttemptStride
+// txnRequest starts a prepare or resolve of attempt k, sent with ack, the
+// transaction's session's ack as its request carried it.
+func txnRequest(op byte, k txnID, ack uint64) *Request {
+	return &Request{Op: op, Session: k.session, ID: k.seq, Ack: ack, Attempt: k.attempt}
 }
 
 // maxTxnAttempts bounds conflict retries before surfacing an error.
@@ -114,6 +117,9 @@ const maxTxnAttempts = 64
 
 // txnExecute is the coordinator loop behind ReqTxn: drive attempts until one
 // decides (committed, aborted-by-condition) or the attempt budget runs out.
+// Attempt numbers start at 0 for every drive of the request, which is what
+// makes a RETRIED ReqTxn idempotent: the retry re-drives the same attempts,
+// and every portion it touches re-answers instead of re-executing.
 func (c *Client) txnExecute(ctx context.Context, req *Request) (*Response, error) {
 	allKeys := txnKeys(req)
 	if len(allKeys) == 0 {
@@ -124,14 +130,14 @@ func (c *Client) txnExecute(ctx context.Context, req *Request) (*Response, error
 		t0 = time.Now()
 	}
 	for n := 0; n < maxTxnAttempts; n++ {
-		txnID := txnAttemptID(req.ID, n)
-		res, retry, err := c.txnAttempt(ctx, txnID, allKeys, req)
+		k := txnID{session: req.Session, seq: req.ID, attempt: uint32(n)}
+		res, retry, err := c.txnAttempt(ctx, k, allKeys, req)
 		if err != nil {
 			return nil, err
 		}
 		if retry {
 			c.txnConflicts.Add(1)
-			c.tracer.Addf(txnID, "txn conflict, retrying (attempt %d)", n+1)
+			c.tracer.Addf(req.traceID(), "txn conflict, retrying (attempt %d)", n+1)
 			// Jittered backoff so colliding coordinators separate. A timer,
 			// not the change channel: the other coordinator may be remote,
 			// and only the jitter breaks the symmetry between the two.
@@ -157,7 +163,7 @@ func (c *Client) txnExecute(ctx context.Context, req *Request) (*Response, error
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("kv: transaction %016x: too much contention (%d attempts)", req.ID, maxTxnAttempts)
+	return nil, fmt.Errorf("kv: transaction %016x/%d: too much contention (%d attempts)", req.Session, req.ID, maxTxnAttempts)
 }
 
 // txnKeys is the sorted, deduplicated union of a transaction's keys. Its
@@ -171,14 +177,14 @@ func txnKeys(req *Request) []string {
 	return slices.Compact(keys)
 }
 
-// txnAttempt drives one attempt of the 2PC. It reports (result, retry, err):
+// txnAttempt drives attempt k of the 2PC. It reports (result, retry, err):
 // retry true means the attempt lost a race (conflict, or recovery aborted
-// it) and the caller should try again under a fresh attempt id. A transport
+// it) and the caller should try again under a fresh attempt. A transport
 // error leaves the attempt in doubt — the janitor (or a retry of the same
-// request id) resolves it.
-func (c *Client) txnAttempt(ctx context.Context, txnID uint64, allKeys []string, req *Request) (*TxnResult, bool, error) {
+// request) resolves it.
+func (c *Client) txnAttempt(ctx context.Context, k txnID, allKeys []string, req *Request) (*TxnResult, bool, error) {
 	homeKey := allKeys[0]
-	c.tracer.Addf(txnID, "txn prepare: %d keys, home %q", len(allKeys), homeKey)
+	c.tracer.Addf(req.traceID(), "txn prepare: %d keys, home %q (attempt %d)", len(allKeys), homeKey, k.attempt)
 
 	// Phase 1: prepare every participant. One request covering the whole
 	// transaction; Do splits it per shard under the live table and merges
@@ -189,12 +195,12 @@ func (c *Client) txnAttempt(ctx context.Context, txnID uint64, allKeys []string,
 	if c.txnPrepH != nil {
 		prepT0 = time.Now()
 	}
-	prep, err := c.Do(ctx, &Request{
-		Op: ReqTxnPrepare, TxnID: txnID, HomeKey: homeKey, AllKeys: allKeys,
-		Keys: req.Keys, Writes: req.Writes, Conds: req.Conds,
-	})
+	prepare := txnRequest(ReqTxnPrepare, k, req.Ack)
+	prepare.HomeKey, prepare.AllKeys = homeKey, allKeys
+	prepare.Keys, prepare.Writes, prepare.Conds = req.Keys, req.Writes, req.Conds
+	prep, err := c.Do(ctx, prepare)
 	if err != nil {
-		return nil, false, fmt.Errorf("kv: txn %016x prepare: %w", txnID, err)
+		return nil, false, fmt.Errorf("kv: txn %v prepare: %w", k, err)
 	}
 	if c.txnPrepH != nil {
 		c.txnPrepH.Observe(time.Since(prepT0))
@@ -208,17 +214,23 @@ func (c *Client) txnAttempt(ctx context.Context, txnID uint64, allKeys []string,
 		// retried request): make sure the echo finished and re-answer. A
 		// commit decision exists only via a sequenced resolve at the home,
 		// so the home portion is already resolved.
-		if err := c.txnResolveEcho(ctx, txnID, true, homeKey, allKeys, true); err != nil {
+		if err := c.txnResolveEcho(ctx, k, req.Ack, true, homeKey, allKeys, true); err != nil {
 			return nil, false, err
 		}
 		return mkResult(true), false, nil
 	case prep.Conflict || prep.TxnState == txnStateAborted:
 		// Lost a key to another live transaction, or recovery already
-		// aborted this attempt: release whatever we locked, try afresh.
-		c.txnResolveEcho(ctx, txnID, false, homeKey, allKeys, false)
+		// aborted this attempt: release whatever we locked, try afresh. An
+		// echo that failed may have left a participant locked, so it fails
+		// the transaction, and Do keeps its records for the janitor.
+		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, false); err != nil {
+			return nil, false, err
+		}
 		return nil, true, nil
 	case prep.CondFailed:
-		c.txnResolveEcho(ctx, txnID, false, homeKey, allKeys, false)
+		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, false); err != nil {
+			return nil, false, err
+		}
 		return &TxnResult{CondFailed: true}, false, nil
 	}
 
@@ -226,7 +238,7 @@ func (c *Client) txnAttempt(ctx context.Context, txnID uint64, allKeys []string,
 	// values are a consistent snapshot (every key was locked when the last
 	// prepare sequenced); the locks just need releasing.
 	if len(req.Writes) == 0 {
-		if err := c.txnResolveEcho(ctx, txnID, false, homeKey, allKeys, false); err != nil {
+		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, false); err != nil {
 			return nil, false, err
 		}
 		return mkResult(true), false, nil
@@ -239,19 +251,18 @@ func (c *Client) txnAttempt(ctx context.Context, txnID uint64, allKeys []string,
 	if c.txnResH != nil {
 		resT0 = time.Now()
 	}
-	home, err := c.Do(ctx, &Request{
-		Op: ReqTxnResolve, TxnID: txnID, Commit: true,
-		Key: homeKey, HomeKey: homeKey, AllKeys: allKeys,
-	})
+	resolve := txnRequest(ReqTxnResolve, k, req.Ack)
+	resolve.Commit, resolve.Key, resolve.HomeKey, resolve.AllKeys = true, homeKey, homeKey, allKeys
+	home, err := c.Do(ctx, resolve)
 	if err != nil {
-		return nil, false, fmt.Errorf("kv: txn %016x commit: %w", txnID, err)
+		return nil, false, fmt.Errorf("kv: txn %v commit: %w", k, err)
 	}
 	committed := home.TxnState == txnStateCommitted
-	c.tracer.Addf(txnID, "txn home decided: committed=%v", committed)
+	c.tracer.Addf(req.traceID(), "txn home decided: committed=%v", committed)
 
 	// Phase 3: echo the decision to every participant except the home —
 	// phase 2's resolve already settled the home shard's whole portion.
-	if err := c.txnResolveEcho(ctx, txnID, committed, homeKey, allKeys, true); err != nil {
+	if err := c.txnResolveEcho(ctx, k, req.Ack, committed, homeKey, allKeys, true); err != nil {
 		return nil, false, err
 	}
 	if c.txnResH != nil {
@@ -276,11 +287,11 @@ func (c *Client) txnAttempt(ctx context.Context, txnID uint64, allKeys []string,
 // reshard the home key's group may hold migrated-in keys whose portions the
 // phase-2 resolve never saw, so repeats cover every group (resolves
 // re-answer idempotently).
-func (c *Client) txnResolveEcho(ctx context.Context, txnID uint64, commit bool, homeKey string, allKeys []string, homeDone bool) error {
+func (c *Client) txnResolveEcho(ctx context.Context, k txnID, ack uint64, commit bool, homeKey string, allKeys []string, homeDone bool) error {
 	for {
 		r, rt := c.routingRing()
 		if r == nil {
-			return fmt.Errorf("kv: txn %016x: resolve echo needs ring knowledge", txnID)
+			return fmt.Errorf("kv: txn %v: resolve echo needs ring knowledge", k)
 		}
 		// One resolve per shard that serves any of the keys — the groups a
 		// read of them all would form — each routed by its group's first key.
@@ -289,16 +300,17 @@ func (c *Client) txnResolveEcho(ctx context.Context, txnID uint64, commit bool, 
 			homeDone = false
 			home := r.shard(homeKey)
 			parts = slices.DeleteFunc(parts, func(p shardPart) bool { return p.shard == home })
-			c.tracer.Addf(txnID, "txn echo: home shard skipped (already resolved)")
+			c.tracer.Addf(cmdID(k.session, k.seq), "txn echo: home shard skipped (already resolved)")
 		}
 		// Each resolve is a request of its own: a Moved answer re-drives it
 		// in Do, chasing its portion across the epoch flip.
 		_, err := scatter(parts, nil, func(i int) (*Response, error) {
-			return c.Do(ctx, &Request{Op: ReqTxnResolve, TxnID: txnID, Commit: commit,
-				Key: parts[i].key, HomeKey: homeKey, AllKeys: allKeys})
+			resolve := txnRequest(ReqTxnResolve, k, ack)
+			resolve.Commit, resolve.Key, resolve.HomeKey, resolve.AllKeys = commit, parts[i].key, homeKey, allKeys
+			return c.Do(ctx, resolve)
 		})
 		if err != nil {
-			return fmt.Errorf("kv: txn %016x resolve echo: %w", txnID, err)
+			return fmt.Errorf("kv: txn %v resolve echo: %w", k, err)
 		}
 		if _, rt2 := c.routingRing(); rt2.Epoch == rt.Epoch {
 			return nil
@@ -351,18 +363,18 @@ func mergePrepareAnswers(req *Request, parts []shardPart, answers []*Response) *
 // home shard arbitrates: a resolve with commit=false aborts a still-prepared
 // home portion (presumed abort — the coordinator cannot have committed
 // without the home's sequenced decision) or re-answers the recorded
-// decision; either way the answered state is echoed everywhere.
+// decision; either way the answered state is echoed everywhere. The resolves
+// carry the transaction's header with no ack: recovery acknowledges nothing.
 func (c *Client) recoverTxn(ctx context.Context, p *txnPortion) error {
-	resp, err := c.Do(ctx, &Request{
-		Op: ReqTxnResolve, TxnID: p.TxnID, Commit: false,
-		Key: p.HomeKey, HomeKey: p.HomeKey, AllKeys: p.AllKeys,
-	})
+	resolve := txnRequest(ReqTxnResolve, p.ID, 0)
+	resolve.Key, resolve.HomeKey, resolve.AllKeys = p.HomeKey, p.HomeKey, p.AllKeys
+	resp, err := c.Do(ctx, resolve)
 	if err != nil {
 		return err
 	}
 	commit := resp.TxnState == txnStateCommitted
-	c.tracer.Addf(p.TxnID, "txn recovery: home arbitrated committed=%v", commit)
-	return c.txnResolveEcho(ctx, p.TxnID, commit, p.HomeKey, p.AllKeys, true)
+	c.tracer.Addf(cmdID(p.ID.session, p.ID.seq), "txn recovery: home arbitrated committed=%v", commit)
+	return c.txnResolveEcho(ctx, p.ID, 0, commit, p.HomeKey, p.AllKeys, true)
 }
 
 // inDoubtTxns lists prepared portions held by this node's replicas whose
@@ -372,7 +384,7 @@ func (c *Client) recoverTxn(ctx context.Context, p *txnPortion) error {
 func (s *Store) inDoubtTxns(minAge time.Duration) []*txnPortion {
 	cutoff := time.Now().Add(-minAge)
 	all := minAge <= 0
-	seen := make(map[uint64]bool)
+	seen := make(map[txnID]bool)
 	var out []*txnPortion
 	for _, r := range s.snapshotShards() {
 		if r == nil {
@@ -391,7 +403,7 @@ func (s *Store) inDoubtTxns(minAge time.Duration) []*txnPortion {
 				}
 				seen[id] = true
 				out = append(out, &txnPortion{
-					TxnID:   p.TxnID,
+					ID:      p.ID,
 					HomeKey: p.HomeKey,
 					AllKeys: append([]string(nil), p.AllKeys...),
 				})
@@ -419,11 +431,11 @@ func (s *Store) recoverInDoubt(ctx context.Context, minAge time.Duration) int {
 		err := c.recoverTxn(rctx, p)
 		cancel()
 		if err != nil {
-			s.flight().Recordf("kv/"+s.name, "txn %016x recovery failed: %v", p.TxnID, err)
+			s.flight().Recordf("kv/"+s.name, "txn %v recovery failed: %v", p.ID, err)
 			continue
 		}
 		resolved++
-		s.flight().Recordf("kv/"+s.name, "txn %016x recovered", p.TxnID)
+		s.flight().Recordf("kv/"+s.name, "txn %v recovered", p.ID)
 	}
 	return resolved
 }

@@ -384,11 +384,12 @@ func TestTxnKillAllBetweenPrepareAndCommit(t *testing.T) {
 	// Drive phase 1 only, under the pinned coordinator request id: the
 	// prepares sequence and journal, then the whole cluster dies before any
 	// resolve — exactly what a coordinator crash mid-2PC leaves behind.
+	pin := newSessionID(time.Now())
 	const pinID = 0xBEEF0001
 	allKeys := append([]string(nil), keys...)
 	sort.Strings(allKeys)
 	prep, err := cl.Do(ctx, &Request{
-		Op: ReqTxnPrepare, ID: pinID, TxnID: txnAttemptID(pinID, 0),
+		Op: ReqTxnPrepare, Session: pin, ID: pinID, Attempt: 0,
 		HomeKey: allKeys[0], AllKeys: allKeys,
 		Writes: []TxnWrite{
 			{Key: from, Val: []byte("90")},
@@ -427,11 +428,11 @@ func TestTxnKillAllBetweenPrepareAndCommit(t *testing.T) {
 		t.Fatalf("Put after recovery: %v", err)
 	}
 
-	// The coordinator comes back and retries the SAME request id. Attempt 0
-	// finds its aborted tombstones, retries under the next attempt id, and
+	// The coordinator comes back and retries the SAME request. Attempt 0
+	// finds its aborted records, retries under the next attempt, and
 	// commits — exactly once.
 	resp, err := cl2.Do(ctx, &Request{
-		Op: ReqTxn, ID: pinID,
+		Op: ReqTxn, Session: pin, ID: pinID,
 		Writes: []TxnWrite{
 			{Key: from, Val: []byte("90")},
 			{Key: to, Val: []byte("110")},
@@ -492,12 +493,12 @@ func TestTxnKillAllBetweenPartialCommits(t *testing.T) {
 		}
 	}
 
+	pin := newSessionID(time.Now())
 	const pinID = 0xBEEF0002
-	txnID := txnAttemptID(pinID, 0)
 	allKeys := append([]string(nil), keys...)
 	sort.Strings(allKeys)
 	prep, err := cl.Do(ctx, &Request{
-		Op: ReqTxnPrepare, ID: pinID, TxnID: txnID,
+		Op: ReqTxnPrepare, Session: pin, ID: pinID,
 		HomeKey: allKeys[0], AllKeys: allKeys,
 		Writes: []TxnWrite{
 			{Key: from, Val: []byte("90")},
@@ -510,7 +511,7 @@ func TestTxnKillAllBetweenPartialCommits(t *testing.T) {
 	// Phase 2 only: the home sequences the commit point. No echo — the
 	// other participant stays prepared, locks held, when the cluster dies.
 	home, err := cl.Do(ctx, &Request{
-		Op: ReqTxnResolve, TxnID: txnID, Commit: true,
+		Op: ReqTxnResolve, Session: pin, ID: pinID, Commit: true,
 		Key: allKeys[0], HomeKey: allKeys[0], AllKeys: allKeys,
 	})
 	if err != nil || home.TxnState != txnStateCommitted {
@@ -540,14 +541,14 @@ func TestTxnKillAllBetweenPartialCommits(t *testing.T) {
 		t.Fatalf("%s = %q after recovery, want committed 110", to, v)
 	}
 
-	// Exactly-once across the dedup window: perturb one written key, then
-	// retry the coordinator request — it must re-answer the recorded commit
+	// Exactly-once across the restart: perturb one written key, then retry
+	// the coordinator request — it must re-answer the recorded commit
 	// without re-applying the writes.
 	if err := cl2.Put(ctx, from, []byte("77")); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := cl2.Do(ctx, &Request{
-		Op: ReqTxn, ID: pinID,
+		Op: ReqTxn, Session: pin, ID: pinID,
 		Writes: []TxnWrite{
 			{Key: from, Val: []byte("90")},
 			{Key: to, Val: []byte("110")},
@@ -583,7 +584,7 @@ func TestTxnJanitorRecoversOrphanedPrepare(t *testing.T) {
 	allKeys := append([]string(nil), keys...)
 	sort.Strings(allKeys)
 	prep, err := cl.Do(ctx, &Request{
-		Op: ReqTxnPrepare, TxnID: 0xABAD1DEA,
+		Op:      ReqTxnPrepare,
 		HomeKey: allKeys[0], AllKeys: allKeys,
 		Writes: []TxnWrite{{Key: keys[0], Val: []byte("never")}},
 	})
@@ -730,9 +731,10 @@ func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 
 	const rounds = 20
 	gaps := make([]time.Duration, 0, rounds)
+	pin := newSessionID(time.Now())
 	for round := 0; round < rounds; round++ {
-		txnID := cl.nextID()
-		prep, err := cl.Do(ctx, &Request{Op: ReqTxnPrepare, TxnID: txnID, HomeKey: keys[0], AllKeys: keys,
+		txn := txnID{session: pin, seq: uint64(round + 1)}
+		prep, err := cl.Do(ctx, &Request{Op: ReqTxnPrepare, Session: pin, ID: txn.seq, HomeKey: keys[0], AllKeys: keys,
 			Writes: []TxnWrite{{Key: keys[0], Val: []byte("t")}, {Key: keys[1], Val: []byte("t")}}})
 		if err != nil || !prep.OK || prep.TxnState != txnStatePrepared {
 			t.Fatalf("round %d: prepare = %+v, %v", round, prep, err)
@@ -740,14 +742,14 @@ func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 		const putID = 0x10C4ED00
 		returned := make(chan time.Time, 1)
 		go func() {
-			if _, err := cl.Do(ctx, &Request{Op: ReqPut, ID: putID + uint64(round), Key: keys[1], Val: []byte("p")}); err != nil {
+			if _, err := cl.Do(ctx, &Request{Op: ReqPut, Session: pin, ID: putID + uint64(round), Key: keys[1], Val: []byte("p")}); err != nil {
 				t.Errorf("round %d: Put behind the lock: %v", round, err)
 			}
 			returned <- time.Now()
 		}()
 		// Resolve only once the Put has met the lock; in every fourth round,
 		// hold the lock a while longer.
-		for firstIndexContaining(spanEvents(hub.Tracer().Trace(putID+uint64(round))), "moved") < 0 {
+		for firstIndexContaining(spanEvents(hub.Tracer().Trace(cmdID(pin, putID+uint64(round)))), "moved") < 0 {
 			select {
 			case <-returned:
 				t.Fatalf("round %d: the Put returned while its key was still locked", round)
@@ -757,12 +759,12 @@ func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 		if round%4 == 3 {
 			time.Sleep(50 * time.Millisecond)
 		}
-		if err := cl.txnResolveEcho(ctx, txnID, true, keys[0], keys, false); err != nil {
+		if err := cl.txnResolveEcho(ctx, txn, 0, true, keys[0], keys, false); err != nil {
 			t.Fatalf("round %d: resolve: %v", round, err)
 		}
 		resolved := time.Now()
 		gaps = append(gaps, (<-returned).Sub(resolved))
-		if n := countContaining(spanEvents(hub.Tracer().Trace(putID+uint64(round))), "moved"); n != 1 {
+		if n := countContaining(spanEvents(hub.Tracer().Trace(cmdID(pin, putID+uint64(round)))), "moved"); n != 1 {
 			t.Errorf("round %d: the Put bounced %d times, want once: only the lock's release re-drives it", round, n)
 		}
 		if v, ok, err := cl.Get(ctx, keys[1]); err != nil || !ok || string(v) != "p" {
@@ -793,18 +795,19 @@ func TestHeldPutReturnsAtClose(t *testing.T) {
 	cl := stores[0].NewClient()
 	defer cl.Close()
 	key := "locked"
-	prep, err := cl.Do(ctx, &Request{Op: ReqTxnPrepare, TxnID: cl.nextID(), HomeKey: key, AllKeys: []string{key},
+	prep, err := cl.Do(ctx, &Request{Op: ReqTxnPrepare, HomeKey: key, AllKeys: []string{key},
 		Writes: []TxnWrite{{Key: key, Val: []byte("t")}}})
 	if err != nil || !prep.OK || prep.TxnState != txnStatePrepared {
 		t.Fatalf("prepare = %+v, %v", prep, err)
 	}
+	pin := newSessionID(time.Now())
 	const putID = 0xC105ED
 	returned := make(chan error, 1)
 	go func() {
-		_, err := cl.Do(context.Background(), &Request{Op: ReqPut, ID: putID, Key: key, Val: []byte("p")})
+		_, err := cl.Do(context.Background(), &Request{Op: ReqPut, Session: pin, ID: putID, Key: key, Val: []byte("p")})
 		returned <- err
 	}()
-	for firstIndexContaining(spanEvents(hub.Tracer().Trace(putID)), "moved") < 0 {
+	for firstIndexContaining(spanEvents(hub.Tracer().Trace(cmdID(pin, putID))), "moved") < 0 {
 		select {
 		case err := <-returned:
 			t.Fatalf("the Put returned (%v) while its key was locked", err)
@@ -823,10 +826,11 @@ func TestHeldPutReturnsAtClose(t *testing.T) {
 }
 
 // commitPinnedTxn seeds two read keys, commits a transaction reading them and
-// writing two more under a pinned request id, and then overwrites all four
-// keys. It returns the retry: the same ReqTxn, driven through cl, must answer
-// committed with the reads captured at the first execution — re-answered from
-// the tombstones its attempt left, not read afresh — and must not write again.
+// writing two more pinned to (a session of its own, pinID), and then
+// overwrites all four keys. It returns the retry: the same ReqTxn, driven
+// through cl, must answer committed with the reads captured at the first
+// execution — re-answered from the records its attempt left, not read afresh
+// — and must not write again.
 func commitPinnedTxn(t *testing.T, ctx context.Context, cl *Client, pinID uint64, reads, writes []string) func(cl *Client, after string) {
 	t.Helper()
 	for _, k := range reads {
@@ -834,8 +838,9 @@ func commitPinnedTxn(t *testing.T, ctx context.Context, cl *Client, pinID uint64
 			t.Fatalf("seed %s: %v", k, err)
 		}
 	}
+	pin := newSessionID(time.Now())
 	req := func() *Request {
-		return &Request{Op: ReqTxn, ID: pinID, Keys: reads,
+		return &Request{Op: ReqTxn, Session: pin, ID: pinID, Keys: reads,
 			Writes: []TxnWrite{{Key: writes[0], Val: []byte("txn")}, {Key: writes[1], Val: []byte("txn")}}}
 	}
 	check := func(resp *Response, err error, what string) {

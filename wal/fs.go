@@ -25,7 +25,8 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// File is an open file of an FS.
+// File is an open file of an FS. Like an io.Writer, Write must not keep p:
+// the log spells every record into one buffer it reuses for the next.
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error

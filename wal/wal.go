@@ -248,6 +248,9 @@ type Log struct {
 	failed    error
 	stats     Stats
 	syncTimer *time.Timer // the pending delayed fsync (Options.SyncDelay)
+	// recBuf is where Append spells each record, reused from one append to
+	// the next (File.Write keeps nothing of what it is given).
+	recBuf []byte
 
 	// Stage-latency instruments, resolved once at Open (nil without Obs).
 	appendH  *obs.Histogram
@@ -571,19 +574,22 @@ func (l *Log) Append(entries []Entry) error {
 		}
 		last = e.Seq
 	}
-	body := make([]byte, recordBodyFixed, recordBodyFixed+len(entries)*16)
-	binary.BigEndian.PutUint32(body[0:], entries[0].Seq)
-	binary.BigEndian.PutUint32(body[4:], entries[len(entries)-1].Seq)
-	binary.BigEndian.PutUint16(body[8:], uint16(len(entries)))
+	// The record is spelled once, into the log's own buffer: the header's
+	// room is reserved in front and filled in after the CRC of what follows.
+	var fixed [recordHeaderSize + recordBodyFixed]byte
+	rec := append(l.recBuf[:0], fixed[:]...)
+	binary.BigEndian.PutUint32(rec[recordHeaderSize:], entries[0].Seq)
+	binary.BigEndian.PutUint32(rec[recordHeaderSize+4:], entries[len(entries)-1].Seq)
+	binary.BigEndian.PutUint16(rec[recordHeaderSize+8:], uint16(len(entries)))
 	for _, e := range entries {
-		body = binary.BigEndian.AppendUint32(body, e.Seq)
-		body = binary.AppendUvarint(body, uint64(len(e.Payload)))
-		body = append(body, e.Payload...)
+		rec = binary.BigEndian.AppendUint32(rec, e.Seq)
+		rec = binary.AppendUvarint(rec, uint64(len(e.Payload)))
+		rec = append(rec, e.Payload...)
 	}
-	rec := make([]byte, recordHeaderSize+len(body))
+	body := rec[recordHeaderSize:]
 	binary.BigEndian.PutUint32(rec[0:], uint32(len(body)))
 	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(body))
-	copy(rec[recordHeaderSize:], body)
+	l.recBuf = rec
 
 	n, err := l.active.Write(rec)
 	l.activeSz += int64(n)
