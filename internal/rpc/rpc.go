@@ -5,7 +5,10 @@
 //
 // The protocol is the classic blocking request/reply with at-most-once
 // execution: the client retransmits until a reply (or a server-side
-// acknowledgement of a long-running call) arrives; the server suppresses
+// acknowledgement of a long-running call) arrives — every RetryInterval after
+// a call's last send, on one retransmission clock per client (a single timer
+// armed for the earliest of its pending calls' deadlines, the way a group
+// endpoint's send retry works); the server suppresses
 // duplicate transaction ids and caches replies — the last replyCacheSize,
 // keyed by (client, transaction), so pipelined calls from one client each keep
 // their own at-most-once slot — for retransmission. ForwardRequest — the Table 1
@@ -54,11 +57,17 @@ type header struct {
 
 func encode(h header, payload []byte) []byte {
 	buf := make([]byte, HeaderSize+len(payload))
+	putHeader(buf, h)
+	copy(buf[HeaderSize:], payload)
+	return buf
+}
+
+// putHeader writes h over the first HeaderSize bytes of buf.
+func putHeader(buf []byte, h header) {
+	clear(buf[:HeaderSize])
 	buf[0] = byte(h.typ)
 	binary.BigEndian.PutUint32(buf[4:], h.txn)
 	binary.BigEndian.PutUint64(buf[12:], uint64(h.replyTo))
-	copy(buf[HeaderSize:], payload)
-	return buf
 }
 
 var errShort = errors.New("rpc: packet shorter than header")
@@ -117,7 +126,9 @@ type Config struct {
 	Clock sim.Clock
 	// Meter accounts per-layer processing; nil disables.
 	Meter cost.Meter
-	// RetryInterval spaces client retransmissions (default 50 ms).
+	// RetryInterval spaces client retransmissions (default 50 ms): a call
+	// unanswered RetryInterval after its last send is sent again. One timer
+	// per client serves all its calls, armed for the earliest such deadline.
 	RetryInterval time.Duration
 	// MaxRetries bounds them (default 10).
 	MaxRetries int
@@ -157,20 +168,33 @@ func (c *Config) applyDefaults() {
 type Client struct {
 	cfg  Config
 	addr flip.Address
+	tick func() // c.retransmit, made once: the retransmission clock's callback
 
 	mu      sync.Mutex
 	closed  bool
 	nextTxn uint32
 	pending map[uint32]*call
+	// The retransmission clock. Each pending call is due at its deadline,
+	// and timer is armed whenever a call is pending, to fire at or before
+	// the earliest deadline: a call's deadline is its send plus
+	// RetryInterval, so none comes before the one the timer was armed for.
+	// It is not stopped when calls complete; a firing that finds nothing due
+	// re-arms for what is pending, or for nothing. A busy client thus starts
+	// one timer per RetryInterval, not one per call.
+	timer sim.Timer
 }
 
+// call is one pending transaction. Calls are recycled (calls): once its
+// caller has the result, nothing else holds one.
 type call struct {
-	done  chan callResult
-	timer sim.Timer
-	tries int
-	dst   flip.Address
-	pkt   []byte
+	done     chan callResult // buffered: whoever removes the call from pending sends once
+	deadline time.Duration   // when the call is next retransmitted
+	tries    int
+	dst      flip.Address
+	pkt      []byte
 }
+
+var calls = sync.Pool{New: func() any { return &call{done: make(chan callResult, 1)} }}
 
 type callResult struct {
 	payload []byte
@@ -184,6 +208,7 @@ func NewClient(cfg Config) (*Client, error) {
 	}
 	cfg.applyDefaults()
 	c := &Client{cfg: cfg, addr: cfg.Stack.AllocAddress(), pending: make(map[uint32]*call)}
+	c.tick = c.retransmit
 	cfg.Stack.Register(c.addr, c.onMessage)
 	return c, nil
 }
@@ -201,12 +226,13 @@ func (c *Client) Close() {
 	c.closed = true
 	pend := c.pending
 	c.pending = map[uint32]*call{}
+	if c.timer != nil {
+		c.timer.Stop()
+		c.timer = nil
+	}
 	c.mu.Unlock()
 	c.cfg.Stack.Unregister(c.addr)
 	for _, cl := range pend {
-		if cl.timer != nil {
-			cl.timer.Stop()
-		}
 		cl.done <- callResult{err: ErrClosed}
 	}
 }
@@ -219,11 +245,25 @@ func (c *Client) Call(dst flip.Address, req []byte) ([]byte, error) {
 }
 
 // CallContext performs a blocking RPC bounded by ctx: when ctx expires
-// mid-call the pending transaction is withdrawn — its retransmission timer
-// stops and no goroutine lingers — and ctx's error is returned. A reply that
-// raced the cancellation is returned instead.
+// mid-call the pending transaction is withdrawn — it is retransmitted no more
+// and no goroutine lingers — and ctx's error is returned. A reply that raced
+// the cancellation is returned instead.
 func (c *Client) CallContext(ctx context.Context, dst flip.Address, req []byte) ([]byte, error) {
-	c.cfg.Meter.Charge(cost.UserSend, len(req))
+	pkt := make([]byte, HeaderSize+len(req))
+	copy(pkt[HeaderSize:], req)
+	return c.CallPacket(ctx, dst, pkt)
+}
+
+// CallPacket is CallContext for a request spelled behind HeaderSize bytes of
+// room at the front of pkt: the client writes its header there, so the
+// request is sent without a copy into a packet of the client's own. pkt is
+// the client's from the call on — a retransmission may still be reading it
+// as the call returns.
+func (c *Client) CallPacket(ctx context.Context, dst flip.Address, pkt []byte) ([]byte, error) {
+	if len(pkt) < HeaderSize {
+		return nil, errShort
+	}
+	c.cfg.Meter.Charge(cost.UserSend, len(pkt)-HeaderSize)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -231,71 +271,96 @@ func (c *Client) CallContext(ctx context.Context, dst flip.Address, req []byte) 
 	}
 	c.nextTxn++
 	txn := c.nextTxn
-	cl := &call{
-		done: make(chan callResult, 1),
-		dst:  dst,
-		pkt:  encode(header{typ: ptRequest, txn: txn, replyTo: c.addr}, req),
-	}
+	putHeader(pkt, header{typ: ptRequest, txn: txn, replyTo: c.addr})
+	cl := calls.Get().(*call)
+	cl.dst, cl.pkt, cl.tries = dst, pkt, 0
+	now := c.cfg.Clock.Now()
+	cl.deadline = now + c.cfg.RetryInterval
 	c.pending[txn] = cl
+	c.armLocked(now, cl.deadline)
 	c.mu.Unlock()
 
-	c.transmit(txn, cl)
+	c.transmit(dst, pkt)
+	var res callResult
 	select {
-	case res := <-cl.done:
-		return res.payload, res.err
+	case res = <-cl.done:
 	case <-ctx.Done():
 		c.mu.Lock()
 		if _, ok := c.pending[txn]; ok {
 			delete(c.pending, txn)
-			if cl.timer != nil {
-				cl.timer.Stop()
-			}
 			c.mu.Unlock()
-			return nil, ctx.Err()
+			res.err = ctx.Err()
+			break
 		}
 		c.mu.Unlock()
 		// The call resolved concurrently with the cancellation; the
 		// result is already (or imminently) in the buffered channel.
-		res := <-cl.done
-		return res.payload, res.err
+		res = <-cl.done
 	}
+	cl.pkt = nil
+	calls.Put(cl)
+	return res.payload, res.err
 }
 
-func (c *Client) transmit(txn uint32, cl *call) {
+func (c *Client) transmit(dst flip.Address, pkt []byte) {
 	c.cfg.Meter.Charge(cost.GroupOut, 0) // RPC shares the top protocol layer
-	_ = c.cfg.Stack.Send(c.addr, cl.dst, cl.pkt)
-	c.mu.Lock()
-	if _, ok := c.pending[txn]; !ok {
-		c.mu.Unlock()
-		return
-	}
-	cl.timer = c.cfg.Clock.AfterFunc(c.cfg.RetryInterval, func() { c.retry(txn) })
-	c.mu.Unlock()
+	_ = c.cfg.Stack.Send(c.addr, dst, pkt)
 }
 
-func (c *Client) retry(txn uint32) {
+// armLocked starts the retransmission clock for a deadline at, unless it
+// runs: then it fires no later than at already.
+func (c *Client) armLocked(now, at time.Duration) {
+	if c.timer == nil {
+		c.timer = c.cfg.Clock.AfterFunc(at-now, c.tick)
+	}
+}
+
+// retransmit is the retransmission clock's timer. It sends every due call
+// again, due next RetryInterval from now, fails a call out of retries with
+// ErrTimeout, and re-arms for the earliest deadline still pending.
+func (c *Client) retransmit() {
+	type resend struct {
+		dst    flip.Address
+		pkt    []byte
+		forget bool
+	}
+	var due []resend
 	c.mu.Lock()
-	cl, ok := c.pending[txn]
-	if !ok || c.closed {
+	c.timer = nil
+	if c.closed {
 		c.mu.Unlock()
 		return
 	}
-	cl.tries++
-	if cl.tries > c.cfg.MaxRetries {
-		delete(c.pending, txn)
-		c.mu.Unlock()
-		cl.done <- callResult{err: ErrTimeout}
-		return
+	now := c.cfg.Clock.Now()
+	var next time.Duration
+	for txn, cl := range c.pending {
+		if cl.deadline <= now {
+			if cl.tries++; cl.tries > c.cfg.MaxRetries {
+				delete(c.pending, txn)
+				cl.done <- callResult{err: ErrTimeout}
+				continue
+			}
+			cl.deadline = now + c.cfg.RetryInterval
+			// Two silent rounds suggest a stale route rather than frame
+			// loss: a well-known address served by several kernels may
+			// have failed over, so drop the cached route and let the
+			// retransmission re-locate a surviving server.
+			due = append(due, resend{dst: cl.dst, pkt: cl.pkt, forget: cl.tries >= 2})
+		}
+		if next == 0 || cl.deadline < next {
+			next = cl.deadline
+		}
+	}
+	if next != 0 {
+		c.armLocked(now, next)
 	}
 	c.mu.Unlock()
-	if cl.tries >= 2 {
-		// Two silent rounds suggest a stale route rather than frame loss:
-		// a well-known address served by several kernels may have failed
-		// over, so drop the cached route and let the retransmission
-		// re-locate a surviving server.
-		c.cfg.Stack.Forget(cl.dst)
+	for _, r := range due {
+		if r.forget {
+			c.cfg.Stack.Forget(r.dst)
+		}
+		c.transmit(r.dst, r.pkt)
 	}
-	c.transmit(txn, cl)
 }
 
 func (c *Client) onMessage(m flip.Message) {
@@ -311,9 +376,6 @@ func (c *Client) onMessage(m flip.Message) {
 		return // duplicate reply
 	}
 	delete(c.pending, h.txn)
-	if cl.timer != nil {
-		cl.timer.Stop()
-	}
 	c.mu.Unlock()
 	c.cfg.Meter.Charge(cost.UserDeliver, len(payload))
 	p := make([]byte, len(payload))

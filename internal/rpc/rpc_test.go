@@ -753,3 +753,243 @@ func TestConcurrentPoolBounded(t *testing.T) {
 		t.Fatal("no handler ever ran")
 	}
 }
+
+// engineClock runs a client's retransmission clock on a sim.Engine that the
+// test advances, and counts the timers armed on it. Its lock guards the
+// engine; a timer's callback runs with the lock released (advance takes it
+// back), so the callback may arm the next timer.
+type engineClock struct {
+	mu      sync.Mutex
+	engine  *sim.Engine
+	started int             // timers ever armed
+	armed   int             // timers armed and neither fired nor stopped
+	fired   []time.Duration // when each timer fired
+}
+
+func newEngineClock() *engineClock { return &engineClock{engine: sim.NewEngine(1)} }
+
+func (c *engineClock) Now() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.engine.Now()
+}
+
+func (c *engineClock) AfterFunc(d time.Duration, fn func()) sim.Timer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.started++
+	c.armed++
+	t := &engineTimer{clock: c}
+	t.ev = c.engine.After(d, func() {
+		c.armed--
+		c.fired = append(c.fired, c.engine.Now())
+		c.mu.Unlock()
+		defer c.mu.Lock()
+		fn()
+	})
+	return t
+}
+
+// advance runs the engine's timers up to virtual time at.
+func (c *engineClock) advance(at time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.engine.RunUntil(at)
+}
+
+// counts reports how many timers were ever armed, how many are armed now,
+// and when each that fired did.
+func (c *engineClock) counts() (started, armed int, fired []time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.started, c.armed, append([]time.Duration(nil), c.fired...)
+}
+
+type engineTimer struct {
+	clock *engineClock
+	ev    *sim.Event
+}
+
+func (t *engineTimer) Stop() bool {
+	t.clock.mu.Lock()
+	defer t.clock.mu.Unlock()
+	if !t.ev.Stop() {
+		return false
+	}
+	t.clock.armed--
+	return true
+}
+
+// blackHole registers an address on st that takes requests and never
+// answers. Each request's arrival goes down the returned channel, stamped
+// with clock's time.
+func blackHole(st *flip.Stack, clock *engineClock) (flip.Address, <-chan time.Duration) {
+	arrivals := make(chan time.Duration, 1024)
+	hole := st.AllocAddress()
+	st.Register(hole, func(m flip.Message) {
+		if h, _, err := decode(m.Payload); err == nil && h.typ == ptRequest {
+			arrivals <- clock.Now()
+		}
+	})
+	return hole, arrivals
+}
+
+func nextArrival(t *testing.T, arrivals <-chan time.Duration) time.Duration {
+	t.Helper()
+	select {
+	case at := <-arrivals:
+		return at
+	case <-time.After(5 * time.Second):
+		t.Fatal("no request arrived")
+		return 0
+	}
+}
+
+// pendingCalls waits until n calls are pending at cl: each has then armed
+// (or found armed) the retransmission clock.
+func pendingCalls(t *testing.T, cl *Client, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		cl.mu.Lock()
+		got := len(cl.pending)
+		cl.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d calls pending, want %d", got, n)
+		}
+	}
+}
+
+// TestRetransmitOneIntervalAfterSend: a request nobody answers is sent again
+// RetryInterval after it was sent — not before, and on the dot — by the
+// client's one retransmission clock.
+func TestRetransmitOneIntervalAfterSend(t *testing.T) {
+	net := memnet.NewReliable()
+	defer net.Close()
+	ss, cs := newStack(t, net), newStack(t, net)
+	clock := newEngineClock()
+	hole, arrivals := blackHole(ss, clock)
+	const interval = 40 * time.Millisecond
+	cl, err := NewClient(Config{Stack: cs, Clock: clock, RetryInterval: interval, MaxRetries: 5})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer cl.Close()
+	clock.advance(7 * time.Millisecond) // the send is not at the epoch
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.CallContext(ctx, hole, []byte("lost"))
+		done <- err
+	}()
+	sent := nextArrival(t, arrivals)
+	clock.advance(sent + interval - time.Nanosecond)
+	if _, _, fired := clock.counts(); len(fired) != 0 {
+		t.Fatalf("the retransmission clock fired at %v, before %v", fired, sent+interval)
+	}
+	clock.advance(sent + interval)
+	if again := nextArrival(t, arrivals); again-sent != interval {
+		t.Fatalf("sent at %v, sent again at %v: want %v later", sent, again, interval)
+	}
+	if started, armed, fired := clock.counts(); started != 2 || armed != 1 || len(fired) != 1 || fired[0] != sent+interval {
+		t.Fatalf("%d timers started, %d armed, fired at %v; want 2, 1, [%v]", started, armed, fired, sent+interval)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("CallContext returned %v, want context.Canceled", err)
+	}
+}
+
+// TestPendingCallsShareOneTimer: however many calls are pending, the client
+// holds one armed timer, and one firing retransmits every call that is due.
+func TestPendingCallsShareOneTimer(t *testing.T) {
+	net := memnet.NewReliable()
+	defer net.Close()
+	ss, cs := newStack(t, net), newStack(t, net)
+	clock := newEngineClock()
+	hole, arrivals := blackHole(ss, clock)
+	const interval, calls = 40 * time.Millisecond, 256
+	cl, err := NewClient(Config{Stack: cs, Clock: clock, RetryInterval: interval, MaxRetries: 5})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer cl.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cl.CallContext(ctx, hole, []byte("lost")); !errors.Is(err, context.Canceled) {
+				t.Errorf("CallContext returned %v, want context.Canceled", err)
+			}
+		}()
+	}
+	pendingCalls(t, cl, calls)
+	if started, armed, _ := clock.counts(); started != 1 || armed != 1 {
+		t.Fatalf("%d pending calls started %d timers, %d armed; want 1 and 1", calls, started, armed)
+	}
+	for i := 0; i < calls; i++ {
+		nextArrival(t, arrivals)
+	}
+	clock.advance(interval)
+	for i := 0; i < calls; i++ {
+		nextArrival(t, arrivals)
+	}
+	if started, armed, fired := clock.counts(); started != 2 || armed != 1 || len(fired) != 1 {
+		t.Fatalf("after one round of retransmissions: %d timers started, %d armed, %d fired; want 2, 1, 1", started, armed, len(fired))
+	}
+	cancel()
+	wg.Wait()
+	// Withdrawn calls leave the timer to fire once more, find nothing, and
+	// arm no other.
+	clock.advance(2 * interval)
+	if _, armed, _ := clock.counts(); armed != 0 {
+		t.Fatalf("%d timers armed with no call pending", armed)
+	}
+	select {
+	case at := <-arrivals:
+		t.Fatalf("a withdrawn call was retransmitted at %v", at)
+	default:
+	}
+}
+
+// TestCloseLeavesNoTimerArmed: Close fails every pending call with ErrClosed
+// and stops the retransmission clock, so a closed client leaves nothing
+// behind to fire.
+func TestCloseLeavesNoTimerArmed(t *testing.T) {
+	net := memnet.NewReliable()
+	defer net.Close()
+	ss, cs := newStack(t, net), newStack(t, net)
+	clock := newEngineClock()
+	hole, _ := blackHole(ss, clock)
+	cl, err := NewClient(Config{Stack: cs, Clock: clock, RetryInterval: 40 * time.Millisecond, MaxRetries: 5})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	const calls = 8
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			_, err := cl.Call(hole, []byte("lost"))
+			errs <- err
+		}()
+	}
+	pendingCalls(t, cl, calls)
+	if _, armed, _ := clock.counts(); armed != 1 {
+		t.Fatalf("%d timers armed for %d pending calls, want 1", armed, calls)
+	}
+	cl.Close()
+	for i := 0; i < calls; i++ {
+		if err := <-errs; !errors.Is(err, ErrClosed) {
+			t.Fatalf("a call pending at Close returned %v, want ErrClosed", err)
+		}
+	}
+	if _, armed, _ := clock.counts(); armed != 0 {
+		t.Fatalf("%d timers armed after Close", armed)
+	}
+}

@@ -154,3 +154,78 @@ func TestAllocBudgetSessionRecords(t *testing.T) {
 	}
 	runtime.KeepAlive(sm)
 }
+
+// TestAllocBudgetProxiedOps holds the RPC hop to its allocation budget: the
+// heap objects the whole process allocates per Put and per Get of a ring-less
+// client (Dial, on a kernel of its own) through node 0's Service on a
+// three-node in-memory store — the request's encoding, the RPC call and its
+// reply, the service's decoding and its answer, and under them the same
+// ordered command a local client sends. Per-call retransmission timers, a
+// timer context per served request and a string per decoded key made these
+// 38 and 49.
+func TestAllocBudgetProxiedOps(t *testing.T) {
+	if bufpool.Poison || testing.Short() {
+		t.Skip("allocation counts are for plain, full runs")
+	}
+	ctx := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "proxybudget", 3, Options{Shards: 4})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	startServices(t, stores)
+	ext, err := net.NewKernel("proxybudget-client")
+	if err != nil {
+		t.Fatalf("client kernel: %v", err)
+	}
+	cl, err := Dial(ext, "proxybudget", DialOptions{Node: 0})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	val := make([]byte, 64)
+	reads := make([]string, 1)
+	n := 0
+	put := func() {
+		n++
+		resp, err := cl.Do(ctx, &Request{Op: ReqPut, Key: keys[n%len(keys)], Val: val})
+		if err != nil || !resp.OK {
+			t.Errorf("Put: %+v, %v", resp, err)
+		}
+	}
+	get := func() {
+		n++
+		reads[0] = keys[n%len(keys)]
+		resp, err := cl.Do(ctx, &Request{Op: ReqGet, Keys: reads})
+		if err != nil || len(resp.Found) != 1 || !resp.Found[0] {
+			t.Errorf("Get: %+v, %v", resp, err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		put() // write every key, fill the pools and the session tables
+	}
+	for i := 0; i < 1000; i++ {
+		get()
+	}
+	for _, op := range []struct {
+		name   string
+		f      func()
+		budget float64
+	}{
+		{"Put", put, 25}, // measured 23, plus a tenth
+		{"Get", get, 38}, // measured 35, plus a tenth
+	} {
+		got := testing.AllocsPerRun(3000, op.f)
+		t.Logf("a proxied %s costs %.1f heap objects process-wide", op.name, got)
+		if got > op.budget {
+			t.Errorf("a proxied %s costs %.0f heap objects process-wide, budget %.0f", op.name, got, op.budget)
+		}
+	}
+}

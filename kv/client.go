@@ -910,7 +910,8 @@ func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Resp
 		if pathH != nil {
 			t0 = time.Now()
 		}
-		reply, err := cl.Call(ctx, target, EncodeRequest(req))
+		pkt := make([]byte, amoeba.RPCHeaderSize, amoeba.RPCHeaderSize+requestLen(req))
+		reply, err := cl.CallPacket(ctx, target, appendRequest(pkt, req))
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, amoeba.ErrRPCTimeout) {
@@ -969,16 +970,25 @@ func (c *Client) readTarget(shard int, req *Request) amoeba.Addr {
 		return 0
 	}
 	repl := int(c.topoRepl.Load())
-	hosts := make([]int, 0, nodes)
+	hosts := 0
 	for j := 0; j < nodes; j++ {
 		if hostsShard(shard, j, nodes, repl) {
-			hosts = append(hosts, j)
+			hosts++
 		}
 	}
-	if len(hosts) == 0 {
+	if hosts == 0 {
 		return 0
 	}
-	return c.nodeAddr(hosts[c.readSeq.Add(1)%uint64(len(hosts))])
+	// The read's turn picks the k-th host, counting up from node 0.
+	k := c.readSeq.Add(1) % uint64(hosts)
+	for j := 0; ; j++ {
+		if hostsShard(shard, j, nodes, repl) {
+			if k == 0 {
+				return c.nodeAddr(j)
+			}
+			k--
+		}
+	}
 }
 
 func (c *Client) remoteErr(shard int, err error) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -55,10 +56,35 @@ import (
 // at the element's minimum size, so no count makes a decoder allocate more
 // than a small multiple of its input. Other numbers are bounded where they
 // are read (reader.upTo): routing sizes, millisecond durations, audit ranges.
-// Each decoder picks per field whether to alias its input (reader.raw) or
-// copy out of it (reader.bytes): a lone put keeps its value in its own small
-// command, while a batch's or an import's values are copied, so that one kept
-// value does not keep a whole chunk alive.
+// What a decoder reads relates to its input by one rule per field, set by
+// whether the field is kept — stored by the state machine, or otherwise
+// outliving the message — or only looked up while the message is handled:
+//
+//   - A key that is only looked up is a substring of one string copy of the
+//     message (reader.key): a Get's keys; a prepare's home key, key set and
+//     read set; a resolve's home key and key set; and every key of an
+//     access-protocol Request, which lives as long as the call it drives.
+//     A message pays one copy however many keys it has. The exception is
+//     the lone key of a ReqPut, ReqDelete or ReqCAS: it is copied alone
+//     (reader.str), which is the same one copy without the values behind it.
+//   - A key the state machine stores is a copy of its own (reader.str): an
+//     opPut's, opDelete's and opCAS's key (their outcomes keep it), a batch's
+//     and an import's pair keys, and a prepare's write and condition keys
+//     (a commit stores the writes). One kept key never pins a command.
+//   - A single write's values alias its command (reader.raw): a put, a CAS
+//     or a prepare keeps its values in its own small command. A batch's and
+//     an import's values are copied (reader.bytes), so one kept value does
+//     not keep a whole chunk alive.
+//     A Request's values alias the RPC payload it came in.
+//   - A snapshot's or a transaction record's strings are each their own
+//     copy: what they restore outlives the bytes it came from.
+//
+// No decoded string aliases the input bytes: a shared copy is immutable,
+// owns its memory and lives as long as any key cut from it.
+//
+// Encoding. Every encoder sizes its output before it spells it (a ...Len
+// function beside each append function says how many bytes it adds) and
+// allocates once.
 const (
 	opPut byte = iota + 1
 	opDelete
@@ -95,6 +121,15 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// uvarintLen is how many bytes binary.AppendUvarint spells x in.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is how many bytes binary.AppendVarint spells x in.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// bytesLen is how many bytes appendBytes spells n bytes in.
+func bytesLen(n int) int { return uvarintLen(uint64(n)) + n }
+
 // appendBool appends a flag byte: 1 for true, 0 for false.
 func appendBool(dst []byte, b bool) []byte {
 	if b {
@@ -110,15 +145,17 @@ type header struct {
 	session, seq, ack uint64
 }
 
-// headerBytes bounds an encoded command header.
-const headerBytes = 1 + 8 + 2*binary.MaxVarintLen64
-
 // appendHeader spells a header. An ack above seq is sent as seq: it frees
 // nothing a command at seq may still need.
 func appendHeader(dst []byte, h header) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, h.session)
 	dst = binary.AppendUvarint(dst, h.seq)
 	return binary.AppendUvarint(dst, h.seq-min(h.ack, h.seq))
+}
+
+// headerLen is how many bytes appendHeader spells h in.
+func headerLen(h header) int {
+	return 8 + uvarintLen(h.seq) + uvarintLen(h.seq-min(h.ack, h.seq))
 }
 
 // header reads what appendHeader spelled.
@@ -132,13 +169,15 @@ func (r *reader) header() header {
 	return h
 }
 
-func commandHeader(op byte, h header) []byte {
-	dst := make([]byte, 0, 48)
+// newCommand starts a command: one allocation, sized for its op, its header
+// and body more bytes. Every encoder below sizes its body before it spells it.
+func newCommand(op byte, h header, body int) []byte {
+	dst := make([]byte, 0, 1+headerLen(h)+body)
 	return appendHeader(append(dst, op), h)
 }
 
 func encodePut(h header, key string, val []byte) []byte {
-	dst := appendBytes(commandHeader(opPut, h), []byte(key))
+	dst := appendBytes(newCommand(opPut, h, bytesLen(len(key))+bytesLen(len(val))), []byte(key))
 	return appendBytes(dst, val)
 }
 
@@ -150,13 +189,8 @@ func batchPairBytes(p Pair) int {
 // encodeBatchPut encodes pairs, pairs[i] under seqs[i] of h's session, as one
 // command; h's own seq is ignored.
 func encodeBatchPut(h header, seqs []uint64, pairs []Pair) []byte {
-	size := headerBytes + binary.MaxVarintLen32
-	for _, p := range pairs {
-		size += batchPairBytes(p)
-	}
 	h.seq = seqs[0]
-	dst := appendHeader(append(make([]byte, 0, size), opBatchPut), h)
-	return appendSeqPairs(dst, seqs, pairs)
+	return appendSeqPairs(newCommand(opBatchPut, h, seqPairsLen(seqs, pairs)), seqs, pairs)
 }
 
 // appendSeqPairs encodes a batch put's pairs, pairs[i] under seqs[i], as the
@@ -174,9 +208,22 @@ func appendSeqPairs(dst []byte, seqs []uint64, pairs []Pair) []byte {
 	return dst
 }
 
-// seqPairs reads what appendSeqPairs spelled, the first pair under seq. The
-// values are copied out when keep is set: a state machine keeps them, and
-// one kept value must not keep a whole command alive.
+// seqPairsLen is how many bytes appendSeqPairs spells pairs in.
+func seqPairsLen(seqs []uint64, pairs []Pair) int {
+	n := uvarintLen(uint64(len(pairs)))
+	for i, p := range pairs {
+		if i > 0 {
+			n += varintLen(int64(seqs[i] - seqs[i-1]))
+		}
+		n += bytesLen(len(p.Key)) + bytesLen(len(p.Val))
+	}
+	return n
+}
+
+// seqPairs reads what appendSeqPairs spelled, the first pair under seq. When
+// keep is set a state machine keeps the pairs, so each key and value is
+// copied out alone: one kept pair must not keep a whole command alive.
+// Otherwise the keys share the message's copy and the values alias it.
 func (r *reader) seqPairs(seq uint64, keep bool) ([]uint64, []Pair) {
 	n := r.count(2) // two length bytes
 	seqs, pairs := make([]uint64, n), make([]Pair, n)
@@ -184,11 +231,11 @@ func (r *reader) seqPairs(seq uint64, keep bool) ([]uint64, []Pair) {
 		if i > 0 {
 			seq += uint64(r.varint())
 		}
-		seqs[i], pairs[i].Key = seq, r.str()
+		seqs[i] = seq
 		if keep {
-			pairs[i].Val = r.bytes()
+			pairs[i].Key, pairs[i].Val = r.str(), r.bytes()
 		} else {
-			pairs[i].Val = r.raw()
+			pairs[i].Key, pairs[i].Val = r.key(), r.raw()
 		}
 	}
 	if n == 0 {
@@ -198,18 +245,19 @@ func (r *reader) seqPairs(seq uint64, keep bool) ([]uint64, []Pair) {
 }
 
 func encodeDelete(h header, key string) []byte {
-	return appendBytes(commandHeader(opDelete, h), []byte(key))
+	return appendBytes(newCommand(opDelete, h, bytesLen(len(key))), []byte(key))
 }
 
 // encodeAudit encodes a sequenced audit over ranges digest partitions.
 func encodeAudit(h header, ranges int) []byte {
-	return binary.AppendUvarint(commandHeader(opAudit, h), uint64(ranges))
+	return binary.AppendUvarint(newCommand(opAudit, h, uvarintLen(uint64(ranges))), uint64(ranges))
 }
 
 // encodeCAS encodes a compare-and-swap. expectPresent=false means the swap
 // succeeds only if the key is absent (atomic create).
 func encodeCAS(h header, key string, expectPresent bool, expect, val []byte) []byte {
-	dst := appendBytes(commandHeader(opCAS, h), []byte(key))
+	body := bytesLen(len(key)) + 1 + bytesLen(len(expect)) + bytesLen(len(val))
+	dst := appendBytes(newCommand(opCAS, h, body), []byte(key))
 	dst = appendBool(dst, expectPresent)
 	dst = appendBytes(dst, expect)
 	return appendBytes(dst, val)
@@ -219,7 +267,7 @@ func encodeCAS(h header, key string, expectPresent bool, expect, val []byte) []b
 // read travels the total order like a write, so the values it captures are
 // linearizable.
 func encodeGet(h header, keys []string) []byte {
-	return appendKeys(commandHeader(opGet, h), keys)
+	return appendKeys(newCommand(opGet, h, keysLen(keys)), keys)
 }
 
 // appendRouting encodes a routing table as three uvarints.
@@ -229,9 +277,14 @@ func appendRouting(dst []byte, rt Routing) []byte {
 	return binary.AppendUvarint(dst, uint64(rt.VNodes))
 }
 
+// routingLen is how many bytes appendRouting spells rt in.
+func routingLen(rt Routing) int {
+	return uvarintLen(rt.Epoch) + uvarintLen(uint64(rt.Shards)) + uvarintLen(uint64(rt.VNodes))
+}
+
 // encodeMigrate encodes a begin, commit, or abort carrying the target table.
 func encodeMigrate(op byte, h header, rt Routing) []byte {
-	return appendRouting(commandHeader(op, h), rt)
+	return appendRouting(newCommand(op, h, routingLen(rt)), rt)
 }
 
 // encodeMigrateImport encodes one chunk of pairs (and the sessions and
@@ -243,7 +296,18 @@ func encodeMigrate(op byte, h header, rt Routing) []byte {
 // with the sessions spelled as a snapshot spells them, each outcome's seq as
 // its distance above the session's ack.
 func encodeMigrateImport(h header, rt Routing, chunk *importChunk) []byte {
-	dst := appendRouting(commandHeader(opMigrateImport, h), rt)
+	body := routingLen(rt) + uvarintLen(uint64(len(chunk.Pairs))) + uvarintLen(chunk.Clock) +
+		uvarintLen(uint64(len(chunk.Moved))) + uvarintLen(uint64(len(chunk.Txns)))
+	for _, p := range chunk.Pairs {
+		body += bytesLen(len(p.Key)) + bytesLen(len(p.Val))
+	}
+	for _, m := range chunk.Moved {
+		body += 8 + uvarintLen(m.Ack) + outcomesLen(m.Ack, m.Outcomes)
+	}
+	for _, p := range chunk.Txns {
+		body += portionLen(p)
+	}
+	dst := appendRouting(newCommand(opMigrateImport, h, body), rt)
 	dst = binary.AppendUvarint(dst, uint64(len(chunk.Pairs)))
 	for _, p := range chunk.Pairs {
 		dst = appendBytes(dst, []byte(p.Key))
@@ -286,6 +350,24 @@ func appendTxnConds(dst []byte, conds []TxnCond) []byte {
 	return dst
 }
 
+// txnWritesLen and txnCondsLen are how many bytes appendTxnWrites and
+// appendTxnConds spell their sets in.
+func txnWritesLen(writes []TxnWrite) int {
+	n := uvarintLen(uint64(len(writes)))
+	for _, w := range writes {
+		n += bytesLen(len(w.Key)) + 1 + bytesLen(len(w.Val))
+	}
+	return n
+}
+
+func txnCondsLen(conds []TxnCond) int {
+	n := uvarintLen(uint64(len(conds)))
+	for _, c := range conds {
+		n += bytesLen(len(c.Key)) + 1 + bytesLen(len(c.Expect))
+	}
+	return n
+}
+
 // appendKeys encodes a key list.
 func appendKeys(dst []byte, keys []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
@@ -295,13 +377,24 @@ func appendKeys(dst []byte, keys []string) []byte {
 	return dst
 }
 
+// keysLen is how many bytes appendKeys spells keys in.
+func keysLen(keys []string) int {
+	n := uvarintLen(uint64(len(keys)))
+	for _, k := range keys {
+		n += bytesLen(len(k))
+	}
+	return n
+}
+
 // encodeTxnPrepare encodes a transaction prepare: lock the local keys, check
 // the conditions, capture the reads — all at one position in the shard's
 // total order. The header is the transaction's own (session, seq) and the
 // payload names the attempt: every prepare and resolve of one attempt,
 // however it is split or re-driven, converges on one portion.
 func encodeTxnPrepare(h header, attempt uint32, homeKey string, allKeys, reads []string, writes []TxnWrite, conds []TxnCond) []byte {
-	dst := commandHeader(opTxnPrepare, h)
+	body := uvarintLen(uint64(attempt)) + bytesLen(len(homeKey)) + keysLen(allKeys) + keysLen(reads) +
+		txnWritesLen(writes) + txnCondsLen(conds)
+	dst := newCommand(opTxnPrepare, h, body)
 	dst = binary.AppendUvarint(dst, uint64(attempt))
 	dst = appendBytes(dst, []byte(homeKey))
 	dst = appendKeys(dst, allKeys)
@@ -314,7 +407,8 @@ func encodeTxnPrepare(h header, attempt uint32, homeKey string, allKeys, reads [
 // carries the full key set so a shard that never saw the prepare can fence
 // the decision for the keys it serves.
 func encodeTxnResolve(h header, attempt uint32, commit bool, homeKey string, allKeys []string) []byte {
-	dst := commandHeader(opTxnResolve, h)
+	body := uvarintLen(uint64(attempt)) + 1 + bytesLen(len(homeKey)) + keysLen(allKeys)
+	dst := newCommand(opTxnResolve, h, body)
 	dst = binary.AppendUvarint(dst, uint64(attempt))
 	dst = appendBool(dst, commit)
 	dst = appendBytes(dst, []byte(homeKey))
@@ -477,15 +571,49 @@ type Request struct {
 
 // EncodeRequest renders a request for the wire.
 func EncodeRequest(r *Request) []byte {
-	dst := make([]byte, 0, 64)
-	dst = append(dst, ProtoVersion, r.Op, r.Flags)
-	dst = binary.AppendUvarint(dst, uint64(r.Budget/time.Millisecond))
-	dst = binary.AppendUvarint(dst, r.Epoch)
+	return appendRequest(make([]byte, 0, requestLen(r)), r)
+}
+
+// wireHeader is the session header r travels under.
+func (r *Request) wireHeader() header {
 	h := header{session: r.Session, seq: r.ID, ack: r.Ack}
 	if r.Op == ReqBatchPut && len(r.IDs) > 0 {
 		h.seq = r.IDs[0] // a batch is its pairs' seqs
 	}
-	dst = appendHeader(dst, h)
+	return h
+}
+
+// requestLen is how many bytes appendRequest spells r in.
+func requestLen(r *Request) int {
+	n := 3 + uvarintLen(uint64(r.Budget/time.Millisecond)) + uvarintLen(r.Epoch) + headerLen(r.wireHeader())
+	switch r.Op {
+	case ReqGet:
+		n += uvarintLen(uint64(r.MaxStale/time.Millisecond)) + keysLen(r.Keys)
+	case ReqPut:
+		n += bytesLen(len(r.Key)) + bytesLen(len(r.Val))
+	case ReqDelete:
+		n += bytesLen(len(r.Key))
+	case ReqCAS:
+		n += bytesLen(len(r.Key)) + 1 + bytesLen(len(r.Expect)) + bytesLen(len(r.Val))
+	case ReqBatchPut:
+		n += seqPairsLen(r.IDs, r.Pairs)
+	case ReqTxnPrepare:
+		n += uvarintLen(uint64(r.Attempt)) + bytesLen(len(r.HomeKey)) + keysLen(r.AllKeys) + keysLen(r.Keys) +
+			txnWritesLen(r.Writes) + txnCondsLen(r.Conds)
+	case ReqTxnResolve:
+		n += uvarintLen(uint64(r.Attempt)) + 1 + bytesLen(len(r.Key)) + bytesLen(len(r.HomeKey)) + keysLen(r.AllKeys)
+	case ReqTxn:
+		n += keysLen(r.Keys) + txnWritesLen(r.Writes) + txnCondsLen(r.Conds)
+	}
+	return n
+}
+
+// appendRequest appends r as EncodeRequest spells it.
+func appendRequest(dst []byte, r *Request) []byte {
+	dst = append(dst, ProtoVersion, r.Op, r.Flags)
+	dst = binary.AppendUvarint(dst, uint64(r.Budget/time.Millisecond))
+	dst = binary.AppendUvarint(dst, r.Epoch)
+	dst = appendHeader(dst, r.wireHeader())
 	switch r.Op {
 	case ReqGet:
 		// v4: the staleness bound precedes the keys (always present).
@@ -533,7 +661,7 @@ func DecodeRequest(b []byte) (*Request, error) {
 		return nil, errVersion
 	}
 	r := &Request{Op: b[1], Flags: b[2]}
-	in := reader{b: b[3:]}
+	in := messageReader(b[3:])
 	r.Budget, r.Epoch = in.millis(), in.uvarint()
 	h := in.header()
 	r.Session, r.ID, r.Ack = h.session, h.seq, h.ack
@@ -554,12 +682,12 @@ func DecodeRequest(b []byte) (*Request, error) {
 	case ReqBatchPut:
 		r.IDs, r.Pairs = in.seqPairs(r.ID, false)
 	case ReqTxnPrepare:
-		r.Attempt, r.HomeKey, r.AllKeys, r.Keys = in.attempt(), in.str(), in.keys(), in.keys()
-		r.Writes, r.Conds = in.writes(), in.conds()
+		r.Attempt, r.HomeKey, r.AllKeys, r.Keys = in.attempt(), in.key(), in.keys(), in.keys()
+		r.Writes, r.Conds = in.writes(true), in.conds(true)
 	case ReqTxnResolve:
-		r.Attempt, r.Commit, r.Key, r.HomeKey, r.AllKeys = in.attempt(), in.flag(), in.str(), in.str(), in.keys()
+		r.Attempt, r.Commit, r.Key, r.HomeKey, r.AllKeys = in.attempt(), in.flag(), in.key(), in.key(), in.keys()
 	case ReqTxn:
-		r.Keys, r.Writes, r.Conds = in.keys(), in.writes(), in.conds()
+		r.Keys, r.Writes, r.Conds = in.keys(), in.writes(true), in.conds(true)
 	default:
 		return nil, fmt.Errorf("kv: unknown request op %d: %w", r.Op, errBadRequest)
 	}
@@ -616,11 +744,21 @@ type Response struct {
 
 // EncodeResponse renders a response for the wire.
 func EncodeResponse(r *Response) []byte {
-	dst := make([]byte, 0, 32)
 	if r.Err != "" {
+		dst := make([]byte, 0, 2+bytesLen(len(r.Err)))
 		dst = append(dst, ProtoVersion, statusErr)
 		return appendBytes(dst, []byte(r.Err))
 	}
+	// Six bytes: version, status, OK, txn outcome, read path, routing flag.
+	n := 6 + uvarintLen(uint64(r.StaleFor/time.Millisecond)) + uvarintLen(uint64(r.Nodes)) +
+		uvarintLen(uint64(r.Replication)) + uvarintLen(uint64(len(r.Values)))
+	if r.Routing != nil {
+		n += routingLen(*r.Routing)
+	}
+	for _, v := range r.Values {
+		n += 1 + bytesLen(len(v))
+	}
+	dst := make([]byte, 0, n)
 	dst = append(dst, ProtoVersion, statusOK)
 	dst = appendBool(dst, r.OK)
 	// Txn outcome byte (v3): bits 0–1 TxnState, bit 2 Conflict, bit 3
@@ -723,7 +861,7 @@ func decodeCommand(b []byte) (command, error) {
 	if len(b) < 1 {
 		return command{}, errBadCommand
 	}
-	r := reader{b: b[1:]}
+	r := messageReader(b[1:])
 	c := command{op: b[0], header: r.header()}
 	switch c.op {
 	case opPut:
@@ -754,10 +892,10 @@ func decodeCommand(b []byte) (command, error) {
 			c.txns[i] = r.portion()
 		}
 	case opTxnPrepare:
-		c.attempt, c.homeKey, c.allKeys, c.keys = r.attempt(), r.str(), r.keys(), r.keys()
-		c.writes, c.conds = r.writes(), r.conds()
+		c.attempt, c.homeKey, c.allKeys, c.keys = r.attempt(), r.key(), r.keys(), r.keys()
+		c.writes, c.conds = r.writes(false), r.conds(false)
 	case opTxnResolve:
-		c.attempt, c.txnCommit, c.homeKey, c.allKeys = r.attempt(), r.flag(), r.str(), r.keys()
+		c.attempt, c.txnCommit, c.homeKey, c.allKeys = r.attempt(), r.flag(), r.key(), r.keys()
 	case opAudit:
 		if c.ranges = int(r.upTo(maxAuditRanges)); c.ranges == 0 {
 			r.fail()
@@ -786,7 +924,16 @@ func decodeCommand(b []byte) (command, error) {
 type reader struct {
 	b      []byte
 	failed bool
+	// msg is the whole message (b is always a tail of it), and shared a
+	// copy of msg from the first key read by key on, made by that read;
+	// from is where in msg the copy starts. Only a messageReader has msg.
+	msg    []byte
+	shared string
+	from   int
 }
+
+// messageReader reads msg, whose keys key may share one copy of.
+func messageReader(msg []byte) reader { return reader{b: msg, msg: msg} }
 
 func (r *reader) fail() {
 	r.b, r.failed = nil, true
@@ -879,30 +1026,61 @@ func (r *reader) raw() []byte {
 // outlives the input.
 func (r *reader) bytes() []byte { return copyVal(r.raw()) }
 
+// str reads a string into a copy of its own, for what outlives the message.
 func (r *reader) str() string { return string(r.raw()) }
 
-func (r *reader) keys() []string {
+// key reads a string that is only looked up while the message is handled: a
+// substring of one copy of the message, from the first key read this way to
+// its end, which that read makes. The copy is immutable and owns its memory,
+// so the key stays what it was whatever becomes of the input; and it lives
+// as long as any key cut from it does.
+func (r *reader) key() string {
+	b := r.raw()
+	if len(b) == 0 {
+		return ""
+	}
+	end := len(r.msg) - len(r.b)
+	start := end - len(b)
+	if r.shared == "" {
+		r.shared, r.from = string(r.msg[start:]), start
+	}
+	return r.shared[start-r.from : end-r.from]
+}
+
+// name reads a key with str when share is unset, with key when it is set.
+func (r *reader) name(share bool) string {
+	if share {
+		return r.key()
+	}
+	return r.str()
+}
+
+// keys reads a key list, each key read by key.
+func (r *reader) keys() []string { return r.names(true) }
+
+// names reads a key list, each key read by name.
+func (r *reader) names(share bool) []string {
 	out := make([]string, r.count(1)) // a length byte
 	for i := range out {
-		out[i] = r.str()
+		out[i] = r.name(share)
 	}
 	return out
 }
 
-// writes and conds read a prepare's write and condition sets; their values
-// alias the input.
-func (r *reader) writes() []TxnWrite {
+// writes and conds read a prepare's write and condition sets, each key read
+// by name; their values alias the input.
+func (r *reader) writes(share bool) []TxnWrite {
 	out := make([]TxnWrite, r.count(3)) // a length byte, a flag, a length byte
 	for i := range out {
-		out[i].Key, out[i].Delete, out[i].Val = r.str(), r.flag(), r.raw()
+		out[i].Key, out[i].Delete, out[i].Val = r.name(share), r.flag(), r.raw()
 	}
 	return out
 }
 
-func (r *reader) conds() []TxnCond {
+func (r *reader) conds(share bool) []TxnCond {
 	out := make([]TxnCond, r.count(3)) // a length byte, a flag, a length byte
 	for i := range out {
-		out[i].Key, out[i].ExpectPresent, out[i].Expect = r.str(), r.flag(), r.raw()
+		out[i].Key, out[i].ExpectPresent, out[i].Expect = r.name(share), r.flag(), r.raw()
 	}
 	return out
 }

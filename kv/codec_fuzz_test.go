@@ -98,16 +98,57 @@ func allocatedBy(bound uint64, f func()) uint64 {
 	return least
 }
 
+// stringsIn collects every string v holds, however deep: the keys and other
+// strings of a decoded command or request.
+func stringsIn(v reflect.Value, out []string) []string {
+	switch v.Kind() {
+	case reflect.String:
+		out = append(out, v.String())
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			out = stringsIn(v.Elem(), out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = stringsIn(v.Field(i), out)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			out = stringsIn(v.Index(i), out)
+		}
+	}
+	return out
+}
+
+// checkStringsOwned is the decoders' aliasing property: a decoded string owns
+// its memory, whether it is a copy of its own or shares the message's. It
+// decodes a copy of b, overwrites the copy, and wants every string of that
+// decode to equal the same string of a decode of b, left as it was.
+func checkStringsOwned(t *testing.T, b []byte, decode func([]byte) any) {
+	t.Helper()
+	in := bytes.Clone(b)
+	got := decode(in)
+	for i := range in {
+		in[i] ^= 0xA5
+	}
+	have, want := stringsIn(reflect.ValueOf(got), nil), stringsIn(reflect.ValueOf(decode(b)), nil)
+	if !reflect.DeepEqual(have, want) {
+		t.Fatalf("decoded strings changed with their input: %q, want %q", have, want)
+	}
+}
+
 // FuzzDecodeCommand holds decodeCommand — which every replica runs on every
-// delivered payload, whoever sent it — to three properties on arbitrary
+// delivered payload, whoever sent it — to four properties on arbitrary
 // bytes: it never panics; no count field makes it allocate more than a fixed
 // multiple of the input's length (the worst honest case is about 24x: a
 // migrated transaction portion's slice header per one-byte value, as in a
-// snapshot; a count believed without a bound is millions); and a batch put it
-// accepts is one the encoder produces — it re-encodes to the same command,
-// byte for byte when the input's varints are minimal, so there is no second
-// spelling for replicas to disagree on. A migrate import as journals held it
-// before its transaction portions left JSON is refused, and seeds the corpus.
+// snapshot; a count believed without a bound is millions); the strings it
+// decodes are untouched by what later becomes of the input
+// (checkStringsOwned); and a batch put it accepts is one the encoder produces
+// — it re-encodes to the same command, byte for byte when the input's
+// varints are minimal, so there is no second spelling for replicas to
+// disagree on. A migrate import as journals held it before its transaction
+// portions left JSON is refused, and seeds the corpus.
 func FuzzDecodeCommand(f *testing.F) {
 	for _, seed := range commandSeeds() {
 		if _, err := decodeCommand(seed); err != nil {
@@ -131,7 +172,11 @@ func FuzzDecodeCommand(f *testing.F) {
 		if got := allocatedBy(bound, func() { c, err = decodeCommand(b) }); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
 		}
-		if err != nil || c.op != opBatchPut {
+		if err != nil {
+			return
+		}
+		checkStringsOwned(t, b, func(in []byte) any { c, _ := decodeCommand(in); return c })
+		if c.op != opBatchPut {
 			return
 		}
 		again := encodeBatchPut(c.header, c.seqs, c.pairs)
@@ -170,9 +215,10 @@ func requestSeeds() []*Request {
 // FuzzRequestSplit holds the two things a node does with a request's bytes
 // before it knows who sent them — DecodeRequest, then the split that decides
 // where it runs — to their contracts on arbitrary input: decoding never
-// panics and no claimed count makes it allocate more than a fixed multiple
-// of the input's length (the worst honest case is about 16x: a string header
-// per one-byte key); and whatever decodes splits, under a four-shard ring,
+// panics, no claimed count makes it allocate more than a fixed multiple of
+// the input's length (the worst honest case is about 16x: a string header
+// per one-byte key), and the strings it decodes are untouched by what later
+// becomes of the input (checkStringsOwned); and whatever decodes splits, under a four-shard ring,
 // into parts that hold every key, pair, write and condition exactly once, on
 // the shard that owns it, in request order. What decodes is also something
 // the encoder says: it re-encodes to bytes that decode to the same request —
@@ -199,6 +245,7 @@ func FuzzRequestSplit(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkStringsOwned(t, b, func(in []byte) any { req, _ := DecodeRequest(in); return req })
 		if again, err := DecodeRequest(EncodeRequest(req)); err != nil || !reflect.DeepEqual(req, again) {
 			t.Fatalf("re-encoded request decodes to %+v, %v; want %+v", again, err, req)
 		}

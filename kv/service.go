@@ -85,6 +85,8 @@ type Service struct {
 	stop      chan struct{} // closed by Close: ends the routing watcher
 	watchDone chan struct{}
 
+	budgets budgets // ends each request's work when its caller's budget runs out
+
 	served      atomic.Uint64
 	forwarded   atomic.Uint64
 	scattered   atomic.Uint64
@@ -112,6 +114,7 @@ func NewService(s *Store) (*Service, error) {
 		shardSrvs: make(map[int]*amoeba.RPCServer),
 		stop:      make(chan struct{}),
 		watchDone: make(chan struct{}),
+		budgets:   budgets{live: make(map[*budgetCtx]struct{})},
 	}
 	fail := func(err error) (*Service, error) {
 		close(svc.watchDone) // watcher never started
@@ -256,18 +259,6 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 	if stale {
 		svc.staleEpochs.Add(1)
 	}
-	// attach teaches the requester this node's table whenever the epochs
-	// disagreed (re-read at answer time: the handoff may have flipped the
-	// epoch while the request executed), and always carries the node/replica
-	// topology so fleet clients can steer flagged reads at lease holders.
-	attach := func(resp *Response) []byte {
-		if now := svc.store.Routing(); req.Epoch != now.Epoch {
-			resp.Routing = &now
-		}
-		resp.Nodes = svc.store.opts.Nodes
-		resp.Replication = svc.store.opts.Replication
-		return EncodeResponse(resp)
-	}
 	// The one shard that takes the request whole, or -1 when its keys span
 	// several (every key a transaction touches counts: a single-shard one
 	// can be forwarded to its owner like any write, a multi-shard one is
@@ -279,7 +270,7 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 			// Already forwarded once; routing tables disagree. Answer
 			// rather than bounce the request around.
 			svc.errors.Add(1)
-			return attach(&Response{Err: fmt.Sprintf(
+			return svc.answer(req, &Response{Err: fmt.Sprintf(
 				"shard %d not hosted at forward target (routing mismatch?)", shard)}), 0
 		}
 		svc.forwarded.Add(1)
@@ -300,15 +291,120 @@ func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 	if budget <= 0 {
 		budget = defaultBudget
 	}
-	budget = min(budget, maxBudget)
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
+	ctx := svc.budgets.start(min(budget, maxBudget))
 	// Sub-requests the client issues for re-scattered parts are fresh
 	// requests (no forwarded flag), targeted by this node's routing.
 	resp, err := svc.client.Do(ctx, req)
+	svc.budgets.end(ctx)
 	if err != nil {
 		svc.errors.Add(1)
-		return attach(&Response{Err: err.Error()}), 0
+		return svc.answer(req, &Response{Err: err.Error()}), 0
 	}
-	return attach(resp), 0
+	return svc.answer(req, resp), 0
+}
+
+// answer encodes resp to req. It teaches the requester this node's table
+// whenever the epochs disagreed (re-read at answer time: the handoff may have
+// flipped the epoch while the request executed), and always carries the
+// node/replica topology so fleet clients can steer flagged reads at lease
+// holders.
+func (svc *Service) answer(req *Request, resp *Response) []byte {
+	if now := svc.store.Routing(); req.Epoch != now.Epoch {
+		rt := now
+		resp.Routing = &rt
+	}
+	resp.Nodes = svc.store.opts.Nodes
+	resp.Replication = svc.store.opts.Replication
+	return EncodeResponse(resp)
+}
+
+// budgets ends each served request's work when its caller's budget runs
+// out, with one timer for all of a service's requests instead of one each.
+// A request runs under a budgetCtx; the timer, armed for the earliest
+// deadline in flight, closes the done channel of every request whose budget
+// is spent. A request that ends in budget leaves its context, unclosed, for
+// the next request to reuse: nothing keeps a request's context after its
+// handler returns (Client.Do waits for every part it starts).
+type budgets struct {
+	mu    sync.Mutex
+	timer *time.Timer // fires at armed, the earliest deadline in flight; unarmed when armed is zero
+	armed time.Time
+	live  map[*budgetCtx]struct{}
+	free  []*budgetCtx
+}
+
+// budgetCtx is a served request's context: no values, no parent, and the
+// caller's deadline, at which budgets closes done.
+type budgetCtx struct {
+	deadline time.Time
+	done     chan struct{}
+}
+
+func (c *budgetCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c *budgetCtx) Done() <-chan struct{}       { return c.done }
+func (c *budgetCtx) Value(any) any               { return nil }
+
+func (c *budgetCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// start returns the context of a request with budget left to run.
+func (b *budgets) start(budget time.Duration) *budgetCtx {
+	deadline := time.Now().Add(budget)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var c *budgetCtx
+	if n := len(b.free); n > 0 {
+		c, b.free = b.free[n-1], b.free[:n-1]
+	} else {
+		c = &budgetCtx{done: make(chan struct{})}
+	}
+	c.deadline = deadline
+	b.live[c] = struct{}{}
+	if b.armed.IsZero() || deadline.Before(b.armed) {
+		b.armed = deadline
+		if b.timer == nil {
+			b.timer = time.AfterFunc(budget, b.expire)
+		} else {
+			b.timer.Reset(budget)
+		}
+	}
+	return c
+}
+
+// end retires a request's context once its handler is done with it.
+func (b *budgets) end(c *budgetCtx) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.live, c)
+	select {
+	case <-c.done: // spent: its channel is closed for good
+	default:
+		b.free = append(b.free, c)
+	}
+}
+
+// expire is the timer: it ends every request whose budget is spent and
+// re-arms for the earliest deadline left.
+func (b *budgets) expire() {
+	now := time.Now()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.armed = time.Time{}
+	for c := range b.live {
+		if !c.deadline.After(now) {
+			close(c.done)
+			delete(b.live, c)
+		} else if b.armed.IsZero() || c.deadline.Before(b.armed) {
+			b.armed = c.deadline
+		}
+	}
+	if !b.armed.IsZero() {
+		b.timer.Reset(b.armed.Sub(now))
+	}
 }

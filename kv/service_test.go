@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -432,4 +433,59 @@ func TestServiceCloseIsPrompt(t *testing.T) {
 			t.Errorf("closing node %d's service took %v, want under 100ms", i, took)
 		}
 	}
+}
+
+// TestServiceRequestEndsAtBudget: a proxied request carries its caller's
+// remaining budget across the RPC hop, and the budget ends the work it
+// started at the serving node, not a server default. A Put held behind a
+// prepare lock that never resolves gets its error at the caller's deadline,
+// and the service's handler gives up at about the same moment.
+func TestServiceRequestEndsAtBudget(t *testing.T) {
+	ctx := ctxT(t, 30*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "budget", 2, Options{Shards: 2, TxnRecoveryAfter: time.Minute})
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	svcs := startServices(t, stores)
+	local := stores[0].NewClient()
+	defer local.Close()
+	const key = "locked"
+	prep, err := local.Do(ctx, &Request{Op: ReqTxnPrepare, HomeKey: key, AllKeys: []string{key},
+		Writes: []TxnWrite{{Key: key, Val: []byte("t")}}})
+	if err != nil || !prep.OK || prep.TxnState != txnStatePrepared {
+		t.Fatalf("prepare = %+v, %v", prep, err)
+	}
+
+	ext, err := net.NewKernel("budget-client")
+	if err != nil {
+		t.Fatalf("client kernel: %v", err)
+	}
+	cl, err := Dial(ext, "budget", DialOptions{Node: 0})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	errorsBefore := svcs[0].Stats().Errors
+
+	const budget, slack = 200 * time.Millisecond, 300 * time.Millisecond
+	pctx, cancel := context.WithTimeout(ctx, budget)
+	defer cancel()
+	t0 := time.Now()
+	if err := cl.Put(pctx, key, []byte("p")); err == nil {
+		t.Fatal("a Put behind a prepare lock that never resolves succeeded")
+	}
+	if took := time.Since(t0); took > budget+slack {
+		t.Errorf("the caller got its error after %v, want about %v", took, budget)
+	}
+	for svcs[0].Stats().Errors == errorsBefore {
+		if took := time.Since(t0); took > budget+slack {
+			t.Fatalf("the service's handler still runs %v after a request with a %v budget arrived", took, budget)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("handler returned %v after the request was sent with a %v budget", time.Since(t0), budget)
 }

@@ -248,6 +248,15 @@ func appendOutcomes(dst []byte, ack uint64, outcomes []outcome) []byte {
 	return dst
 }
 
+// outcomesLen is how many bytes appendOutcomes spells outcomes in.
+func outcomesLen(ack uint64, outcomes []outcome) int {
+	n := uvarintLen(uint64(len(outcomes)))
+	for _, o := range outcomes {
+		n += uvarintLen(o.seq-ack) + 1 + bytesLen(len(o.key))
+	}
+	return n
+}
+
 // outcomes reads what appendOutcomes spelled, refusing seqs out of order.
 func (r *reader) outcomes(session, ack uint64) []outcome {
 	out := make([]outcome, r.count(3)) // a seq, a flag and a length byte
@@ -283,8 +292,8 @@ const minPortionBytes = 18
 // It copies out everything it keeps: a portion outlives the bytes it came in.
 func (r *reader) portion() *txnPortion {
 	p := &txnPortion{State: r.u8(), ID: txnID{session: r.u64(), seq: r.uvarint(), attempt: r.attempt()},
-		HomeKey: r.str(), AllKeys: r.keys(), Reads: r.keys(),
-		Values: r.values(), Found: r.found(), Writes: r.writes(), Conds: r.conds()}
+		HomeKey: r.str(), AllKeys: r.names(false), Reads: r.names(false),
+		Values: r.values(), Found: r.found(), Writes: r.writes(false), Conds: r.conds(false)}
 	for i := range p.Writes {
 		p.Writes[i].Val = copyVal(p.Writes[i].Val)
 	}
@@ -313,6 +322,17 @@ func appendPortion(dst []byte, p *txnPortion) []byte {
 	dst = appendFound(dst, p.Found)
 	dst = appendTxnWrites(dst, p.Writes)
 	return appendTxnConds(dst, p.Conds)
+}
+
+// portionLen is how many bytes appendPortion spells p in.
+func portionLen(p *txnPortion) int {
+	n := 1 + 8 + uvarintLen(p.ID.seq) + uvarintLen(uint64(p.ID.attempt)) + bytesLen(len(p.HomeKey)) +
+		keysLen(p.AllKeys) + keysLen(p.Reads) + uvarintLen(uint64(len(p.Values))) +
+		uvarintLen(uint64(len(p.Found))) + len(p.Found) + txnWritesLen(p.Writes) + txnCondsLen(p.Conds)
+	for _, v := range p.Values {
+		n += bytesLen(len(v))
+	}
+	return n
 }
 
 func appendValues(dst []byte, vals [][]byte) []byte {

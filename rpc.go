@@ -92,10 +92,21 @@ func (k *Kernel) NewRPCClient() (*RPCClient, error) {
 // Call performs a blocking RPC: request out, reply back, with
 // retransmission on loss and at-most-once execution at the server. The
 // context bounds the call end to end: when ctx expires mid-retransmit the
-// pending transaction is withdrawn — its retry timer stops and no goroutine
-// or retransmission traffic lingers — and ctx's error is returned.
+// pending transaction is withdrawn — no goroutine or retransmission traffic
+// lingers — and ctx's error is returned.
 func (c *RPCClient) Call(ctx context.Context, server Addr, req []byte) ([]byte, error) {
 	return c.cl.CallContext(ctx, flip.Address(server), req)
+}
+
+// RPCHeaderSize is the room CallPacket takes at the front of a request.
+const RPCHeaderSize = rpc.HeaderSize
+
+// CallPacket is Call for a request spelled behind RPCHeaderSize bytes of room
+// at the front of pkt, where the RPC layer writes its header instead of
+// copying the request into a packet of its own. pkt is the client's from the
+// call on: a retransmission may still be reading it as the call returns.
+func (c *RPCClient) CallPacket(ctx context.Context, server Addr, pkt []byte) ([]byte, error) {
+	return c.cl.CallPacket(ctx, flip.Address(server), pkt)
 }
 
 // Close releases the client; in-flight calls fail.
