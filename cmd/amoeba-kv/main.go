@@ -1,5 +1,4 @@
-// Command amoeba-kv runs the sharded, replicated key-value service and a
-// matching load generator.
+// Command amoeba-kv runs the sharded, replicated key-value service.
 //
 // Serve mode boots an in-process cluster — N nodes on a memory network, the
 // keyspace consistent-hashed across S shard groups, each group a replicated
@@ -38,9 +37,6 @@
 // Keys and values are single whitespace-free tokens; values may be quoted Go
 // strings (e.g. "two words") and replies quote values that need it.
 //
-// Load mode connects over TCP and hammers the server with a PUT/GET mix,
-// reporting aggregate ops/s.
-//
 // With -data-dir the store is durable: every shard replica journals its
 // deliveries to a write-ahead log under <data-dir>/<store>/node-<n>/shard-<i>
 // and checkpoints snapshots, so killing the daemon and re-running the same
@@ -52,7 +48,6 @@
 //
 //	amoeba-kv -serve :7070 -shards 4 -nodes 3 -resilience 1 -replication 2
 //	amoeba-kv -serve :7070 -data-dir /var/lib/amoeba-kv
-//	amoeba-kv -load -addr :7070 -clients 8 -duration 5s
 package main
 
 import (
@@ -67,7 +62,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -79,8 +73,6 @@ import (
 func main() {
 	var (
 		serveAddr    = flag.String("serve", "", "serve the store on this TCP address (e.g. :7070)")
-		load         = flag.Bool("load", false, "run the TCP load generator against -addr")
-		addr         = flag.String("addr", "127.0.0.1:7070", "server address for -load")
 		shards       = flag.Int("shards", 4, "shard-group count")
 		nodes        = flag.Int("nodes", 3, "replica nodes")
 		resilience   = flag.Int("resilience", 1, "per-shard resilience degree r")
@@ -88,10 +80,6 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "durable mode: write-ahead logs + checkpoints under this directory (restart recovers all data)")
 		walSync      = flag.Bool("wal-sync", false, "fsync every journal append (power-loss durability; slower)")
 		walSyncDelay = flag.Duration("wal-sync-delay", 0, "with -wal-sync: coalesce fsyncs across delivery bursts, syncing at most this long after an append")
-		clients      = flag.Int("clients", 8, "concurrent load connections")
-		duration     = flag.Duration("duration", 5*time.Second, "load duration")
-		valueSize    = flag.Int("value-size", 64, "load value size in bytes")
-		readFrac     = flag.Float64("read-fraction", 0.2, "fraction of load ops that are GETs")
 		leases       = flag.Bool("leases", false, "sequencer read leases: replicas serve linearizable GETs locally with no ordering round; enables SGET bounded-staleness reads")
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /health, /flight, and /trace?id=N over HTTP on this address")
 		traceMod     = flag.Uint64("trace-mod", 1024, "trace every Nth command id (1 traces everything)")
@@ -99,9 +87,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *load {
-		os.Exit(runLoad(*addr, *clients, *duration, *valueSize, *readFrac))
-	}
 	if *serveAddr == "" {
 		*serveAddr = ":7070"
 	}
@@ -603,61 +588,4 @@ func dispatch(ctx context.Context, cl *kv.Client, s *kv.Store, services []*kv.Se
 		return reply("ERR %v", err)
 	}
 	return renderResponse(strings.ToUpper(fields[0]), req, resp, reply)
-}
-
-// runLoad drives a running server over TCP.
-func runLoad(addr string, clients int, duration time.Duration, valueSize int, readFrac float64) int {
-	value := token(make([]byte, valueSize))
-	var (
-		ops  atomic.Uint64
-		errs atomic.Uint64
-		wg   sync.WaitGroup
-	)
-	stop := time.Now().Add(duration)
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				log.Printf("amoeba-kv: client %d: %v", c, err)
-				errs.Add(1)
-				return
-			}
-			defer conn.Close()
-			sc := bufio.NewScanner(conn)
-			w := bufio.NewWriter(conn)
-			n := 0
-			for time.Now().Before(stop) {
-				key := fmt.Sprintf("load-%d-%04d", c, n%512)
-				var cmd string
-				if float64(n%100)/100 < readFrac {
-					cmd = "GET " + key
-				} else {
-					cmd = "PUT " + key + " " + value
-				}
-				fmt.Fprintln(w, cmd)
-				if err := w.Flush(); err != nil || !sc.Scan() {
-					errs.Add(1)
-					return
-				}
-				line := sc.Text()
-				if strings.HasPrefix(line, "ERR") {
-					errs.Add(1)
-				} else {
-					ops.Add(1)
-				}
-				n++
-			}
-		}()
-	}
-	wg.Wait()
-	total := ops.Load()
-	fmt.Printf("amoeba-kv load: %d clients, %v: %d ops = %.0f ops/s (%d errors)\n",
-		clients, duration, total, float64(total)/duration.Seconds(), errs.Load())
-	if total == 0 {
-		return 1
-	}
-	return 0
 }

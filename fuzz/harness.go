@@ -89,11 +89,12 @@ type Config struct {
 	// transaction's write to one key alongside a pre-transaction value
 	// for another — a torn transaction. The atomicity verdict MUST fail.
 	PlantTornTxn bool
-	// PlantDivergence bit-flips one value in one replica's LIVE state
-	// machine shortly after the workload starts — silent single-replica
-	// corruption the protocol cannot see, planted through the state (not
-	// the history), so only the sequenced audit tier can catch it. The
-	// run's verdict MUST report a divergence.
+	// PlantDivergence adds one item, under a key no client writes, to one
+	// replica's LIVE state machine shortly after the workload starts
+	// (kv.Store.CorruptShard) — silent single-replica corruption the
+	// protocol cannot see, planted through the state (not the history), so
+	// only the sequenced audit tier can catch it. The run's verdict MUST
+	// report a divergence.
 	PlantDivergence bool
 	// AuditEvery is the sequenced state-audit period (default 100ms;
 	// negative disables). The auditor runs during every schedule, so any

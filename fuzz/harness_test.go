@@ -202,8 +202,8 @@ func TestHarnessQuorumlessSplitBrainRegression(t *testing.T) {
 	}
 }
 
-// TestHarnessPlantedDivergenceCaught: bit-flip one value in one replica's
-// live state — corruption the recorded history cannot see, because the
+// TestHarnessPlantedDivergenceCaught: add one item to one replica's live
+// state — corruption the recorded history cannot see, because the
 // replica still answers the protocol correctly — and the always-on
 // sequenced auditor must flip the verdict, localized to an audit seq.
 func TestHarnessPlantedDivergenceCaught(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"amoeba/obs"
@@ -306,11 +305,14 @@ func (s *Store) AuditNow(ctx context.Context) error {
 	return nil
 }
 
-// CorruptShard bit-flips one byte of one value in shard i's LOCAL replica —
-// silent single-replica state corruption, exactly what the audit tier
-// exists to catch. It reports the damaged key. Test hook: the fuzz
-// harness's planted-divergence self-test and the kv regression test use it
-// to prove a divergence is detected and localized.
+// CorruptShard adds one item to shard i's LOCAL replica, under a key the
+// shard serves and no client writes — silent single-replica state
+// corruption, exactly what the audit tier exists to catch, and one no later
+// write can undo: a write to a key the workload uses (a transaction
+// committing over a key it locked before the damage, say) would overwrite a
+// damaged value alike on every replica. It reports the key. Test hook: the
+// fuzz harness's planted-divergence self-test and the kv regression test use
+// it to prove a divergence is detected and localized.
 func (s *Store) CorruptShard(i int) (string, bool) {
 	r := s.Replica(i)
 	if r == nil {
@@ -320,26 +322,13 @@ func (s *Store) CorruptShard(i int) (string, bool) {
 	var ok bool
 	r.Read(func(m shared.StateMachine) {
 		sm := m.(*mapSM)
-		keys := make([]string, 0, len(sm.items))
-		for k := range sm.items {
-			keys = append(keys, k)
+		for n := 0; n < 1<<16 && !ok; n++ {
+			key = fmt.Sprintf("\x00planted-%d", n)
+			_, taken := sm.items[key]
+			ok = sm.serves(key) && !taken
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if len(sm.items[k]) == 0 {
-				continue
-			}
-			nv := append([]byte(nil), sm.items[k]...)
-			nv[0] ^= 0x80
-			sm.items[k] = nv
-			key, ok = k, true
-			return
-		}
-		// Only empty values: corrupt by growing one instead.
-		for _, k := range keys {
-			sm.items[k] = []byte{0xff}
-			key, ok = k, true
-			return
+		if ok {
+			sm.items[key] = []byte{0xff}
 		}
 	})
 	return key, ok

@@ -72,8 +72,8 @@ func TestDigestDeterministicAcrossSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestAuditDetectsPlantedDivergence is the tentpole regression: bit-flip one
-// value on one replica — silent state corruption replication cannot catch,
+// TestAuditDetectsPlantedDivergence is the tentpole regression: plant one
+// item on one replica — silent state corruption replication cannot catch,
 // because the replica still answers protocol messages correctly — and the
 // periodic sequenced audit must flag it, localized to the right shard and
 // key-range, with the flight recorder dumped at detection.

@@ -910,8 +910,10 @@ func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Resp
 		if pathH != nil {
 			t0 = time.Now()
 		}
-		pkt := make([]byte, amoeba.RPCHeaderSize, amoeba.RPCHeaderSize+requestLen(req))
-		reply, err := cl.CallPacket(ctx, target, appendRequest(pkt, req))
+		pkt := spell(func(dst []byte) []byte {
+			return appendRequest(append(dst, make([]byte, amoeba.RPCHeaderSize)...), req)
+		})
+		reply, err := cl.CallPacket(ctx, target, pkt)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, amoeba.ErrRPCTimeout) {

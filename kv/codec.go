@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -82,9 +82,12 @@ import (
 // No decoded string aliases the input bytes: a shared copy is immutable,
 // owns its memory and lives as long as any key cut from it.
 //
-// Encoding. Every encoder sizes its output before it spells it (a ...Len
-// function beside each append function says how many bytes it adds) and
-// allocates once.
+// Encoding. kv writes bytes one way too: an append function per field or
+// message, and every encoder calls its append functions through spell, which
+// spells the message in a pooled scratch buffer and returns one exactly sized
+// copy of it. So a wire format is decided in two places, the append function
+// and the reader, and no encoder works out its size. The one exception is
+// Snapshot (snapshot.go), which estimates a whole shard's size up front.
 const (
 	opPut byte = iota + 1
 	opDelete
@@ -115,20 +118,34 @@ const maxCommandBytes = 32 << 10
 
 var errBadCommand = errors.New("kv: malformed command")
 
+// maxScratchBytes bounds a scratch buffer spell keeps for reuse: one that
+// grew past it for an outsized message is dropped, so the pool never holds
+// more than a few buffers of a chunk's size.
+const maxScratchBytes = 2 * maxCommandBytes
+
+// scratch holds the buffers spell spells messages in.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// spell returns the message f appends to an empty scratch buffer, copied
+// into a slice of exactly its length: the message's only allocation. f must
+// not keep the buffer it is handed.
+func spell(f func([]byte) []byte) []byte {
+	buf := scratch.Get().(*[]byte)
+	b := f((*buf)[:0])
+	msg := make([]byte, len(b))
+	copy(msg, b)
+	if cap(b) <= maxScratchBytes {
+		*buf = b
+		scratch.Put(buf)
+	}
+	return msg
+}
+
 // appendBytes appends a uvarint length prefix and the bytes.
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
-
-// uvarintLen is how many bytes binary.AppendUvarint spells x in.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// varintLen is how many bytes binary.AppendVarint spells x in.
-func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
-
-// bytesLen is how many bytes appendBytes spells n bytes in.
-func bytesLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 // appendBool appends a flag byte: 1 for true, 0 for false.
 func appendBool(dst []byte, b bool) []byte {
@@ -153,11 +170,6 @@ func appendHeader(dst []byte, h header) []byte {
 	return binary.AppendUvarint(dst, h.seq-min(h.ack, h.seq))
 }
 
-// headerLen is how many bytes appendHeader spells h in.
-func headerLen(h header) int {
-	return 8 + uvarintLen(h.seq) + uvarintLen(h.seq-min(h.ack, h.seq))
-}
-
 // header reads what appendHeader spelled.
 func (r *reader) header() header {
 	h := header{session: r.u64(), seq: r.uvarint()}
@@ -169,16 +181,16 @@ func (r *reader) header() header {
 	return h
 }
 
-// newCommand starts a command: one allocation, sized for its op, its header
-// and body more bytes. Every encoder below sizes its body before it spells it.
-func newCommand(op byte, h header, body int) []byte {
-	dst := make([]byte, 0, 1+headerLen(h)+body)
+// newCommand starts a command in dst, a scratch buffer spell hands an
+// encoder: its op, then its header. The op-specific payload follows.
+func newCommand(dst []byte, op byte, h header) []byte {
 	return appendHeader(append(dst, op), h)
 }
 
 func encodePut(h header, key string, val []byte) []byte {
-	dst := appendBytes(newCommand(opPut, h, bytesLen(len(key))+bytesLen(len(val))), []byte(key))
-	return appendBytes(dst, val)
+	return spell(func(dst []byte) []byte {
+		return appendBytes(appendBytes(newCommand(dst, opPut, h), []byte(key)), val)
+	})
 }
 
 // batchPairBytes bounds what one pair adds to an opBatchPut command.
@@ -190,7 +202,7 @@ func batchPairBytes(p Pair) int {
 // command; h's own seq is ignored.
 func encodeBatchPut(h header, seqs []uint64, pairs []Pair) []byte {
 	h.seq = seqs[0]
-	return appendSeqPairs(newCommand(opBatchPut, h, seqPairsLen(seqs, pairs)), seqs, pairs)
+	return spell(func(dst []byte) []byte { return appendSeqPairs(newCommand(dst, opBatchPut, h), seqs, pairs) })
 }
 
 // appendSeqPairs encodes a batch put's pairs, pairs[i] under seqs[i], as the
@@ -206,18 +218,6 @@ func appendSeqPairs(dst []byte, seqs []uint64, pairs []Pair) []byte {
 		dst = appendBytes(dst, p.Val)
 	}
 	return dst
-}
-
-// seqPairsLen is how many bytes appendSeqPairs spells pairs in.
-func seqPairsLen(seqs []uint64, pairs []Pair) int {
-	n := uvarintLen(uint64(len(pairs)))
-	for i, p := range pairs {
-		if i > 0 {
-			n += varintLen(int64(seqs[i] - seqs[i-1]))
-		}
-		n += bytesLen(len(p.Key)) + bytesLen(len(p.Val))
-	}
-	return n
 }
 
 // seqPairs reads what appendSeqPairs spelled, the first pair under seq. When
@@ -245,29 +245,30 @@ func (r *reader) seqPairs(seq uint64, keep bool) ([]uint64, []Pair) {
 }
 
 func encodeDelete(h header, key string) []byte {
-	return appendBytes(newCommand(opDelete, h, bytesLen(len(key))), []byte(key))
+	return spell(func(dst []byte) []byte { return appendBytes(newCommand(dst, opDelete, h), []byte(key)) })
 }
 
 // encodeAudit encodes a sequenced audit over ranges digest partitions.
 func encodeAudit(h header, ranges int) []byte {
-	return binary.AppendUvarint(newCommand(opAudit, h, uvarintLen(uint64(ranges))), uint64(ranges))
+	return spell(func(dst []byte) []byte { return binary.AppendUvarint(newCommand(dst, opAudit, h), uint64(ranges)) })
 }
 
 // encodeCAS encodes a compare-and-swap. expectPresent=false means the swap
 // succeeds only if the key is absent (atomic create).
 func encodeCAS(h header, key string, expectPresent bool, expect, val []byte) []byte {
-	body := bytesLen(len(key)) + 1 + bytesLen(len(expect)) + bytesLen(len(val))
-	dst := appendBytes(newCommand(opCAS, h, body), []byte(key))
-	dst = appendBool(dst, expectPresent)
-	dst = appendBytes(dst, expect)
-	return appendBytes(dst, val)
+	return spell(func(dst []byte) []byte {
+		dst = appendBytes(newCommand(dst, opCAS, h), []byte(key))
+		dst = appendBool(dst, expectPresent)
+		dst = appendBytes(dst, expect)
+		return appendBytes(dst, val)
+	})
 }
 
 // encodeGet encodes a sequenced read of one or more keys on one shard. The
 // read travels the total order like a write, so the values it captures are
 // linearizable.
 func encodeGet(h header, keys []string) []byte {
-	return appendKeys(newCommand(opGet, h, keysLen(keys)), keys)
+	return spell(func(dst []byte) []byte { return appendKeys(newCommand(dst, opGet, h), keys) })
 }
 
 // appendRouting encodes a routing table as three uvarints.
@@ -277,14 +278,9 @@ func appendRouting(dst []byte, rt Routing) []byte {
 	return binary.AppendUvarint(dst, uint64(rt.VNodes))
 }
 
-// routingLen is how many bytes appendRouting spells rt in.
-func routingLen(rt Routing) int {
-	return uvarintLen(rt.Epoch) + uvarintLen(uint64(rt.Shards)) + uvarintLen(uint64(rt.VNodes))
-}
-
 // encodeMigrate encodes a begin, commit, or abort carrying the target table.
 func encodeMigrate(op byte, h header, rt Routing) []byte {
-	return appendRouting(newCommand(op, h, routingLen(rt)), rt)
+	return spell(func(dst []byte) []byte { return appendRouting(newCommand(dst, op, h), rt) })
 }
 
 // encodeMigrateImport encodes one chunk of pairs (and the sessions and
@@ -296,36 +292,27 @@ func encodeMigrate(op byte, h header, rt Routing) []byte {
 // with the sessions spelled as a snapshot spells them, each outcome's seq as
 // its distance above the session's ack.
 func encodeMigrateImport(h header, rt Routing, chunk *importChunk) []byte {
-	body := routingLen(rt) + uvarintLen(uint64(len(chunk.Pairs))) + uvarintLen(chunk.Clock) +
-		uvarintLen(uint64(len(chunk.Moved))) + uvarintLen(uint64(len(chunk.Txns)))
-	for _, p := range chunk.Pairs {
-		body += bytesLen(len(p.Key)) + bytesLen(len(p.Val))
-	}
-	for _, m := range chunk.Moved {
-		body += 8 + uvarintLen(m.Ack) + outcomesLen(m.Ack, m.Outcomes)
-	}
-	for _, p := range chunk.Txns {
-		body += portionLen(p)
-	}
-	dst := appendRouting(newCommand(opMigrateImport, h, body), rt)
-	dst = binary.AppendUvarint(dst, uint64(len(chunk.Pairs)))
-	for _, p := range chunk.Pairs {
-		dst = appendBytes(dst, []byte(p.Key))
-		dst = appendBytes(dst, p.Val)
-	}
-	dst = binary.AppendUvarint(dst, chunk.Clock)
-	dst = binary.AppendUvarint(dst, uint64(len(chunk.Moved)))
-	for _, m := range chunk.Moved {
-		dst = binary.BigEndian.AppendUint64(dst, m.ID)
-		dst = binary.AppendUvarint(dst, m.Ack)
-		dst = appendOutcomes(dst, m.Ack, m.Outcomes)
-	}
-	// Transaction portions are spelled as a snapshot spells them.
-	dst = binary.AppendUvarint(dst, uint64(len(chunk.Txns)))
-	for _, p := range chunk.Txns {
-		dst = appendPortion(dst, p)
-	}
-	return dst
+	return spell(func(dst []byte) []byte {
+		dst = appendRouting(newCommand(dst, opMigrateImport, h), rt)
+		dst = binary.AppendUvarint(dst, uint64(len(chunk.Pairs)))
+		for _, p := range chunk.Pairs {
+			dst = appendBytes(dst, []byte(p.Key))
+			dst = appendBytes(dst, p.Val)
+		}
+		dst = binary.AppendUvarint(dst, chunk.Clock)
+		dst = binary.AppendUvarint(dst, uint64(len(chunk.Moved)))
+		for _, m := range chunk.Moved {
+			dst = binary.BigEndian.AppendUint64(dst, m.ID)
+			dst = binary.AppendUvarint(dst, m.Ack)
+			dst = appendOutcomes(dst, m.Ack, m.Outcomes)
+		}
+		// Transaction portions are spelled as a snapshot spells them.
+		dst = binary.AppendUvarint(dst, uint64(len(chunk.Txns)))
+		for _, p := range chunk.Txns {
+			dst = appendPortion(dst, p)
+		}
+		return dst
+	})
 }
 
 // appendTxnWrites / appendTxnConds encode a prepare's write and condition
@@ -350,24 +337,6 @@ func appendTxnConds(dst []byte, conds []TxnCond) []byte {
 	return dst
 }
 
-// txnWritesLen and txnCondsLen are how many bytes appendTxnWrites and
-// appendTxnConds spell their sets in.
-func txnWritesLen(writes []TxnWrite) int {
-	n := uvarintLen(uint64(len(writes)))
-	for _, w := range writes {
-		n += bytesLen(len(w.Key)) + 1 + bytesLen(len(w.Val))
-	}
-	return n
-}
-
-func txnCondsLen(conds []TxnCond) int {
-	n := uvarintLen(uint64(len(conds)))
-	for _, c := range conds {
-		n += bytesLen(len(c.Key)) + 1 + bytesLen(len(c.Expect))
-	}
-	return n
-}
-
 // appendKeys encodes a key list.
 func appendKeys(dst []byte, keys []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
@@ -377,42 +346,32 @@ func appendKeys(dst []byte, keys []string) []byte {
 	return dst
 }
 
-// keysLen is how many bytes appendKeys spells keys in.
-func keysLen(keys []string) int {
-	n := uvarintLen(uint64(len(keys)))
-	for _, k := range keys {
-		n += bytesLen(len(k))
-	}
-	return n
-}
-
 // encodeTxnPrepare encodes a transaction prepare: lock the local keys, check
 // the conditions, capture the reads — all at one position in the shard's
 // total order. The header is the transaction's own (session, seq) and the
 // payload names the attempt: every prepare and resolve of one attempt,
 // however it is split or re-driven, converges on one portion.
 func encodeTxnPrepare(h header, attempt uint32, homeKey string, allKeys, reads []string, writes []TxnWrite, conds []TxnCond) []byte {
-	body := uvarintLen(uint64(attempt)) + bytesLen(len(homeKey)) + keysLen(allKeys) + keysLen(reads) +
-		txnWritesLen(writes) + txnCondsLen(conds)
-	dst := newCommand(opTxnPrepare, h, body)
-	dst = binary.AppendUvarint(dst, uint64(attempt))
-	dst = appendBytes(dst, []byte(homeKey))
-	dst = appendKeys(dst, allKeys)
-	dst = appendKeys(dst, reads)
-	dst = appendTxnWrites(dst, writes)
-	return appendTxnConds(dst, conds)
+	return spell(func(dst []byte) []byte {
+		dst = binary.AppendUvarint(newCommand(dst, opTxnPrepare, h), uint64(attempt))
+		dst = appendBytes(dst, []byte(homeKey))
+		dst = appendKeys(dst, allKeys)
+		dst = appendKeys(dst, reads)
+		dst = appendTxnWrites(dst, writes)
+		return appendTxnConds(dst, conds)
+	})
 }
 
 // encodeTxnResolve encodes a transaction resolve (commit or abort). It
 // carries the full key set so a shard that never saw the prepare can fence
 // the decision for the keys it serves.
 func encodeTxnResolve(h header, attempt uint32, commit bool, homeKey string, allKeys []string) []byte {
-	body := uvarintLen(uint64(attempt)) + 1 + bytesLen(len(homeKey)) + keysLen(allKeys)
-	dst := newCommand(opTxnResolve, h, body)
-	dst = binary.AppendUvarint(dst, uint64(attempt))
-	dst = appendBool(dst, commit)
-	dst = appendBytes(dst, []byte(homeKey))
-	return appendKeys(dst, allKeys)
+	return spell(func(dst []byte) []byte {
+		dst = binary.AppendUvarint(newCommand(dst, opTxnResolve, h), uint64(attempt))
+		dst = appendBool(dst, commit)
+		dst = appendBytes(dst, []byte(homeKey))
+		return appendKeys(dst, allKeys)
+	})
 }
 
 // --- Access protocol (client ↔ service) --------------------------------------
@@ -571,7 +530,7 @@ type Request struct {
 
 // EncodeRequest renders a request for the wire.
 func EncodeRequest(r *Request) []byte {
-	return appendRequest(make([]byte, 0, requestLen(r)), r)
+	return spell(func(dst []byte) []byte { return appendRequest(dst, r) })
 }
 
 // wireHeader is the session header r travels under.
@@ -581,31 +540,6 @@ func (r *Request) wireHeader() header {
 		h.seq = r.IDs[0] // a batch is its pairs' seqs
 	}
 	return h
-}
-
-// requestLen is how many bytes appendRequest spells r in.
-func requestLen(r *Request) int {
-	n := 3 + uvarintLen(uint64(r.Budget/time.Millisecond)) + uvarintLen(r.Epoch) + headerLen(r.wireHeader())
-	switch r.Op {
-	case ReqGet:
-		n += uvarintLen(uint64(r.MaxStale/time.Millisecond)) + keysLen(r.Keys)
-	case ReqPut:
-		n += bytesLen(len(r.Key)) + bytesLen(len(r.Val))
-	case ReqDelete:
-		n += bytesLen(len(r.Key))
-	case ReqCAS:
-		n += bytesLen(len(r.Key)) + 1 + bytesLen(len(r.Expect)) + bytesLen(len(r.Val))
-	case ReqBatchPut:
-		n += seqPairsLen(r.IDs, r.Pairs)
-	case ReqTxnPrepare:
-		n += uvarintLen(uint64(r.Attempt)) + bytesLen(len(r.HomeKey)) + keysLen(r.AllKeys) + keysLen(r.Keys) +
-			txnWritesLen(r.Writes) + txnCondsLen(r.Conds)
-	case ReqTxnResolve:
-		n += uvarintLen(uint64(r.Attempt)) + 1 + bytesLen(len(r.Key)) + bytesLen(len(r.HomeKey)) + keysLen(r.AllKeys)
-	case ReqTxn:
-		n += keysLen(r.Keys) + txnWritesLen(r.Writes) + txnCondsLen(r.Conds)
-	}
-	return n
 }
 
 // appendRequest appends r as EncodeRequest spells it.
@@ -744,21 +678,14 @@ type Response struct {
 
 // EncodeResponse renders a response for the wire.
 func EncodeResponse(r *Response) []byte {
+	return spell(func(dst []byte) []byte { return appendResponse(dst, r) })
+}
+
+// appendResponse appends r as EncodeResponse spells it.
+func appendResponse(dst []byte, r *Response) []byte {
 	if r.Err != "" {
-		dst := make([]byte, 0, 2+bytesLen(len(r.Err)))
-		dst = append(dst, ProtoVersion, statusErr)
-		return appendBytes(dst, []byte(r.Err))
+		return appendBytes(append(dst, ProtoVersion, statusErr), []byte(r.Err))
 	}
-	// Six bytes: version, status, OK, txn outcome, read path, routing flag.
-	n := 6 + uvarintLen(uint64(r.StaleFor/time.Millisecond)) + uvarintLen(uint64(r.Nodes)) +
-		uvarintLen(uint64(r.Replication)) + uvarintLen(uint64(len(r.Values)))
-	if r.Routing != nil {
-		n += routingLen(*r.Routing)
-	}
-	for _, v := range r.Values {
-		n += 1 + bytesLen(len(v))
-	}
-	dst := make([]byte, 0, n)
 	dst = append(dst, ProtoVersion, statusOK)
 	dst = appendBool(dst, r.OK)
 	// Txn outcome byte (v3): bits 0–1 TxnState, bit 2 Conflict, bit 3

@@ -337,17 +337,16 @@ func (s *mapSM) record(k txnID) []byte {
 }
 
 // setRecord files p, resolved, as its attempt's record, in the place of any
-// earlier one: spelled in the scratch buffer, then copied into a string of
-// its own, exactly sized. An attempt whose session the shard no longer keeps
-// — acknowledged or expired — leaves no record: no retry of it can execute.
+// earlier one: the portion as a snapshot spells it, in bytes of its own
+// (spell). An attempt whose session the shard no longer keeps — acknowledged
+// or expired — leaves no record: no retry of it can execute.
 func (s *mapSM) setRecord(p *txnPortion) {
 	st := s.live(p.ID.session, p.ID.seq)
 	if st == nil {
 		return
 	}
-	s.recBuf = appendPortion(s.recBuf[:0], p)
-	r := txnRecord{seq: p.ID.seq, attempt: p.ID.attempt, rec: make([]byte, len(s.recBuf))}
-	copy(r.rec, s.recBuf)
+	r := txnRecord{seq: p.ID.seq, attempt: p.ID.attempt,
+		rec: spell(func(dst []byte) []byte { return appendPortion(dst, p) })}
 	r.sum = foldPortion(fnvOffset64, r.rec)
 	i, found := st.findRecord(r.seq, r.attempt)
 	if found {

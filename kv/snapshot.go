@@ -52,6 +52,10 @@ var errBadSnapshot = errors.New("kv: malformed snapshot")
 func (s *mapSM) Snapshot() ([]byte, error) {
 	// One buffer, sized for the items, outcomes and records up front: a
 	// checkpoint snapshots the whole shard every CheckpointEvery commands.
+	// It is the one kv encoder that sizes its output instead of going
+	// through spell: a shard-sized scratch buffer would stay in the pool,
+	// and one grown by doubling would allocate a checkpoint's bytes about
+	// twice over.
 	size := 64
 	for k, v := range s.items {
 		size += len(k) + len(v) + 2*binary.MaxVarintLen32
@@ -248,15 +252,6 @@ func appendOutcomes(dst []byte, ack uint64, outcomes []outcome) []byte {
 	return dst
 }
 
-// outcomesLen is how many bytes appendOutcomes spells outcomes in.
-func outcomesLen(ack uint64, outcomes []outcome) int {
-	n := uvarintLen(uint64(len(outcomes)))
-	for _, o := range outcomes {
-		n += uvarintLen(o.seq-ack) + 1 + bytesLen(len(o.key))
-	}
-	return n
-}
-
 // outcomes reads what appendOutcomes spelled, refusing seqs out of order.
 func (r *reader) outcomes(session, ack uint64) []outcome {
 	out := make([]outcome, r.count(3)) // a seq, a flag and a length byte
@@ -322,17 +317,6 @@ func appendPortion(dst []byte, p *txnPortion) []byte {
 	dst = appendFound(dst, p.Found)
 	dst = appendTxnWrites(dst, p.Writes)
 	return appendTxnConds(dst, p.Conds)
-}
-
-// portionLen is how many bytes appendPortion spells p in.
-func portionLen(p *txnPortion) int {
-	n := 1 + 8 + uvarintLen(p.ID.seq) + uvarintLen(uint64(p.ID.attempt)) + bytesLen(len(p.HomeKey)) +
-		keysLen(p.AllKeys) + keysLen(p.Reads) + uvarintLen(uint64(len(p.Values))) +
-		uvarintLen(uint64(len(p.Found))) + len(p.Found) + txnWritesLen(p.Writes) + txnCondsLen(p.Conds)
-	for _, v := range p.Values {
-		n += bytesLen(len(v))
-	}
-	return n
 }
 
 func appendValues(dst []byte, vals [][]byte) []byte {

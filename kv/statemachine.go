@@ -334,9 +334,6 @@ type mapSM struct {
 	// portion leaves them for its session's records.
 	txns  map[txnID]*txnPortion
 	locks map[string]txnID // key -> the attempt holding its prepare lock
-	// recBuf is node-local scratch a record is spelled in before it is copied
-	// out at its exact size.
-	recBuf []byte
 
 	// lockSeen is node-local (never replicated): when this replica last saw
 	// each prepared portion, feeding the in-doubt recovery janitor's age

@@ -48,8 +48,6 @@ type Durability struct {
 	// Dir is the replica's private log directory. Required; two replicas
 	// must never share one.
 	Dir string
-	// SegmentSize is the log's segment rotation size (default 1 MiB).
-	SegmentSize int
 	// CheckpointEvery is the number of journaled entries between snapshot
 	// checkpoints (default 1024). Smaller values bound replay time,
 	// larger ones amortise Snapshot cost.
@@ -224,7 +222,7 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 		return nil, errors.New("shared: Durability.Dir is required")
 	}
 	dur = dur.withDefaults()
-	log, err := wal.Open(dur.Dir, wal.Options{SegmentSize: dur.SegmentSize, Sync: dur.Sync, SyncDelay: dur.SyncDelay, Obs: opts.Obs, FS: dur.FS})
+	log, err := wal.Open(dur.Dir, wal.Options{Sync: dur.Sync, SyncDelay: dur.SyncDelay, Obs: opts.Obs, FS: dur.FS})
 	if err != nil {
 		return nil, fmt.Errorf("shared: opening log for %q: %w", name, err)
 	}
