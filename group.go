@@ -121,9 +121,10 @@ func (g *Group) Name() string { return g.name }
 
 // Send broadcasts payload to the group — the paper's SendToGroup. It blocks
 // until the message is totally ordered (and, with resilience r, stored by r
-// other members). Sends from one Group handle are delivered FIFO.
+// other members). Sends from one Group handle are delivered FIFO. payload is
+// copied before Send returns.
 func (g *Group) Send(ctx context.Context, payload []byte) error {
-	return waitCtx(ctx, func(done func(error)) { g.Start([][]byte{payload}, done) })
+	return waitCtx(ctx, func(done func(error)) { g.Start([][]byte{clone(payload)}, done) })
 }
 
 // SendBatch broadcasts several payloads to the group as one pipelined burst:
@@ -133,17 +134,32 @@ func (g *Group) Send(ctx context.Context, payload []byte) error {
 // GroupOptions.MaxBatch, so the sequencer's per-request work is paid once
 // per batch instead of once per message. SendBatch blocks until every
 // payload is ordered (and, with resilience r, stored by r other members); it
-// returns the first error encountered.
+// returns the first error encountered. The payloads are copied before
+// SendBatch returns.
 func (g *Group) SendBatch(ctx context.Context, payloads [][]byte) error {
-	return waitCtx(ctx, func(done func(error)) { g.Start(payloads, done) })
+	own := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		own[i] = clone(p)
+	}
+	return waitCtx(ctx, func(done func(error)) { g.Start(own, done) })
+}
+
+// clone copies a payload for Start, which keeps what it is given.
+func clone(p []byte) []byte {
+	c := make([]byte, len(p))
+	copy(c, p)
+	return c
 }
 
 // Start is the non-blocking half of Send and SendBatch, which are Start plus
 // a wait: it submits payloads as one burst and returns, and done is called
 // once, when every payload is ordered (and, with resilience r, stored by r
-// other members), with the first error any of them met. The payloads are
-// copied before Start returns. done may run before Start returns, on the
-// caller's goroutine, or later on a protocol goroutine; it must not block.
+// other members), with the first error any of them met. Start takes the
+// payloads over without copying them: the group transmits and stores them
+// as they are and, on the sequencer's node, delivers them, so the caller must
+// never write them again (Send and SendBatch copy first). done may run
+// before Start returns, on the caller's goroutine, or later on a protocol
+// goroutine; it must not block.
 func (g *Group) Start(payloads [][]byte, done func(error)) {
 	switch len(payloads) {
 	case 0:

@@ -197,6 +197,7 @@ type Endpoint struct {
 	// ordered inline but deferred one drain-cycle, so a burst coalesces
 	// into batch entries like a remote member's does.
 	selfPend    []*sendOp // own active ops awaiting the deferred order flush
+	ownWalk     []*sendOp // orderOwnSendsLocked's snapshot of sendQ, kept for reuse
 	selfFlush   bool      // a flush action is already queued
 	selfFlushFn func()    // that action: ep.flushSelfOrders, bound once so queueing it allocates nothing
 
@@ -493,7 +494,9 @@ func (ep *Endpoint) multicastPkt(p packet) {
 // Send submits payload for totally-ordered broadcast. done is invoked exactly
 // once, after the send completes (for resilience 0, when the message has been
 // sequenced; for resilience r, when r other members have stored it) or fails.
-// Sends from one endpoint are sequenced FIFO.
+// Sends from one endpoint are sequenced FIFO. The endpoint keeps payload — it
+// is transmitted, retransmitted and, on the sequencer, stored and delivered
+// as it is — so the caller must never write it again.
 func (ep *Endpoint) Send(payload []byte, done func(error)) {
 	ep.SendMany([][]byte{payload}, []func(error){done})
 }
@@ -505,7 +508,8 @@ func (ep *Endpoint) Send(payload []byte, done func(error)) {
 // whose deferred self-ordering otherwise only coalesces with sends that race
 // the drain (see deferSelfOrderLocked). Each payload's done callback is
 // invoked exactly once; dones may be shorter than payloads (missing entries
-// are no-ops). Per-endpoint FIFO holds across the whole burst.
+// are no-ops). Per-endpoint FIFO holds across the whole burst. Like Send, it
+// takes ownership of every payload.
 func (ep *Endpoint) SendMany(payloads [][]byte, dones []func(error)) {
 	ep.mu.Lock()
 	for i, payload := range payloads {
@@ -538,22 +542,20 @@ func (ep *Endpoint) queueSendLocked(payload []byte, done func(error)) error {
 		return fmt.Errorf("%w: %d > %d bytes", ErrTooLarge, len(payload), ep.cfg.MaxMessage)
 	}
 	ep.cfg.Meter.Charge(cost.UserSend, len(payload))
-	p := make([]byte, len(payload))
-	copy(p, payload)
 	ep.nextLocalID++
-	method := ep.resolveMethod(len(p))
+	method := ep.resolveMethod(len(payload))
 	if n := len(ep.sendQ); n > 0 && method == MethodPB {
 		last := ep.sendQ[n-1]
 		if !last.sent && !last.active && last.method == MethodPB &&
 			len(last.payloads) < ep.cfg.MaxBatch &&
-			last.size+len(p) <= ep.cfg.MaxMessage {
-			last.payloads = append(last.payloads, p)
-			last.size += len(p)
+			last.size+len(payload) <= ep.cfg.MaxMessage {
+			last.payloads = append(last.payloads, payload)
+			last.size += len(payload)
 			last.dones = append(last.dones, done)
 			return nil
 		}
 	}
-	ep.sendQ = append(ep.sendQ, newSendOp(ep.nextLocalID, p, method, done))
+	ep.sendQ = append(ep.sendQ, newSendOp(ep.nextLocalID, payload, method, done))
 	return nil
 }
 

@@ -164,7 +164,7 @@ func (ep *Endpoint) handleJoinAck(p packet) {
 	ep.hist.pruneTo(joinSeq - 1)
 	pl := make([]byte, len(p.payload))
 	copy(pl, p.payload)
-	ep.hist.add(&entry{seq: joinSeq, kind: KindJoin, sender: me.ID, payload: pl})
+	ep.hist.add(entry{seq: joinSeq, kind: KindJoin, sender: me.ID, payload: pl})
 	ep.deliverReadyLocked()
 	for _, d := range ep.joinDone {
 		d := d

@@ -288,7 +288,7 @@ func (ep *Endpoint) leaseAcceptGateLocked(e *entry) bool {
 		if _, ok := ep.pending.find(id); !ok {
 			continue
 		}
-		if !e.acked[id] {
+		if !e.ackedBy(id) {
 			return false
 		}
 	}

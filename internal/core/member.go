@@ -125,7 +125,8 @@ func (ep *Endpoint) flushSelfOrdersLocked() {
 	if len(ep.selfPend) == 0 {
 		return
 	}
-	ep.selfPend = nil
+	clear(ep.selfPend)
+	ep.selfPend = ep.selfPend[:0]
 	ep.orderOwnSendsLocked()
 }
 
@@ -145,7 +146,15 @@ func (ep *Endpoint) orderOwnSendsLocked() {
 	if ep.st != stNormal || !ep.isSeq {
 		return
 	}
-	for _, op := range append([]*sendOp(nil), ep.sendQ...) {
+	// Walk a snapshot: ordering completes ops, which leave the queue. The
+	// snapshot's array is reused by the next pass.
+	q := append(ep.ownWalk[:0], ep.sendQ...)
+	ep.ownWalk = nil
+	defer func() {
+		clear(q)
+		ep.ownWalk = q[:0]
+	}()
+	for _, op := range q {
 		if !ep.opQueuedLocked(op) || !op.active {
 			continue
 		}
@@ -387,10 +396,12 @@ func (ep *Endpoint) handleBcast(p packet, retrans bool) {
 	// sequencer's own broadcast, a duplicate, a retransmission that crossed
 	// the original — is answered for by the held entry: no second copy.
 	e, ok := ep.hist.get(p.seq)
+	var fresh entry
 	if !ok || e.seq != p.seq || e.kind != p.kind || e.sender != origin || e.localID != p.localID {
-		if e = entryFromPacket(p, origin); e == nil {
+		if fresh, ok = entryFromPacket(p, origin); !ok {
 			return // malformed batch body: NAK will refetch
 		}
+		e = &fresh
 	}
 	if e.lastSeq() > ep.maxSeen {
 		ep.maxSeen = e.lastSeq()
@@ -405,7 +416,7 @@ func (ep *Endpoint) handleBcast(p packet, retrans bool) {
 	if held, ok := ep.hist.get(p.seq); !ok {
 		// A full history refuses the entry; the NAK machinery refetches
 		// once space frees.
-		ep.hist.add(e)
+		ep.hist.add(*e)
 	} else if held.tentative {
 		// Broadcasts and retransmissions are only ever sent for accepted
 		// messages (the sequencer serves tentative entries to nobody but
@@ -419,15 +430,15 @@ func (ep *Endpoint) handleBcast(p packet, retrans bool) {
 }
 
 // entryFromPacket builds a history entry from a data-bearing packet, copying
-// the payload and decoding batch bodies. It returns nil for a malformed
-// batch.
-func entryFromPacket(p packet, origin MemberID) *entry {
-	if p.kind == KindBatch {
-		return newBatchEntry(p.seq, origin, p.localID, p.payload)
-	}
+// the payload out of the frame it borrows and decoding batch bodies. ok is
+// false for a malformed batch.
+func entryFromPacket(p packet, origin MemberID) (e entry, ok bool) {
 	pl := make([]byte, len(p.payload))
 	copy(pl, p.payload)
-	return &entry{seq: p.seq, kind: p.kind, sender: origin, localID: p.localID, payload: pl}
+	if p.kind == KindBatch {
+		return newBatchEntry(p.seq, origin, p.localID, pl)
+	}
+	return entry{seq: p.seq, kind: p.kind, sender: origin, localID: p.localID, payload: pl}, true
 }
 
 // handleBBData caches an unordered BB payload until its accept arrives — or,
@@ -475,7 +486,9 @@ func (ep *Endpoint) handleBBData(p packet) {
 		delete(ep.bbEarly, key)
 		if _, held := ep.hist.get(seq); !held && seq >= ep.nextDeliver && !ep.hist.full() {
 			p.seq = seq
-			ep.hist.add(entryFromPacket(p, p.sender))
+			if e, ok := entryFromPacket(p, p.sender); ok {
+				ep.hist.add(e)
+			}
 			ep.deliverReadyLocked()
 			ep.checkGapLocked()
 			return
@@ -540,7 +553,7 @@ func (ep *Endpoint) handleAccept(p packet) {
 		key := bbKey{sender: sender, localID: p.localID}
 		if pl, have := ep.bbCache[key]; have {
 			delete(ep.bbCache, key)
-			ep.hist.add(&entry{seq: p.seq, kind: p.kind, sender: sender, localID: p.localID, payload: pl})
+			ep.hist.add(entry{seq: p.seq, kind: p.kind, sender: sender, localID: p.localID, payload: pl})
 		} else {
 			// Data missing: leave the slot empty; the gap logic NAKs and
 			// the sequencer retransmits the full message. Unless the data
@@ -592,8 +605,8 @@ func (ep *Endpoint) handleTentative(p packet) {
 	}
 	if p.seq >= ep.nextDeliver {
 		if _, ok := ep.hist.get(p.seq); !ok {
-			e := entryFromPacket(p, p.sender)
-			if e == nil {
+			e, ok := entryFromPacket(p, p.sender)
+			if !ok {
 				return // malformed batch body
 			}
 			e.tentative = true
@@ -651,7 +664,7 @@ func (ep *Endpoint) handleLost(p packet) {
 		return
 	}
 	if _, ok := ep.hist.get(p.seq); !ok && !ep.hist.full() {
-		ep.hist.add(&entry{seq: p.seq, kind: KindLost})
+		ep.hist.add(entry{seq: p.seq, kind: KindLost})
 		ep.stats.LostGaps++
 	}
 	ep.deliverReadyLocked()
@@ -908,14 +921,20 @@ func (ep *Endpoint) deliverBatchLocked(e *entry) {
 		addr = m.Addr
 	}
 	first := true
+	_, parts, _ := splitBatchBody(e.payload) // checked when the entry was built
+	for s := e.seq; s < ep.nextDeliver; s++ {
+		_, parts = nextBatchPart(parts)
+	}
 	for ep.nextDeliver <= e.lastSeq() {
 		i := ep.nextDeliver - e.seq
 		ep.nextDeliver++
+		var part []byte
+		part, parts = nextBatchPart(parts)
 		// A part is copied out, unlike a single message's payload: a part
 		// aliased by the application (a kv value kept in its map) would pin
 		// the whole batch body for as long as that one value lives.
-		pl := make([]byte, len(e.parts[i]))
-		copy(pl, e.parts[i])
+		pl := make([]byte, len(part))
+		copy(pl, part)
 		charge := cost.UserDeliverNext
 		if first {
 			charge = cost.UserDeliver

@@ -288,7 +288,7 @@ func (ep *Endpoint) finishRecoveryLocked(rec *recovery) {
 	ep.pending = newView.clone()
 	ep.isSeq = true
 	ep.globalSeq = startSeq
-	ep.hist.forceAdd(&entry{seq: startSeq, kind: KindReset, sender: ep.self, payload: viewBytes})
+	ep.hist.forceAdd(entry{seq: startSeq, kind: KindReset, sender: ep.self, payload: viewBytes})
 	if ep.maxSeen < startSeq {
 		ep.maxSeen = startSeq
 	}
@@ -540,7 +540,7 @@ func (ep *Endpoint) handleResetResult(p packet, from flip.Address) {
 		if _, ok := ep.hist.get(startSeq); !ok {
 			pl := make([]byte, len(p.payload))
 			copy(pl, p.payload)
-			ep.hist.forceAdd(&entry{seq: startSeq, kind: KindReset, sender: v.sequencer, payload: pl})
+			ep.hist.forceAdd(entry{seq: startSeq, kind: KindReset, sender: v.sequencer, payload: pl})
 		}
 	}
 	ep.maxSeen = startSeq

@@ -58,7 +58,10 @@ func (ep *Endpoint) handleReq(p packet, from flip.Address) {
 	if !ep.fifoAdmitsLocked(p.sender, p.localID, p.aux) {
 		return // an earlier send is still in flight: its retry resends the window in order
 	}
-	if !ep.orderLocked(p.kind, p.sender, p.localID, p.payload) {
+	// The packet borrows its receive buffer; the ordered entry keeps a copy.
+	pl := make([]byte, len(p.payload))
+	copy(pl, p.payload)
+	if !ep.orderLocked(p.kind, p.sender, p.localID, pl) {
 		ep.parkLocked(p, from)
 	}
 }
@@ -103,6 +106,7 @@ func wireBatchCount(body []byte) int {
 // refusal has already asked the group for the acknowledgement state that
 // frees room (makeRoomLocked); callers holding a data request park it
 // (parkLocked) so that the answer, not the sender's retry timer, re-drives it.
+// The ordered entry keeps payload: callers pass bytes nothing writes again.
 func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, payload []byte) bool {
 	// Stage timing (paper-style per-stage decomposition): t0 is when the
 	// ordering decision starts; the append histogram closes after the
@@ -118,23 +122,19 @@ func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, p
 	if timed {
 		t0 = ep.cfg.Clock.Now()
 	}
-	var e *entry
+	ne := entry{seq: ep.globalSeq + 1, kind: kind, sender: sender, localID: localID, payload: payload}
 	if kind == KindBatch {
-		e = newBatchEntry(ep.globalSeq+1, sender, localID, payload)
-		if e == nil {
+		var ok bool
+		if ne, ok = newBatchEntry(ep.globalSeq+1, sender, localID, payload); !ok {
 			return true // malformed batch: drop silently, as for garbled packets
 		}
-	} else {
-		pl := make([]byte, len(payload))
-		copy(pl, payload)
-		e = &entry{seq: ep.globalSeq + 1, kind: kind, sender: sender, localID: localID, payload: pl}
 	}
-	if !ep.makeRoomLocked(int(e.span()), sender) {
+	if !ep.makeRoomLocked(int(ne.span()), sender) {
 		return false
 	}
+	e, _ := ep.hist.add(ne) // makeRoomLocked found it room
 	seq := e.seq
 	ep.globalSeq = e.lastSeq()
-	ep.hist.add(e)
 	if timed {
 		o.Append.Observe(ep.cfg.Clock.Now() - t0)
 	}
@@ -157,7 +157,6 @@ func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, p
 		// acceptance is the sequencer's decision, which is what lets it
 		// wait for lease holders' stored-acks before a send completes.
 		e.tentative = true
-		e.acked = make(map[MemberID]bool)
 		if timed {
 			e.orderedAt = t0
 		}
@@ -219,9 +218,10 @@ func (ep *Endpoint) orderBBLocked(sender MemberID, localID uint32, kind MsgKind,
 	}
 	ep.globalSeq++
 	seq := ep.globalSeq
+	// The payload borrows the sender's frame: the entry keeps a copy.
 	pl := make([]byte, len(payload))
 	copy(pl, payload)
-	ep.hist.add(&entry{seq: seq, kind: kind, sender: sender, localID: localID, payload: pl})
+	ep.hist.add(entry{seq: seq, kind: kind, sender: sender, localID: localID, payload: pl})
 	if timed {
 		o.Append.Observe(ep.cfg.Clock.Now() - t0)
 	}
@@ -252,11 +252,10 @@ func (ep *Endpoint) handleAck(p packet) {
 	if !ok || !e.tentative {
 		return
 	}
-	if e.acked[p.sender] {
+	if e.ackedBy(p.sender) {
 		return
 	}
-	e.acked[p.sender] = true
-	e.acks++
+	e.acked = append(e.acked, p.sender)
 	ep.maybeAcceptLocked(e)
 }
 
@@ -288,7 +287,7 @@ func (ep *Endpoint) requiredAcksLocked(e *entry) int {
 // complete its sender's whole window — while an earlier message's acks were
 // still outstanding and a crash could yet erase it.
 func (ep *Endpoint) maybeAcceptLocked(e *entry) {
-	if !e.tentative || e.acks < ep.requiredAcksLocked(e) {
+	if !e.tentative || len(e.acked) < ep.requiredAcksLocked(e) {
 		return
 	}
 	// Everything below the sequencer's own delivery point is final (the
@@ -339,7 +338,7 @@ func (ep *Endpoint) maybeAcceptLocked(e *entry) {
 			}
 			s = en.lastSeq()
 		}
-		if next == nil || next.acks < ep.requiredAcksLocked(next) ||
+		if next == nil || len(next.acked) < ep.requiredAcksLocked(next) ||
 			!ep.leaseAcceptGateLocked(next) {
 			break
 		}
@@ -416,7 +415,7 @@ func (ep *Endpoint) noteTentativeStallLocked(oldest *entry) {
 		return
 	}
 	for _, m := range ep.pending.members {
-		if m.ID == ep.self || oldest.acked[m.ID] {
+		if m.ID == ep.self || oldest.ackedBy(m.ID) {
 			continue
 		}
 		// A join's subject cannot ack (it is not active yet); do not
@@ -581,17 +580,17 @@ func (ep *Endpoint) pruneAheadLocked() {
 	}
 }
 
-// makeRoomLocked reports whether the history can take n more sequence
+// makeRoomLocked reports whether the history can take the next n sequence
 // numbers, pruning from the acknowledgement state already held if it must.
 // When it cannot, the refusal is counted, the group is asked for fresh state,
 // and the members pinning a full buffer are probed: a live laggard's answer
 // frees the room, a corpse exhausts its probes (probeMemberLocked).
 func (ep *Endpoint) makeRoomLocked(n int, sender MemberID) bool {
-	if ep.hist.hasRoom(n) {
+	if ep.hist.roomAt(ep.globalSeq+1, n) {
 		return true
 	}
 	ep.tryPruneLocked()
-	if ep.hist.hasRoom(n) {
+	if ep.hist.roomAt(ep.globalSeq+1, n) {
 		return true
 	}
 	ep.stats.DroppedFull++

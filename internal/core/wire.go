@@ -224,28 +224,36 @@ func encodeBatchBody(payloads [][]byte) []byte {
 	return buf
 }
 
-// decodeBatchBody parses a batch body. The returned payloads alias body. A
-// payload takes at least its length byte, so the count is believed only up to
-// the bytes left: a short body cannot make it preallocate.
-func decodeBatchBody(body []byte) ([][]byte, error) {
-	count, w := binary.Uvarint(body)
-	if w <= 0 || count == 0 || count > maxBatchWire || count > uint64(len(body)-w) {
-		return nil, errBadBatch
+// splitBatchBody checks a batch body and splits it into its payload count
+// and the payloads' bytes, which nextBatchPart reads one at a time. It
+// allocates nothing. A payload takes at least its length byte, so the count
+// is believed only up to the bytes left.
+func splitBatchBody(body []byte) (count int, parts []byte, err error) {
+	n, w := binary.Uvarint(body)
+	if w <= 0 || n == 0 || n > maxBatchWire || n > uint64(len(body)-w) {
+		return 0, nil, errBadBatch
 	}
-	body = body[w:]
-	payloads := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		n, w := binary.Uvarint(body)
-		if w <= 0 || uint64(len(body)-w) < n {
-			return nil, errBadBatch
+	parts = body[w:]
+	rest := parts
+	for i := uint64(0); i < n; i++ {
+		l, w := binary.Uvarint(rest)
+		if w <= 0 || uint64(len(rest)-w) < l {
+			return 0, nil, errBadBatch
 		}
-		payloads = append(payloads, body[w:w+int(n):w+int(n)])
-		body = body[w+int(n):]
+		rest = rest[w+int(l):]
 	}
-	if len(body) != 0 {
-		return nil, errBadBatch
+	if len(rest) != 0 {
+		return 0, nil, errBadBatch
 	}
-	return payloads, nil
+	return int(n), parts, nil
+}
+
+// nextBatchPart splits the first payload off the payload bytes of a batch
+// body that splitBatchBody accepted.
+func nextBatchPart(parts []byte) (part, rest []byte) {
+	n, w := binary.Uvarint(parts)
+	end := w + int(n)
+	return parts[w:end:end], parts[end:]
 }
 
 // Member describes one group member in a view.

@@ -164,11 +164,11 @@ func TestViewRemove(t *testing.T) {
 func TestHistoryAddGetPrune(t *testing.T) {
 	h := newHistory(4)
 	for s := uint32(1); s <= 4; s++ {
-		if !h.add(&entry{seq: s}) {
+		if _, ok := h.add(entry{seq: s}); !ok {
 			t.Fatalf("add %d failed", s)
 		}
 	}
-	if h.add(&entry{seq: 5}) {
+	if _, ok := h.add(entry{seq: 5}); ok {
 		t.Fatal("add beyond capacity succeeded")
 	}
 	if !h.full() {
@@ -199,13 +199,13 @@ func TestHistoryContiguousTop(t *testing.T) {
 	if h.contiguousTop() != 0 {
 		t.Fatal("empty top != floor")
 	}
-	h.add(&entry{seq: 1})
-	h.add(&entry{seq: 2})
-	h.add(&entry{seq: 4})
+	h.add(entry{seq: 1})
+	h.add(entry{seq: 2})
+	h.add(entry{seq: 4})
 	if got := h.contiguousTop(); got != 2 {
 		t.Fatalf("contiguousTop = %d, want 2", got)
 	}
-	h.add(&entry{seq: 3})
+	h.add(entry{seq: 3})
 	if got := h.contiguousTop(); got != 4 {
 		t.Fatalf("contiguousTop = %d, want 4", got)
 	}
@@ -214,7 +214,7 @@ func TestHistoryContiguousTop(t *testing.T) {
 func TestHistoryTruncateAbove(t *testing.T) {
 	h := newHistory(10)
 	for s := uint32(1); s <= 6; s++ {
-		h.add(&entry{seq: s})
+		h.add(entry{seq: s})
 	}
 	h.truncateAbove(4)
 	if _, ok := h.get(5); ok {
@@ -227,7 +227,7 @@ func TestHistoryTruncateAbove(t *testing.T) {
 
 func TestHistoryLargeFloorJumpIsCheap(t *testing.T) {
 	h := newHistory(8)
-	h.add(&entry{seq: 1})
+	h.add(entry{seq: 1})
 	// A joiner re-bases its floor by a huge jump; must not iterate the
 	// whole range.
 	h.pruneTo(1 << 30)
@@ -255,6 +255,20 @@ func TestMethodString(t *testing.T) {
 	if MethodAuto.String() != "auto" || MethodPB.String() != "PB" || MethodBB.String() != "BB" {
 		t.Fatal("method strings wrong")
 	}
+}
+
+// decodeBatchBody reads a whole batch body as delivery does, part by part.
+// The returned payloads alias body.
+func decodeBatchBody(body []byte) ([][]byte, error) {
+	count, parts, err := splitBatchBody(body)
+	if err != nil {
+		return nil, err
+	}
+	payloads := make([][]byte, count)
+	for i := range payloads {
+		payloads[i], parts = nextBatchPart(parts)
+	}
+	return payloads, nil
 }
 
 func TestBatchBodyRoundTrip(t *testing.T) {
@@ -299,7 +313,7 @@ func TestBatchBodyRejectsGarbage(t *testing.T) {
 			t.Fatalf("case %d: malformed body decoded", i)
 		}
 	}
-	if newBatchEntry(7, 3, 9, []byte{0}) != nil {
+	if _, ok := newBatchEntry(7, 3, 9, []byte{0}); ok {
 		t.Fatal("newBatchEntry accepted malformed body")
 	}
 	// Refused before anything is allocated: believed, the count would cost a
@@ -312,19 +326,20 @@ func TestBatchBodyRejectsGarbage(t *testing.T) {
 
 func TestBatchEntrySpansHistory(t *testing.T) {
 	h := newHistory(8)
-	e := newBatchEntry(4, 1, 10, encodeBatchBody([][]byte{[]byte("a"), []byte("b"), []byte("c")}))
-	if e == nil {
+	e, ok := newBatchEntry(4, 1, 10, encodeBatchBody([][]byte{[]byte("a"), []byte("b"), []byte("c")}))
+	if !ok {
 		t.Fatal("newBatchEntry failed")
 	}
 	if e.lastSeq() != 6 || e.lastLocalID() != 12 || e.span() != 3 {
 		t.Fatalf("span geometry wrong: lastSeq=%d lastLocalID=%d span=%d", e.lastSeq(), e.lastLocalID(), e.span())
 	}
-	if !h.add(e) {
+	stored, ok := h.add(e)
+	if !ok {
 		t.Fatal("add failed with room available")
 	}
 	for s := uint32(4); s <= 6; s++ {
 		got, ok := h.get(s)
-		if !ok || got != e {
+		if !ok || got != stored {
 			t.Fatalf("seq %d not mapped to the batch entry", s)
 		}
 	}
@@ -333,8 +348,8 @@ func TestBatchEntrySpansHistory(t *testing.T) {
 	}
 	// Capacity is counted per message: a 6-slot batch does not fit in the
 	// remaining 5.
-	big := newBatchEntry(7, 1, 13, encodeBatchBody([][]byte{{}, {}, {}, {}, {}, {}}))
-	if h.add(big) {
+	big, _ := newBatchEntry(7, 1, 13, encodeBatchBody([][]byte{{}, {}, {}, {}, {}, {}}))
+	if _, ok := h.add(big); ok {
 		t.Fatal("add accepted a batch beyond capacity")
 	}
 	// Partial prune keeps the tail reachable.

@@ -151,7 +151,7 @@ func (g *SimGroup) Delivered(i int) uint64 { return g.delivered[i] }
 // returns the mean completion delay in virtual time. This is the paper's
 // delay experiment: one continuous sender, everyone receiving.
 func (g *SimGroup) MeasureDelay(sender, size, rounds int) time.Duration {
-	payload := make([]byte, size)
+	payload := make([]byte, size) // never written, so every send may keep it (Endpoint.Send)
 	st := g.Stations[sender]
 	var (
 		total   time.Duration
@@ -215,7 +215,7 @@ func (g *SimGroup) StartPipelinedSenders(size, depth int, members ...int) {
 }
 
 func (g *SimGroup) startSenderLoops(member, size, loops int) {
-	payload := make([]byte, size)
+	payload := make([]byte, size) // never written, so every send may keep it (Endpoint.Send)
 	for l := 0; l < loops; l++ {
 		var loop func(error)
 		loop = func(error) {

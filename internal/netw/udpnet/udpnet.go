@@ -19,8 +19,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/netw"
 )
 
@@ -91,8 +93,12 @@ type Station struct {
 	conn *net.UDPConn
 	wg   sync.WaitGroup
 
-	mu      sync.Mutex
-	peers   map[netw.NodeID]*net.UDPAddr
+	mu    sync.Mutex
+	peers map[netw.NodeID]netip.AddrPort
+	// fanout is every peer but this station, the multicast destinations.
+	// AddPeer replaces it whole, so a sender may use the slice it read
+	// under mu after releasing the lock.
+	fanout  []netip.AddrPort
 	subs    map[netw.ChannelID]bool
 	handler netw.Handler
 	closed  bool
@@ -118,7 +124,7 @@ func NewStation(cfg Config) (*Station, error) {
 		id:    cfg.ID,
 		name:  cfg.Name,
 		conn:  conn,
-		peers: make(map[netw.NodeID]*net.UDPAddr),
+		peers: make(map[netw.NodeID]netip.AddrPort),
 		subs:  make(map[netw.ChannelID]bool),
 	}
 	for id, a := range cfg.Peers {
@@ -141,9 +147,20 @@ func (s *Station) AddPeer(id netw.NodeID, addr string) error {
 	if err != nil {
 		return fmt.Errorf("udpnet: resolving peer %d at %q: %w", id, addr, err)
 	}
+	ap := ua.AddrPort()
+	// An IPv4 peer resolves to its IPv4-mapped IPv6 form; an IPv4 socket
+	// sends only to the plain form.
+	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.peers[id] = ua
+	s.peers[id] = ap
+	fanout := make([]netip.AddrPort, 0, len(s.peers))
+	for pid, p := range s.peers {
+		if pid != s.id {
+			fanout = append(fanout, p)
+		}
+	}
+	s.fanout = fanout
 	return nil
 }
 
@@ -181,13 +198,14 @@ func (s *Station) Send(dst netw.NodeID, payload []byte) error {
 		s.mu.Unlock()
 		return netw.ErrClosed
 	}
-	peer := s.peers[dst]
+	peer, ok := s.peers[dst]
 	s.mu.Unlock()
-	if peer == nil {
+	if !ok {
 		return nil // unknown destination: the frame vanishes, as on Ethernet
 	}
 	buf := s.frame(typeUnicast, 0, payload)
-	_, err := s.conn.WriteToUDP(buf, peer)
+	_, err := s.conn.WriteToUDPAddrPort(buf, peer)
+	bufpool.Put(buf)
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		return fmt.Errorf("udpnet: send: %w", err)
 	}
@@ -205,17 +223,12 @@ func (s *Station) Multicast(ch netw.ChannelID, payload []byte) error {
 		s.mu.Unlock()
 		return netw.ErrClosed
 	}
-	peers := make([]*net.UDPAddr, 0, len(s.peers))
-	for id, p := range s.peers {
-		if id == s.id {
-			continue
-		}
-		peers = append(peers, p)
-	}
+	peers := s.fanout
 	s.mu.Unlock()
 	buf := s.frame(typeMulticast, ch, payload)
+	defer bufpool.Put(buf)
 	for _, p := range peers {
-		if _, err := s.conn.WriteToUDP(buf, p); err != nil {
+		if _, err := s.conn.WriteToUDPAddrPort(buf, p); err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return netw.ErrClosed
 			}
@@ -225,8 +238,10 @@ func (s *Station) Multicast(ch netw.ChannelID, payload []byte) error {
 	return nil
 }
 
+// frame renders a datagram into a pooled buffer, which the caller puts back
+// once its writes are done.
 func (s *Station) frame(typ byte, ch netw.ChannelID, payload []byte) []byte {
-	buf := make([]byte, frameHeader+len(payload))
+	buf := bufpool.Get(frameHeader + len(payload))
 	buf[0] = typ
 	binary.BigEndian.PutUint32(buf[1:], uint32(s.id))
 	binary.BigEndian.PutUint32(buf[5:], uint32(ch))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"amoeba/internal/bufpool"
 	"amoeba/internal/netw"
 )
 
@@ -99,6 +100,33 @@ func TestMulticastFiltersByChannel(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if kc.count() != 0 {
 		t.Fatal("unsubscribed station delivered a multicast")
+	}
+}
+
+// TestSendsAllocateNothing: a unicast and a multicast over loopback allocate
+// nothing — the frame is written into a pooled buffer, the peers are kept as
+// netip.AddrPort and a multicast reads a peer list AddPeer built. The
+// receivers have no handler, so the count is the sending side's alone.
+func TestSendsAllocateNothing(t *testing.T) {
+	if bufpool.Poison {
+		t.Skip("allocation counts are for builds without the race detector")
+	}
+	n := New()
+	defer n.Close()
+	a, _ := n.Attach("a")
+	b, _ := n.Attach("b")
+	n.Attach("c")
+	payload := make([]byte, 256)
+	for name, send := range map[string]func() error{
+		"Send":      func() error { return a.Send(b.ID(), payload) },
+		"Multicast": func() error { return a.Multicast(7, payload) },
+	} {
+		if err := send(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := testing.AllocsPerRun(200, func() { _ = send() }); got != 0 {
+			t.Errorf("a loopback %s allocates %.1f objects", name, got)
+		}
 	}
 }
 

@@ -546,10 +546,11 @@ func (r *Replica) Submit(ctx context.Context, cmd []byte) error {
 // per-command cost on every replica remains, so many small writes do better
 // packed into one command, as kv's BatchPut does. done is called once, when
 // every command is ordered, with the first error (ErrStopped at once if the
-// replica has stopped). The commands are copied before Start returns. A
-// caller that starts several submissions — to several replicas — and then
-// waits for them all pays one goroutine, not one per replica. done may run
-// before Start returns or on a protocol goroutine; it must not block.
+// replica has stopped). Start takes the commands over, as amoeba.Group.Start
+// does: the caller must never write them again. A caller that starts several
+// submissions — to several replicas — and then waits for them all pays one
+// goroutine, not one per replica. done may run before Start returns or on a
+// protocol goroutine; it must not block.
 func (r *Replica) Start(cmds [][]byte, done func(error)) {
 	select {
 	case <-r.stoppedCh:
