@@ -96,7 +96,11 @@ func newBatchEntry(seq uint32, sender MemberID, localID uint32, body []byte) (e 
 // entry can be placed is judged against a ring of size slots, the least
 // power of two at or above the capacity; the ring itself starts shorter and
 // doubles toward size only as far as the seqnos it holds spread, so a
-// history that stays short costs a short ring. A pointer from get or add
+// history that stays short costs a short ring. forceAdd may raise size past
+// that base to place a recovery anchor; once the buffer empties again size
+// falls back to the base, and a ring grown past it is given up (settle), so
+// one recovery does not judge and size the history at twice its ring for
+// the endpoint's life. A pointer from get or add
 // stays valid until the entry leaves the buffer — every seqno it covers
 // pruned, or the entry truncated — or the ring grows (add, forceAdd). A
 // batch straddling the floor keeps its first slot (unreachable by get) until
@@ -109,6 +113,7 @@ type history struct {
 	slots []slot // slots[s&mask] holds seqno s
 	mask  uint32
 	size  int // the ring length placement is judged against (see above); forceAdd may raise it
+	base  int // size as the capacity sets it: the power of two at or above cap
 }
 
 // slot is one seqno's place in the ring.
@@ -126,6 +131,7 @@ func newHistory(capacity int) *history {
 	for h.size < capacity {
 		h.size <<= 1
 	}
+	h.base = h.size
 	h.resize(min(h.size, firstRing))
 	return h
 }
@@ -296,6 +302,21 @@ func (h *history) pruneTo(upTo uint32) {
 		}
 	}
 	h.floor = upTo
+	h.settle()
+}
+
+// settle undoes forceAdd's growth once the buffer is empty: size returns to
+// the base, and a ring longer than the base is replaced by one of the base's
+// length. Every slot is empty then — a straddling batch gives up its first
+// slot with its last seqno — so nothing needs re-placing.
+func (h *history) settle() {
+	if h.n != 0 || h.size == h.base {
+		return
+	}
+	h.size = h.base
+	if len(h.slots) > h.base {
+		h.slots, h.mask = make([]slot, h.base), uint32(h.base-1)
+	}
 }
 
 // release frees e's seqnos in (floor, upTo], and e's own slot once none of
@@ -332,6 +353,7 @@ func (h *history) truncateAbove(top uint32) {
 			h.drop(&sl.e)
 		}
 	}
+	h.settle()
 }
 
 // contiguousTop returns the highest seq such that every entry in

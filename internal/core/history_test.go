@@ -9,13 +9,33 @@ import (
 // refHistory is the history's reference model: a plain map from every
 // retained seqno to the entry covering it, with the ring's rules spelled out
 // one by one. Where the ring can refuse an entry the map would hold — a slot
-// it needs is taken by a seqno a whole ring away — the model uses the ring
-// length placement is judged against (history.size), the one fact of the
-// layout the rules depend on.
+// it needs is taken by a seqno a whole ring away — the model keeps the ring
+// length placement is judged against (size, history.size), the one fact of
+// the layout the rules depend on: base, the power of two at or above the
+// capacity, until forceAdd raises it, and base again once nothing is held.
 type refHistory struct {
 	cap   int
 	floor uint32
 	held  map[uint32]*refEntry
+	size  int
+	base  int
+}
+
+func newRefHistory(capacity int) *refHistory {
+	m := &refHistory{cap: capacity, held: make(map[uint32]*refEntry), size: 1}
+	for m.size < capacity {
+		m.size <<= 1
+	}
+	m.base = m.size
+	return m
+}
+
+// settle is the rule that undoes forceAdd's growth: an empty history is
+// judged against its base size again.
+func (m *refHistory) settle() {
+	if len(m.held) == 0 {
+		m.size = m.base
+	}
 }
 
 type refEntry struct {
@@ -47,7 +67,8 @@ func (m *refHistory) occupied() []uint32 {
 	return out
 }
 
-func (m *refHistory) placeable(seq, last uint32, size int) bool {
+func (m *refHistory) placeable(seq, last uint32) bool {
+	size := m.size
 	if int(last-seq) >= size {
 		return false
 	}
@@ -62,8 +83,8 @@ func (m *refHistory) placeable(seq, last uint32, size int) bool {
 	return true
 }
 
-func (m *refHistory) add(e *refEntry, size int) bool {
-	if e.seq <= m.floor || len(m.held)+int(e.last-e.seq+1) > m.cap || !m.placeable(e.seq, e.last, size) {
+func (m *refHistory) add(e *refEntry) bool {
+	if e.seq <= m.floor || len(m.held)+int(e.last-e.seq+1) > m.cap || !m.placeable(e.seq, e.last) {
 		return false
 	}
 	for s := e.seq; s <= e.last; s++ {
@@ -75,16 +96,17 @@ func (m *refHistory) add(e *refEntry, size int) bool {
 // forceAdd drops what holds the entry's seqnos and stores it regardless of
 // the cap. It doubles the size until the entry can be placed, up to
 // maxRingGrowth times the capacity; past that it evicts the entries whose
-// slots the new one needs. It returns the new size.
-func (m *refHistory) forceAdd(e *refEntry, size int) int {
+// slots the new one needs.
+func (m *refHistory) forceAdd(e *refEntry) {
 	for s := e.seq; s <= e.last; s++ {
 		if old, ok := m.held[s]; ok {
 			m.dropEntry(old)
 		}
 	}
-	for !m.placeable(e.seq, e.last, size) {
+	for !m.placeable(e.seq, e.last) {
+		size := m.size
 		if size < maxRingGrowth*m.cap || int(e.last-e.seq) >= size {
-			size *= 2
+			m.size *= 2
 			continue
 		}
 		for old := range m.entries() {
@@ -100,7 +122,6 @@ func (m *refHistory) forceAdd(e *refEntry, size int) int {
 	for s := e.seq; s <= e.last; s++ {
 		m.held[s] = e
 	}
-	return size
 }
 
 func (m *refHistory) dropEntry(e *refEntry) {
@@ -121,6 +142,7 @@ func (m *refHistory) pruneTo(upTo uint32) {
 		}
 	}
 	m.floor = upTo
+	m.settle()
 }
 
 func (m *refHistory) truncateAbove(top uint32) {
@@ -129,6 +151,7 @@ func (m *refHistory) truncateAbove(top uint32) {
 			m.dropEntry(e)
 		}
 	}
+	m.settle()
 }
 
 func (m *refHistory) contiguousTop() uint32 {
@@ -152,8 +175,9 @@ func (m *refHistory) top() uint32 {
 // stored entry, and that no slot keeps a payload the model no longer holds.
 func (m *refHistory) check(t *testing.T, h *history, step string) {
 	t.Helper()
-	if h.floor != m.floor || h.len() != len(m.held) {
-		t.Fatalf("%s: floor %d len %d, model floor %d len %d", step, h.floor, h.len(), m.floor, len(m.held))
+	if h.floor != m.floor || h.len() != len(m.held) || h.size != m.size {
+		t.Fatalf("%s: floor %d len %d size %d, model floor %d len %d size %d",
+			step, h.floor, h.len(), h.size, m.floor, len(m.held), m.size)
 	}
 	if got, want := h.contiguousTop(), m.contiguousTop(); got != want {
 		t.Fatalf("%s: contiguousTop %d, model %d", step, got, want)
@@ -171,7 +195,7 @@ func (m *refHistory) check(t *testing.T, h *history, step string) {
 	}
 	for _, k := range []int{1, 3} {
 		next := m.top() + 1
-		want := len(m.held)+k <= m.cap && m.placeable(next, next+uint32(k)-1, h.size)
+		want := len(m.held)+k <= m.cap && m.placeable(next, next+uint32(k)-1)
 		if got := h.roomAt(next, k); got != want {
 			t.Fatalf("%s: roomAt(%d, %d) = %v, model %v", step, next, k, got, want)
 		}
@@ -241,7 +265,7 @@ func TestHistoryMatchesModel(t *testing.T) {
 
 func runHistoryModel(t *testing.T, rng *rand.Rand, capacity int) {
 	h := newHistory(capacity)
-	m := &refHistory{cap: capacity, held: make(map[uint32]*refEntry)}
+	m := newRefHistory(capacity)
 	id := 0
 	mk := func(seq uint32, span int) (entry, *refEntry) {
 		id++
@@ -260,7 +284,7 @@ func runHistoryModel(t *testing.T, rng *rand.Rand, capacity int) {
 	}
 	add := func(step string, seq uint32, n int) {
 		e, r := mk(seq, n)
-		want := m.add(r, h.size)
+		want := m.add(r)
 		got, ok := h.add(e)
 		if ok != want {
 			t.Fatalf("%s: add [%d,%d] = %v, model %v", step, r.seq, r.last, ok, want)
@@ -306,18 +330,16 @@ func runHistoryModel(t *testing.T, rng *rand.Rand, capacity int) {
 				add(step, s, 1)
 			}
 			e, r := mk(m.top()+1+uint32(rng.Intn(2)), 1+rng.Intn(2))
-			size := m.forceAdd(r, h.size)
-			if got := h.forceAdd(e); got.seq != r.seq || h.size != size {
-				t.Fatalf("%s: forceAdd returned entry %d, ring size %d; model %d", step, got.seq, h.size, size)
+			m.forceAdd(r)
+			if got := h.forceAdd(e); got.seq != r.seq {
+				t.Fatalf("%s: forceAdd returned entry %d, not %d", step, got.seq, r.seq)
 			}
 		case op < 90:
 			step = "forceAdd over a held entry"
 			if top > m.floor {
 				e, r := mk(top, 1)
-				size := m.forceAdd(r, h.size)
-				if h.forceAdd(e); h.size != size {
-					t.Fatalf("%s: ring size %d, model %d", step, h.size, size)
-				}
+				m.forceAdd(r)
+				h.forceAdd(e)
 			}
 		case op < 91:
 			step = "floor jump"
@@ -332,6 +354,39 @@ func runHistoryModel(t *testing.T, rng *rand.Rand, capacity int) {
 			}
 		}
 		m.check(t, h, fmt.Sprintf("step %d (%s)", i, step))
+	}
+}
+
+// TestHistoryShrinksAfterForcedGrowth: a recovery anchor forced in far ahead
+// of a full buffer doubles the ring's size until it fits; once the entries
+// that forced that growth and the anchor are pruned, the history is judged
+// against, and sized to, the ring its capacity sets again.
+func TestHistoryShrinksAfterForcedGrowth(t *testing.T) {
+	h := newHistory(16)
+	for s := uint32(1); s <= 16; s++ {
+		if _, ok := h.add(entry{seq: s, payload: []byte{1}}); !ok {
+			t.Fatalf("add %d refused", s)
+		}
+	}
+	h.forceAdd(entry{seq: 65, kind: KindReset, payload: []byte{2}})
+	if h.size != 128 || len(h.slots) != 128 {
+		t.Fatalf("the anchor was placed in a ring of %d slots judged as %d; want 128 and 128", len(h.slots), h.size)
+	}
+	h.pruneTo(16)
+	if h.size != 128 {
+		t.Fatalf("size %d while the anchor is held; want 128", h.size)
+	}
+	h.pruneTo(65)
+	if h.size != 16 || len(h.slots) != 16 {
+		t.Fatalf("after the anchor was pruned: %d slots judged as %d; want 16 and 16", len(h.slots), h.size)
+	}
+	for s := uint32(66); s <= 81; s++ {
+		if _, ok := h.add(entry{seq: s, payload: []byte{3}}); !ok {
+			t.Fatalf("add %d refused after the ring shrank", s)
+		}
+	}
+	if _, ok := h.add(entry{seq: 82}); ok {
+		t.Fatal("a full buffer took a 17th entry")
 	}
 }
 

@@ -544,12 +544,26 @@ func (r *Request) keyAt(i int) string {
 // shardPart is one shard's share of a request: the first of its keys, the
 // sub-request split builds for it, and for the sub-request's read keys their
 // positions in the whole request's Keys, which is how the answers find their
-// way back (gather, mergePrepareAnswers).
+// way back (gather, mergePrepareAnswers). It also carries the part through
+// the fan-out (scatter): whether start took it on, and its answer.
 type shardPart struct {
 	shard int
 	key   string
 	req   *Request
+	call  *localCall // the part's state from start to finish (gather)
 	idx   []int
+	n     int // how many of the request's pairs or read keys the part holds (split)
+
+	taken bool
+	resp  *Response
+	err   error
+}
+
+// partCall is what split builds for each part beside it, in one array for
+// all of them: the sub-request and its local call (shardPart.req, .call).
+type partCall struct {
+	req  Request
+	call localCall
 }
 
 // oneShard answers what every hot-path operation asks of the router — which
@@ -597,35 +611,56 @@ func group(r *ring, req *Request) (partOf []int, parts []shardPart) {
 // nothing. A whole transaction that spans shards also has no one shard (-1,
 // nil): whoever holds it coordinates it. Otherwise the answer is one
 // sub-request per shard (group), each holding its shard's elements in
-// request order and stamped with the table's epoch. Every part keeps the
-// request's session header: a sub-read's answer is waited for on its own
-// shard only, and sub-prepares accrete under the transaction's attempt, so a
-// node re-splitting a forwarded request, or a re-drive after an epoch flip,
-// is free to split differently — while batch pairs keep their own seqs, so
-// every replica deduplicates a pair identically however the batch reached
-// it. req is only read.
+// request order and stamped with the table's epoch. The sub-requests, with
+// their local calls, are one array (partCall), and the parts' pairs and seqs,
+// or read keys and their positions, windows of one array each.
+// Every part keeps the request's session header: a sub-read's answer is
+// waited for on its own shard only, and sub-prepares accrete under the
+// transaction's attempt, so a node re-splitting a forwarded request, or a
+// re-drive after an epoch flip, is free to split differently — while batch
+// pairs keep their own seqs, so every replica deduplicates a pair
+// identically however the batch reached it. req is only read.
 func split(r *ring, rt Routing, req *Request) (int, []shardPart) {
 	if shard := oneShard(r, req); shard >= 0 || r == nil || req.Op == ReqTxn || req.numKeys() == 0 {
 		return shard, nil
 	}
 	partOf, parts := group(r, req)
-	sizes := make([]int, len(parts)) // so that a part's slices are allocated once
-	for _, j := range partOf {
-		sizes[j]++
+	// A batch's pairs, or a read's or prepare's read keys, come first among
+	// its keys (keyAt): they are what the windows hold.
+	reads, writes := len(req.Keys), len(req.Writes)
+	windowed := reads
+	if req.Op == ReqBatchPut {
+		windowed = len(req.Pairs)
 	}
+	for _, j := range partOf[:windowed] {
+		parts[j].n++
+	}
+	calls := make([]partCall, len(parts))
+	var pairs []Pair
+	var ids []uint64
+	var keys []string
+	var idx []int
+	if req.Op == ReqBatchPut {
+		pairs, ids = make([]Pair, windowed), make([]uint64, windowed)
+	} else if windowed > 0 {
+		keys, idx = make([]string, windowed), make([]int, windowed)
+	}
+	off := 0
 	for j := range parts {
 		p := &parts[j]
-		p.req = &Request{Op: req.Op, Flags: req.Flags &^ flagForwarded, Budget: req.Budget, Epoch: rt.Epoch,
+		p.req, p.call = &calls[j].req, &calls[j].call
+		*p.req = Request{Op: req.Op, Flags: req.Flags &^ flagForwarded, Budget: req.Budget, Epoch: rt.Epoch,
 			Session: req.Session, ID: req.ID, Ack: req.Ack, MaxStale: req.MaxStale,
 			Attempt: req.Attempt, HomeKey: req.HomeKey, AllKeys: req.AllKeys}
-		switch req.Op {
-		case ReqBatchPut:
-			p.req.Pairs, p.req.IDs = make([]Pair, 0, sizes[j]), make([]uint64, 0, sizes[j])
-		case ReqGet:
-			p.req.Keys, p.idx = make([]string, 0, sizes[j]), make([]int, 0, sizes[j])
+		switch end := off + p.n; {
+		case p.n == 0: // a prepare part of writes and conditions only
+		case req.Op == ReqBatchPut:
+			p.req.Pairs, p.req.IDs = pairs[off:off:end], ids[off:off:end]
+		default:
+			p.req.Keys, p.idx = keys[off:off:end], idx[off:off:end]
 		}
+		off += p.n
 	}
-	reads, writes := len(req.Keys), len(req.Writes)
 	for i, j := range partOf {
 		switch p := &parts[j]; {
 		case req.Op == ReqBatchPut:
@@ -645,28 +680,26 @@ func split(r *ring, rt Routing, req *Request) (int, []shardPart) {
 
 // gather runs a split request's parts side by side and merges their answers.
 func (c *Client) gather(ctx context.Context, req *Request, parts []shardPart) (*Response, error) {
-	calls := make([]localCall, len(parts)) // each part's state from start to finish
-	answers, err := scatter(parts,
-		func(i int) bool { return c.start(parts[i].shard, parts[i].req, &calls[i]) },
-		func(i int) (*Response, error) { return c.finish(ctx, parts[i].shard, parts[i].req, &calls[i]) })
+	err := scatter(parts,
+		func(p *shardPart) bool { return c.start(p.shard, p.req, p.call) },
+		func(p *shardPart) (*Response, error) { return c.finish(ctx, p.shard, p.req, p.call) })
 	if err != nil {
 		return nil, err
 	}
 	switch req.Op {
 	case ReqGet:
-		out := newReadResponse(len(req.Keys), ReadSequenced)
-		paths := make([]byte, len(parts))
-		for p, resp := range answers {
-			for j, i := range parts[p].idx {
-				out.Values[i], out.Found[i] = resp.Values[j], resp.Found[j]
+		out := newReadResponse(len(req.Keys), parts[0].resp.ReadPath)
+		for k := range parts {
+			p := &parts[k]
+			for j, i := range p.idx {
+				out.Values[i], out.Found[i] = p.resp.Values[j], p.resp.Found[j]
 			}
-			paths[p] = resp.ReadPath
-			out.StaleFor = max(out.StaleFor, resp.StaleFor)
+			out.ReadPath = mergeReadPath(out.ReadPath, p.resp.ReadPath)
+			out.StaleFor = max(out.StaleFor, p.resp.StaleFor)
 		}
-		out.ReadPath = mergeReadPaths(paths)
 		return out, nil
 	case ReqTxnPrepare:
-		return mergePrepareAnswers(req, parts, answers), nil
+		return mergePrepareAnswers(req, parts), nil
 	}
 	return &Response{OK: true}, nil
 }
@@ -679,54 +712,52 @@ func (c *Client) gather(ctx context.Context, req *Request, parts []shardPart) (*
 // loop — and runs on a goroutine of its own unless it is the only part. Then
 // finish runs for every part start took, in order, on the caller's goroutine:
 // the answers are handed over as the commands apply, so waiting for one part
-// delays none of the others. The answers come back in part order. The one
-// error rule is that a real error beats errMoved: the retry loop only helps
-// the moved case, and must not mask a persistent failure.
-func scatter(parts []shardPart, start func(i int) bool, finish func(i int) (*Response, error)) ([]*Response, error) {
-	answers, errs := make([]*Response, len(parts)), make([]error, len(parts))
-	taken := make([]bool, len(parts))
-	var wg sync.WaitGroup
+// delays none of the others. Each answer lands in its part (resp, err). The
+// one error rule is that a real error beats errMoved: the retry loop only
+// helps the moved case, and must not mask a persistent failure.
+func scatter(parts []shardPart, start func(p *shardPart) bool, finish func(p *shardPart) (*Response, error)) error {
+	var aside *sync.WaitGroup // made only when a part runs aside
 	for i := range parts {
-		if taken[i] = start != nil && start(i) || len(parts) == 1; taken[i] {
+		p := &parts[i]
+		if p.taken = start != nil && start(p) || len(parts) == 1; p.taken {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
+		if aside == nil {
+			aside = new(sync.WaitGroup)
+		}
+		aside.Add(1)
+		go func(wg *sync.WaitGroup) {
 			defer wg.Done()
-			answers[i], errs[i] = finish(i)
-		}(i)
+			p.resp, p.err = finish(p)
+		}(aside)
 	}
 	for i := range parts {
-		if taken[i] {
-			answers[i], errs[i] = finish(i)
+		if p := &parts[i]; p.taken {
+			p.resp, p.err = finish(p)
 		}
 	}
-	wg.Wait()
+	if aside != nil {
+		aside.Wait()
+	}
 	var first error
-	for _, err := range errs {
-		if err != nil && (first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved)) {
+	for i := range parts {
+		if err := parts[i].err; err != nil && (first == nil || errors.Is(first, errMoved) && !errors.Is(err, errMoved)) {
 			first = err
 		}
 	}
-	return answers, first
+	return first
 }
 
-// mergeReadPaths folds per-shard read paths into one report: any stale part
-// makes the whole answer stale; all-lease stays lease; anything mixed with a
-// sequenced part reports sequenced (the strongest contract all parts met is
-// still linearizable either way).
-func mergeReadPaths(paths []byte) byte {
-	if len(paths) == 0 {
+// mergeReadPath folds one more shard's read path into the report so far: any
+// stale part makes the whole answer stale; all-lease stays lease; anything
+// mixed with a sequenced part reports sequenced (the strongest contract all
+// parts met is still linearizable either way).
+func mergeReadPath(merged, p byte) byte {
+	switch {
+	case p == ReadStale || merged == ReadStale:
+		return ReadStale
+	case p != merged:
 		return ReadSequenced
-	}
-	merged := paths[0]
-	for _, p := range paths[1:] {
-		switch {
-		case p == ReadStale || merged == ReadStale:
-			return ReadStale
-		case p != merged:
-			merged = ReadSequenced
-		}
 	}
 	return merged
 }
@@ -739,7 +770,11 @@ func mergeReadPaths(paths []byte) byte {
 func (c *Client) doShard(ctx context.Context, shard int, req *Request) (*Response, error) {
 	var call localCall
 	c.start(shard, req, &call)
-	return c.finish(ctx, shard, req, &call)
+	resp, err := c.finish(ctx, shard, req, &call)
+	if resp == nil && err == nil {
+		resp = &Response{OK: true} // a local batch's
+	}
+	return resp, err
 }
 
 // localCall is what Client.start made of a request it took on: an answer it
@@ -783,7 +818,9 @@ func (c *Client) start(shard int, req *Request, call *localCall) bool {
 }
 
 // finish is doShard's other half: the answer to a request start took on —
-// waited for, if start began it — or, for one start left, the RPC.
+// waited for, if start began it — or, for one start left, the RPC. A batch
+// put begun here answers nil: its answer is success alone, which a part's
+// caller (gather) spells once for the whole request.
 func (c *Client) finish(ctx context.Context, shard int, req *Request, call *localCall) (*Response, error) {
 	if call.w == nil {
 		if call.resp == nil && call.err == nil {
@@ -799,7 +836,7 @@ func (c *Client) finish(ctx context.Context, shard int, req *Request, call *loca
 		c.localH.Observe(time.Since(call.t0))
 	}
 	if req.Op == ReqBatchPut {
-		return &Response{OK: true}, nil
+		return nil, nil
 	}
 	return res.response(), nil
 }
@@ -1176,9 +1213,9 @@ func (c *Client) MGet(ctx context.Context, keys ...string) (map[string][]byte, e
 type shardCall struct {
 	shard int
 	// The commands: a batch put's, answered under its pairs' seqs of
-	// session, or else a lone command answered under its waiter id. Held in
-	// the call, the lone command's one-element list is a temporary of
-	// begin's and needs no heap.
+	// session, or else a lone command answered under its waiter id. A lone
+	// command — a batch's too, when its pairs fit one — is held as cmd, and
+	// its one-element list is a temporary of begin's that needs no heap.
 	session uint64
 	seqs    []uint64
 	cmds    [][]byte
@@ -1205,7 +1242,8 @@ func (s *Store) beginRequest(c *shardCall, shard int, req *Request) error {
 	case ReqGet:
 		op, cmd = opGet, encodeGet(h, req.Keys)
 	case ReqBatchPut:
-		c.shard, c.session, c.seqs, c.cmds = shard, req.Session, req.IDs, batchPutCommands(h, req.IDs, req.Pairs)
+		c.shard, c.session, c.seqs = shard, req.Session, req.IDs
+		c.cmd, c.cmds = batchPutCommands(h, req.IDs, req.Pairs)
 		return s.begin(c)
 	case ReqTxnPrepare:
 		op, cmd = opTxnPrepare, encodeTxnPrepare(h, req.Attempt, req.HomeKey, req.AllKeys, req.Keys, req.Writes, req.Conds)
@@ -1252,11 +1290,14 @@ func (s *Store) begin(c *shardCall) error {
 	w := answerWaiters.Get().(*answerWaiter)
 	ids, cmds := w.ids[:0], c.cmds
 	if c.seqs == nil {
-		ids, cmds = append(ids, c.id), [][]byte{c.cmd}
+		ids = append(ids, c.id)
 	} else {
 		for _, seq := range c.seqs {
 			ids = append(ids, cmdID(c.session, seq))
 		}
+	}
+	if cmds == nil {
+		cmds = [][]byte{c.cmd}
 	}
 	w.ids = ids
 	r.Read(func(sm shared.StateMachine) { sm.(*mapSM).expect(w, ids) })
@@ -1327,11 +1368,10 @@ func (s *Store) finish(ctx context.Context, c *shardCall) (result, error) {
 
 // batchPutCommands packs one shard's pairs, pairs[i] under seqs[i] of h's
 // session, into commands in slice order. A command is filled to
-// maxCommandBytes, so a shard's pairs usually travel as one ordered message;
-// however many commands and pairs there are, they are one submission and one
-// wait.
-func batchPutCommands(h header, seqs []uint64, pairs []Pair) [][]byte {
-	var cmds [][]byte
+// maxCommandBytes, so a shard's pairs usually travel as one ordered message:
+// then it comes back alone, as cmd, and cmds is nil. However many commands
+// and pairs there are, they are one submission and one wait.
+func batchPutCommands(h header, seqs []uint64, pairs []Pair) (cmd []byte, cmds [][]byte) {
 	for start := 0; start < len(pairs); {
 		end, size := start, 0
 		for end < len(pairs) {
@@ -1342,8 +1382,12 @@ func batchPutCommands(h header, seqs []uint64, pairs []Pair) [][]byte {
 			size += need
 			end++
 		}
-		cmds = append(cmds, encodeBatchPut(h, seqs[start:end], pairs[start:end]))
+		next := encodeBatchPut(h, seqs[start:end], pairs[start:end])
+		if start == 0 && end == len(pairs) {
+			return next, nil
+		}
+		cmds = append(cmds, next)
 		start = end
 	}
-	return cmds
+	return nil, cmds
 }

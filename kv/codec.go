@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Wire format for shard commands. Every command travels through the shard
@@ -68,19 +69,26 @@ import (
 //     the lone key of a ReqPut, ReqDelete or ReqCAS: it is copied alone
 //     (reader.str), which is the same one copy without the values behind it.
 //   - A key the state machine stores is a copy of its own (reader.str): an
-//     opPut's, opDelete's and opCAS's key (their outcomes keep it), a batch's
-//     and an import's pair keys, and a prepare's write and condition keys
-//     (a commit stores the writes). One kept key never pins a command.
+//     opPut's, opDelete's and opCAS's key (their outcomes keep it), and a
+//     prepare's write and condition keys (a commit stores the writes). One
+//     kept key never pins a command.
 //   - A single write's values alias its command (reader.raw): a put, a CAS
-//     or a prepare keeps its values in its own small command. A batch's and
-//     an import's values are copied (reader.bytes), so one kept value does
-//     not keep a whole chunk alive.
+//     or a prepare keeps its values in its own small command.
 //     A Request's values alias the RPC payload it came in.
-//   - A snapshot's or a transaction record's strings are each their own
-//     copy: what they restore outlives the bytes it came from.
+//   - A pair the state machine keeps — a batch's, an import's, a snapshot's
+//     item — is one copy of its own (reader.pair): key and value share one
+//     allocation, so one kept pair neither keeps a whole chunk alive nor
+//     costs two heap objects.
+//   - A snapshot's or a transaction record's other strings are each their
+//     own copy: what they restore outlives the bytes it came from.
 //
 // No decoded string aliases the input bytes: a shared copy is immutable,
 // owns its memory and lives as long as any key cut from it.
+//
+// What a command needs only while it applies — a batch's seqs and pairs, a
+// sequenced read's key list — decodeCommand cuts from the arrays of a scratch
+// command its caller owns (mapSM.scratch), so a replica allocates only what
+// it keeps.
 //
 // Encoding. kv writes bytes one way too: an append function per field or
 // message, and every encoder calls its append functions through spell, which
@@ -220,20 +228,21 @@ func appendSeqPairs(dst []byte, seqs []uint64, pairs []Pair) []byte {
 	return dst
 }
 
-// seqPairs reads what appendSeqPairs spelled, the first pair under seq. When
-// keep is set a state machine keeps the pairs, so each key and value is
-// copied out alone: one kept pair must not keep a whole command alive.
-// Otherwise the keys share the message's copy and the values alias it.
-func (r *reader) seqPairs(seq uint64, keep bool) ([]uint64, []Pair) {
+// seqPairs reads what appendSeqPairs spelled, the first pair under seq, into
+// the arrays of seqs and pairs where they have room (reuse). When keep is set
+// a state machine keeps the pairs, so each is copied out alone (pair): one
+// kept pair must not keep a whole command alive. Otherwise the keys share the
+// message's copy and the values alias it.
+func (r *reader) seqPairs(seq uint64, keep bool, seqs []uint64, pairs []Pair) ([]uint64, []Pair) {
 	n := r.count(2) // two length bytes
-	seqs, pairs := make([]uint64, n), make([]Pair, n)
+	seqs, pairs = reuse(seqs, n), reuse(pairs, n)
 	for i := range pairs {
 		if i > 0 {
 			seq += uint64(r.varint())
 		}
 		seqs[i] = seq
 		if keep {
-			pairs[i].Key, pairs[i].Val = r.str(), r.bytes()
+			pairs[i].Key, pairs[i].Val = r.pair()
 		} else {
 			pairs[i].Key, pairs[i].Val = r.key(), r.raw()
 		}
@@ -614,7 +623,7 @@ func DecodeRequest(b []byte) (*Request, error) {
 	case ReqCAS:
 		r.Key, r.ExpectPresent, r.Expect, r.Val = in.str(), in.flag(), in.raw(), in.raw()
 	case ReqBatchPut:
-		r.IDs, r.Pairs = in.seqPairs(r.ID, false)
+		r.IDs, r.Pairs = in.seqPairs(r.ID, false, nil, nil)
 	case ReqTxnPrepare:
 		r.Attempt, r.HomeKey, r.AllKeys, r.Keys = in.attempt(), in.key(), in.keys(), in.keys()
 		r.Writes, r.Conds = in.writes(true), in.conds(true)
@@ -778,15 +787,50 @@ type command struct {
 	ranges        int            // opAudit: digest partition count
 }
 
+// maxScratchElems bounds an array a scratch command keeps between applies
+// (reclaim): one that an outsized command grew past it is dropped.
+const maxScratchElems = 256
+
+// reclaim readies a scratch command for the next decode: the arrays decodes
+// cut from it are cleared, so they pin no key or value between applies, and
+// one grown past maxScratchElems is dropped.
+func (c *command) reclaim() {
+	c.seqs, c.pairs, c.keys = reclaimed(c.seqs), reclaimed(c.pairs), reclaimed(c.keys)
+}
+
+func reclaimed[T any](s []T) []T {
+	if cap(s) > maxScratchElems {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// reuse returns a slice of n elements: dst's array when it holds n, a new one
+// otherwise (and always for a nil dst, as make would).
+func reuse[T any](dst []T, n int) []T {
+	if dst == nil || cap(dst) < n {
+		return make([]T, n)
+	}
+	return dst[:n]
+}
+
 // waitID is the id the command's local waiter registers under.
 func (c *command) waitID() uint64 { return waitID(c.op, c.session, c.seq, c.attempt) }
 
 // txnID is the transaction attempt a txn op names.
 func (c *command) txnID() txnID { return txnID{session: c.session, seq: c.seq, attempt: c.attempt} }
 
-func decodeCommand(b []byte) (command, error) {
+// decodeCommand decodes a shard command. A batch's seqs and pairs and a
+// sequenced read's key list are cut from scratch's arrays, which scratch then
+// holds, decoded elements and all, until its owner reclaims it; a nil scratch
+// makes them fresh. Every other field is the command's own.
+func decodeCommand(b []byte, scratch *command) (command, error) {
 	if len(b) < 1 {
 		return command{}, errBadCommand
+	}
+	if scratch == nil {
+		scratch = new(command)
 	}
 	r := messageReader(b[1:])
 	c := command{op: b[0], header: r.header()}
@@ -798,14 +842,15 @@ func decodeCommand(b []byte) (command, error) {
 	case opCAS:
 		c.key, c.expectPresent, c.expect, c.val = r.str(), r.flag(), r.raw(), r.raw()
 	case opGet:
-		c.keys = r.keys()
+		scratch.keys = r.keysInto(scratch.keys)
+		c.keys = scratch.keys
 	case opMigrateBegin, opMigrateCommit, opMigrateAbort:
 		c.routing = r.routing()
 	case opMigrateImport:
 		c.routing = r.routing()
 		c.pairs = make([]Pair, r.count(2)) // two length bytes
 		for i := range c.pairs {
-			c.pairs[i] = Pair{Key: r.str(), Val: r.bytes()}
+			c.pairs[i].Key, c.pairs[i].Val = r.pair()
 		}
 		c.clock = r.uvarint()
 		c.moved = make([]movedSession, r.count(10)) // an id, an ack and a count
@@ -828,9 +873,10 @@ func decodeCommand(b []byte) (command, error) {
 			r.fail()
 		}
 	case opBatchPut:
-		// The values are copied out, as an import's are. A batch is spelled
+		// The pairs are copied out, as an import's are. A batch is spelled
 		// one way: at least one pair, nothing after the last.
-		if c.seqs, c.pairs = r.seqPairs(c.seq, true); len(r.b) != 0 {
+		scratch.seqs, scratch.pairs = r.seqPairs(c.seq, true, scratch.seqs, scratch.pairs)
+		if c.seqs, c.pairs = scratch.seqs, scratch.pairs; len(r.b) != 0 {
 			r.fail()
 		}
 	default:
@@ -956,6 +1002,31 @@ func (r *reader) bytes() []byte { return copyVal(r.raw()) }
 // str reads a string into a copy of its own, for what outlives the message.
 func (r *reader) str() string { return string(r.raw()) }
 
+// pair reads a key and its value that a state machine keeps into one new
+// allocation: the key is a string over its front, the value the rest, with
+// its capacity cut at its own end. They come back as str and bytes would
+// return them: an empty key is "", an empty value nil. Sharing the bytes is
+// sound because nothing can write the key's: no slice of them exists, only
+// the string, and the value starts after them, so a write through it never
+// reaches them and an append to it, past its capacity, copies it elsewhere.
+// The allocation lives while either does. A map assignment to a stored key
+// replaces the map's key string with the one assigned, so an overwritten
+// item's pair is freed with its value.
+func (r *reader) pair() (string, []byte) {
+	k, v := r.raw(), r.raw()
+	if r.failed || len(k)+len(v) == 0 {
+		return "", nil
+	}
+	buf := make([]byte, len(k)+len(v))
+	copy(buf, k)
+	copy(buf[len(k):], v)
+	var val []byte
+	if len(v) > 0 {
+		val = buf[len(k):len(buf):len(buf)]
+	}
+	return unsafe.String(unsafe.SliceData(buf), len(k)), val
+}
+
 // key reads a string that is only looked up while the message is handled: a
 // substring of one copy of the message, from the first key read this way to
 // its end, which that read makes. The copy is immutable and owns its memory,
@@ -983,13 +1054,22 @@ func (r *reader) name(share bool) string {
 }
 
 // keys reads a key list, each key read by key.
-func (r *reader) keys() []string { return r.names(true) }
+func (r *reader) keys() []string { return r.keysInto(nil) }
 
-// names reads a key list, each key read by name.
-func (r *reader) names(share bool) []string {
+// keysInto is keys into dst's array, where it has room (reuse).
+func (r *reader) keysInto(dst []string) []string {
+	out := reuse(dst, r.count(1)) // a length byte
+	for i := range out {
+		out[i] = r.key()
+	}
+	return out
+}
+
+// names reads a key list, each key a copy of its own (str).
+func (r *reader) names() []string {
 	out := make([]string, r.count(1)) // a length byte
 	for i := range out {
-		out[i] = r.name(share)
+		out[i] = r.str()
 	}
 	return out
 }

@@ -147,11 +147,13 @@ func checkStringsOwned(t *testing.T, b []byte, decode func([]byte) any) {
 // (checkStringsOwned); and a batch put it accepts is one the encoder produces
 // — it re-encodes to the same command, byte for byte when the input's
 // varints are minimal, so there is no second spelling for replicas to
-// disagree on. A migrate import as journals held it before its transaction
-// portions left JSON is refused, and seeds the corpus.
+// disagree on. Decoded through a scratch that earlier commands have used and
+// that was reclaimed after them, as a replica decodes, a command is the one a
+// fresh decode gives. A migrate import as journals held it before its
+// transaction portions left JSON is refused, and seeds the corpus.
 func FuzzDecodeCommand(f *testing.F) {
 	for _, seed := range commandSeeds() {
-		if _, err := decodeCommand(seed); err != nil {
+		if _, err := decodeCommand(seed, nil); err != nil {
 			f.Fatalf("seed % x does not decode: %v", seed, err)
 		}
 		for cut := 0; cut <= len(seed); cut++ {
@@ -159,23 +161,32 @@ func FuzzDecodeCommand(f *testing.F) {
 		}
 	}
 	legacy := legacyImportSeed()
-	if _, err := decodeCommand(legacy); err == nil {
+	if _, err := decodeCommand(legacy, nil); err == nil {
 		f.Fatalf("a migrate import with a JSON portion decodes")
 	}
 	for cut := 0; cut <= len(legacy); cut++ {
 		f.Add(legacy[:cut])
 	}
+	seeds := commandSeeds()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var c command
 		var err error
 		bound := 64*uint64(len(b)) + 4096
-		if got := allocatedBy(bound, func() { c, err = decodeCommand(b) }); got > bound {
+		if got := allocatedBy(bound, func() { c, err = decodeCommand(b, nil) }); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
 		}
 		if err != nil {
 			return
 		}
-		checkStringsOwned(t, b, func(in []byte) any { c, _ := decodeCommand(in); return c })
+		checkStringsOwned(t, b, func(in []byte) any { c, _ := decodeCommand(in, nil); return c })
+		var used command
+		for _, seed := range seeds {
+			decodeCommand(seed, &used)
+			used.reclaim()
+		}
+		if c2, err := decodeCommand(b, &used); err != nil || !reflect.DeepEqual(c, c2) {
+			t.Fatalf("through a used scratch the command decodes to %+v, %v; want %+v", c2, err, c)
+		}
 		if c.op != opBatchPut {
 			return
 		}
@@ -186,7 +197,7 @@ func FuzzDecodeCommand(f *testing.F) {
 		if len(again) == len(b) && !bytes.Equal(again, b) {
 			t.Fatalf("batch re-encodes differently:\n in  % x\n out % x", b, again)
 		}
-		c2, err := decodeCommand(again)
+		c2, err := decodeCommand(again, nil)
 		if err != nil || !reflect.DeepEqual(c, c2) {
 			t.Fatalf("re-encoded batch decodes to %+v, %v; want %+v", c2, err, c)
 		}

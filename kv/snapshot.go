@@ -196,8 +196,8 @@ func decodeSnapshot(snap []byte) (shardState, error) {
 	n := r.count(2) // a key and a value: one length byte each
 	st.items = make(map[string][]byte, n)
 	for i := 0; i < n && !r.failed; i++ {
-		k := r.str()
-		st.items[k] = r.bytes()
+		k, v := r.pair()
+		st.items[k] = v
 	}
 	st.routing, st.pending = r.optRouting(), r.optRouting()
 	n = r.count(minPortionBytes)
@@ -287,7 +287,7 @@ const minPortionBytes = 18
 // It copies out everything it keeps: a portion outlives the bytes it came in.
 func (r *reader) portion() *txnPortion {
 	p := &txnPortion{State: r.u8(), ID: txnID{session: r.u64(), seq: r.uvarint(), attempt: r.attempt()},
-		HomeKey: r.str(), AllKeys: r.names(false), Reads: r.names(false),
+		HomeKey: r.str(), AllKeys: r.names(), Reads: r.names(),
 		Values: r.values(), Found: r.found(), Writes: r.writes(false), Conds: r.conds(false)}
 	for i := range p.Writes {
 		p.Writes[i].Val = copyVal(p.Writes[i].Val)

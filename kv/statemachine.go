@@ -328,6 +328,11 @@ type mapSM struct {
 	// waiters is node-local: the local callers' claims on the commands they
 	// sleep on, by waiter id (see answerWaiter, waitID).
 	waiters map[uint64]*answerReg
+	// scratch is node-local: the arrays Apply decodes what a command needs
+	// only while it applies into (decodeCommand), reclaimed after each apply
+	// so that they hold nothing between applies. It is in no snapshot or
+	// digest.
+	scratch command
 
 	// Transaction state (replicated): the prepared portions — the live
 	// two-phase state — and the prepare locks derived from them. A resolved
@@ -554,7 +559,8 @@ func (s *mapSM) ApplySeq(seq uint32, cmd []byte) {
 // that straddles a retry or an epoch flip re-executes only the pairs that did
 // not land.
 func (s *mapSM) Apply(cmd []byte) {
-	c, err := decodeCommand(cmd)
+	c, err := decodeCommand(cmd, &s.scratch)
+	defer s.scratch.reclaim()
 	if err != nil {
 		return
 	}

@@ -304,9 +304,9 @@ func (c *Client) txnResolveEcho(ctx context.Context, k txnID, ack uint64, commit
 		}
 		// Each resolve is a request of its own: a Moved answer re-drives it
 		// in Do, chasing its portion across the epoch flip.
-		_, err := scatter(parts, nil, func(i int) (*Response, error) {
+		err := scatter(parts, nil, func(p *shardPart) (*Response, error) {
 			resolve := txnRequest(ReqTxnResolve, k, ack)
-			resolve.Commit, resolve.Key, resolve.HomeKey, resolve.AllKeys = commit, parts[i].key, homeKey, allKeys
+			resolve.Commit, resolve.Key, resolve.HomeKey, resolve.AllKeys = commit, p.key, homeKey, allKeys
 			return c.Do(ctx, resolve)
 		})
 		if err != nil {
@@ -322,13 +322,14 @@ func (c *Client) txnResolveEcho(ctx context.Context, k txnID, ack uint64, commit
 // the most decided state wins (aborted > committed > prepared), conflict and
 // condition failures accumulate, and read values return to their places in
 // the request's key order.
-func mergePrepareAnswers(req *Request, parts []shardPart, answers []*Response) *Response {
+func mergePrepareAnswers(req *Request, parts []shardPart) *Response {
 	out := &Response{TxnState: txnStatePrepared}
 	if len(req.Keys) > 0 {
 		out.Values = make([][]byte, len(req.Keys))
 		out.Found = make([]bool, len(req.Keys))
 	}
-	for p, resp := range answers {
+	for p := range parts {
+		resp := parts[p].resp
 		if resp.Conflict {
 			out.Conflict = true
 		}

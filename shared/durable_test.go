@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"amoeba"
+	"amoeba/wal"
 )
 
 // counter is the durable tests' state machine: every command increments it,
@@ -289,4 +290,35 @@ func TestBeaconAddressesDistinct(t *testing.T) {
 		t.Fatalf("beacon addresses collide: %v %v %v", a, b, c)
 	}
 	_ = fmt.Sprintf("%v", a)
+}
+
+// TestDurableApplyLoopKeepsNoPayload: the durable apply loop reuses its
+// journal-entry array from burst to burst, and between bursts it holds no
+// payload: every element is cleared once the burst is journaled and applied.
+// An array a long burst grew past maxKeptBurst is dropped, not kept.
+func TestDurableApplyLoopKeepsNoPayload(t *testing.T) {
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	k, err := net.NewKernel("kept")
+	if err != nil {
+		t.Fatalf("NewKernel: %v", err)
+	}
+	r := openT(t, k, "durable-kept", Durability{Dir: filepath.Join(t.TempDir(), "r0"), Peers: 1, Bootstrap: true})
+	defer r.Close()
+	submitAndSettle(t, r, 25)
+	submitAndSettle(t, r, 1) // the last burst is short, so its array is kept
+	r.mu.Lock()
+	kept := r.entries[:cap(r.entries)]
+	r.mu.Unlock()
+	if len(kept) == 0 {
+		t.Fatal("the apply loop kept no journal-entry array to reuse")
+	}
+	for i, e := range kept {
+		if e.Payload != nil || e.Seq != 0 {
+			t.Fatalf("entry %d of the kept array still holds seq %d and %d payload bytes", i, e.Seq, len(e.Payload))
+		}
+	}
+	if got := keptBuffer(make([]wal.Entry, maxKeptBurst+1)); got != nil {
+		t.Fatalf("an array of %d entries was kept, past the bound of %d", cap(got), maxKeptBurst)
+	}
 }

@@ -36,7 +36,10 @@ import (
 // same state. The package serialises all calls; implementations need no
 // internal locking.
 type StateMachine interface {
-	// Apply executes one committed command.
+	// Apply executes one committed command. Apply owns cmd: it may keep
+	// slices of it in its state, and nobody writes cmd afterwards — the
+	// replica hands over the delivered payload itself, and the journal
+	// copies what it records.
 	Apply(cmd []byte)
 	// Snapshot serialises the current state for transfer to a joiner.
 	Snapshot() ([]byte, error)
@@ -108,6 +111,10 @@ type Replica struct {
 	dur       Durability
 	sinceCkpt int
 	walErr    error
+	// entries is the array applyBurst lists a burst's journal entries in,
+	// reused burst after burst (keptBuffer): Append copies each payload into
+	// its record, so nothing is kept from one burst to the next.
+	entries []wal.Entry
 
 	// Observability (all nil-safe no-ops when the group carries no hub).
 	seqApply   SeqApplier     // sm, when it implements SeqApplier
@@ -346,6 +353,23 @@ var polled = func() context.Context {
 // (and, with Durability.Sync, one fsync).
 const maxJournalBurst = 128
 
+// maxKeptBurst bounds the arrays the durable apply loop keeps from one burst
+// for the next (the burst and its journal entries): one a longer burst grew
+// is dropped, as an emptied delivery queue drops its array, so a backlog's
+// arrays are not held in every replica's live heap.
+const maxKeptBurst = 32
+
+// keptBuffer readies an array the apply loop reuses for its next burst: its
+// elements cleared, so that it pins no payload, or nil if it grew past
+// maxKeptBurst.
+func keptBuffer[T any](s []T) []T {
+	if cap(s) > maxKeptBurst {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
 // start launches the apply loop. A durable replica coalesces the queued
 // deliveries behind each blocking receive into one burst, journaling the
 // whole run as a single log record before applying it — group commit at the
@@ -355,6 +379,7 @@ func (r *Replica) start() {
 	r.cancel = cancel
 	go func() {
 		defer close(r.done)
+		var burst []amoeba.Message // reused burst after burst (keptBuffer)
 		for {
 			m, err := r.group.Receive(ctx)
 			if err != nil {
@@ -367,7 +392,7 @@ func (r *Replica) start() {
 				r.apply(m)
 				continue
 			}
-			burst := []amoeba.Message{m}
+			burst = append(burst, m)
 			for len(burst) < maxJournalBurst {
 				m2, err := r.group.Receive(polled)
 				if err != nil {
@@ -376,6 +401,7 @@ func (r *Replica) start() {
 				burst = append(burst, m2)
 			}
 			r.applyBurst(burst)
+			burst = keptBuffer(burst)
 		}
 	}()
 }
@@ -419,7 +445,10 @@ func (r *Replica) apply(m amoeba.Message) {
 func (r *Replica) applyBurst(ms []amoeba.Message) {
 	r.mu.Lock()
 	if r.log != nil {
-		var entries []wal.Entry
+		entries := r.entries
+		if cap(entries) < len(ms) {
+			entries = make([]wal.Entry, 0, len(ms)) // sized once, not grown
+		}
 		last := r.lastApplied
 		for i := range ms {
 			if ms[i].Kind == amoeba.Data && ms[i].Seq > last {
@@ -434,6 +463,7 @@ func (r *Replica) applyBurst(ms []amoeba.Message) {
 				r.sinceCkpt += len(entries)
 			}
 		}
+		r.entries = keptBuffer(entries)
 	}
 	for i := range ms {
 		r.applyLocked(ms[i])
