@@ -582,13 +582,12 @@ func Run(cfg Config, sched Schedule) Result {
 	defer cancelRun()
 
 	opts := kv.Options{
-		Shards:          cfg.Shards,
-		Nodes:           cfg.Nodes,
-		Leases:          cfg.Leases,
-		DataDir:         dataDir,
-		CheckpointEvery: 32, // small cadence: restarts exercise snapshot + suffix replay
-		WALFS:           walCtl,
-		AuditEvery:      cfg.AuditEvery,
+		Shards:     cfg.Shards,
+		Nodes:      cfg.Nodes,
+		Leases:     cfg.Leases,
+		DataDir:    dataDir,
+		WALFS:      walCtl,
+		AuditEvery: cfg.AuditEvery,
 		Group: amoeba.GroupOptions{
 			Resilience:   cfg.Resilience,
 			AutoReset:    true,

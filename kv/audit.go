@@ -205,7 +205,7 @@ func bit(b bool) uint64 {
 
 // StateDigest implements shared.Digester: the single-range collapse of the
 // audit digest, stamped onto WAL checkpoints so recovery can verify the
-// snapshot it restores (see wal.Log.RecoverVerified).
+// snapshot it restores (see wal.Log.Recover).
 func (s *mapSM) StateDigest() uint64 {
 	return s.digestState(1).Sum
 }

@@ -585,21 +585,31 @@ func oneShard(r *ring, req *Request) int {
 }
 
 // group is the one place keys are grouped by shard: the i-th of req's keys
-// belongs to parts[partOf[i]], and the parts come in order of first
-// appearance.
+// belongs to parts[partOf[i]], and the parts, one for each shard the keys fall
+// on, come in order of first appearance. Each key is hashed once: the shards
+// found so far are listed behind partOf, in the same array, so parts is sized
+// to them.
 func group(r *ring, req *Request) (partOf []int, parts []shardPart) {
-	partOf = make([]int, req.numKeys())
-	parts = make([]shardPart, 0, min(len(partOf), r.shards))
+	n := req.numKeys()
+	buf := make([]int, n+min(n, r.shards))
+	partOf, shards := buf[:n:n], buf[n:n]
 	for i := range partOf {
-		key := req.keyAt(i)
-		s, j := r.shard(key), 0
-		for j < len(parts) && parts[j].shard != s {
+		s, j := r.shard(req.keyAt(i)), 0
+		for j < len(shards) && shards[j] != s {
 			j++
 		}
-		if j == len(parts) {
-			parts = append(parts, shardPart{shard: s, key: key})
+		if j == len(shards) {
+			shards = append(shards, s)
 		}
 		partOf[i] = j
+	}
+	parts = make([]shardPart, len(shards))
+	next := 0 // the parts come in order, so a part's first key is where its index first shows
+	for i, j := range partOf {
+		if j == next {
+			parts[j] = shardPart{shard: shards[j], key: req.keyAt(i)}
+			next++
+		}
 	}
 	return partOf, parts
 }

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -38,12 +39,13 @@ func closeAll(stores []*Store) {
 // of a durable store is killed and restarted; all data must come back from
 // the write-ahead logs, and a command retried across the restart must stay
 // exactly-once because the replicated dedup state recovered with the data.
+// Each shard journals past one log segment before the kill, so a periodic
+// checkpoint comes due and the restart restores it and replays the suffix.
 func TestDurableColdRestartExactlyOnce(t *testing.T) {
 	dataDir := t.TempDir()
 	ctx := ctxT(t, 120*time.Second)
 	opts := Options{
-		Shards:          2,
-		CheckpointEvery: 16, // small cadence so the restart exercises checkpoint + suffix replay
+		Shards: 2,
 		Group: amoeba.GroupOptions{
 			Resilience:   1,
 			AutoReset:    true,
@@ -58,6 +60,14 @@ func TestDurableColdRestartExactlyOnce(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pairs = append(pairs, Pair{Key: fmt.Sprintf("key-%03d", i), Val: []byte(fmt.Sprintf("val-%03d", i))})
 	}
+	// 1.25 MiB of 16 KiB values on each shard: past the one-segment floor
+	// (wal's default SegmentSize, 1 MiB) below which no checkpoint is due.
+	for shard := 0; shard < opts.Shards; shard++ {
+		for i := 0; i < 80; i++ {
+			key := keyOnShard(stores[0], shard, fmt.Sprintf("fill-%d", i))
+			pairs = append(pairs, Pair{Key: key, Val: bytes.Repeat([]byte{byte(i)}, 16<<10)})
+		}
+	}
 	if err := cl.BatchPut(ctx, pairs); err != nil {
 		t.Fatalf("BatchPut: %v", err)
 	}
@@ -69,6 +79,15 @@ func TestDurableColdRestartExactlyOnce(t *testing.T) {
 		t.Fatalf("CAS create = %+v, %v", resp, err)
 	}
 	cl.Close()
+	// A replica's first checkpoint is its group's creation or its join's log
+	// reset; one beyond it came due, and is written just after the burst
+	// that made it due has applied.
+	for deadline := time.Now().Add(10 * time.Second); !periodicCheckpoint(stores); {
+		if time.Now().After(deadline) {
+			t.Fatal("no replica wrote a periodic checkpoint before the kill")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	// Kill every node: no Leave, no checkpoint-on-close — a power cut.
 	closeAll(stores)
@@ -129,6 +148,17 @@ func TestDurableColdRestartExactlyOnce(t *testing.T) {
 	if !journaled {
 		t.Fatal("no shard journaled anything after the restart")
 	}
+}
+
+func periodicCheckpoint(stores []*Store) bool {
+	for _, s := range stores {
+		for i := 0; i < s.Shards(); i++ {
+			if r := s.Replica(i); r != nil && r.DurabilityStats().Log.Checkpoints > 1 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func keysOf(pairs []Pair) []string {

@@ -185,7 +185,7 @@ func TestFailingSlotDelaysNoOtherSlot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	if err := log.CheckpointDigest(5, 0, []byte(`{"items":{}}`)); err != nil {
+	if err := log.Checkpoint(5, 0, []byte(`{"items":{}}`)); err != nil {
 		t.Fatalf("planting a JSON checkpoint: %v", err)
 	}
 	log.Close()

@@ -107,9 +107,6 @@ type Options struct {
 	// directory in every call, so one wrapper can fail a single replica's
 	// disk (see wal.Options.FS).
 	WALFS wal.FS
-	// CheckpointEvery is the number of journaled commands between
-	// snapshot checkpoints per shard (default 1024).
-	CheckpointEvery int
 	// TxnRecoveryAfter is how long a transaction's prepare locks may sit
 	// before the per-node janitor asks the home shard to arbitrate — the
 	// coordinator client died mid-2PC (default 3s). Recovery is
@@ -798,15 +795,14 @@ func (s *Store) openShard(ctx context.Context, i int, found bool) (*shared.Repli
 	switch {
 	case s.opts.DataDir != "":
 		return shared.Open(ctx, s.kernel, group, sm, s.opts.Group, shared.Durability{
-			Dir:             shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, i),
-			Sync:            s.opts.WALSync,
-			SyncDelay:       s.opts.WALSyncDelay,
-			CheckpointEvery: s.opts.CheckpointEvery,
-			FS:              s.opts.WALFS,
-			Rank:            s.opts.NodeIndex,
-			Peers:           s.nodes(),
-			Preferred:       i % s.nodes(),
-			Bootstrap:       found,
+			Dir:       shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, i),
+			Sync:      s.opts.WALSync,
+			SyncDelay: s.opts.WALSyncDelay,
+			FS:        s.opts.WALFS,
+			Rank:      s.opts.NodeIndex,
+			Peers:     s.nodes(),
+			Preferred: i % s.nodes(),
+			Bootstrap: found,
 		})
 	case found:
 		return shared.Create(ctx, s.kernel, group, sm, s.opts.Group)

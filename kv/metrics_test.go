@@ -20,11 +20,10 @@ func TestRequiredMetricFamiliesRender(t *testing.T) {
 	defer net.Close()
 	hub := obs.NewHub(obs.Options{Node: "metrics-test", TraceMod: 1})
 	stores := bootDurable(t, net, "metrics", t.TempDir(), 2, Options{
-		Shards:          2,
-		Leases:          true,
-		AuditEvery:      50 * time.Millisecond,
-		CheckpointEvery: 8,
-		Group:           amoeba.GroupOptions{Obs: hub},
+		Shards:     2,
+		Leases:     true,
+		AuditEvery: 50 * time.Millisecond,
+		Group:      amoeba.GroupOptions{Obs: hub},
 	}, 0)
 	defer closeAll(stores)
 	startServices(t, stores)

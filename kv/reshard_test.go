@@ -461,9 +461,8 @@ func TestReshardingDurableResume(t *testing.T) {
 	}
 	defer os.RemoveAll(dataDir)
 	opts := Options{
-		Shards:          4,
-		DataDir:         dataDir,
-		CheckpointEvery: 64,
+		Shards:  4,
+		DataDir: dataDir,
 		Group: amoeba.GroupOptions{
 			AutoReset:    true,
 			MinSurvivors: 1,
@@ -560,9 +559,8 @@ func TestReshardingResumeAfterPartialCommit(t *testing.T) {
 	}
 	defer os.RemoveAll(dataDir)
 	opts := Options{
-		Shards:          4,
-		DataDir:         dataDir,
-		CheckpointEvery: 64,
+		Shards:  4,
+		DataDir: dataDir,
 		Group: amoeba.GroupOptions{
 			AutoReset:    true,
 			MinSurvivors: 1,

@@ -51,7 +51,7 @@ var errBadSnapshot = errors.New("kv: malformed snapshot")
 // WAL checkpoints.
 func (s *mapSM) Snapshot() ([]byte, error) {
 	// One buffer, sized for the items, outcomes and records up front: a
-	// checkpoint snapshots the whole shard every CheckpointEvery commands.
+	// checkpoint snapshots the whole shard each time one comes due.
 	// It is the one kv encoder that sizes its output instead of going
 	// through spell: a shard-sized scratch buffer would stay in the pool,
 	// and one grown by doubling would allocate a checkpoint's bytes about
@@ -103,7 +103,7 @@ func (s *mapSM) Snapshot() ([]byte, error) {
 // Restore replaces the shard state with a snapshot. A nil snapshot resets
 // the shard to its zero state — the wal recovery path uses this when every
 // digest-stamped checkpoint was refused and replay must start from scratch
-// (see wal.Log.RecoverVerified). A snapshot in another format — the JSON one
+// (see wal.Log.Recover). A snapshot in another format — the JSON one
 // or binary version 1, which older builds wrote — is refused by name, never
 // restored as something else.
 func (s *mapSM) Restore(snap []byte) error {

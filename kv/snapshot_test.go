@@ -191,7 +191,7 @@ func TestJSONCheckpointIsRefused(t *testing.T) {
 		t.Fatalf("wal.Open: %v", err)
 	}
 	old := `{"items":{"k":"dg=="},"results":[{"id":7,"ok":true,"key":"k"}],"window":64,"routing":{"Epoch":0,"Shards":1,"VNodes":8}}`
-	if err := log.CheckpointDigest(5, 0xfeed, []byte(old)); err != nil {
+	if err := log.Checkpoint(5, 0xfeed, []byte(old)); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	log.Close()
@@ -225,7 +225,7 @@ func TestVersion1CheckpointIsRefused(t *testing.T) {
 	// Version 1 spelled an empty shard as: no items, a 64-entry window
 	// holding no results, no routing table, none pending, no portions, an
 	// empty eviction queue.
-	if err := log.CheckpointDigest(5, 0xfeed, []byte{1, 0, 64, 0, 0, 0, 0, 0}); err != nil {
+	if err := log.Checkpoint(5, 0xfeed, []byte{1, 0, 64, 0, 0, 0, 0, 0}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	log.Close()

@@ -166,6 +166,15 @@ func TestSplitRequest(t *testing.T) {
 		})
 	}
 
+	// The parts are as many as the shards the keys fall on, not as the keys
+	// or the table's shards could be.
+	t.Run("parts sized to the shards the keys fall on", func(t *testing.T) {
+		req := &Request{Op: ReqGet, ID: 1, Keys: []string{a[0], d[0], a[1], d[1]}}
+		if _, parts := group(r, req); len(parts) != 2 || cap(parts) != 2 {
+			t.Errorf("4 keys on 2 of 4 shards: %d parts in an array of %d, want 2 in 2", len(parts), cap(parts))
+		}
+	})
+
 	// The answer every hot-path operation gets — one shard, this one — costs
 	// no map, slice or closure.
 	t.Run("one shard allocates nothing", func(t *testing.T) {

@@ -330,7 +330,6 @@ func txnDurableOpts(dataDir string) Options {
 	return Options{
 		Shards:           4,
 		DataDir:          dataDir,
-		CheckpointEvery:  64,
 		TxnRecoveryAfter: 500 * time.Millisecond,
 		Group: amoeba.GroupOptions{
 			AutoReset:    true,

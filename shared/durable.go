@@ -48,10 +48,6 @@ type Durability struct {
 	// Dir is the replica's private log directory. Required; two replicas
 	// must never share one.
 	Dir string
-	// CheckpointEvery is the number of journaled entries between snapshot
-	// checkpoints (default 1024). Smaller values bound replay time,
-	// larger ones amortise Snapshot cost.
-	CheckpointEvery int
 	// Sync fsyncs every journal append record, extending the journal's
 	// durability from process crashes to power loss, at a throughput
 	// cost (the benchmark's wal.append_sync_p50_us rung against
@@ -86,13 +82,6 @@ type Durability struct {
 	// first boot as fast as the non-durable path. A log that has recorded
 	// anything ignores the flag — a restart is never a bootstrap.
 	Bootstrap bool
-}
-
-func (d Durability) withDefaults() Durability {
-	if d.CheckpointEvery <= 0 {
-		d.CheckpointEvery = 1024
-	}
-	return d
 }
 
 // electionPollTimeout bounds one beacon probe; electionWins is how many
@@ -221,7 +210,6 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 	if dur.Dir == "" {
 		return nil, errors.New("shared: Durability.Dir is required")
 	}
-	dur = dur.withDefaults()
 	log, err := wal.Open(dur.Dir, wal.Options{Sync: dur.Sync, SyncDelay: dur.SyncDelay, Obs: opts.Obs, FS: dur.FS})
 	if err != nil {
 		return nil, fmt.Errorf("shared: opening log for %q: %w", name, err)
@@ -234,7 +222,7 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 	if dg, ok := sm.(Digester); ok {
 		verify = func(seq uint32, digest uint64) bool { return dg.StateDigest() == digest }
 	}
-	recovered, err := log.RecoverVerified(
+	recovered, err := log.Recover(
 		func(snap []byte, seq uint32) error { return sm.Restore(snap) },
 		func(e wal.Entry) error { sm.Apply(e.Payload); return nil },
 		verify,
@@ -244,60 +232,55 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 		return nil, fmt.Errorf("shared: recovering %q from %s: %w", name, dur.Dir, err)
 	}
 
-	// Declared bootstrap of a never-used log: the preferred rank creates
-	// immediately; everyone else falls through to the join loop.
-	if dur.Bootstrap && log.Virgin() && dur.Rank == dur.Preferred%max(dur.Peers, 1) {
-		r, err := createSeeded(ctx, k, name, sm, opts, log, dur, recovered)
-		if err != nil {
-			return nil, err
-		}
-		if b, berr := startBeacon(k, name, dur.Rank, recovered); berr == nil {
-			b.setMember()
-			r.beacon = b
-		}
-		return r, nil
-	}
-
 	beacon, err := startBeacon(k, name, dur.Rank, recovered)
 	if err != nil {
 		log.Close()
 		return nil, err
 	}
-	cl, err := k.NewRPCClient()
-	if err != nil {
-		beacon.Close()
-		log.Close()
-		return nil, fmt.Errorf("shared: election client: %w", err)
+	// Declared bootstrap of a never-used log: the preferred rank creates
+	// immediately; everyone else joins, electing a creator if the group is
+	// gone.
+	create := dur.Bootstrap && log.Virgin() && dur.Rank == dur.Preferred%max(dur.Peers, 1)
+	var r *Replica
+	if !create {
+		r, create, err = joinOrElect(ctx, k, name, sm, opts, log, dur, recovered)
 	}
-	defer cl.Close()
-	fail := func(err error) (*Replica, error) {
+	if create && err == nil {
+		r, err = createSeeded(ctx, k, name, sm, opts, log, recovered)
+	}
+	if err != nil {
 		beacon.Close()
 		log.Close()
 		return nil, err
 	}
+	beacon.setMember()
+	r.beacon = beacon
+	return r, nil
+}
 
+// joinOrElect joins the group with the log until the join succeeds, or until
+// the group is gone and this replica is the one to re-create it (true): it
+// recovers alone, or it won the cold-start election electionWins rounds
+// running.
+func joinOrElect(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, opts amoeba.GroupOptions, log *wal.Log, dur Durability, recovered uint32) (*Replica, bool, error) {
+	cl, err := k.NewRPCClient()
+	if err != nil {
+		return nil, false, fmt.Errorf("shared: election client: %w", err)
+	}
+	defer cl.Close()
 	wins := 0
 	for {
-		r, err := joinWithLog(ctx, k, name, sm, opts, log, dur)
+		r, err := joinWithLog(ctx, k, name, sm, opts, log)
 		if err == nil {
-			beacon.setMember()
-			r.beacon = beacon
-			return r, nil
+			return r, false, nil
 		}
 		if ctx.Err() != nil {
-			return fail(err)
+			return nil, false, err
 		}
 		switch {
 		case errors.Is(err, amoeba.ErrNoGroup):
 			if dur.Peers <= 1 {
-				// Recovering alone: nothing to elect against.
-				r, err := createSeeded(ctx, k, name, sm, opts, log, dur, recovered)
-				if err != nil {
-					return fail(err)
-				}
-				beacon.setMember()
-				r.beacon = beacon
-				return r, nil
+				return nil, true, nil // recovering alone: nothing to elect against
 			}
 			if dur.Bootstrap && log.Virgin() {
 				// Fresh log in a declared bootstrap: the preferred rank
@@ -313,21 +296,15 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 				continue
 			}
 			wins++
-			if wins < electionWins {
-				continue // one more join round, in case a peer is racing up
+			if wins == electionWins {
+				return nil, true, nil
 			}
-			r, err := createSeeded(ctx, k, name, sm, opts, log, dur, recovered)
-			if err != nil {
-				return fail(err)
-			}
-			beacon.setMember()
-			r.beacon = beacon
-			return r, nil
+			// One more join round, in case a peer is racing up.
 		case errors.Is(err, ErrTransferFailed), errors.Is(err, amoeba.ErrNotMember):
 			// The group is there but mid-churn; retry the join.
 			wins = 0
 		default:
-			return fail(err)
+			return nil, false, err
 		}
 	}
 }
@@ -335,35 +312,27 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 // createSeeded re-creates (or first-creates) the group from this replica's
 // recovered history: the new sequence space starts past everything the log
 // knows, and a checkpoint of the recovered state marks the log non-virgin
-// and bounds the next recovery's replay.
-func createSeeded(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, opts amoeba.GroupOptions, log *wal.Log, dur Durability, recovered uint32) (*Replica, error) {
+// and bounds the next recovery's replay. On failure the caller closes log.
+func createSeeded(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, opts amoeba.GroupOptions, log *wal.Log, recovered uint32) (*Replica, error) {
 	opts.FirstSeq = recovered
 	g, err := k.CreateGroup(ctx, name, opts)
 	if err != nil {
-		log.Close()
 		return nil, fmt.Errorf("shared: re-creating %q: %w", name, err)
 	}
 	r := newReplica(k, g, name, sm, opts.Obs)
 	r.lastApplied = recovered
 	r.log = log
-	r.dur = dur
 	r.durable = true
 	snap, err := sm.Snapshot()
 	if err == nil {
-		var digest uint64
-		if r.digester != nil {
-			digest = r.digester.StateDigest()
-		}
-		err = log.CheckpointDigest(recovered, digest, snap)
+		err = log.Checkpoint(recovered, r.stampLocked(), snap)
 	}
 	if err != nil {
 		g.Close()
-		log.Close()
 		return nil, fmt.Errorf("shared: checkpointing recovered state of %q: %w", name, err)
 	}
 	if err := r.serveTransfers(); err != nil {
 		g.Close()
-		log.Close()
 		return nil, err
 	}
 	r.start()

@@ -232,21 +232,32 @@ func TestDurableRejoinLiveGroup(t *testing.T) {
 	}
 }
 
-// TestDurableCheckpointBoundsReplay: checkpoints must be written at the
-// configured cadence and recovery must restore through them.
+// TestDurableCheckpointCadence: a checkpoint comes due by the bytes journaled
+// since the last one (wal.Log.CheckpointDue), and recovery restores through
+// the newest. The counter's snapshot is 8 bytes, so the one-segment floor
+// decides: 2.5 segments of 32 KiB commands, each applied before the next is
+// sent, must checkpoint twice beyond the checkpoint the group's creation
+// writes.
 func TestDurableCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
-	dur := Durability{Dir: filepath.Join(dir, "r0"), Peers: 1, Bootstrap: true, CheckpointEvery: 10}
+	dur := Durability{Dir: filepath.Join(dir, "r0"), Peers: 1, Bootstrap: true}
+	const segment, cmdSize = 1 << 20, 32 << 10 // wal's default SegmentSize
+	const n = 5 * segment / 2 / cmdSize
 
 	net := amoeba.NewMemoryNetwork()
 	k, _ := net.NewKernel("ckpt")
 	r := openT(t, k, "durable-ckpt", dur)
-	submitAndSettle(t, r, 35)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < n; i++ {
+		if err := r.Submit(ctx, make([]byte, cmdSize)); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitCount(t, r, i+1)
+	}
 	st := r.DurabilityStats()
-	// Bursty delivery coalesces cadence boundaries, but 35 entries at
-	// cadence 10 must checkpoint at least twice.
-	if st.Log.Checkpoints < 2 {
-		t.Fatalf("checkpoints = %d after 35 entries at cadence 10, want >= 2", st.Log.Checkpoints)
+	if st.Log.Checkpoints < 3 {
+		t.Fatalf("checkpoints = %d after %d bytes of commands, want the creation's and >= 2 more", st.Log.Checkpoints, n*cmdSize)
 	}
 	if st.CheckpointSeq == 0 {
 		t.Fatalf("no checkpoint seq recorded: %+v", st)
@@ -259,12 +270,12 @@ func TestDurableCheckpointCadence(t *testing.T) {
 	k2, _ := net2.NewKernel("ckpt-reborn")
 	r2 := openT(t, k2, "durable-ckpt", dur)
 	defer r2.Close()
-	if got := counterValue(r2); got != 35 {
-		t.Fatalf("recovered counter = %d, want 35", got)
+	if got := counterValue(r2); got != n {
+		t.Fatalf("recovered counter = %d, want %d", got, n)
 	}
 	// Replay was bounded: only the suffix past the newest checkpoint, not
 	// the whole history.
-	if st2 := r2.DurabilityStats(); st2.Log.RecoveredEntries >= 35 {
+	if st2 := r2.DurabilityStats(); st2.Log.RecoveredEntries >= n {
 		t.Fatalf("replayed %d entries despite checkpoints", st2.Log.RecoveredEntries)
 	}
 }

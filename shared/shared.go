@@ -62,7 +62,7 @@ type SeqApplier interface {
 // recovery verifies the restored state against the stamp — a checkpoint
 // whose bytes survived (CRC-clean) but whose state does not round-trip is
 // refused, falling back to the previous checkpoint and a longer replay (see
-// wal.Log.RecoverVerified). The digest must be a pure function of replicated
+// wal.Log.Recover). The digest must be a pure function of replicated
 // state only, so every replica of a group computes the same value at the
 // same position in the total order.
 type Digester interface {
@@ -103,14 +103,13 @@ type Replica struct {
 
 	// Durability (nil log: in-memory replica, the paper's semantics). The
 	// apply loop journals delivered entries before applying them and
-	// checkpoints every dur.CheckpointEvery entries; see Open. durable is
-	// immutable after construction (the apply loop reads it without the
-	// lock); log can drop to nil under the lock if the disk fails.
-	durable   bool
-	log       *wal.Log
-	dur       Durability
-	sinceCkpt int
-	walErr    error
+	// checkpoints whenever the log says one is due (wal.Log.CheckpointDue);
+	// see Open. durable is immutable after construction (the apply loop
+	// reads it without the lock); log can drop to nil under the lock if the
+	// disk fails.
+	durable bool
+	log     *wal.Log
+	walErr  error
 	// entries is the array applyBurst lists a burst's journal entries in,
 	// reused burst after burst (keptBuffer): Append copies each payload into
 	// its record, so nothing is kept from one burst to the next.
@@ -147,7 +146,7 @@ func Create(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine,
 // when Join returns, sm holds the state as of this replica's position in the
 // total order, and subsequent commands apply on top.
 func Join(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, opts amoeba.GroupOptions) (*Replica, error) {
-	return joinWithLog(ctx, k, name, sm, opts, nil, Durability{})
+	return joinWithLog(ctx, k, name, sm, opts, nil)
 }
 
 // joinWithLog is Join with an optional write-ahead log: when log is non-nil
@@ -157,7 +156,7 @@ func Join(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 // transfer point — this member recovered more than the reformed group did
 // but arrived after the cold-start election — that suffix is given up, and
 // wal.Stats.ResetDiscarded records how much.
-func joinWithLog(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, opts amoeba.GroupOptions, log *wal.Log, dur Durability) (*Replica, error) {
+func joinWithLog(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, opts amoeba.GroupOptions, log *wal.Log) (*Replica, error) {
 	g, err := k.JoinGroup(ctx, name, opts)
 	if err != nil {
 		return nil, fmt.Errorf("shared: joining %q: %w", name, err)
@@ -198,16 +197,11 @@ func joinWithLog(ctx context.Context, k *amoeba.Kernel, name string, sm StateMac
 	r.lastApplied = snapSeq
 	r.members = first.Members
 	if log != nil {
-		var digest uint64
-		if r.digester != nil {
-			digest = r.digester.StateDigest()
-		}
-		if err := log.Reset(snapSeq, digest, snapshot); err != nil {
+		if err := log.Reset(snapSeq, r.stampLocked(), snapshot); err != nil {
 			g.Close()
 			return nil, fmt.Errorf("shared: resetting log to transfer point: %w", err)
 		}
 		r.log = log
-		r.dur = dur
 		r.durable = true
 	}
 	// Apply the buffered suffix beyond the snapshot (journaled, when
@@ -459,8 +453,6 @@ func (r *Replica) applyBurst(ms []amoeba.Message) {
 		if len(entries) > 0 {
 			if err := r.log.Append(entries); err != nil {
 				r.walFailLocked(err)
-			} else {
-				r.sinceCkpt += len(entries)
 			}
 		}
 		r.entries = keptBuffer(entries)
@@ -475,11 +467,11 @@ func (r *Replica) applyBurst(ms []amoeba.Message) {
 		return
 	}
 	// The checkpoint's disk I/O runs on the log's own mutex, not the
-	// replica lock: Read/Wait callers are not stalled behind a snapshot
-	// fsync every CheckpointEvery entries. The apply loop is the only
-	// appender, and it is here — nothing appends concurrently, so the
-	// checkpoint still covers exactly the entries journaled so far.
-	if err := log.CheckpointDigest(seq, digest, snap); err != nil {
+	// replica lock: Read/Wait callers are not stalled behind a snapshot's
+	// fsyncs. The apply loop is the only appender, and it is here — nothing
+	// appends concurrently, so the checkpoint still covers exactly the
+	// entries journaled so far.
+	if err := log.Checkpoint(seq, digest, snap); err != nil {
 		r.mu.Lock()
 		// The log may have been retired (or swapped by Close) meanwhile;
 		// only degrade the one that failed.
@@ -490,25 +482,29 @@ func (r *Replica) applyBurst(ms []amoeba.Message) {
 	}
 }
 
-// prepareCheckpointLocked decides whether a checkpoint is due and, if so,
-// serialises the snapshot — and its state digest, when the state machine is
-// a Digester — under the lock (the consistent read) and resets the
-// countdown, returning the log to checkpoint into. The disk write itself
-// happens at the caller, outside r.mu.
+// prepareCheckpointLocked asks the log whether a checkpoint is due and, if
+// so, serialises the snapshot and its stamp under the lock (the consistent
+// read), returning the log to checkpoint into. The disk write itself happens
+// at the caller, outside r.mu.
 func (r *Replica) prepareCheckpointLocked() (*wal.Log, uint32, uint64, []byte) {
-	if r.log == nil || r.sinceCkpt < r.dur.CheckpointEvery {
+	if r.log == nil || !r.log.CheckpointDue() {
 		return nil, 0, 0, nil
 	}
 	snap, err := r.sm.Snapshot()
 	if err != nil {
 		return nil, 0, 0, nil // not fatal: try again after the next burst
 	}
-	var digest uint64
-	if r.digester != nil {
-		digest = r.digester.StateDigest()
+	return r.log, r.lastApplied, r.stampLocked(), snap
+}
+
+// stampLocked is the digest a checkpoint of the current state is stamped
+// with: the state machine's, when it is a Digester, else 0 (unstamped).
+// r.mu must be held, or the replica not yet started.
+func (r *Replica) stampLocked() uint64 {
+	if r.digester == nil {
+		return 0
 	}
-	r.sinceCkpt = 0
-	return r.log, r.lastApplied, digest, snap
+	return r.digester.StateDigest()
 }
 
 // applyLocked folds one delivery into the state machine; r.mu must be held.

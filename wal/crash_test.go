@@ -360,7 +360,7 @@ func recoverState(fsys *memFS, opts Options) (*Log, []string, error) {
 		return nil, nil, err
 	}
 	var state []string
-	last, err := l.RecoverVerified(func(snap []byte, seq uint32) error {
+	last, err := l.Recover(func(snap []byte, seq uint32) error {
 		state = nil
 		if len(snap) > 0 {
 			state = strings.Split(string(snap), ",")
@@ -526,8 +526,8 @@ func (r *crashRun) append(n int) {
 
 func (r *crashRun) checkpoint(seq int) {
 	snap := r.cur[:seq]
-	if err := r.l.CheckpointDigest(uint32(seq), stateDigest(snap), []byte(strings.Join(snap, ","))); err != nil {
-		r.t.Fatalf("CheckpointDigest: %v", err)
+	if err := r.l.Checkpoint(uint32(seq), stateDigest(snap), []byte(strings.Join(snap, ","))); err != nil {
+		r.t.Fatalf("Checkpoint: %v", err)
 	}
 	r.floor = max(r.floor, seq)
 	r.check()
@@ -659,7 +659,7 @@ func TestInterruptedResetNeverReplaysAcrossAHole(t *testing.T) {
 			}
 		}
 		for _, seq := range []uint32{10, 20} {
-			if err := l.Checkpoint(seq, []byte(fmt.Sprintf("state@%d", seq))); err != nil {
+			if err := l.Checkpoint(seq, 0, []byte(fmt.Sprintf("state@%d", seq))); err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
 		}

@@ -16,13 +16,13 @@ func snapDigest(snap []byte) uint64 {
 	return h.Sum64()
 }
 
-// recoverVerified runs RecoverVerified with a verify hook that recomputes
+// recoverVerified runs Recover with a verify hook that recomputes
 // the digest of the restored snapshot — the same restore-then-verify dance a
 // real state machine does.
 func recoverVerified(t *testing.T, l *Log) (snapshot []byte, snapSeq uint32, entries []Entry, last uint32) {
 	t.Helper()
 	var cur []byte
-	last, err := l.RecoverVerified(func(snap []byte, seq uint32) error {
+	last, err := l.Recover(func(snap []byte, seq uint32) error {
 		cur = append([]byte(nil), snap...)
 		snapshot, snapSeq = cur, seq
 		return nil
@@ -33,7 +33,7 @@ func recoverVerified(t *testing.T, l *Log) (snapshot []byte, snapSeq uint32, ent
 		return snapDigest(cur) == digest
 	})
 	if err != nil {
-		t.Fatalf("RecoverVerified: %v", err)
+		t.Fatalf("Recover: %v", err)
 	}
 	return snapshot, snapSeq, entries, last
 }
@@ -54,8 +54,8 @@ func TestDigestMismatchFallsBackToPreviousCheckpoint(t *testing.T) {
 		}
 	}
 	good := []byte("state@5")
-	if err := l.CheckpointDigest(5, snapDigest(good), good); err != nil {
-		t.Fatalf("CheckpointDigest: %v", err)
+	if err := l.Checkpoint(5, snapDigest(good), good); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	for seq := uint32(6); seq <= 10; seq++ {
 		if err := l.Append([]Entry{entry(seq)}); err != nil {
@@ -65,8 +65,8 @@ func TestDigestMismatchFallsBackToPreviousCheckpoint(t *testing.T) {
 	// The newest checkpoint's snapshot does not match its stamp — the
 	// on-disk stand-in for silent state corruption at checkpoint time.
 	bad := []byte("state@10")
-	if err := l.CheckpointDigest(10, snapDigest(bad)^0xdead, bad); err != nil {
-		t.Fatalf("CheckpointDigest: %v", err)
+	if err := l.Checkpoint(10, snapDigest(bad)^0xdead, bad); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	l.Close()
 
@@ -113,8 +113,8 @@ func TestAllCheckpointsRefusedReplaysFromScratch(t *testing.T) {
 		}
 	}
 	bad := []byte("state@8")
-	if err := l.CheckpointDigest(8, snapDigest(bad)^1, bad); err != nil {
-		t.Fatalf("CheckpointDigest: %v", err)
+	if err := l.Checkpoint(8, snapDigest(bad)^1, bad); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	l.Close()
 
@@ -126,7 +126,7 @@ func TestAllCheckpointsRefusedReplaysFromScratch(t *testing.T) {
 	var restores int
 	var lastRestore []byte
 	var entries []Entry
-	last, err := l2.RecoverVerified(func(snap []byte, seq uint32) error {
+	last, err := l2.Recover(func(snap []byte, seq uint32) error {
 		restores++
 		lastRestore = snap
 		return nil
@@ -137,7 +137,7 @@ func TestAllCheckpointsRefusedReplaysFromScratch(t *testing.T) {
 		return false // refuse everything
 	})
 	if err != nil {
-		t.Fatalf("RecoverVerified: %v", err)
+		t.Fatalf("Recover: %v", err)
 	}
 	// The refused restore must have been undone: the final restore call is
 	// the nil reset, and replay covers the whole journal.
@@ -170,7 +170,7 @@ func TestUnstampedCheckpointSkipsVerification(t *testing.T) {
 	if err := l.Append([]Entry{entry(1), entry(2)}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := l.Checkpoint(2, []byte("legacy@2")); err != nil {
+	if err := l.Checkpoint(2, 0, []byte("legacy@2")); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	l.Close()
@@ -182,7 +182,7 @@ func TestUnstampedCheckpointSkipsVerification(t *testing.T) {
 	defer l2.Close()
 	var snap []byte
 	var snapSeq uint32
-	last, err := l2.RecoverVerified(func(s []byte, seq uint32) error {
+	last, err := l2.Recover(func(s []byte, seq uint32) error {
 		snap = append([]byte(nil), s...)
 		snapSeq = seq
 		return nil
@@ -191,7 +191,7 @@ func TestUnstampedCheckpointSkipsVerification(t *testing.T) {
 		return false
 	})
 	if err != nil {
-		t.Fatalf("RecoverVerified: %v", err)
+		t.Fatalf("Recover: %v", err)
 	}
 	if string(snap) != "legacy@2" || snapSeq != 2 || last != 2 {
 		t.Fatalf("recovered %q @%d last=%d, want legacy@2 @2 2", snap, snapSeq, last)
@@ -213,8 +213,8 @@ func TestTornCheckpointWithDigestFallsBack(t *testing.T) {
 		}
 	}
 	good := []byte("state@3")
-	if err := l.CheckpointDigest(3, snapDigest(good), good); err != nil {
-		t.Fatalf("CheckpointDigest: %v", err)
+	if err := l.Checkpoint(3, snapDigest(good), good); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	l.Close()
 

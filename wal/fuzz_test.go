@@ -42,7 +42,7 @@ func recoverDir(dir string) (got recovered, ok bool) {
 		return got, false
 	}
 	defer l.Close()
-	_, err = l.RecoverVerified(func(snap []byte, seq uint32) error {
+	_, err = l.Recover(func(snap []byte, seq uint32) error {
 		got.snap, got.snapSeq = snap, seq
 		return nil
 	}, func(e Entry) error {
@@ -122,7 +122,7 @@ func recoverSeeds(t testing.TB) (segs map[string][]Entry, ckpts map[string]recov
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		if err := l.CheckpointDigest(c.snapSeq, 0, c.snap); err != nil {
+		if err := l.Checkpoint(c.snapSeq, 0, c.snap); err != nil {
 			t.Fatalf("Checkpoint: %v", err)
 		}
 		l.Close()

@@ -87,7 +87,9 @@ type Entry struct {
 type Options struct {
 	// SegmentSize is the size at which the active segment is sealed and a
 	// new one started (default 1 MiB). Smaller segments truncate sooner
-	// after a checkpoint; larger ones hold fewer open-file transitions.
+	// after a checkpoint; larger ones hold fewer open-file transitions. It
+	// is also the checkpoint floor: no checkpoint comes due before a
+	// segment's worth of records is journaled (see CheckpointDue).
 	SegmentSize int
 	// Sync forces an fsync after every append, extending durability from
 	// process crashes to power loss. Checkpoints are fsynced regardless.
@@ -145,7 +147,7 @@ type Stats struct {
 	ResetDiscarded uint64
 	// CheckpointsRejected counts digest-stamped checkpoints refused at
 	// recovery because the restored state's digest did not match the stamp
-	// (see RecoverVerified) — recovery fell back to an older checkpoint and
+	// (see Recover) — recovery fell back to an older checkpoint and
 	// a longer replay.
 	CheckpointsRejected uint64
 	// RecoveredEntries counts entries replayed by Recover (after the
@@ -251,6 +253,9 @@ type Log struct {
 	// recBuf is where Append spells each record, reused from one append to
 	// the next (File.Write keeps nothing of what it is given).
 	recBuf []byte
+	// journaled is the record bytes appended since the last checkpoint (or
+	// Reset), ckptBytes that checkpoint's snapshot size (CheckpointDue).
+	journaled, ckptBytes int64
 
 	// Stage-latency instruments, resolved once at Open (nil without Obs).
 	appendH  *obs.Histogram
@@ -593,6 +598,7 @@ func (l *Log) Append(entries []Entry) error {
 
 	n, err := l.active.Write(rec)
 	l.activeSz += int64(n)
+	l.journaled += int64(n)
 	if err != nil {
 		return l.poison(fmt.Errorf("wal: appending: %w", err))
 	}
@@ -624,21 +630,17 @@ func (l *Log) Append(entries []Entry) error {
 // cleanly at the first record that fails its checksum — the torn tail of a
 // crash — and at any callback error. It returns the highest sequence number
 // the log knows (checkpoint or entry), the caller's recovery baseline.
-func (l *Log) Recover(restore func(snapshot []byte, seq uint32) error, apply func(Entry) error) (uint32, error) {
-	return l.RecoverVerified(restore, apply, nil)
-}
-
-// RecoverVerified is Recover with checkpoint-digest verification: after a
-// digest-stamped checkpoint is restored, verify is called with the stamped
-// state digest. Returning false refuses the checkpoint — the file is deleted
-// and recovery falls back to the previous (older) checkpoint with a longer
-// entry replay, or, when no checkpoint survives, to a from-scratch replay.
-// Before a from-scratch replay forced by a refusal, restore is called one
-// final time with a nil snapshot and seq 0: the state machine must reset to
-// its zero state, discarding whatever the refused restore left behind.
-// Checkpoints stamped with digest 0 (the unstamped sentinel written by
-// Checkpoint) and a nil verify skip verification.
-func (l *Log) RecoverVerified(restore func(snapshot []byte, seq uint32) error, apply func(Entry) error, verify func(seq uint32, digest uint64) bool) (uint32, error) {
+//
+// After a digest-stamped checkpoint is restored, verify is called with the
+// stamped state digest. Returning false refuses the checkpoint — the file is
+// deleted and recovery falls back to the previous (older) checkpoint with a
+// longer entry replay, or, when no checkpoint survives, to a from-scratch
+// replay. Before a from-scratch replay forced by a refusal, restore is called
+// one final time with a nil snapshot and seq 0: the state machine must reset
+// to its zero state, discarding whatever the refused restore left behind.
+// Checkpoints stamped with digest 0 (unstamped) and a nil verify skip
+// verification.
+func (l *Log) Recover(restore func(snapshot []byte, seq uint32) error, apply func(Entry) error, verify func(seq uint32, digest uint64) bool) (uint32, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -756,20 +758,14 @@ func (l *Log) readBestCheckpoint() ([]byte, uint32, uint64, bool) {
 	return nil, 0, 0, false
 }
 
-// Checkpoint records an unstamped snapshot reflecting every entry with
-// seq ≤ seq — CheckpointDigest with digest 0, for state machines that cannot
-// digest themselves.
-func (l *Log) Checkpoint(seq uint32, snapshot []byte) error {
-	return l.CheckpointDigest(seq, 0, snapshot)
-}
-
-// CheckpointDigest records a snapshot reflecting every entry with seq ≤ seq,
-// stamped with the state machine's digest at that seq, written atomically
-// and fsynced. It then prunes checkpoints beyond the retained pair and
-// deletes the segments the oldest retained checkpoint makes dead. After a
+// Checkpoint records a snapshot reflecting every entry with seq ≤ seq,
+// stamped with the state machine's digest at that seq (0: unstamped, for
+// state machines that cannot digest themselves), written atomically and
+// fsynced. It then prunes checkpoints beyond the retained pair and deletes
+// the segments the oldest retained checkpoint makes dead. After a
 // checkpoint, recovery restores the snapshot, verifies the digest (see
-// RecoverVerified), and replays only the suffix beyond it.
-func (l *Log) CheckpointDigest(seq uint32, digest uint64, snapshot []byte) error {
+// Recover), and replays only the suffix beyond it.
+func (l *Log) Checkpoint(seq uint32, digest uint64, snapshot []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usable(); err != nil {
@@ -799,6 +795,7 @@ func (l *Log) checkpointLocked(seq uint32, digest uint64, snapshot []byte) error
 	l.newSegment = false
 	l.ckptSeq = seq
 	l.hasCkpt = true
+	l.journaled, l.ckptBytes = 0, int64(len(snapshot))
 	if seq > l.lastSeq {
 		l.lastSeq = seq
 	}
@@ -810,6 +807,29 @@ func (l *Log) checkpointLocked(seq uint32, digest uint64, snapshot []byte) error
 		}
 	}
 	return l.dropDeadSegments()
+}
+
+const (
+	// checkpointFloor is the segments of records journaled before any
+	// checkpoint is due. A checkpoint frees only sealed segments
+	// (dropDeadSegments): one written sooner bounds replay but frees no
+	// disk, and still pays two fsyncs, the file's and the directory's.
+	checkpointFloor = 1
+	// checkpointRatio caps the bytes checkpoints write at a quarter of
+	// the bytes journaled, however large the state.
+	checkpointRatio = 4
+)
+
+// CheckpointDue reports whether the record bytes appended since the last
+// checkpoint (or Reset) reach the larger of checkpointFloor segments and
+// checkpointRatio times that checkpoint's snapshot: the rule of Ongaro's Raft
+// dissertation (§5.1.3). It needs no recovery bookkeeping: every durable open
+// of a replica ends in a checkpoint or a Reset, both of which start the count
+// afresh (checkpointLocked).
+func (l *Log) CheckpointDue() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.journaled >= max(checkpointFloor*int64(l.opts.SegmentSize), checkpointRatio*l.ckptBytes)
 }
 
 // Reset replaces the log's history wholesale: a checkpoint at seq (stamped

@@ -26,7 +26,7 @@ func replayAll(t *testing.T, l *Log) (snapshot []byte, snapSeq uint32, entries [
 	}, func(e Entry) error {
 		entries = append(entries, e)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestCheckpointBoundsReplayAndTruncates(t *testing.T) {
 			t.Fatalf("Append %d: %v", seq, err)
 		}
 	}
-	if err := l.Checkpoint(30, []byte("state@30")); err != nil {
+	if err := l.Checkpoint(30, 0, []byte("state@30")); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if l.Stats().SegmentsRemoved == 0 {
@@ -141,7 +141,7 @@ func TestCheckpointBoundsReplayAndTruncates(t *testing.T) {
 	// The newest checkpoint plus its predecessor survive (ckptRetain), so
 	// a digest-refused checkpoint has something to fall back to; a third
 	// checkpoint evicts the oldest.
-	if err := l2.Checkpoint(45, []byte("state@45")); err != nil {
+	if err := l2.Checkpoint(45, 0, []byte("state@45")); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	countCkpts := func() int {
@@ -160,7 +160,7 @@ func TestCheckpointBoundsReplayAndTruncates(t *testing.T) {
 	if err := l2.Append([]Entry{entry(46)}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := l2.Checkpoint(46, []byte("state@46")); err != nil {
+	if err := l2.Checkpoint(46, 0, []byte("state@46")); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if got := countCkpts(); got != ckptRetain {
@@ -271,7 +271,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err := l.Append([]Entry{entry(1), entry(2)}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := l.Checkpoint(2, []byte("good@2")); err != nil {
+	if err := l.Checkpoint(2, 0, []byte("good@2")); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	l.Close()
@@ -370,6 +370,64 @@ func TestSegmentRotation(t *testing.T) {
 	if last != 50 || len(entries) != 50 {
 		t.Fatalf("recovered last=%d entries=%d, want 50/50", last, len(entries))
 	}
+}
+
+// TestCheckpointDue holds the checkpoint rule: nothing is due below one
+// segment of record bytes since the last checkpoint, one is due once they
+// reach max(segment, checkpointRatio × that checkpoint's snapshot), and both
+// Checkpoint and Reset start the count afresh.
+func TestCheckpointDue(t *testing.T) {
+	const segment = 256
+	l, err := Open(t.TempDir(), Options{SegmentSize: segment})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	seq := uint32(0)
+	// appendUntilDue appends one-entry records, checking after each that a
+	// checkpoint is due exactly when the record bytes reach threshold.
+	appendUntilDue := func(threshold int) {
+		t.Helper()
+		for written := 0; written < threshold; {
+			seq++
+			e := entry(seq)
+			if err := l.Append([]Entry{e}); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			written += recordHeaderSize + recordBodyFixed + 4 + 1 + len(e.Payload)
+			if due := l.CheckpointDue(); due != (written >= threshold) {
+				t.Fatalf("after %d record bytes CheckpointDue = %v, want it due from %d", written, due, threshold)
+			}
+		}
+	}
+	if l.CheckpointDue() {
+		t.Fatal("a checkpoint is due on a fresh log")
+	}
+	appendUntilDue(segment)
+
+	// A snapshot small against the segment: the floor decides.
+	if err := l.Checkpoint(seq, 0, make([]byte, 10)); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if l.CheckpointDue() {
+		t.Fatal("a checkpoint is due right after one")
+	}
+	appendUntilDue(segment)
+
+	// A snapshot past a quarter segment: the ratio decides.
+	if err := l.Checkpoint(seq, 0, make([]byte, 100)); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	appendUntilDue(checkpointRatio * 100)
+
+	if err := l.Reset(seq+10, 0, make([]byte, 10)); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if l.CheckpointDue() {
+		t.Fatal("a checkpoint is due right after a Reset")
+	}
+	seq += 10
+	appendUntilDue(segment)
 }
 
 func TestEmptyAndFreshLogs(t *testing.T) {
@@ -611,13 +669,13 @@ func TestInjectedCheckpointFailureKeepsPreviousCheckpoint(t *testing.T) {
 	if err := l.Append([]Entry{entry(1), entry(2)}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := l.Checkpoint(2, []byte("snap-2")); err != nil {
+	if err := l.Checkpoint(2, 0, []byte("snap-2")); err != nil {
 		t.Fatalf("Checkpoint 2: %v", err)
 	}
 	if err := l.Append([]Entry{entry(3)}); err != nil {
 		t.Fatalf("Append 3: %v", err)
 	}
-	if err := l.Checkpoint(3, []byte("snap-3")); !errors.Is(err, syscall.ENOSPC) {
+	if err := l.Checkpoint(3, 0, []byte("snap-3")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Checkpoint 3 = %v, want ENOSPC", err)
 	}
 	if got := l.CheckpointSeq(); got != 2 {
