@@ -159,11 +159,11 @@ func NewMemoryNetwork() *MemoryNetwork {
 // injection, for exercising the protocol's recovery paths.
 func NewMemoryNetworkWithFaults(cfg MemoryNetworkConfig) *MemoryNetwork {
 	return &MemoryNetwork{net: memnet.New(memnet.Config{
-		DropRate:    cfg.DropRate,
-		DupRate:     cfg.DupRate,
-		ReorderRate: cfg.ReorderRate,
-		CorruptRate: cfg.CorruptRate,
-		Seed:        cfg.Seed,
+		DropRate:      cfg.DropRate,
+		DuplicateRate: cfg.DupRate,
+		ReorderRate:   cfg.ReorderRate,
+		CorruptRate:   cfg.CorruptRate,
+		Seed:          cfg.Seed,
 	})}
 }
 

@@ -242,9 +242,22 @@ func (g *Group) Stats() GroupStats {
 
 // Receive blocks until the next totally-ordered message — the paper's
 // ReceiveFromGroup. Every member receives the same sequence of Messages,
-// data and membership events interleaved identically.
+// data and membership events interleaved identically. It is ReceiveMany with
+// room for one.
 func (g *Group) Receive(ctx context.Context) (Message, error) {
-	return g.queue.pop(ctx)
+	var one [1]Message
+	_, err := g.queue.receive(ctx, one[:])
+	return one[0], err
+}
+
+// ReceiveMany blocks until at least one message is queued, then moves up to
+// len(buf) of the next messages into buf, in order, and reports how many. A
+// consumer that applies what it receives in bursts takes each burst under one
+// hold of the queue's lock. Queued messages are handed out even after the
+// handle closed or ctx ended: the error (ErrNotMember, or ctx's) comes once
+// none is left. buf must not be empty.
+func (g *Group) ReceiveMany(ctx context.Context, buf []Message) (int, error) {
+	return g.queue.receive(ctx, buf)
 }
 
 // Leave departs the group in total order — the paper's LeaveGroup. It blocks
@@ -341,12 +354,12 @@ func (g *Group) Close() {
 }
 
 // deliveryQueue buffers ordered deliveries between the protocol goroutines
-// and blocking Receive calls. It is unbounded: a member that never calls
-// Receive grows it without limit (ROADMAP item 10).
+// and blocking Receive/ReceiveMany calls. It is unbounded: a member that never
+// receives grows it without limit (ROADMAP item 10).
 type deliveryQueue struct {
 	mu     sync.Mutex
 	msgs   []queued // the queue is msgs[head:]
-	head   int      // next to pop; back to 0 whenever the queue empties, so the array is reused
+	head   int      // next to hand out; back to 0 whenever the queue empties, so the array is reused
 	pushed uint64   // pushes since start, for the wait-sampling rule
 	notify chan struct{}
 	closed bool
@@ -397,7 +410,7 @@ func (q *deliveryQueue) push(d core.Delivery) {
 		q.pushed++
 	}
 	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
-		// Full, but popped slots lead the array: slide the queue down
+		// Full, but handed-out slots lead the array: slide the queue down
 		// instead of growing — a consumer that lags without ever quite
 		// emptying the queue must not make the array grow forever.
 		n := copy(q.msgs, q.msgs[q.head:])
@@ -413,13 +426,22 @@ func (q *deliveryQueue) push(d core.Delivery) {
 	}
 }
 
-func (q *deliveryQueue) pop(ctx context.Context) (Message, error) {
+// receive moves up to len(buf) queued messages into buf, blocking until there
+// is at least one; see Group.ReceiveMany.
+func (q *deliveryQueue) receive(ctx context.Context, buf []Message) (int, error) {
 	for {
 		q.mu.Lock()
 		if q.head < len(q.msgs) {
-			e := q.msgs[q.head]
-			q.msgs[q.head] = queued{} // drop the queue's reference to the payload
-			q.head++
+			next := q.msgs[q.head:]
+			n := min(len(buf), len(next))
+			for i := range next[:n] {
+				buf[i] = next[i].m
+				if !next[i].at.IsZero() {
+					q.waitH.Observe(time.Since(next[i].at))
+				}
+			}
+			clear(next[:n]) // drop the queue's references to the payloads
+			q.head += n
 			more := q.head < len(q.msgs)
 			if !more {
 				q.msgs, q.head = q.msgs[:0], 0
@@ -427,11 +449,8 @@ func (q *deliveryQueue) pop(ctx context.Context) (Message, error) {
 					q.msgs = nil
 				}
 			}
-			if !e.at.IsZero() {
-				q.waitH.Observe(time.Since(e.at))
-			}
 			if !q.closed {
-				q.depth.Add(-1)
+				q.depth.Add(-int64(n))
 			}
 			q.mu.Unlock()
 			if more {
@@ -440,23 +459,23 @@ func (q *deliveryQueue) pop(ctx context.Context) (Message, error) {
 				default:
 				}
 			}
-			return e.m, nil
+			return n, nil
 		}
 		closed := q.closed
 		q.mu.Unlock()
 		if closed {
 			// Cascade the wakeup: close() sends a single token, so each
-			// exiting popper re-arms it for the next blocked one.
+			// exiting receiver re-arms it for the next blocked one.
 			select {
 			case q.notify <- struct{}{}:
 			default:
 			}
-			return Message{}, ErrNotMember
+			return 0, ErrNotMember
 		}
 		select {
 		case <-q.notify:
 		case <-ctx.Done():
-			return Message{}, ctx.Err()
+			return 0, ctx.Err()
 		}
 	}
 }
@@ -465,7 +484,7 @@ func (q *deliveryQueue) close() {
 	q.mu.Lock()
 	if !q.closed {
 		// Surrender the gauge's claim on still-buffered messages now;
-		// post-close pops (which may never come) skip the decrement.
+		// post-close receives (which may never come) skip the decrement.
 		q.depth.Add(-int64(len(q.msgs) - q.head))
 	}
 	q.closed = true

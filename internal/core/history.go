@@ -86,7 +86,7 @@ func newBatchEntry(seq uint32, sender MemberID, localID uint32, body []byte) (e 
 // small groups, asks for it once the buffer is half full; a request that
 // still finds the buffer full is not ordered yet but held at the sequencer,
 // and the status round its refusal starts re-drives it (see sequencer.go:
-// pruneAheadLocked, makeRoomLocked, parkLocked).
+// pruneAheadLocked, storeLocked, parkLocked).
 //
 // The buffer is a ring of slots indexed by seqno modulo its length, holding
 // each entry by value: storing a message allocates nothing. An entry lives in
@@ -154,10 +154,11 @@ func (h *history) at(s uint32) *slot { return &h.slots[s&h.mask] }
 // hasRoom reports whether n more seqno slots fit.
 func (h *history) hasRoom(n int) bool { return h.n+n <= h.cap }
 
-// roomAt reports whether an entry of n seqnos from seq would be stored: the
-// buffer has room for n more and the ring can place them.
+// roomAt reports whether add would store an entry of n seqnos from seq: it
+// lies above the floor, the buffer has room for n more, and the ring can place
+// them.
 func (h *history) roomAt(seq uint32, n int) bool {
-	return h.hasRoom(n) && h.fits(seq, seq+uint32(n)-1)
+	return seq > h.floor && h.hasRoom(n) && h.fits(seq, seq+uint32(n)-1)
 }
 
 // full reports whether the buffer cannot accept another single-message entry.
@@ -173,7 +174,7 @@ func (h *history) len() int { return h.n }
 // beyond the oldest one retained. A refused message is fetched again by NAK
 // once room frees.
 func (h *history) add(e entry) (*entry, bool) {
-	if e.seq <= h.floor || !h.hasRoom(int(e.span())) || !h.fits(e.seq, e.lastSeq()) {
+	if !h.roomAt(e.seq, int(e.span())) {
 		return nil, false
 	}
 	return h.place(e), true

@@ -195,7 +195,7 @@ func (m *refHistory) check(t *testing.T, h *history, step string) {
 	}
 	for _, k := range []int{1, 3} {
 		next := m.top() + 1
-		want := len(m.held)+k <= m.cap && m.placeable(next, next+uint32(k)-1)
+		want := next > m.floor && len(m.held)+k <= m.cap && m.placeable(next, next+uint32(k)-1)
 		if got := h.roomAt(next, k); got != want {
 			t.Fatalf("%s: roomAt(%d, %d) = %v, model %v", step, next, k, got, want)
 		}

@@ -164,6 +164,15 @@ func (ep *Endpoint) orderOwnSendsLocked() {
 			}
 			continue
 		}
+		if ep.leaveSeq != 0 {
+			// This sequencer has ordered its own leave, and its successor
+			// orders from the seqno after it: an entry ordered here now
+			// would take a seqno the successor also hands out. What the
+			// leave overtook fails, as a leaving member's unordered sends do
+			// (leftLocked).
+			ep.finishSendLocked(op, ErrNotMember)
+			continue
+		}
 		kind, body := op.wireBody()
 		if !ep.orderLocked(kind, ep.self, op.localID, body) {
 			// History full: stop the whole pass. Ordering a LATER op now
@@ -448,7 +457,9 @@ func (ep *Endpoint) handleBBData(p packet) {
 		return
 	}
 	if ep.isSeq {
-		if _, ok := ep.pending.find(p.sender); !ok {
+		if _, ok := ep.pending.find(p.sender); !ok || ep.leaveSeq != 0 {
+			// Not a member; or this sequencer has ordered its own leave,
+			// and the sender's retry reaches the successor.
 			return
 		}
 		if d, ok := ep.dedup[p.sender]; ok && p.localID <= d.localID {

@@ -104,7 +104,7 @@ func wireBatchCount(body []byte) int {
 // It reports false when the history buffer has no room even after pruning, in
 // which case the message is NOT ordered — the protocol's backpressure. The
 // refusal has already asked the group for the acknowledgement state that
-// frees room (makeRoomLocked); callers holding a data request park it
+// frees room (storeLocked); callers holding a data request park it
 // (parkLocked) so that the answer, not the sender's retry timer, re-drives it.
 // The ordered entry keeps payload: callers pass bytes nothing writes again.
 func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, payload []byte) bool {
@@ -129,10 +129,10 @@ func (ep *Endpoint) orderLocked(kind MsgKind, sender MemberID, localID uint32, p
 			return true // malformed batch: drop silently, as for garbled packets
 		}
 	}
-	if !ep.makeRoomLocked(int(ne.span()), sender) {
+	e, ok := ep.storeLocked(ne)
+	if !ok {
 		return false
 	}
-	e, _ := ep.hist.add(ne) // makeRoomLocked found it room
 	seq := e.seq
 	ep.globalSeq = e.lastSeq()
 	if timed {
@@ -213,15 +213,15 @@ func (ep *Endpoint) orderBBLocked(sender MemberID, localID uint32, kind MsgKind,
 	if timed {
 		t0 = ep.cfg.Clock.Now()
 	}
-	if !ep.makeRoomLocked(1, sender) {
+	e, ok := ep.storeLocked(entry{seq: ep.globalSeq + 1, kind: kind, sender: sender, localID: localID})
+	if !ok {
 		return false
 	}
 	ep.globalSeq++
 	seq := ep.globalSeq
 	// The payload borrows the sender's frame: the entry keeps a copy.
-	pl := make([]byte, len(payload))
-	copy(pl, payload)
-	ep.hist.add(entry{seq: seq, kind: kind, sender: sender, localID: localID, payload: pl})
+	e.payload = make([]byte, len(payload))
+	copy(e.payload, payload)
 	if timed {
 		o.Append.Observe(ep.cfg.Clock.Now() - t0)
 	}
@@ -509,7 +509,7 @@ func (ep *Endpoint) noteLastRecvLocked(m MemberID, last uint32) {
 // sequence number across members (and not-yet-departed leavers). Raising the
 // floor is the event parked requests wait for, so it schedules their replay —
 // as a queued action rather than inline, because pruning also runs in the
-// middle of an ordering decision (makeRoomLocked) that a nested one would
+// middle of an ordering decision (storeLocked) that a nested one would
 // corrupt.
 func (ep *Endpoint) tryPruneLocked() {
 	if !ep.isSeq || len(ep.pending.members) == 0 {
@@ -580,24 +580,25 @@ func (ep *Endpoint) pruneAheadLocked() {
 	}
 }
 
-// makeRoomLocked reports whether the history can take the next n sequence
-// numbers, pruning from the acknowledgement state already held if it must.
-// When it cannot, the refusal is counted, the group is asked for fresh state,
-// and the members pinning a full buffer are probed: a live laggard's answer
-// frees the room, a corpse exhausts its probes (probeMemberLocked).
-func (ep *Endpoint) makeRoomLocked(n int, sender MemberID) bool {
-	if ep.hist.roomAt(ep.globalSeq+1, n) {
-		return true
+// storeLocked stores ne, the next entry ordered, in the history and returns
+// the stored entry, pruning from the acknowledgement state already held if it
+// must. When the history still refuses it, the refusal is counted, the group
+// is asked for fresh state, and the members pinning a full buffer are probed:
+// a live laggard's answer frees the room, a corpse exhausts its probes
+// (probeMemberLocked).
+func (ep *Endpoint) storeLocked(ne entry) (*entry, bool) {
+	if e, ok := ep.hist.add(ne); ok {
+		return e, true
 	}
 	ep.tryPruneLocked()
-	if ep.hist.roomAt(ep.globalSeq+1, n) {
-		return true
+	if e, ok := ep.hist.add(ne); ok {
+		return e, true
 	}
 	ep.stats.DroppedFull++
-	ep.cfg.Obs.Flight.Recordf(ep.cfg.Obs.Tag, "order refused: history full at seq %d (sender %d)", ep.globalSeq, sender)
+	ep.cfg.Obs.Flight.Recordf(ep.cfg.Obs.Tag, "order refused: history full at seq %d (sender %d)", ep.globalSeq, ne.sender)
 	ep.solicitStatusLocked()
 	if !ep.hist.full() {
-		return false
+		return nil, false
 	}
 	floor := ep.hist.floor
 	for _, m := range ep.pending.members {
@@ -606,7 +607,7 @@ func (ep *Endpoint) makeRoomLocked(n int, sender MemberID) bool {
 		}
 		ep.probeMemberLocked(m)
 	}
-	return false
+	return nil, false
 }
 
 // --- Parking: requests the history had no room for ---------------------------

@@ -275,14 +275,23 @@ func TestRetainedMessagePayloadReadsPoison(t *testing.T) {
 	a, b := r.stacks[0], r.stacks[1]
 	addrA, addrB := a.AllocAddress(), b.AllocAddress()
 	kept := make(chan []byte, 2)
+	held := make(chan struct{})
 	a.Register(addrA, func(Message) {})
-	b.Register(addrB, func(m Message) { kept <- m.Payload })
-	for _, body := range []string{"first", "second"} {
+	b.Register(addrB, func(m Message) {
+		kept <- m.Payload
+		<-held
+	})
+	send := func(body string) {
 		if err := a.Send(addrA, addrB, []byte(body)); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
+	send("first")
 	first := <-kept
+	// The second is sent while the first upcall still holds its frame, so it
+	// cannot be spelled in the first's buffer, which the test reads below.
+	send("second")
+	close(held)
 	<-kept // the second upcall began, so the first frame's buffer was released
 	if want := bytes.Repeat([]byte{bufpool.PoisonByte}, len("first")); !bytes.Equal(first, want) {
 		t.Fatalf("payload kept past the handler reads %q, want poison", first)
@@ -510,7 +519,7 @@ func newRigWithTimeout(t *testing.T, cfg memnet.Config, reasm time.Duration) *ri
 }
 
 func TestDuplicateFragmentsIgnored(t *testing.T) {
-	r := newRig(t, 2, memnet.Config{DupRate: 1.0, Seed: 5})
+	r := newRig(t, 2, memnet.Config{DuplicateRate: 1.0, Seed: 5})
 	a, b := r.stacks[0], r.stacks[1]
 	addrA, addrB := a.AllocAddress(), b.AllocAddress()
 	in := newInbox()

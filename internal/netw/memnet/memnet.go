@@ -26,9 +26,6 @@ type Config struct {
 	// DuplicateRate is the probability that a delivered frame is delivered
 	// twice.
 	DuplicateRate float64
-	// DupRate is a legacy alias for DuplicateRate, honoured when
-	// DuplicateRate is zero.
-	DupRate float64
 	// ReorderRate is the probability that a frame is held back and
 	// delivered after the next frame bound for the same station: the
 	// pairwise swap real switches and retransmission races produce.
@@ -70,9 +67,6 @@ var _ netw.Network = (*Network)(nil)
 func New(cfg Config) *Network {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 1024
-	}
-	if cfg.DuplicateRate == 0 {
-		cfg.DuplicateRate = cfg.DupRate
 	}
 	return &Network{
 		cfg:      cfg,

@@ -242,7 +242,7 @@ func TestDropInjection(t *testing.T) {
 }
 
 func TestDuplicateInjection(t *testing.T) {
-	n := New(Config{DupRate: 1.0, Seed: 1})
+	n := New(Config{DuplicateRate: 1.0, Seed: 1})
 	defer n.Close()
 	a, _ := n.Attach("a")
 	b, _ := n.Attach("b")

@@ -267,7 +267,9 @@ func (s *Station) recvLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, netw.MTU+frameHeader)
 	for {
-		n, _, err := s.conn.ReadFromUDP(buf)
+		// Read, not ReadFromUDP: the sender's id is in the frame, and the
+		// source address ReadFromUDP returns costs an allocation a datagram.
+		n, err := s.conn.Read(buf)
 		if err != nil {
 			return // socket closed
 		}

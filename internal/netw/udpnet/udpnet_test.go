@@ -105,8 +105,11 @@ func TestMulticastFiltersByChannel(t *testing.T) {
 
 // TestSendsAllocateNothing: a unicast and a multicast over loopback allocate
 // nothing — the frame is written into a pooled buffer, the peers are kept as
-// netip.AddrPort and a multicast reads a peer list AddPeer built. The
-// receivers have no handler, so the count is the sending side's alone.
+// netip.AddrPort and a multicast reads a peer list AddPeer built. The count
+// is the whole process's: the receivers read concurrently whenever the
+// scheduler lets them, so a receive loop that allocates per datagram (as
+// ReadFromUDP does, for the source address) fails it on a busy host. The
+// receivers have no handler, so the rest is the sending side's.
 func TestSendsAllocateNothing(t *testing.T) {
 	if bufpool.Poison {
 		t.Skip("allocation counts are for builds without the race detector")

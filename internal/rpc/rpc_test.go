@@ -91,7 +91,7 @@ func TestCallSurvivesLoss(t *testing.T) {
 
 func TestAtMostOnceExecution(t *testing.T) {
 	// Heavy duplication: the server must execute each transaction once.
-	net := memnet.New(memnet.Config{DupRate: 0.8, Seed: 9})
+	net := memnet.New(memnet.Config{DuplicateRate: 0.8, Seed: 9})
 	defer net.Close()
 	ss, cs := newStack(t, net), newStack(t, net)
 	var mu sync.Mutex

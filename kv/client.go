@@ -349,7 +349,7 @@ func (c *Client) nodeAddr(node int) amoeba.Addr {
 // node's change channel fires — wake, the RoutingWatch channel taken BEFORE
 // the attempt being waited out, so a change that lands between the answer
 // and this wait is an already-closed channel, not a missed wakeup — or until
-// ctx ends or the store shuts down. Nothing is polled: every hold ends with
+// ctx ends or the store shuts down. Nothing polls for it: every hold ends with
 // something on this node that fires the channel — a lock release or routing
 // change applied by the replica that refused (see mapSM.refused), a flip
 // applied by another hosted replica (the key's new owner, while the refusing

@@ -85,10 +85,10 @@ import (
 // No decoded string aliases the input bytes: a shared copy is immutable,
 // owns its memory and lives as long as any key cut from it.
 //
-// What a command needs only while it applies — a batch's seqs and pairs, a
-// sequenced read's key list — decodeCommand cuts from the arrays of a scratch
-// command its caller owns (mapSM.scratch), so a replica allocates only what
-// it keeps.
+// A replica decodes every command into one scratch command it owns
+// (mapSM.scratch), in place, and what a command needs only while it applies —
+// a batch's seqs and pairs, a read set's key list — decodeCommand cuts from
+// that scratch's arrays, so a replica allocates only what it keeps.
 //
 // Encoding. kv writes bytes one way too: an append function per field or
 // message, and every encoder calls its append functions through spell, which
@@ -763,7 +763,9 @@ func DecodeResponse(b []byte) (*Response, error) {
 	return r, nil
 }
 
-// command is the decoded form of a wire command.
+// command is the decoded form of a wire command. Its seqs, pairs and keys are
+// cut from arrays a scratch command keeps from one decode to the next
+// (reclaim), so nothing a command's apply keeps may hold those arrays.
 type command struct {
 	op byte
 	header
@@ -791,11 +793,11 @@ type command struct {
 // (reclaim): one that an outsized command grew past it is dropped.
 const maxScratchElems = 256
 
-// reclaim readies a scratch command for the next decode: the arrays decodes
-// cut from it are cleared, so they pin no key or value between applies, and
-// one grown past maxScratchElems is dropped.
+// reclaim readies a scratch command for the next decode: every field is reset,
+// so it pins no key or value between applies, but the arrays of its seqs,
+// pairs and keys are kept, cleared, unless one grew past maxScratchElems.
 func (c *command) reclaim() {
-	c.seqs, c.pairs, c.keys = reclaimed(c.seqs), reclaimed(c.pairs), reclaimed(c.keys)
+	*c = command{seqs: reclaimed(c.seqs), pairs: reclaimed(c.pairs), keys: reclaimed(c.keys)}
 }
 
 func reclaimed[T any](s []T) []T {
@@ -821,19 +823,16 @@ func (c *command) waitID() uint64 { return waitID(c.op, c.session, c.seq, c.atte
 // txnID is the transaction attempt a txn op names.
 func (c *command) txnID() txnID { return txnID{session: c.session, seq: c.seq, attempt: c.attempt} }
 
-// decodeCommand decodes a shard command. A batch's seqs and pairs and a
-// sequenced read's key list are cut from scratch's arrays, which scratch then
-// holds, decoded elements and all, until its owner reclaims it; a nil scratch
-// makes them fresh. Every other field is the command's own.
-func decodeCommand(b []byte, scratch *command) (command, error) {
+// decodeCommand decodes a shard command into c, which must be zero or
+// reclaimed: a batch's seqs and pairs, an import's pairs and a read set's keys
+// are cut from c's arrays, where they have room, and c holds what it decoded
+// until its owner reclaims it. On an error c holds no meaningful command.
+func decodeCommand(b []byte, c *command) error {
 	if len(b) < 1 {
-		return command{}, errBadCommand
-	}
-	if scratch == nil {
-		scratch = new(command)
+		return errBadCommand
 	}
 	r := messageReader(b[1:])
-	c := command{op: b[0], header: r.header()}
+	c.op, c.header = b[0], r.header()
 	switch c.op {
 	case opPut:
 		c.key, c.val = r.str(), r.raw()
@@ -842,13 +841,12 @@ func decodeCommand(b []byte, scratch *command) (command, error) {
 	case opCAS:
 		c.key, c.expectPresent, c.expect, c.val = r.str(), r.flag(), r.raw(), r.raw()
 	case opGet:
-		scratch.keys = r.keysInto(scratch.keys)
-		c.keys = scratch.keys
+		c.keys = r.keysInto(c.keys)
 	case opMigrateBegin, opMigrateCommit, opMigrateAbort:
 		c.routing = r.routing()
 	case opMigrateImport:
 		c.routing = r.routing()
-		c.pairs = make([]Pair, r.count(2)) // two length bytes
+		c.pairs = reuse(c.pairs, r.count(2)) // two length bytes
 		for i := range c.pairs {
 			c.pairs[i].Key, c.pairs[i].Val = r.pair()
 		}
@@ -864,7 +862,7 @@ func decodeCommand(b []byte, scratch *command) (command, error) {
 			c.txns[i] = r.portion()
 		}
 	case opTxnPrepare:
-		c.attempt, c.homeKey, c.allKeys, c.keys = r.attempt(), r.key(), r.keys(), r.keys()
+		c.attempt, c.homeKey, c.allKeys, c.keys = r.attempt(), r.key(), r.keys(), r.keysInto(c.keys)
 		c.writes, c.conds = r.writes(false), r.conds(false)
 	case opTxnResolve:
 		c.attempt, c.txnCommit, c.homeKey, c.allKeys = r.attempt(), r.flag(), r.key(), r.keys()
@@ -875,17 +873,16 @@ func decodeCommand(b []byte, scratch *command) (command, error) {
 	case opBatchPut:
 		// The pairs are copied out, as an import's are. A batch is spelled
 		// one way: at least one pair, nothing after the last.
-		scratch.seqs, scratch.pairs = r.seqPairs(c.seq, true, scratch.seqs, scratch.pairs)
-		if c.seqs, c.pairs = scratch.seqs, scratch.pairs; len(r.b) != 0 {
+		if c.seqs, c.pairs = r.seqPairs(c.seq, true, c.seqs, c.pairs); len(r.b) != 0 {
 			r.fail()
 		}
 	default:
-		return command{}, fmt.Errorf("kv: unknown op %d: %w", c.op, errBadCommand)
+		return fmt.Errorf("kv: unknown op %d: %w", c.op, errBadCommand)
 	}
 	if r.failed {
-		return command{}, errBadCommand
+		return errBadCommand
 	}
-	return c, nil
+	return nil
 }
 
 // reader is kv's one byte reader: the shard commands, the access protocol and

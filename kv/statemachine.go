@@ -328,10 +328,10 @@ type mapSM struct {
 	// waiters is node-local: the local callers' claims on the commands they
 	// sleep on, by waiter id (see answerWaiter, waitID).
 	waiters map[uint64]*answerReg
-	// scratch is node-local: the arrays Apply decodes what a command needs
-	// only while it applies into (decodeCommand), reclaimed after each apply
-	// so that they hold nothing between applies. It is in no snapshot or
-	// digest.
+	// scratch is node-local: the command Apply decodes each command into
+	// (decodeCommand), with the arrays it keeps for what a command needs only
+	// while it applies; reclaimed after each apply so that it holds nothing
+	// between applies. It is in no snapshot or digest.
 	scratch command
 
 	// Transaction state (replicated): the prepared portions — the live
@@ -559,13 +559,13 @@ func (s *mapSM) ApplySeq(seq uint32, cmd []byte) {
 // that straddles a retry or an epoch flip re-executes only the pairs that did
 // not land.
 func (s *mapSM) Apply(cmd []byte) {
-	c, err := decodeCommand(cmd, &s.scratch)
-	defer s.scratch.reclaim()
-	if err != nil {
+	c := &s.scratch
+	defer c.reclaim()
+	if decodeCommand(cmd, c) != nil {
 		return
 	}
 	if c.op != opBatchPut {
-		s.applyCommand(&c)
+		s.applyCommand(c)
 		return
 	}
 	put := command{op: opPut, header: c.header}

@@ -12,8 +12,8 @@ import (
 // state machine's scratch, and wants what a state machine decoding every
 // command afresh, from a copy of its bytes, ends with: the same items,
 // outcomes, read answer and StateDigest. After each apply the scratch holds
-// no key or value, and the command's bytes are scribbled over: nothing kept
-// may alias them.
+// no key, value or header, only its cleared arrays, and the command's bytes are
+// scribbled over: nothing kept may alias them.
 func TestApplyThroughOneScratch(t *testing.T) {
 	rt := Routing{Shards: 1, VNodes: 8}
 	reused, fresh := newMapSM("scratch", 0, rt, nil), newMapSM("scratch", 0, rt, nil)
@@ -59,6 +59,11 @@ func TestApplyThroughOneScratch(t *testing.T) {
 		if holds {
 			t.Fatalf("after command %d the scratch still holds %d seqs, %q and %q", i, len(sc.seqs),
 				sc.pairs[:cap(sc.pairs)], sc.keys[:cap(sc.keys)])
+		}
+		rest := *sc
+		rest.seqs, rest.pairs, rest.keys = nil, nil, nil
+		if !reflect.DeepEqual(rest, command{}) {
+			t.Fatalf("after command %d the scratch still holds more than its arrays: %+v", i, rest)
 		}
 	}
 	if cap(reused.scratch.pairs) < 16 || cap(reused.scratch.seqs) < 16 || cap(reused.scratch.keys) < len(read) {

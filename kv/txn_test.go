@@ -709,7 +709,7 @@ func TestTxnSurvivesLiveReshard(t *testing.T) {
 // answers Moved, and Do's loop sleeps on the node's change channel, which the
 // resolve that releases the lock fires — on the very replica that refused
 // the write. So the write trails the resolve by one round, not by a timer,
-// and it is re-driven once per release, not polled while the lock is held:
+// and it is re-driven once per release, never polling while the lock is held:
 // in every round, also those that hold the lock 50 ms after the first
 // bounce, the Put bounces exactly once.
 func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {

@@ -10,6 +10,13 @@ import (
 	"amoeba/internal/core"
 )
 
+// receiveOne takes one message, as Group.Receive does.
+func receiveOne(ctx context.Context, q *deliveryQueue) (Message, error) {
+	var one [1]Message
+	_, err := q.receive(ctx, one[:])
+	return one[0], err
+}
+
 func TestDeliveryQueueOrderAndBlocking(t *testing.T) {
 	q := newDeliveryQueue()
 	for i := 0; i < 5; i++ {
@@ -17,7 +24,7 @@ func TestDeliveryQueueOrderAndBlocking(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		m, err := q.pop(ctx)
+		m, err := receiveOne(ctx, q)
 		if err != nil {
 			t.Fatalf("pop: %v", err)
 		}
@@ -28,7 +35,7 @@ func TestDeliveryQueueOrderAndBlocking(t *testing.T) {
 	// Empty queue blocks until push.
 	got := make(chan Message, 1)
 	go func() {
-		m, _ := q.pop(ctx)
+		m, _ := receiveOne(ctx, q)
 		got <- m
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -47,7 +54,7 @@ func TestDeliveryQueueCloseUnblocksPoppers(t *testing.T) {
 	q := newDeliveryQueue()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := q.pop(context.Background())
+		_, err := receiveOne(context.Background(), q)
 		errCh <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -78,7 +85,7 @@ func TestDeliveryQueueCloseWakesAllPoppers(t *testing.T) {
 		started.Add(1)
 		go func() {
 			started.Done()
-			_, err := q.pop(context.Background())
+			_, err := receiveOne(context.Background(), q)
 			errs <- err
 		}()
 	}
@@ -96,7 +103,7 @@ func TestDeliveryQueueCloseWakesAllPoppers(t *testing.T) {
 		}
 	}
 	// A popper arriving after close must not block either.
-	if _, err := q.pop(context.Background()); !errors.Is(err, ErrNotMember) {
+	if _, err := receiveOne(context.Background(), q); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("late pop: %v", err)
 	}
 }
@@ -110,7 +117,7 @@ func TestDeliveryQueuePushWakesBlockedPopperPerMessage(t *testing.T) {
 	seen := make(chan uint32, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			m, err := q.pop(context.Background())
+			m, err := receiveOne(context.Background(), q)
 			if err == nil {
 				seen <- m.Seq
 			}
@@ -151,7 +158,7 @@ func TestDeliveryQueueReusesItsArray(t *testing.T) {
 	push()
 	for want := uint32(1); want <= 10000; want++ {
 		push()
-		m, err := q.pop(ctx)
+		m, err := receiveOne(ctx, q)
 		if err != nil || m.Seq != want {
 			t.Fatalf("pop = seq %d, %v; want seq %d", m.Seq, err, want)
 		}
@@ -171,7 +178,7 @@ func TestDeliveryQueueConcurrentPoppers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				m, err := q.pop(context.Background())
+				m, err := receiveOne(context.Background(), q)
 				if err != nil {
 					return
 				}
@@ -196,6 +203,166 @@ func TestDeliveryQueueConcurrentPoppers(t *testing.T) {
 	}
 	q.close()
 	wg.Wait()
+}
+
+// TestReceiveManyLeavesTheRestQueued: a burst takes at most len(buf) messages,
+// in order, and what it leaves stays queued for the next receiver — which,
+// if it was already asleep, the burst wakes: a single token announced all the
+// messages, and the receiver that took it must pass it on.
+func TestReceiveManyLeavesTheRestQueued(t *testing.T) {
+	q := newDeliveryQueue()
+	for i := 1; i <= 5; i++ {
+		q.push(core.Delivery{Kind: core.KindData, Seq: uint32(i)})
+	}
+	var buf [3]Message
+	n, err := q.receive(context.Background(), buf[:])
+	if err != nil || n != 3 || buf[0].Seq != 1 || buf[1].Seq != 2 || buf[2].Seq != 3 {
+		t.Fatalf("receive = %d %v, seqs %d %d %d; want 3 messages, seqs 1 2 3", n, err, buf[0].Seq, buf[1].Seq, buf[2].Seq)
+	}
+	if left := len(q.msgs) - q.head; left != 2 {
+		t.Fatalf("%d messages left queued, want 2", left)
+	}
+	if _, err := q.receive(context.Background(), buf[:]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two receivers asleep on an empty queue; five messages arrive behind
+	// one token. Whichever takes the token takes three and must re-arm it.
+	got := make(chan []uint32, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			var buf [3]Message
+			n, _ := q.receive(context.Background(), buf[:])
+			seqs := make([]uint32, n)
+			for i := range seqs {
+				seqs[i] = buf[i].Seq
+			}
+			got <- seqs
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let both block on the token
+	q.mu.Lock()
+	for i := 1; i <= 5; i++ {
+		q.msgs = append(q.msgs, queued{m: Message{Kind: Data, Seq: uint32(10 + i)}})
+	}
+	q.mu.Unlock()
+	q.notify <- struct{}{}
+	total := 0
+	for i := 0; i < 2; i++ {
+		select {
+		case seqs := <-got:
+			if len(seqs) != 3 && len(seqs) != 2 {
+				t.Fatalf("a receiver got %v, want 3 messages or the 2 left", seqs)
+			}
+			total += len(seqs)
+		case <-time.After(2 * time.Second):
+			t.Fatal("the second receiver never woke: the burst did not re-arm the token for what it left")
+		}
+	}
+	if total != 5 {
+		t.Fatalf("receivers got %d messages, want 5", total)
+	}
+}
+
+// TestReceiveManyDrainsBeforeItFails: what is queued is handed out first —
+// under a context cancelled before the call, and after the queue closed —
+// and the error comes only once nothing is left.
+func TestReceiveManyDrainsBeforeItFails(t *testing.T) {
+	q := newDeliveryQueue()
+	for i := 1; i <= 3; i++ {
+		q.push(core.Delivery{Kind: core.KindData, Seq: uint32(i)})
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var buf [2]Message
+	next := uint32(1)
+	take := func(ctx context.Context, want int) {
+		t.Helper()
+		n, err := q.receive(ctx, buf[:])
+		if err != nil || n != want {
+			t.Fatalf("receive = %d, %v; want %d messages", n, err, want)
+		}
+		for _, m := range buf[:n] {
+			if m.Seq != next {
+				t.Fatalf("got seq %d, want %d", m.Seq, next)
+			}
+			next++
+		}
+	}
+	take(cancelled, 2)
+	take(cancelled, 1)
+	if n, err := q.receive(cancelled, buf[:]); n != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("receive on an empty queue under a cancelled ctx = %d, %v", n, err)
+	}
+	for i := 4; i <= 6; i++ {
+		q.push(core.Delivery{Kind: core.KindData, Seq: uint32(i)})
+	}
+	q.close()
+	take(context.Background(), 2)
+	take(cancelled, 1)
+	if n, err := q.receive(context.Background(), buf[:]); n != 0 || !errors.Is(err, ErrNotMember) {
+		t.Fatalf("receive on a closed, drained queue = %d, %v; want ErrNotMember", n, err)
+	}
+}
+
+// TestReceiveManyConcurrentReceivers: receivers with bursts of different sizes
+// racing a pusher each get their messages in order, and between them every
+// message exactly once.
+func TestReceiveManyConcurrentReceivers(t *testing.T) {
+	q := newDeliveryQueue()
+	const n = 2000
+	sizes := []int{1, 2, 7, 32}
+	var wg sync.WaitGroup
+	got := make([][]uint32, len(sizes))
+	for r, size := range sizes {
+		r, size := r, size
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]Message, size)
+			for {
+				k, err := q.receive(context.Background(), buf)
+				if err != nil {
+					return
+				}
+				for _, m := range buf[:k] {
+					got[r] = append(got[r], m.Seq)
+				}
+			}
+		}()
+	}
+	for i := 1; i <= n; i++ {
+		q.push(core.Delivery{Kind: core.KindData, Seq: uint32(i)})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		q.mu.Lock()
+		empty := q.head == len(q.msgs)
+		q.mu.Unlock()
+		if empty || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	q.close()
+	wg.Wait()
+	seen := make([]bool, n+1)
+	for r, seqs := range got {
+		for i, s := range seqs {
+			if i > 0 && s <= seqs[i-1] {
+				t.Fatalf("receiver %d got seq %d after %d", r, s, seqs[i-1])
+			}
+			if seen[s] {
+				t.Fatalf("seq %d received twice", s)
+			}
+			seen[s] = true
+		}
+	}
+	for s := 1; s <= n; s++ {
+		if !seen[s] {
+			t.Fatalf("seq %d never received", s)
+		}
+	}
 }
 
 func TestGroupNameAndKindMapping(t *testing.T) {

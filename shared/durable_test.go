@@ -232,6 +232,83 @@ func TestDurableRejoinLiveGroup(t *testing.T) {
 	}
 }
 
+// TestDurableJoinUnderTrafficJournalsOnce: a durable replica that joins while
+// commands flow journals every command ordered after its transfer point
+// exactly once. What the group delivers during the snapshot fetch waits in the
+// delivery queue, and the apply loop journals it like any later burst, skipping
+// what the snapshot reflects: the joiner's log alone — its transfer checkpoint
+// plus the entries after it — rebuilds the whole count.
+func TestDurableJoinUnderTrafficJournalsOnce(t *testing.T) {
+	dir := t.TempDir()
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	k0, _ := net.NewKernel("n0")
+	k1, _ := net.NewKernel("n1")
+	dur1 := Durability{Dir: filepath.Join(dir, "r1"), Rank: 1, Peers: 2, Bootstrap: true}
+	r0 := openT(t, k0, "durable-busy-join", Durability{Dir: filepath.Join(dir, "r0"), Rank: 0, Peers: 2, Bootstrap: true})
+	defer r0.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	stop := make(chan struct{})
+	sent := make(chan int)
+	go func() {
+		n := 0
+		defer func() { sent <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := r0.Submit(ctx, []byte{1}); err != nil {
+				t.Errorf("Submit: %v", err)
+				return
+			}
+			n++
+		}
+	}()
+	submitAndSettle(t, r0, 1) // traffic is flowing before the join
+	r1 := openT(t, k1, "durable-busy-join", dur1)
+	submitAndSettle(t, r0, 1) // and after it
+	close(stop)
+	n := <-sent + 2
+	waitCount(t, r1, n)
+	st := r1.DurabilityStats()
+	r1.Close()
+	if st.Err != "" {
+		t.Fatalf("the joiner's log failed: %s", st.Err)
+	}
+	if st.LastSeq <= st.CheckpointSeq {
+		t.Fatalf("the joiner journaled nothing past its transfer point %d", st.CheckpointSeq)
+	}
+
+	log, err := wal.Open(dur1.Dir, wal.Options{})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	defer log.Close()
+	c := newCounter()
+	var last uint32
+	if _, err := log.Recover(
+		func(snap []byte, seq uint32) error { last = seq; return c.Restore(snap) },
+		func(e wal.Entry) error {
+			if e.Seq <= last {
+				return fmt.Errorf("entry %d replayed after %d", e.Seq, last)
+			}
+			last = e.Seq
+			c.Apply(e.Payload)
+			return nil
+		},
+		nil,
+	); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if c.value != n {
+		t.Fatalf("the joiner's log rebuilds a count of %d, want %d", c.value, n)
+	}
+}
+
 // TestDurableCheckpointCadence: a checkpoint comes due by the bytes journaled
 // since the last one (wal.Log.CheckpointDue), and recovery restores through
 // the newest. The counter's snapshot is 8 bytes, so the one-segment floor
@@ -303,33 +380,58 @@ func TestBeaconAddressesDistinct(t *testing.T) {
 	_ = fmt.Sprintf("%v", a)
 }
 
-// TestDurableApplyLoopKeepsNoPayload: the durable apply loop reuses its
-// journal-entry array from burst to burst, and between bursts it holds no
-// payload: every element is cleared once the burst is journaled and applied.
-// An array a long burst grew past maxKeptBurst is dropped, not kept.
+// TestDurableApplyLoopKeepsNoPayload: in-memory and durable replicas run one
+// apply loop, which reuses its burst array (and, durable, its journal-entry
+// array) from burst to burst and between bursts holds no payload: every
+// element a burst filled is cleared once the burst is journaled and applied.
 func TestDurableApplyLoopKeepsNoPayload(t *testing.T) {
-	net := amoeba.NewMemoryNetwork()
-	defer net.Close()
-	k, err := net.NewKernel("kept")
-	if err != nil {
-		t.Fatalf("NewKernel: %v", err)
-	}
-	r := openT(t, k, "durable-kept", Durability{Dir: filepath.Join(t.TempDir(), "r0"), Peers: 1, Bootstrap: true})
-	defer r.Close()
-	submitAndSettle(t, r, 25)
-	submitAndSettle(t, r, 1) // the last burst is short, so its array is kept
-	r.mu.Lock()
-	kept := r.entries[:cap(r.entries)]
-	r.mu.Unlock()
-	if len(kept) == 0 {
-		t.Fatal("the apply loop kept no journal-entry array to reuse")
-	}
-	for i, e := range kept {
-		if e.Payload != nil || e.Seq != 0 {
-			t.Fatalf("entry %d of the kept array still holds seq %d and %d payload bytes", i, e.Seq, len(e.Payload))
+	for _, durable := range []bool{false, true} {
+		name := "in-memory"
+		if durable {
+			name = "durable"
 		}
-	}
-	if got := keptBuffer(make([]wal.Entry, maxKeptBurst+1)); got != nil {
-		t.Fatalf("an array of %d entries was kept, past the bound of %d", cap(got), maxKeptBurst)
+		t.Run(name, func(t *testing.T) {
+			net := amoeba.NewMemoryNetwork()
+			defer net.Close()
+			k, err := net.NewKernel("kept")
+			if err != nil {
+				t.Fatalf("NewKernel: %v", err)
+			}
+			var r *Replica
+			if durable {
+				r = openT(t, k, "durable-kept", Durability{Dir: filepath.Join(t.TempDir(), "r0"), Peers: 1, Bootstrap: true})
+			} else {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				if r, err = Create(ctx, k, "kept", newCounter(), amoeba.GroupOptions{}); err != nil {
+					t.Fatalf("Create: %v", err)
+				}
+			}
+			defer r.Close()
+			// One pipelined burst of more commands than a burst holds, then
+			// a short one.
+			cmds := make([][]byte, 2*maxBurst+5)
+			for i := range cmds {
+				cmds[i] = []byte{1}
+			}
+			done := make(chan error, 1)
+			r.Start(cmds, func(err error) { done <- err })
+			if err := <-done; err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			waitCount(t, r, len(cmds))
+			submitAndSettle(t, r, 1)
+			r.Close() // the apply loop has exited: its arrays are ours to read
+			for i, m := range r.burst {
+				if m.Payload != nil || m.Seq != 0 {
+					t.Fatalf("message %d of the burst array still holds seq %d and %d payload bytes", i, m.Seq, len(m.Payload))
+				}
+			}
+			for i, e := range r.entries {
+				if e.Payload != nil || e.Seq != 0 {
+					t.Fatalf("entry %d of the journal-entry array still holds seq %d and %d payload bytes", i, e.Seq, len(e.Payload))
+				}
+			}
+		})
 	}
 }

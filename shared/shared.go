@@ -102,18 +102,21 @@ type Replica struct {
 	waiting   bool
 
 	// Durability (nil log: in-memory replica, the paper's semantics). The
-	// apply loop journals delivered entries before applying them and
-	// checkpoints whenever the log says one is due (wal.Log.CheckpointDue);
-	// see Open. durable is immutable after construction (the apply loop
-	// reads it without the lock); log can drop to nil under the lock if the
-	// disk fails.
+	// apply loop journals each burst of deliveries as one record before
+	// applying it and checkpoints whenever the log says one is due
+	// (wal.Log.CheckpointDue); see Open. durable is immutable after
+	// construction; log can drop to nil under the lock if the disk fails.
 	durable bool
 	log     *wal.Log
 	walErr  error
-	// entries is the array applyBurst lists a burst's journal entries in,
-	// reused burst after burst (keptBuffer): Append copies each payload into
-	// its record, so nothing is kept from one burst to the next.
-	entries []wal.Entry
+
+	// The apply loop's arrays, allocated with the replica and reused burst
+	// after burst, in-memory or durable: burst is what each ReceiveMany fills,
+	// and entries is where applyBurst lists a burst's journal entries (Append
+	// copies each payload into its record). Both are cleared once their burst
+	// is applied, so neither keeps a payload from one burst to the next.
+	burst   [maxBurst]amoeba.Message
+	entries [maxBurst]wal.Entry
 
 	// Observability (all nil-safe no-ops when the group carries no hub).
 	seqApply   SeqApplier     // sm, when it implements SeqApplier
@@ -170,22 +173,12 @@ func joinWithLog(ctx context.Context, k *amoeba.Kernel, name string, sm StateMac
 		g.Close()
 		return nil, fmt.Errorf("shared: joining %q: %w", name, err)
 	}
-	joinSeq := first.Seq
 
-	// Fetch a snapshot from an existing member while buffering whatever
-	// the group delivers meanwhile.
-	var buffered []amoeba.Message
-	snapSeq, snapshot, err := r.fetchSnapshot(ctx, joinSeq, func() error {
-		// Drain without blocking so the receive queue cannot pin the
-		// sender side while we wait on RPC.
-		for {
-			m, err := g.Receive(polled)
-			if err != nil {
-				return nil // queue momentarily empty
-			}
-			buffered = append(buffered, m)
-		}
-	})
+	// Fetch a snapshot from an existing member. What the group delivers
+	// meanwhile waits in the delivery queue, which never holds up a sender;
+	// the apply loop takes it from there and skips what the snapshot
+	// reflects (applyLocked).
+	snapSeq, snapshot, err := r.fetchSnapshot(ctx, first.Seq)
 	if err != nil {
 		g.Close()
 		return nil, err
@@ -203,11 +196,6 @@ func joinWithLog(ctx context.Context, k *amoeba.Kernel, name string, sm StateMac
 		}
 		r.log = log
 		r.durable = true
-	}
-	// Apply the buffered suffix beyond the snapshot (journaled, when
-	// durable — these entries are already part of this replica's history).
-	for _, m := range buffered {
-		r.apply(m)
 	}
 	if err := r.serveTransfers(); err != nil {
 		g.Close()
@@ -292,9 +280,8 @@ func (r *Replica) serveTransfers() error {
 
 // fetchSnapshot asks existing members for a snapshot reflecting at least
 // minSeq (our join, which a donor may not have applied yet: it holds the
-// request until it has). drain is called between rounds to keep the delivery
-// queue flowing.
-func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32, drain func() error) (uint32, []byte, error) {
+// request until it has).
+func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32) (uint32, []byte, error) {
 	cl, err := r.kernel.NewRPCClient()
 	if err != nil {
 		return 0, nil, fmt.Errorf("shared: transfer client: %w", err)
@@ -321,9 +308,6 @@ func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32, drain func()
 			}
 			return snapSeq, reply[4:], nil
 		}
-		if err := drain(); err != nil {
-			return 0, nil, err
-		}
 		// Paced by a timer: no event on this node says a donor came back.
 		select {
 		case <-ctx.Done():
@@ -334,68 +318,30 @@ func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32, drain func()
 	return 0, nil, ErrTransferFailed
 }
 
-// polled is a context cancelled from the start: it makes Receive a
-// non-blocking poll, which returns a queued message if one is present and
-// the context error otherwise.
-var polled = func() context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return ctx
-}()
-
-// maxJournalBurst bounds the deliveries coalesced into one journal record
+// maxBurst bounds the deliveries the apply loop takes from the group at once
+// and applies under one lock hold: for a durable replica, one journal record
 // (and, with Durability.Sync, one fsync).
-const maxJournalBurst = 128
+const maxBurst = 32
 
-// maxKeptBurst bounds the arrays the durable apply loop keeps from one burst
-// for the next (the burst and its journal entries): one a longer burst grew
-// is dropped, as an emptied delivery queue drops its array, so a backlog's
-// arrays are not held in every replica's live heap.
-const maxKeptBurst = 32
-
-// keptBuffer readies an array the apply loop reuses for its next burst: its
-// elements cleared, so that it pins no payload, or nil if it grew past
-// maxKeptBurst.
-func keptBuffer[T any](s []T) []T {
-	if cap(s) > maxKeptBurst {
-		return nil
-	}
-	clear(s)
-	return s[:0]
-}
-
-// start launches the apply loop. A durable replica coalesces the queued
-// deliveries behind each blocking receive into one burst, journaling the
-// whole run as a single log record before applying it — group commit at the
-// replica, mirroring the sequencer's batch amortisation on the wire.
+// start launches the apply loop. Each receive takes the deliveries queued
+// behind the first, up to maxBurst, as one burst; a durable replica journals
+// the whole burst as a single log record before applying it — group commit at
+// the replica, mirroring the sequencer's batch amortisation on the wire.
 func (r *Replica) start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
 	go func() {
 		defer close(r.done)
-		var burst []amoeba.Message // reused burst after burst (keptBuffer)
 		for {
-			m, err := r.group.Receive(ctx)
+			n, err := r.group.ReceiveMany(ctx, r.burst[:])
 			if err != nil {
 				r.mu.Lock()
 				r.stopLocked()
 				r.mu.Unlock()
 				return
 			}
-			if !r.durable {
-				r.apply(m)
-				continue
-			}
-			burst = append(burst, m)
-			for len(burst) < maxJournalBurst {
-				m2, err := r.group.Receive(polled)
-				if err != nil {
-					break // queue momentarily empty
-				}
-				burst = append(burst, m2)
-			}
-			r.applyBurst(burst)
-			burst = keptBuffer(burst)
+			r.applyBurst(r.burst[:n])
+			clear(r.burst[:n])
 		}
 	}()
 }
@@ -427,11 +373,6 @@ func (r *Replica) wakeLocked() {
 	r.applyWake = make(chan struct{})
 }
 
-// apply folds one delivery into the state machine.
-func (r *Replica) apply(m amoeba.Message) {
-	r.applyBurst([]amoeba.Message{m})
-}
-
 // applyBurst journals then applies a run of deliveries under one lock hold:
 // the data entries land in the write-ahead log as a single record (one
 // write, one optional fsync) before any of them mutates the state machine,
@@ -439,10 +380,7 @@ func (r *Replica) apply(m amoeba.Message) {
 func (r *Replica) applyBurst(ms []amoeba.Message) {
 	r.mu.Lock()
 	if r.log != nil {
-		entries := r.entries
-		if cap(entries) < len(ms) {
-			entries = make([]wal.Entry, 0, len(ms)) // sized once, not grown
-		}
+		entries := r.entries[:0]
 		last := r.lastApplied
 		for i := range ms {
 			if ms[i].Kind == amoeba.Data && ms[i].Seq > last {
@@ -455,7 +393,7 @@ func (r *Replica) applyBurst(ms []amoeba.Message) {
 				r.walFailLocked(err)
 			}
 		}
-		r.entries = keptBuffer(entries)
+		clear(entries)
 	}
 	for i := range ms {
 		r.applyLocked(ms[i])
