@@ -72,25 +72,24 @@ import (
 
 func main() {
 	var (
-		serveAddr    = flag.String("serve", "", "serve the store on this TCP address (e.g. :7070)")
-		shards       = flag.Int("shards", 4, "shard-group count")
-		nodes        = flag.Int("nodes", 3, "replica nodes")
-		resilience   = flag.Int("resilience", 1, "per-shard resilience degree r")
-		replication  = flag.Int("replication", 0, "replicas per shard (0 = every node); bounded values exercise the RPC proxy")
-		dataDir      = flag.String("data-dir", "", "durable mode: write-ahead logs + checkpoints under this directory (restart recovers all data)")
-		walSync      = flag.Bool("wal-sync", false, "fsync every journal append (power-loss durability; slower)")
-		walSyncDelay = flag.Duration("wal-sync-delay", 0, "with -wal-sync: coalesce fsyncs across delivery bursts, syncing at most this long after an append")
-		leases       = flag.Bool("leases", false, "sequencer read leases: replicas serve linearizable GETs locally with no ordering round; enables SGET bounded-staleness reads")
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /health, /flight, and /trace?id=N over HTTP on this address")
-		traceMod     = flag.Uint64("trace-mod", 1024, "trace every Nth command id (1 traces everything)")
-		auditEvery   = flag.Duration("audit", time.Second, "sequenced state-audit period (0 disables the self-audit driver)")
+		serveAddr   = flag.String("serve", "", "serve the store on this TCP address (e.g. :7070)")
+		shards      = flag.Int("shards", 4, "shard-group count")
+		nodes       = flag.Int("nodes", 3, "replica nodes")
+		resilience  = flag.Int("resilience", 1, "per-shard resilience degree r")
+		replication = flag.Int("replication", 0, "replicas per shard (0 = every node); bounded values exercise the RPC proxy")
+		dataDir     = flag.String("data-dir", "", "durable mode: write-ahead logs + checkpoints under this directory (restart recovers all data)")
+		walSync     = flag.Bool("wal-sync", false, "fsync every journal append (power-loss durability; slower)")
+		leases      = flag.Bool("leases", false, "sequencer read leases: replicas serve linearizable GETs locally with no ordering round; enables SGET bounded-staleness reads")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /health, /flight, and /trace?id=N over HTTP on this address")
+		traceMod    = flag.Uint64("trace-mod", 1024, "trace every Nth command id (1 traces everything)")
+		auditEvery  = flag.Duration("audit", time.Second, "sequenced state-audit period (0 disables the self-audit driver)")
 	)
 	flag.Parse()
 
 	if *serveAddr == "" {
 		*serveAddr = ":7070"
 	}
-	os.Exit(serve(*serveAddr, *shards, *nodes, *resilience, *replication, *dataDir, *walSync, *walSyncDelay, *leases, *metricsAddr, *traceMod, *auditEvery))
+	os.Exit(serve(*serveAddr, *shards, *nodes, *resilience, *replication, *dataDir, *walSync, *leases, *metricsAddr, *traceMod, *auditEvery))
 }
 
 // newHub builds the process-wide observability hub and, when metricsAddr is
@@ -146,7 +145,7 @@ func newHub(node string, traceMod uint64, metricsAddr string) *obs.Hub {
 // serve boots the cluster — recovering it from the write-ahead logs when
 // -data-dir names an existing deployment — and answers line-protocol
 // connections forever.
-func serve(addr string, shards, nodes, resilience, replication int, dataDir string, walSync bool, walSyncDelay time.Duration, leases bool, metricsAddr string, traceMod uint64, auditEvery time.Duration) int {
+func serve(addr string, shards, nodes, resilience, replication int, dataDir string, walSync bool, leases bool, metricsAddr string, traceMod uint64, auditEvery time.Duration) int {
 	ctx := context.Background()
 	network := amoeba.NewMemoryNetwork()
 	defer network.Close()
@@ -162,7 +161,7 @@ func serve(addr string, shards, nodes, resilience, replication int, dataDir stri
 		kernels[i] = k
 	}
 	opts := kv.Options{Shards: shards, Replication: replication,
-		DataDir: dataDir, WALSync: walSync, WALSyncDelay: walSyncDelay,
+		DataDir: dataDir, WALSync: walSync,
 		AuditEvery: auditEvery, Leases: leases,
 		Group: amoeba.GroupOptions{
 			Resilience:   resilience,

@@ -54,6 +54,10 @@ type group struct {
 	nodes []*node
 }
 
+// closeWait bounds how long a test group's cleanup waits for one endpoint to
+// close.
+const closeWait = 5 * time.Second
+
 // newGroup builds a memnet network with a creator plus n-1 joiners. mod, if
 // non-nil, adjusts the Config template before any endpoint starts.
 func newGroup(t *testing.T, n int, netCfg memnet.Config, mod func(*Config)) *group {
@@ -65,9 +69,18 @@ func newGroup(t *testing.T, n int, netCfg memnet.Config, mod func(*Config)) *gro
 	}
 	t.Cleanup(func() {
 		// Close the endpoints too: their sync and probe timers would
-		// otherwise tick on for the rest of the test binary's run.
-		for _, nd := range g.nodes {
-			nd.ep.Close()
+		// otherwise tick on for the rest of the test binary's run. Each
+		// close is waited for only so long: a test that panicked inside a
+		// locked section left its endpoint's mutex held, and the cleanup
+		// must return for the panic to be reported.
+		for i, nd := range g.nodes {
+			ep, closed := nd.ep, make(chan struct{})
+			go func() { ep.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(closeWait):
+				t.Errorf("member %d's endpoint did not close within %v: its mutex is held", i, closeWait)
+			}
 		}
 		g.net.Close()
 	})

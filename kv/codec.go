@@ -1089,22 +1089,6 @@ func (r *reader) conds(share bool) []TxnCond {
 	return out
 }
 
-func (r *reader) values() [][]byte {
-	out := make([][]byte, r.count(1))
-	for i := range out {
-		out[i] = r.bytes()
-	}
-	return out
-}
-
-func (r *reader) found() []bool {
-	out := make([]bool, r.count(1))
-	for i := range out {
-		out[i] = r.flag()
-	}
-	return out
-}
-
 // routing reads a routing table, refusing sizes no store has.
 func (r *reader) routing() Routing {
 	rt := Routing{Epoch: r.uvarint(), Shards: int(r.upTo(1 << 20)), VNodes: int(r.upTo(1 << 20))}

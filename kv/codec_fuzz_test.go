@@ -45,7 +45,7 @@ func commandSeeds() [][]byte {
 			{ID: testSession, Ack: 7},
 		},
 		Txns: []*txnPortion{{ID: txnID{session: seedSession, seq: 21, attempt: 2}, HomeKey: "w", AllKeys: []string{"r", "w"}, State: txnStatePrepared,
-			Reads: []string{"r"}, Writes: writes, Conds: conds, Values: [][]byte{[]byte("x")}, Found: []bool{true}}},
+			Reads: []txnRead{{Key: "r", Val: []byte("x"), Found: true}}, Writes: writes, Conds: conds}},
 	}
 	return [][]byte{
 		encodePut(h(1, 1), "key", []byte("value")),
@@ -165,7 +165,8 @@ func unkept(c command) command {
 // disagree on. Decoded through a scratch that earlier commands have used and
 // that was reclaimed after them, as a replica decodes, a command is the one a
 // fresh decode gives. A migrate import as journals held it before its
-// transaction portions left JSON is refused, and seeds the corpus.
+// transaction portions left JSON is refused, and seeds the corpus, as do
+// imports of a portion whose read lists differ in length.
 func FuzzDecodeCommand(f *testing.F) {
 	for _, seed := range commandSeeds() {
 		if err := decodeCommand(seed, new(command)); err != nil {
@@ -181,6 +182,10 @@ func FuzzDecodeCommand(f *testing.F) {
 	}
 	for cut := 0; cut <= len(legacy); cut++ {
 		f.Add(legacy[:cut])
+	}
+	_, imports := readListSeeds()
+	for _, seed := range imports {
+		f.Add(seed)
 	}
 	seeds := commandSeeds()
 	f.Fuzz(func(t *testing.T, b []byte) {

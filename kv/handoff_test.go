@@ -48,11 +48,11 @@ func TestAnswerHandoff(t *testing.T) {
 		return 0
 	}
 	// lock takes a prepare lock on key for transaction 77; unlock commits it.
-	lock := func(sm *mapSM, id uint64, key string) {
-		sm.Apply(encodeTxnPrepare(at(77), 0, key, []string{key}, nil, []TxnWrite{{Key: key, Val: []byte("txn")}}, nil))
+	lock := func(t *testing.T, sm *mapSM, id uint64, key string) {
+		applyChecked(t, sm, encodeTxnPrepare(at(77), 0, key, []string{key}, nil, []TxnWrite{{Key: key, Val: []byte("txn")}}, nil))
 	}
-	unlock := func(sm *mapSM, id uint64, key string) {
-		sm.Apply(encodeTxnResolve(at(77), 0, true, key, []string{key}))
+	unlock := func(t *testing.T, sm *mapSM, id uint64, key string) {
+		applyChecked(t, sm, encodeTxnResolve(at(77), 0, true, key, []string{key}))
 	}
 
 	rows := []struct {
@@ -61,7 +61,7 @@ func TestAnswerHandoff(t *testing.T) {
 	}{
 		{"an executed mutation is handed and recorded", func(t *testing.T, sm *mapSM) {
 			w := expect(sm, 1)
-			sm.Apply(encodeCAS(at(1), "k", false, nil, []byte("v")))
+			applyChecked(t, sm, encodeCAS(at(1), "k", false, nil, []byte("v")))
 			if !woken(w) || !w.first.OK || w.moved || w.first.Key != "k" {
 				t.Fatalf("waiter after the CAS applied: first %+v moved %v", w.first, w.moved)
 			}
@@ -70,9 +70,9 @@ func TestAnswerHandoff(t *testing.T) {
 			}
 		}},
 		{"a refusal is handed, not recorded, and the retry is answered by its own application", func(t *testing.T, sm *mapSM) {
-			lock(sm, 100, "k")
+			lock(t, sm, 100, "k")
 			w := expect(sm, 2)
-			sm.Apply(encodePut(at(2), "k", []byte("v")))
+			applyChecked(t, sm, encodePut(at(2), "k", []byte("v")))
 			if !woken(w) || !w.moved {
 				t.Fatalf("waiter after a Put on a locked key: woken with moved=%v", w.moved)
 			}
@@ -82,9 +82,9 @@ func TestAnswerHandoff(t *testing.T) {
 			if v := sm.items["k"]; v != nil {
 				t.Fatalf("the refused Put executed: k = %q", v)
 			}
-			unlock(sm, 101, "k")
+			unlock(t, sm, 101, "k")
 			w = expect(sm, 2)
-			sm.Apply(encodePut(at(2), "k", []byte("v")))
+			applyChecked(t, sm, encodePut(at(2), "k", []byte("v")))
 			if !woken(w) || w.moved || !w.first.OK {
 				t.Fatalf("waiter after the re-driven Put: first %+v moved %v", w.first, w.moved)
 			}
@@ -93,56 +93,56 @@ func TestAnswerHandoff(t *testing.T) {
 			}
 		}},
 		{"a sequenced read is handed, not recorded, and is nothing where nobody waits", func(t *testing.T, sm *mapSM) {
-			sm.Apply(encodePut(at(10), "k", []byte("v")))
+			applyChecked(t, sm, encodePut(at(10), "k", []byte("v")))
 			held, digest := outcomes(sm), sm.StateDigest()
 			w := expect(sm, 3)
-			sm.Apply(encodeGet(at(3), []string{"k", "absent"}))
+			applyChecked(t, sm, encodeGet(at(3), []string{"k", "absent"}))
 			if !woken(w) || w.moved || len(w.first.Values) != 2 || string(w.first.Values[0]) != "v" ||
 				!w.first.Found[0] || w.first.Found[1] {
 				t.Fatalf("waiter after the read applied: first %+v moved %v", w.first, w.moved)
 			}
-			sm.Apply(encodeGet(at(4), []string{"k"})) // nobody waits for this one
+			applyChecked(t, sm, encodeGet(at(4), []string{"k"})) // nobody waits for this one
 			if recorded(sm, 3) || recorded(sm, 4) || outcomes(sm) != held || sm.StateDigest() != digest {
 				t.Fatalf("reads changed replicated state: %d outcomes (was %d), digest %x (was %x)",
 					outcomes(sm), held, sm.StateDigest(), digest)
 			}
-			lock(sm, 100, "k")
+			lock(t, sm, 100, "k")
 			w = expect(sm, 5)
-			sm.Apply(encodeGet(at(5), []string{"k"}))
+			applyChecked(t, sm, encodeGet(at(5), []string{"k"}))
 			if !woken(w) || !w.moved || recorded(sm, 5) {
 				t.Fatalf("a read of a locked key: woken with moved=%v, recorded %v", w.moved, recorded(sm, 5))
 			}
 		}},
 		{"a dedup hit hands the recorded result to a new waiter", func(t *testing.T, sm *mapSM) {
-			sm.Apply(encodePut(at(20), "k", []byte("v")))
-			sm.Apply(encodeDelete(at(6), "k"))
+			applyChecked(t, sm, encodePut(at(20), "k", []byte("v")))
+			applyChecked(t, sm, encodeDelete(at(6), "k"))
 			w := expect(sm, 6)
-			sm.Apply(encodeDelete(at(6), "k")) // the retry: k is gone, a second execution would answer false
+			applyChecked(t, sm, encodeDelete(at(6), "k")) // the retry: k is gone, a second execution would answer false
 			if !woken(w) || !w.first.OK || w.moved {
 				t.Fatalf("waiter after the retried Delete: first %+v moved %v", w.first, w.moved)
 			}
 		}},
 		{"a late duplicate below its session's ack is handed stale and does not execute", func(t *testing.T, sm *mapSM) {
-			sm.Apply(encodePut(at(7), "k", []byte("first")))
-			sm.Apply(encodePut(header{session: testSession, seq: 8, ack: 8}, "k", []byte("second")))
+			applyChecked(t, sm, encodePut(at(7), "k", []byte("first")))
+			applyChecked(t, sm, encodePut(header{session: testSession, seq: 8, ack: 8}, "k", []byte("second")))
 			if recorded(sm, 7) {
 				t.Fatal("an acknowledged outcome is still held")
 			}
 			w := expect(sm, 7)
-			sm.Apply(encodePut(at(7), "k", []byte("first")))
+			applyChecked(t, sm, encodePut(at(7), "k", []byte("first")))
 			if !woken(w) || !w.stale || w.moved || string(sm.items["k"]) != "second" {
 				t.Fatalf("the late duplicate: stale %v moved %v, k = %q", w.stale, w.moved, sm.items["k"])
 			}
 		}},
 		{"an n-id waiter wakes on its nth distinct id, and a duplicate delivery does not count", func(t *testing.T, sm *mapSM) {
 			w := expect(sm, 30, 31, 32)
-			sm.Apply(encodeBatchPut(at(0), []uint64{30, 31}, []Pair{{Key: "a", Val: []byte("1")}, {Key: "b", Val: []byte("2")}}))
-			sm.Apply(encodeBatchPut(at(0), []uint64{30, 31}, []Pair{{Key: "a", Val: []byte("1")}, {Key: "b", Val: []byte("2")}}))
-			sm.Apply(encodePut(at(31), "b", []byte("2")))
+			applyChecked(t, sm, encodeBatchPut(at(0), []uint64{30, 31}, []Pair{{Key: "a", Val: []byte("1")}, {Key: "b", Val: []byte("2")}}))
+			applyChecked(t, sm, encodeBatchPut(at(0), []uint64{30, 31}, []Pair{{Key: "a", Val: []byte("1")}, {Key: "b", Val: []byte("2")}}))
+			applyChecked(t, sm, encodePut(at(31), "b", []byte("2")))
 			if woken(w) || w.pending != 1 {
 				t.Fatalf("two of three ids answered, some of them twice: pending %d", w.pending)
 			}
-			sm.Apply(encodePut(at(32), "c", []byte("3")))
+			applyChecked(t, sm, encodePut(at(32), "c", []byte("3")))
 			if !woken(w) || w.moved || w.first.Key != "a" {
 				t.Fatalf("waiter after its third id: first %+v moved %v", w.first, w.moved)
 			}
@@ -153,7 +153,7 @@ func TestAnswerHandoff(t *testing.T) {
 		{"two callers on one id are both answered, and one leaving does not take the other along", func(t *testing.T, sm *mapSM) {
 			a, b, c := expect(sm, 40), expect(sm, 40, 41), expect(sm, 40)
 			sm.forget(b)
-			sm.Apply(encodePut(at(40), "k", []byte("v")))
+			applyChecked(t, sm, encodePut(at(40), "k", []byte("v")))
 			if !woken(a) || !woken(c) || woken(b) {
 				t.Fatal("the callers that stayed were not both answered, or the one that left was")
 			}
@@ -163,12 +163,12 @@ func TestAnswerHandoff(t *testing.T) {
 		}},
 		{"cancel leaves the registry empty", func(t *testing.T, sm *mapSM) {
 			w := expect(sm, 50, 51, 50)
-			sm.Apply(encodePut(at(51), "k", []byte("v")))
+			applyChecked(t, sm, encodePut(at(51), "k", []byte("v")))
 			sm.forget(w)
 			if len(sm.waiters) != 0 {
 				t.Fatalf("%d claims left registered after forget", len(sm.waiters))
 			}
-			sm.Apply(encodePut(at(50), "k", []byte("w")))
+			applyChecked(t, sm, encodePut(at(50), "k", []byte("w")))
 			if woken(w) {
 				t.Fatal("a withdrawn waiter was woken")
 			}

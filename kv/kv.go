@@ -97,11 +97,6 @@ type Options struct {
 	// WALSync fsyncs every journal append: durability against power loss
 	// rather than process crashes, at a throughput cost.
 	WALSync bool
-	// WALSyncDelay, with WALSync, coalesces fsyncs across delivery
-	// bursts: an append marks the log dirty and the fsync runs at most
-	// this long after it, so a slow disk batches group commits instead of
-	// paying one rotation per burst. Zero syncs every append.
-	WALSyncDelay time.Duration
 	// WALFS is the file system every shard replica's log does its I/O
 	// through (nil: the operating system's). Each log names its own
 	// directory in every call, so one wrapper can fail a single replica's
@@ -797,7 +792,6 @@ func (s *Store) openShard(ctx context.Context, i int, found bool) (*shared.Repli
 		return shared.Open(ctx, s.kernel, group, sm, s.opts.Group, shared.Durability{
 			Dir:       shardDataDir(s.opts.DataDir, s.name, s.opts.NodeIndex, i),
 			Sync:      s.opts.WALSync,
-			SyncDelay: s.opts.WALSyncDelay,
 			FS:        s.opts.WALFS,
 			Rank:      s.opts.NodeIndex,
 			Peers:     s.nodes(),

@@ -129,6 +129,3 @@ func (r *ring) heirs(next *ring, shard int) []bool {
 	}
 	return to
 }
-
-// owns reports whether shard s owns key under this ring.
-func (r *ring) owns(s int, key string) bool { return r.shard(key) == s }

@@ -25,11 +25,11 @@ func TestLateDuplicateAfterAckIsStale(t *testing.T) {
 	session := newSessionID(time.Now())
 	part := encodeBatchPut(header{session: session}, []uint64{1, 2},
 		[]Pair{{Key: "k", Val: []byte("batch")}, {Key: "other", Val: []byte("batch")}})
-	sm.Apply(part)
+	applyChecked(t, sm, part)
 	const later = 2*1024 + 1
 	for seq := uint64(3); seq < 3+later; seq++ {
 		val := []byte(fmt.Sprintf("later-%d", seq))
-		sm.Apply(encodePut(header{session: session, seq: seq, ack: seq}, "k", val))
+		applyChecked(t, sm, encodePut(header{session: session, seq: seq, ack: seq}, "k", val))
 	}
 	want := fmt.Sprintf("later-%d", 2+later)
 	if got := string(sm.items["k"]); got != want {
@@ -38,7 +38,7 @@ func TestLateDuplicateAfterAckIsStale(t *testing.T) {
 
 	w := newAnswerWaiter()
 	sm.expect(w, []uint64{cmdID(session, 1), cmdID(session, 2)})
-	sm.Apply(part)
+	applyChecked(t, sm, part)
 	if w.pending != 0 || !w.stale || w.moved {
 		t.Fatalf("the late copy: %d answers owed, stale %v, moved %v; want both answered stale", w.pending, w.stale, w.moved)
 	}
@@ -70,7 +70,7 @@ func TestRetriedTxnAfterManyResolutions(t *testing.T) {
 	all := []string{keys[0][0], keys[0][1], keys[1][0], keys[1][1]}
 	home := all[0]
 	for _, k := range all {
-		shards[r.shard(k)].Apply(encodePut(header{session: newSessionID(time.Now()), seq: 1}, k, []byte("seed-"+k)))
+		applyChecked(t, shards[r.shard(k)], encodePut(header{session: newSessionID(time.Now()), seq: 1}, k, []byte("seed-"+k)))
 	}
 
 	pin := header{session: newSessionID(time.Now()), seq: 7}
@@ -78,7 +78,7 @@ func TestRetriedTxnAfterManyResolutions(t *testing.T) {
 		t.Helper()
 		w := newAnswerWaiter()
 		sm.expect(w, []uint64{waitID(op, h.session, h.seq, 0)})
-		sm.Apply(cmd)
+		applyChecked(t, sm, cmd)
 		if w.pending != 0 || w.stale || w.moved {
 			t.Fatalf("command %+v: %d answers owed, stale %v, moved %v", h, w.pending, w.stale, w.moved)
 		}
@@ -102,7 +102,7 @@ func TestRetriedTxnAfterManyResolutions(t *testing.T) {
 		}
 	}
 	for _, k := range all {
-		shards[r.shard(k)].Apply(encodePut(header{session: newSessionID(time.Now()), seq: 1}, k, []byte("later")))
+		applyChecked(t, shards[r.shard(k)], encodePut(header{session: newSessionID(time.Now()), seq: 1}, k, []byte("later")))
 	}
 
 	other := newSessionID(time.Now())
@@ -110,8 +110,8 @@ func TestRetriedTxnAfterManyResolutions(t *testing.T) {
 	for seq := uint64(1); seq <= resolutions; seq++ {
 		h := header{session: other, seq: seq, ack: seq}
 		for s, sm := range shards {
-			sm.Apply(encodeTxnPrepare(h, 0, home, all, keys[s][:1], nil, nil))
-			sm.Apply(encodeTxnResolve(h, 0, seq%2 == 0, home, all))
+			applyChecked(t, sm, encodeTxnPrepare(h, 0, home, all, keys[s][:1], nil, nil))
+			applyChecked(t, sm, encodeTxnResolve(h, 0, seq%2 == 0, home, all))
 		}
 	}
 
@@ -140,17 +140,17 @@ func TestSessionExpiry(t *testing.T) {
 	sm := newMapSM("ttl", 0, Routing{Shards: 1, VNodes: 8}, nil)
 	born := func(minute uint64) uint64 { return minute<<(64-sessionBornBits) | 0x1234 }
 	old, edge, young := born(100), born(100+1), born(100+1+sessionTTL)
-	sm.Apply(encodePut(header{session: old, seq: 1}, "old", []byte("v")))
-	sm.Apply(encodePut(header{session: edge, seq: 1}, "edge", []byte("v")))
+	applyChecked(t, sm, encodePut(header{session: old, seq: 1}, "old", []byte("v")))
+	applyChecked(t, sm, encodePut(header{session: edge, seq: 1}, "edge", []byte("v")))
 	digest := sm.StateDigest()
-	sm.Apply(encodePut(header{session: young, seq: 1}, "young", []byte("v")))
+	applyChecked(t, sm, encodePut(header{session: young, seq: 1}, "young", []byte("v")))
 	if sm.clock != sessionBorn(young) || sm.sessions[old] != nil || sm.sessions[edge] == nil {
 		t.Fatalf("clock %d: old kept %v, edge kept %v; want the old session dropped, the edge one kept",
 			sm.clock, sm.sessions[old] != nil, sm.sessions[edge] != nil)
 	}
 	w := newAnswerWaiter()
 	sm.expect(w, []uint64{cmdID(old, 2)})
-	sm.Apply(encodePut(header{session: old, seq: 2}, "old", []byte("again")))
+	applyChecked(t, sm, encodePut(header{session: old, seq: 2}, "old", []byte("again")))
 	if !w.stale || string(sm.items["old"]) != "v" || sm.sessions[old] != nil {
 		t.Fatalf("a command of the expired session: stale %v, old = %q, session back %v", w.stale, sm.items["old"], sm.sessions[old] != nil)
 	}
@@ -228,10 +228,10 @@ func TestSessionAck(t *testing.T) {
 func TestImportMovesSessions(t *testing.T) {
 	sm := newMapSM("import", 1, Routing{Shards: 2, VNodes: 8}, nil)
 	session, coord := newSessionID(time.Now()), newSessionID(time.Now())
-	sm.Apply(encodePut(header{session: session, seq: 10, ack: 10}, keyFor(t, sm, 1), []byte("here")))
+	applyChecked(t, sm, encodePut(header{session: session, seq: 10, ack: 10}, keyFor(t, sm, 1), []byte("here")))
 	rt := Routing{Epoch: 1, Shards: 2, VNodes: 8}
 	moving := keyFor(t, sm, 0)
-	sm.Apply(encodeMigrateImport(header{session: coord, seq: 1}, rt, &importChunk{
+	applyChecked(t, sm, encodeMigrateImport(header{session: coord, seq: 1}, rt, &importChunk{
 		Pairs: []Pair{{Key: moving, Val: []byte("moved")}},
 		Clock: sessionBorn(session),
 		Moved: []movedSession{{ID: session, Ack: 5, Outcomes: []outcome{{seq: 7, ok: true, key: moving}, {seq: 12, ok: true, key: moving}}}},
@@ -455,8 +455,8 @@ func TestExportSessionsGoToHeirs(t *testing.T) {
 		next := Routing{Epoch: 1, Shards: tc.to, VNodes: 16}.ring("heirs")
 		sm := newMapSM("heirs", tc.src, cur, nil)
 		session := newSessionID(time.Now())
-		sm.Apply(encodePut(header{session: session, seq: 1}, keyFor(t, sm, tc.src), []byte("v")))
-		sm.Apply(encodeDelete(header{session: session, seq: 2, ack: 2}, keyFor(t, sm, tc.src)))
+		applyChecked(t, sm, encodePut(header{session: session, seq: 1}, keyFor(t, sm, tc.src), []byte("v")))
+		applyChecked(t, sm, encodeDelete(header{session: session, seq: 2, ack: 2}, keyFor(t, sm, tc.src)))
 
 		heirs := make(map[int]bool)
 		for i := 0; i < 20000; i++ {

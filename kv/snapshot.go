@@ -29,10 +29,11 @@ import (
 //	state(1) | session(8) | seq uvarint | attempt uvarint | homeKey | allKeys | reads | values | found | writes | conds
 //
 // Counts, byte strings, key lists, writes, conditions and routing tables are
-// spelled as in the command codec (codec.go); values is a count and that many
-// byte strings, found a count and that many bytes. A record (see setRecord)
-// is a resolved portion already in this spelling, and is written as it is
-// stored. A session's outcomes and records come in seq order.
+// spelled as in the command codec (codec.go). The captured reads are three
+// lists of one length (appendReads): reads a key list, values a count and
+// that many byte strings, found a count and that many bytes. A record (see
+// setRecord) is a resolved portion already in this spelling, and is written
+// as it is stored. A session's outcomes and records come in seq order.
 //
 // The bytes are not canonical — items and sessions come in map order — but
 // the state is: a restored replica digests (StateDigest) exactly as the one
@@ -114,33 +115,27 @@ func (s *mapSM) Restore(snap []byte) error {
 			return err
 		}
 	}
+	s.reset(st)
+	s.notifyRouting()
+	return nil
+}
+
+// reset replaces the replicated state with st and derives the rest from it:
+// the rings, the locks and their stamps, the digest sums. A zero st is the
+// state a new replica starts in, under the constructor's table.
+func (s *mapSM) reset(st shardState) {
 	s.items = st.items
 	if s.items == nil {
 		s.items = make(map[string][]byte)
 	}
-	s.routing, s.curRing = s.initRouting, nil
+	rt := s.initRouting
 	if st.routing != nil {
-		s.routing = *st.routing
+		rt = *st.routing
 	}
-	if s.routing.Shards > 0 {
-		s.curRing = s.routing.ring(s.store)
-	}
-	s.pending, s.pendRing = st.pending, nil
-	if s.pending != nil {
-		s.pendRing = s.pending.ring(s.store)
-	}
-	// A later portion of the same attempt replaces an earlier one.
-	s.txns = make(map[txnID]*txnPortion)
+	s.route(rt, st.pending)
+	s.txns, s.locks, s.lockSeen = make(map[txnID]*txnPortion), make(map[string]txnID), make(map[txnID]time.Time)
 	for _, p := range st.txns {
-		s.txns[p.ID] = p
-	}
-	s.locks = make(map[string]txnID)
-	s.lockSeen = make(map[txnID]time.Time)
-	for id, p := range s.txns {
-		for _, k := range p.localKeys() {
-			s.locks[k] = id
-		}
-		s.touchLock(id)
+		s.hold(p)
 	}
 	// The sessions are rebuilt entry by entry, so that the digest sum is
 	// the one their folds add up to. A record is kept as it came, not
@@ -159,11 +154,9 @@ func (s *mapSM) Restore(snap []byte) error {
 			s.setRecord(p)
 		}
 	}
-	s.notifyRouting()
-	return nil
 }
 
-// shardState is a decoded snapshot, before Restore derives the rings, locks,
+// shardState is a decoded snapshot, before reset derives the rings, locks,
 // lock stamps and digest sums from it.
 type shardState struct {
 	items    map[string][]byte
@@ -180,7 +173,8 @@ type shardState struct {
 // through the codec's reader, which believes a count only up to what the bytes
 // left can hold, and everything kept is copied out of snap, which is only
 // borrowed. It refuses what no shard could have written: a resolved portion
-// among the prepared ones, a session twice, an outcome or record below its
+// among the prepared ones, an attempt prepared twice or two prepared
+// attempts locking one key, a session twice, an outcome or record below its
 // session's ack or out of seq order, a record of another session.
 func decodeSnapshot(snap []byte) (shardState, error) {
 	switch {
@@ -202,11 +196,18 @@ func decodeSnapshot(snap []byte) (shardState, error) {
 	st.routing, st.pending = r.optRouting(), r.optRouting()
 	n = r.count(minPortionBytes)
 	st.txns = make([]*txnPortion, 0, n)
+	held := make(map[txnID]bool, n)
+	locks := make(map[string]txnID)
 	for i := 0; i < n && !r.failed; i++ {
 		p := r.portion()
-		if p.State != txnStatePrepared {
+		if p.State != txnStatePrepared || held[p.ID] || !p.everyKey(func(k string) bool {
+			owner, locked := locks[k]
+			locks[k] = p.ID
+			return !locked || owner == p.ID
+		}) {
 			r.fail()
 		}
+		held[p.ID] = true
 		st.txns = append(st.txns, p)
 	}
 	st.clock = r.uvarint()
@@ -287,8 +288,7 @@ const minPortionBytes = 18
 // It copies out everything it keeps: a portion outlives the bytes it came in.
 func (r *reader) portion() *txnPortion {
 	p := &txnPortion{State: r.u8(), ID: txnID{session: r.u64(), seq: r.uvarint(), attempt: r.attempt()},
-		HomeKey: r.str(), AllKeys: r.names(), Reads: r.names(),
-		Values: r.values(), Found: r.found(), Writes: r.writes(false), Conds: r.conds(false)}
+		HomeKey: r.str(), AllKeys: r.names(), Reads: r.reads(), Writes: r.writes(false), Conds: r.conds(false)}
 	for i := range p.Writes {
 		p.Writes[i].Val = copyVal(p.Writes[i].Val)
 	}
@@ -312,25 +312,47 @@ func appendPortion(dst []byte, p *txnPortion) []byte {
 	dst = binary.AppendUvarint(dst, uint64(p.ID.attempt))
 	dst = appendBytes(dst, []byte(p.HomeKey))
 	dst = appendKeys(dst, p.AllKeys)
-	dst = appendKeys(dst, p.Reads)
-	dst = appendValues(dst, p.Values)
-	dst = appendFound(dst, p.Found)
+	dst = appendReads(dst, p.Reads)
 	dst = appendTxnWrites(dst, p.Writes)
 	return appendTxnConds(dst, p.Conds)
 }
 
-func appendValues(dst []byte, vals [][]byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		dst = appendBytes(dst, v)
+// appendReads spells a portion's captured reads as three lists of one
+// length: the keys, their values, their found bits.
+func appendReads(dst []byte, reads []txnRead) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(reads)))
+	for _, rd := range reads {
+		dst = appendBytes(dst, []byte(rd.Key))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(reads)))
+	for _, rd := range reads {
+		dst = appendBytes(dst, rd.Val)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(reads)))
+	for _, rd := range reads {
+		dst = appendBool(dst, rd.Found)
 	}
 	return dst
 }
 
-func appendFound(dst []byte, found []bool) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(found)))
-	for _, f := range found {
-		dst = appendBool(dst, f)
+// reads reads what appendReads spelled, refusing lists of unequal length.
+// Each read takes at least three bytes: a key's length, a value's, a flag.
+func (r *reader) reads() []txnRead {
+	out := make([]txnRead, r.count(3))
+	for i := range out {
+		out[i].Key = r.str()
 	}
-	return dst
+	if r.count(1) != len(out) {
+		r.fail()
+	}
+	for i := range out {
+		out[i].Val = r.bytes()
+	}
+	if r.count(1) != len(out) {
+		r.fail()
+	}
+	for i := range out {
+		out[i].Found = r.flag()
+	}
+	return out
 }

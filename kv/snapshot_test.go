@@ -97,7 +97,7 @@ func importedSnapshot() *mapSM {
 		},
 		Txns: []*txnPortion{
 			{ID: txnID{session: newcomer, seq: 42}, State: txnStateCommitted, HomeKey: "eta", AllKeys: []string{"eta", "kappa"},
-				Reads: []string{"eta"}, Values: [][]byte{[]byte("h")}, Found: []bool{true}},
+				Reads: []txnRead{{Key: "eta", Val: []byte("h"), Found: true}}},
 			{ID: txnID{session: newcomer, seq: 43, attempt: 1}, State: txnStatePrepared, HomeKey: "lambda", AllKeys: []string{"lambda", "theta"},
 				Writes: []TxnWrite{{Key: "theta", Val: []byte("new")}}, Conds: []TxnCond{{Key: "lambda"}}},
 		},
@@ -135,11 +135,14 @@ func sessionSnapshot() *mapSM {
 
 // FuzzRestoreSnapshot holds the snapshot decoder — which a joiner runs on a
 // transfer reply from whoever answers at a well-known address, and recovery on
-// a checkpoint file — to three properties on arbitrary bytes: it never panics;
+// a checkpoint file — to four properties on arbitrary bytes: it never panics;
 // no claimed count makes it allocate more than a fixed multiple of the input's
 // length (the worst honest case is about 24x: a slice header per one-byte
-// value); and a state it restores snapshots and restores again to the same
-// StateDigest, so a checkpoint of it would verify.
+// value); a state it restores snapshots and restores again to the same
+// StateDigest, so a checkpoint of it would verify; and what a restore derives
+// from it — rings, locks, lock stamps — is a fresh derivation's
+// (checkDerived). A portion whose read lists differ in length seeds the
+// corpus.
 func FuzzRestoreSnapshot(f *testing.F) {
 	for _, seed := range append(snapshotSeeds(f), recordSnapshotSeeds(f)...) {
 		if _, err := decodeSnapshot(seed); err != nil {
@@ -148,6 +151,10 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		for cut := 0; cut <= len(seed); cut++ {
 			f.Add(seed[:cut])
 		}
+	}
+	snaps, _ := readListSeeds()
+	for _, seed := range snaps {
+		f.Add(seed)
 	}
 	rt := Routing{Shards: 1, VNodes: 8}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -167,6 +174,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if err := first.Restore(b); err != nil {
 			t.Fatalf("decodes but does not restore: %v", err)
 		}
+		checkDerived(t, first)
 		again, err := first.Snapshot()
 		if err != nil {
 			t.Fatalf("Snapshot of a restored state: %v", err)
@@ -175,6 +183,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if err := second.Restore(again); err != nil {
 			t.Fatalf("the re-snapshot does not restore: %v", err)
 		}
+		checkDerived(t, second)
 		if d1, d2 := first.StateDigest(), second.StateDigest(); d1 != d2 {
 			t.Fatalf("StateDigest %x restored, %x after a second round trip", d1, d2)
 		}

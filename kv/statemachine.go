@@ -126,7 +126,7 @@ func (a txnID) compare(b txnID) int {
 }
 
 // txnPortion is one shard's slice of a cross-shard transaction: the local
-// reads (with the values captured when the prepare sequenced), writes held
+// reads with the values captured when the prepare sequenced, writes held
 // back until the decision, and conditions. It is replicated state — created
 // by opTxnPrepare, resolved by opTxnResolve, carried in snapshots and
 // migrated with its keys during resharding. Only a prepared portion lives as
@@ -138,11 +138,17 @@ type txnPortion struct {
 	HomeKey string
 	AllKeys []string
 	State   byte
-	Reads   []string
+	Reads   []txnRead
 	Writes  []TxnWrite
 	Conds   []TxnCond
-	Values  [][]byte
-	Found   []bool
+}
+
+// txnRead is one read a prepare captured: the key, and its value and presence
+// at the prepare's position in the total order.
+type txnRead struct {
+	Key   string
+	Val   []byte
+	Found bool
 }
 
 // localKeys is the deduplicated union of the portion's read, write, and
@@ -156,8 +162,8 @@ func (p *txnPortion) localKeys() []string {
 			out = append(out, k)
 		}
 	}
-	for _, k := range p.Reads {
-		add(k)
+	for _, r := range p.Reads {
+		add(r.Key)
 	}
 	for _, w := range p.Writes {
 		add(w.Key)
@@ -171,8 +177,8 @@ func (p *txnPortion) localKeys() []string {
 // everyKey reports whether f holds for every key the portion locks, asking
 // in read, write, condition order; a key in two sets is asked twice.
 func (p *txnPortion) everyKey(f func(string) bool) bool {
-	for _, k := range p.Reads {
-		if !f(k) {
+	for _, r := range p.Reads {
+		if !f(r.Key) {
 			return false
 		}
 	}
@@ -198,7 +204,7 @@ func (p *txnPortion) everyKey(f func(string) bool) bool {
 func (p *txnPortion) tombstone() txnPortion {
 	t := txnPortion{ID: p.ID, HomeKey: p.HomeKey, AllKeys: p.AllKeys, State: p.State}
 	if p.State == txnStateCommitted {
-		t.Reads, t.Values, t.Found = p.Reads, p.Values, p.Found
+		t.Reads = p.Reads
 	}
 	return t
 }
@@ -213,39 +219,17 @@ func decodeRecord(rec []byte) *txnPortion {
 // recordState is a record's outcome: its first byte.
 func recordState(rec []byte) byte { return rec[0] }
 
-func (p *txnPortion) clone() *txnPortion {
-	cp := *p
-	cp.AllKeys = append([]string(nil), p.AllKeys...)
-	cp.Reads = append([]string(nil), p.Reads...)
-	cp.Writes = append([]TxnWrite(nil), p.Writes...)
-	cp.Conds = append([]TxnCond(nil), p.Conds...)
-	cp.Values = append([][]byte(nil), p.Values...)
-	cp.Found = append([]bool(nil), p.Found...)
-	return &cp
-}
-
 // mergeReads folds t's captured reads into p (keys p lacks only).
 func (p *txnPortion) mergeReads(t *txnPortion) {
 	have := make(map[string]bool, len(p.Reads))
-	for _, k := range p.Reads {
-		have[k] = true
+	for _, r := range p.Reads {
+		have[r.Key] = true
 	}
-	for i, k := range t.Reads {
-		if have[k] {
-			continue
+	for _, r := range t.Reads {
+		if !have[r.Key] {
+			have[r.Key] = true
+			p.Reads = append(p.Reads, r)
 		}
-		have[k] = true
-		p.Reads = append(p.Reads, k)
-		var v []byte
-		var f bool
-		if i < len(t.Values) {
-			v = t.Values[i]
-		}
-		if i < len(t.Found) {
-			f = t.Found[i]
-		}
-		p.Values = append(p.Values, v)
-		p.Found = append(p.Found, f)
 	}
 }
 
@@ -283,21 +267,10 @@ func (p *txnPortion) subPortion(keys []string) *txnPortion {
 		in[k] = true
 	}
 	sub := &txnPortion{ID: p.ID, HomeKey: p.HomeKey, AllKeys: p.AllKeys, State: p.State}
-	for i, k := range p.Reads {
-		if !in[k] {
-			continue
+	for _, r := range p.Reads {
+		if in[r.Key] {
+			sub.Reads = append(sub.Reads, r)
 		}
-		sub.Reads = append(sub.Reads, k)
-		var v []byte
-		var f bool
-		if i < len(p.Values) {
-			v = p.Values[i]
-		}
-		if i < len(p.Found) {
-			f = p.Found[i]
-		}
-		sub.Values = append(sub.Values, v)
-		sub.Found = append(sub.Found, f)
 	}
 	for _, w := range p.Writes {
 		if in[w.Key] {
@@ -336,13 +309,16 @@ type mapSM struct {
 
 	// Transaction state (replicated): the prepared portions — the live
 	// two-phase state — and the prepare locks derived from them. A resolved
-	// portion leaves them for its session's records.
+	// portion leaves them for its session's records. Their entries are
+	// written only by hold and release.
 	txns  map[txnID]*txnPortion
 	locks map[string]txnID // key -> the attempt holding its prepare lock
 
-	// lockSeen is node-local (never replicated): when this replica last saw
-	// each prepared portion, feeding the in-doubt recovery janitor's age
-	// check. Stamped at prepare apply, restore, and import.
+	// lockSeen is node-local (never replicated): when this replica last
+	// held each prepared portion, feeding the in-doubt recovery janitor's
+	// age check. hold stamps it, so a portion is re-stamped whenever it is
+	// held again: a prepare or import that merges into it, a restore, and a
+	// migrate-commit that shrinks it.
 	lockSeen map[txnID]time.Time
 
 	// Identity (constructor-set, not part of the replicated state: every
@@ -366,11 +342,11 @@ type mapSM struct {
 	// routing is the epoch table this shard currently serves under;
 	// pending, when non-nil, is the next table a migrate-begin announced
 	// (the shard is mid-handoff: keys moving away are frozen). Both are
-	// replicated state, changed only by sequenced migration commands.
-	routing Routing
-	pending *Routing
-	// curRing/pendRing are derived from routing/pending (deterministic
-	// function of the replicated state; rebuilt on restore).
+	// replicated state, changed only by sequenced migration commands and
+	// restores; curRing and pendRing are the rings they materialise. All
+	// four are written only by route.
+	routing  Routing
+	pending  *Routing
 	curRing  *ring
 	pendRing *ring
 
@@ -393,23 +369,50 @@ var _ shared.SeqApplier = (*mapSM)(nil)
 
 func newMapSM(store string, shard int, rt Routing, onRouting func(int, Routing, Routing, bool, bool)) *mapSM {
 	s := &mapSM{
-		items:       make(map[string][]byte),
-		sessions:    make(map[uint64]*sessionState),
 		waiters:     make(map[uint64]*answerReg),
-		txns:        make(map[txnID]*txnPortion),
-		locks:       make(map[string]txnID),
-		lockSeen:    make(map[txnID]time.Time),
 		store:       store,
 		shard:       shard,
 		initRouting: rt,
 		onRouting:   onRouting,
-		routing:     rt,
 		flightTag:   fmt.Sprintf("kv/%s/%d", store, shard),
 	}
-	if rt.Shards > 0 {
-		s.curRing = rt.ring(store)
-	}
+	s.reset(shardState{})
 	return s
+}
+
+// route installs cur as the table the shard serves under and pending (nil:
+// none) as the next one, with the rings they materialise. It is the only
+// writer of routing, pending, curRing and pendRing.
+func (s *mapSM) route(cur Routing, pending *Routing) {
+	s.routing, s.curRing = cur, cur.ring(s.store)
+	s.pending, s.pendRing = pending, nil
+	if pending != nil {
+		s.pendRing = pending.ring(s.store)
+	}
+}
+
+// hold files p as a prepared portion: each of its keys is locked to it, and
+// it is stamped seen now. With release, it is the only writer of txns, locks
+// and lockSeen.
+func (s *mapSM) hold(p *txnPortion) {
+	s.txns[p.ID] = p
+	p.everyKey(func(k string) bool {
+		s.locks[k] = p.ID
+		return true
+	})
+	s.lockSeen[p.ID] = time.Now()
+}
+
+// release takes p out of the prepared portions, with its locks and stamp.
+func (s *mapSM) release(p *txnPortion) {
+	delete(s.txns, p.ID)
+	delete(s.lockSeen, p.ID)
+	p.everyKey(func(k string) bool {
+		if s.locks[k] == p.ID {
+			delete(s.locks, k)
+		}
+		return true
+	})
 }
 
 // What an answer tells its waiter (hand).
@@ -500,23 +503,12 @@ func (s *mapSM) forget(w *answerWaiter) {
 // stale from the source while the target may already have accepted a newer
 // write (linearizability across the epoch flip).
 func (s *mapSM) serves(key string) bool {
-	if s.curRing == nil {
-		return true // no routing installed: single-table legacy shard
-	}
-	if s.curRing.shard(key) != s.shard {
-		return false
-	}
-	if s.pendRing != nil && s.pendRing.shard(key) != s.shard {
-		return false
-	}
-	return true
+	return s.owns(key) && (s.pendRing == nil || s.pendRing.shard(key) == s.shard)
 }
 
 // owns reports whether key belongs to this shard under its current table,
 // whatever a pending one says.
-func (s *mapSM) owns(key string) bool {
-	return s.curRing == nil || s.curRing.shard(key) == s.shard
-}
+func (s *mapSM) owns(key string) bool { return s.curRing.shard(key) == s.shard }
 
 // notifyRouting nudges the hosting store after an apply that can clear a
 // hold: a routing/pending change, or a lock release (resolvePortion). A
@@ -706,11 +698,6 @@ func (s *mapSM) readKeys(keys []string, vals [][]byte, found []bool) bool {
 	return true
 }
 
-// touchLock stamps the node-local last-seen time for a prepared portion.
-func (s *mapSM) touchLock(k txnID) {
-	s.lockSeen[k] = time.Now()
-}
-
 // txnPrepareResultFor renders a prepare answer from a portion, aligning the
 // captured read values to the REQUESTED read set (a merged or migrated
 // portion may hold a superset).
@@ -720,19 +707,14 @@ func (s *mapSM) txnPrepareResultFor(p *txnPortion, reads []string) result {
 		return r
 	}
 	idx := make(map[string]int, len(p.Reads))
-	for i, k := range p.Reads {
-		idx[k] = i
+	for i, rd := range p.Reads {
+		idx[rd.Key] = i
 	}
 	r.Values = make([][]byte, len(reads))
 	r.Found = make([]bool, len(reads))
 	for i, k := range reads {
 		if j, ok := idx[k]; ok {
-			if j < len(p.Values) {
-				r.Values[i] = p.Values[j]
-			}
-			if j < len(p.Found) {
-				r.Found[i] = p.Found[j]
-			}
+			r.Values[i], r.Found[i] = p.Reads[j].Val, p.Reads[j].Found
 		}
 	}
 	return r
@@ -801,33 +783,22 @@ func (s *mapSM) applyTxnPrepare(c *command) {
 	}
 	if p == nil {
 		p = &txnPortion{ID: k, HomeKey: c.homeKey, AllKeys: c.allKeys, State: txnStatePrepared}
-		s.txns[k] = p
 		s.flight.Recordf(s.flightTag, "txn %v prepared: %d reads %d writes %d conds",
 			k, len(c.keys), len(c.writes), len(c.conds))
 	}
 	haveRead := make(map[string]bool, len(p.Reads))
-	for _, key := range p.Reads {
-		haveRead[key] = true
+	for _, r := range p.Reads {
+		haveRead[r.Key] = true
 	}
 	for _, key := range c.keys {
-		if haveRead[key] {
-			continue
+		if !haveRead[key] {
+			haveRead[key] = true
+			v, found := s.items[key]
+			p.Reads = append(p.Reads, txnRead{Key: key, Val: copyVal(v), Found: found})
 		}
-		haveRead[key] = true
-		p.Reads = append(p.Reads, key)
-		v, found := s.items[key]
-		if found {
-			p.Values = append(p.Values, append([]byte(nil), v...))
-		} else {
-			p.Values = append(p.Values, nil)
-		}
-		p.Found = append(p.Found, found)
 	}
 	p.mergeOps(&txnPortion{Writes: c.writes, Conds: c.conds})
-	for _, key := range fresh {
-		s.locks[key] = k
-	}
-	s.touchLock(k)
+	s.hold(p)
 	s.hand(id, s.txnPrepareResultFor(p, c.keys), answered)
 }
 
@@ -835,12 +806,7 @@ func (s *mapSM) applyTxnPrepare(c *command) {
 // the held-back writes, abort discards them; either way the locks clear and
 // the portion becomes its session's record (see txnPortion.tombstone).
 func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
-	p.everyKey(func(k string) bool {
-		if s.locks[k] == p.ID {
-			delete(s.locks, k)
-		}
-		return true
-	})
+	s.release(p)
 	if commit {
 		for _, w := range p.Writes {
 			if w.Delete {
@@ -853,19 +819,12 @@ func (s *mapSM) resolvePortion(p *txnPortion, commit bool) {
 	} else {
 		p.State = txnStateAborted
 	}
-	s.entomb(p.tombstone())
+	t := p.tombstone()
+	s.setRecord(&t)
 	s.flight.Recordf(s.flightTag, "txn %v resolved: state=%d", p.ID, p.State)
 	if s.refused {
 		s.notifyRouting()
 	}
-}
-
-// entomb files t, resolved, as its session's record, in the place of the
-// prepared portion its attempt had.
-func (s *mapSM) entomb(t txnPortion) {
-	delete(s.txns, t.ID)
-	delete(s.lockSeen, t.ID)
-	s.setRecord(&t)
 }
 
 // applyTxnResolve applies a commit/abort decision to this shard's portion.
@@ -897,7 +856,7 @@ func (s *mapSM) applyTxnResolve(c *command) {
 	// with the acknowledgement. It must at least own one of the
 	// transaction's keys — otherwise the decision belongs elsewhere (stale
 	// routing) and the caller re-resolves.
-	if s.curRing != nil && !slices.ContainsFunc(c.allKeys, s.owns) {
+	if !slices.ContainsFunc(c.allKeys, s.owns) {
 		s.refuse(id)
 		return
 	}
@@ -929,8 +888,7 @@ func (s *mapSM) applyMigrateBegin(c *command) bool {
 		ok = true // duplicate begin of the handoff in progress
 	case s.pending == nil && c.routing.Epoch == s.routing.Epoch+1:
 		rt := c.routing
-		s.pending = &rt
-		s.pendRing = rt.ring(s.store)
+		s.route(s.routing, &rt)
 		ok = true
 		s.flight.Recordf(s.flightTag, "migrate begin: epoch %d -> %d (%d -> %d shards)",
 			s.routing.Epoch, rt.Epoch, s.routing.Shards, rt.Shards)
@@ -947,13 +905,10 @@ func (s *mapSM) applyMigrateCommit(c *command) {
 	if c.routing.Epoch <= s.routing.Epoch {
 		return // duplicate commit
 	}
-	s.routing = c.routing
-	s.curRing = c.routing.ring(s.store)
-	s.pending = nil
-	s.pendRing = nil
+	s.route(c.routing, nil)
 	dropped := 0
 	for k := range s.items {
-		if s.curRing.shard(k) != s.shard {
+		if !s.owns(k) {
 			delete(s.items, k)
 			dropped++
 		}
@@ -962,32 +917,22 @@ func (s *mapSM) applyMigrateCommit(c *command) {
 	// the keys this shard still owns (the moved slices were exported as
 	// sub-portions before the commit sequenced), and drop a portion with
 	// nothing left here, or a record none of whose transaction's keys this
-	// shard owns. Locks are rederived from what remains.
-	for id, p := range s.txns {
-		var keep []string
-		for _, k := range p.localKeys() {
-			if s.curRing.shard(k) == s.shard {
-				keep = append(keep, k)
+	// shard owns. A shrunk portion is held again, and should this loop visit
+	// it a second time, finds nothing more to shrink.
+	for _, p := range s.txns {
+		all := p.localKeys()
+		if keep := slices.DeleteFunc(all, func(k string) bool { return !s.owns(k) }); len(keep) < len(all) {
+			s.release(p)
+			if len(keep) > 0 {
+				s.hold(p.subPortion(keep))
 			}
 		}
-		if len(keep) == 0 {
-			delete(s.txns, id)
-			delete(s.lockSeen, id)
-			continue
-		}
-		s.txns[id] = p.subPortion(keep)
 	}
 	for session, st := range s.sessions {
 		for i := len(st.records) - 1; i >= 0; i-- {
 			if !slices.ContainsFunc(decodeRecord(st.records[i].rec).AllKeys, s.owns) {
 				s.dropRecord(session, i)
 			}
-		}
-	}
-	s.locks = make(map[string]txnID)
-	for id, p := range s.txns {
-		for _, k := range p.localKeys() {
-			s.locks[k] = id
 		}
 	}
 	s.flight.Recordf(s.flightTag, "migrate commit: epoch %d, %d moved keys dropped, %d kept",
@@ -1004,8 +949,7 @@ func (s *mapSM) applyMigrateCommit(c *command) {
 func (s *mapSM) applyMigrateAbort(c *command) bool {
 	ok := false
 	if s.pending != nil && s.pending.Epoch == c.routing.Epoch {
-		s.pending = nil
-		s.pendRing = nil
+		s.route(s.routing, nil)
 		ok = true
 		s.flight.Recordf(s.flightTag, "migrate abort: epoch %d rolled back, serving epoch %d",
 			c.routing.Epoch, s.routing.Epoch)
@@ -1072,20 +1016,13 @@ func (s *mapSM) importPortion(t *txnPortion) {
 	ex := s.txns[t.ID]
 	switch {
 	case ex == nil && t.State == txnStatePrepared:
-		cp := t.clone()
-		s.txns[t.ID] = cp
-		for _, k := range cp.localKeys() {
-			s.locks[k] = cp.ID
-		}
-		s.touchLock(cp.ID)
+		s.hold(t) // the decoder copied out all t keeps (reader.portion)
 	case ex == nil:
-		s.entomb(t.tombstone())
+		tomb := t.tombstone()
+		s.setRecord(&tomb)
 	case t.State == txnStatePrepared:
 		ex.mergeOps(t)
-		for _, k := range t.localKeys() {
-			s.locks[k] = ex.ID
-		}
-		s.touchLock(ex.ID)
+		s.hold(ex)
 	default:
 		// The transaction resolved elsewhere while this slice was in
 		// flight: land the decision on the resident portion too, the
@@ -1190,11 +1127,8 @@ func (s *mapSM) exportChunks(next *ring, maxBytes int) map[int][]*importChunk {
 			for _, w := range sub.Writes {
 				need += len(w.Key) + len(w.Val) + 8
 			}
-			for i, k := range sub.Reads {
-				need += len(k) + 8
-				if i < len(sub.Values) {
-					need += len(sub.Values[i])
-				}
+			for _, r := range sub.Reads {
+				need += len(r.Key) + len(r.Val) + 8
 			}
 			ch := chunkFor(dest, need)
 			ch.Txns = append(ch.Txns, sub)

@@ -55,12 +55,6 @@ type Durability struct {
 	// everything the replica has applied; see the wal package's durability
 	// contract for the bound.
 	Sync bool
-	// SyncDelay, with Sync, coalesces fsyncs across delivery bursts: an
-	// append marks the log dirty and the fsync runs at most this long
-	// after it, so a slow disk pays one rotation for many group commits.
-	// The power-loss window widens by at most SyncDelay; zero syncs every
-	// append record (see wal.Options.SyncDelay).
-	SyncDelay time.Duration
 	// FS is the file system the log does its I/O through (nil: the
 	// operating system's); see wal.Options.FS.
 	FS wal.FS
@@ -210,7 +204,7 @@ func Open(ctx context.Context, k *amoeba.Kernel, name string, sm StateMachine, o
 	if dur.Dir == "" {
 		return nil, errors.New("shared: Durability.Dir is required")
 	}
-	log, err := wal.Open(dur.Dir, wal.Options{Sync: dur.Sync, SyncDelay: dur.SyncDelay, Obs: opts.Obs, FS: dur.FS})
+	log, err := wal.Open(dur.Dir, wal.Options{Sync: dur.Sync, Obs: opts.Obs, FS: dur.FS})
 	if err != nil {
 		return nil, fmt.Errorf("shared: opening log for %q: %w", name, err)
 	}

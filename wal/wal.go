@@ -94,16 +94,6 @@ type Options struct {
 	// Sync forces an fsync after every append, extending durability from
 	// process crashes to power loss. Checkpoints are fsynced regardless.
 	Sync bool
-	// SyncDelay, with Sync, coalesces fsyncs across append bursts: an
-	// append marks the segment dirty and the fsync runs at most SyncDelay
-	// later, covering every append since the previous one — group commit
-	// across delivery bursts, so a slow disk pays one rotation for many
-	// bursts instead of one each. The durability window widens from "the
-	// append has returned" to "at most SyncDelay after the append
-	// returned"; a replica already journals at apply time (after the ack),
-	// so the protocol-level guarantee is unchanged in kind, only the
-	// bound moves. Zero (the default) syncs inside every Append.
-	SyncDelay time.Duration
 	// Obs, when non-nil, records per-append and per-fsync latencies into
 	// the hub's amoeba_wal_append_ns / amoeba_wal_fsync_ns histograms and
 	// reports degradations to its flight recorder. Nil is the no-op sink.
@@ -127,9 +117,8 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// Appends counts Append calls (records written).
 	Appends uint64
-	// Syncs counts fsyncs issued for appended records (immediate under
-	// Sync, or delayed-and-coalesced under SyncDelay: one sync may cover
-	// many appends). Checkpoint and seal fsyncs are not counted.
+	// Syncs counts fsyncs issued for appended records under Sync, one per
+	// Append. Checkpoint and seal fsyncs are not counted.
 	Syncs uint64
 	// Entries counts entries journaled inside those records.
 	Entries uint64
@@ -229,7 +218,7 @@ type Log struct {
 	opts Options
 	fs   FS
 
-	// mu guards everything below; the delayed-fsync timer takes it too.
+	// mu guards everything below.
 	mu       sync.Mutex
 	segments []segment // sorted by base; the last is active
 	active   File
@@ -247,9 +236,8 @@ type Log struct {
 	closed     bool
 	// failed is the first write or fsync failure; it poisons the log (see
 	// ErrPoisoned) until Close, and the next Open starts clean.
-	failed    error
-	stats     Stats
-	syncTimer *time.Timer // the pending delayed fsync (Options.SyncDelay)
+	failed error
+	stats  Stats
 	// recBuf is where Append spells each record, reused from one append to
 	// the next (File.Write keeps nothing of what it is given).
 	recBuf []byte
@@ -502,8 +490,7 @@ func (l *Log) syncActive() error {
 	return nil
 }
 
-// syncAppended is the fsync Options.Sync asks for: immediate in Append, or
-// coalesced by the delayed-fsync timer.
+// syncAppended is the fsync Options.Sync asks for, inside Append.
 func (l *Log) syncAppended() error {
 	s0 := time.Now()
 	if err := l.syncActive(); err != nil {
@@ -514,35 +501,9 @@ func (l *Log) syncAppended() error {
 	return nil
 }
 
-// fireDelayedSync runs on the timer goroutine: one fsync covers every append
-// since the timer was armed. It holds the log's mutex, so an append arriving
-// meanwhile waits for it, and the fsync never races a seal or a Close.
-func (l *Log) fireDelayedSync() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.syncTimer == nil || l.usable() != nil {
-		return // cancelled: whoever cancelled it fsyncs or discards the segment
-	}
-	l.syncTimer = nil
-	if err := l.syncAppended(); err != nil {
-		l.flight.Recordf("wal", "delayed fsync failed in %s: %v", l.dir, err)
-	}
-}
-
-// flushDelayedSync cancels the pending delayed fsync, if any; callers are
-// about to fsync (or close) the segment themselves.
-func (l *Log) flushDelayedSync() {
-	if l.syncTimer != nil {
-		l.syncTimer.Stop()
-		l.syncTimer = nil
-		l.stats.Syncs++ // the caller's explicit fsync stands in for it
-	}
-}
-
 // rotate seals the active segment and starts a new one based at lastSeq.
 func (l *Log) rotate() error {
 	if l.active != nil {
-		l.flushDelayedSync()
 		if err := l.active.Sync(); err != nil {
 			return fmt.Errorf("wal: syncing sealed segment: %w", err)
 		}
@@ -605,13 +566,7 @@ func (l *Log) Append(entries []Entry) error {
 	l.lastSeq = last
 	l.stats.Appends++
 	l.stats.Entries += uint64(len(entries))
-	switch {
-	case !l.opts.Sync:
-	case l.opts.SyncDelay > 0:
-		if l.syncTimer == nil { // else this append joins the pending fsync
-			l.syncTimer = time.AfterFunc(l.opts.SyncDelay, l.fireDelayedSync)
-		}
-	default:
+	if l.opts.Sync {
 		if err := l.syncAppended(); err != nil {
 			return err
 		}
@@ -851,7 +806,6 @@ func (l *Log) Reset(seq uint32, digest uint64, snapshot []byte) error {
 
 func (l *Log) resetLocked(seq uint32, digest uint64, snapshot []byte) error {
 	if l.active != nil {
-		l.flushDelayedSync()
 		l.active.Close()
 		l.active = nil
 	}
@@ -937,15 +891,13 @@ func (l *Log) Stats() Stats {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Sync flushes the active segment to stable storage, absorbing any pending
-// delayed fsync.
+// Sync flushes the active segment to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usable(); err != nil {
 		return err
 	}
-	l.flushDelayedSync()
 	return l.poison(l.syncActive())
 }
 
@@ -968,7 +920,6 @@ func (l *Log) Close() error {
 	if l.active == nil {
 		return nil
 	}
-	l.flushDelayedSync()
 	var err error
 	if l.failed == nil {
 		err = l.syncActive()

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 )
 
 func entry(seq uint32) Entry {
@@ -465,48 +464,10 @@ func TestSyncOption(t *testing.T) {
 	}
 }
 
-// TestSyncDelayCoalesces: under Sync with a SyncDelay, a burst of appends
-// must share fsyncs (group commit across bursts) — strictly fewer syncs
-// than appends — while recovery still sees every entry (equal durability
-// for everything older than the delay window).
-func TestSyncDelayCoalesces(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: true, SyncDelay: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	const n = 24
-	for seq := uint32(1); seq <= n; seq++ {
-		if err := l.Append([]Entry{entry(seq)}); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	// Let the delayed fsync fire, then settle the counters via Close (which
-	// absorbs any still-pending sync).
-	time.Sleep(120 * time.Millisecond)
-	st := l.Stats()
-	if st.Appends != n {
-		t.Fatalf("appends=%d, want %d", st.Appends, n)
-	}
-	if st.Syncs == 0 || st.Syncs >= n {
-		t.Fatalf("syncs=%d for %d appends: want coalescing (0 < syncs < appends)", st.Syncs, n)
-	}
-	l.Close()
-
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer l2.Close()
-	_, _, entries, last := replayAll(t, l2)
-	if last != n || len(entries) != n {
-		t.Fatalf("recovered last=%d entries=%d, want %d/%d", last, len(entries), n, n)
-	}
-}
-
-// TestSyncWithoutDelaySyncsEveryAppend pins the baseline the coalescing is
-// measured against: no delay means one fsync per append record.
-func TestSyncWithoutDelaySyncsEveryAppend(t *testing.T) {
+// TestSyncSyncsEveryAppend: under Sync each append record is fsynced once,
+// however many entries it carries — a replica's apply-loop burst is its
+// group commit.
+func TestSyncSyncsEveryAppend(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{Sync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -519,7 +480,7 @@ func TestSyncWithoutDelaySyncsEveryAppend(t *testing.T) {
 		}
 	}
 	if st := l.Stats(); st.Syncs != n {
-		t.Fatalf("syncs=%d, want %d (one per append without SyncDelay)", st.Syncs, n)
+		t.Fatalf("syncs=%d, want %d (one per append)", st.Syncs, n)
 	}
 }
 
