@@ -1,9 +1,13 @@
 package amoeba
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -458,4 +462,133 @@ func TestFirstSeqSeedsSequenceSpace(t *testing.T) {
 	if info := g1.Info(); info.NextSeq != seed+4 {
 		t.Fatalf("NextSeq = %d, want %d", info.NextSeq, seed+4)
 	}
+}
+
+// goroutineRE picks a goroutine's id out of its stack header.
+var goroutineRE = regexp.MustCompile(`^goroutine (\d+) `)
+
+// moduleGoroutines returns, by id, the stack of every goroutine but the
+// caller's that runs any of this module's code.
+func moduleGoroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	for i, stack := range bytes.Split(buf, []byte("\n\n")) {
+		m := goroutineRE.FindSubmatch(stack)
+		if i == 0 || m == nil || !bytes.Contains(stack, []byte("\namoeba")) {
+			continue // the caller's own goroutine comes first
+		}
+		out[string(m[1])] = string(stack)
+	}
+	return out
+}
+
+// TestNoGoroutineOutlivesTeardown runs what starts this package's
+// goroutines — a resilient group whose members both send, and a concurrent
+// RPC server answering parallel calls — and requires every goroutine running
+// module code gone once the groups, the RPC endpoints, the kernels and the
+// network are closed. Goroutines of other tests that were already running
+// are not counted.
+func TestNoGoroutineOutlivesTeardown(t *testing.T) {
+	before := moduleGoroutines()
+	ctx := ctxT(t)
+	net := NewMemoryNetwork()
+	k1, err := net.NewKernel("m1")
+	if err != nil {
+		t.Fatalf("NewKernel: %v", err)
+	}
+	k2, err := net.NewKernel("m2")
+	if err != nil {
+		t.Fatalf("NewKernel: %v", err)
+	}
+	opts := GroupOptions{Resilience: 1}
+	g1, err := k1.CreateGroup(ctx, "teardown", opts)
+	if err != nil {
+		t.Fatalf("CreateGroup: %v", err)
+	}
+	g2, err := k2.JoinGroup(ctx, "teardown", opts)
+	if err != nil {
+		t.Fatalf("JoinGroup: %v", err)
+	}
+	const perMember = 16
+	for i := 0; i < perMember; i++ {
+		if err := g1.Send(ctx, []byte("from m1")); err != nil {
+			t.Fatalf("Send m1: %v", err)
+		}
+		if err := g2.Send(ctx, []byte("from m2")); err != nil {
+			t.Fatalf("Send m2: %v", err)
+		}
+	}
+	for _, g := range []*Group{g1, g2} {
+		for data := 0; data < 2*perMember; {
+			m, err := g.Receive(ctx)
+			if err != nil {
+				t.Fatalf("Receive: %v", err)
+			}
+			if m.Kind == Data {
+				data++
+			}
+		}
+	}
+
+	srv, err := k1.NewRPCServerWith(0, func(req []byte) ([]byte, Addr) {
+		return append([]byte("re:"), req...), 0
+	}, RPCServerOptions{Concurrent: true})
+	if err != nil {
+		t.Fatalf("NewRPCServerWith: %v", err)
+	}
+	cl, err := k2.NewRPCClient()
+	if err != nil {
+		t.Fatalf("NewRPCClient: %v", err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 8; j++ {
+				if _, err := cl.Call(ctx, srv.Addr(), []byte("ping")); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("Call: %v", err)
+	}
+
+	cl.Close()
+	srv.Close()
+	g2.Close()
+	g1.Close()
+	k2.Close()
+	k1.Close()
+	net.Close()
+
+	var left map[string]string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		left = moduleGoroutines()
+		for id := range before {
+			delete(left, id)
+		}
+		if len(left) == 0 {
+			return
+		}
+	}
+	var stacks []string
+	for _, s := range left {
+		stacks = append(stacks, s)
+	}
+	t.Fatalf("%d goroutines outlived their network:\n\n%s", len(left), strings.Join(stacks, "\n\n"))
 }

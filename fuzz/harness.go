@@ -407,7 +407,7 @@ func (c *cluster) restart(n int) {
 		}
 		o := c.opts
 		o.NodeIndex = n
-		s, err := kv.Open(c.baseCtx, k, c.name, o)
+		s, err := kv.Join(c.baseCtx, k, c.name, o)
 		if err != nil {
 			c.cfg.logf("restart(%d): %v", n, err)
 			k.Close()

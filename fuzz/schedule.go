@@ -18,7 +18,7 @@ const (
 	// EvCrash crashes node A: its store and kernel close with no protocol
 	// goodbye. Its write-ahead logs survive.
 	EvCrash Kind = iota
-	// EvRestart restarts crashed node A from its logs (kv.Open): recover,
+	// EvRestart restarts crashed node A from its logs (kv.Join): recover,
 	// rejoin live groups, state-transfer what the logs missed.
 	EvRestart
 	// EvKillAll crashes every live node — the whole-cluster power cut

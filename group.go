@@ -130,8 +130,8 @@ func (g *Group) Send(ctx context.Context, payload []byte) error {
 // SendBatch broadcasts several payloads to the group as one pipelined burst:
 // every payload is its own totally-ordered message (delivered individually,
 // in submission order relative to this handle's other sends), but the
-// protocol coalesces them into multi-payload ordering requests up to
-// GroupOptions.MaxBatch, so the sequencer's per-request work is paid once
+// protocol coalesces them into multi-payload ordering requests of up to 16
+// payloads, so the sequencer's per-request work is paid once
 // per batch instead of once per message. SendBatch blocks until every
 // payload is ordered (and, with resilience r, stored by r other members); it
 // returns the first error encountered. The payloads are copied before

@@ -36,8 +36,6 @@ type Network struct {
 	// Statistics.
 	collisions    uint64
 	wireBusy      time.Duration
-	framesOnWire  uint64
-	bytesOnWire   uint64
 	abortedFrames uint64
 }
 
@@ -72,9 +70,6 @@ func (n *Network) Utilization() float64 {
 	}
 	return float64(n.wireBusy) / float64(n.engine.Now())
 }
-
-// BytesOnWire reports total successfully transmitted bytes, headers included.
-func (n *Network) BytesOnWire() uint64 { return n.bytesOnWire }
 
 // AbortedFrames reports frames abandoned after MaxAttempts collisions
 // (Ethernet "excessive collision" aborts).
@@ -214,12 +209,6 @@ func (n *Network) complete(at *txAttempt, ft time.Duration) {
 	n.txDone = nil
 	n.txNext(at.station)
 	n.wireBusy += ft
-	n.framesOnWire++
-	wireBytes := len(at.frame.Payload) + n.model.FrameOverheadBytes
-	if wireBytes < n.model.MinFrameBytes {
-		wireBytes = n.model.MinFrameBytes
-	}
-	n.bytesOnWire += uint64(wireBytes)
 
 	f := at.frame
 	if f.Dst == netw.Broadcast {

@@ -94,7 +94,10 @@ const (
 )
 
 // GroupOptions configures a group membership. The zero value is a sensible
-// default: resilience 0, automatic PB/BB switching, 128-message history.
+// default: resilience 0, automatic PB/BB switching. The protocol's other
+// parameters keep the paper's values: a 128-message history, 64 KiB
+// messages, four ordering requests in flight per member and up to 16
+// payloads coalesced into one batch request.
 type GroupOptions struct {
 	// Resilience is the fault-tolerance degree r: Send returns only after
 	// r other members have stored the message, and any r crashes lose no
@@ -102,25 +105,8 @@ type GroupOptions struct {
 	// replicated servers ran small groups with small r, its parallel
 	// applications with r = 0.
 	Resilience int
-	// Method forces PB or BB; MethodAuto switches on message size.
+	// Method forces PB or BB; MethodAuto uses BB from 1024 bytes up.
 	Method Method
-	// BBThreshold is the size at which MethodAuto switches to BB
-	// (default 1024 bytes).
-	BBThreshold int
-	// HistorySize is the bounded message history kept for retransmission
-	// and recovery (default 128, as in the paper's experiments).
-	HistorySize int
-	// MaxMessage bounds a single message (default 64 KiB).
-	MaxMessage int
-	// SendWindow is the number of ordering requests this member keeps in
-	// flight; sends beyond the window coalesce into batch requests,
-	// multiplying per-group throughput for pipelined senders while
-	// preserving per-sender FIFO. 1 restores one-request-at-a-time
-	// (default 4).
-	SendWindow int
-	// MaxBatch bounds the messages coalesced into one batch request
-	// (default 16; 1 disables coalescing).
-	MaxBatch int
 	// FirstSeq seeds a created group's sequence space: the first entry is
 	// ordered at FirstSeq+1, as if FirstSeq messages had already been
 	// delivered. A process reforming a group from a durable log (see the
@@ -146,14 +132,11 @@ type GroupOptions struct {
 	// serves linearizable reads from local state (Group.Lease). The price
 	// is on the write path — every send takes the tentative/accept path
 	// and acceptance waits for each live lease holder's stored-ack — and
-	// on failover, which pauses the group for up to LeaseDur+LeaseGuard
-	// while old grants expire. Keep it ≥ 8×SyncInterval for renewal
-	// headroom. Zero (the default) disables leases.
+	// on failover, which pauses the group while old grants expire: up to
+	// LeaseDur plus a safety margin of max(2.5×SyncInterval, LeaseDur/8),
+	// capped at LeaseDur/2. Keep it ≥ 8×SyncInterval for renewal headroom.
+	// Zero (the default) disables leases.
 	LeaseDur time.Duration
-	// LeaseGuard is the lease safety margin absorbing grant transit and
-	// timer skew. Default max(2.5×SyncInterval, LeaseDur/8), capped at
-	// LeaseDur/2.
-	LeaseGuard time.Duration
 	// SyncInterval is the sequencer's watermark/lease-renewal tick period
 	// (default 500ms; lease deployments typically lower it).
 	SyncInterval time.Duration
@@ -170,16 +153,10 @@ func (o GroupOptions) coreConfig() core.Config {
 	return core.Config{
 		Resilience:   o.Resilience,
 		Method:       core.Method(o.Method),
-		BBThreshold:  o.BBThreshold,
-		HistorySize:  o.HistorySize,
-		MaxMessage:   o.MaxMessage,
-		SendWindow:   o.SendWindow,
-		MaxBatch:     o.MaxBatch,
 		FirstSeq:     o.FirstSeq,
 		AutoReset:    o.AutoReset,
 		MinSurvivors: o.MinSurvivors,
 		LeaseDur:     o.LeaseDur,
-		LeaseGuard:   o.LeaseGuard,
 		SyncInterval: o.SyncInterval,
 	}
 }

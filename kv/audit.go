@@ -285,10 +285,11 @@ func (s *Store) auditTick(ctx context.Context) {
 }
 
 // AuditNow submits one audit to every hosted shard and waits for each to
-// apply locally, regardless of whether a periodic driver is running. Tests
-// and the wire-protocol HEALTH path use it to force a fresh comparison. Like
-// any operation (Store.finish) it rides out a replica swap: an audit whose replica
-// stops under it is re-driven, under the same id, against the replacement the
+// apply locally, regardless of whether a periodic driver is running, to
+// force a fresh comparison; the wire-protocol HEALTH verb does not call it,
+// it reads the auditor's standing verdict. Like any operation
+// (Store.finish) it rides out a replica swap: an audit whose replica stops
+// under it is re-driven, under the same id, against the replacement the
 // self-heal installs, until ctx ends — it does not fail with ErrStopped.
 func (s *Store) AuditNow(ctx context.Context) error {
 	aud := s.opts.Group.Obs.Health()

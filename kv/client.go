@@ -191,16 +191,13 @@ func (s *Store) NewClient() *Client {
 // DialOptions configures Dial.
 type DialOptions struct {
 	// Node is the entry node's placement slot: requests enter the store at
-	// NodeAddr(cluster, Node). Ignored when Addr is set.
+	// NodeAddr(cluster, Node).
 	Node int
-	// Addr overrides Node with an explicit entry address — any node's
-	// NodeAddr, or any address answering the kv access protocol.
-	Addr amoeba.Addr
 	// Anycast enters the store through its store-wide anycast address
 	// (StoreAddr) instead of a specific node: every node's Service
 	// registers it, so the client needs nothing but the store name — FLIP
 	// locates whichever node answers, and retransmissions re-locate a
-	// survivor when that node dies. Overrides Node; Addr still wins.
+	// survivor when that node dies. Overrides Node.
 	Anycast bool
 	// Shards, when non-zero, gives the client ring knowledge: requests go
 	// straight to the owning shard's well-known address (one hop) instead
@@ -227,17 +224,14 @@ func Dial(k *amoeba.Kernel, cluster string, o DialOptions) (*Client, error) {
 	c := &Client{
 		kernel:  k,
 		cluster: cluster,
-		entry:   o.Addr,
 		anycast: o.Anycast,
 
 		storeAddr: StoreAddr(cluster),
 	}
-	if c.entry == 0 {
-		if o.Anycast {
-			c.entry = c.storeAddr
-		} else {
-			c.entry = c.nodeAddr(o.Node)
-		}
+	if o.Anycast {
+		c.entry = c.storeAddr
+	} else {
+		c.entry = c.nodeAddr(o.Node)
 	}
 	if o.Shards > 0 {
 		c.rt = Routing{Epoch: 0, Shards: o.Shards, VNodes: defaultVirtualNodes}
@@ -868,7 +862,9 @@ func (c *Client) localFastRead(shard int, req *Request) (*Response, bool) {
 			if c.localH != nil {
 				c.localH.Observe(time.Since(t0))
 			}
-			c.tracer.Addf(req.traceID(), "served locally at staleness ≤%v", resp.StaleFor)
+			if id := req.traceID(); c.tracer.Sampled(id) {
+				c.tracer.Addf(id, "served locally at staleness ≤%v", resp.StaleFor)
+			}
 			return resp, true
 		}
 	}

@@ -211,9 +211,9 @@ func TestDurableSingleNodeRestartJoinsLiveStore(t *testing.T) {
 	o.DataDir = dataDir
 	o.Nodes = 3
 	o.NodeIndex = 2
-	s2, err := Open(ctx, k2, "dur-one", o)
+	s2, err := Join(ctx, k2, "dur-one", o)
 	if err != nil {
-		t.Fatalf("Open restarted node: %v", err)
+		t.Fatalf("Join restarted node: %v", err)
 	}
 	defer s2.Close()
 

@@ -303,7 +303,7 @@ func TestSplitPhaseFailures(t *testing.T) {
 		}},
 		{"a failed submission returns at once", func(t *testing.T) {
 			ps := pairs("big")
-			ps[remote].Val = make([]byte, 70<<10) // over the group's 64 KiB MaxMessage
+			ps[remote].Val = make([]byte, 70<<10) // over the group's 64 KiB message limit
 			ctx, cancel := context.WithTimeout(base, 20*time.Second)
 			defer cancel()
 			t0 := time.Now()

@@ -687,26 +687,19 @@ func discoverShardCount(dataDir, store string, node, configured int) int {
 	return n
 }
 
-// Open (re)starts one durable node of a store: every hosted shard is
-// recovered from its write-ahead log and then rejoins its group — or, when
-// the whole group is gone (a full-cluster restart), takes part in reforming
-// it from the surviving logs. Options.DataDir, Nodes, and NodeIndex are
-// required; use it when each node runs in its own process, or to re-admit a
-// single restarted node (Bootstrap restarts whole single-process clusters).
-func Open(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*Store, error) {
-	if opts.DataDir == "" {
-		return nil, fmt.Errorf("kv: opening %q requires Options.DataDir (use Join for in-memory stores)", name)
-	}
-	return Join(ctx, k, name, opts)
-}
-
 // Join adds a node to a running store: every shard group the node's
 // placement slot hosts is joined with atomic state transfer, so when Join
 // returns the node holds up-to-date replicas and serves reads and writes
 // like any bootstrap node. With full replication (the default) that is every
 // shard; with bounded replication, set Options.Nodes and Options.NodeIndex
 // to the slot being (re)filled. Use it to grow a store or to re-admit a
-// crashed node.
+// crashed node. With Options.DataDir set (Nodes and NodeIndex are then
+// required), it (re)starts one durable node: every hosted shard is recovered
+// from its write-ahead log and then rejoins its group — or, when the whole
+// group is gone (a full-cluster restart), takes part in reforming it from
+// the surviving logs. That is the call when each node runs in its own
+// process, or to re-admit a single restarted durable node (Bootstrap
+// restarts whole single-process clusters).
 func Join(ctx context.Context, k *amoeba.Kernel, name string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.Replication > 0 && opts.Nodes <= 0 {

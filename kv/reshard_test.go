@@ -367,7 +367,7 @@ func TestReshardingUnderChurn(t *testing.T) {
 	// A failure in this test is exactly what the flight recorder exists
 	// for: dump the last protocol events (membership churn, NAKs, migrate
 	// phases) as a postmortem artifact instead of "rerun with prints".
-	hub := obs.NewHub(obs.Options{Node: "churn", FlightSize: 4096})
+	hub := obs.NewHub(obs.Options{Node: "churn"})
 	hub.Flight().DumpOnFailure(t)
 	stores := newCluster(t, ctx, net, "churn", 3, Options{
 		Shards: 4,

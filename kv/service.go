@@ -156,11 +156,7 @@ func NewService(s *Store) (*Service, error) {
 // node currently hosts under the routing table.
 func (svc *Service) reconcileShards() error {
 	s := svc.store
-	rt := s.Routing()
-	want := rt.Shards
-	if pend := s.PendingRouting(); pend != nil && pend.Shards > want {
-		want = pend.Shards
-	}
+	_, _, want := s.span()
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
 	if svc.closed {

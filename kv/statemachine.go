@@ -1032,14 +1032,6 @@ func (s *mapSM) importPortion(t *txnPortion) {
 	}
 }
 
-// migrationView is a consistent read of the shard's routing state, for the
-// handoff coordinator and the resume path.
-type migrationView struct {
-	Routing Routing
-	Pending *Routing
-	Keys    int
-}
-
 // importChunk is one migrate-import command's cargo: moved key/value pairs,
 // the shard's session clock and the sessions it keeps (movedSession), and the
 // transaction sub-portions covering the moved keys.

@@ -184,7 +184,9 @@ func txnKeys(req *Request) []string {
 // request) resolves it.
 func (c *Client) txnAttempt(ctx context.Context, k txnID, allKeys []string, req *Request) (*TxnResult, bool, error) {
 	homeKey := allKeys[0]
-	c.tracer.Addf(req.traceID(), "txn prepare: %d keys, home %q (attempt %d)", len(allKeys), homeKey, k.attempt)
+	if id := req.traceID(); c.tracer.Sampled(id) {
+		c.tracer.Addf(id, "txn prepare: %d keys, home %q (attempt %d)", len(allKeys), homeKey, k.attempt)
+	}
 
 	// Phase 1: prepare every participant. One request covering the whole
 	// transaction; Do splits it per shard under the live table and merges

@@ -122,14 +122,6 @@ func (s HistSnapshot) Quantile(q float64) uint64 {
 	return s.Max
 }
 
-// Mean is the arithmetic mean of all observations.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Gauge is a concurrent counter-style gauge (current value, not monotonic).
 // Every writer applies deltas, never absolute sets, so several shard groups
 // on one node can share a node-level gauge (total queue depth) without

@@ -37,29 +37,24 @@ type Options struct {
 	// every node, all nodes sample the same operations without
 	// coordination. 1 traces everything; use it only in tests.
 	TraceMod uint64
-	// TraceKeep bounds the number of retained traces (default 256,
-	// oldest evicted first).
-	TraceKeep int
-	// FlightSize bounds the flight recorder's per-stripe event count
-	// (default 256 events across 8 stripes).
-	FlightSize int
 }
+
+const (
+	// traceKeep bounds the number of retained traces, oldest evicted first.
+	traceKeep = 256
+	// flightSize bounds the flight recorder's events, across its stripes.
+	flightSize = 256
+)
 
 // NewHub builds a live observability hub.
 func NewHub(o Options) *Hub {
 	if o.TraceMod == 0 {
 		o.TraceMod = 1024
 	}
-	if o.TraceKeep <= 0 {
-		o.TraceKeep = 256
-	}
-	if o.FlightSize <= 0 {
-		o.FlightSize = 256
-	}
 	h := &Hub{
 		reg:    newRegistry(o.Node),
-		tracer: newTracer(o.Node, o.TraceMod, o.TraceKeep),
-		flight: newRecorder(o.FlightSize),
+		tracer: newTracer(o.Node, o.TraceMod, traceKeep),
+		flight: newRecorder(flightSize),
 	}
 	h.health = newAuditor(h.reg, h.flight)
 	return h

@@ -219,31 +219,3 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	return nil
 }
-
-// StageQuantiles is the compact per-stage latency summary benches commit:
-// p50/p90/p99/max (bucket upper bounds, ns) plus the observation count.
-type StageQuantiles struct {
-	Stage string  `json:"stage"`
-	Count uint64  `json:"count"`
-	P50   uint64  `json:"p50_ns"`
-	P90   uint64  `json:"p90_ns"`
-	P99   uint64  `json:"p99_ns"`
-	Max   uint64  `json:"max_ns"`
-	Mean  float64 `json:"mean_ns"`
-}
-
-// StageSummary summarises every non-empty histogram for a bench report.
-func (r *Registry) StageSummary() []StageQuantiles {
-	var out []StageQuantiles
-	for _, h := range r.Histograms() {
-		if h.Count == 0 {
-			continue
-		}
-		out = append(out, StageQuantiles{
-			Stage: h.Name, Count: h.Count,
-			P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
-			Max: h.Max, Mean: h.Mean(),
-		})
-	}
-	return out
-}

@@ -114,8 +114,9 @@ func (s *logSM) Restore(snap []byte) error {
 }
 
 // TestPipelinedFIFOAcrossFailoverOnLossyNetwork is the end-to-end guarantee
-// check for SendWindow > 1: several workers stream numbered commands through
-// one replica over a dropping, duplicating network; the sequencer process is
+// check for pipelined sends (four ordering requests in flight, up to 16
+// payloads a batch): several workers stream numbered commands through one
+// replica over a dropping, duplicating network; the sequencer process is
 // killed mid-stream and AutoReset rebuilds the group. Every command whose
 // Submit succeeded must appear in every survivor's log exactly once and in
 // each worker's submission order — pipelining and batching must change the
@@ -129,8 +130,6 @@ func TestPipelinedFIFOAcrossFailoverOnLossyNetwork(t *testing.T) {
 		Resilience:   1,
 		AutoReset:    true,
 		MinSurvivors: 2,
-		SendWindow:   4,
-		MaxBatch:     8,
 	}
 	k1, _ := net.NewKernel("seq")
 	k2, _ := net.NewKernel("worker-host")

@@ -888,9 +888,6 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Sync flushes the active segment to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
