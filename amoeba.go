@@ -193,15 +193,6 @@ func (n *MemoryNetwork) Partition(a, b *Kernel) {
 // Heal removes every pairwise partition installed by Partition.
 func (n *MemoryNetwork) Heal() { n.net.Heal() }
 
-// Isolate cuts (or, with false, restores) every link of one kernel: a cable
-// pull. The kernel keeps running — unlike Close, it can come back.
-func (n *MemoryNetwork) Isolate(k *Kernel, partitioned bool) {
-	if k == nil || k.station == nil {
-		return
-	}
-	n.net.Isolate(k.station.ID(), partitioned)
-}
-
 // UDPNetwork is a network fabric over real UDP sockets on the loopback
 // interface: kernels exchange genuine datagrams, with the loss, duplication,
 // and reordering that real networks provide. Use it to exercise the full
@@ -222,7 +213,7 @@ func (n *UDPNetwork) NewKernel(name string) (*Kernel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("amoeba: attaching UDP kernel %q: %w", name, err)
 	}
-	return newKernel(name, station), nil
+	return newKernel(station), nil
 }
 
 // Close shuts down every kernel's socket.

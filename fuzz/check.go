@@ -10,7 +10,7 @@
 // disk-full and torn-tail log faults, reshardings, sequencer kills — all at
 // fixed offsets. Harness.Run (harness.go) replays the schedule against a
 // cluster while recording every client operation's invocation window
-// (kv.History); Check (this file) searches the recorded history for a
+// (History); Check (this file) searches the recorded history for a
 // per-key linearization; Shrink (shrink.go) reduces a failing schedule while
 // it still fails, and the result prints as one replayable line.
 package fuzz
@@ -24,8 +24,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"amoeba/kv"
 )
 
 // The checker implements the Wing & Gong linearizability search with
@@ -78,18 +76,18 @@ func (r CheckResult) String() string {
 // budget on the search (0 means a generous default). The search is
 // worst-case exponential; the budget turns a pathological history into an
 // undecided verdict instead of a hang.
-func Check(events []kv.HistoryEvent, budget time.Duration) CheckResult {
+func Check(events []HistoryEvent, budget time.Duration) CheckResult {
 	if budget <= 0 {
 		budget = 30 * time.Second
 	}
 	deadline := time.Now().Add(budget)
-	byKey := make(map[string][]kv.HistoryEvent)
+	byKey := make(map[string][]HistoryEvent)
 	ops := 0
 	for _, e := range decompose(events) {
-		if e.Op == kv.OpGet && e.Failed() {
+		if e.Op == OpGet && e.Failed() {
 			continue // observed nothing; constrains nothing
 		}
-		if e.Op == kv.OpStaleGet {
+		if e.Op == OpStaleGet {
 			// Bounded-staleness reads opt out of linearizability by
 			// definition; CheckStale holds them to their own bound.
 			continue
@@ -121,10 +119,10 @@ func Check(events []kv.HistoryEvent, budget time.Duration) CheckResult {
 // a get in the same window. What the projection deliberately drops — that
 // the writes share ONE linearization point — is the atomicity claim, which
 // CheckAtomic verifies separately over the undecomposed events.
-func decompose(events []kv.HistoryEvent) []kv.HistoryEvent {
-	out := make([]kv.HistoryEvent, 0, len(events))
+func decompose(events []HistoryEvent) []HistoryEvent {
+	out := make([]HistoryEvent, 0, len(events))
 	for _, e := range events {
-		if e.Op != kv.OpTxn {
+		if e.Op != OpTxn {
 			out = append(out, e)
 			continue
 		}
@@ -132,27 +130,27 @@ func decompose(events []kv.HistoryEvent) []kv.HistoryEvent {
 			// Unknown outcome: the writes may land at any later point
 			// (open window), the reads observed nothing.
 			for _, w := range e.Writes {
-				out = append(out, kv.HistoryEvent{Client: e.Client, Op: kv.OpPut,
+				out = append(out, HistoryEvent{Client: e.Client, Op: OpPut,
 					Key: w.Key, Val: w.Val, Invoke: e.Invoke, Return: -1, Err: e.Err})
 			}
 			continue
 		}
 		for i, k := range e.ReadKeys {
-			out = append(out, kv.HistoryEvent{Client: e.Client, Op: kv.OpGet, Key: k,
+			out = append(out, HistoryEvent{Client: e.Client, Op: OpGet, Key: k,
 				Val: e.ReadVals[i], Found: e.ReadFound[i], Invoke: e.Invoke, Return: e.Return})
 		}
 		if !e.Committed {
 			continue // known abort: no write landed
 		}
 		for _, w := range e.Writes {
-			pe := kv.HistoryEvent{Client: e.Client, Key: w.Key, Invoke: e.Invoke, Return: e.Return}
+			pe := HistoryEvent{Client: e.Client, Key: w.Key, Invoke: e.Invoke, Return: e.Return}
 			if w.Delete {
 				// The txn API reports no per-key existed-before bit, so
 				// the delete's output is unobserved: mark the outcome
 				// unknown (the weaker, still-sound constraint).
-				pe.Op, pe.Err, pe.Return = kv.OpDelete, "txn delete: output unobserved", -1
+				pe.Op, pe.Err, pe.Return = OpDelete, "txn delete: output unobserved", -1
 			} else {
-				pe.Op, pe.Val = kv.OpPut, w.Val
+				pe.Op, pe.Val = OpPut, w.Val
 			}
 			out = append(out, pe)
 		}
@@ -194,7 +192,7 @@ func (r StaleResult) String() string {
 // and absence observations are not checked (absence has no producing write
 // to date). slack absorbs the grant/tick granularity the server's
 // conservative freshness accounting already includes.
-func CheckStale(events []kv.HistoryEvent, slack time.Duration) StaleResult {
+func CheckStale(events []HistoryEvent, slack time.Duration) StaleResult {
 	flat := decompose(events)
 	// Per-key writes: value producers and overwrite refuters.
 	type write struct {
@@ -205,19 +203,19 @@ func CheckStale(events []kv.HistoryEvent, slack time.Duration) StaleResult {
 	writes := make(map[string][]write)
 	for _, e := range flat {
 		switch e.Op {
-		case kv.OpPut:
+		case OpPut:
 			writes[e.Key] = append(writes[e.Key], write{val: e.Val, invoke: e.Invoke, ret: e.Return, failed: e.Failed()})
-		case kv.OpCAS:
+		case OpCAS:
 			if e.Failed() || e.Found { // a known-failed compare wrote nothing
 				writes[e.Key] = append(writes[e.Key], write{val: e.Val, invoke: e.Invoke, ret: e.Return, failed: e.Failed()})
 			}
-		case kv.OpDelete:
+		case OpDelete:
 			writes[e.Key] = append(writes[e.Key], write{invoke: e.Invoke, ret: e.Return, failed: e.Failed(), erases: true})
 		}
 	}
 	res := StaleResult{Bounded: true}
 	for _, e := range events {
-		if e.Op != kv.OpStaleGet || e.Failed() || !e.Found {
+		if e.Op != OpStaleGet || e.Failed() || !e.Found {
 			continue
 		}
 		res.Reads++
@@ -330,25 +328,25 @@ func (r AtomicResult) String() string {
 //     accounts atomically, so any other sum is a torn or lost update.
 //
 // spec may be nil to skip the bank check.
-func CheckAtomic(events []kv.HistoryEvent, spec *BankSpec) AtomicResult {
+func CheckAtomic(events []HistoryEvent, spec *BankSpec) AtomicResult {
 	// writers pins every unique written value to its event, for the
 	// predates-the-transaction test.
-	writers := make(map[string]kv.HistoryEvent)
-	note := func(val []byte, e kv.HistoryEvent) {
+	writers := make(map[string]HistoryEvent)
+	note := func(val []byte, e HistoryEvent) {
 		if len(val) > 0 {
 			writers[string(val)] = e
 		}
 	}
-	var snaps, txns []kv.HistoryEvent
+	var snaps, txns []HistoryEvent
 	for _, e := range events {
 		switch e.Op {
-		case kv.OpPut:
+		case OpPut:
 			note(e.Val, e)
-		case kv.OpCAS:
+		case OpCAS:
 			if !e.Failed() && e.Found {
 				note(e.Val, e)
 			}
-		case kv.OpTxn:
+		case OpTxn:
 			if e.Failed() {
 				continue
 			}
@@ -466,10 +464,10 @@ type regState struct {
 // apply linearizes e against s, reporting whether e's recorded output is
 // consistent and the post-state. Transitions are deterministic in the
 // pre-state; failed ops (unknown output) skip the output check.
-func apply(s regState, e kv.HistoryEvent) (regState, bool) {
+func apply(s regState, e HistoryEvent) (regState, bool) {
 	unknown := e.Failed()
 	switch e.Op {
-	case kv.OpGet:
+	case OpGet:
 		if !unknown {
 			if e.Found != s.present {
 				return s, false
@@ -479,14 +477,14 @@ func apply(s regState, e kv.HistoryEvent) (regState, bool) {
 			}
 		}
 		return s, true
-	case kv.OpPut:
+	case OpPut:
 		return regState{present: true, val: e.Val}, true
-	case kv.OpDelete:
+	case OpDelete:
 		if !unknown && e.Found != s.present {
 			return s, false
 		}
 		return regState{}, true
-	case kv.OpCAS:
+	case OpCAS:
 		matched := false
 		if e.ExpectPresent {
 			matched = s.present && bytes.Equal(s.val, e.Expect)
@@ -506,7 +504,7 @@ func apply(s regState, e kv.HistoryEvent) (regState, bool) {
 
 // checkKey runs the linearization search over one key's events. Reports
 // (linearizable, timedOut); timedOut true means the search gave up.
-func checkKey(evs []kv.HistoryEvent, deadline time.Time) (bool, bool) {
+func checkKey(evs []HistoryEvent, deadline time.Time) (bool, bool) {
 	n := len(evs)
 	if n == 0 {
 		return true, false
@@ -518,7 +516,7 @@ func checkKey(evs []kv.HistoryEvent, deadline time.Time) (bool, bool) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return evs[order[a]].Invoke < evs[order[b]].Invoke })
-	sorted := make([]kv.HistoryEvent, n)
+	sorted := make([]HistoryEvent, n)
 	for i, idx := range order {
 		sorted[i] = evs[idx]
 		inv[i] = sorted[i].Invoke

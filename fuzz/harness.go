@@ -341,7 +341,6 @@ type cluster struct {
 	net     *amoeba.MemoryNetwork
 	name    string
 	opts    kv.Options
-	hub     *obs.Hub
 	baseCtx context.Context
 
 	mu      sync.Mutex
@@ -612,7 +611,7 @@ func Run(cfg Config, sched Schedule) Result {
 		return res
 	}
 	cl := &cluster{
-		cfg: cfg, net: net, name: "fuzz", opts: opts, hub: hub,
+		cfg: cfg, net: net, name: "fuzz", opts: opts,
 		baseCtx: runCtx, stores: stores, kernels: kernels,
 		booting: make(map[int]bool),
 	}
@@ -620,10 +619,10 @@ func Run(cfg Config, sched Schedule) Result {
 	// Seed the bank accounts before any client runs: transfers conserve
 	// the total from here on, and the seed writes are recorded (client id
 	// cfg.Clients) so the checker can explain every observed balance.
-	hist := kv.NewHistory()
+	hist := NewHistory()
 	{
 		seedCl := stores[0].NewClient()
-		rc := kv.Record(seedCl, hist, cfg.Clients)
+		rc := Record(seedCl, hist, cfg.Clients)
 		pairs := make([]kv.Pair, cfg.Accounts)
 		for i := range pairs {
 			pairs[i] = kv.Pair{Key: bankKey(i), Val: bankVal(cfg.Balance, "s", 0, i)}
@@ -763,7 +762,7 @@ func bankVal(balance int64, who string, ci, opn int) []byte {
 // runClient is one workload client: a deterministic stream of contended
 // operations with globally unique write values (uniqueness is what lets the
 // checker pin every observed value to exactly one write).
-func runClient(ctx context.Context, cfg Config, cl *cluster, hist *kv.History, seed int64, ci int) {
+func runClient(ctx context.Context, cfg Config, cl *cluster, hist *History, seed int64, ci int) {
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(ci)))
 	var cur *kv.Client
 	var curStore *kv.Store
@@ -793,7 +792,7 @@ func runClient(ctx context.Context, cfg Config, cl *cluster, hist *kv.History, s
 			}
 			cur, curStore = s.NewClient(), s
 		}
-		rc := kv.Record(cur, hist, ci)
+		rc := Record(cur, hist, ci)
 		key := fmt.Sprintf("key-%d", rng.Intn(cfg.Keys))
 		val := []byte(fmt.Sprintf("c%d-%d", ci, opn))
 		opCtx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
@@ -886,21 +885,21 @@ const fuzzStaleSlack = 250 * time.Millisecond
 // serve CheckStale exists to refute. When the history offers no replaced
 // value old enough, the read observes a value no write produced, which the
 // checker must flag just the same.
-func plantStaleServe(events []kv.HistoryEvent) []kv.HistoryEvent {
+func plantStaleServe(events []HistoryEvent) []HistoryEvent {
 	for i := len(events) - 1; i >= 0; i-- {
 		e := events[i]
-		if e.Op != kv.OpStaleGet || e.Failed() || !e.Found {
+		if e.Op != OpStaleGet || e.Failed() || !e.Found {
 			continue
 		}
 		t0 := e.Invoke - int64(e.Bound+fuzzStaleSlack)
 		// An old value of this key: a successful put whose successor (a
 		// later successful put) completed before the read's bound window.
 		for _, w := range events {
-			if w.Op != kv.OpPut || w.Failed() || w.Key != e.Key {
+			if w.Op != OpPut || w.Failed() || w.Key != e.Key {
 				continue
 			}
 			for _, w2 := range events {
-				if w2.Op == kv.OpPut && !w2.Failed() && w2.Key == e.Key &&
+				if w2.Op == OpPut && !w2.Failed() && w2.Key == e.Key &&
 					w2.Invoke >= w.Return && w2.Return <= t0 {
 					events[i].Val = append([]byte(nil), w.Val...)
 					return events
@@ -917,10 +916,10 @@ func plantStaleServe(events []kv.HistoryEvent) []kv.HistoryEvent {
 // successful read that found a value is rewritten to observe a value no
 // write ever produced — the purest stale read. A checker that passes this
 // history is broken.
-func plantStaleRead(events []kv.HistoryEvent) []kv.HistoryEvent {
+func plantStaleRead(events []HistoryEvent) []HistoryEvent {
 	for i := len(events) - 1; i >= 0; i-- {
 		e := events[i]
-		if e.Op == kv.OpGet && !e.Failed() && e.Found {
+		if e.Op == OpGet && !e.Failed() && e.Found {
 			events[i].Val = []byte("__planted-stale-read__")
 			return events
 		}
@@ -932,10 +931,10 @@ func plantStaleRead(events []kv.HistoryEvent) []kv.HistoryEvent {
 // transaction's write to its first key alongside a certainly-pre-transaction
 // value for its second — the exact half-applied state the atomicity checker
 // exists to refute. A checker that passes this history is broken.
-func plantTornTxn(events []kv.HistoryEvent) []kv.HistoryEvent {
+func plantTornTxn(events []HistoryEvent) []HistoryEvent {
 	for i := len(events) - 1; i >= 0; i-- {
 		t := events[i]
-		if t.Op != kv.OpTxn || t.Failed() || !t.Committed || len(t.Writes) < 2 {
+		if t.Op != OpTxn || t.Failed() || !t.Committed || len(t.Writes) < 2 {
 			continue
 		}
 		ka, kb := t.Writes[0].Key, t.Writes[1].Key
@@ -946,9 +945,9 @@ func plantTornTxn(events []kv.HistoryEvent) []kv.HistoryEvent {
 				continue
 			}
 			switch {
-			case w.Op == kv.OpPut && w.Key == kb:
+			case w.Op == OpPut && w.Key == kb:
 				pre = w.Val
-			case w.Op == kv.OpTxn && w.Committed:
+			case w.Op == OpTxn && w.Committed:
 				for _, tw := range w.Writes {
 					if tw.Key == kb && !tw.Delete {
 						pre = tw.Val
@@ -960,7 +959,7 @@ func plantTornTxn(events []kv.HistoryEvent) []kv.HistoryEvent {
 			continue
 		}
 		for j, s := range events {
-			if s.Op != kv.OpTxn || s.Failed() || len(s.ReadKeys) == 0 {
+			if s.Op != OpTxn || s.Failed() || len(s.ReadKeys) == 0 {
 				continue
 			}
 			ia, ib := -1, -1
@@ -986,12 +985,12 @@ func plantTornTxn(events []kv.HistoryEvent) []kv.HistoryEvent {
 // plantLostWrite corrupts the history the other way: the write whose value
 // some successful read observed is deleted, leaving the read unexplainable —
 // as if the store had invented the value.
-func plantLostWrite(events []kv.HistoryEvent) []kv.HistoryEvent {
+func plantLostWrite(events []HistoryEvent) []HistoryEvent {
 	for i := len(events) - 1; i >= 0; i-- {
 		e := events[i]
-		if e.Op == kv.OpGet && !e.Failed() && e.Found {
+		if e.Op == OpGet && !e.Failed() && e.Found {
 			for j, w := range events {
-				if w.Op == kv.OpPut && w.Key == e.Key && string(w.Val) == string(e.Val) {
+				if w.Op == OpPut && w.Key == e.Key && string(w.Val) == string(e.Val) {
 					return append(events[:j:j], events[j+1:]...)
 				}
 			}

@@ -1,24 +1,27 @@
-package kv
+package fuzz
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"time"
+
+	"amoeba/kv"
 )
 
-// This file is the measurement half of the adversarial harness (see the fuzz
-// package): a client wrapper that records the complete concurrent operation
-// history — what each client invoked, when, and what came back — in the form
-// a linearizability checker consumes. Recording happens at the public-API
-// boundary, so everything below it (routing, retries, forwards, dedup,
-// resharding, recovery) is inside the system under test.
+// This file is the measurement half of the adversarial harness: a kv client
+// wrapper that records the complete concurrent operation history — what each
+// client invoked, when, and what came back — in the form the checkers
+// (check.go) consume. Recording happens at kv's public-API boundary, so
+// everything below it (routing, retries, forwards, dedup, resharding,
+// recovery) is inside the system under test.
 
 // HistoryOp is the operation kind of one recorded event.
 type HistoryOp int
 
-// Operation kinds. MGet records one OpGet event per key and BatchPut one
-// OpPut per pair — per-key linearizability is the store's documented
-// guarantee (cross-shard snapshots are not), so the checker works per key.
+// Operation kinds. BatchPut records one OpPut per pair, since each key's
+// write is linearizable on its own; MGet records one read-only OpTxn, the
+// cross-shard snapshot the store promises.
 const (
 	OpGet HistoryOp = iota
 	OpPut
@@ -30,7 +33,7 @@ const (
 	// promises a cross-shard snapshot, so the history claims one and the
 	// checker holds it to that.
 	OpTxn
-	// OpStaleGet is an opt-in bounded-staleness read (Client.StaleGet): the
+	// OpStaleGet is an opt-in bounded-staleness read (kv.Client.StaleGet): the
 	// observed value need not be current, but must have been the key's
 	// value no earlier than Bound before the invocation. It is excluded
 	// from the linearizability search and held to its own bounded-staleness
@@ -86,7 +89,7 @@ type HistoryEvent struct {
 	ReadKeys  []string
 	ReadVals  [][]byte
 	ReadFound []bool
-	Writes    []TxnWrite
+	Writes    []kv.TxnWrite
 	Committed bool
 	// Bound is an OpStaleGet's requested staleness bound, and StaleFor the
 	// bound the server actually reported for the served value (0 when the
@@ -137,25 +140,18 @@ func (h *History) Events() []HistoryEvent {
 	return out
 }
 
-// Len reports the number of recorded events.
-func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.evs)
-}
-
-// RecordingClient wraps a Client so every operation lands in a shared
+// RecordingClient wraps a kv.Client so every operation lands in a shared
 // History with its invocation window. One RecordingClient models one
 // sequential caller: use several (each with its own id) for a concurrent
-// workload. Methods mirror the Client's signatures.
+// workload. Methods mirror the kv.Client's signatures.
 type RecordingClient struct {
-	c  *Client
+	c  *kv.Client
 	h  *History
 	id int
 }
 
 // Record wraps c; id must be unique among the history's clients.
-func Record(c *Client, h *History, id int) *RecordingClient {
+func Record(c *kv.Client, h *History, id int) *RecordingClient {
 	return &RecordingClient{c: c, h: h, id: id}
 }
 
@@ -175,7 +171,7 @@ func (r *RecordingClient) finish(e HistoryEvent, err error) {
 func (r *RecordingClient) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	e := HistoryEvent{Client: r.id, Op: OpGet, Key: key, Invoke: r.h.now()}
 	val, found, err := r.c.Get(ctx, key)
-	e.Val, e.Found = copyVal(val), found
+	e.Val, e.Found = bytes.Clone(val), found
 	r.finish(e, err)
 	return val, found, err
 }
@@ -187,14 +183,14 @@ func (r *RecordingClient) Get(ctx context.Context, key string) ([]byte, bool, er
 func (r *RecordingClient) StaleGet(ctx context.Context, key string, maxStale time.Duration) ([]byte, bool, time.Duration, error) {
 	e := HistoryEvent{Client: r.id, Op: OpStaleGet, Key: key, Bound: maxStale, Invoke: r.h.now()}
 	val, found, staleFor, err := r.c.StaleGet(ctx, key, maxStale)
-	e.Val, e.Found, e.StaleFor = copyVal(val), found, staleFor
+	e.Val, e.Found, e.StaleFor = bytes.Clone(val), found, staleFor
 	r.finish(e, err)
 	return val, found, staleFor, err
 }
 
 // Put stores key = val, recording the write.
 func (r *RecordingClient) Put(ctx context.Context, key string, val []byte) error {
-	e := HistoryEvent{Client: r.id, Op: OpPut, Key: key, Val: copyVal(val), Invoke: r.h.now()}
+	e := HistoryEvent{Client: r.id, Op: OpPut, Key: key, Val: bytes.Clone(val), Invoke: r.h.now()}
 	err := r.c.Put(ctx, key, val)
 	r.finish(e, err)
 	return err
@@ -212,7 +208,7 @@ func (r *RecordingClient) Delete(ctx context.Context, key string) (bool, error) 
 // CAS attempts the compare-and-swap, recording operands and outcome.
 func (r *RecordingClient) CAS(ctx context.Context, key string, expect, val []byte) (bool, error) {
 	e := HistoryEvent{Client: r.id, Op: OpCAS, Key: key,
-		Val: copyVal(val), Expect: copyVal(expect), ExpectPresent: expect != nil,
+		Val: bytes.Clone(val), Expect: bytes.Clone(expect), ExpectPresent: expect != nil,
 		Invoke: r.h.now()}
 	ok, err := r.c.CAS(ctx, key, expect, val)
 	e.Found = ok
@@ -233,7 +229,7 @@ func (r *RecordingClient) MGet(ctx context.Context, keys ...string) (map[string]
 	if err == nil {
 		for _, k := range keys {
 			v, found := out[k]
-			e.ReadVals = append(e.ReadVals, copyVal(v))
+			e.ReadVals = append(e.ReadVals, bytes.Clone(v))
 			e.ReadFound = append(e.ReadFound, found)
 		}
 	}
@@ -246,10 +242,10 @@ func (r *RecordingClient) MGet(ctx context.Context, keys ...string) (map[string]
 // update. A condition-failed abort records Committed false with no error
 // (a known no-op); a transport failure records an unknown outcome, whose
 // writes may still land later.
-func (r *RecordingClient) Txn(ctx context.Context, op TxnOp) (*TxnResult, error) {
+func (r *RecordingClient) Txn(ctx context.Context, op kv.TxnOp) (*kv.TxnResult, error) {
 	e := HistoryEvent{Client: r.id, Op: OpTxn, Invoke: r.h.now()}
 	for _, w := range op.Writes {
-		e.Writes = append(e.Writes, TxnWrite{Key: w.Key, Val: copyVal(w.Val), Delete: w.Delete})
+		e.Writes = append(e.Writes, kv.TxnWrite{Key: w.Key, Val: bytes.Clone(w.Val), Delete: w.Delete})
 	}
 	res, err := r.c.Txn(ctx, op)
 	if err == nil {
@@ -262,7 +258,7 @@ func (r *RecordingClient) Txn(ctx context.Context, op TxnOp) (*TxnResult, error)
 				if i < len(res.Values) {
 					v, found = res.Values[i], res.Found[i]
 				}
-				e.ReadVals = append(e.ReadVals, copyVal(v))
+				e.ReadVals = append(e.ReadVals, bytes.Clone(v))
 				e.ReadFound = append(e.ReadFound, found)
 			}
 		}
@@ -275,12 +271,12 @@ func (r *RecordingClient) Txn(ctx context.Context, op TxnOp) (*TxnResult, error)
 // batch's shared invocation window (writes to one shard apply in slice
 // order, but each key's write is individually linearizable in the window —
 // the per-key claim the checker verifies).
-func (r *RecordingClient) BatchPut(ctx context.Context, pairs []Pair) error {
+func (r *RecordingClient) BatchPut(ctx context.Context, pairs []kv.Pair) error {
 	invoke := r.h.now()
 	err := r.c.BatchPut(ctx, pairs)
 	ret := r.h.now()
 	for _, p := range pairs {
-		e := HistoryEvent{Client: r.id, Op: OpPut, Key: p.Key, Val: copyVal(p.Val),
+		e := HistoryEvent{Client: r.id, Op: OpPut, Key: p.Key, Val: bytes.Clone(p.Val),
 			Invoke: invoke, Return: ret}
 		if err != nil {
 			e.Err = err.Error()
@@ -290,6 +286,3 @@ func (r *RecordingClient) BatchPut(ctx context.Context, pairs []Pair) error {
 	}
 	return err
 }
-
-// Close releases the wrapped client's resources.
-func (r *RecordingClient) Close() { r.c.Close() }

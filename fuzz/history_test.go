@@ -1,12 +1,14 @@
-package kv
+package fuzz
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"amoeba"
+	"amoeba/kv"
 )
 
 // TestHistoryRecordsConcurrentClientsCompletely drives many concurrent
@@ -14,10 +16,22 @@ import (
 // lost or duplicated invoke-return pairs, windows ordered, per-client events
 // sequential. The checker's verdicts are only as good as this bookkeeping.
 func TestHistoryRecordsConcurrentClientsCompletely(t *testing.T) {
-	ctx := ctxT(t, 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
-	stores := newCluster(t, ctx, net, "hist", 2, Options{Shards: 2})
+	kernels := make([]*amoeba.Kernel, 2)
+	for i := range kernels {
+		k, err := net.NewKernel(fmt.Sprintf("hist-node-%d", i))
+		if err != nil {
+			t.Fatalf("kernel %d: %v", i, err)
+		}
+		kernels[i] = k
+	}
+	stores, err := kv.Bootstrap(ctx, kernels, "hist", kv.Options{Shards: 2})
+	if err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -31,11 +45,12 @@ func TestHistoryRecordsConcurrentClientsCompletely(t *testing.T) {
 	h := NewHistory()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		rc := Record(stores[c%len(stores)].NewClient(), h, c)
+		cl := stores[c%len(stores)].NewClient()
+		rc := Record(cl, h, c)
 		wg.Add(1)
 		go func(c int, rc *RecordingClient) {
 			defer wg.Done()
-			defer rc.Close()
+			defer cl.Close()
 			key := fmt.Sprintf("k%d", c%3) // contend across clients
 			for i := 0; i < opsEach; i++ {
 				switch i % 5 {

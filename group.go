@@ -108,16 +108,12 @@ type GroupInfo struct {
 // Group is one process's membership in a group. Methods are safe for
 // concurrent use; Send and Receive block, per the paper's primitive design.
 type Group struct {
-	kernel   *Kernel
 	name     string
 	tr       *core.FLIPTransport
 	ep       *core.Endpoint
 	queue    *deliveryQueue
 	obsUnreg func() // detaches the stats source from the hub registry
 }
-
-// Name returns the group's name.
-func (g *Group) Name() string { return g.name }
 
 // Send broadcasts payload to the group — the paper's SendToGroup. It blocks
 // until the message is totally ordered (and, with resilience r, stored by r

@@ -184,7 +184,6 @@ type sendOp struct {
 	payload []byte
 	done    func(error)
 	timer   sim.Timer
-	tries   int
 }
 
 // New builds and registers a CM endpoint. Call Start to begin.
@@ -224,38 +223,6 @@ func New(cfg Config) (*Endpoint, error) {
 	return ep, nil
 }
 
-// Stats snapshots the counters.
-func (ep *Endpoint) Stats() Stats {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.stats
-}
-
-// Close detaches the endpoint.
-func (ep *Endpoint) Close() {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return
-	}
-	ep.closed = true
-	for _, op := range ep.pending {
-		if op.timer != nil {
-			op.timer.Stop()
-		}
-		op := op
-		ep.enqueue(func() { op.done(errors.New("cm: endpoint closed")) })
-	}
-	ep.pending = map[uint32]*sendOp{}
-	if ep.nakTimer != nil {
-		ep.nakTimer.Stop()
-	}
-	ep.mu.Unlock()
-	ep.drain()
-	ep.cfg.Stack.Unregister(ep.cfg.Self)
-	ep.cfg.Stack.LeaveGroup(ep.cfg.Group)
-}
-
 // Send broadcasts payload; done fires when the message has been ordered.
 func (ep *Endpoint) Send(payload []byte, done func(error)) {
 	if done == nil {
@@ -287,7 +254,6 @@ func (ep *Endpoint) transmitLocked(op *sendOp) {
 	ep.enqueue(func() { _ = ep.cfg.Stack.Multicast(ep.cfg.Self, ep.cfg.Group, pkt) })
 	op.timer = ep.after(ep.cfg.RetryInterval, func() {
 		if o, ok := ep.pending[op.localID]; ok {
-			o.tries++
 			ep.transmitLocked(o)
 		}
 	})

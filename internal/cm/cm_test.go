@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -236,4 +237,36 @@ func TestFIFOPerOrigin(t *testing.T) {
 			t.Fatalf("origin = %d", ds[i].Origin)
 		}
 	}
+}
+
+// Stats snapshots the counters.
+func (ep *Endpoint) Stats() Stats {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.stats
+}
+
+// Close detaches the endpoint.
+func (ep *Endpoint) Close() {
+	ep.mu.Lock()
+	if ep.closed {
+		ep.mu.Unlock()
+		return
+	}
+	ep.closed = true
+	for _, op := range ep.pending {
+		if op.timer != nil {
+			op.timer.Stop()
+		}
+		op := op
+		ep.enqueue(func() { op.done(errors.New("cm: endpoint closed")) })
+	}
+	ep.pending = map[uint32]*sendOp{}
+	if ep.nakTimer != nil {
+		ep.nakTimer.Stop()
+	}
+	ep.mu.Unlock()
+	ep.drain()
+	ep.cfg.Stack.Unregister(ep.cfg.Self)
+	ep.cfg.Stack.LeaveGroup(ep.cfg.Group)
 }

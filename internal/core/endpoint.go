@@ -52,9 +52,6 @@ var (
 	ErrNotMember = errors.New("core: not a group member")
 	// ErrJoinFailed reports that no sequencer answered a join request.
 	ErrJoinFailed = errors.New("core: join failed: no sequencer found")
-	// ErrResetFailed reports a recovery that could not gather the
-	// required survivors.
-	ErrResetFailed = errors.New("core: reset failed: not enough survivors")
 	// ErrClosed reports an operation on a closed endpoint.
 	ErrClosed = errors.New("core: endpoint closed")
 )

@@ -203,7 +203,7 @@ func TestRetainedTransportPayloadReadsPoison(t *testing.T) {
 		t.Skip("released buffers are poisoned only in -race builds")
 	}
 	tr := &keepingTransport{}
-	ep, err := NewCreator(Config{Group: flipAddr("lent"), Self: 1, Transport: tr, Clock: sim.NewManualClock()})
+	ep, err := NewCreator(Config{Group: flipAddr("lent"), Self: 1, Transport: tr, Clock: sim.NewEngineClock(sim.NewEngine(1))})
 	if err != nil {
 		t.Fatalf("NewCreator: %v", err)
 	}

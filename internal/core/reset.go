@@ -33,14 +33,12 @@ type resetVote struct {
 	addr      flip.Address
 	delivered uint32 // nextDeliver-1 at vote time
 	top       uint32 // contiguous storage high-water mark
-	floor     uint32 // history floor
 }
 
 // recovery tracks one endpoint's participation in a recovery epoch.
 type recovery struct {
 	epoch     uint32
 	coordAddr flip.Address
-	coordID   MemberID
 
 	// Coordinator state.
 	coordinating bool
@@ -49,7 +47,6 @@ type recovery struct {
 	votes        map[flip.Address]resetVote
 	round        int
 	target       uint32
-	fetchFrom    flip.Address
 	fetchTries   int
 	resultSent   bool
 	resultAcks   map[flip.Address]bool
@@ -112,7 +109,6 @@ func (ep *Endpoint) initiateResetLocked(minAlive int) {
 	rec := &recovery{
 		epoch:        epoch,
 		coordAddr:    ep.cfg.Self,
-		coordID:      ep.self,
 		coordinating: true,
 		minAlive:     minAlive,
 		votes:        make(map[flip.Address]resetVote),
@@ -127,7 +123,6 @@ func (ep *Endpoint) initiateResetLocked(minAlive int) {
 		id: ep.self, addr: ep.cfg.Self,
 		delivered: ep.nextDeliver - 1,
 		top:       ep.hist.contiguousTop(),
-		floor:     ep.hist.floor,
 	}
 	ep.rec = rec
 	ep.sendInvitesLocked()
@@ -222,7 +217,6 @@ func (ep *Endpoint) startFetchLocked(rec *recovery) {
 		ep.finishRecoveryLocked(rec)
 		return
 	}
-	rec.fetchFrom = donor
 	rec.fetchTries++
 	if rec.fetchTries > ep.cfg.ResetRetries+1 {
 		// Donor unresponsive: restart the whole recovery at a higher
@@ -412,7 +406,7 @@ func (ep *Endpoint) handleResetInvite(p packet, from flip.Address) {
 	}
 	ep.freezeLocked()
 	ep.st = stRecovering
-	rec := &recovery{epoch: epoch, coordAddr: from, coordID: p.sender}
+	rec := &recovery{epoch: epoch, coordAddr: from}
 	ep.rec = rec
 	ep.voteLocked(rec)
 }
@@ -420,6 +414,7 @@ func (ep *Endpoint) handleResetInvite(p packet, from flip.Address) {
 // voteLocked sends this member's recovery vote and arms the
 // dead-coordinator watchdog.
 func (ep *Endpoint) voteLocked(rec *recovery) {
+	// aux2, the history floor, stays on the wire; no coordinator reads it.
 	ep.sendPkt(rec.coordAddr, packet{
 		typ: ptResetVote, seq: rec.epoch,
 		aux: ep.hist.contiguousTop(), aux2: ep.hist.floor,
@@ -447,7 +442,7 @@ func (ep *Endpoint) handleResetVote(p packet, from flip.Address) {
 	}
 	rec.votes[from] = resetVote{
 		id: p.sender, addr: from,
-		delivered: p.lastRecv, top: p.aux, floor: p.aux2,
+		delivered: p.lastRecv, top: p.aux,
 	}
 	// All invited present: close the vote early.
 	for _, m := range rec.invited {

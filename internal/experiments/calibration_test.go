@@ -152,3 +152,9 @@ func TestCalibrationRingOverflowCollapse(t *testing.T) {
 		t.Error("collapse without ring drops: wrong mechanism")
 	}
 }
+
+// GroupLayerTotal sums the group-layer constants on the Table 3 path,
+// matching the paper's "cost for the group protocol itself is 740 µs".
+func GroupLayerTotal(model netsim.CostModel) time.Duration {
+	return model.GroupOut + model.GroupIn + model.GroupOut + model.GroupIn
+}

@@ -40,8 +40,8 @@ func RPCComparison(model netsim.CostModel) (*Table, error) {
 	}
 	defer srv.Close()
 
-	// The rpc.Client.Call API blocks on a channel, which cannot run inside
-	// a single-threaded simulation; drive the client's wire protocol
+	// The rpc.Client.CallContext API blocks on a channel, which cannot run
+	// inside a single-threaded simulation; drive the client's wire protocol
 	// directly instead, charging exactly what the real client charges.
 	clientAddr := stackC.AllocAddress()
 	rounds := DelayRounds

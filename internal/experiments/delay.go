@@ -137,9 +137,3 @@ func Table3(model netsim.CostModel) (*Table, error) {
 	}
 	return t, nil
 }
-
-// GroupLayerTotal sums the group-layer constants on the Table 3 path,
-// matching the paper's "cost for the group protocol itself is 740 µs".
-func GroupLayerTotal(model netsim.CostModel) time.Duration {
-	return model.GroupOut + model.GroupIn + model.GroupOut + model.GroupIn
-}

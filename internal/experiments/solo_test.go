@@ -17,8 +17,8 @@ func TestSoloThroughput(t *testing.T) {
 	go func() { done <- g.MeasureThroughput(0, ThroughputWindow) }()
 	select {
 	case tp := <-done:
-		t.Logf("solo throughput: %.0f msg/s (events %d)", tp, g.Engine.Fired())
+		t.Logf("solo throughput: %.0f msg/s", tp)
 	case <-time.After(10 * time.Second):
-		t.Fatalf("solo throughput hung; pending events %d fired %d now %v", g.Engine.Pending(), g.Engine.Fired(), g.Engine.Now())
+		t.Fatalf("solo throughput hung at virtual time %v", g.Engine.Now())
 	}
 }

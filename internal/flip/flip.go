@@ -143,12 +143,9 @@ type reasmKey struct {
 }
 
 type reasmBuf struct {
-	frags    [][]byte
-	have     int
-	total    int
-	dst      Address
-	srcNode  netw.NodeID
-	deadline time.Duration
+	frags [][]byte
+	have  int
+	total int
 }
 
 // NewStack attaches a FLIP stack to a station.
@@ -180,9 +177,6 @@ func NewStack(cfg Config) *Stack {
 	st.station.SetHandler(st.onFrame)
 	return st
 }
-
-// Node returns the underlying link station id.
-func (st *Stack) Node() netw.NodeID { return st.station.ID() }
 
 // Stats returns a snapshot of the stack counters.
 func (st *Stack) Stats() Stats {
@@ -537,10 +531,8 @@ func (st *Stack) handleData(h header, payload []byte, from netw.NodeID) {
 	buf := st.reasm[key]
 	if buf == nil {
 		buf = &reasmBuf{
-			frags:   make([][]byte, h.fragCount),
-			total:   int(h.fragCount),
-			dst:     h.dst,
-			srcNode: from,
+			frags: make([][]byte, h.fragCount),
+			total: int(h.fragCount),
 		}
 		st.reasm[key] = buf
 		st.clock.AfterFunc(st.cfg.ReassemblyTimeout, func() { st.purgeReasm(key) })

@@ -551,7 +551,7 @@ func TestSimModeDeterministic(t *testing.T) {
 		var deliveredAt time.Duration
 		b.Register(addrB, func(Message) { deliveredAt = engine.Now() })
 		engine.After(0, func() { _ = a.Send(addrA, addrB, []byte("sim")) })
-		engine.Run()
+		engine.RunWhile(func() bool { return true })
 		if deliveredAt == 0 {
 			t.Fatal("not delivered in sim mode")
 		}

@@ -56,12 +56,6 @@ func New(engine *sim.Engine, model CostModel) *Network {
 // Engine returns the driving simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.engine }
 
-// Model returns the cost model in effect.
-func (n *Network) Model() CostModel { return n.model }
-
-// Collisions reports the number of collision events on the medium.
-func (n *Network) Collisions() uint64 { return n.collisions }
-
 // Utilization reports the fraction of elapsed virtual time the medium
 // carried a successful frame.
 func (n *Network) Utilization() float64 {
@@ -70,10 +64,6 @@ func (n *Network) Utilization() float64 {
 	}
 	return float64(n.wireBusy) / float64(n.engine.Now())
 }
-
-// AbortedFrames reports frames abandoned after MaxAttempts collisions
-// (Ethernet "excessive collision" aborts).
-func (n *Network) AbortedFrames() uint64 { return n.abortedFrames }
 
 // Attach implements netw.Network.
 func (n *Network) Attach(name string) (netw.Station, error) {
@@ -86,7 +76,6 @@ func (n *Network) AttachStation(name string) *Station {
 	s := &Station{
 		net:  n,
 		id:   netw.NodeID(len(n.stations)),
-		name: name,
 		subs: make(map[netw.ChannelID]bool),
 	}
 	n.stations = append(n.stations, s)
@@ -232,7 +221,6 @@ func (n *Network) complete(at *txAttempt, ft time.Duration) {
 type Station struct {
 	net     *Network
 	id      netw.NodeID
-	name    string
 	handler netw.Handler
 	subs    map[netw.ChannelID]bool
 	closed  bool
@@ -248,7 +236,6 @@ type Station struct {
 	txq []*txAttempt
 
 	// Statistics.
-	framesIn   uint64
 	framesOut  uint64
 	interrupts uint64
 	ringDrops  uint64
@@ -308,9 +295,6 @@ func (s *Station) Interrupts() uint64 { return s.interrupts }
 // FramesOut reports frames this station put on the wire.
 func (s *Station) FramesOut() uint64 { return s.framesOut }
 
-// CPUBusy reports the total CPU time charged to this station.
-func (s *Station) CPUBusy() time.Duration { return s.cpuBusy }
-
 // Send implements netw.Station: charge the driver, then contend for the
 // medium.
 func (s *Station) Send(dst netw.NodeID, payload []byte) error {
@@ -368,7 +352,6 @@ func (s *Station) receive(f netw.Frame) {
 	}
 	s.ring = append(s.ring, f)
 	s.interrupts++
-	s.framesIn++
 	if !s.processing {
 		s.processing = true
 		s.scheduleProcess()

@@ -46,7 +46,7 @@ func TestUnicastDeliveryTiming(t *testing.T) {
 			t.Errorf("Send: %v", err)
 		}
 	})
-	e.Run()
+	drain(e)
 	if deliveredAt == 0 {
 		t.Fatal("frame not delivered")
 	}
@@ -72,7 +72,7 @@ func TestChargeExtendsStationClock(t *testing.T) {
 			t.Errorf("charge = %v, want %v", got, n.Model().GroupIn)
 		}
 	})
-	e.Run()
+	drain(e)
 	if s.CPUBusy() != n.Model().GroupIn {
 		t.Fatalf("CPUBusy = %v", s.CPUBusy())
 	}
@@ -111,7 +111,7 @@ func TestCPUSerializesFrameProcessing(t *testing.T) {
 			_ = a.Send(b.ID(), []byte{byte(i)})
 		}
 	})
-	e.Run()
+	drain(e)
 	if len(times) != 5 {
 		t.Fatalf("processed %d frames, want 5", len(times))
 	}
@@ -144,7 +144,7 @@ func TestRingOverflowDropsFrames(t *testing.T) {
 			_ = a.Send(b.ID(), []byte{byte(i)})
 		}
 	})
-	e.Run()
+	drain(e)
 	if b.RingDrops() == 0 {
 		t.Fatal("expected ring drops")
 	}
@@ -169,7 +169,7 @@ func TestMulticastOnlySubscribersInterrupted(t *testing.T) {
 	src.Subscribe(ch) // sender never hears its own multicast
 
 	e.After(0, func() { _ = src.Multicast(ch, []byte("x")) })
-	e.Run()
+	drain(e)
 	if got[sub.ID()] != 1 {
 		t.Fatalf("subscriber got %d frames, want 1", got[sub.ID()])
 	}
@@ -200,7 +200,7 @@ func TestCollisionsOccurWithConcurrentSenders(t *testing.T) {
 			}
 		}
 	})
-	e.Run()
+	drain(e)
 	if n.Collisions() == 0 {
 		t.Fatal("no collisions with 10 simultaneous senders")
 	}
@@ -223,7 +223,7 @@ func TestUtilizationBounded(t *testing.T) {
 			_ = a.Send(b.ID(), make([]byte, 1000))
 		}
 	})
-	e.Run()
+	drain(e)
 	u := n.Utilization()
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization = %v", u)
@@ -245,7 +245,7 @@ func TestDeterministicReplay(t *testing.T) {
 				}
 			})
 		}
-		e.Run()
+		drain(e)
 		return e.Now(), n.Collisions()
 	}
 	t1, c1 := run()
@@ -268,7 +268,7 @@ func TestClosedStationStopsTraffic(t *testing.T) {
 		}
 		_ = a.Send(b.ID(), []byte("y"))
 	})
-	e.Run()
+	drain(e)
 	if delivered != 0 {
 		t.Fatal("closed station received a frame")
 	}
@@ -303,5 +303,21 @@ func TestPerMemberSendCost(t *testing.T) {
 			t.Errorf("multicast charged %v, want %v", extra, want)
 		}
 	})
-	e.Run()
+	drain(e)
 }
+
+// Model returns the cost model in effect.
+func (n *Network) Model() CostModel { return n.model }
+
+// Collisions reports the number of collision events on the medium.
+func (n *Network) Collisions() uint64 { return n.collisions }
+
+// AbortedFrames reports frames abandoned after MaxAttempts collisions
+// (Ethernet "excessive collision" aborts).
+func (n *Network) AbortedFrames() uint64 { return n.abortedFrames }
+
+// CPUBusy reports the total CPU time charged to this station.
+func (s *Station) CPUBusy() time.Duration { return s.cpuBusy }
+
+// drain runs the engine until its queue is empty.
+func drain(e *sim.Engine) { e.RunWhile(func() bool { return true }) }

@@ -174,7 +174,6 @@ func (n *Network) Attach(name string) (netw.Station, error) {
 	s := &station{
 		net:  n,
 		id:   netw.NodeID(len(n.stations)),
-		name: name,
 		ring: make(chan netw.Frame, n.cfg.RingSize),
 		subs: make(map[netw.ChannelID]bool),
 		done: make(chan struct{}),
@@ -309,7 +308,6 @@ func (n *Network) roll(p float64) bool {
 type station struct {
 	net  *Network
 	id   netw.NodeID
-	name string
 	ring chan netw.Frame // payloads are pooled buffers, put back by deliverLoop
 	done chan struct{}
 	wg   sync.WaitGroup

@@ -84,7 +84,8 @@ type Station interface {
 
 // Network is a medium to which stations can be attached.
 type Network interface {
-	// Attach creates a new station. The name is used in diagnostics only.
+	// Attach creates a new station. The name labels the attachment for
+	// the caller; no station keeps it.
 	Attach(name string) (Station, error)
 }
 
@@ -94,6 +95,4 @@ var (
 	ErrFrameTooLarge = errors.New("netw: frame exceeds MTU")
 	// ErrClosed reports use of a closed station.
 	ErrClosed = errors.New("netw: station closed")
-	// ErrUnknownStation reports a send to a NodeID that was never attached.
-	ErrUnknownStation = errors.New("netw: unknown destination station")
 )

@@ -49,7 +49,7 @@ func New() *Network { return &Network{} }
 func (n *Network) Attach(name string) (netw.Station, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s, err := NewStation(Config{ID: netw.NodeID(len(n.stations)), Name: name})
+	s, err := NewStation(Config{ID: netw.NodeID(len(n.stations))})
 	if err != nil {
 		return nil, err
 	}
@@ -76,8 +76,6 @@ func (n *Network) Close() {
 type Config struct {
 	// ID is this station's node id; must be unique across the peer set.
 	ID netw.NodeID
-	// Name is used in diagnostics.
-	Name string
 	// Bind is the UDP address to listen on; empty means an OS-assigned
 	// loopback port.
 	Bind string
@@ -89,7 +87,6 @@ type Config struct {
 // Station is one UDP endpoint implementing netw.Station.
 type Station struct {
 	id   netw.NodeID
-	name string
 	conn *net.UDPConn
 	wg   sync.WaitGroup
 
@@ -122,7 +119,6 @@ func NewStation(cfg Config) (*Station, error) {
 	}
 	s := &Station{
 		id:    cfg.ID,
-		name:  cfg.Name,
 		conn:  conn,
 		peers: make(map[netw.NodeID]netip.AddrPort),
 		subs:  make(map[netw.ChannelID]bool),

@@ -173,12 +173,12 @@ func TestClosedStationFailsSends(t *testing.T) {
 func TestCrossProcessStyleStaticPeers(t *testing.T) {
 	// Build two stations the way separate processes would: explicit
 	// binds and static peer tables.
-	s1, err := NewStation(Config{ID: 0, Name: "p1"})
+	s1, err := NewStation(Config{ID: 0})
 	if err != nil {
 		t.Fatalf("NewStation: %v", err)
 	}
 	defer s1.Close()
-	s2, err := NewStation(Config{ID: 1, Name: "p2", Peers: map[netw.NodeID]string{0: s1.Addr()}})
+	s2, err := NewStation(Config{ID: 1, Peers: map[netw.NodeID]string{0: s1.Addr()}})
 	if err != nil {
 		t.Fatalf("NewStation: %v", err)
 	}

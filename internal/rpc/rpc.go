@@ -74,7 +74,8 @@ var errShort = errors.New("rpc: packet shorter than header")
 
 // EncodeRequest renders a raw request packet. It exists for simulation
 // harnesses that drive the client wire protocol from a discrete-event loop
-// (where the blocking Call cannot run); ordinary users call Client.Call.
+// (where the blocking CallContext cannot run); ordinary users call
+// Client.CallContext.
 func EncodeRequest(txn uint32, replyTo flip.Address, payload []byte) []byte {
 	return encode(header{typ: ptRequest, txn: txn, replyTo: replyTo}, payload)
 }
@@ -213,9 +214,6 @@ func NewClient(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// Addr returns the client's FLIP address.
-func (c *Client) Addr() flip.Address { return c.addr }
-
 // Close releases the client address. In-flight calls fail with ErrClosed.
 func (c *Client) Close() {
 	c.mu.Lock()
@@ -235,13 +233,6 @@ func (c *Client) Close() {
 	for _, cl := range pend {
 		cl.done <- callResult{err: ErrClosed}
 	}
-}
-
-// Call performs a blocking RPC to the server address dst: the paper's
-// trans/RPC primitive. It retransmits on loss and returns the server's
-// reply. Equivalent to CallContext with a background context.
-func (c *Client) Call(dst flip.Address, req []byte) ([]byte, error) {
-	return c.CallContext(context.Background(), dst, req)
 }
 
 // CallContext performs a blocking RPC bounded by ctx: when ctx expires

@@ -993,3 +993,10 @@ func TestCloseLeavesNoTimerArmed(t *testing.T) {
 		t.Fatalf("%d timers armed after Close", armed)
 	}
 }
+
+// Call performs a blocking RPC to the server address dst: the paper's
+// trans/RPC primitive. It retransmits on loss and returns the server's
+// reply. Equivalent to CallContext with a background context.
+func (c *Client) Call(dst flip.Address, req []byte) ([]byte, error) {
+	return c.CallContext(context.Background(), dst, req)
+}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Timer is a cancellable pending callback, satisfied by both virtual and
 // wall-clock timers.
@@ -65,94 +62,3 @@ type realTimer struct {
 }
 
 func (t *realTimer) Stop() bool { return t.t.Stop() }
-
-// ManualClock is a Clock advanced explicitly by tests. It dispatches due
-// timers synchronously from Advance, which makes timer-driven protocol paths
-// (retransmission, failure detection) testable without sleeping.
-type ManualClock struct {
-	mu     sync.Mutex
-	now    time.Duration
-	seq    uint64
-	timers []*manualTimer
-}
-
-var _ Clock = (*ManualClock)(nil)
-
-// NewManualClock returns a ManualClock at time zero.
-func NewManualClock() *ManualClock { return &ManualClock{} }
-
-type manualTimer struct {
-	clock   *ManualClock
-	at      time.Duration
-	seq     uint64
-	fn      func()
-	stopped bool
-}
-
-func (t *manualTimer) Stop() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	if t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
-}
-
-// Now returns the clock's current time.
-func (c *ManualClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// AfterFunc registers fn to run when the clock is advanced past d from now.
-func (c *ManualClock) AfterFunc(d time.Duration, fn func()) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	t := &manualTimer{clock: c, at: c.now + d, seq: c.seq, fn: fn}
-	c.seq++
-	c.timers = append(c.timers, t)
-	return t
-}
-
-// Advance moves the clock forward by d, firing every due timer in time order.
-// Timers scheduled by fired callbacks fire too if they fall within the
-// window.
-func (c *ManualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	deadline := c.now + d
-	for {
-		idx := -1
-		for i, t := range c.timers {
-			if t.stopped {
-				continue
-			}
-			if t.at > deadline {
-				continue
-			}
-			if idx == -1 || t.at < c.timers[idx].at ||
-				(t.at == c.timers[idx].at && t.seq < c.timers[idx].seq) {
-				idx = i
-			}
-		}
-		if idx == -1 {
-			break
-		}
-		t := c.timers[idx]
-		c.timers = append(c.timers[:idx], c.timers[idx+1:]...)
-		if t.at > c.now {
-			c.now = t.at
-		}
-		c.mu.Unlock()
-		t.fn()
-		c.mu.Lock()
-	}
-	if c.now < deadline {
-		c.now = deadline
-	}
-	c.mu.Unlock()
-}

@@ -28,9 +28,6 @@ type Event struct {
 	index   int // heap index, -1 when not queued
 }
 
-// At reports the virtual time at which the event fires.
-func (e *Event) At() time.Duration { return e.at }
-
 // Stop cancels the event. It reports whether the event was still pending.
 // Stopping an already-fired or already-stopped event is a no-op.
 func (e *Event) Stop() bool {
@@ -77,12 +74,11 @@ func (q *eventQueue) Pop() any {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     time.Duration
-	queue   eventQueue
-	seq     uint64
-	rng     *rand.Rand
-	running bool
-	fired   uint64
+	now   time.Duration
+	queue eventQueue
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
 }
 
 // NewEngine returns an engine with the virtual clock at zero and a
@@ -97,13 +93,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Rand returns the engine's deterministic random source. Protocol and network
 // models must draw all randomness from here to stay reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Fired reports how many events have been executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending reports how many events are queued (including stopped events that
-// have not yet been discarded).
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // panics: it always indicates a model bug, and silently reordering time would
@@ -142,19 +131,9 @@ func (e *Engine) step() bool {
 	return false
 }
 
-// Run executes events until the queue drains.
-func (e *Engine) Run() {
-	e.running = true
-	defer func() { e.running = false }()
-	for e.step() {
-	}
-}
-
 // RunUntil executes events with firing time ≤ deadline, then advances the
 // clock to deadline. Events scheduled beyond the deadline remain queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	e.running = true
-	defer func() { e.running = false }()
 	for len(e.queue) > 0 {
 		next := e.peek()
 		if next == nil {
@@ -172,8 +151,6 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 
 // RunWhile executes events while cond returns true and events remain.
 func (e *Engine) RunWhile(cond func() bool) {
-	e.running = true
-	defer func() { e.running = false }()
 	for cond() && e.step() {
 	}
 }

@@ -18,28 +18,26 @@ import (
 // a network attachment, hosting group memberships and RPC endpoints — the
 // role the Amoeba kernel plays in the paper's Table 2 layering.
 type Kernel struct {
-	name     string
 	station  netw.Station // the link attachment, for network-level fault control
 	stack    *flip.Stack
 	clock    sim.Clock
 	obsUnreg func() // detaches the FLIP stats source from the hub registry
 }
 
-// NewKernel attaches a kernel to the network. The name is used only in
-// diagnostics.
+// NewKernel attaches a kernel to the network. The name appears only in
+// errors.
 func (n *MemoryNetwork) NewKernel(name string) (*Kernel, error) {
 	station, err := n.net.Attach(name)
 	if err != nil {
 		return nil, fmt.Errorf("amoeba: attaching kernel %q: %w", name, err)
 	}
-	return newKernel(name, station), nil
+	return newKernel(station), nil
 }
 
 // newKernel builds a kernel over any link attachment.
-func newKernel(name string, station netw.Station) *Kernel {
+func newKernel(station netw.Station) *Kernel {
 	clock := sim.NewRealClock()
 	return &Kernel{
-		name:    name,
 		station: station,
 		stack: flip.NewStack(flip.Config{
 			Station: station,
@@ -214,10 +212,9 @@ func (k *Kernel) newGroup(name string, opts GroupOptions) (*Group, core.Config) 
 	groupAddr := flip.AddressForName(name)
 	self := k.stack.AllocAddress()
 	g := &Group{
-		kernel: k,
-		name:   name,
-		tr:     core.NewFLIPTransport(k.stack, self, groupAddr),
-		queue:  newDeliveryQueue(),
+		name:  name,
+		tr:    core.NewFLIPTransport(k.stack, self, groupAddr),
+		queue: newDeliveryQueue(),
 	}
 	cfg := opts.coreConfig()
 	cfg.Group = groupAddr
@@ -249,9 +246,6 @@ var (
 	// ErrNotMember reports an operation on a group this process has left
 	// or been expelled from.
 	ErrNotMember = core.ErrNotMember
-	// ErrSequencerDead reports exhausted retries against an unresponsive
-	// sequencer; call Reset (or set GroupOptions.AutoReset).
-	ErrSequencerDead = core.ErrSequencerDead
 )
 
 // waiter is one blocking call's completion: the channel the caller sleeps on

@@ -214,10 +214,10 @@ var _ shared.Digester = (*mapSM)(nil)
 
 // applyAudit evaluates one sequenced audit: hash the state as it stands at
 // this position in the order (BEFORE its own outcome is recorded, which is
-// also what wakes AuditNow) and hand the digest to the node-local auditor
-// hook. Dedup suppresses re-execution of a retried audit, so one audit yields
-// at most one report per replica per timeline; WAL replay re-reporting one
-// recomputes the identical digest — harmless.
+// also what wakes the caller that submitted it) and hand the digest to the
+// node-local auditor hook. Dedup suppresses re-execution of a retried audit,
+// so one audit yields at most one report per replica per timeline; WAL
+// replay re-reporting one recomputes the identical digest — harmless.
 func (s *mapSM) applyAudit(c *command) {
 	if s.onAudit != nil {
 		d := s.digestState(c.ranges)
@@ -282,28 +282,6 @@ func (s *Store) auditTick(ctx context.Context) {
 			s.flight().Recordf(auditScope(s.name, i), "audit submit failed: %v", err)
 		}
 	}
-}
-
-// AuditNow submits one audit to every hosted shard and waits for each to
-// apply locally, regardless of whether a periodic driver is running, to
-// force a fresh comparison; the wire-protocol HEALTH verb does not call it,
-// it reads the auditor's standing verdict. Like any operation
-// (Store.finish) it rides out a replica swap: an audit whose replica stops
-// under it is re-driven, under the same id, against the replacement the
-// self-heal installs, until ctx ends — it does not fail with ErrStopped.
-func (s *Store) AuditNow(ctx context.Context) error {
-	aud := s.opts.Group.Obs.Health()
-	node := auditNodeName(s.opts.NodeIndex)
-	for i, r := range s.snapshotShards() {
-		if r == nil {
-			continue
-		}
-		if _, err := s.run(ctx, i, opAudit, func(h header) []byte { return encodeAudit(h, defaultAuditRanges) }); err != nil {
-			return fmt.Errorf("kv: audit shard %d: %w", i, err)
-		}
-		aud.Progress(auditScope(s.name, i), node, r.Applied())
-	}
-	return nil
 }
 
 // CorruptShard adds one item to shard i's LOCAL replica, under a key the

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -280,4 +281,25 @@ func TestHealthDegradesOnSilentNodeAndHealsOnRejoin(t *testing.T) {
 	if divs := aud.Divergences(); len(divs) != 0 {
 		t.Fatalf("honest cluster reported divergence: %v", divs[0])
 	}
+}
+
+// AuditNow submits one audit to every hosted shard and waits for each to
+// apply locally, regardless of whether a periodic driver is running, to
+// force a fresh comparison. Like any operation
+// (Store.finish) it rides out a replica swap: an audit whose replica stops
+// under it is re-driven, under the same id, against the replacement the
+// self-heal installs, until ctx ends — it does not fail with ErrStopped.
+func (s *Store) AuditNow(ctx context.Context) error {
+	aud := s.opts.Group.Obs.Health()
+	node := auditNodeName(s.opts.NodeIndex)
+	for i, r := range s.snapshotShards() {
+		if r == nil {
+			continue
+		}
+		if _, err := s.run(ctx, i, opAudit, func(h header) []byte { return encodeAudit(h, defaultAuditRanges) }); err != nil {
+			return fmt.Errorf("kv: audit shard %d: %w", i, err)
+		}
+		aud.Progress(auditScope(s.name, i), node, r.Applied())
+	}
+	return nil
 }

@@ -268,13 +268,6 @@ func (c *Client) adoptRouting(rt Routing) {
 	c.rtMu.Unlock()
 }
 
-// Routing returns the table the client currently routes by (zero value for
-// ring-less clients).
-func (c *Client) Routing() Routing {
-	_, rt := c.routingRing()
-	return rt
-}
-
 // Close releases the client's RPC resources, if any were created. Operations
 // that never left the node need no Close.
 func (c *Client) Close() {

@@ -241,7 +241,7 @@ func TestSplitPhaseFailures(t *testing.T) {
 	// batchPutCut starts a BatchPut of ps with node 1 cut off and returns, the
 	// cable still out, once the remote shard's part is waiting.
 	batchPutCut := func(ctx context.Context, ps []Pair) <-chan error {
-		net.Isolate(node.kernel, true)
+		cutOff(net, node, stores)
 		done := make(chan error, 1)
 		go func() { done <- cl.BatchPut(ctx, ps) }()
 		waitFor("the remote shard's part to wait", func() bool { return claims(remote) > 0 })
@@ -258,7 +258,7 @@ func TestSplitPhaseFailures(t *testing.T) {
 			done := batchPutCut(ctx, ps)
 			cancel()
 			err := <-done
-			net.Isolate(node.kernel, false)
+			net.Heal()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("BatchPut cancelled mid-wait: %v", err)
 			}
@@ -279,7 +279,7 @@ func TestSplitPhaseFailures(t *testing.T) {
 			done := batchPutCut(base, ps)
 			old := node.Replica(remote)
 			old.Close()
-			net.Isolate(node.kernel, false)
+			net.Heal()
 			if err := <-done; err != nil {
 				t.Fatalf("BatchPut across the replica swap: %v", err)
 			}

@@ -74,7 +74,7 @@ func TestExpelledReplicaRejoinsItself(t *testing.T) {
 	for i := range old {
 		old[i] = victim.Replica(i)
 	}
-	net.Isolate(victim.kernel, true)
+	cutOff(net, victim, stores)
 	waitUntil(t, 30*time.Second, "both shards to reset without node 2", func() bool {
 		for i := 0; i < shards; i++ {
 			if stores[0].Members(i) != 2 || stores[1].Members(i) != 2 {
@@ -88,7 +88,7 @@ func TestExpelledReplicaRejoinsItself(t *testing.T) {
 	if err := cl.Put(ctx, "written-while-cut-off", []byte("yes")); err != nil {
 		t.Fatalf("Put during the isolation: %v", err)
 	}
-	net.Isolate(victim.kernel, false)
+	net.Heal()
 
 	waitUntil(t, 30*time.Second, "node 2 to rejoin every shard", func() bool {
 		for i := 0; i < shards; i++ {
@@ -454,3 +454,6 @@ func TestProxiedStoreGoroutines(t *testing.T) {
 		t.Fatalf("%d goroutines run amoeba code, want fewer than 100:\n\n%s", len(running), strings.Join(stacks, "\n\n"))
 	}
 }
+
+// Leave departs every shard group in total order and stops the node.
+func (s *Store) Leave(ctx context.Context) error { return s.shutdown(ctx, true) }

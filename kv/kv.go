@@ -113,9 +113,8 @@ type Options struct {
 	// replicas digest their state at the same position in the total order,
 	// and the node-local auditor (Group.Obs.Health) compares the digests —
 	// flagging any divergence with its shard, audit seq, and key-range.
-	// Zero (the default) disables the periodic driver; AuditNow still
-	// works, and replicas still report digests for audits other nodes
-	// submit.
+	// Zero (the default) disables the periodic driver; replicas still
+	// report digests for audits other nodes submit.
 	AuditEvery time.Duration
 	// Leases enables sequencer-granted read leases on every shard group:
 	// replicas holding a valid lease serve Get/MGet from local state —
@@ -808,9 +807,6 @@ func (s *Store) abandon() {
 	_ = s.shutdown(ctx, true)
 }
 
-// Name returns the store's name.
-func (s *Store) Name() string { return s.name }
-
 // Shards returns the live shard count under the current routing table.
 func (s *Store) Shards() int { return s.Routing().Shards }
 
@@ -832,8 +828,8 @@ func (s *Store) expectsShard(i int) bool {
 	return i >= 0 && i < want && hostsShard(i, s.opts.NodeIndex, s.nodes(), s.opts.Replication)
 }
 
-// Replica exposes shard i's underlying replica, for group-level operations
-// (Reset, Info, Applied) and advanced reads. After a self-heal the handle a
+// Replica exposes shard i's underlying replica, for group-level state
+// (Info, Applied, Members) and advanced reads. After a self-heal the handle a
 // caller holds may be the stopped predecessor; call Replica again for the
 // current one.
 func (s *Store) Replica(i int) *shared.Replica {
@@ -925,23 +921,6 @@ func (s *Store) snapshotShards() []*shared.Replica {
 	return append([]*shared.Replica(nil), s.shards...)
 }
 
-// Reset rebuilds every shard group after a node crash, requiring at least
-// minAlive surviving members per shard; see amoeba.Group.Reset. This node
-// becomes the sequencer of every shard it resets, so prefer calling Reset on
-// different surviving nodes for different shards — or set
-// Options.Group.AutoReset and skip manual recovery entirely.
-func (s *Store) Reset(ctx context.Context, minAlive int) error {
-	for i, r := range s.snapshotShards() {
-		if r == nil {
-			continue
-		}
-		if err := r.Reset(ctx, minAlive); err != nil {
-			return fmt.Errorf("kv: resetting shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Members reports the replica-set size of shard i (0 if this node does not
 // host it).
 func (s *Store) Members(i int) int {
@@ -953,11 +932,9 @@ func (s *Store) Members(i int) int {
 }
 
 // Close stops the node without protocol goodbye: to the rest of the store,
-// this node has crashed. Surviving nodes recover with Reset (or AutoReset).
+// this node has crashed. Surviving nodes recover by their shard groups'
+// automatic reset (Options.Group.AutoReset).
 func (s *Store) Close() { _ = s.shutdown(context.Background(), false) }
-
-// Leave departs every shard group in total order and stops the node.
-func (s *Store) Leave(ctx context.Context) error { return s.shutdown(ctx, true) }
 
 // shutdown stops the node, once: the slot owners and background loops
 // first, then every replica the slots still hold — departed in total order

@@ -37,6 +37,16 @@ func newCluster(t *testing.T, ctx context.Context, net *amoeba.MemoryNetwork, na
 	return stores
 }
 
+// cutOff pulls node's cable: it partitions node's kernel from every other
+// node of stores. net.Heal puts the cable back.
+func cutOff(net *amoeba.MemoryNetwork, node *Store, stores []*Store) {
+	for _, s := range stores {
+		if s != node {
+			net.Partition(node.kernel, s.kernel)
+		}
+	}
+}
+
 func TestBasicOps(t *testing.T) {
 	ctx := ctxT(t, 30*time.Second)
 	net := amoeba.NewMemoryNetwork()

@@ -368,7 +368,7 @@ func TestReshardingUnderChurn(t *testing.T) {
 	// for: dump the last protocol events (membership churn, NAKs, migrate
 	// phases) as a postmortem artifact instead of "rerun with prints".
 	hub := obs.NewHub(obs.Options{Node: "churn"})
-	hub.Flight().DumpOnFailure(t)
+	dumpOnFailure(t, hub.Flight())
 	stores := newCluster(t, ctx, net, "churn", 3, Options{
 		Shards: 4,
 		Group: amoeba.GroupOptions{
@@ -664,7 +664,7 @@ func TestHeldPutFollowsStragglerCommit(t *testing.T) {
 	net := amoeba.NewMemoryNetwork()
 	defer net.Close()
 	hub := obs.NewHub(obs.Options{Node: "straggler", TraceMod: 1})
-	hub.Flight().DumpOnFailure(t)
+	dumpOnFailure(t, hub.Flight())
 	stores := newCluster(t, ctx, net, "straggler", 2, Options{Shards: 4, Group: amoeba.GroupOptions{Obs: hub}})
 	defer func() {
 		for _, s := range stores {
@@ -730,4 +730,11 @@ func TestHeldPutFollowsStragglerCommit(t *testing.T) {
 	if string(v) != "landed" {
 		t.Fatalf("shard %d holds %q = %q, want the Put's value", dst, moving, v)
 	}
+}
+
+// Routing returns the table the client currently routes by (zero value for
+// ring-less clients).
+func (c *Client) Routing() Routing {
+	_, rt := c.routingRing()
+	return rt
 }

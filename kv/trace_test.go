@@ -10,6 +10,16 @@ import (
 	"amoeba/obs"
 )
 
+// dumpOnFailure logs a flight recorder's ring if t fails, so a failure
+// carries its postmortem.
+func dumpOnFailure(t *testing.T, r *obs.Recorder) {
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("%s", r.Format())
+		}
+	})
+}
+
 // spanEvents flattens a merged trace to its event strings, in time order.
 func spanEvents(spans []obs.Span) []string {
 	out := make([]string, len(spans))
@@ -65,7 +75,7 @@ func TestTraceReassemblyAcrossForwardHop(t *testing.T) {
 	defer net.Close()
 
 	clusterHub := obs.NewHub(obs.Options{Node: "cluster", TraceMod: 1})
-	clusterHub.Flight().DumpOnFailure(t)
+	dumpOnFailure(t, clusterHub.Flight())
 	const nodes, shards = 3, 4
 	stores := newCluster(t, ctx, net, "tracefwd", nodes, Options{
 		Shards:      shards,
@@ -154,7 +164,7 @@ func TestTraceReassemblyAcrossMovedRetry(t *testing.T) {
 	defer net.Close()
 
 	hub := obs.NewHub(obs.Options{Node: "moved", TraceMod: 1})
-	hub.Flight().DumpOnFailure(t)
+	dumpOnFailure(t, hub.Flight())
 	stores := newCluster(t, ctx, net, "tracemoved", 2, Options{
 		Shards: 4,
 		Group:  amoeba.GroupOptions{Obs: hub},
@@ -257,7 +267,7 @@ func TestTraceBatchPutPairs(t *testing.T) {
 	defer net.Close()
 
 	hub := obs.NewHub(obs.Options{Node: "batch", TraceMod: 1})
-	hub.Flight().DumpOnFailure(t)
+	dumpOnFailure(t, hub.Flight())
 	stores := newCluster(t, ctx, net, "tracebatch", 2, Options{Shards: 2, Group: amoeba.GroupOptions{Obs: hub}})
 	defer func() {
 		for _, s := range stores {

@@ -110,25 +110,3 @@ func (r *Recorder) Format() string {
 	}
 	return b.String()
 }
-
-// failer is the slice of *testing.T the recorder needs — a local interface
-// so obs does not import testing into production binaries.
-type failer interface {
-	Failed() bool
-	Logf(format string, args ...any)
-	Cleanup(func())
-}
-
-// DumpOnFailure arranges for the recorder's ring to be logged when the test
-// fails, turning "it failed, rerun with prints" into a postmortem artifact.
-// Call it once at test setup; safe on a nil recorder.
-func (r *Recorder) DumpOnFailure(t failer) {
-	if r == nil || t == nil {
-		return
-	}
-	t.Cleanup(func() {
-		if t.Failed() {
-			t.Logf("%s", r.Format())
-		}
-	})
-}

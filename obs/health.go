@@ -63,7 +63,6 @@ const auditKeep = 8
 // "diverged" — which sticks until Forget. A nil *Auditor is the no-op sink.
 type Auditor struct {
 	flight *Recorder
-	reg    *Registry
 
 	mu          sync.Mutex
 	scopes      map[string]*scopeAudit
@@ -94,7 +93,6 @@ type replicaAudit struct {
 func newAuditor(reg *Registry, flight *Recorder) *Auditor {
 	a := &Auditor{
 		flight:     flight,
-		reg:        reg,
 		scopes:     make(map[string]*scopeAudit),
 		staleAfter: 5 * time.Second,
 		lagGauge:   reg.gauge("amoeba_health_apply_lag"),

@@ -26,10 +26,6 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 }
 
-// NewHistogram returns a standalone histogram attached to no registry — for
-// ad-hoc measurement (e.g. the kv load driver's per-op latencies).
-func NewHistogram(name string) *Histogram { return &Histogram{name: name} }
-
 // bucketOf maps a value to its bucket index: the position of the highest
 // set bit, so bucket i spans (2^(i-1), 2^i].
 func bucketOf(v uint64) int {

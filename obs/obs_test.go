@@ -364,3 +364,6 @@ func TestMergeTracesSkewedClocks(t *testing.T) {
 		t.Fatalf("FormatTrace output missing zero offset or node: %q", out)
 	}
 }
+
+// NewHistogram returns a standalone histogram attached to no registry.
+func NewHistogram(name string) *Histogram { return &Histogram{name: name} }

@@ -374,8 +374,8 @@ func TestGroupNameAndKindMapping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if g.Name() != "named" {
-		t.Fatalf("Name = %q", g.Name())
+	if name := g.Info().Name; name != "named" {
+		t.Fatalf("Info().Name = %q", name)
 	}
 	// kindOf maps every core kind; unknown maps to zero.
 	pairs := map[core.MsgKind]MsgKind{

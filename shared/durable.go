@@ -92,11 +92,9 @@ func beaconAddr(group string, rank int) amoeba.Addr {
 	return amoeba.AddrForName(fmt.Sprintf("wal-beacon/%s/%d", group, rank))
 }
 
-// Beacon wire format: state(1) | recovered seq(4).
-const (
-	beaconCandidate byte = 0
-	beaconMember    byte = 1
-)
+// Beacon wire format: state(1) | recovered seq(4). The state is 0 while the
+// replica is a recovery candidate and beaconMember once it is a member.
+const beaconMember byte = 1
 
 // beacon serves a replica's recovery state to its peers' elections.
 type beacon struct {

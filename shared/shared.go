@@ -535,10 +535,6 @@ func (r *Replica) Read(fn func(sm StateMachine)) {
 	fn(r.sm)
 }
 
-// Lease returns the replica's read-lease snapshot (see
-// amoeba.GroupOptions.LeaseDur).
-func (r *Replica) Lease() amoeba.LeaseInfo { return r.group.Lease() }
-
 // LeaseRead runs fn with consistent access to the state machine if — and only
 // if — a linearizable local read is permitted right now: the replica holds a
 // valid read lease and has applied every delivery through the lease
@@ -637,11 +633,6 @@ func (r *Replica) Members() int {
 
 // Info exposes the underlying group state.
 func (r *Replica) Info() amoeba.GroupInfo { return r.group.Info() }
-
-// Reset rebuilds the replica set after failures; see amoeba.Group.Reset.
-func (r *Replica) Reset(ctx context.Context, minAlive int) error {
-	return r.group.Reset(ctx, minAlive)
-}
 
 // Leave departs the replica set in total order and stops the replica.
 func (r *Replica) Leave(ctx context.Context) error {

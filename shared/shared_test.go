@@ -255,7 +255,7 @@ func TestReplicaSurvivesSequencerCrash(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	r1.Close() // sequencer dies
-	if err := r2.Reset(ctx, 2); err != nil {
+	if err := r2.group.Reset(ctx, 2); err != nil {
 		t.Fatalf("reset: %v", err)
 	}
 	if err := r3.Submit(ctx, set("after", "recovery")); err != nil {

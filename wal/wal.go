@@ -888,16 +888,6 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Sync flushes the active segment to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.usable(); err != nil {
-		return err
-	}
-	return l.poison(l.syncActive())
-}
-
 // Close flushes and closes the log. The directory remains ready for the next
 // Open.
 func (l *Log) Close() error {

@@ -694,3 +694,13 @@ func TestInjectedSyncFailurePoisonsUntilReopen(t *testing.T) {
 		t.Fatalf("after reopen: recovered %d entries to %d, append: %v", len(entries), last, err)
 	}
 }
+
+// Sync flushes the active segment to stable storage.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.usable(); err != nil {
+		return err
+	}
+	return l.poison(l.syncActive())
+}
