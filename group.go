@@ -256,6 +256,36 @@ func (g *Group) ReceiveMany(ctx context.Context, buf []Message) (int, error) {
 	return g.queue.receive(ctx, buf)
 }
 
+// Deliver makes apply the group's one consumer from now on, in place of
+// Receive and ReceiveMany. Whichever goroutine delivers a message while no
+// apply is running takes the apply token and drains the queue itself: it hands
+// apply bursts of up to len(buf) messages, in total order, with no protocol
+// lock held, until the queue is empty. A delivery made while the token is held
+// only queues, and the holder applies it after the current burst, before it
+// lets the token go: apply is never re-entered, and a delivery costs no
+// goroutine handoff. Deliver takes the token first, so it returns once what
+// was queued before the call (a joiner's backlog) and what arrived meanwhile
+// is applied.
+//
+// apply runs on whichever goroutine delivers: the network's, or a caller of
+// Start or Send on a node where the delivery happens inline. Hence the rules:
+//   - apply must not block on the group: no Send, SendBatch, Receive,
+//     ReceiveMany, Leave or Reset from inside it. Start is allowed; what it
+//     delivers queues for the burst after the current one.
+//   - No caller may start a submission (Start, Send, SendBatch) while holding
+//     a lock that apply takes: the submission may deliver on the caller's
+//     goroutine, which then applies.
+//   - Close must not be called from inside apply: Close waits for the
+//     in-flight apply to return, and nothing is applied after Close returns.
+//   - apply must be short. The network's goroutine serves every group on
+//     the node, and none of them takes a packet while apply runs on it.
+//
+// buf must not be empty; buf and apply belong to the group from the call on.
+// Call Deliver at most once, and use neither Receive nor ReceiveMany after it.
+func (g *Group) Deliver(buf []Message, apply func([]Message)) {
+	g.queue.deliver(buf, apply)
+}
+
 // Leave departs the group in total order — the paper's LeaveGroup. It blocks
 // until the departure is sequenced; afterwards the handle is dead.
 func (g *Group) Leave(ctx context.Context) error {
@@ -339,7 +369,9 @@ func (g *Group) FreshAt(applied uint32) (time.Duration, bool) {
 }
 
 // Close abandons the membership without protocol interaction — to the rest
-// of the group, this member has crashed. Prefer Leave for orderly exits.
+// of the group, this member has crashed. Prefer Leave for orderly exits. With
+// a Deliver consumer, Close waits for an apply in flight, and applies nothing
+// after it returns.
 func (g *Group) Close() {
 	g.ep.Close()
 	g.tr.Unbind()
@@ -350,8 +382,10 @@ func (g *Group) Close() {
 }
 
 // deliveryQueue buffers ordered deliveries between the protocol goroutines
-// and blocking Receive/ReceiveMany calls. It is unbounded: a member that never
-// receives grows it without limit (ROADMAP item 10).
+// and their consumer: blocking Receive/ReceiveMany calls, or the apply function
+// Deliver installed, which the delivering goroutine runs itself whenever no
+// apply is running (combine). It is unbounded: a member that never receives
+// grows it without limit (ROADMAP item 10).
 type deliveryQueue struct {
 	mu     sync.Mutex
 	msgs   []queued // the queue is msgs[head:]
@@ -360,11 +394,22 @@ type deliveryQueue struct {
 	notify chan struct{}
 	closed bool
 
+	// The Deliver consumer (apply nil: Receive/ReceiveMany take deliveries).
+	// applying is the apply token: set while some goroutine runs combine,
+	// which applies bursts in buf. idle (L is &mu) wakes a Close waiting for
+	// the token to be let go.
+	apply    func([]Message)
+	buf      []Message
+	applying bool
+	idle     sync.Cond
+
 	// Instruments (nil = no-op): waitH observes how long a message sat
-	// queued before Receive picked it up (amoeba_group_deliver_wait_ns),
+	// queued before its consumer took it (amoeba_group_deliver_wait_ns),
 	// sampled 1-in-4 so the per-delivery wall-clock stamp stays off most
-	// of the hot path; depth tracks the queue occupancy
-	// (amoeba_group_queue_depth, delta-updated so groups can share it).
+	// of the hot path — with a Deliver consumer, near zero unless the
+	// message arrived while a burst was being applied; depth tracks the
+	// queue occupancy (amoeba_group_queue_depth, delta-updated so groups
+	// can share it).
 	waitH *obs.Histogram
 	depth *obs.Gauge
 }
@@ -383,7 +428,9 @@ type queued struct {
 const maxKeptQueue = 64
 
 func newDeliveryQueue() *deliveryQueue {
-	return &deliveryQueue{notify: make(chan struct{}, 1)}
+	q := &deliveryQueue{notify: make(chan struct{}, 1)}
+	q.idle.L = &q.mu
+	return q
 }
 
 func (q *deliveryQueue) push(d core.Delivery) {
@@ -415,6 +462,14 @@ func (q *deliveryQueue) push(d core.Delivery) {
 	}
 	q.msgs = append(q.msgs, e)
 	q.depth.Add(1)
+	if q.apply != nil {
+		if q.applying {
+			q.mu.Unlock() // the token's holder applies it before letting go
+			return
+		}
+		q.combine()
+		return
+	}
 	q.mu.Unlock()
 	select {
 	case q.notify <- struct{}{}:
@@ -422,32 +477,69 @@ func (q *deliveryQueue) push(d core.Delivery) {
 	}
 }
 
+// deliver installs the Deliver consumer and applies what is already queued;
+// see Group.Deliver.
+func (q *deliveryQueue) deliver(buf []Message, apply func([]Message)) {
+	q.mu.Lock()
+	q.buf, q.apply = buf, apply
+	q.combine()
+}
+
+// combine takes the apply token and applies bursts until the queue is empty
+// or closed, then lets the token go. q.mu is held on entry, the token free,
+// and q.mu is released on return; apply runs without it.
+func (q *deliveryQueue) combine() {
+	q.applying = true
+	for !q.closed {
+		n := q.takeLocked(q.buf)
+		if n == 0 {
+			break
+		}
+		q.mu.Unlock()
+		q.apply(q.buf[:n])
+		clear(q.buf[:n])
+		q.mu.Lock()
+	}
+	q.applying = false
+	q.idle.Broadcast()
+	q.mu.Unlock()
+}
+
+// takeLocked moves up to len(buf) queued messages into buf and reports how
+// many, zero when the queue is empty; q.mu must be held.
+func (q *deliveryQueue) takeLocked(buf []Message) int {
+	next := q.msgs[q.head:]
+	n := min(len(buf), len(next))
+	if n == 0 {
+		return 0
+	}
+	for i := range next[:n] {
+		buf[i] = next[i].m
+		if !next[i].at.IsZero() {
+			q.waitH.Observe(time.Since(next[i].at))
+		}
+	}
+	clear(next[:n]) // drop the queue's references to the payloads
+	q.head += n
+	if q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
+		if cap(q.msgs) > maxKeptQueue {
+			q.msgs = nil
+		}
+	}
+	if !q.closed {
+		q.depth.Add(-int64(n))
+	}
+	return n
+}
+
 // receive moves up to len(buf) queued messages into buf, blocking until there
 // is at least one; see Group.ReceiveMany.
 func (q *deliveryQueue) receive(ctx context.Context, buf []Message) (int, error) {
 	for {
 		q.mu.Lock()
-		if q.head < len(q.msgs) {
-			next := q.msgs[q.head:]
-			n := min(len(buf), len(next))
-			for i := range next[:n] {
-				buf[i] = next[i].m
-				if !next[i].at.IsZero() {
-					q.waitH.Observe(time.Since(next[i].at))
-				}
-			}
-			clear(next[:n]) // drop the queue's references to the payloads
-			q.head += n
+		if n := q.takeLocked(buf); n > 0 {
 			more := q.head < len(q.msgs)
-			if !more {
-				q.msgs, q.head = q.msgs[:0], 0
-				if cap(q.msgs) > maxKeptQueue {
-					q.msgs = nil
-				}
-			}
-			if !q.closed {
-				q.depth.Add(-int64(n))
-			}
 			q.mu.Unlock()
 			if more {
 				select {
@@ -484,6 +576,9 @@ func (q *deliveryQueue) close() {
 		q.depth.Add(-int64(len(q.msgs) - q.head))
 	}
 	q.closed = true
+	for q.applying {
+		q.idle.Wait() // the holder stops at its burst's end: closed
+	}
 	q.mu.Unlock()
 	select {
 	case q.notify <- struct{}{}:

@@ -218,6 +218,13 @@ var _ shared.Digester = (*mapSM)(nil)
 // node-local auditor hook. Dedup suppresses re-execution of a retried audit,
 // so one audit yields at most one report per replica per timeline; WAL
 // replay re-reporting one recomputes the identical digest — harmless.
+//
+// This is the one apply that is not short (shared.StateMachine.Apply): it
+// hashes every key, and on an in-memory replica it does so on the goroutine
+// that delivered the audit, so no other group on the node takes a packet
+// meanwhile. The digest must see the state at this position in the order,
+// so it cannot move off the apply path until the state can hand out an
+// immutable view (ROADMAP item 13(b)).
 func (s *mapSM) applyAudit(c *command) {
 	if s.onAudit != nil {
 		d := s.digestState(c.ranges)

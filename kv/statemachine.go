@@ -36,11 +36,11 @@ type result struct {
 }
 
 // answerWaiter is one local caller's commands on their way (Store.begin, then
-// Store.finish). It registers their ids BEFORE submitting (expect) and the apply
-// loop hands each answer over as its command applies (hand), under the replica
-// lock; the caller reads first and moved only after done delivers. Beside the
-// answers it carries the submission's own outcome (sent). Waiters are
-// node-local: never replicated, snapshotted or digested.
+// Store.finish). It registers their ids BEFORE submitting (expect) and the
+// replica hands each answer over as its command applies (hand), under the
+// replica lock; the caller reads first and moved only after done delivers.
+// Beside the answers it carries the submission's own outcome (sent). Waiters
+// are node-local: never replicated, snapshotted or digested.
 type answerWaiter struct {
 	regs    []answerReg   // one claim per id
 	pending int           // claims not yet answered
@@ -61,14 +61,22 @@ func newAnswerWaiter() *answerWaiter {
 
 // wait sleeps until the submission has completed and then until the last
 // answer is in — the order a blocking Submit and a wait would see them — or
-// until the submission fails, ctx ends or the replica stops. On nil w may be
-// recycled; on any other return it must be let go, for a callback may still be
-// owed to it.
+// until the submission fails, ctx ends or the replica stops. A submission
+// that failed once the replica had stopped reports the stop: closing a replica
+// stops it first and then fails its pending submissions, and a caller that
+// comes to wait after both must re-drive on the replacement, not fail. On nil
+// w may be recycled; on any other return it must be let go, for a callback may
+// still be owed to it.
 func (w *answerWaiter) wait(ctx context.Context, stopped <-chan struct{}) error {
 	select {
 	case err := <-w.sent:
 		if err != nil {
-			return err
+			select {
+			case <-stopped:
+				return shared.ErrStopped
+			default:
+				return err
+			}
 		}
 	case <-ctx.Done():
 		return ctx.Err()

@@ -138,7 +138,7 @@ func (a *Auditor) scope(name string) *scopeAudit {
 // Report records one replica's digest for an audit. The audit command id —
 // not the seq — keys the comparison: a group reformed from an older log can
 // reuse seq numbers, but an audit id is ordered at most once per timeline.
-// Safe to call from an apply loop (never calls back into replicas).
+// Safe to call from a state machine's Apply (never calls back into replicas).
 func (a *Auditor) Report(scope, node string, d Digest) {
 	if a == nil || d.ID == 0 {
 		return

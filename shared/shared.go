@@ -40,6 +40,26 @@ type StateMachine interface {
 	// slices of it in its state, and nobody writes cmd afterwards — the
 	// replica hands over the delivered payload itself, and the journal
 	// copies what it records.
+	//
+	// An in-memory replica applies on whichever goroutine delivers the
+	// command (amoeba.Group.Deliver): the network's, or a submitter's.
+	// Apply runs under the replica's lock and no protocol lock. The first
+	// three rules keep that from deadlocking, the fourth from stalling the
+	// node:
+	//   - Apply must not block on the group: no Submit, no Leave, and no
+	//     Wait for a later command. Start is allowed, on its own replica
+	//     too; what it delivers is applied after the current burst.
+	//   - No caller may start a submission (Submit, Start) while holding a
+	//     lock that Apply takes: the replica's own, inside a Read, Wait,
+	//     LeaseRead or StaleRead callback, or one the state machine takes
+	//     itself. The submission may deliver, and so apply, on the caller's
+	//     goroutine.
+	//   - Close must not be called from inside Apply: Close waits for the
+	//     burst in flight.
+	//   - Apply must be short. The network's goroutine serves every group
+	//     on the node, and none of them takes a packet while Apply runs on
+	//     it: work in proportion to the whole state stalls them all for as
+	//     long.
 	Apply(cmd []byte)
 	// Snapshot serialises the current state for transfer to a joiner.
 	Snapshot() ([]byte, error)
@@ -102,19 +122,21 @@ type Replica struct {
 	waiting   bool
 
 	// Durability (nil log: in-memory replica, the paper's semantics). The
-	// apply loop journals each burst of deliveries as one record before
-	// applying it and checkpoints whenever the log says one is due
+	// durable apply loop journals each burst of deliveries as one record
+	// before applying it and checkpoints whenever the log says one is due
 	// (wal.Log.CheckpointDue); see Open. durable is immutable after
 	// construction; log can drop to nil under the lock if the disk fails.
 	durable bool
 	log     *wal.Log
 	walErr  error
 
-	// The apply loop's arrays, allocated with the replica and reused burst
-	// after burst, in-memory or durable: burst is what each ReceiveMany fills,
-	// and entries is where applyBurst lists a burst's journal entries (Append
-	// copies each payload into its record). Both are cleared once their burst
-	// is applied, so neither keeps a payload from one burst to the next.
+	// applyBurst's arrays, allocated with the replica and reused burst after
+	// burst, in-memory or durable: burst is what the group fills with each
+	// burst of deliveries (Deliver, or the durable apply loop's ReceiveMany),
+	// and entries is where applyBurst lists a burst's journal entries
+	// (Append copies each payload into its record). Both are cleared once
+	// their burst is applied, so neither keeps a payload from one burst to
+	// the next.
 	burst   [maxBurst]amoeba.Message
 	entries [maxBurst]wal.Entry
 
@@ -125,6 +147,8 @@ type Replica struct {
 	applyCount uint64         // applies since start, for the sampling rule
 	flight     *obs.Recorder
 
+	// The durable apply loop: cancel stops it, done is closed when it has
+	// exited (both nil on an in-memory replica, which has no loop).
 	done   chan struct{}
 	cancel context.CancelFunc
 }
@@ -176,7 +200,7 @@ func joinWithLog(ctx context.Context, k *amoeba.Kernel, name string, sm StateMac
 
 	// Fetch a snapshot from an existing member. What the group delivers
 	// meanwhile waits in the delivery queue, which never holds up a sender;
-	// the apply loop takes it from there and skips what the snapshot
+	// start's consumer takes it from there and skips what the snapshot
 	// reflects (applyLocked).
 	snapSeq, snapshot, err := r.fetchSnapshot(ctx, first.Seq)
 	if err != nil {
@@ -213,7 +237,6 @@ func newReplica(k *amoeba.Kernel, g *amoeba.Group, name string, sm StateMachine,
 		sm:        sm,
 		stoppedCh: make(chan struct{}),
 		applyWake: make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	r.seqApply, _ = sm.(SeqApplier)
 	r.digester, _ = sm.(Digester)
@@ -238,7 +261,7 @@ const transferWait = 400 * time.Millisecond
 // serveTransfers starts this replica's snapshot service. A request carries
 // the sequence number the snapshot must reflect (4 bytes big-endian; none
 // means any), and the donor answers once it has applied that far: a joiner's
-// join is ordered before the donor's apply loop has seen it, and a donor
+// join is ordered before the donor has applied it, and a donor
 // that answered "not yet" would send the joiner on to the next member —
 // during a concurrent boot the other joiner, which serves nothing until its
 // own join completes. The handler waits, so it runs off the kernel's delivery
@@ -318,18 +341,37 @@ func (r *Replica) fetchSnapshot(ctx context.Context, minSeq uint32) (uint32, []b
 	return 0, nil, ErrTransferFailed
 }
 
-// maxBurst bounds the deliveries the apply loop takes from the group at once
-// and applies under one lock hold: for a durable replica, one journal record
-// (and, with Durability.Sync, one fsync).
+// maxBurst bounds the deliveries a replica takes from the group at once and
+// applies under one lock hold: for a durable replica, one journal record (and,
+// with Durability.Sync, one fsync).
 const maxBurst = 32
 
-// start launches the apply loop. Each receive takes the deliveries queued
-// behind the first, up to maxBurst, as one burst; a durable replica journals
-// the whole burst as a single log record before applying it — group commit at
-// the replica, mirroring the sequencer's batch amortisation on the wire.
+// start hands the replica's deliveries to applyBurst, in bursts of the
+// deliveries queued behind the first, up to maxBurst; a durable replica
+// journals the whole burst as a single log record before applying it — group
+// commit at the replica, mirroring the sequencer's batch amortisation on the
+// wire. What queued before start (a joiner's deliveries during its snapshot
+// fetch) is applied first, in order.
+//
+// Which goroutine calls applyBurst is the one difference between the two
+// kinds of replica. An in-memory replica has no goroutine of its own: the one
+// that delivers applies, whenever no burst is being applied
+// (amoeba.Group.Deliver), so a delivery wakes nobody. A durable replica keeps
+// an apply loop on its own goroutine, draining ReceiveMany, because the
+// loop's lag behind the network is what makes its bursts: applied inline,
+// each delivery is applied before the next arrives, every journal record
+// holds one entry, and the group commit is lost (durable-batch runs about 15%
+// slower; ROADMAP item 19). Inline, a burst that brings a checkpoint due would
+// also serialise a snapshot and fsync it on the network's goroutine, stalling
+// every group on the node (item 13(b)).
 func (r *Replica) start() {
+	if !r.durable {
+		r.group.Deliver(r.burst[:], r.applyBurst)
+		return
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
+	r.done = make(chan struct{})
 	go func() {
 		defer close(r.done)
 		for {
@@ -406,9 +448,9 @@ func (r *Replica) applyBurst(ms []amoeba.Message) {
 	}
 	// The checkpoint's disk I/O runs on the log's own mutex, not the
 	// replica lock: Read/Wait callers are not stalled behind a snapshot's
-	// fsyncs. The apply loop is the only appender, and it is here — nothing
-	// appends concurrently, so the checkpoint still covers exactly the
-	// entries journaled so far.
+	// fsyncs. The durable apply loop is the only appender, and it is here —
+	// nothing appends concurrently, so the checkpoint still covers exactly
+	// the entries journaled so far.
 	if err := log.Checkpoint(seq, digest, snap); err != nil {
 		r.mu.Lock()
 		// The log may have been retired (or swapped by Close) meanwhile;
@@ -493,7 +535,7 @@ func (r *Replica) walFailLocked(err error) {
 
 // Submit routes a command through the group; when it returns, the command is
 // totally ordered (and, with resilience, stored by r other members). The
-// local state reflects it once the apply loop catches up — use Read for
+// local state reflects it once this replica has applied it — use Wait for
 // read-your-writes patterns.
 func (r *Replica) Submit(ctx context.Context, cmd []byte) error {
 	select {
@@ -656,12 +698,17 @@ func (r *Replica) Close() {
 	if r.cancel != nil {
 		r.cancel()
 	}
+	// An in-memory replica's burst in flight ends before the group's Close
+	// returns, and nothing is applied after it; a durable replica's apply
+	// loop exits.
 	r.group.Close()
 	if r.xfer != nil {
 		r.xfer.Close()
 	}
-	<-r.done
-	// The apply loop has exited; the log is safe to flush and close.
+	if r.done != nil {
+		<-r.done
+	}
+	// Nothing applies any more; the log is safe to flush and close.
 	r.mu.Lock()
 	if r.log != nil {
 		r.log.Close()
