@@ -331,8 +331,8 @@ type LeaseInfo struct {
 	// Enabled reports whether the group runs with read leases.
 	Enabled bool
 	// Held reports whether a local linearizable read is permitted right
-	// now. Validity is time-bounded: callers must re-check Held after
-	// reading local state and discard the result if it lapsed.
+	// now. Validity is time-bounded: a read must observe local state before
+	// Remaining has run out.
 	Held bool
 	// Remaining is the time left on the held lease.
 	Remaining time.Duration
@@ -347,7 +347,9 @@ type LeaseInfo struct {
 // Lease returns the member's read-lease snapshot. With leases enabled
 // (GroupOptions.LeaseDur > 0), a member for which Held is true may serve a
 // linearizable read from state that has applied deliveries through Watermark
-// — provided Held is still true when the read finishes.
+// — provided it observes that state before Remaining has run out. A member
+// whose state is behind the watermark holds what it lacks, its accept on the
+// way: shared.Replica.LeaseRead waits for it that long, and no longer.
 func (g *Group) Lease() LeaseInfo {
 	li := g.ep.Lease()
 	return LeaseInfo{

@@ -323,7 +323,7 @@ func newEndpoint(cfg Config) (*Endpoint, error) {
 	// Seed the sequence space: a creator reforming a group from a durable
 	// log starts past the recovered history (a joiner re-bases at its join
 	// regardless). Seqnos start at FirstSeq+1; the default is 1.
-	hist.floor = cfg.FirstSeq
+	hist.pruneTo(cfg.FirstSeq)
 	ep := &Endpoint{
 		cfg:         cfg,
 		hist:        hist,

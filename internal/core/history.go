@@ -100,7 +100,10 @@ func newBatchEntry(seq uint32, sender MemberID, localID uint32, body []byte) (e 
 // that base to place a recovery anchor; once the buffer empties again size
 // falls back to the base, and a ring grown past it is given up (settle), so
 // one recovery does not judge and size the history at twice its ring for
-// the endpoint's life. A pointer from get or add
+// the endpoint's life. The contiguous top — the highest seqno up to which
+// every seqno above the floor is held — is kept as entries are placed,
+// dropped and pruned (contig), so reading it costs a field, not a walk from
+// the floor. A pointer from get or add
 // stays valid until the entry leaves the buffer — every seqno it covers
 // pruned, or the entry truncated — or the ring grows (add, forceAdd). A
 // batch straddling the floor keeps its first slot (unreachable by get) until
@@ -114,6 +117,10 @@ type history struct {
 	mask  uint32
 	size  int // the ring length placement is judged against (see above); forceAdd may raise it
 	base  int // size as the capacity sets it: the power of two at or above cap
+	// contig is the contiguous top: every seqno in (floor, contig] is held,
+	// and contig+1 is not. place raises it, drop lowers it, pruneTo lifts it
+	// to the new floor.
+	contig uint32
 }
 
 // slot is one seqno's place in the ring.
@@ -248,7 +255,24 @@ func (h *history) place(e entry) *entry {
 	sl.seq, sl.head, sl.e = e.seq, e.seq, e
 	sl.e.acked = acked
 	h.n += int(e.span())
+	if e.seq == h.contig+1 {
+		h.extend(e.lastSeq())
+	}
 	return &sl.e
+}
+
+// extend sets the contiguous top to top, which is held, or past it through
+// the entries that follow without a gap (those stored while e's seqnos were
+// missing).
+func (h *history) extend(top uint32) {
+	for {
+		e, ok := h.get(top + 1)
+		if !ok {
+			h.contig = top
+			return
+		}
+		top = e.lastSeq()
+	}
 }
 
 // vacant reports whether the ring's slots for seqnos [lo, hi] are empty.
@@ -303,6 +327,9 @@ func (h *history) pruneTo(upTo uint32) {
 		}
 	}
 	h.floor = upTo
+	if h.contig < upTo {
+		h.extend(upTo)
+	}
 	h.settle()
 }
 
@@ -336,8 +363,14 @@ func (h *history) release(e *entry, upTo uint32) {
 	}
 }
 
-// drop removes e whole: every slot it holds above the floor, and its own.
-func (h *history) drop(e *entry) { h.release(e, e.lastSeq()) }
+// drop removes e whole: every slot it holds above the floor, and its own. The
+// contiguous top falls to below the first seqno it frees.
+func (h *history) drop(e *entry) {
+	if lo := max(e.seq, h.floor+1); lo <= h.contig {
+		h.contig = lo - 1
+	}
+	h.release(e, e.lastSeq())
+}
 
 // clear empties a slot, dropping its payload but keeping its ack array.
 func (h *history) clear(sl *slot) { *sl = slot{e: entry{acked: sl.e.acked[:0]}} }
@@ -359,14 +392,6 @@ func (h *history) truncateAbove(top uint32) {
 
 // contiguousTop returns the highest seq such that every entry in
 // (floor, seq] is present. Recovery votes report this value: it is the range
-// the member can redistribute.
-func (h *history) contiguousTop() uint32 {
-	top := h.floor
-	for {
-		e, ok := h.get(top + 1)
-		if !ok {
-			return top
-		}
-		top = e.lastSeq()
-	}
-}
+// the member can redistribute. A member acks an entry only at or below it,
+// and a lease holder's read watermark is at least it.
+func (h *history) contiguousTop() uint32 { return h.contig }

@@ -179,9 +179,7 @@ func (m *refHistory) check(t *testing.T, h *history, step string) {
 		t.Fatalf("%s: floor %d len %d size %d, model floor %d len %d size %d",
 			step, h.floor, h.len(), h.size, m.floor, len(m.held), m.size)
 	}
-	if got, want := h.contiguousTop(), m.contiguousTop(); got != want {
-		t.Fatalf("%s: contiguousTop %d, model %d", step, got, want)
-	}
+	m.checkTop(t, h, step)
 	for _, k := range []int{1, 2, 5, m.cap} {
 		if got, want := h.hasRoom(k), len(m.held)+k <= m.cap; got != want {
 			t.Fatalf("%s: hasRoom(%d) = %v, model %v", step, k, got, want)
@@ -238,6 +236,28 @@ func (m *refHistory) check(t *testing.T, h *history, step string) {
 	}
 }
 
+// checkTop compares the contiguous top the ring keeps with a walk of the ring
+// and of the model from the floor.
+func (m *refHistory) checkTop(t *testing.T, h *history, step string) {
+	t.Helper()
+	if got, walk, want := h.contiguousTop(), walkContiguousTop(h), m.contiguousTop(); got != want || walk != want {
+		t.Fatalf("%s: kept contiguous top %d, walk of the ring %d, model %d", step, got, walk, want)
+	}
+}
+
+// walkContiguousTop finds the contiguous top by walking up from the floor,
+// entry by entry: the reference the top the ring keeps is checked against.
+func walkContiguousTop(h *history) uint32 {
+	top := h.floor
+	for {
+		e, ok := h.get(top + 1)
+		if !ok {
+			return top
+		}
+		top = e.lastSeq()
+	}
+}
+
 // historyModelRuns counts TestHistoryMatchesModel's runs in this process, so
 // that each run of a -count=N soak takes the next block of seeds.
 var historyModelRuns int
@@ -245,9 +265,11 @@ var historyModelRuns int
 // TestHistoryMatchesModel drives the ring and the map model with the same
 // random operations — contiguous and batch adds, gaps left for a NAK to
 // fill, prunes that land inside a batch, truncations, forceAdd into a full
-// buffer, adds a whole ring ahead and floor jumps of 10⁷ — and compares them
-// after every step. A failing subtest names its seed; the k-th run of a
-// -count soak takes seeds from k times the block size.
+// buffer, adds a whole ring ahead, floor jumps of 10⁷ and settles — and
+// compares them after every step and every add within one, the contiguous top
+// the ring keeps against a walk of the ring and of the model from the floor.
+// A failing subtest names its seed; the k-th run of a -count soak takes seeds
+// from k times the block size.
 func TestHistoryMatchesModel(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -292,6 +314,7 @@ func runHistoryModel(t *testing.T, rng *rand.Rand, capacity int) {
 		if ok && (got.seq != seq || &got.payload[0] != &r.payload[0]) {
 			t.Fatalf("%s: add returned entry %d, not the one stored", step, got.seq)
 		}
+		m.checkTop(t, h, step+": after an add")
 	}
 	for i := 0; i < 400; i++ {
 		top := m.top()
@@ -345,6 +368,10 @@ func runHistoryModel(t *testing.T, rng *rand.Rand, capacity int) {
 			step = "floor jump"
 			m.pruneTo(m.floor + 10_000_000)
 			h.pruneTo(h.floor + 10_000_000)
+		case op < 93:
+			step = "settle"
+			m.settle()
+			h.settle()
 		default:
 			step = "get"
 			s := m.floor + uint32(rng.Intn(int(top-m.floor)+3))

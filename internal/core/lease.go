@@ -82,8 +82,14 @@ type LeaseInfo struct {
 	Incarnation uint32
 }
 
-// Lease returns the endpoint's read-lease snapshot. Callers serving a local
-// read should re-check Held after reading state (validity is time-bounded).
+// Lease returns the endpoint's read-lease snapshot, at the cost of the
+// endpoint's lock and a few fields: nothing walks the history. A member's
+// watermark is the higher of its delivery point and its contiguous top (the
+// history keeps it as entries arrive, are pruned or truncated), so it may lie
+// above what the local state has applied: an entry the member stored and
+// acked — which a completed write may be — whose accept is still on its way.
+// A reader serving at the watermark waits for that apply, for at most
+// Remaining, rather than leave the fast path (shared.Replica.LeaseRead).
 func (ep *Endpoint) Lease() LeaseInfo {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()

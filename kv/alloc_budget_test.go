@@ -252,3 +252,59 @@ func TestAllocBudgetProxiedOps(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBudgetLeaseGet holds a lease-served Get to its allocation budget:
+// the heap objects the whole process allocates per Client.Get answered from
+// the client's own node under a read lease, on a three-node in-memory store
+// with leases. The answer is one object (newReadResponse keeps a one-key
+// answer's arrays in it), the value the caller owns another and Get's key
+// list the third; the read takes no session seq and sends nothing. It read 5
+// while the answer's two arrays were objects of their own.
+func TestAllocBudgetLeaseGet(t *testing.T) {
+	if bufpool.Poison || testing.Short() {
+		t.Skip("allocation counts are for plain, full runs")
+	}
+	ctx := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+	stores := newCluster(t, ctx, net, "leasebudget", 3, Options{Shards: 4, Leases: true})
+	defer closeAll(stores)
+	cl := stores[1].NewClient()
+	defer cl.Close()
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+		if err := cl.Put(ctx, keys[i], make([]byte, 64)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	n := 0
+	get := func() {
+		n++
+		if _, found, err := cl.Get(ctx, keys[n%len(keys)]); err != nil || !found {
+			t.Errorf("Get: %v %v", found, err)
+		}
+	}
+	// Leases ride the sequencers' sync ticks: read until every shard serves.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		before := cl.Stats().LeaseReads
+		for range keys {
+			get()
+		}
+		if cl.Stats().LeaseReads-before == uint64(len(keys)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("leases never armed on every shard")
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	const budget = 3.3 // measured 3, plus a tenth
+	before := cl.Stats().LeaseReads
+	got := testing.AllocsPerRun(3000, get)
+	t.Logf("%.2f heap objects per lease Get (%d of %d lease-served)", got, cl.Stats().LeaseReads-before, 3001)
+	if got > budget {
+		t.Fatalf("a lease Get costs %.2f heap objects process-wide, budget %.1f", got, budget)
+	}
+}

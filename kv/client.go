@@ -43,9 +43,10 @@ var errStale = errors.New("kv: stale command: its session acknowledged it or exp
 //     owning node — the reply comes back from wherever the request lands.
 //
 // All three speak the same versioned codec (see EncodeRequest), and every
-// request is numbered here in the client's session (session.go), which the
-// replicas deduplicate by, so retries across paths, forwards, failovers, and
-// routing epochs stay exactly-once. Sequenced reads
+// request that goes to a group or over RPC is numbered here in the client's
+// session (session.go), which the replicas deduplicate by, so retries across
+// paths, forwards, failovers, and routing epochs stay exactly-once; a read
+// this node answers from its own replica state needs no number. Sequenced reads
 // run the read marker through the total order on whichever replica serves
 // them, so Get and MGet are linearizable over every path.
 //
@@ -86,7 +87,12 @@ type Client struct {
 	// targets lease-read distribution rotates over.
 	topoNodes atomic.Int64
 	topoRepl  atomic.Int64
-	readSeq   atomic.Uint64 // lease-read rotation cursor
+	// readSeq counts the client's flagged reads: it rotates a remote one
+	// over the shard's hosts (readTarget), and a read Do takes in
+	// unnumbered is traced as cmdID(readIDs, n) (Request.trace), in an id
+	// space of the client's own, minted like a session id and never sent.
+	readSeq atomic.Uint64
+	readIDs uint64
 
 	localOps  atomic.Uint64
 	remoteOps atomic.Uint64
@@ -179,6 +185,7 @@ func (s *Store) NewClient() *Client {
 		s:       s,
 		kernel:  s.kernel,
 		cluster: s.name,
+		readIDs: newSessionID(time.Now()),
 
 		storeAddr: StoreAddr(s.name),
 	}
@@ -358,7 +365,12 @@ func (s *Store) awaitChange(ctx context.Context, wake <-chan struct{}) error {
 // method, the amoeba-kv daemon, and the Service proxy route through. A request
 // without a Session is numbered here, once, in the client's session — a seq
 // per request, or per pair of a batch — and its seq is acknowledged when Do
-// returns, answered or not; then one loop takes the node's change channel,
+// returns, answered or not. A read this node may answer from its own replica
+// state, under a lease or within a stale bound (fastReads), is the exception:
+// it goes in unnumbered, traced under an id of the client's own, and is
+// numbered only if it must go to a group or over RPC after all (start,
+// finish) — a lease read costs the read, not a seq. Then one loop takes the
+// node's change channel,
 // reads the routing table, splits the request by shard (split), runs the
 // parts — a lone part on this goroutine, several scattered, each over its own
 // best path (doShard) — and, when any part answers Moved (its range is frozen
@@ -413,28 +425,46 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		}
 		return c.drive(ctx, req)
 	}
-	n := 1
-	if req.Op == ReqBatchPut {
-		n = len(req.Pairs)
-	}
-	session, first, ack := c.sess.begin(n)
-	req.Session, req.ID, req.Ack = session, first, ack
-	if req.Op == ReqBatchPut { // a batch is its pairs' seqs
-		req.IDs = make([]uint64, n)
-		for i := range req.IDs {
-			req.IDs[i] = first + uint64(i)
-		}
+	if stale, lease := c.fastReads(req); stale || lease {
+		req.trace = cmdID(c.readIDs, c.readSeq.Add(1))
+	} else {
+		c.number(req)
 	}
 	resp, err := c.drive(ctx, req)
-	if err != nil && req.Op == ReqTxn {
-		c.sess.retire(session)
-	} else {
-		c.sess.end(session, first, n)
+	switch {
+	case req.Session == 0: // answered without a number
+	case err != nil && req.Op == ReqTxn:
+		c.sess.retire(req.Session)
+	default:
+		c.sess.end(req.Session, req.ID, req.numSeqs())
 	}
 	return resp, err
 }
 
-// drive runs a numbered request to its answer: Do's loop.
+// number gives an unpinned request its session header: the next seq of the
+// client's session — for a batch, one per pair — and the session's ack.
+func (c *Client) number(req *Request) {
+	n := req.numSeqs()
+	req.Session, req.ID, req.Ack = c.sess.begin(n)
+	if req.Op == ReqBatchPut { // a batch is its pairs' seqs
+		req.IDs = make([]uint64, n)
+		for i := range req.IDs {
+			req.IDs[i] = req.ID + uint64(i)
+		}
+	}
+}
+
+// numSeqs is how many seqs of its session a request takes.
+func (r *Request) numSeqs() int {
+	if r.Op == ReqBatchPut {
+		return len(r.Pairs)
+	}
+	return 1
+}
+
+// drive runs a request to its answer: Do's loop. A read Do left unnumbered
+// takes its number where it leaves this node's replica state — before it is
+// split among shards, or in start or finish.
 func (c *Client) drive(ctx context.Context, req *Request) (*Response, error) {
 	if req.Op == ReqTxn {
 		if r, _ := c.routingRing(); r != nil {
@@ -452,7 +482,14 @@ func (c *Client) drive(ctx context.Context, req *Request) (*Response, error) {
 		req.Epoch = rt.Epoch
 		var resp *Response
 		var err error
-		if shard, parts := split(r, rt, req); parts == nil {
+		shard, parts := split(r, rt, req)
+		if parts != nil && req.Session == 0 {
+			// An unnumbered read over several shards goes to their groups:
+			// its parts are split under the header it takes now.
+			c.number(req)
+			shard, parts = split(r, rt, req)
+		}
+		if parts == nil {
 			resp, err = c.doShard(ctx, shard, req)
 		} else {
 			resp, err = c.gather(ctx, req, parts)
@@ -489,8 +526,16 @@ func (c *Client) trace(req *Request, event string) {
 	}
 }
 
-// traceID is the id a request's spans go by: its shard commands' (cmdID).
-func (r *Request) traceID() uint64 { return cmdID(r.Session, r.ID) }
+// traceID is the id a request's spans go by: its shard commands' (cmdID), or
+// the id Do drew for it when it went in unnumbered, which it keeps if it is
+// numbered on the way (the replicas' spans of its read marker then go by the
+// marker's command id).
+func (r *Request) traceID() uint64 {
+	if r.trace != 0 {
+		return r.trace
+	}
+	return cmdID(r.Session, r.ID)
+}
 
 // numKeys and keyAt enumerate the keys that decide where a request runs —
 // the one place that knows each op's key fields: a read's Keys, a batch's
@@ -678,7 +723,7 @@ func split(r *ring, rt Routing, req *Request) (int, []shardPart) {
 // gather runs a split request's parts side by side and merges their answers.
 func (c *Client) gather(ctx context.Context, req *Request, parts []shardPart) (*Response, error) {
 	err := scatter(parts,
-		func(p *shardPart) bool { return c.start(p.shard, p.req, p.call) },
+		func(p *shardPart) bool { return c.start(ctx, p.shard, p.req, p.call) },
 		func(p *shardPart) (*Response, error) { return c.finish(ctx, p.shard, p.req, p.call) })
 	if err != nil {
 		return nil, err
@@ -703,8 +748,10 @@ func (c *Client) gather(ctx context.Context, req *Request, parts []shardPart) (*
 
 // scatter is the one fan-out. start is offered every part first, in order, on
 // the caller's goroutine, and reports whether it took the part on without
-// blocking — answered it outright, or begun it on this node's replica, its
-// commands submitted and its answers on their way. A part start leaves
+// blocking on another node — answered it outright (a lease read may wait,
+// briefly and bounded, for an apply already in flight here), or begun it on
+// this node's replica, its commands submitted and its answers on their way.
+// A part start leaves
 // (a nil start leaves all) blocks in finish — an RPC, a whole request's retry
 // loop — and runs on a goroutine of its own unless it is the only part. Then
 // finish runs for every part start took, in order, on the caller's goroutine:
@@ -766,7 +813,7 @@ func mergeReadPath(merged, p byte) byte {
 // goes back to Do as errMoved.
 func (c *Client) doShard(ctx context.Context, shard int, req *Request) (*Response, error) {
 	var call localCall
-	c.start(shard, req, &call)
+	c.start(ctx, shard, req, &call)
 	resp, err := c.finish(ctx, shard, req, &call)
 	if resp == nil && err == nil {
 		resp = &Response{OK: true} // a local batch's
@@ -787,9 +834,12 @@ type localCall struct {
 // start is the non-blocking half of doShard. It takes on what needs no other
 // node: a local lease or bounded-stale read, answered at once; a shard this
 // node should host but is still installing, answered Moved; and a request
-// this node executes on its own replica, begun (Store.begin). It reports
-// false, touching nothing, for a request that must go over RPC.
-func (c *Client) start(shard int, req *Request, call *localCall) bool {
+// this node executes on its own replica, begun (Store.begin), numbered first
+// if it came unnumbered. It reports false, touching nothing, for a request
+// that must go over RPC. Its one wait is a lease read's for an apply this
+// replica already has in flight — the accept of an entry it stored and acked
+// — bounded by the lease's remaining time and ctx (shared.Replica.LeaseRead).
+func (c *Client) start(ctx context.Context, shard int, req *Request, call *localCall) bool {
 	if c.s == nil || shard < 0 || c.s.Replica(shard) == nil {
 		// A shard this node SHOULD host but does not yet is being opened by
 		// the slot's owner (a split in flight): its installation is a
@@ -802,9 +852,12 @@ func (c *Client) start(shard int, req *Request, call *localCall) bool {
 	}
 	if req.Op == ReqGet {
 		var ok bool
-		if call.resp, ok = c.localFastRead(shard, req); ok {
+		if call.resp, ok = c.localFastRead(ctx, shard, req); ok {
 			return true
 		}
+	}
+	if req.Session == 0 {
+		c.number(req)
 	}
 	c.localOps.Add(1)
 	if c.localH != nil {
@@ -821,6 +874,9 @@ func (c *Client) start(shard int, req *Request, call *localCall) bool {
 func (c *Client) finish(ctx context.Context, shard int, req *Request, call *localCall) (*Response, error) {
 	if call.w == nil {
 		if call.resp == nil && call.err == nil {
+			if req.Session == 0 {
+				c.number(req)
+			}
 			return c.remoteCall(ctx, shard, req)
 		}
 		return call.resp, call.err
@@ -838,17 +894,30 @@ func (c *Client) finish(ctx context.Context, shard int, req *Request, call *loca
 	return res.response(), nil
 }
 
+// fastReads reports which read shortcuts req permits on this node's replicas
+// (localFastRead): a bounded-stale read, and a lease read, which a stale
+// request may ride too — it is current, so it satisfies any bound.
+func (c *Client) fastReads(req *Request) (stale, lease bool) {
+	if req.Op != ReqGet || c.s == nil {
+		return false, false
+	}
+	return req.Flags&flagStaleRead != 0 && req.MaxStale > 0,
+		req.Flags&(flagLeaseRead|flagStaleRead) != 0 && c.s.leasesOn()
+}
+
 // localFastRead tries the read shortcuts against this node's replica of
 // shard: a bounded-stale read when the request permits one, then a
-// lease-covered linearizable read. False means no shortcut applies — the
+// lease-covered linearizable read, which may wait for an apply in flight
+// (ctx bounds it, as the lease does). False means no shortcut applies — the
 // replica holds no valid lease (or freshness bound), or a key is frozen or
 // locked — and the caller runs the sequenced read marker as before.
-func (c *Client) localFastRead(shard int, req *Request) (*Response, bool) {
+func (c *Client) localFastRead(ctx context.Context, shard int, req *Request) (*Response, bool) {
 	var t0 time.Time
 	if c.localH != nil {
 		t0 = time.Now()
 	}
-	if req.Flags&flagStaleRead != 0 && req.MaxStale > 0 {
+	stale, lease := c.fastReads(req)
+	if stale {
 		if resp, ok := c.s.staleGet(shard, req.Keys, req.MaxStale); ok {
 			c.localOps.Add(1)
 			c.staleReads.Add(1)
@@ -861,10 +930,8 @@ func (c *Client) localFastRead(shard int, req *Request) (*Response, bool) {
 			return resp, true
 		}
 	}
-	// A lease read trivially satisfies a staleness bound (it is current),
-	// so stale requests may ride it too when the bound path fails.
-	if req.Flags&(flagLeaseRead|flagStaleRead) != 0 && c.s.leasesOn() {
-		if resp, ok := c.s.leaseGet(shard, req.Keys); ok {
+	if lease {
+		if resp, ok := c.s.leaseGet(ctx, shard, req.Keys); ok {
 			c.localOps.Add(1)
 			c.leaseReads.Add(1)
 			if c.localH != nil {

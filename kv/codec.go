@@ -496,8 +496,10 @@ type Request struct {
 	// session, the request's sequence number in it, and the session's ack —
 	// its lowest seq whose caller still waits. A zero Session asks the
 	// client to number the request in its own session (ID and Ack are then
-	// assigned too); a caller that sets Session pins the request, which a
-	// retry under the same (Session, ID) is then deduplicated against.
+	// assigned too) — unless it is a read the client's node answers from
+	// local state, which needs no number; a caller that sets Session pins
+	// the request, which a retry under the same (Session, ID) is then
+	// deduplicated against.
 	Session uint64
 	ID      uint64
 	Ack     uint64
@@ -535,6 +537,10 @@ type Request struct {
 	Writes  []TxnWrite // ReqTxn, ReqTxnPrepare (local subset)
 	Conds   []TxnCond  // ReqTxn, ReqTxnPrepare (local subset)
 	Commit  bool       // ReqTxnResolve: the decision being applied
+
+	// trace is the id Client.Do drew to trace a read it took in unnumbered
+	// (traceID). It never goes on the wire.
+	trace uint64
 }
 
 // EncodeRequest renders a request for the wire.

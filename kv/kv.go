@@ -859,11 +859,12 @@ func (s *Store) LeaseStats() (leased, leaseFallback, stale, staleFallback uint64
 // whose Moved answer Do's loop handles. Safe across a live reshard: the lease
 // watermark covers every completed write, and a completed migrate-begin is
 // itself lease-gated, so any key moving away is already frozen in the state
-// a valid lease exposes.
-func (s *Store) leaseGet(shard int, keys []string) (*Response, bool) {
+// a valid lease exposes. A replica behind the lease watermark waits for the
+// apply in flight, bounded by the lease and ctx, before it gives up.
+func (s *Store) leaseGet(ctx context.Context, shard int, keys []string) (*Response, bool) {
 	resp, ok := newReadResponse(len(keys), ReadLease), false
 	if r := s.Replica(shard); r != nil {
-		r.LeaseRead(func(sm shared.StateMachine) { ok = sm.(*mapSM).readKeys(keys, resp.Values, resp.Found) })
+		r.LeaseRead(ctx, func(sm shared.StateMachine) { ok = sm.(*mapSM).readKeys(keys, resp.Values, resp.Found) })
 	}
 	if !ok {
 		s.leaseFallback.Add(1)
@@ -894,9 +895,24 @@ func (s *Store) staleGet(shard int, keys []string, maxStale time.Duration) (*Res
 	return resp, true
 }
 
-// newReadResponse is an n-key read's answer, to be filled by readKeys.
+// newReadResponse is an n-key read's answer, to be filled by readKeys. A
+// one-key answer is one allocation: its Values and Found arrays live in the
+// object with it (oneKeyResponse).
 func newReadResponse(n int, path byte) *Response {
+	if n == 1 {
+		o := new(oneKeyResponse)
+		o.resp = Response{OK: true, ReadPath: path, Values: o.val[:], Found: o.found[:]}
+		return &o.resp
+	}
 	return &Response{OK: true, ReadPath: path, Values: make([][]byte, n), Found: make([]bool, n)}
+}
+
+// oneKeyResponse is a one-key read's answer with the arrays its Values and
+// Found slices hold.
+type oneKeyResponse struct {
+	resp  Response
+	val   [1][]byte
+	found [1]bool
 }
 
 // detach copies values out of the state machine's storage in place: callers

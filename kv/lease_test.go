@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"amoeba"
+	"amoeba/obs"
 )
 
 // TestLeaseReadsSafeAcrossReshard runs lease-served reads concurrently with
@@ -57,7 +58,7 @@ func TestLeaseReadsSafeAcrossReshard(t *testing.T) {
 			continue // no test key on this shard; fine
 		}
 		for {
-			if _, ok := stores[0].leaseGet(shard, []string{k}); ok {
+			if _, ok := stores[0].leaseGet(ctx, shard, []string{k}); ok {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -273,5 +274,108 @@ func TestLeaseReadYourWriteAndBoundedStaleness(t *testing.T) {
 	}
 	if stale == 0 {
 		t.Fatal("no bounded-staleness read was served")
+	}
+}
+
+// TestLeaseReadsTakeNoSeqAndStayTraceable: a Get its own node answers under
+// a lease is never numbered — a thousand of them leave the client's session
+// where they found it — yet it is traced, under an id of the client's own,
+// with its "served locally under lease" span; and a Get on a store without
+// leases is still numbered, one seq, and answered once.
+func TestLeaseReadsTakeNoSeqAndStayTraceable(t *testing.T) {
+	ctx := ctxT(t, 60*time.Second)
+	net := amoeba.NewMemoryNetwork()
+	defer net.Close()
+
+	hub := obs.NewHub(obs.Options{Node: "leaseseq", TraceMod: 1})
+	dumpOnFailure(t, hub.Flight())
+	stores := newCluster(t, ctx, net, "leaseseq", 3, Options{Shards: 4, Leases: true, Group: amoeba.GroupOptions{Obs: hub}})
+	defer closeAll(stores)
+	cl := stores[1].NewClient()
+	defer cl.Close()
+	const nKeys = 16
+	key := func(i int) string { return fmt.Sprintf("seq-%d", i%nKeys) }
+	for i := 0; i < nKeys; i++ {
+		if err := cl.Put(ctx, key(i), []byte(strconv.Itoa(i))); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	get := func(c *Client, k string) *Response {
+		t.Helper()
+		resp, err := c.Do(ctx, &Request{Op: ReqGet, Keys: []string{k}})
+		if err != nil {
+			t.Fatalf("Get %s: %v", k, err)
+		}
+		return resp
+	}
+	// Leases ride the sequencers' sync ticks: read until every shard serves.
+	deadline := time.Now().Add(15 * time.Second)
+	for served := 0; served < nKeys; {
+		served = 0
+		for i := 0; i < nKeys; i++ {
+			if get(cl, key(i)).ReadPath == ReadLease {
+				served++
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d keys lease-served after 15s", served, nKeys)
+		}
+	}
+
+	sessionAt := func(c *Client) (next, ack uint64) {
+		c.sess.mu.Lock()
+		defer c.sess.mu.Unlock()
+		return c.sess.next, c.sess.ack
+	}
+	next, ack := sessionAt(cl)
+	for i := 0; i < 1000; i++ {
+		resp := get(cl, key(i))
+		if resp.ReadPath != ReadLease || !resp.Found[0] || string(resp.Values[0]) != strconv.Itoa(i%nKeys) {
+			t.Fatalf("Get %s = %q found=%v path=%d, want %q under a lease", key(i), resp.Values[0], resp.Found[0], resp.ReadPath, strconv.Itoa(i%nKeys))
+		}
+	}
+	if n, a := sessionAt(cl); n != next || a != ack {
+		t.Fatalf("1000 lease reads moved the session from next=%d ack=%d to next=%d ack=%d", next, ack, n, a)
+	}
+
+	leased := 0
+	for _, id := range hub.Tracer().IDs() {
+		events := spanEvents(hub.Tracer().Trace(id))
+		if firstIndexContaining(events, "served locally under lease") < 0 {
+			continue
+		}
+		leased++
+		sub, rep := firstIndexContaining(events, "submitted"), firstIndexContaining(events, "replied")
+		if sub < 0 || rep < 0 || countContaining(events, "applied@seq") > 0 {
+			t.Fatalf("lease read trace %d is not submitted, served locally, replied: %q", id, events)
+		}
+	}
+	if leased == 0 {
+		t.Fatal("no lease read left a \"served locally under lease\" span with every op sampled")
+	}
+
+	// Without leases a Get is a sequenced read marker: it takes one seq,
+	// acknowledged when it returns, and its caller is answered once.
+	plainHub := obs.NewHub(obs.Options{Node: "plainseq", TraceMod: 1})
+	plain := newCluster(t, ctx, net, "plainseq", 3, Options{Shards: 4, Group: amoeba.GroupOptions{Obs: plainHub}})
+	defer closeAll(plain)
+	pc := plain[1].NewClient()
+	defer pc.Close()
+	if err := pc.Put(ctx, "plain", []byte("v")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	next, _ = sessionAt(pc)
+	resp := get(pc, "plain")
+	if resp.ReadPath != ReadSequenced || !resp.Found[0] || string(resp.Values[0]) != "v" {
+		t.Fatalf("Get on a store without leases = %q found=%v path=%d, want \"v\", sequenced", resp.Values[0], resp.Found[0], resp.ReadPath)
+	}
+	if n, a := sessionAt(pc); n != next+1 || a != n {
+		t.Fatalf("a sequenced Get left the session at next=%d ack=%d, want next=%d ack=%d", n, a, next+1, next+1)
+	}
+	id := cmdID(pc.sess.id, next)
+	events := spanEvents(plainHub.Tracer().Trace(id))
+	// Only the caller's own replica is known to apply before the reply.
+	if countContaining(events, "submitted") != 1 || countContaining(events, "replied") != 1 || countContaining(events, "applied@seq") < 1 {
+		t.Fatalf("the sequenced Get's trace %d is not one submission, an apply and one reply: %q", id, events)
 	}
 }

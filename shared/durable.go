@@ -312,7 +312,7 @@ func createSeeded(ctx context.Context, k *amoeba.Kernel, name string, sm StateMa
 		return nil, fmt.Errorf("shared: re-creating %q: %w", name, err)
 	}
 	r := newReplica(k, g, name, sm, opts.Obs)
-	r.lastApplied = recovered
+	r.lastApplied.Store(recovered)
 	r.log = log
 	r.durable = true
 	snap, err := sm.Snapshot()

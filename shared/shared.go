@@ -23,7 +23,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"amoeba"
@@ -107,19 +109,23 @@ type Replica struct {
 	xfer   *amoeba.RPCServer
 	beacon *beacon // durable replicas advertise their recovery state
 
-	mu          sync.Mutex
-	sm          StateMachine
-	lastApplied uint32
+	mu sync.Mutex
+	sm StateMachine
+	// lastApplied is the sequence number of the last delivery applied. It is
+	// written under mu, with the state it describes, and read anywhere: a
+	// LeaseRead checks it without the lock an apply in flight holds.
+	lastApplied atomic.Uint32
 	members     int
 	stopped     bool
 	stoppedCh   chan struct{} // closed when stopped is set (stopLocked); see Stopped
 	closed      bool
-	// applyWake is what Wait callers sleep on until the state machine may
-	// have changed: closed and replaced by the first apply (or stop) after
-	// a caller took it — waiting says one has since the last wake — and
-	// left alone while nobody is listening.
-	applyWake chan struct{}
-	waiting   bool
+	// sleepers are the wake channels of the Wait and LeaseRead callers
+	// asleep until the state machine may have changed, each buffered for
+	// one wake: the next apply (or stop) wakes them and empties the list.
+	// wakeMu guards it, so that a LeaseRead can join while an apply holds
+	// mu. A channel outlives its wake, so a wake allocates nothing.
+	wakeMu   sync.Mutex
+	sleepers []chan struct{}
 
 	// Durability (nil log: in-memory replica, the paper's semantics). The
 	// durable apply loop journals each burst of deliveries as one record
@@ -211,7 +217,7 @@ func joinWithLog(ctx context.Context, k *amoeba.Kernel, name string, sm StateMac
 		g.Close()
 		return nil, fmt.Errorf("shared: restoring snapshot: %w", err)
 	}
-	r.lastApplied = snapSeq
+	r.lastApplied.Store(snapSeq)
 	r.members = first.Members
 	if log != nil {
 		if err := log.Reset(snapSeq, r.stampLocked(), snapshot); err != nil {
@@ -236,7 +242,6 @@ func newReplica(k *amoeba.Kernel, g *amoeba.Group, name string, sm StateMachine,
 		name:      name,
 		sm:        sm,
 		stoppedCh: make(chan struct{}),
-		applyWake: make(chan struct{}),
 	}
 	r.seqApply, _ = sm.(SeqApplier)
 	r.digester, _ = sm.(Digester)
@@ -279,12 +284,12 @@ func (r *Replica) serveTransfers() error {
 		defer cancel()
 		var out []byte
 		err := r.Wait(ctx, func(sm StateMachine) bool {
-			if r.lastApplied < minSeq {
+			if r.lastApplied.Load() < minSeq {
 				return false
 			}
 			if snap, err := sm.Snapshot(); err == nil {
 				out = make([]byte, 4+len(snap))
-				binary.BigEndian.PutUint32(out, r.lastApplied)
+				binary.BigEndian.PutUint32(out, r.lastApplied.Load())
 				copy(out[4:], snap)
 			}
 			return true
@@ -405,14 +410,41 @@ func (r *Replica) stopLocked() {
 // on).
 func (r *Replica) Stopped() <-chan struct{} { return r.stoppedCh }
 
-// wakeLocked wakes every Wait caller; r.mu must be held.
+// wakeLocked wakes every Wait and LeaseRead caller; r.mu must be held.
 func (r *Replica) wakeLocked() {
-	if !r.waiting {
-		return
+	r.wakeMu.Lock()
+	defer r.wakeMu.Unlock()
+	for i, w := range r.sleepers {
+		select {
+		case w <- struct{}{}:
+		default: // a wake is already waiting in it
+		}
+		r.sleepers[i] = nil
 	}
-	r.waiting = false
-	close(r.applyWake)
-	r.applyWake = make(chan struct{})
+	r.sleepers = r.sleepers[:0]
+}
+
+// sleepOn lists w, an empty channel buffered for one wake, for the next
+// apply (or stop). A caller lists it before it checks what it waits for, so
+// an apply between the check and the sleep is not missed; one that leaves
+// before its wake takes w off (wakeOff).
+func (r *Replica) sleepOn(w chan struct{}) {
+	r.wakeMu.Lock()
+	defer r.wakeMu.Unlock()
+	r.sleepers = append(r.sleepers, w)
+}
+
+// wakeOff takes w off the list, if it is still on it, and empties it.
+func (r *Replica) wakeOff(w chan struct{}) {
+	r.wakeMu.Lock()
+	if i := slices.Index(r.sleepers, w); i >= 0 {
+		r.sleepers = slices.Delete(r.sleepers, i, i+1)
+	}
+	r.wakeMu.Unlock()
+	select {
+	case <-w:
+	default:
+	}
 }
 
 // applyBurst journals then applies a run of deliveries under one lock hold:
@@ -423,7 +455,7 @@ func (r *Replica) applyBurst(ms []amoeba.Message) {
 	r.mu.Lock()
 	if r.log != nil {
 		entries := r.entries[:0]
-		last := r.lastApplied
+		last := r.lastApplied.Load()
 		for i := range ms {
 			if ms[i].Kind == amoeba.Data && ms[i].Seq > last {
 				entries = append(entries, wal.Entry{Seq: ms[i].Seq, Payload: ms[i].Payload})
@@ -474,7 +506,7 @@ func (r *Replica) prepareCheckpointLocked() (*wal.Log, uint32, uint64, []byte) {
 	if err != nil {
 		return nil, 0, 0, nil // not fatal: try again after the next burst
 	}
-	return r.log, r.lastApplied, r.stampLocked(), snap
+	return r.log, r.lastApplied.Load(), r.stampLocked(), snap
 }
 
 // stampLocked is the digest a checkpoint of the current state is stamped
@@ -491,7 +523,7 @@ func (r *Replica) stampLocked() uint64 {
 func (r *Replica) applyLocked(m amoeba.Message) {
 	switch m.Kind {
 	case amoeba.Data:
-		if m.Seq <= r.lastApplied {
+		if m.Seq <= r.lastApplied.Load() {
 			return // already reflected by the snapshot
 		}
 		// Sample 1-in-8 applies: a median apply is ~1µs, so stamping the
@@ -510,11 +542,11 @@ func (r *Replica) applyLocked(m amoeba.Message) {
 		if timed {
 			r.applyH.Observe(time.Since(t0))
 		}
-		r.lastApplied = m.Seq
+		r.lastApplied.Store(m.Seq)
 	case amoeba.Join, amoeba.Leave, amoeba.Reset:
 		r.members = m.Members
-		if m.Seq > r.lastApplied {
-			r.lastApplied = m.Seq
+		if m.Seq > r.lastApplied.Load() {
+			r.lastApplied.Store(m.Seq)
 		}
 	case amoeba.Expelled:
 		r.stopLocked()
@@ -577,30 +609,81 @@ func (r *Replica) Read(fn func(sm StateMachine)) {
 	fn(r.sm)
 }
 
+// leaseWaits recycles what a LeaseRead waits with: one read in fifty waits
+// under a leased-read benchmark's write load, and a timer and a channel apiece
+// showed in its bytes allocated per op.
+var leaseWaits sync.Pool
+
+// leaseWait is a LeaseRead's wake channel and the timer that bounds its wait.
+type leaseWait struct {
+	wake  chan struct{}
+	timer *time.Timer
+}
+
 // LeaseRead runs fn with consistent access to the state machine if — and only
-// if — a linearizable local read is permitted right now: the replica holds a
-// valid read lease and has applied every delivery through the lease
-// watermark. It reports whether fn ran; on false the caller must fall back to
-// an ordered read (Submit a read marker, or route to another replica).
+// if — a linearizable local read is permitted: the replica holds a valid read
+// lease and has applied every delivery through the lease watermark. A replica
+// behind the watermark holds what it lacks (it stored and acked those
+// entries; their accept, or their apply, is in flight), so LeaseRead waits for
+// that apply — for at most the lease's remaining time, and not past ctx or the
+// replica's stop — rather than give up at once. It reports whether fn ran; on
+// false the caller must fall back to an ordered read (Submit a read marker,
+// or route to another replica).
 //
 // Linearizability argument: the read's linearization point is the Lease()
 // snapshot. At that instant the lease was valid, so (write gating) every
 // write completed before it was stored here — and stored entries are below
-// the watermark, which the state was verified to have applied through.
-// Anything newer the read happens to observe was already accepted by the
-// sequencer, i.e. its effect point precedes the observation.
-func (r *Replica) LeaseRead(fn func(sm StateMachine)) bool {
+// the watermark, which the state has applied through before fn observes it.
+// Anything newer the read happens to observe, the wait included, was already
+// accepted by the sequencer, i.e. its effect point precedes the observation.
+// The wait ends when the lease would have, so the read never observes state
+// after a lease a new sequencer's fence could be waiting out.
+func (r *Replica) LeaseRead(ctx context.Context, fn func(sm StateMachine)) bool {
 	li := r.group.Lease()
-	if !li.Held {
+	if !li.Held || r.lastApplied.Load() < li.Watermark && !r.awaitApplied(ctx, li.Watermark, li.Remaining) {
 		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stopped || r.lastApplied < li.Watermark {
+	if r.stopped {
 		return false
 	}
 	fn(r.sm)
 	return true
+}
+
+// awaitApplied waits until the replica has applied through seq, for at most
+// limit, and not past ctx or the replica's stop. It reports whether seq was
+// reached. It never takes mu, so an apply in flight, which holds mu, delays
+// it no more than its wake.
+func (r *Replica) awaitApplied(ctx context.Context, seq uint32, limit time.Duration) bool {
+	lw, _ := leaseWaits.Get().(*leaseWait)
+	if lw == nil {
+		lw = &leaseWait{wake: make(chan struct{}, 1), timer: time.NewTimer(limit)}
+	} else {
+		lw.timer.Reset(limit)
+	}
+	defer func() {
+		r.wakeOff(lw.wake)
+		if lw.timer.Stop() { // it never fired, so nothing waits in C
+			leaseWaits.Put(lw)
+		}
+	}()
+	for {
+		r.sleepOn(lw.wake)
+		if r.lastApplied.Load() >= seq {
+			return true
+		}
+		select {
+		case <-lw.wake:
+		case <-r.stoppedCh:
+			return false
+		case <-lw.timer.C:
+			return false
+		case <-ctx.Done():
+			return false
+		}
+	}
 }
 
 // StaleRead runs fn against local state if its staleness is provably within
@@ -612,7 +695,7 @@ func (r *Replica) LeaseRead(fn func(sm StateMachine)) bool {
 // churn, at the price of bounded (not zero) staleness.
 func (r *Replica) StaleRead(maxStale time.Duration, fn func(sm StateMachine)) (time.Duration, bool) {
 	r.mu.Lock()
-	applied := r.lastApplied
+	applied := r.lastApplied.Load()
 	stopped := r.stopped
 	r.mu.Unlock()
 	if stopped {
@@ -638,6 +721,7 @@ func (r *Replica) StaleRead(maxStale time.Duration, fn func(sm StateMachine)) (t
 // if the replica stops first, or ctx.Err() on cancellation. Use it to wait
 // for a submitted command's effect to reach the local copy.
 func (r *Replica) Wait(ctx context.Context, pred func(sm StateMachine) bool) error {
+	var wake chan struct{}
 	for {
 		r.mu.Lock()
 		if pred(r.sm) {
@@ -648,23 +732,22 @@ func (r *Replica) Wait(ctx context.Context, pred func(sm StateMachine) bool) err
 			r.mu.Unlock()
 			return ErrStopped
 		}
-		wake := r.applyWake
-		r.waiting = true
+		if wake == nil {
+			wake = make(chan struct{}, 1)
+		}
+		r.sleepOn(wake)
 		r.mu.Unlock()
 		select {
 		case <-wake:
 		case <-ctx.Done():
+			r.wakeOff(wake)
 			return ctx.Err()
 		}
 	}
 }
 
 // Applied reports the sequence number of the last applied command.
-func (r *Replica) Applied() uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastApplied
-}
+func (r *Replica) Applied() uint32 { return r.lastApplied.Load() }
 
 // Members reports the current replica-set size.
 func (r *Replica) Members() int {
