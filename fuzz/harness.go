@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -25,7 +26,12 @@ type Config struct {
 	// Shards is the bootstrap shard count (default 2).
 	Shards int
 	// Clients is the number of concurrent recording workload clients
-	// (default 4).
+	// (default 4). The even-numbered ones are bound to a live node
+	// (Store.NewClient) and rebind when it crashes; the odd-numbered ones
+	// are ring-less (kv.Dial) on a kernel of their own and enter the store
+	// at its anycast address, through whichever node's kv.Service answers,
+	// so their requests cross the RPC path and the schedule's loss,
+	// duplication and reordering reach the Services.
 	Clients int
 	// Keys is the number of distinct keys the workload contends on
 	// (default 4). Fewer keys = more contention = stronger histories.
@@ -181,6 +187,10 @@ type Result struct {
 	// lease paths were actually in play, not silently falling back.
 	LeaseReads uint64
 	StaleReads uint64
+	// Served counts the requests the nodes' kv.Services served during the
+	// run (ServiceStats.Served), retransmissions that reached a handler
+	// included: proof the dialed clients' requests crossed the RPC path.
+	Served uint64
 	// Err reports a harness-level failure (bootstrap or restart machinery
 	// broke) — distinct from a checker verdict.
 	Err error
@@ -343,12 +353,14 @@ type cluster struct {
 	opts    kv.Options
 	baseCtx context.Context
 
-	mu      sync.Mutex
-	stores  []*kv.Store
-	kernels []*amoeba.Kernel
-	booting map[int]bool // restarts in flight
-	gen     int          // kernel-name generation counter
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	stores   []*kv.Store
+	services []*kv.Service // by node, beside its store
+	kernels  []*amoeba.Kernel
+	booting  map[int]bool  // restarts in flight
+	served   atomic.Uint64 // requests served by the services closed so far
+	gen      int           // kernel-name generation counter
+	wg       sync.WaitGroup
 }
 
 // live returns a running store, preferring node pref, or nil when the whole
@@ -364,12 +376,13 @@ func (c *cluster) live(pref int) *kv.Store {
 	return nil
 }
 
-// crash closes node n's store and kernel with no protocol goodbye.
+// crash closes node n's service, store and kernel with no protocol goodbye.
 func (c *cluster) crash(n int) {
 	c.mu.Lock()
-	s, k := c.stores[n], c.kernels[n]
-	c.stores[n], c.kernels[n] = nil, nil
+	svc, s, k := c.services[n], c.stores[n], c.kernels[n]
+	c.services[n], c.stores[n], c.kernels[n] = nil, nil, nil
 	c.mu.Unlock()
+	c.closeService(svc)
 	if s != nil {
 		s.Close()
 	}
@@ -412,13 +425,21 @@ func (c *cluster) restart(n int) {
 			k.Close()
 			return
 		}
+		svc, err := kv.NewService(s)
+		if err != nil {
+			c.cfg.logf("restart(%d): service: %v", n, err)
+			s.Close()
+			k.Close()
+			return
+		}
 		c.mu.Lock()
 		dead := c.baseCtx.Err() != nil
 		if !dead {
-			c.stores[n], c.kernels[n] = s, k
+			c.services[n], c.stores[n], c.kernels[n] = svc, s, k
 		}
 		c.mu.Unlock()
 		if dead { // the run ended while we were booting
+			c.closeService(svc)
 			s.Close()
 			k.Close()
 		} else {
@@ -534,12 +555,24 @@ func (c *cluster) walErrs() map[int][]string {
 	return errs
 }
 
+// closeService closes a node's service (nil: none) and counts what it served.
+func (c *cluster) closeService(svc *kv.Service) {
+	if svc != nil {
+		svc.Close()
+		c.served.Add(svc.Stats().Served)
+	}
+}
+
 // closeAll tears the cluster down and waits for stragglers.
 func (c *cluster) closeAll() {
 	c.wg.Wait() // restarts and reshards first: they hold kernels
 	c.mu.Lock()
+	services := append([]*kv.Service(nil), c.services...)
 	stores := append([]*kv.Store(nil), c.stores...)
 	c.mu.Unlock()
+	for _, svc := range services {
+		c.closeService(svc)
+	}
 	for _, s := range stores {
 		if s != nil {
 			s.Close()
@@ -613,7 +646,38 @@ func Run(cfg Config, sched Schedule) Result {
 	cl := &cluster{
 		cfg: cfg, net: net, name: "fuzz", opts: opts,
 		baseCtx: runCtx, stores: stores, kernels: kernels,
-		booting: make(map[int]bool),
+		services: make([]*kv.Service, cfg.Nodes),
+		booting:  make(map[int]bool),
+	}
+	for i, s := range stores {
+		svc, err := kv.NewService(s)
+		if err != nil {
+			res.Err = fmt.Errorf("fuzz: service %d: %w", i, err)
+			cl.closeAll()
+			return res
+		}
+		cl.services[i] = svc
+	}
+	// The ring-less clients, on a kernel no schedule event crashes or
+	// partitions.
+	dialK, err := net.NewKernel("fuzz-clients")
+	if err != nil {
+		res.Err = fmt.Errorf("fuzz: client kernel: %w", err)
+		cl.closeAll()
+		return res
+	}
+	dialed := make([]*kv.Client, cfg.Clients)
+	for ci := 1; ci < cfg.Clients; ci += 2 {
+		if dialed[ci], err = kv.Dial(dialK, cl.name, kv.DialOptions{Anycast: true}); err != nil {
+			res.Err = fmt.Errorf("fuzz: dialing client %d: %w", ci, err)
+			for _, c := range dialed[:ci] {
+				if c != nil {
+					c.Close()
+				}
+			}
+			cl.closeAll()
+			return res
+		}
 	}
 
 	// Seed the bank accounts before any client runs: transfers conserve
@@ -647,7 +711,7 @@ func Run(cfg Config, sched Schedule) Result {
 		wl.Add(1)
 		go func(ci int) {
 			defer wl.Done()
-			runClient(wlCtx, cfg, cl, hist, sched.Seed, ci)
+			runClient(wlCtx, cfg, cl, dialed[ci], hist, sched.Seed, ci)
 		}(ci)
 	}
 
@@ -704,6 +768,7 @@ func Run(cfg Config, sched Schedule) Result {
 	}
 	res.WALErrs = cl.walErrs()
 	cl.closeAll()
+	res.Served = cl.served.Load()
 
 	events := hist.Events()
 	if cfg.PlantStaleRead {
@@ -761,10 +826,13 @@ func bankVal(balance int64, who string, ci, opn int) []byte {
 
 // runClient is one workload client: a deterministic stream of contended
 // operations with globally unique write values (uniqueness is what lets the
-// checker pin every observed value to exactly one write).
-func runClient(ctx context.Context, cfg Config, cl *cluster, hist *History, seed int64, ci int) {
+// checker pin every observed value to exactly one write). A dialed client
+// (non-nil) keeps its one client, which finds a live node by anycast; the
+// others bind to a live node and rebind when it crashes. runClient closes
+// the client it ends with.
+func runClient(ctx context.Context, cfg Config, cl *cluster, dialed *kv.Client, hist *History, seed int64, ci int) {
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(ci)))
-	var cur *kv.Client
+	cur := dialed
 	var curStore *kv.Store
 	defer func() {
 		if cur != nil {
@@ -786,7 +854,7 @@ func runClient(ctx context.Context, cfg Config, cl *cluster, hist *History, seed
 			}
 			continue
 		}
-		if s != curStore {
+		if dialed == nil && s != curStore {
 			if cur != nil {
 				cur.Close()
 			}

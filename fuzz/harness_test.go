@@ -127,6 +127,38 @@ func TestHarnessPlantedStaleServeCaught(t *testing.T) {
 	}
 }
 
+// TestHarnessDialedClientsThroughServices: duplication, reordering and loss
+// on the network while a node crashes and restarts, with the odd-numbered
+// clients dialed through the nodes' kv.Services. The RPC servers keep no
+// replies, so a duplicated or retransmitted request that arrives after its
+// reply runs the Service's handler again; the shards' session tables must
+// keep every write exactly-once and every read fresh, which the
+// linearizability and atomicity verdicts hold.
+func TestHarnessDialedClientsThroughServices(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second fault schedule")
+	}
+	sched := Schedule{Seed: 21, Events: []Event{
+		{At: 100 * time.Millisecond, Kind: EvDuplicate, Rate: 0.2},
+		{At: 150 * time.Millisecond, Kind: EvReorder, Rate: 0.1},
+		{At: 200 * time.Millisecond, Kind: EvLoss, Rate: 0.05},
+		{At: 400 * time.Millisecond, Kind: EvCrash, A: 2},
+		{At: 800 * time.Millisecond, Kind: EvRestart, A: 2},
+		{At: 1200 * time.Millisecond, Kind: EvNetClean},
+	}}
+	res := Run(Config{Clients: 4, Keys: 3, Accounts: 3, Tail: 800 * time.Millisecond, Logf: t.Logf}, sched)
+	if res.Err != nil {
+		t.Fatalf("harness error: %v", res.Err)
+	}
+	if !res.Ok() {
+		t.Fatalf("duplicates through the services broke a verdict: %s\nflight:\n%s", res, res.Flight)
+	}
+	if res.Served == 0 {
+		t.Fatal("no Service served a request: the dialed clients never crossed the RPC path")
+	}
+	t.Logf("%d requests served by the nodes' Services over %d recorded ops", res.Served, res.Ops)
+}
+
 // TestHarnessFaultScheduleRun: a real schedule — crash+restart, a
 // partition+heal, message loss, and two disk faults — must complete with a
 // linearizable history (full resilience plus the WAL make every injected

@@ -3,19 +3,26 @@
 // (§4: a null group send is about 0.1 ms faster than a null RPC on the same
 // hardware).
 //
-// The protocol is the classic blocking request/reply with at-most-once
-// execution: the client retransmits until a reply (or a server-side
-// acknowledgement of a long-running call) arrives — every RetryInterval after
-// a call's last send, on one retransmission clock per client (a single timer
-// armed for the earliest of its pending calls' deadlines, the way a group
-// endpoint's send retry works); the server suppresses
-// duplicate transaction ids and caches replies — the last replyCacheSize,
-// keyed by (client, transaction), so pipelined calls from one client each keep
-// their own at-most-once slot — for retransmission. ForwardRequest — the Table 1
-// primitive that bounces a
-// request to another group member — is supported by letting a handler return
-// a forward address: the server hands the original request to the new
-// destination, and the reply flows back to the client directly.
+// The protocol is the classic blocking request/reply: the client retransmits
+// until a reply (or a server-side acknowledgement of a long-running call)
+// arrives — every RetryInterval after a call's last send, on one
+// retransmission clock per client (a single timer armed for the earliest of
+// its pending calls' deadlines, the way a group endpoint's send retry works).
+// ForwardRequest — the Table 1 primitive that bounces a request to another
+// group member — is supported by letting a handler return a forward address:
+// the server hands the original request to the new destination, and the
+// reply flows back to the client directly.
+//
+// A server executes at most once by default, as the paper's RPC does: it
+// suppresses duplicate transaction ids and caches replies — the last
+// replyCacheSize, keyed by (client, transaction), so pipelined calls from one
+// client each keep their own at-most-once slot — for retransmission. The
+// paper's experiments (internal/experiments) run such servers. A server
+// configured Idempotent keeps no replies: its handlers give the same effect
+// when they run again, so a retransmission that arrives after the reply runs
+// the handler again, and exactly-once, where it is wanted, lives with the
+// data (a kv shard deduplicates by client session). The public amoeba RPC
+// servers are all of this kind.
 package rpc
 
 import (
@@ -138,9 +145,16 @@ type Config struct {
 	// sends, wait on other RPCs — without stalling the stack's delivery
 	// goroutine (which would deadlock a handler that needs inbound packets
 	// to make progress). Duplicate requests arriving while a handler runs
-	// are dropped; the client's retransmissions are answered from the reply
-	// cache once the handler completes.
+	// are dropped; the client's retransmissions are answered once the
+	// handler completes.
 	Concurrent bool
+	// Idempotent makes a Server keep no reply cache, for handlers that give
+	// the same effect when they run again: a retransmission that arrives
+	// after the reply was sent runs the handler again, and its reply is the
+	// one the client takes if the first was lost. Without it the server
+	// executes each (client, transaction) at most once and answers a late
+	// retransmission from the cache.
+	Idempotent bool
 }
 
 const (
@@ -148,8 +162,8 @@ const (
 	// finds all of them busy is shed, and the client's retransmission
 	// offers it again.
 	maxConcurrent = 64
-	// replyCacheSize bounds the at-most-once reply cache: a new (client,
-	// transaction) overwrites the oldest.
+	// replyCacheSize bounds the at-most-once reply cache (a server that is
+	// not Idempotent): a new (client, transaction) overwrites the oldest.
 	replyCacheSize = 1024
 )
 
@@ -382,11 +396,12 @@ type Server struct {
 
 	mu     sync.Mutex
 	closed bool
-	// Duplicate suppression and reply retransmission: the reply packet of
-	// each of the last replyCacheSize transactions, keyed by (client, txn),
-	// so concurrent transactions from one client each keep their own cached
-	// reply instead of thrashing a single slot. ring holds the keys in the
-	// order they were cached; next is the slot the next new key overwrites.
+	// Duplicate suppression and reply retransmission, unless Idempotent
+	// (then replies is nil): the reply packet of each of the last
+	// replyCacheSize transactions, keyed by (client, txn), so concurrent
+	// transactions from one client each keep their own cached reply instead
+	// of thrashing a single slot. ring holds the keys in the order they were
+	// cached; next is the slot the next new key overwrites.
 	replies map[inflightKey][]byte
 	ring    []inflightKey
 	next    int
@@ -443,7 +458,8 @@ func (s *Server) cacheReplyLocked(key inflightKey, pkt []byte) {
 // with h. Without Concurrent, handlers run on the stack's delivery goroutine;
 // they may perform their own sends but must not block indefinitely. With it,
 // they run on workers the server starts as requests need them and keeps for
-// later ones.
+// later ones. Without Idempotent, the server runs h at most once per (client,
+// transaction) and answers retransmissions from its reply cache.
 func NewServer(cfg Config, addr flip.Address, h Handler) (*Server, error) {
 	if cfg.Stack == nil || cfg.Clock == nil {
 		return nil, errors.New("rpc: Stack and Clock are required")
@@ -459,9 +475,11 @@ func NewServer(cfg Config, addr flip.Address, h Handler) (*Server, error) {
 		cfg:      cfg,
 		addr:     addr,
 		handler:  h,
-		replies:  make(map[inflightKey][]byte),
 		inflight: make(map[inflightKey]bool),
 		lastFwd:  make(map[flip.Address]forwardMark),
+	}
+	if !cfg.Idempotent {
+		s.replies = make(map[inflightKey][]byte)
 	}
 	cfg.Stack.Register(addr, s.onMessage)
 	return s, nil
@@ -513,7 +531,8 @@ func (s *Server) onMessage(m flip.Message) {
 		return
 	}
 	if pkt, ok := s.replies[key]; ok {
-		// Duplicate request: retransmit the cached reply.
+		// Duplicate request: retransmit the cached reply. (An Idempotent
+		// server's nil map holds none: the handler runs again.)
 		s.mu.Unlock()
 		if pkt != nil {
 			_ = s.cfg.Stack.Send(s.addr, client, pkt)
@@ -522,7 +541,7 @@ func (s *Server) onMessage(m flip.Message) {
 	}
 	if s.cfg.Concurrent && s.inflight[key] {
 		s.mu.Unlock()
-		return // handler already running; the reply will be cached
+		return // handler already running; its reply is on the way
 	}
 	// The request outlives this upcall from here on — handed to a worker,
 	// or to application code that may keep it — and m.Payload is only
@@ -592,7 +611,9 @@ func (s *Server) serve(h header, client flip.Address, payload []byte) {
 	pkt := encode(header{typ: ptReply, txn: h.txn, replyTo: s.addr}, reply)
 	s.mu.Lock()
 	key := inflightKey{client: client, txn: h.txn}
-	s.cacheReplyLocked(key, pkt)
+	if s.replies != nil {
+		s.cacheReplyLocked(key, pkt)
+	}
 	s.finishLocked(key)
 	s.mu.Unlock()
 	s.cfg.Meter.Charge(cost.GroupOut, 0)

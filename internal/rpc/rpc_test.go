@@ -563,6 +563,78 @@ func TestReplyCacheEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestIdempotentServerRerunsLateDuplicates: an Idempotent server keeps no
+// replies. A duplicate that arrives while its handler runs is still dropped,
+// but one that arrives after the reply was sent runs the handler again and is
+// answered by that run.
+func TestIdempotentServerRerunsLateDuplicates(t *testing.T) {
+	net := memnet.NewReliable()
+	defer net.Close()
+	ss, cs := newStack(t, net), newStack(t, net)
+	var executions atomic.Uint64
+	started, gate := make(chan struct{}, 1), make(chan struct{})
+	scfg := cfg(ss)
+	scfg.Concurrent, scfg.Idempotent = true, true
+	srv, err := NewServer(scfg, 0, func(req []byte) ([]byte, flip.Address) {
+		n := executions.Add(1)
+		if n == 1 {
+			started <- struct{}{}
+			<-gate
+		}
+		return []byte(fmt.Sprintf("%s#%d", req, n)), 0
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+
+	clientAddr := cs.AllocAddress()
+	replies := make(chan string, 4)
+	cs.Register(clientAddr, func(m flip.Message) {
+		if _, payload, ok := DecodeReply(m.Payload); ok {
+			replies <- string(payload) // copies: m.Payload is borrowed
+		}
+	})
+	defer cs.Unregister(clientAddr)
+	send := func(txn uint32, body string) {
+		if err := cs.Send(clientAddr, srv.Addr(), EncodeRequest(txn, clientAddr, []byte(body))); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}
+	recv := func(want string) {
+		t.Helper()
+		select {
+		case got := <-replies:
+			if got != want {
+				t.Fatalf("reply %q, want %q", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no reply, want %q", want)
+		}
+	}
+
+	send(1, "a")
+	<-started
+	send(1, "a") // while the handler runs: dropped
+	send(2, "b") // delivered after the duplicate, in order
+	recv("b#2")
+	close(gate)
+	recv("a#1")
+	send(1, "a") // after the reply: runs again
+	recv("a#3")
+	if got := executions.Load(); got != 3 {
+		t.Fatalf("handler executed %d times, want 3", got)
+	}
+	select {
+	case extra := <-replies:
+		t.Fatalf("an extra reply %q: the duplicate sent while the handler ran was served", extra)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if srv.replies != nil {
+		t.Fatal("an Idempotent server made a reply cache")
+	}
+}
+
 // workerGoroutines returns the ids of the goroutines running a Concurrent
 // server's worker loop.
 func workerGoroutines() map[string]bool {

@@ -399,7 +399,7 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 	switch req.Op {
 	case ReqPut, ReqDelete, ReqCAS, ReqTxn, ReqTxnPrepare, ReqTxnResolve:
 	case ReqGet:
-		if len(req.Keys) == 0 {
+		if req.numKeys() == 0 {
 			return nil, fmt.Errorf("kv: get of zero keys")
 		}
 		// Invite lease serving: a bound client knows whether its store
@@ -423,14 +423,15 @@ func (c *Client) Do(ctx context.Context, caller *Request) (*Response, error) {
 		if err := futureSession(req.Session, time.Now()); err != nil {
 			return nil, err
 		}
-		return c.drive(ctx, req)
+		resp, _, err := c.drive(ctx, req)
+		return resp, err
 	}
 	if stale, lease := c.fastReads(req); stale || lease {
 		req.trace = cmdID(c.readIDs, c.readSeq.Add(1))
 	} else {
 		c.number(req)
 	}
-	resp, err := c.drive(ctx, req)
+	resp, _, err := c.drive(ctx, req)
 	switch {
 	case req.Session == 0: // answered without a number
 	case err != nil && req.Op == ReqTxn:
@@ -464,11 +465,14 @@ func (r *Request) numSeqs() int {
 
 // drive runs a request to its answer: Do's loop. A read Do left unnumbered
 // takes its number where it leaves this node's replica state — before it is
-// split among shards, or in start or finish.
-func (c *Client) drive(ctx context.Context, req *Request) (*Response, error) {
+// split among shards, or in start or finish. Beside the answer it returns the
+// split the answer came under, at req.Epoch: one part per shard, nil when one
+// shard took the request whole (split) or a transaction ran.
+func (c *Client) drive(ctx context.Context, req *Request) (*Response, []shardPart, error) {
 	if req.Op == ReqTxn {
 		if r, _ := c.routingRing(); r != nil {
-			return c.txnExecute(ctx, req)
+			resp, err := c.txnExecute(ctx, req)
+			return resp, nil, err
 		}
 		// Ring-less client: the entry node's coordinator runs the 2PC.
 	}
@@ -497,14 +501,14 @@ func (c *Client) drive(ctx context.Context, req *Request) (*Response, error) {
 		switch {
 		case err == nil:
 			c.trace(req, "replied")
-			return resp, nil
+			return resp, parts, nil
 		case !errors.Is(err, errMoved):
 			c.trace(req, "failed: "+err.Error())
-			return nil, err
+			return nil, nil, err
 		}
 		c.trace(req, "moved, retrying")
 		if err := c.s.awaitChange(ctx, wake); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 }
@@ -515,7 +519,7 @@ func (c *Client) drive(ctx context.Context, req *Request) (*Response, error) {
 func (c *Client) trace(req *Request, event string) {
 	if req.Op != ReqBatchPut {
 		if id := req.traceID(); c.tracer.Sampled(id) { // asked first: Addf's arguments are boxed before it can decline them
-			c.tracer.Addf(id, "%s op=%d key=%q keys=%d", event, req.Op, req.Key, len(req.Keys))
+			c.tracer.Addf(id, "%s op=%d key=%q keys=%d", event, req.Op, req.Key, req.numKeys())
 		}
 		return
 	}
@@ -538,13 +542,16 @@ func (r *Request) traceID() uint64 {
 }
 
 // numKeys and keyAt enumerate the keys that decide where a request runs —
-// the one place that knows each op's key fields: a read's Keys, a batch's
-// pairs, a transaction's (or one of its prepares') reads, writes and
-// conditions in that order, and the lone Key of everything else (for a
-// resolve, the representative key its portion is routed by).
+// the one place that knows each op's key fields: a read's Keys (or its one
+// Key, readKeys), a batch's pairs, a transaction's (or one of its prepares')
+// reads, writes and conditions in that order, and the lone Key of everything
+// else (for a resolve, the representative key its portion is routed by).
 func (r *Request) numKeys() int {
 	switch r.Op {
 	case ReqGet:
+		if r.Keys == nil {
+			return 1
+		}
 		return len(r.Keys)
 	case ReqBatchPut:
 		return len(r.Pairs)
@@ -557,6 +564,9 @@ func (r *Request) numKeys() int {
 func (r *Request) keyAt(i int) string {
 	switch r.Op {
 	case ReqGet:
+		if r.Keys == nil {
+			return r.Key
+		}
 		return r.Keys[i]
 	case ReqBatchPut:
 		return r.Pairs[i].Key
@@ -917,8 +927,10 @@ func (c *Client) localFastRead(ctx context.Context, shard int, req *Request) (*R
 		t0 = time.Now()
 	}
 	stale, lease := c.fastReads(req)
+	var one [1]string
+	keys := req.readKeys(&one)
 	if stale {
-		if resp, ok := c.s.staleGet(shard, req.Keys, req.MaxStale); ok {
+		if resp, ok := c.s.staleGet(shard, keys, req.MaxStale); ok {
 			c.localOps.Add(1)
 			c.staleReads.Add(1)
 			if c.localH != nil {
@@ -931,7 +943,7 @@ func (c *Client) localFastRead(ctx context.Context, shard int, req *Request) (*R
 		}
 	}
 	if lease {
-		if resp, ok := c.s.leaseGet(ctx, shard, req.Keys); ok {
+		if resp, ok := c.s.leaseGet(ctx, shard, keys); ok {
 			c.localOps.Add(1)
 			c.leaseReads.Add(1)
 			if c.localH != nil {
@@ -1052,8 +1064,8 @@ func (c *Client) remoteCall(ctx context.Context, shard int, req *Request) (*Resp
 		// Trust nothing about arity: well-known addresses are reachable by
 		// any process on the network, and a short reply must surface as an
 		// error, not an index panic in the caller.
-		if req.Op == ReqGet && (len(resp.Values) != len(req.Keys) || len(resp.Found) != len(req.Keys)) {
-			return nil, c.remoteErr(shard, fmt.Errorf("kv: remote answered %d of %d requested keys", len(resp.Values), len(req.Keys)))
+		if n := req.numKeys(); req.Op == ReqGet && (len(resp.Values) != n || len(resp.Found) != n) {
+			return nil, c.remoteErr(shard, fmt.Errorf("kv: remote answered %d of %d requested keys", len(resp.Values), n))
 		}
 		return resp, nil
 	}
@@ -1167,7 +1179,7 @@ func (c *Client) CAS(ctx context.Context, key string, expect, val []byte) (bool,
 // position, identical at every node — whichever access path served it. It
 // reports false if the key is absent.
 func (c *Client) Get(ctx context.Context, key string) ([]byte, bool, error) {
-	resp, err := c.Do(ctx, &Request{Op: ReqGet, Keys: []string{key}})
+	resp, err := c.Do(ctx, &Request{Op: ReqGet, Key: key})
 	if err != nil {
 		return nil, false, err
 	}
@@ -1187,7 +1199,7 @@ func (c *Client) StaleGet(ctx context.Context, key string, maxStale time.Duratio
 		v, found, err := c.Get(ctx, key)
 		return v, found, 0, err
 	}
-	resp, err := c.Do(ctx, &Request{Op: ReqGet, Flags: flagStaleRead, MaxStale: maxStale, Keys: []string{key}})
+	resp, err := c.Do(ctx, &Request{Op: ReqGet, Flags: flagStaleRead, MaxStale: maxStale, Key: key})
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -1306,7 +1318,8 @@ func (s *Store) beginRequest(c *shardCall, shard int, req *Request) error {
 	case ReqCAS:
 		op, cmd = opCAS, encodeCAS(h, req.Key, req.ExpectPresent, req.Expect, req.Val)
 	case ReqGet:
-		op, cmd = opGet, encodeGet(h, req.Keys)
+		var one [1]string
+		op, cmd = opGet, encodeGet(h, req.readKeys(&one))
 	case ReqBatchPut:
 		c.shard, c.session, c.seqs = shard, req.Session, req.IDs
 		c.cmd, c.cmds = batchPutCommands(h, req.IDs, req.Pairs)

@@ -515,8 +515,8 @@ type Request struct {
 	// (zero: no stale serving). Ignored without the flag.
 	MaxStale time.Duration
 
-	Keys          []string // ReqGet; txn ops: the read set (local subset for ReqTxnPrepare)
-	Key           string   // ReqPut, ReqDelete, ReqCAS; ReqTxnResolve: representative routing key
+	Keys          []string // ReqGet (nil: the one key Key); txn ops: the read set (local subset for ReqTxnPrepare)
+	Key           string   // ReqPut, ReqDelete, ReqCAS; ReqGet without Keys; ReqTxnResolve: representative routing key
 	Val           []byte   // ReqPut, ReqCAS
 	ExpectPresent bool     // ReqCAS
 	Expect        []byte   // ReqCAS
@@ -543,6 +543,18 @@ type Request struct {
 	trace uint64
 }
 
+// readKeys is a ReqGet's keys: Keys, or, when Keys is nil, its one Key in
+// one, an array the caller provides. Client.Get names its key that way so
+// that it allocates no key list: Do leaks what a request points at, and an
+// array on a callee's stack stays there.
+func (r *Request) readKeys(one *[1]string) []string {
+	if r.Keys != nil {
+		return r.Keys
+	}
+	one[0] = r.Key
+	return one[:]
+}
+
 // EncodeRequest renders a request for the wire.
 func EncodeRequest(r *Request) []byte {
 	return spell(func(dst []byte) []byte { return appendRequest(dst, r) })
@@ -567,7 +579,8 @@ func appendRequest(dst []byte, r *Request) []byte {
 	case ReqGet:
 		// v4: the staleness bound precedes the keys (always present).
 		dst = binary.AppendUvarint(dst, uint64(r.MaxStale/time.Millisecond))
-		dst = appendKeys(dst, r.Keys)
+		var one [1]string
+		dst = appendKeys(dst, r.readKeys(&one))
 	case ReqPut:
 		dst = appendBytes(dst, []byte(r.Key))
 		dst = appendBytes(dst, r.Val)

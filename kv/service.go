@@ -244,11 +244,25 @@ func (svc *Service) Close() {
 
 // handle serves one access-protocol request. It runs on its own goroutine
 // (concurrent RPC server), so it may block on the group layer.
+//
+// A request may run here more than once: the RPC server keeps no replies, so
+// a retransmission that arrives after the reply was sent runs it again, and
+// deduplication happens at the shard. A kv client numbers every write in its
+// session before it leaves (Client.Do), and the shard answers a repeated
+// (session, seq) with its first outcome, or Stale once the session has
+// acknowledged it; a transaction re-drives its attempts, whose portions
+// re-answer from their records; a read reads again. A write that arrives
+// unnumbered is refused, since numbered here afresh on every run it would
+// execute again; an unnumbered read is numbered here.
 func (svc *Service) handle(raw []byte) (reply []byte, forward amoeba.Addr) {
 	req, err := DecodeRequest(raw)
 	if err != nil {
 		svc.errors.Add(1)
 		return EncodeResponse(&Response{Err: err.Error()}), 0
+	}
+	if req.Session == 0 && req.Op != ReqGet {
+		svc.errors.Add(1)
+		return svc.answer(req, &Response{Err: "kv: a write needs its client session header"}), 0
 	}
 	ring, rt := svc.store.routingRing()
 	stale := req.Epoch != rt.Epoch

@@ -112,6 +112,14 @@ func txnRequest(op byte, k txnID, ack uint64) *Request {
 	return &Request{Op: op, Session: k.session, ID: k.seq, Ack: ack, Attempt: k.attempt}
 }
 
+// txnSplit is how an attempt's prepare was split among shards, for its
+// resolve echo: its parts, nil when one shard took it whole, at routing epoch
+// epoch.
+type txnSplit struct {
+	epoch uint64
+	parts []shardPart
+}
+
 // maxTxnAttempts bounds conflict retries before surfacing an error.
 const maxTxnAttempts = 64
 
@@ -200,13 +208,16 @@ func (c *Client) txnAttempt(ctx context.Context, k txnID, allKeys []string, req 
 	prepare := txnRequest(ReqTxnPrepare, k, req.Ack)
 	prepare.HomeKey, prepare.AllKeys = homeKey, allKeys
 	prepare.Keys, prepare.Writes, prepare.Conds = req.Keys, req.Writes, req.Conds
-	prep, err := c.Do(ctx, prepare)
+	// Through drive, not Do: the echo reuses the split the answer came under,
+	// which Do does not return, and Do has already taken the transaction.
+	prep, parts, err := c.drive(ctx, prepare)
 	if err != nil {
 		return nil, false, fmt.Errorf("kv: txn %v prepare: %w", k, err)
 	}
 	if c.txnPrepH != nil {
 		c.txnPrepH.Observe(time.Since(prepT0))
 	}
+	split := &txnSplit{epoch: prepare.Epoch, parts: parts}
 	mkResult := func(committed bool) *TxnResult {
 		return &TxnResult{Committed: committed, Values: prep.Values, Found: prep.Found}
 	}
@@ -216,7 +227,7 @@ func (c *Client) txnAttempt(ctx context.Context, k txnID, allKeys []string, req 
 		// retried request): make sure the echo finished and re-answer. A
 		// commit decision exists only via a sequenced resolve at the home,
 		// so the home portion is already resolved.
-		if err := c.txnResolveEcho(ctx, k, req.Ack, true, homeKey, allKeys, true); err != nil {
+		if err := c.txnResolveEcho(ctx, k, req.Ack, true, homeKey, allKeys, split, true); err != nil {
 			return nil, false, err
 		}
 		return mkResult(true), false, nil
@@ -225,12 +236,12 @@ func (c *Client) txnAttempt(ctx context.Context, k txnID, allKeys []string, req 
 		// aborted this attempt: release whatever we locked, try afresh. An
 		// echo that failed may have left a participant locked, so it fails
 		// the transaction, and Do keeps its records for the janitor.
-		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, false); err != nil {
+		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, split, false); err != nil {
 			return nil, false, err
 		}
 		return nil, true, nil
 	case prep.CondFailed:
-		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, false); err != nil {
+		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, split, false); err != nil {
 			return nil, false, err
 		}
 		return &TxnResult{CondFailed: true}, false, nil
@@ -240,7 +251,7 @@ func (c *Client) txnAttempt(ctx context.Context, k txnID, allKeys []string, req 
 	// values are a consistent snapshot (every key was locked when the last
 	// prepare sequenced); the locks just need releasing.
 	if len(req.Writes) == 0 {
-		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, false); err != nil {
+		if err := c.txnResolveEcho(ctx, k, req.Ack, false, homeKey, allKeys, split, false); err != nil {
 			return nil, false, err
 		}
 		return mkResult(true), false, nil
@@ -264,7 +275,7 @@ func (c *Client) txnAttempt(ctx context.Context, k txnID, allKeys []string, req 
 
 	// Phase 3: echo the decision to every participant except the home —
 	// phase 2's resolve already settled the home shard's whole portion.
-	if err := c.txnResolveEcho(ctx, k, req.Ack, committed, homeKey, allKeys, true); err != nil {
+	if err := c.txnResolveEcho(ctx, k, req.Ack, committed, homeKey, allKeys, split, true); err != nil {
 		return nil, false, err
 	}
 	if c.txnResH != nil {
@@ -281,25 +292,39 @@ func (c *Client) txnAttempt(ctx context.Context, k txnID, allKeys []string, req 
 // until a full round completes at a stable routing epoch (a reshard mid-echo
 // can split a group across new shards — the repeat covers the splinters).
 //
-// homeDone says the home shard's portion was already resolved by the caller
-// (phase 2's commit point, or recovery's arbitration), so the first round
-// skips the home key's group instead of re-resolving it — on the common
-// two-shard transaction that halves the echo. The skip applies only to the
-// first round: a repeat round means the epoch flipped mid-echo, and after a
-// reshard the home key's group may hold migrated-in keys whose portions the
-// phase-2 resolve never saw, so repeats cover every group (resolves
-// re-answer idempotently).
-func (c *Client) txnResolveEcho(ctx context.Context, k txnID, ack uint64, commit bool, homeKey string, allKeys []string, homeDone bool) error {
-	for {
+// The first round's groups are those the attempt's prepare was split into
+// (prep), when the routing epoch has not moved since: one per shard of the
+// keys, each routed by its first key in the prepare — or, when one shard
+// took the prepare whole, that shard's, the home's. A repeat round, a moved
+// epoch and a recovery (nil prep) group the keys afresh. homeDone says the
+// home shard's portion was already resolved by the caller (phase 2's commit
+// point, or recovery's arbitration), so the first round skips the home key's
+// group instead of re-resolving it — on the common two-shard transaction that
+// halves the echo. The skip applies only to the first round: a repeat round
+// means the epoch flipped mid-echo, and after a reshard the home key's group
+// may hold migrated-in keys whose portions the phase-2 resolve never saw, so
+// repeats cover every group (resolves re-answer idempotently).
+func (c *Client) txnResolveEcho(ctx context.Context, k txnID, ack uint64, commit bool, homeKey string, allKeys []string, prep *txnSplit, homeDone bool) error {
+	for first := true; ; first = false {
 		r, rt := c.routingRing()
 		if r == nil {
 			return fmt.Errorf("kv: txn %v: resolve echo needs ring knowledge", k)
 		}
-		// One resolve per shard that serves any of the keys — the groups a
-		// read of them all would form — each routed by its group's first key.
-		_, parts := group(r, &Request{Op: ReqGet, Keys: allKeys})
-		if homeDone {
-			homeDone = false
+		var parts []shardPart
+		switch reuse := first && prep != nil && prep.epoch == rt.Epoch; {
+		case reuse && prep.parts != nil:
+			parts = prep.parts // the prepare's calls are done: the echo's answers take their places
+		case reuse && !homeDone:
+			parts = []shardPart{{shard: r.shard(homeKey), key: homeKey}}
+		case reuse:
+			// The prepare's one shard is the home's, already resolved.
+		default:
+			// One resolve per shard that serves any of the keys — the
+			// groups a read of them all would form — each routed by its
+			// group's first key.
+			_, parts = group(r, &Request{Op: ReqGet, Keys: allKeys})
+		}
+		if first && homeDone {
 			home := r.shard(homeKey)
 			parts = slices.DeleteFunc(parts, func(p shardPart) bool { return p.shard == home })
 			c.tracer.Addf(cmdID(k.session, k.seq), "txn echo: home shard skipped (already resolved)")
@@ -377,7 +402,7 @@ func (c *Client) recoverTxn(ctx context.Context, p *txnPortion) error {
 	}
 	commit := resp.TxnState == txnStateCommitted
 	c.tracer.Addf(cmdID(p.ID.session, p.ID.seq), "txn recovery: home arbitrated committed=%v", commit)
-	return c.txnResolveEcho(ctx, p.ID, 0, commit, p.HomeKey, p.AllKeys, true)
+	return c.txnResolveEcho(ctx, p.ID, 0, commit, p.HomeKey, p.AllKeys, nil, true)
 }
 
 // inDoubtTxns lists prepared portions held by this node's replicas whose

@@ -758,7 +758,7 @@ func TestPutBehindPrepareLockRetriesPromptly(t *testing.T) {
 		if round%4 == 3 {
 			time.Sleep(50 * time.Millisecond)
 		}
-		if err := cl.txnResolveEcho(ctx, txn, 0, true, keys[0], keys, false); err != nil {
+		if err := cl.txnResolveEcho(ctx, txn, 0, true, keys[0], keys, nil, false); err != nil {
 			t.Fatalf("round %d: resolve: %v", round, err)
 		}
 		resolved := time.Now()

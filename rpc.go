@@ -16,7 +16,13 @@ type Addr uint64
 // AddrForName derives a stable well-known address from a service name.
 func AddrForName(name string) Addr { return Addr(flip.AddressForName(name)) }
 
-// RPCHandler serves one request. Returning a non-zero forward address
+// RPCHandler serves one request. It must give the same effect when it runs
+// again for the same request: the server keeps no replies, so a
+// retransmission that arrives after the reply was sent (the reply was lost,
+// or the network duplicated the request) runs the handler again. A read
+// meets this as it is; a write meets it by deduplicating where its data
+// lives, the way a kv shard answers a client session's repeated seq with its
+// first outcome. Returning a non-zero forward address
 // instead of a reply hands the request to that server — the paper's
 // ForwardRequest primitive; the reply reaches the client from wherever the
 // request lands. When forwarding, a non-nil reply replaces the request
@@ -41,23 +47,23 @@ type RPCServerOptions struct {
 	// worker when a request finds none idle and keeps it for later
 	// requests, up to 64; a request that finds all 64 busy is shed and
 	// served by the client's next retransmission. Duplicate requests
-	// arriving while a handler runs are suppressed; once it completes,
-	// retransmissions are answered from the per-(client, transaction)
-	// reply cache.
+	// arriving while a handler runs are suppressed; once it completes, a
+	// retransmission runs the handler again (see RPCHandler).
 	Concurrent bool
 }
 
 // NewRPCServer starts serving at addr (use AddrForName for well-known
 // services, or 0 to allocate a fresh address). Handlers run on the kernel's
 // delivery goroutine and must not block; for blocking handlers see
-// NewRPCServerWith.
+// NewRPCServerWith. The server keeps no replies: h must give the same effect
+// when it runs again for a retransmitted request (RPCHandler).
 func (k *Kernel) NewRPCServer(addr Addr, h RPCHandler) (*RPCServer, error) {
 	return k.NewRPCServerWith(addr, h, RPCServerOptions{})
 }
 
 // NewRPCServerWith starts serving at addr with explicit options.
 func (k *Kernel) NewRPCServerWith(addr Addr, h RPCHandler, opts RPCServerOptions) (*RPCServer, error) {
-	srv, err := rpc.NewServer(rpc.Config{Stack: k.stack, Clock: k.clock, Concurrent: opts.Concurrent},
+	srv, err := rpc.NewServer(rpc.Config{Stack: k.stack, Clock: k.clock, Concurrent: opts.Concurrent, Idempotent: true},
 		flip.Address(addr),
 		func(req []byte) ([]byte, flip.Address) {
 			reply, fwd := h(req)
@@ -90,7 +96,8 @@ func (k *Kernel) NewRPCClient() (*RPCClient, error) {
 }
 
 // Call performs a blocking RPC: request out, reply back, with
-// retransmission on loss and at-most-once execution at the server. The
+// retransmission on loss. A retransmission may run the server's handler
+// again (RPCHandler): what runs exactly once is up to the handler. The
 // context bounds the call end to end: when ctx expires mid-retransmit the
 // pending transaction is withdrawn — no goroutine or retransmission traffic
 // lingers — and ctx's error is returned.
